@@ -58,7 +58,7 @@ from .pipeline import (
     sc_validate,
 )
 from .report import MisalignmentReport, ReportFormat, compare, emit_report, emit_trace
-from .runner import run, run_episodes
+from .runner import run_episodes
 from .scenario import ConfigError, ScenarioConfig, load_scenario, load_shipped, shipped_scenarios
 from .severity import (
     OrdinalRating,

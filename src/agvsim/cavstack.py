@@ -8,8 +8,6 @@ harness an oracle view the pipeline components cannot read.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -21,6 +19,7 @@ from .domain import (
     SourceLayer,
     VehicleFeedback,
 )
+from .serialize import _plain_digest
 
 # Speed limits stay inside (0, 200] even under hostile arithmetic.
 MIN_SPEED_LIMIT_KPH = 0.1
@@ -37,17 +36,13 @@ class WorldTruth:
     true_closures: tuple[str, ...] = ()
 
     def digest(self) -> str:
-        blob = json.dumps(
-            {
-                "limit": self.true_speed_limit_kph,
-                "road": self.road_class.value,
-                "speed": self.vehicle_true_speed_kph,
-                "hazards": [[h.kind, h.distance_m, h.confidence] for h in self.true_hazards],
-                "closures": list(self.true_closures),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _plain_digest({
+            "limit": self.true_speed_limit_kph,
+            "road": self.road_class.value,
+            "speed": self.vehicle_true_speed_kph,
+            "hazards": [[h.kind, h.distance_m, h.confidence] for h in self.true_hazards],
+            "closures": list(self.true_closures),
+        })
 
 
 class Layer(str, Enum):
@@ -155,6 +150,16 @@ def apply_summary_transform(summary: ContextSummary, p: LayerPerturbation) -> Co
     return replace(summary, **{p.field: updated})
 
 
+def apply_feedback_transform(feedback: VehicleFeedback, p: LayerPerturbation) -> VehicleFeedback:
+    """Apply one transform to control-layer telemetry (window already checked)."""
+    updated = _apply_numeric(getattr(feedback, p.field), p.op, p.value)  # type: ignore[arg-type]
+    if p.field == "speed_kph":
+        updated = max(updated, 0.0)
+    elif p.field == "braking":
+        updated = _clamp(updated, 0.0, 1.0)
+    return replace(feedback, **{p.field: updated})
+
+
 def _truth_projection(world: WorldTruth, source: SourceLayer) -> ContextSummary:
     return ContextSummary(
         speed_limit_kph=world.true_speed_limit_kph,
@@ -197,13 +202,7 @@ def control_feedback(
     feedback = VehicleFeedback(speed_kph=world.vehicle_true_speed_kph)
     for p in perturbations:
         if p.layer is Layer.CONTROL_FEEDBACK and p.active(step):
-            current = getattr(feedback, p.field)
-            updated = _apply_numeric(current, p.op, p.value)  # type: ignore[arg-type]
-            if p.field == "speed_kph":
-                updated = max(updated, 0.0)
-            elif p.field == "braking":
-                updated = _clamp(updated, 0.0, 1.0)
-            feedback = replace(feedback, **{p.field: updated})
+            feedback = apply_feedback_transform(feedback, p)
     return feedback
 
 

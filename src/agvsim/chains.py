@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .domain import ThreatId
 from .pipeline import Decision
-from .threats import Surface, ThreatInjection, validate_injection
+from .threats import Surface, ThreatInjection, delta_footprint, validate_injection
 from .trace import EpisodeTrace, check_paired, stealth_check, step_deltas
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,8 +69,6 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
-        if not self.stages:
-            pass  # an empty chain is legal and classifies NoEffect
 
 
 def validate_chain(spec: ChainSpec) -> None:
@@ -89,6 +87,40 @@ def validate_chain(spec: ChainSpec) -> None:
         else:
             if stage.probe not in PROBES:
                 raise ValueError(f"{where}: unknown probe {stage.probe!r}")
+
+
+class ChainSchedule:
+    """Trigger resolution for one run of a chain: which stages fired, and when.
+
+    The episode runner marks each inject stage at the step its injection
+    first takes effect; `run_chain` then adds the probe hits, so observe
+    stages resolve through the same `start_step`.
+    """
+
+    def __init__(self, spec: ChainSpec) -> None:
+        self.spec = spec
+        self.fired: dict[int, int] = {}  # stage index -> global step of first effect or probe hit
+
+    def start_step(self, index: int) -> int | None:
+        trigger = self.spec.stages[index].trigger
+        if trigger.at_step is not None:
+            return trigger.at_step
+        upstream = self.fired.get(trigger.after_stage)  # type: ignore[arg-type]
+        return None if upstream is None else upstream + 1
+
+    def active_injections(self, step: int) -> list[tuple[int, ThreatInjection]]:
+        active = []
+        for i, stage in enumerate(self.spec.stages):
+            if stage.kind is not StageKind.INJECT:
+                continue
+            start = self.start_step(i)
+            if start is not None and step >= start:
+                assert stage.injection is not None
+                active.append((i, stage.injection))
+        return active
+
+    def mark_fired(self, index: int, step: int) -> None:
+        self.fired.setdefault(index, step)
 
 
 class OutcomeClass(str, Enum):
@@ -198,7 +230,8 @@ def run_chain(
 
     validate_chain(spec)
     base = replace(scenario, episodes=1)
-    attacked = run_episodes(base, with_injections=True, chain=spec, seed=seed)
+    schedule = ChainSchedule(spec)
+    attacked = run_episodes(base, with_injections=True, chain=schedule, seed=seed)
     baseline = run_episodes(
         base, with_injections=False, seed=seed, steps_per_episode=spec.episode_length
     )
@@ -209,52 +242,35 @@ def run_chain(
     }
 
     stage_deltas = []
-    fired: dict[int, int | None] = {}
     for i, stage in enumerate(spec.stages):
-        if stage.trigger.at_step is not None:
-            start: int | None = stage.trigger.at_step
-        else:
-            upstream = fired.get(stage.trigger.after_stage)  # type: ignore[arg-type]
-            start = None if upstream is None else upstream + 1
+        start = schedule.start_step(i)
         if start is None:
-            fired[i] = None
             stage_deltas.append(
                 StageDelta(i, stage.kind, stage.label, None, (), detail="upstream stage never fired")
             )
-            continue
-        if stage.kind is StageKind.INJECT:
+        elif stage.kind is StageKind.INJECT:
             assert stage.injection is not None
-            effect_steps = [
-                e.step
-                for record in attacked.steps
-                for e in record.effects
-                if e.threat is stage.injection.threat
-                and e.surface is stage.injection.surface
-                and not e.warning
-                and e.step >= start
-            ]
-            fired[i] = min(effect_steps) if effect_steps else None
-            from .threats import delta_footprint
-
+            fired = schedule.fired.get(i)
             footprint = delta_footprint(stage.injection)
             touched = sorted(
                 {
                     prefix
                     for step, prefixes in all_changed.items()
-                    if fired[i] is not None and step >= fired[i]
+                    if fired is not None and step >= fired
                     for prefix in prefixes
                     if prefix in footprint
                 }
             )
             stage_deltas.append(
                 StageDelta(
-                    i, stage.kind, stage.label, fired[i], tuple(touched),
+                    i, stage.kind, stage.label, fired, tuple(touched),
                     detail=stage.injection.threat.value,
                 )
             )
         else:
             hit = PROBES[stage.probe](attacked, baseline, start)  # type: ignore[index]
-            fired[i] = hit
+            if hit is not None:
+                schedule.mark_fired(i, hit)
             stage_deltas.append(
                 StageDelta(i, stage.kind, stage.label, hit, (), detail=stage.probe or "")
             )
@@ -380,7 +396,11 @@ def builtin_chains() -> list[ChainSpec]:
 
 
 def builtin_chain(chain_id: str) -> ChainSpec:
-    for spec in builtin_chains():
-        if spec.id == chain_id or spec.id.startswith(chain_id):
-            return spec
-    raise KeyError(f"unknown chain {chain_id!r}")
+    """A shipped chain by exact id or by a prefix that names one chain only."""
+    specs = builtin_chains()
+    matches = [s for s in specs if s.id == chain_id] or [s for s in specs if s.id.startswith(chain_id)]
+    if not matches:
+        raise KeyError(f"unknown chain {chain_id!r}")
+    if len(matches) > 1:
+        raise KeyError(f"ambiguous chain {chain_id!r} matches {', '.join(s.id for s in matches)}")
+    return matches[0]

@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     sub.add_parser("validate-tables", help="report severity cells inconsistent with the scoring method")
 
     chain_p = sub.add_parser("chain", help="run an attack chain over a scenario")
-    chain_p.add_argument("chain", help="builtin chain id (or prefix), or a chain spec file")
+    chain_p.add_argument("chain", help="builtin chain id (or a unique prefix), or a chain spec file")
     chain_p.add_argument("--seed", type=int, default=None)
     chain_p.add_argument("--scenario", default=None, help="scenario file (default: shipped chain-base)")
 
@@ -180,7 +180,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         try:
             spec = builtin_chain(args.chain)
         except KeyError as exc:
-            raise ConfigError("chain", str(exc)) from exc
+            raise ConfigError("chain", exc.args[0]) from exc
     scenario = _load_scenario_arg(args.scenario) if args.scenario else load_shipped("chain-base")
     seed = _resolve_seed(args.seed)
     propagation, _ = run_chain(spec, scenario, seed=seed)

@@ -10,13 +10,12 @@ physically safe proposals sail through it.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .domain import ContextSummary, Role, UserRequest, VehicleFeedback
+from .serialize import _plain_digest
 
 KPH_PER_MPS = 3.6
 # Horizon over which the SC converts a speed-target jump into an implied
@@ -78,12 +77,10 @@ class MemoryStore:
         return MemoryStore(tuple(e for e in self._entries if e.persistent))
 
     def digest(self) -> str:
-        blob = json.dumps(
+        return _plain_digest(
             [[e.key, e.kind.value, repr(e.value), e.origin.value, e.inserted_step, e.persistent]
-             for e in self._entries],
-            sort_keys=True,
+             for e in self._entries]
         )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -160,16 +157,12 @@ class Rulebook:
 
     abs_max_speed_kph: float = 130.0
     max_accel_mps2: float = 3.0
-    max_jerk_mps3: float = 2.5
     min_headway_s: float = 1.0
-    min_speed_kph_on_highway: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("abs_max_speed_kph", "max_accel_mps2", "max_jerk_mps3", "min_headway_s"):
+        for name in ("abs_max_speed_kph", "max_accel_mps2", "min_headway_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"rulebook bound {name} must be > 0")
-        if self.min_speed_kph_on_highway < 0:
-            raise ValueError("min highway speed must be >= 0")
 
 
 @dataclass

@@ -15,7 +15,7 @@ import random
 from dataclasses import replace
 
 from .cavstack import control_feedback, fuse, perceive, v2x_broadcast
-from .chains import ChainSpec, StageKind
+from .chains import ChainSchedule
 from .domain import (
     Authority,
     Role,
@@ -31,7 +31,7 @@ from .pipeline import (
     SPEED_CAP_KEY,
     validate_with_revision,
 )
-from .scenario import ScenarioConfig
+from .scenario import ConfigError, ScenarioConfig
 from .serialize import digest_of
 from .threats import (
     InjectionEffectRecord,
@@ -57,39 +57,10 @@ def _episode_rng(seed: int, episode: int) -> random.Random:
     return random.Random(seed * 1_000_003 + episode)
 
 
-class _ChainSchedule:
-    """Tracks which chain inject-stages have fired and which are active."""
-
-    def __init__(self, spec: ChainSpec) -> None:
-        self.spec = spec
-        self.fired: dict[int, int] = {}  # stage index -> global step of first effect
-
-    def start_step(self, index: int) -> int | None:
-        trigger = self.spec.stages[index].trigger
-        if trigger.at_step is not None:
-            return trigger.at_step
-        upstream = self.fired.get(trigger.after_stage)  # type: ignore[arg-type]
-        return None if upstream is None else upstream + 1
-
-    def active_injections(self, step: int) -> list[tuple[int, ThreatInjection]]:
-        active = []
-        for i, stage in enumerate(self.spec.stages):
-            if stage.kind is not StageKind.INJECT:
-                continue
-            start = self.start_step(i)
-            if start is not None and step >= start:
-                assert stage.injection is not None
-                active.append((i, stage.injection))
-        return active
-
-    def mark_fired(self, index: int, step: int) -> None:
-        self.fired.setdefault(index, step)
-
-
 def run_episodes(
     config: ScenarioConfig,
     with_injections: bool,
-    chain: ChainSpec | None = None,
+    chain: ChainSchedule | None = None,
     seed: int | None = None,
     steps_per_episode: int | None = None,
 ) -> EpisodeTrace:
@@ -97,18 +68,21 @@ def run_episodes(
 
     The baseline run (`with_injections=False`) skips every injection and
     chain stage but consumes identical seeds and steps, so the pair differs
-    only where attacks acted.
+    only where attacks acted. `chain` schedules one extra chain; the runner
+    marks in it the step at which each inject stage first takes effect.
     """
     seed_value = config.seed if seed is None else seed
     if steps_per_episode is None:
-        steps_per_episode = chain.episode_length if chain is not None else config.steps_per_episode
+        steps_per_episode = chain.spec.episode_length if chain is not None else config.steps_per_episode
+    if steps_per_episode and not config.requests:
+        raise ConfigError(config.id, f"no requests to drive {steps_per_episode} steps per episode")
 
     static_injections = list(config.injections) if with_injections else []
     schedules = []
     if with_injections:
-        schedules = [_ChainSchedule(spec) for spec in config.chains]
+        schedules = [ChainSchedule(spec) for spec in config.chains]
         if chain is not None:
-            schedules.append(_ChainSchedule(chain))
+            schedules.append(chain)
 
     world = config.world
     world_digest_before = world.digest()
@@ -131,14 +105,14 @@ def run_episodes(
             # collect what is active this step: static injections by window,
             # chain stages by trigger resolution
             active_static = [inj for inj in static_injections if inj.active(g)]
-            active_staged: list[tuple[_ChainSchedule, int, ThreatInjection]] = []
+            active_staged: list[tuple[ChainSchedule, int, ThreatInjection]] = []
             for schedule in schedules:
                 for index, injection in schedule.active_injections(g):
                     active_staged.append((schedule, index, injection))
 
             # layer transforms act inside the layer functions
             perturbations = []
-            layer_sources: list[tuple[_ChainSchedule | None, int, ThreatInjection]] = []
+            layer_sources: list[tuple[ChainSchedule | None, int, ThreatInjection]] = []
             for inj in active_static:
                 if inj.surface is Surface.LAYER:
                     perturbations.extend(to_layer_perturbations(inj))
@@ -322,8 +296,3 @@ def run_episodes(
         world_digest_before=world_digest_before,
         world_digest_after=world.digest(),
     )
-
-
-def run(config: ScenarioConfig, with_injections: bool, seed: int | None = None) -> EpisodeTrace:
-    """Public single-run entry point (injected or baseline)."""
-    return run_episodes(config, with_injections=with_injections, seed=seed)

@@ -49,7 +49,6 @@ class ScenarioConfig:
     injections: tuple[ThreatInjection, ...] = ()
     chains: tuple[ChainSpec, ...] = ()
     expected_outcome: str | None = None  # fixture metadata, not engine input
-    source_path: str | None = None
 
     @property
     def steps_per_episode(self) -> int:
@@ -259,7 +258,7 @@ def _parse_chain_ref(data: object, where: str) -> ChainSpec:
         try:
             return builtin_chain(data)
         except KeyError as exc:
-            raise ConfigError(where, str(exc)) from exc
+            raise ConfigError(where, exc.args[0]) from exc
     return parse_chain_spec(data, where)
 
 
@@ -325,7 +324,6 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
             _parse_chain_ref(c, f"{source}.chains[{i}]") for i, c in enumerate(chains_raw)
         ),
         expected_outcome=expected,
-        source_path=None if source == "<memory>" else source,
     )
     logger.debug("loaded scenario %s from %s", config.id, source)
     return config

@@ -36,9 +36,18 @@ def canonical_json(obj: object, indent: int | None = None) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=indent)
 
 
+def _plain_digest(plain: object) -> str:
+    """The one digest format: sha256 of sorted-key JSON, first 16 hex digits.
+
+    `plain` must already be JSON types; callers with a fixed projection of
+    their own state pass it here directly instead of through `to_jsonable`.
+    """
+    return hashlib.sha256(json.dumps(plain, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def digest_of(obj: object) -> str:
     """Short stable content hash, used for before/after oracle trails."""
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
+    return _plain_digest(to_jsonable(obj))
 
 
 def leaf_paths(obj: object, prefix: str = "") -> dict[str, object]:

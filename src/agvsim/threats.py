@@ -1,10 +1,12 @@
 """Registry of the fifteen agentic threats and four cross-layer vectors.
 
-Each threat id binds to exactly one injector: a deterministic edit of one
-attack surface inside the per-step pipeline state, recorded with before/after
-digests so the harness keeps attacker ground truth while the pipeline stays
-oblivious. Illegal (threat, surface) pairs are rejected when a scenario is
-loaded, never at run time.
+Each threat id has exactly one `ThreatSpec` in `THREATS`: its legal
+surfaces, implied layer, payload validator, injector and delta footprint.
+An injector is a deterministic edit of one attack surface inside the
+per-step pipeline state, recorded with before/after digests so the harness
+keeps attacker ground truth while the pipeline stays oblivious. Illegal
+(threat, surface) pairs are rejected when a scenario is loaded, never at run
+time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .cavstack import (
     Layer,
     LayerPerturbation,
     TransformOp,
+    apply_feedback_transform,
     apply_summary_transform,
     validate_perturbation,
 )
@@ -59,41 +62,6 @@ class Surface(str, Enum):
     USER_CHANNEL = "UserChannel"
     LOGS = "Logs"
     LAYER = "Layer"
-
-
-LEGAL_SURFACES: dict[ThreatId, frozenset[Surface]] = {
-    ThreatId.T1: frozenset({Surface.PA_MEMORY}),
-    ThreatId.T2: frozenset({Surface.TOOL_OUTPUT}),
-    ThreatId.T3: frozenset({Surface.INTER_AGENT_MSG}),
-    ThreatId.T4: frozenset({Surface.PA_INPUT, Surface.LAYER}),
-    ThreatId.T5: frozenset({Surface.PA_INPUT}),
-    ThreatId.T6: frozenset({Surface.PA_INPUT}),
-    ThreatId.T7: frozenset({Surface.DSA_WEIGHTS}),
-    ThreatId.T8: frozenset({Surface.LOGS}),
-    ThreatId.T9: frozenset({Surface.IDENTITY_FIELD}),
-    ThreatId.T10: frozenset({Surface.USER_CHANNEL}),
-    ThreatId.T11: frozenset({Surface.TOOL_OUTPUT}),
-    ThreatId.T12: frozenset({Surface.INTER_AGENT_MSG}),
-    ThreatId.T13: frozenset({Surface.AGENT_POLICY}),
-    ThreatId.T14: frozenset({Surface.USER_CHANNEL}),
-    ThreatId.T15: frozenset({Surface.USER_CHANNEL}),
-    ThreatId.X_PERCEPTION: frozenset({Surface.LAYER}),
-    ThreatId.X_V2X: frozenset({Surface.LAYER}),
-    ThreatId.X_COMPUTE: frozenset({Surface.LAYER}),
-    ThreatId.X_CONTROL_FEEDBACK: frozenset({Surface.LAYER}),
-}
-
-# Cross-layer vectors imply their layer; T4-on-Layer may pick any.
-LAYER_FOR_THREAT: dict[ThreatId, Layer] = {
-    ThreatId.X_PERCEPTION: Layer.PERCEPTION,
-    ThreatId.X_V2X: Layer.V2X,
-    ThreatId.X_COMPUTE: Layer.COMPUTE,
-    ThreatId.X_CONTROL_FEEDBACK: Layer.CONTROL_FEEDBACK,
-}
-
-
-def legal_surfaces(threat: ThreatId) -> frozenset[Surface]:
-    return LEGAL_SURFACES[ThreatId(threat)]
 
 
 @dataclass(frozen=True)
@@ -309,6 +277,18 @@ def _validate_context_patch(patch: dict) -> None:
             )
 
 
+def _perturbation(t: dict, layer: Layer, window: tuple[int, int]) -> LayerPerturbation:
+    """One payload transform `{field, op, value}` as a layer perturbation."""
+    value = t.get("value")
+    if t["field"] == "hazards" and t["op"] == "InjectRecord":
+        _require(
+            isinstance(value, dict) and {"kind", "distance_m", "confidence"} <= set(value),
+            "hazard injection needs kind, distance_m, confidence",
+        )
+        value = Hazard(kind=value["kind"], distance_m=value["distance_m"], confidence=value["confidence"])
+    return LayerPerturbation(layer=layer, field=t["field"], op=TransformOp(t["op"]), value=value, window=window)
+
+
 def _validate_transforms(transforms: object, layer: Layer, window: tuple[int, int]) -> None:
     _require(isinstance(transforms, list) and transforms, "transforms must be a non-empty list")
     for t in transforms:  # type: ignore[union-attr]
@@ -316,148 +296,151 @@ def _validate_transforms(transforms: object, layer: Layer, window: tuple[int, in
             isinstance(t, dict) and {"field", "op"} <= set(t),
             "each transform needs field, op, value",
         )
-        value = t.get("value")
-        if t["field"] == "hazards" and t["op"] == "InjectRecord":
-            _require(
-                isinstance(value, dict) and {"kind", "distance_m", "confidence"} <= set(value),
-                "hazard injection needs kind, distance_m, confidence",
-            )
-            value = Hazard(kind=value["kind"], distance_m=value["distance_m"], confidence=value["confidence"])
-        validate_perturbation(
-            LayerPerturbation(layer=layer, field=t["field"], op=TransformOp(t["op"]), value=value, window=window)
-        )
+        validate_perturbation(_perturbation(t, layer, window))
 
 
-def _validate_payload(injection: ThreatInjection) -> None:
-    t, p = injection.threat, injection.payload
-    _require(isinstance(p, dict), "payload must be a mapping")
-    if t is ThreatId.T1:
-        _require(_is_num(p.get("value_kph")) and p["value_kph"] > 0, "T1 needs value_kph > 0")
-    elif t is ThreatId.T2:
-        advised = p.get("advised_speed_kph")
-        _require(advised is None or (_is_num(advised) and advised > 0), "T2 advised_speed_kph must be > 0")
-    elif t is ThreatId.T3:
-        _require(p.get("grant_role") in (Role.PERSONAL_AGENT.value, Role.DRIVING_STRATEGY_AGENT.value),
-                 "T3 grant_role must name an agent role")
-        _validate_context_patch(p.get("context_patch", {}))
-    elif t is ThreatId.T4:
-        factor = p.get("completeness_factor")
-        _require(_is_num(factor) and 0 < factor < 1, "T4 needs completeness_factor in (0, 1)")
-    elif t is ThreatId.T5:
-        _validate_context_patch(p.get("context_patch", {}))
-        _require(bool(p.get("context_patch")), "T5 needs a non-empty context_patch")
-    elif t is ThreatId.T6:
-        _require(
-            any(k in p for k in ("urgency_tag", "destination", "desired_speed_kph")),
-            "T6 needs at least one of urgency_tag, destination, desired_speed_kph",
-        )
-        if "urgency_tag" in p:
-            _require(p["urgency_tag"] in ("Routine", "Urgent"), "T6 urgency_tag must be Routine or Urgent")
-    elif t is ThreatId.T7:
-        w = p.get("speed_weight")
-        _require(_is_num(w) and 0 < w <= 1, "T7 needs speed_weight in (0, 1]")
-        if "headway_scale" in p:
-            _require(_is_num(p["headway_scale"]) and p["headway_scale"] >= 1, "T7 headway_scale must be >= 1")
-    elif t is ThreatId.T8:
-        _require(p.get("mode", "strip-provenance") == "strip-provenance", "T8 supports mode strip-provenance")
-    elif t is ThreatId.T9:
-        _require(p.get("claimed") in [r.value for r in Role], "T9 needs a claimed role")
-        _require(p.get("target", "context") in ("context", "user"), "T9 target must be context or user")
-        _validate_context_patch(p.get("context_patch", {}))
-    elif t is ThreatId.T10:
-        n = p.get("noise_queries")
-        _require(isinstance(n, int) and n >= 1, "T10 needs noise_queries >= 1")
-    elif t is ThreatId.T11:
-        _require(p.get("config_field") in AgentTuning().field_names(), "T11 config_field must name a tuning knob")
-        _require(_is_num(p.get("config_value")) and p["config_value"] > 0, "T11 needs config_value > 0")
-        advised = p.get("advised_speed_kph")
-        _require(advised is None or (_is_num(advised) and advised > 0), "T11 advised_speed_kph must be > 0")
-    elif t is ThreatId.T12:
-        _require(p.get("target", "context") in ("context", "external"), "T12 target must be context or external")
-        edits = p.get("edits")
-        _require(isinstance(edits, list) and edits, "T12 needs a non-empty edits list")
-        if p.get("target", "context") == "context":
-            _validate_transforms(edits, Layer.V2X, injection.window)
-        else:
-            for e in edits:
-                _require(e.get("op") in ("Set", "InjectRecord"), "external-target edits support Set/InjectRecord")
-                _require(e.get("field") in ("speed_limit_kph", "closures", "hazards"),
-                         f"unsupported external edit field {e.get('field')!r}")
-    elif t is ThreatId.T13:
-        agent = p.get("agent")
-        _require(agent in ("PA", "DSA"), "T13 agent must be PA or DSA")
-        pool = PA_POLICIES if agent == "PA" else DSA_POLICIES
-        _require(p.get("policy") in pool, f"T13 policy must be one of {pool}")
-    elif t is ThreatId.T14:
-        reqs = p.get("requests")
-        _require(isinstance(reqs, list) and reqs, "T14 needs a non-empty requests list")
-        for r in reqs:
-            _require(isinstance(r, dict) and "urgency_tag" in r and "destination" in r,
-                     "each T14 request needs urgency_tag and destination")
-    elif t is ThreatId.T15:
-        w = p.get("framing_weight")
-        _require(_is_num(w) and 0 < w <= 1, "T15 needs framing_weight in (0, 1]")
-        _require(p.get("framing", DEFAULT_URGENCY) in ("Routine", "Urgent"), "T15 framing must be Routine or Urgent")
-    elif t.is_cross_layer:
-        _validate_transforms(p.get("transforms"), LAYER_FOR_THREAT[t], injection.window)
+# Per-threat payload checks: (payload, injection) -> None, raising ValueError.
+
+
+def _check_t1(p: dict, inj: ThreatInjection) -> None:
+    _require(_is_num(p.get("value_kph")) and p["value_kph"] > 0, "T1 needs value_kph > 0")
+
+
+def _check_t2(p: dict, inj: ThreatInjection) -> None:
+    advised = p.get("advised_speed_kph")
+    _require(advised is None or (_is_num(advised) and advised > 0), "T2 advised_speed_kph must be > 0")
+
+
+def _check_t3(p: dict, inj: ThreatInjection) -> None:
+    _require(p.get("grant_role") in (Role.PERSONAL_AGENT.value, Role.DRIVING_STRATEGY_AGENT.value),
+             "T3 grant_role must name an agent role")
+    _validate_context_patch(p.get("context_patch", {}))
+
+
+def _check_t4(p: dict, inj: ThreatInjection) -> None:
+    factor = p.get("completeness_factor")
+    _require(_is_num(factor) and 0 < factor < 1, "T4 needs completeness_factor in (0, 1)")
+
+
+def _check_t5(p: dict, inj: ThreatInjection) -> None:
+    _validate_context_patch(p.get("context_patch", {}))
+    _require(bool(p.get("context_patch")), "T5 needs a non-empty context_patch")
+
+
+def _check_t6(p: dict, inj: ThreatInjection) -> None:
+    _require(
+        any(k in p for k in ("urgency_tag", "destination", "desired_speed_kph")),
+        "T6 needs at least one of urgency_tag, destination, desired_speed_kph",
+    )
+    if "urgency_tag" in p:
+        _require(p["urgency_tag"] in ("Routine", "Urgent"), "T6 urgency_tag must be Routine or Urgent")
+
+
+def _check_t7(p: dict, inj: ThreatInjection) -> None:
+    w = p.get("speed_weight")
+    _require(_is_num(w) and 0 < w <= 1, "T7 needs speed_weight in (0, 1]")
+    if "headway_scale" in p:
+        _require(_is_num(p["headway_scale"]) and p["headway_scale"] >= 1, "T7 headway_scale must be >= 1")
+
+
+def _check_t8(p: dict, inj: ThreatInjection) -> None:
+    _require(p.get("mode", "strip-provenance") == "strip-provenance", "T8 supports mode strip-provenance")
+
+
+def _check_t9(p: dict, inj: ThreatInjection) -> None:
+    _require(p.get("claimed") in [r.value for r in Role], "T9 needs a claimed role")
+    _require(p.get("target", "context") in ("context", "user"), "T9 target must be context or user")
+    _validate_context_patch(p.get("context_patch", {}))
+
+
+def _check_t10(p: dict, inj: ThreatInjection) -> None:
+    n = p.get("noise_queries")
+    _require(isinstance(n, int) and n >= 1, "T10 needs noise_queries >= 1")
+
+
+def _check_t11(p: dict, inj: ThreatInjection) -> None:
+    _require(p.get("config_field") in AgentTuning().field_names(), "T11 config_field must name a tuning knob")
+    _require(_is_num(p.get("config_value")) and p["config_value"] > 0, "T11 needs config_value > 0")
+    advised = p.get("advised_speed_kph")
+    _require(advised is None or (_is_num(advised) and advised > 0), "T11 advised_speed_kph must be > 0")
+
+
+def _check_t12(p: dict, inj: ThreatInjection) -> None:
+    _require(p.get("target", "context") in ("context", "external"), "T12 target must be context or external")
+    edits = p.get("edits")
+    _require(isinstance(edits, list) and edits, "T12 needs a non-empty edits list")
+    if p.get("target", "context") == "context":
+        _validate_transforms(edits, Layer.V2X, inj.window)
+    else:
+        for e in edits:
+            _require(isinstance(e, dict), "each edit needs field, op, value")
+            _require(e.get("op") in ("Set", "InjectRecord"), "external-target edits support Set/InjectRecord")
+            _require(e.get("field") in ("speed_limit_kph", "closures", "hazards"),
+                     f"unsupported external edit field {e.get('field')!r}")
+
+
+def _check_t13(p: dict, inj: ThreatInjection) -> None:
+    agent = p.get("agent")
+    _require(agent in ("PA", "DSA"), "T13 agent must be PA or DSA")
+    pool = PA_POLICIES if agent == "PA" else DSA_POLICIES
+    _require(p.get("policy") in pool, f"T13 policy must be one of {pool}")
+
+
+def _check_t14(p: dict, inj: ThreatInjection) -> None:
+    reqs = p.get("requests")
+    _require(isinstance(reqs, list) and reqs, "T14 needs a non-empty requests list")
+    for r in reqs:
+        _require(isinstance(r, dict) and "urgency_tag" in r and "destination" in r,
+                 "each T14 request needs urgency_tag and destination")
+
+
+def _check_t15(p: dict, inj: ThreatInjection) -> None:
+    w = p.get("framing_weight")
+    _require(_is_num(w) and 0 < w <= 1, "T15 needs framing_weight in (0, 1]")
+    _require(p.get("framing", DEFAULT_URGENCY) in ("Routine", "Urgent"), "T15 framing must be Routine or Urgent")
+
+
+def _check_transforms(p: dict, inj: ThreatInjection) -> None:
+    _validate_transforms(p.get("transforms"), effective_layer(inj), inj.window)
 
 
 def validate_injection(injection: ThreatInjection) -> None:
     """Legality and payload checks, run at configuration-load time."""
-    if injection.surface not in legal_surfaces(injection.threat):
+    spec = THREATS[injection.threat]
+    if injection.surface not in spec.surfaces:
         raise ValueError(
             f"{injection.threat.value} may not target surface {injection.surface.value}; "
-            f"legal: {sorted(s.value for s in legal_surfaces(injection.threat))}"
+            f"legal: {sorted(s.value for s in spec.surfaces)}"
         )
     if injection.window[0] < 0 or injection.window[1] < injection.window[0]:
         raise ValueError(f"bad injection window {injection.window}")
     if injection.surface is Surface.LAYER:
-        implied = LAYER_FOR_THREAT.get(injection.threat)
-        if implied is not None and injection.layer not in (None, implied):
-            raise ValueError(f"{injection.threat.value} is bound to layer {implied.value}")
-        if implied is None and injection.layer is None:
+        if spec.layer is not None and injection.layer not in (None, spec.layer):
+            raise ValueError(f"{injection.threat.value} is bound to layer {spec.layer.value}")
+        if spec.layer is None and injection.layer is None:
             raise ValueError(f"{injection.threat.value} on the Layer surface needs an explicit layer")
     elif injection.layer is not None:
         raise ValueError("layer tag only applies to the Layer surface")
-    _validate_payload(injection)
+    _require(isinstance(injection.payload, dict), "payload must be a mapping")
+    spec.validate(injection.payload, injection)
 
 
 def effective_layer(injection: ThreatInjection) -> Layer:
-    implied = LAYER_FOR_THREAT.get(injection.threat)
-    if implied is not None:
-        return implied
-    assert injection.layer is not None
-    return injection.layer
+    """The layer a Layer-surface injection edits: implied by the threat, else its tag."""
+    layer = THREATS[injection.threat].layer or injection.layer
+    assert layer is not None
+    return layer
 
 
 def to_layer_perturbations(injection: ThreatInjection) -> list[LayerPerturbation]:
     """Translate a Layer-surface injection into declarative transforms."""
-    layer = effective_layer(injection)
     if injection.threat is ThreatId.T4:
-        return [
-            LayerPerturbation(
-                layer=layer,
-                field="completeness",
-                op=TransformOp.SCALE,
-                value=injection.payload["completeness_factor"],
-                window=injection.window,
-            )
-        ]
-    perturbations = []
-    for t in injection.payload["transforms"]:
-        value = t.get("value")
-        if t["field"] == "hazards" and t["op"] == "InjectRecord":
-            value = Hazard(kind=value["kind"], distance_m=value["distance_m"], confidence=value["confidence"])
-        perturbations.append(
-            LayerPerturbation(
-                layer=layer,
-                field=t["field"],
-                op=TransformOp(t["op"]),
-                value=value,
-                window=injection.window,
-            )
-        )
-    return perturbations
+        factor = injection.payload["completeness_factor"]
+        transforms = [{"field": "completeness", "op": "Scale", "value": factor}]
+    else:
+        transforms = injection.payload["transforms"]
+    layer = effective_layer(injection)
+    return [_perturbation(t, layer, injection.window) for t in transforms]
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +534,9 @@ def _apply_t3(inj: ThreatInjection, state: PipelineState, step: int) -> Injectio
     return _record(inj, step, before, after, note=f"context authority delegated to {grant_role.value}")
 
 
-def _apply_t4_input(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
+def _apply_t4(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
+    if inj.surface is Surface.LAYER:
+        return _apply_layer_direct(inj, state, step)
     before = digest_of(state.pa_context)
     factor = float(inj.payload["completeness_factor"])
     state.pa_context = replace(
@@ -698,14 +683,7 @@ def _apply_t12(inj: ThreatInjection, state: PipelineState, step: int) -> Injecti
     before = digest_of(state.dsa_context)
     summary = state.dsa_context
     for edit in inj.payload["edits"]:
-        value = edit.get("value")
-        if edit["field"] == "hazards" and edit["op"] == "InjectRecord":
-            value = Hazard(kind=value["kind"], distance_m=value["distance_m"], confidence=value["confidence"])
-        perturbation = LayerPerturbation(
-            layer=Layer.V2X, field=edit["field"], op=TransformOp(edit["op"]), value=value,
-            window=inj.window,
-        )
-        summary = apply_summary_transform(summary, perturbation)
+        summary = apply_summary_transform(summary, _perturbation(edit, Layer.V2X, inj.window))
     state.dsa_context = summary
     return _record(inj, step, before, digest_of(summary), note="coordination channel poisoned")
 
@@ -757,21 +735,8 @@ def _apply_layer_direct(inj: ThreatInjection, state: PipelineState, step: int) -
     perturbations = to_layer_perturbations(inj)
     if layer is Layer.CONTROL_FEEDBACK:
         before = digest_of(state.feedback)
-        feedback = state.feedback
         for p in perturbations:
-            current = getattr(feedback, p.field)
-            if p.op is TransformOp.SET:
-                updated = float(p.value)  # type: ignore[arg-type]
-            elif p.op is TransformOp.ADD:
-                updated = current + float(p.value)  # type: ignore[arg-type]
-            else:
-                updated = current * float(p.value)  # type: ignore[arg-type]
-            if p.field == "speed_kph":
-                updated = max(updated, 0.0)
-            elif p.field == "braking":
-                updated = min(max(updated, 0.0), 1.0)
-            feedback = replace(feedback, **{p.field: updated})
-        state.feedback = feedback
+            state.feedback = apply_feedback_transform(state.feedback, p)
         return _record(inj, step, before, digest_of(state.feedback), note="control feedback falsified")
     before = digest_of({"pa": state.pa_context, "dsa": state.dsa_context})
     for p in perturbations:
@@ -781,22 +746,94 @@ def _apply_layer_direct(inj: ThreatInjection, state: PipelineState, step: int) -
     return _record(inj, step, before, after, note=f"{layer.value}-layer summary distorted")
 
 
-_APPLIERS: dict[ThreatId, Callable[[ThreatInjection, PipelineState, int], InjectionEffectRecord]] = {
-    ThreatId.T1: _apply_t1,
-    ThreatId.T2: _apply_t2,
-    ThreatId.T3: _apply_t3,
-    ThreatId.T5: _apply_t5,
-    ThreatId.T6: _apply_t6,
-    ThreatId.T7: _apply_t7,
-    ThreatId.T8: _apply_t8,
-    ThreatId.T9: _apply_t9,
-    ThreatId.T10: _apply_t10,
-    ThreatId.T11: _apply_t11,
-    ThreatId.T12: _apply_t12,
-    ThreatId.T13: _apply_t13,
-    ThreatId.T14: _apply_t14,
-    ThreatId.T15: _apply_t15,
+# ---------------------------------------------------------------------------
+# the registry: one spec per threat id
+
+
+@dataclass(frozen=True)
+class ThreatSpec:
+    """Everything the harness knows about one threat id."""
+
+    surfaces: frozenset[Surface]
+    validate: Callable[[dict, ThreatInjection], None]  # payload checks, at load time
+    apply: Callable[[ThreatInjection, PipelineState, int], InjectionEffectRecord]
+    # step-record key prefixes through which the effect may surface; the
+    # chain runner's structural attribution reads them
+    footprint: tuple[str, ...]
+    # the part of the footprint that depends on the surface or the payload
+    footprint_extra: Callable[[ThreatInjection], tuple[str, ...]] | None = None
+    layer: Layer | None = None  # implied by cross-layer vectors; T4-on-Layer may pick any
+
+
+_DOWNSTREAM = ("intent", "submissions", "approved")
+_DECISION = ("submissions", "approved")
+
+THREATS: dict[ThreatId, ThreatSpec] = {
+    ThreatId.T1: ThreatSpec(
+        frozenset({Surface.PA_MEMORY}), _check_t1, _apply_t1, ("memory_digest",) + _DOWNSTREAM,
+    ),
+    ThreatId.T2: ThreatSpec(
+        frozenset({Surface.TOOL_OUTPUT}), _check_t2, _apply_t2, ("tool_output", "memory_digest") + _DOWNSTREAM,
+    ),
+    ThreatId.T3: ThreatSpec(
+        frozenset({Surface.INTER_AGENT_MSG}), _check_t3, _apply_t3,
+        ("admission_digest", "envelope_count", "log_digest", "dsa_context") + _DECISION,
+    ),
+    ThreatId.T4: ThreatSpec(
+        frozenset({Surface.PA_INPUT, Surface.LAYER}), _check_t4, _apply_t4, ("pa_context",),
+        footprint_extra=lambda inj: ("dsa_context",) if inj.surface is Surface.LAYER else (),
+    ),
+    ThreatId.T5: ThreatSpec(
+        frozenset({Surface.PA_INPUT}), _check_t5, _apply_t5, ("pa_context", "memory_digest") + _DOWNSTREAM,
+    ),
+    ThreatId.T6: ThreatSpec(frozenset({Surface.PA_INPUT}), _check_t6, _apply_t6, ("request",) + _DOWNSTREAM),
+    ThreatId.T7: ThreatSpec(frozenset({Surface.DSA_WEIGHTS}), _check_t7, _apply_t7, _DECISION),
+    ThreatId.T8: ThreatSpec(frozenset({Surface.LOGS}), _check_t8, _apply_t8, ("log_digest",)),
+    ThreatId.T9: ThreatSpec(
+        frozenset({Surface.IDENTITY_FIELD}), _check_t9, _apply_t9,
+        ("envelope_count", "spoofed_envelopes", "log_digest"),
+        footprint_extra=lambda inj: ("dsa_context",) + _DECISION if inj.payload.get("context_patch") else (),
+    ),
+    ThreatId.T10: ThreatSpec(
+        frozenset({Surface.USER_CHANNEL}), _check_t10, _apply_t10, ("user_queries", "request") + _DOWNSTREAM,
+    ),
+    ThreatId.T11: ThreatSpec(
+        frozenset({Surface.TOOL_OUTPUT}), _check_t11, _apply_t11,
+        ("tool_output", "tuning_digest", "memory_digest") + _DOWNSTREAM,
+    ),
+    ThreatId.T12: ThreatSpec(
+        frozenset({Surface.INTER_AGENT_MSG}), _check_t12, _apply_t12, ("dsa_context",) + _DECISION,
+    ),
+    ThreatId.T13: ThreatSpec(
+        frozenset({Surface.AGENT_POLICY}), _check_t13, _apply_t13, ("policies",) + _DOWNSTREAM,
+    ),
+    ThreatId.T14: ThreatSpec(
+        frozenset({Surface.USER_CHANNEL}), _check_t14, _apply_t14, ("request",) + _DOWNSTREAM,
+    ),
+    ThreatId.T15: ThreatSpec(
+        frozenset({Surface.USER_CHANNEL}), _check_t15, _apply_t15, ("request",) + _DOWNSTREAM,
+    ),
+    ThreatId.X_PERCEPTION: ThreatSpec(
+        frozenset({Surface.LAYER}), _check_transforms, _apply_layer_direct,
+        ("pa_context", "dsa_context") + _DOWNSTREAM, layer=Layer.PERCEPTION,
+    ),
+    ThreatId.X_V2X: ThreatSpec(
+        frozenset({Surface.LAYER}), _check_transforms, _apply_layer_direct,
+        ("pa_context", "dsa_context") + _DOWNSTREAM, layer=Layer.V2X,
+    ),
+    ThreatId.X_COMPUTE: ThreatSpec(
+        frozenset({Surface.LAYER}), _check_transforms, _apply_layer_direct,
+        ("pa_context", "dsa_context") + _DOWNSTREAM, layer=Layer.COMPUTE,
+    ),
+    ThreatId.X_CONTROL_FEEDBACK: ThreatSpec(
+        frozenset({Surface.LAYER}), _check_transforms, _apply_layer_direct,
+        ("feedback",) + _DECISION, layer=Layer.CONTROL_FEEDBACK,
+    ),
 }
+
+
+def legal_surfaces(threat: ThreatId) -> frozenset[Surface]:
+    return THREATS[ThreatId(threat)].surfaces
 
 
 def apply(injection: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
@@ -807,59 +844,12 @@ def apply(injection: ThreatInjection, state: PipelineState, step: int) -> Inject
     if not injection.active(step):
         digest = digest_of(None)
         return _record(injection, step, digest, digest, note="outside active window", warning=True)
-    if injection.surface is Surface.LAYER:
-        return _apply_layer_direct(injection, state, step)
-    if injection.threat is ThreatId.T4:
-        return _apply_t4_input(injection, state, step)
-    return _APPLIERS[injection.threat](injection, state, step)
-
-
-# ---------------------------------------------------------------------------
-# delta attribution
-
-# Step-record key prefixes through which each injection's effect may surface.
-# Used by the chain runner's structural attribution check.
+    return THREATS[injection.threat].apply(injection, state, step)
 
 
 def delta_footprint(injection: ThreatInjection) -> tuple[str, ...]:
-    t = injection.threat
-    downstream = ("intent", "submissions", "approved")
-    if t is ThreatId.T1:
-        return ("memory_digest",) + downstream
-    if t is ThreatId.T2:
-        return ("tool_output", "memory_digest") + downstream
-    if t is ThreatId.T3:
-        return ("admission_digest", "envelope_count", "log_digest", "dsa_context", "submissions", "approved")
-    if t is ThreatId.T4:
-        if injection.surface is Surface.LAYER:
-            return ("pa_context", "dsa_context")
-        return ("pa_context",)
-    if t is ThreatId.T5:
-        return ("pa_context", "memory_digest") + downstream
-    if t is ThreatId.T6:
-        return ("request",) + downstream
-    if t is ThreatId.T7:
-        return ("submissions", "approved")
-    if t is ThreatId.T8:
-        return ("log_digest",)
-    if t is ThreatId.T9:
-        fields = ("envelope_count", "spoofed_envelopes", "log_digest")
-        if injection.payload.get("context_patch"):
-            fields += ("dsa_context", "submissions", "approved")
-        return fields
-    if t is ThreatId.T10:
-        return ("user_queries", "request") + downstream
-    if t is ThreatId.T11:
-        return ("tool_output", "tuning_digest", "memory_digest") + downstream
-    if t is ThreatId.T12:
-        return ("dsa_context", "submissions", "approved")
-    if t is ThreatId.T13:
-        return ("policies",) + downstream
-    if t is ThreatId.T14:
-        return ("request",) + downstream
-    if t is ThreatId.T15:
-        return ("request",) + downstream
-    if t is ThreatId.X_CONTROL_FEEDBACK:
-        return ("feedback", "submissions", "approved")
-    # perception / V2X / compute vectors
-    return ("pa_context", "dsa_context") + downstream
+    """Step-record key prefixes through which this injection's effect may surface."""
+    spec = THREATS[injection.threat]
+    if spec.footprint_extra is None:
+        return spec.footprint
+    return spec.footprint + spec.footprint_extra(injection)

@@ -58,6 +58,12 @@ class TestBuiltinChains:
         with pytest.raises(KeyError):
             builtin_chain("chain-99")
 
+    def test_exact_id_or_unique_prefix_only(self):
+        assert builtin_chain("chain-3").id == "chain-3-hallucination-compounding"
+        assert builtin_chain("chain-6-spoofed-v2x-closure").id == "chain-6-spoofed-v2x-closure"
+        with pytest.raises(KeyError, match="ambiguous"):
+            builtin_chain("chain-")
+
 
 class TestChainValidation:
     def test_trigger_dag_ordering_enforced(self):
@@ -124,6 +130,22 @@ class TestRunChain:
         assert fired[0] == 0          # forged identity lands immediately
         assert fired[1] == 1          # poisoning waits for the spoof to take effect
         assert fired[2] is not None and fired[2] >= 1
+
+    def test_stage_fired_step_is_the_runners_not_a_static_twin(self, base_scenario):
+        # a static T8 strips the log at step 0, so the stage's own strip
+        # there finds nothing and only takes effect at step 1
+        static = ThreatInjection(
+            ThreatId.T8, Surface.LOGS, {"mode": "strip-provenance"}, window=(0, 0)
+        )
+        scenario = dataclasses.replace(base_scenario, injections=(static,))
+        stage = ChainStage(
+            kind=StageKind.INJECT,
+            trigger=Trigger(at_step=0),
+            injection=ThreatInjection(ThreatId.T8, Surface.LOGS, {}, window=(0, 2**31 - 1)),
+        )
+        spec = ChainSpec(id="t8-twin", stages=(stage,), episode_length=4)
+        propagation, _ = run_chain(spec, scenario)
+        assert propagation.stage_deltas[0].fired_step == 1
 
     def test_snapshot_count_equals_episode_length(self, base_scenario):
         for spec in builtin_chains():

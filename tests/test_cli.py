@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, seed precedence, determinism."""
 
+from agvsim.chains import builtin_chains
 from agvsim.cli import main
 from agvsim.scenario import shipped_scenarios
 
@@ -96,12 +97,32 @@ class TestChainCommand:
     def test_builtin_chain_runs(self, capsys):
         code, out, _ = run_cli(capsys, "chain", "chain-1")
         assert code == 0
+        assert out.startswith("chain:    chain-1-memory-poisoning-drift\n")
         assert "outcome:  MisalignedApproved" in out
         assert "stealth:  true" in out
 
     def test_unknown_chain_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "chain", "chain-42")
         assert code == 1
+
+    def test_ambiguous_prefix_is_config_error_naming_matches(self, capsys):
+        code, out, err = run_cli(capsys, "chain", "chain-")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "ambiguous" in err
+        for spec in builtin_chains():
+            assert spec.id in err
+
+    def test_scenario_without_requests_is_config_error(self, capsys, tmp_path):
+        text = shipped_scenarios()["chain-base"].read_text()
+        path = tmp_path / "no-requests.yaml"
+        path.write_text(text.split("requests:")[0] + "requests: []\n")
+        code, out, err = run_cli(capsys, "chain", "chain-1", "--scenario", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error: chain-base: no requests")
+        assert len(err.splitlines()) == 1
 
 
 class TestList:

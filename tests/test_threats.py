@@ -119,6 +119,10 @@ class TestLegalityMap:
             validate_injection(
                 ThreatInjection(ThreatId.T13, Surface.AGENT_POLICY, {"agent": "DSA", "policy": "nope"})
             )
+        with pytest.raises(ValueError):
+            validate_injection(
+                ThreatInjection(ThreatId.T12, Surface.INTER_AGENT_MSG, {"target": "external", "edits": [5]})
+            )
 
 
 class TestApplyEffects:
