@@ -11,14 +11,12 @@ import argparse
 import os
 import sys
 
-import yaml
-
 from .chains import builtin_chain, builtin_chains, run_chain
 from .domain import AgencyBucket, DrivingMode, ThreatId, agency_bucket
 from .pipeline import PipelineError
 from .report import ReportFormat, ReportIOError, compare, emit_report, emit_trace, render_csv, render_json
 from .runner import run_episodes
-from .scenario import ConfigError, load_scenario, load_shipped, parse_chain_spec, shipped_scenarios
+from .scenario import ConfigError, load_chain_spec, load_scenario, load_shipped, shipped_scenarios
 from .severity import DIMENSIONS, OrdinalRating, validate_tables, what_if
 from .threats import legal_surfaces
 
@@ -171,11 +169,7 @@ def _cmd_validate_tables(_: argparse.Namespace) -> int:
 
 def _cmd_chain(args: argparse.Namespace) -> int:
     if os.path.exists(args.chain):
-        try:
-            data = yaml.safe_load(open(args.chain).read())
-        except yaml.YAMLError as exc:
-            raise ConfigError(args.chain, f"parse error: {exc}") from exc
-        spec = parse_chain_spec(data, args.chain)
+        spec = load_chain_spec(args.chain)
     else:
         try:
             spec = builtin_chain(args.chain)

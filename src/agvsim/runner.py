@@ -35,6 +35,7 @@ from .scenario import ConfigError, ScenarioConfig
 from .serialize import digest_of
 from .threats import (
     InjectionEffectRecord,
+    MessageLog,
     Phase,
     PipelineState,
     SimulatedUserState,
@@ -89,7 +90,7 @@ def run_episodes(
     rules = Rulebook()
     tuning = AgentTuning()
     memory = MemoryStore()
-    log: list = []
+    log = MessageLog()
     records: list[StepRecord] = []
 
     for episode in range(config.episodes):
@@ -252,7 +253,7 @@ def run_episodes(
 
             run_phase(Phase.POST_STEP)
 
-            step_envelopes = tuple(log[log_start:])
+            step_envelopes = log.since(log_start)
             records.append(
                 StepRecord(
                     episode=episode,

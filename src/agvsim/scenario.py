@@ -329,20 +329,30 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
     return config
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Load and fully validate one scenario file."""
-    path = Path(path)
+def _read_yaml(path: Path) -> object:
+    """Read and parse one UTF-8 YAML file; every failure is a ConfigError naming the path."""
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         location = f"{path}:{mark.line + 1}" if mark is not None else str(path)
         raise ConfigError(location, f"parse error: {exc}") from exc
-    return parse_scenario(data, str(path))
+
+
+def load_scenario(path: str | Path) -> ScenarioConfig:
+    """Load and fully validate one scenario file."""
+    path = Path(path)
+    return parse_scenario(_read_yaml(path), str(path))
+
+
+def load_chain_spec(path: str | Path) -> ChainSpec:
+    """Load and fully validate one chain spec file."""
+    path = Path(path)
+    return parse_chain_spec(_read_yaml(path), str(path))
 
 
 def shipped_scenarios() -> dict[str, Path]:

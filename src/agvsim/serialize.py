@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Iterable
 from enum import Enum
 
 
@@ -48,6 +49,35 @@ def _plain_digest(plain: object) -> str:
 def digest_of(obj: object) -> str:
     """Short stable content hash, used for before/after oracle trails."""
     return _plain_digest(to_jsonable(obj))
+
+
+class ListDigest:
+    """`digest_of` of a list whose settled prefix only grows, each settled item serialised once.
+
+    `add` appends an item to the prefix; `digest(tail)` returns
+    `digest_of(prefix + tail)` and serialises only `tail`.
+    """
+
+    def __init__(self) -> None:
+        self._hasher = hashlib.sha256(b"[")
+        self._count = 0
+
+    def add(self, item: object) -> None:
+        self._hasher.update(self._item_bytes(self._count, item))
+        self._count += 1
+
+    def digest(self, tail: Iterable[object]) -> str:
+        hasher = self._hasher.copy()
+        for i, item in enumerate(tail, self._count):
+            hasher.update(self._item_bytes(i, item))
+        hasher.update(b"]")
+        return hasher.hexdigest()[:16]
+
+    @staticmethod
+    def _item_bytes(i: int, item: object) -> bytes:
+        # json.dumps joins list items with ", "
+        text = json.dumps(to_jsonable(item), sort_keys=True)
+        return (", " + text if i else text).encode()
 
 
 def leaf_paths(obj: object, prefix: str = "") -> dict[str, object]:

@@ -48,7 +48,7 @@ from .pipeline import (
     dsa_propose,
     pa_interpret,
 )
-from .serialize import digest_of
+from .serialize import ListDigest, digest_of
 
 
 class Surface(str, Enum):
@@ -188,6 +188,50 @@ def run_dsa_policy(
     return proposal
 
 
+class MessageLog:
+    """The run's message log: append-only, except that T8 cuts provenance.
+
+    `digest()` equals `digest_of(list(log))` but serialises each entry about
+    once over the whole run. Envelopes are frozen, no applier edits a payload
+    in place, and T8 only ever shortens provenance to its last hop, so an
+    entry with at most one hop can never change again: the longest prefix of
+    such entries is settled into a running `ListDigest`, and each digest
+    serialises only the tail after it.
+    """
+
+    def __init__(self) -> None:
+        self._entries: list[MessageEnvelope] = []
+        self._settled = ListDigest()  # holds entries[:settled_count], each with <= 1 hop
+        self._settled_count = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def extend(self, envelopes: list[MessageEnvelope]) -> None:
+        self._entries.extend(envelopes)
+
+    def since(self, start: int) -> tuple[MessageEnvelope, ...]:
+        return tuple(self._entries[start:])
+
+    def strip_provenance(self) -> int:
+        """Cut every entry's provenance to its last hop; returns how many entries changed."""
+        stripped = 0
+        for i in range(self._settled_count, len(self._entries)):
+            env = self._entries[i]
+            if len(env.provenance) > 1:
+                self._entries[i] = replace(env, provenance=env.provenance[-1:])
+                stripped += 1
+        return stripped
+
+    def digest(self) -> str:
+        for env in self._entries[self._settled_count:]:
+            if len(env.provenance) > 1:
+                break
+            self._settled.add(env)
+            self._settled_count += 1
+        return self._settled.digest(self._entries[self._settled_count:])
+
+
 @dataclass
 class PipelineState:
     """Mutable per-step bundle of everything an injector may touch.
@@ -211,7 +255,7 @@ class PipelineState:
         default_factory=lambda: dict(DEFAULT_ADMISSION)
     )
     envelopes: list[MessageEnvelope] = field(default_factory=list)
-    log: list[MessageEnvelope] = field(default_factory=list)
+    log: MessageLog = field(default_factory=MessageLog)
 
 
 class Phase(str, Enum):
@@ -592,13 +636,9 @@ def _apply_t7(inj: ThreatInjection, state: PipelineState, step: int) -> Injectio
 
 
 def _apply_t8(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = digest_of(state.log)
-    stripped = 0
-    for i, env in enumerate(state.log):
-        if len(env.provenance) > 1:
-            state.log[i] = replace(env, provenance=env.provenance[-1:])
-            stripped += 1
-    after = digest_of(state.log)
+    before = state.log.digest()
+    stripped = state.log.strip_provenance()
+    after = state.log.digest()
     return _record(
         inj, step, before, after,
         note=f"stripped origin hops from {stripped} log entries",
@@ -653,14 +693,16 @@ def _apply_t11(inj: ThreatInjection, state: PipelineState, step: int) -> Injecti
 
 
 def _edit_patch_dict(patch: dict, edit: dict) -> None:
+    # the lists may be shared with a configured payload or a logged envelope:
+    # build new ones instead of appending in place
     if edit["field"] == "speed_limit_kph":
         patch["speed_limit_kph"] = float(edit["value"])
     elif edit["field"] == "closures":
-        patch.setdefault("closures_add", [])
-        if edit["value"] not in patch["closures_add"]:
-            patch["closures_add"].append(edit["value"])
+        closures = patch.get("closures_add", [])
+        if edit["value"] not in closures:
+            patch["closures_add"] = [*closures, edit["value"]]
     elif edit["field"] == "hazards":
-        patch.setdefault("hazards_add", []).append(dict(edit["value"]))
+        patch["hazards_add"] = [*patch.get("hazards_add", []), dict(edit["value"])]
 
 
 def _apply_t12(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:

@@ -8,7 +8,7 @@ relative to the paired baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .domain import MessageEnvelope, UserRequest, ContextSummary, VehicleFeedback
 from .pipeline import IntentDescriptor, SafetyVerdict, StrategyProposal
@@ -119,24 +119,40 @@ class StepDelta:
         return {path.split(".", 1)[0] for path in self.changed_paths}
 
 
+# the fields of `comparable_view` that are diffed leaf by leaf
+_DIFFED_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name not in ("envelopes", "effects"))
+
+
 def step_deltas(attacked: EpisodeTrace, baseline: EpisodeTrace) -> list[StepDelta]:
-    """Field-wise diff of every paired step, in step order."""
+    """Field-wise diff of every paired step, in step order.
+
+    Gives the leaf paths on which the two records' `comparable_view`s differ.
+    Every field is a frozen dataclass, tuple, string or number, so equal
+    fields have equal leaves: only a field that differs is flattened.
+    """
     check_paired(attacked, baseline)
     deltas = []
     for a, b in zip(attacked.steps, baseline.steps):
-        a_leaves = leaf_paths(a.comparable_view())
-        b_leaves = leaf_paths(b.comparable_view())
-        changed = sorted(
-            path
-            for path in set(a_leaves) | set(b_leaves)
-            if a_leaves.get(path) != b_leaves.get(path)
-        )
+        changed = []
+        for name in _DIFFED_FIELDS:
+            a_value, b_value = getattr(a, name), getattr(b, name)
+            if a_value == b_value:
+                continue
+            a_leaves = leaf_paths(to_jsonable(a_value), name)
+            b_leaves = leaf_paths(to_jsonable(b_value), name)
+            changed.extend(
+                path
+                for path in a_leaves.keys() | b_leaves.keys()
+                if a_leaves.get(path) != b_leaves.get(path)
+            )
+        if len(a.envelopes) != len(b.envelopes):
+            changed.append("envelope_count")
         deltas.append(
             StepDelta(
                 episode=a.episode,
                 step=a.step,
                 global_step=a.global_step,
-                changed_paths=tuple(changed),
+                changed_paths=tuple(sorted(changed)),
             )
         )
     return deltas

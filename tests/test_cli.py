@@ -92,6 +92,22 @@ class TestRun:
         assert code == 2
         assert "io error" in err
 
+    def test_directory_is_config_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {tmp_path}: cannot read: ")
+        assert len(err.splitlines()) == 1
+
+    def test_non_utf8_file_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"id: caf\xe9\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {path}: cannot read: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestChainCommand:
     def test_builtin_chain_runs(self, capsys):
@@ -113,6 +129,36 @@ class TestChainCommand:
         assert "ambiguous" in err
         for spec in builtin_chains():
             assert spec.id in err
+
+    def test_directory_is_config_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "chain", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {tmp_path}: cannot read: ")
+        assert len(err.splitlines()) == 1
+
+    def test_non_utf8_chain_file_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1-chain.yaml"
+        path.write_bytes(b"id: caf\xe9\nstages: []\n")
+        code, out, err = run_cli(capsys, "chain", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {path}: cannot read: ")
+        assert len(err.splitlines()) == 1
+
+    def test_chain_spec_file_runs(self, capsys, tmp_path):
+        path = tmp_path / "chain.yaml"
+        path.write_text(
+            "id: file-chain\n"
+            "episode_length: 2\n"
+            "stages:\n"
+            "  - kind: inject\n"
+            "    trigger: {at_step: 0}\n"
+            "    injection: {threat: T1, surface: PAMemory, payload: {value_kph: 45.0}}\n"
+        )
+        code, out, err = run_cli(capsys, "chain", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("chain:    file-chain\n")
 
     def test_scenario_without_requests_is_config_error(self, capsys, tmp_path):
         text = shipped_scenarios()["chain-base"].read_text()

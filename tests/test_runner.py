@@ -1,12 +1,14 @@
 """Episode engine: determinism, pairing, structural trust-boundary invariants."""
 
+import copy
 import dataclasses
 
 import pytest
 
 from agvsim.domain import Authority, Role
 from agvsim.pipeline import Decision
-from agvsim.scenario import load_shipped
+from agvsim.report import compare, render_json
+from agvsim.scenario import load_shipped, parse_scenario
 from agvsim.runner import run_episodes
 from agvsim.threats import Surface
 from agvsim.trace import TracePairingError, stealth_check, step_deltas
@@ -47,6 +49,41 @@ class TestDeterminism:
         )
         runs = [run_episodes(partial, with_injections=True, seed=5) for _ in range(2)]
         assert runs[0].to_json() == runs[1].to_json()
+
+    def test_rerun_of_one_config_object_is_identical_after_t12_edits_t9_patch(self):
+        # a T12 hazards edit of a forged T9 context message must not grow the
+        # configured patch's own list, nor the logged copy of it
+        hazard = {"kind": "debris", "distance_m": 40.0, "confidence": 0.8}
+        config = parse_scenario({
+            "id": "t9-t12-hazards",
+            "mode": "Autonomous",
+            "agency": 3,
+            "seed": 7,
+            "episodes": 2,
+            "world": {"speed_limit_kph": 90.0, "road_class": "Highway", "vehicle_speed_kph": 72.0},
+            "requests": [{"urgency_tag": "Routine", "destination": "commute"}],
+            "injections": [
+                {"threat": "T9", "surface": "IdentityField", "window": [0, 1],
+                 "payload": {"claimed": "CavStack", "target": "context",
+                             "context_patch": {"hazards_add": [hazard]}}},
+                {"threat": "T12", "surface": "InterAgentMsg", "window": [0, 1],
+                 "payload": {"target": "external",
+                             "edits": [{"field": "hazards", "op": "InjectRecord", "value": hazard}]}},
+            ],
+        })
+        payloads = copy.deepcopy([inj.payload for inj in config.injections])
+
+        def export() -> str:
+            attacked = run_episodes(config, with_injections=True)
+            return render_json(compare(run_episodes(config, with_injections=False), attacked))
+
+        first = export()
+        assert export() == first
+        assert [inj.payload for inj in config.injections] == payloads
+        attacked = run_episodes(config, with_injections=True)
+        assert [len(r.dsa_context.hazards) for r in attacked.steps] == [2, 2]
+        logged = [e.payload for r in attacked.steps for e in r.envelopes if e.sender is Role.EXTERNAL]
+        assert [len(p["hazards_add"]) for p in logged] == [2, 2]
 
 
 class TestBaselinePurity:
