@@ -54,7 +54,6 @@ from .pipeline import (
     StrategyProposal,
     dsa_propose,
     pa_interpret,
-    run_pipeline_step,
     sc_validate,
 )
 from .report import MisalignmentReport, ReportFormat, compare, emit_report, emit_trace

@@ -64,6 +64,16 @@ class MemoryStore:
     def append(self, entry: MemoryEntry) -> None:
         self._entries.append(entry)
 
+    def adopt(self, entry: MemoryEntry) -> bool:
+        """Append unless an entry with the same key, value and origin is held; True if appended."""
+        if any(
+            e.key == entry.key and e.value == entry.value and e.origin is entry.origin
+            for e in self._entries
+        ):
+            return False
+        self._entries.append(entry)
+        return True
+
     def speed_caps(self) -> list[tuple[str, float]]:
         """All speed-cap constraint entries as (key, kph), insertion order."""
         return [
@@ -382,16 +392,6 @@ def tighten_proposal(
     )
 
 
-@dataclass(frozen=True)
-class PipelineStepResult:
-    intent: IntentDescriptor
-    proposal: StrategyProposal            # final submission
-    verdict: SafetyVerdict                # final verdict
-    approved: StrategyProposal            # what actually reaches the control stack
-    submissions: tuple[StrategyProposal, ...] = ()
-    verdicts: tuple[SafetyVerdict, ...] = ()
-
-
 def validate_with_revision(
     proposal: StrategyProposal,
     feedback: VehicleFeedback,
@@ -421,27 +421,3 @@ def validate_with_revision(
         f"no rule-compliant proposal reachable (last violation: {second.reason})"
     )
 
-
-def run_pipeline_step(
-    request: UserRequest,
-    memory: MemoryStore,
-    context: ContextSummary,
-    feedback: VehicleFeedback,
-    rules: Rulebook | None = None,
-    tuning: AgentTuning | None = None,
-) -> PipelineStepResult:
-    """Compose PA -> DSA -> SC for one step, with the single-revision loop."""
-    rules = rules or Rulebook()
-    intent = pa_interpret(request, memory, context, tuning)
-    proposal = dsa_propose(intent, context, feedback, rules, tuning)
-    submissions, verdicts, approved = validate_with_revision(
-        proposal, feedback, rules, context.speed_limit_kph
-    )
-    return PipelineStepResult(
-        intent=intent,
-        proposal=submissions[-1],
-        verdict=verdicts[-1],
-        approved=approved,
-        submissions=submissions,
-        verdicts=verdicts,
-    )

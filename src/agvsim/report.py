@@ -12,11 +12,12 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 from .chains import classify_outcome
 from .pipeline import Decision
 from .serialize import canonical_json
-from .trace import EpisodeTrace, check_paired, stealth_check, step_deltas
+from .trace import EpisodeTrace, StepRecord, check_paired, stealth_check, step_deltas
 
 
 class ReportIOError(OSError):
@@ -82,13 +83,9 @@ class MisalignmentReport:
     attacked: EpisodeTrace
 
 
-def _rejections(trace: EpisodeTrace) -> int:
-    return sum(
-        1
-        for record in trace.steps
-        for v in record.verdicts
-        if v.decision in (Decision.REVISE, Decision.SUBSTITUTE)
-    )
+def _rejections(steps: Iterable[StepRecord]) -> int:
+    """SC verdicts other than Approve over the given steps."""
+    return sum(1 for record in steps for v in record.verdicts if v.decision is not Decision.APPROVE)
 
 
 def _verdict_cell(record) -> str:
@@ -146,12 +143,8 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
                 baseline_mean_target_kph=b_mean,
                 attacked_mean_target_kph=a_mean,
                 delta_mean_kph=a_mean - b_mean,
-                sc_rejections_baseline=sum(
-                    1 for r in b_steps for v in r.verdicts if v.decision is not Decision.APPROVE
-                ),
-                sc_rejections_attacked=sum(
-                    1 for r in a_steps for v in r.verdicts if v.decision is not Decision.APPROVE
-                ),
+                sc_rejections_baseline=_rejections(b_steps),
+                sc_rejections_attacked=_rejections(a_steps),
                 any_delta=delta_by_episode[episode],
             )
         )
@@ -162,8 +155,8 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
         stealth=stealth_check(attacked, baseline),
         persistence_episodes=persistence,
         outcome=classify_outcome(attacked, baseline).value,
-        sc_rejections_baseline=_rejections(baseline),
-        sc_rejections_attacked=_rejections(attacked),
+        sc_rejections_baseline=_rejections(baseline.steps),
+        sc_rejections_attacked=_rejections(attacked.steps),
         rows=tuple(episode_rows),
         step_rows=tuple(step_rows),
         baseline=baseline,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from typing import Callable
 
 from .cavstack import control_feedback, fuse, perceive, v2x_broadcast
 from .chains import ChainSchedule
@@ -39,7 +40,6 @@ from .threats import (
     Phase,
     PipelineState,
     SimulatedUserState,
-    Surface,
     ThreatInjection,
     ToolOutput,
     apply,
@@ -56,6 +56,25 @@ from .trace import EpisodeTrace, StepRecord
 def _episode_rng(seed: int, episode: int) -> random.Random:
     # integer seeding only: string seeds would pull in hash randomization
     return random.Random(seed * 1_000_003 + episode)
+
+
+def _run_phase(
+    active: list[tuple[ChainSchedule | None, int, ThreatInjection]],
+    phase: Phase,
+    g: int,
+    effects: list[InjectionEffectRecord],
+    act: Callable[[ThreatInjection], InjectionEffectRecord],
+) -> None:
+    """Act on each active injection of `phase` in list order, keeping its record.
+
+    A chain stage is marked fired at its first record without a warning.
+    """
+    for schedule, index, inj in active:
+        if injection_phase(inj) is phase:
+            record = act(inj)
+            effects.append(record)
+            if schedule is not None and not record.warning:
+                schedule.mark_fired(index, g)
 
 
 def run_episodes(
@@ -87,6 +106,7 @@ def run_episodes(
 
     world = config.world
     world_digest_before = world.digest()
+    clean_digest = ""  # the unperturbed views' digest, built at most once: the world never changes
     rules = Rulebook()
     tuning = AgentTuning()
     memory = MemoryStore()
@@ -103,49 +123,36 @@ def run_episodes(
             request = config.requests[step % len(config.requests)]
             effects: list[InjectionEffectRecord] = []
 
-            # collect what is active this step: static injections by window,
-            # chain stages by trigger resolution
-            active_static = [inj for inj in static_injections if inj.active(g)]
-            active_staged: list[tuple[ChainSchedule, int, ThreatInjection]] = []
+            # one list of what is active this step, static injections (by
+            # window) before chain stages (by trigger resolution)
+            active: list[tuple[ChainSchedule | None, int, ThreatInjection]] = [
+                (None, -1, inj) for inj in static_injections if inj.active(g)
+            ]
             for schedule in schedules:
-                for index, injection in schedule.active_injections(g):
-                    active_staged.append((schedule, index, injection))
+                active.extend((schedule, index, inj) for index, inj in schedule.active_injections(g))
 
-            # layer transforms act inside the layer functions
-            perturbations = []
-            layer_sources: list[tuple[ChainSchedule | None, int, ThreatInjection]] = []
-            for inj in active_static:
-                if inj.surface is Surface.LAYER:
-                    perturbations.extend(to_layer_perturbations(inj))
-                    layer_sources.append((None, -1, inj))
-            for schedule, index, inj in active_staged:
-                if inj.surface is Surface.LAYER:
-                    perturbations.extend(to_layer_perturbations(inj))
-                    layer_sources.append((schedule, index, inj))
-
+            # layer transforms act inside the layer functions, before fusion
+            layer_injections = [inj for _, _, inj in active if injection_phase(inj) is Phase.LAYER]
+            perturbations = [p for inj in layer_injections for p in to_layer_perturbations(inj)]
             perception_view = perceive(world, perturbations, g)
             v2x_view = v2x_broadcast(world, perturbations, g)
             feedback = control_feedback(world, perturbations, g)
             fused = fuse([perception_view, v2x_view])
-
-            if layer_sources:
-                clean_fused = fuse([perceive(world, [], g), v2x_broadcast(world, [], g)])
-                clean_feedback = control_feedback(world, [], g)
-                before = digest_of({"context": clean_fused, "feedback": clean_feedback})
+            if layer_injections:
+                if not clean_digest:
+                    clean_digest = digest_of({
+                        "context": fuse([perceive(world, [], g), v2x_broadcast(world, [], g)]),
+                        "feedback": control_feedback(world, [], g),
+                    })
                 after = digest_of({"context": fused, "feedback": feedback})
-                for schedule, index, inj in layer_sources:
-                    effects.append(
-                        InjectionEffectRecord(
-                            threat=inj.threat,
-                            step=g,
-                            surface=inj.surface,
-                            before_digest=before,
-                            after_digest=after,
-                            note="layer summary perturbed",
-                        )
-                    )
-                    if schedule is not None:
-                        schedule.mark_fired(index, g)
+                _run_phase(active, Phase.LAYER, g, effects, lambda inj: InjectionEffectRecord(
+                    threat=inj.threat,
+                    step=g,
+                    surface=inj.surface,
+                    before_digest=clean_digest,
+                    after_digest=after,
+                    note="layer summary perturbed",
+                ))
 
             user.reset_step()
             state = PipelineState(
@@ -161,15 +168,7 @@ def run_episodes(
             )
 
             def run_phase(phase: Phase) -> None:
-                for inj in active_static:
-                    if inj.surface is not Surface.LAYER and injection_phase(inj) is phase:
-                        effects.append(apply(inj, state, g))
-                for schedule, index, inj in active_staged:
-                    if inj.surface is not Surface.LAYER and injection_phase(inj) is phase:
-                        record = apply(inj, state, g)
-                        effects.append(record)
-                        if not record.warning:
-                            schedule.mark_fired(index, g)
+                _run_phase(active, phase, g, effects, lambda inj: apply(inj, state, g))
 
             run_phase(Phase.PRE_PA)
 
@@ -181,22 +180,16 @@ def run_episodes(
             # tool advice is adopted into memory as a speed-cap constraint
             advice = state.tool_output.advised_speed_kph
             if advice is not None:
-                advice = float(advice)
-                already = any(
-                    e.key == SPEED_CAP_KEY and e.value == advice and e.origin is Role.EXTERNAL
-                    for e in memory.entries
-                )
-                if not already:
-                    memory.append(
-                        MemoryEntry(
-                            key=SPEED_CAP_KEY,
-                            kind=MemoryKind.CONSTRAINT,
-                            value=advice,
-                            origin=Role.EXTERNAL,
-                            inserted_step=g,
-                            persistent=False,
-                        )
+                memory.adopt(
+                    MemoryEntry(
+                        key=SPEED_CAP_KEY,
+                        kind=MemoryKind.CONSTRAINT,
+                        value=float(advice),
+                        origin=Role.EXTERNAL,
+                        inserted_step=g,
+                        persistent=False,
                     )
+                )
 
             state.envelopes.append(
                 make_envelope(Role.USER, Authority.INTENT_ONLY, dict(

@@ -8,6 +8,7 @@ for parse errors) so a broken scenario never reaches the episode loop.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -15,11 +16,12 @@ from pathlib import Path
 import yaml
 
 from .cavstack import Layer, WorldTruth
-from .chains import ChainSpec, ChainStage, StageKind, Trigger, builtin_chain, validate_chain
+from .chains import OPEN_WINDOW, ChainSpec, ChainStage, StageKind, Trigger, builtin_chain, validate_chain
 from .domain import (
     AgencyLevel,
     DrivingMode,
     Hazard,
+    MAX_SPEED_LIMIT_KPH,
     RoadClass,
     ThreatId,
     UserRequest,
@@ -40,8 +42,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ScenarioConfig:
     id: str
-    mode: DrivingMode
-    agency: AgencyLevel
+    mode: DrivingMode     # scenario metadata, not engine input
+    agency: AgencyLevel   # scenario metadata, not engine input
     world: WorldTruth
     requests: tuple[UserRequest, ...]
     seed: int
@@ -68,6 +70,10 @@ def _check_keys(data: dict, required: set[str], optional: set[str], where: str) 
     unknown = set(data) - required - optional
     if unknown:
         raise ConfigError(where, f"unknown keys: {sorted(unknown)}")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _number(data: dict, key: str, where: str, required: bool = True, default: float = 0.0) -> float:
@@ -115,10 +121,18 @@ def _parse_world(data: object, where: str) -> WorldTruth:
     hazards = mapping.get("hazards", [])
     if not isinstance(hazards, list):
         raise ConfigError(f"{where}.hazards", "expected a list of hazard records")
+    limit = _number(mapping, "speed_limit_kph", where)
+    if not 0.0 < limit <= MAX_SPEED_LIMIT_KPH:  # also rejects .nan
+        raise ConfigError(
+            f"{where}.speed_limit_kph", f"must be in (0, {MAX_SPEED_LIMIT_KPH:g}], got {limit!r}"
+        )
+    speed = _number(mapping, "vehicle_speed_kph", where)
+    if not 0.0 <= speed < math.inf:
+        raise ConfigError(f"{where}.vehicle_speed_kph", f"must be finite and >= 0, got {speed!r}")
     return WorldTruth(
-        true_speed_limit_kph=_number(mapping, "speed_limit_kph", where),
+        true_speed_limit_kph=limit,
         road_class=road,
-        vehicle_true_speed_kph=_number(mapping, "vehicle_speed_kph", where),
+        vehicle_true_speed_kph=speed,
         true_hazards=tuple(
             _parse_hazard(h, f"{where}.hazards[{i}]") for i, h in enumerate(hazards)
         ),
@@ -146,7 +160,7 @@ def _parse_window(value: object, where: str) -> tuple[int, int]:
     if (
         not isinstance(value, list)
         or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+        or not all(_is_int(v) for v in value)
     ):
         raise ConfigError(where, f"window must be [start, end] integers, got {value!r}")
     return (value[0], value[1])
@@ -179,12 +193,15 @@ def _parse_injection(data: object, where: str) -> ThreatInjection:
     window = (0, 0)
     if "window" in mapping:
         window = _parse_window(mapping["window"], f"{where}.window")
+    persistent = mapping.get("persistent", False)
+    if not isinstance(persistent, bool):
+        raise ConfigError(f"{where}.persistent", f"must be true or false, got {persistent!r}")
     injection = ThreatInjection(
         threat=threat,
         surface=surface,
         payload=payload,
         window=window,
-        persistent=bool(mapping.get("persistent", False)),
+        persistent=persistent,
         layer=layer,
     )
     try:
@@ -197,6 +214,9 @@ def _parse_injection(data: object, where: str) -> ThreatInjection:
 def _parse_trigger(data: object, where: str) -> Trigger:
     mapping = _expect_mapping(data, where)
     _check_keys(mapping, set(), {"at_step", "after_stage"}, where)
+    for key, value in mapping.items():
+        if not _is_int(value):
+            raise ConfigError(f"{where}.{key}", f"must be an integer, got {value!r}")
     try:
         return Trigger(
             at_step=mapping.get("at_step"),
@@ -217,11 +237,12 @@ def _parse_chain_stage(data: object, where: str) -> ChainStage:
     if "injection" in mapping:
         injection = _parse_injection(mapping["injection"], f"{where}.injection")
         # chain-stage activation is gated by the trigger, not the window
-        injection = replace(injection, window=(0, 2**31 - 1))
+        injection = replace(injection, window=OPEN_WINDOW)
+    trigger = _parse_trigger(mapping["trigger"], f"{where}.trigger")
     try:
         return ChainStage(
             kind=kind,
-            trigger=_parse_trigger(mapping["trigger"], f"{where}.trigger"),
+            trigger=trigger,
             injection=injection,
             probe=mapping.get("probe"),
             label=str(mapping.get("label", "")),
@@ -237,7 +258,7 @@ def parse_chain_spec(data: object, where: str) -> ChainSpec:
     if not isinstance(stages, list):
         raise ConfigError(f"{where}.stages", "expected a list of stages")
     episode_length = mapping["episode_length"]
-    if not isinstance(episode_length, int) or episode_length < 1:
+    if not _is_int(episode_length) or episode_length < 1:
         raise ConfigError(f"{where}.episode_length", "must be an integer >= 1")
     spec = ChainSpec(
         id=str(mapping["id"]),
@@ -279,17 +300,17 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"{source}.mode", "must be Manual or Autonomous") from exc
     agency_raw = mapping["agency"]
-    if not isinstance(agency_raw, int) or isinstance(agency_raw, bool):
+    if not _is_int(agency_raw):
         raise ConfigError(f"{source}.agency", f"must be an integer 0-5, got {agency_raw!r}")
     try:
         agency = AgencyLevel(agency_raw)
     except ValueError as exc:
         raise ConfigError(f"{source}.agency", str(exc)) from exc
     seed = mapping["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise ConfigError(f"{source}.seed", f"must be an integer, got {seed!r}")
     episodes = mapping.get("episodes", 1)
-    if not isinstance(episodes, int) or episodes < 1:
+    if not _is_int(episodes) or episodes < 1:
         raise ConfigError(f"{source}.episodes", f"must be an integer >= 1, got {episodes!r}")
     requests_raw = mapping["requests"]
     if not isinstance(requests_raw, list):

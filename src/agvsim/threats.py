@@ -20,7 +20,6 @@ from .cavstack import (
     Layer,
     LayerPerturbation,
     TransformOp,
-    apply_feedback_transform,
     apply_summary_transform,
     validate_perturbation,
 )
@@ -527,22 +526,16 @@ def _apply_t1(inj: ThreatInjection, state: PipelineState, step: int) -> Injectio
     before = state.memory.digest()
     key = inj.payload.get("key", SPEED_CAP_KEY)
     value = float(inj.payload["value_kph"])
-    already = any(
-        e.key == key and e.value == value and e.origin is Role.EXTERNAL
-        for e in state.memory.entries
+    entry = MemoryEntry(
+        key=key,
+        kind=MemoryKind.CONSTRAINT,
+        value=value,
+        origin=Role.EXTERNAL,
+        inserted_step=step,
+        persistent=inj.persistent,
     )
-    if already:
+    if not state.memory.adopt(entry):
         return _record(inj, step, before, before, note="entry already present")
-    state.memory.append(
-        MemoryEntry(
-            key=key,
-            kind=MemoryKind.CONSTRAINT,
-            value=value,
-            origin=Role.EXTERNAL,
-            inserted_step=step,
-            persistent=inj.persistent,
-        )
-    )
     return _record(inj, step, before, state.memory.digest(), note=f"poisoned constraint {key}={value}")
 
 
@@ -579,8 +572,6 @@ def _apply_t3(inj: ThreatInjection, state: PipelineState, step: int) -> Injectio
 
 
 def _apply_t4(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    if inj.surface is Surface.LAYER:
-        return _apply_layer_direct(inj, state, step)
     before = digest_of(state.pa_context)
     factor = float(inj.payload["completeness_factor"])
     state.pa_context = replace(
@@ -594,25 +585,18 @@ def _apply_t5(inj: ThreatInjection, state: PipelineState, step: int) -> Injectio
     patch = inj.payload["context_patch"]
     state.pa_context = apply_context_patch(state.pa_context, patch)
     note = "hallucinated context fact"
-    if inj.persistent and "speed_limit_kph" in patch:
-        value = float(patch["speed_limit_kph"])
-        already = any(
-            e.key == SPEED_CAP_KEY and e.value == value and e.origin is Role.PERSONAL_AGENT
-            for e in state.memory.entries
+    # the hallucination enters long-term memory as a self-made constraint
+    if inj.persistent and "speed_limit_kph" in patch and state.memory.adopt(
+        MemoryEntry(
+            key=SPEED_CAP_KEY,
+            kind=MemoryKind.CONSTRAINT,
+            value=float(patch["speed_limit_kph"]),
+            origin=Role.PERSONAL_AGENT,
+            inserted_step=step,
+            persistent=True,
         )
-        if not already:
-            # the hallucination enters long-term memory as a self-made constraint
-            state.memory.append(
-                MemoryEntry(
-                    key=SPEED_CAP_KEY,
-                    kind=MemoryKind.CONSTRAINT,
-                    value=value,
-                    origin=Role.PERSONAL_AGENT,
-                    inserted_step=step,
-                    persistent=True,
-                )
-            )
-            note += ", memorized"
+    ):
+        note += ", memorized"
     return _record(inj, step, before, digest_of(state.pa_context), note=note)
 
 
@@ -766,28 +750,6 @@ def _apply_t15(inj: ThreatInjection, state: PipelineState, step: int) -> Injecti
     return _record(inj, step, before, after, note="user reply biased toward agent framing")
 
 
-def _apply_layer_direct(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    """Direct application of a Layer-surface injection onto built summaries.
-
-    The episode engine applies these transforms inside the layer functions
-    (where per-source attribution lives); this mirror exists so `apply` is
-    total over legal injections when called on a bare state.
-    """
-    layer = effective_layer(inj)
-    perturbations = to_layer_perturbations(inj)
-    if layer is Layer.CONTROL_FEEDBACK:
-        before = digest_of(state.feedback)
-        for p in perturbations:
-            state.feedback = apply_feedback_transform(state.feedback, p)
-        return _record(inj, step, before, digest_of(state.feedback), note="control feedback falsified")
-    before = digest_of({"pa": state.pa_context, "dsa": state.dsa_context})
-    for p in perturbations:
-        state.pa_context = apply_summary_transform(state.pa_context, p)
-        state.dsa_context = apply_summary_transform(state.dsa_context, p)
-    after = digest_of({"pa": state.pa_context, "dsa": state.dsa_context})
-    return _record(inj, step, before, after, note=f"{layer.value}-layer summary distorted")
-
-
 # ---------------------------------------------------------------------------
 # the registry: one spec per threat id
 
@@ -798,7 +760,9 @@ class ThreatSpec:
 
     surfaces: frozenset[Surface]
     validate: Callable[[dict, ThreatInjection], None]  # payload checks, at load time
-    apply: Callable[[ThreatInjection, PipelineState, int], InjectionEffectRecord]
+    # None for the cross-layer vectors: Layer-surface injections act inside
+    # the layer functions, through `to_layer_perturbations`
+    apply: Callable[[ThreatInjection, PipelineState, int], InjectionEffectRecord] | None
     # step-record key prefixes through which the effect may surface; the
     # chain runner's structural attribution reads them
     footprint: tuple[str, ...]
@@ -856,19 +820,19 @@ THREATS: dict[ThreatId, ThreatSpec] = {
         frozenset({Surface.USER_CHANNEL}), _check_t15, _apply_t15, ("request",) + _DOWNSTREAM,
     ),
     ThreatId.X_PERCEPTION: ThreatSpec(
-        frozenset({Surface.LAYER}), _check_transforms, _apply_layer_direct,
+        frozenset({Surface.LAYER}), _check_transforms, None,
         ("pa_context", "dsa_context") + _DOWNSTREAM, layer=Layer.PERCEPTION,
     ),
     ThreatId.X_V2X: ThreatSpec(
-        frozenset({Surface.LAYER}), _check_transforms, _apply_layer_direct,
+        frozenset({Surface.LAYER}), _check_transforms, None,
         ("pa_context", "dsa_context") + _DOWNSTREAM, layer=Layer.V2X,
     ),
     ThreatId.X_COMPUTE: ThreatSpec(
-        frozenset({Surface.LAYER}), _check_transforms, _apply_layer_direct,
+        frozenset({Surface.LAYER}), _check_transforms, None,
         ("pa_context", "dsa_context") + _DOWNSTREAM, layer=Layer.COMPUTE,
     ),
     ThreatId.X_CONTROL_FEEDBACK: ThreatSpec(
-        frozenset({Surface.LAYER}), _check_transforms, _apply_layer_direct,
+        frozenset({Surface.LAYER}), _check_transforms, None,
         ("feedback",) + _DECISION, layer=Layer.CONTROL_FEEDBACK,
     ),
 }
@@ -882,11 +846,20 @@ def apply(injection: ThreatInjection, state: PipelineState, step: int) -> Inject
     """Apply one injection to the pipeline state, returning its oracle record.
 
     Out-of-window application is a no-op that still yields a warning record.
+    Layer-surface injections are not applied here: they act inside the layer
+    functions, before fusion, through `to_layer_perturbations`, and passing
+    one raises ValueError.
     """
+    spec = THREATS[injection.threat]
+    if injection.surface is Surface.LAYER or spec.apply is None:
+        raise ValueError(
+            f"{injection.threat.value} on {injection.surface.value} acts inside the layer functions, "
+            "not through apply(); use to_layer_perturbations"
+        )
     if not injection.active(step):
         digest = digest_of(None)
         return _record(injection, step, digest, digest, note="outside active window", warning=True)
-    return THREATS[injection.threat].apply(injection, state, step)
+    return spec.apply(injection, state, step)
 
 
 def delta_footprint(injection: ThreatInjection) -> tuple[str, ...]:

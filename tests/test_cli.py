@@ -1,5 +1,7 @@
 """CLI behavior: subcommands, exit codes, seed precedence, determinism."""
 
+import pytest
+
 from agvsim.chains import builtin_chains
 from agvsim.cli import main
 from agvsim.scenario import shipped_scenarios
@@ -108,6 +110,22 @@ class TestRun:
         assert err.startswith(f"config error: {path}: cannot read: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("speed_limit_kph: 90.0", "speed_limit_kph: -5", "world.speed_limit_kph"),
+        ("speed_limit_kph: 90.0", "speed_limit_kph: .nan", "world.speed_limit_kph"),
+        ("vehicle_speed_kph: 72.0", "vehicle_speed_kph: -3", "world.vehicle_speed_kph"),
+    ], ids=["negative-limit", "nan-limit", "negative-speed"])
+    def test_out_of_range_world_is_config_error(self, capsys, tmp_path, old, new, field):
+        text = shipped_scenarios()["chain-base"].read_text()
+        assert old in text
+        path = tmp_path / "world.yaml"
+        path.write_text(text.replace(old, new))
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {path}.{field}: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestChainCommand:
     def test_builtin_chain_runs(self, capsys):
@@ -159,6 +177,30 @@ class TestChainCommand:
         code, out, err = run_cli(capsys, "chain", str(path))
         assert (code, err) == (0, "")
         assert out.startswith("chain:    file-chain\n")
+
+    @pytest.mark.parametrize("trigger, field", [
+        ('{at_step: "0"}', "at_step"),
+        ('{after_stage: "x"}', "after_stage"),
+        ("{at_step: true}", "at_step"),
+    ], ids=["string-step", "string-stage", "bool-step"])
+    def test_non_integer_trigger_is_config_error(self, capsys, tmp_path, trigger, field):
+        path = tmp_path / "chain.yaml"
+        path.write_text(
+            "id: file-chain\n"
+            "episode_length: 2\n"
+            "stages:\n"
+            "  - kind: inject\n"
+            "    trigger: {at_step: 0}\n"
+            "    injection: {threat: T1, surface: PAMemory, payload: {value_kph: 45.0}}\n"
+            "  - kind: inject\n"
+            f"    trigger: {trigger}\n"
+            "    injection: {threat: T6, surface: PAInput, payload: {urgency_tag: Urgent}}\n"
+        )
+        code, out, err = run_cli(capsys, "chain", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {path}.stages[1].trigger.{field}: must be an integer")
+        assert len(err.splitlines()) == 1
 
     def test_scenario_without_requests_is_config_error(self, capsys, tmp_path):
         text = shipped_scenarios()["chain-base"].read_text()

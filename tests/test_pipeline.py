@@ -20,11 +20,12 @@ from agvsim.pipeline import (
     StrategyProposal,
     dsa_propose,
     pa_interpret,
-    run_pipeline_step,
     sc_validate,
     sc_violations,
     validate_with_revision,
 )
+from agvsim.runner import run_episodes
+from agvsim.scenario import parse_scenario
 
 
 def ctx(limit: float, hazards=(), density: float = 0.0) -> ContextSummary:
@@ -231,23 +232,69 @@ class TestSafetyCheck:
                 assert not sc_violations(verdict.substitute, feedback, rules, claimed)
 
 
+def scenario(limit: float, speed: float = 72.0, requests=(("Routine", None),), injections=(), hazards=()):
+    """An in-memory scenario: one world, one step per (urgency, desired speed) request."""
+    return parse_scenario({
+        "id": "composition",
+        "mode": "Autonomous",
+        "agency": 4,
+        "seed": 0,
+        "world": {
+            "speed_limit_kph": limit, "road_class": "Highway", "vehicle_speed_kph": speed,
+            "hazards": list(hazards),
+        },
+        "requests": [
+            {"urgency_tag": tag, "destination": "x", "desired_speed_kph": desired}
+            for tag, desired in requests
+        ],
+        "injections": list(injections),
+    })
+
+
+def cap_injection(value: float) -> dict:
+    return {"threat": "T1", "surface": "PAMemory", "payload": {"value_kph": value}}
+
+
+def first_step(config, with_injections: bool = True):
+    return run_episodes(config, with_injections).steps[0]
+
+
+@st.composite
+def worlds_and_requests(draw):
+    """A world whose binding limit (claimed or absolute) is reachable from the
+    vehicle's speed within one acceleration window, else no compliant proposal
+    exists and the step raises PipelineError; plus 1-4 requests."""
+    limit = draw(st.floats(min_value=0.1, max_value=200.0))
+    reachable = min(limit, Rulebook().abs_max_speed_kph) + 100.0
+    speed = draw(st.floats(min_value=0.0, max_value=reachable))
+    hazards = draw(st.lists(st.builds(
+        dict,
+        kind=st.sampled_from(["debris", "stalled-vehicle"]),
+        distance_m=st.floats(min_value=0.0, max_value=300.0),
+        confidence=st.floats(min_value=0.0, max_value=1.0),
+    ), max_size=2))
+    requests = draw(st.lists(st.tuples(
+        st.sampled_from(["Routine", "Urgent"]),
+        st.one_of(st.none(), st.floats(min_value=1.0, max_value=240.0)),
+    ), min_size=1, max_size=4))
+    return scenario(limit, speed, requests, hazards=hazards)
+
+
 class TestPipelineComposition:
+    """The PA -> DSA -> SC step as `run_episodes` composes it."""
+
     def test_clean_routine_limit_90(self):
-        result = run_pipeline_step(UserRequest("Routine", "x"), MemoryStore(), ctx(90.0), fb())
-        assert result.approved.target_speed_kph == 81
-        assert result.verdict.decision is Decision.APPROVE
+        step = first_step(scenario(90.0))
+        assert step.approved.target_speed_kph == 81
+        assert step.verdicts[-1].decision is Decision.APPROVE
 
     def test_cap_45_urgent_limit_80(self):
-        memory = MemoryStore()
-        memory.append(cap_entry(45.0))
-        result = run_pipeline_step(UserRequest("Urgent", "x"), memory, ctx(80.0), fb())
-        assert result.approved.target_speed_kph == 45.0
+        step = first_step(scenario(80.0, requests=[("Urgent", None)], injections=[cap_injection(45.0)]))
+        assert step.approved.target_speed_kph == 45.0
 
     def test_degenerate_limit_floor_respected(self):
-        result = run_pipeline_step(
-            UserRequest("Urgent", "x"), MemoryStore(), ctx(0.1), VehicleFeedback(speed_kph=0.0)
-        )
-        assert result.approved.target_speed_kph == 0.1
+        step = first_step(scenario(0.1, speed=0.0, requests=[("Urgent", None)]))
+        assert step.approved.target_speed_kph == 0.1
 
     def test_revision_loop_terminates_with_compliant_approval(self):
         rules = Rulebook()
@@ -258,31 +305,24 @@ class TestPipelineComposition:
         assert not sc_violations(approved, fb(), rules, 90.0)
         assert len(submissions) == 2
 
-    def test_approved_always_passes_all_rules(self):
-        rng = random.Random(7)
+    @given(config=worlds_and_requests())
+    @settings(max_examples=150, deadline=None)
+    def test_approved_always_passes_all_rules(self, config):
         rules = Rulebook()
-        for _ in range(500):
-            limit = rng.uniform(20.0, 200.0)
-            feedback = fb(rng.uniform(0.0, 120.0))
-            request = UserRequest(
-                rng.choice(["Routine", "Urgent"]), "x",
-                desired_speed_kph=rng.choice([None, rng.uniform(1.0, 240.0)]),
-            )
-            result = run_pipeline_step(request, MemoryStore(), ctx(limit), feedback, rules)
-            assert not sc_violations(result.approved, feedback, rules, limit)
+        for step in run_episodes(config, False).steps:
+            assert sc_violations(step.approved, step.feedback, rules, step.dsa_context.speed_limit_kph) == []
 
     @given(cap=st.floats(min_value=1.0, max_value=200.0))
     @settings(max_examples=60, deadline=None)
     def test_adding_a_cap_never_increases_approved_target(self, cap):
-        base = run_pipeline_step(UserRequest("Routine", "x"), MemoryStore(), ctx(90.0), fb())
-        memory = MemoryStore()
-        memory.append(cap_entry(cap))
-        capped = run_pipeline_step(UserRequest("Routine", "x"), memory, ctx(90.0), fb())
+        config = scenario(90.0, injections=[cap_injection(cap)])
+        base = first_step(config, with_injections=False)
+        capped = first_step(config, with_injections=True)
         assert capped.approved.target_speed_kph <= base.approved.target_speed_kph
 
     def test_determinism(self):
-        args = (UserRequest("Urgent", "x"), MemoryStore(), ctx(88.0), fb(70.0))
-        assert run_pipeline_step(*args) == run_pipeline_step(*args)
+        config = scenario(88.0, speed=70.0, requests=[("Urgent", None)], injections=[cap_injection(60.0)])
+        assert run_episodes(config, True) == run_episodes(config, True)
 
 
 class TestMemoryStore:
@@ -305,6 +345,16 @@ class TestMemoryStore:
         memory = MemoryStore()
         memory.append(MemoryEntry("preferred_music", MemoryKind.PREFERENCE, "jazz", Role.USER, 0))
         assert memory.speed_caps() == []
+
+    def test_adopt_skips_same_key_value_and_origin(self):
+        memory = MemoryStore()
+        assert memory.adopt(cap_entry(45.0))
+        assert not memory.adopt(cap_entry(45.0, step=3))
+        assert memory.adopt(MemoryEntry(SPEED_CAP_KEY, MemoryKind.CONSTRAINT, 45.0, Role.PERSONAL_AGENT, 3))
+        assert memory.adopt(cap_entry(60.0))
+        assert [(e.value, e.origin) for e in memory.entries] == [
+            (45.0, Role.EXTERNAL), (45.0, Role.PERSONAL_AGENT), (60.0, Role.EXTERNAL),
+        ]
 
     def test_digest_tracks_content(self):
         a, b = MemoryStore(), MemoryStore()

@@ -102,6 +102,40 @@ class TestSchemaErrors:
         with pytest.raises(ConfigError, match="completeness_factor"):
             parse_text(text)
 
+    @pytest.mark.parametrize("value", ['"no"', "1", "null"])
+    def test_persistent_must_be_a_yaml_bool(self, value):
+        text = MINIMAL + f"""
+injections:
+  - threat: T1
+    surface: PAMemory
+    persistent: {value}
+    payload: {{value_kph: 45.0}}
+"""
+        with pytest.raises(ConfigError, match=r"injections\[0\]\.persistent: must be true or false"):
+            parse_text(text)
+
+    def test_persistent_yaml_bool_is_kept(self):
+        text = MINIMAL + """
+injections:
+  - {threat: T1, surface: PAMemory, persistent: false, payload: {value_kph: 45.0}}
+  - {threat: T1, surface: PAMemory, persistent: true, payload: {value_kph: 40.0}}
+"""
+        assert [inj.persistent for inj in parse_text(text).injections] == [False, True]
+
+    def test_bool_episodes_rejected(self):
+        with pytest.raises(ConfigError, match=r"\.episodes: must be an integer >= 1, got True"):
+            parse_text(MINIMAL + "episodes: true\n")
+
+    def test_bool_chain_episode_length_rejected(self):
+        text = MINIMAL + """
+chains:
+  - id: inline
+    episode_length: true
+    stages: []
+"""
+        with pytest.raises(ConfigError, match=r"chains\[0\]\.episode_length: must be an integer >= 1"):
+            parse_text(text)
+
     def test_unknown_expected_outcome_rejected(self):
         with pytest.raises(ConfigError, match="expected_outcome"):
             parse_text(MINIMAL + "\nexpected_outcome: Mystery\n")

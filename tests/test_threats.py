@@ -224,6 +224,25 @@ class TestApplyEffects:
         assert state.dsa_policy == "rogue-crawl"
         assert state.pa_policy == "default"
 
+    @pytest.mark.parametrize("inj", [
+        ThreatInjection(ThreatId.T4, Surface.LAYER, {"completeness_factor": 0.5}, layer=Layer.PERCEPTION),
+        ThreatInjection(
+            ThreatId.X_V2X, Surface.LAYER,
+            {"transforms": [{"field": "speed_limit_kph", "op": "Set", "value": 30.0}]},
+        ),
+        ThreatInjection(
+            ThreatId.X_CONTROL_FEEDBACK, Surface.LAYER,
+            {"transforms": [{"field": "speed_kph", "op": "Add", "value": 10.0}]}, window=(5, 9),
+        ),
+    ], ids=["T4", "XV2X", "XControlFeedback-out-of-window"])
+    def test_layer_surface_injection_is_not_applied_to_a_state(self, inj):
+        # Layer-surface injections act inside the layer functions, before fusion
+        validate_injection(inj)
+        state = make_state()
+        with pytest.raises(ValueError, match="layer functions"):
+            apply(inj, state, 0)
+        assert state.pa_context == summary() and state.feedback == VehicleFeedback(speed_kph=72.0)
+
     def test_out_of_window_application_is_warning_noop(self):
         state = make_state()
         inj = injection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}, window=(5, 9))

@@ -22,3 +22,27 @@ def test_every_tracing_target_resolves():
         if not callable(getattr(owner, attr, None)):
             missing.append(f"{owner_path}.{attr}")
     assert not missing, missing
+
+
+def test_every_runner_target_is_called():
+    # a target the runner imports but no longer calls would zero its
+    # `--trace 1` metrics without any error: run one Layer attack and one
+    # chain under the wrappers and require a span from each runner target
+    from agvsim import chains, runner
+    from agvsim.scenario import load_shipped
+
+    tracing = _load_tracing()
+
+    class PerFunction(tracing.Tracer):
+        # targets that share a span name ("threats.apply") stay apart
+        def wrap(self, name, fn):
+            return super().wrap(fn.__name__, fn)
+
+    tracer = PerFunction()
+    with tracing.instrument(tracer):
+        runner.run_episodes(load_shipped("threat-xperception"), with_injections=True)
+        chains.run_chain(chains.builtin_chain("chain-1"), load_shipped("chain-base"))
+    called = {span[0] for span in tracer.take()}
+    targets = {attr for owner_path, attr, _ in tracing.TARGETS if owner_path == "agvsim.runner"}
+    assert len(targets) == 11
+    assert targets - called == set()
