@@ -13,16 +13,15 @@ from enum import Enum
 
 from .domain import (
     MAX_SPEED_LIMIT_KPH,
+    MIN_SPEED_KPH,
     ContextSummary,
     Hazard,
     RoadClass,
     SourceLayer,
     VehicleFeedback,
+    is_finite_number,
 )
 from .serialize import _plain_digest
-
-# Speed limits stay inside (0, 200] even under hostile arithmetic.
-MIN_SPEED_LIMIT_KPH = 0.1
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,8 @@ def validate_perturbation(p: LayerPerturbation) -> None:
     elif p.field in known:
         if p.op in (TransformOp.INJECT_RECORD, TransformOp.DROP_RECORD):
             raise ValueError(f"field {p.field!r} is scalar; {p.op.value} needs a record field")
-        if not isinstance(p.value, (int, float)) or isinstance(p.value, bool):
-            raise ValueError(f"transform on {p.field!r} needs a numeric value, got {p.value!r}")
+        if not is_finite_number(p.value):
+            raise ValueError(f"transform on {p.field!r} needs a finite number, got {p.value!r}")
     else:
         raise ValueError(f"unknown {p.layer.value}-layer field {p.field!r}")
     if p.window[0] < 0 or p.window[1] < p.window[0]:
@@ -143,8 +142,8 @@ def apply_summary_transform(summary: ContextSummary, p: LayerPerturbation) -> Co
 
     current = getattr(summary, p.field)
     updated = _apply_numeric(current, p.op, p.value)  # type: ignore[arg-type]
-    if p.field == "speed_limit_kph":
-        updated = _clamp(updated, MIN_SPEED_LIMIT_KPH, MAX_SPEED_LIMIT_KPH)
+    if p.field == "speed_limit_kph":  # limits stay in range even under hostile arithmetic
+        updated = _clamp(updated, MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH)
     else:  # traffic_density, completeness
         updated = _clamp(updated, 0.0, 1.0)
     return replace(summary, **{p.field: updated})

@@ -8,8 +8,15 @@ to share across concurrent episode runners.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
+
+
+def is_finite_number(value: object) -> bool:
+    """A non-bool int or float that is a finite float: no NaN, no infinity, no int too large for a float."""
+    big = sys.float_info.max
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -big <= value <= big
 
 
 class Role(str, Enum):
@@ -133,6 +140,9 @@ class Hazard:
             raise ValueError(f"hazard distance must be >= 0, got {self.distance_m}")
 
 
+# The least speed or speed limit a scenario may state (the layer arithmetic
+# clamps limits to it too), so no product of speeds and factors underflows to 0.
+MIN_SPEED_KPH = 0.1
 MAX_SPEED_LIMIT_KPH = 200.0
 
 

@@ -191,6 +191,12 @@ class AgentTuning:
     def field_names(self) -> tuple[str, ...]:
         return tuple(self.__dataclass_fields__)
 
+    @staticmethod
+    def knob_range(name: str) -> tuple[float, float]:
+        """The closed range a knob accepts: [0, 1] for an urgency, as for the intent's;
+        [0.001, 1000] for the others, so products of knobs and speeds stay finite and > 0."""
+        return (0.0, 1.0) if name.endswith("_urgency") else (1e-3, 1e3)
+
 
 def round_half_up(value: float) -> float:
     return math.floor(value + 0.5)

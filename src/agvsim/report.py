@@ -104,7 +104,13 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
     step_rows = []
     delta_by_episode: dict[int, bool] = {e: False for e in range(attacked.episodes)}
     fresh_effect_by_episode: dict[int, bool] = {e: False for e in range(attacked.episodes)}
+    # (baseline, attacked) steps per episode, grouped in this one pass
+    steps_by_episode: dict[int, tuple[list[StepRecord], list[StepRecord]]] = {
+        e: ([], []) for e in range(attacked.episodes)
+    }
     for b_rec, a_rec, delta in zip(baseline.steps, attacked.steps, deltas):
+        steps_by_episode[a_rec.episode][0].append(b_rec)
+        steps_by_episode[a_rec.episode][1].append(a_rec)
         step_rows.append(
             StepRow(
                 scenario_id=attacked.scenario_id,
@@ -129,9 +135,7 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
     )
 
     episode_rows = []
-    for episode in range(attacked.episodes):
-        b_steps = baseline.episode_steps(episode)
-        a_steps = attacked.episode_steps(episode)
+    for episode, (b_steps, a_steps) in steps_by_episode.items():
         if not a_steps:  # zero-step episodes yield no rows to aggregate
             continue
         b_mean = sum(r.approved.target_speed_kph for r in b_steps) / len(b_steps)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Callable
 
 from .cavstack import control_feedback, fuse, perceive, v2x_broadcast
 from .chains import ChainSchedule
@@ -61,17 +60,18 @@ def _episode_rng(seed: int, episode: int) -> random.Random:
 def _run_phase(
     active: list[tuple[ChainSchedule | None, int, ThreatInjection]],
     phase: Phase,
+    state: PipelineState,
     g: int,
     effects: list[InjectionEffectRecord],
-    act: Callable[[ThreatInjection], InjectionEffectRecord],
+    layer_before: str,
 ) -> None:
-    """Act on each active injection of `phase` in list order, keeping its record.
+    """Apply each active injection of `phase` in list order, keeping its record.
 
     A chain stage is marked fired at its first record without a warning.
     """
     for schedule, index, inj in active:
         if injection_phase(inj) is phase:
-            record = act(inj)
+            record = apply(inj, state, g, layer_before)
             effects.append(record)
             if schedule is not None and not record.warning:
                 schedule.mark_fired(index, g)
@@ -138,21 +138,11 @@ def run_episodes(
             v2x_view = v2x_broadcast(world, perturbations, g)
             feedback = control_feedback(world, perturbations, g)
             fused = fuse([perception_view, v2x_view])
-            if layer_injections:
-                if not clean_digest:
-                    clean_digest = digest_of({
-                        "context": fuse([perceive(world, [], g), v2x_broadcast(world, [], g)]),
-                        "feedback": control_feedback(world, [], g),
-                    })
-                after = digest_of({"context": fused, "feedback": feedback})
-                _run_phase(active, Phase.LAYER, g, effects, lambda inj: InjectionEffectRecord(
-                    threat=inj.threat,
-                    step=g,
-                    surface=inj.surface,
-                    before_digest=clean_digest,
-                    after_digest=after,
-                    note="layer summary perturbed",
-                ))
+            if layer_injections and not clean_digest:
+                clean_digest = digest_of({
+                    "context": fuse([perceive(world, [], g), v2x_broadcast(world, [], g)]),
+                    "feedback": control_feedback(world, [], g),
+                })
 
             user.reset_step()
             state = PipelineState(
@@ -166,11 +156,8 @@ def run_episodes(
                 tuning=tuning,
                 log=log,
             )
-
-            def run_phase(phase: Phase) -> None:
-                _run_phase(active, phase, g, effects, lambda inj: apply(inj, state, g))
-
-            run_phase(Phase.PRE_PA)
+            _run_phase(active, Phase.LAYER, state, g, effects, clean_digest)
+            _run_phase(active, Phase.PRE_PA, state, g, effects, clean_digest)
 
             # the PA confirms urgency with the (possibly overloaded) user
             confirmed = confirm_urgency(state.user, state.request.urgency_tag)
@@ -204,7 +191,7 @@ def run_episodes(
                 .with_hop(Role.DRIVING_STRATEGY_AGENT, g + 1)
             )
 
-            run_phase(Phase.PRE_DSA)
+            _run_phase(active, Phase.PRE_DSA, state, g, effects, clean_digest)
 
             # the stack's own context message, carrying the (possibly poisoned) summary
             state.envelopes.append(
@@ -244,7 +231,7 @@ def run_episodes(
             log_start = len(log)
             log.extend(state.envelopes)
 
-            run_phase(Phase.POST_STEP)
+            _run_phase(active, Phase.POST_STEP, state, g, effects, clean_digest)
 
             step_envelopes = log.since(log_start)
             records.append(

@@ -8,7 +8,6 @@ for parse errors) so a broken scenario never reaches the episode loop.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -22,9 +21,11 @@ from .domain import (
     DrivingMode,
     Hazard,
     MAX_SPEED_LIMIT_KPH,
+    MIN_SPEED_KPH,
     RoadClass,
     ThreatId,
     UserRequest,
+    is_finite_number,
 )
 from .threats import Surface, ThreatInjection, validate_injection
 
@@ -69,7 +70,7 @@ def _check_keys(data: dict, required: set[str], optional: set[str], where: str) 
         raise ConfigError(where, f"missing required keys: {sorted(missing)}")
     unknown = set(data) - required - optional
     if unknown:
-        raise ConfigError(where, f"unknown keys: {sorted(unknown)}")
+        raise ConfigError(where, f"unknown keys: {sorted(unknown, key=str)}")
 
 
 def _is_int(value: object) -> bool:
@@ -82,20 +83,18 @@ def _number(data: dict, key: str, where: str, required: bool = True, default: fl
             raise ConfigError(where, f"missing {key}")
         return default
     value = data[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}", f"expected a number, got {value!r}")
+    if not is_finite_number(value):
+        raise ConfigError(f"{where}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
 
 
 def _parse_hazard(data: object, where: str) -> Hazard:
     mapping = _expect_mapping(data, where)
     _check_keys(mapping, {"kind", "distance_m", "confidence"}, set(), where)
+    distance = _number(mapping, "distance_m", where)
+    confidence = _number(mapping, "confidence", where)
     try:
-        return Hazard(
-            kind=str(mapping["kind"]),
-            distance_m=_number(mapping, "distance_m", where),
-            confidence=_number(mapping, "confidence", where),
-        )
+        return Hazard(kind=str(mapping["kind"]), distance_m=distance, confidence=confidence)
     except ValueError as exc:
         raise ConfigError(where, str(exc)) from exc
 
@@ -122,13 +121,13 @@ def _parse_world(data: object, where: str) -> WorldTruth:
     if not isinstance(hazards, list):
         raise ConfigError(f"{where}.hazards", "expected a list of hazard records")
     limit = _number(mapping, "speed_limit_kph", where)
-    if not 0.0 < limit <= MAX_SPEED_LIMIT_KPH:  # also rejects .nan
+    if not MIN_SPEED_KPH <= limit <= MAX_SPEED_LIMIT_KPH:
         raise ConfigError(
-            f"{where}.speed_limit_kph", f"must be in (0, {MAX_SPEED_LIMIT_KPH:g}], got {limit!r}"
+            f"{where}.speed_limit_kph", f"must be in [{MIN_SPEED_KPH:g}, {MAX_SPEED_LIMIT_KPH:g}], got {limit!r}"
         )
     speed = _number(mapping, "vehicle_speed_kph", where)
-    if not 0.0 <= speed < math.inf:
-        raise ConfigError(f"{where}.vehicle_speed_kph", f"must be finite and >= 0, got {speed!r}")
+    if speed < 0.0:
+        raise ConfigError(f"{where}.vehicle_speed_kph", f"must be >= 0, got {speed!r}")
     return WorldTruth(
         true_speed_limit_kph=limit,
         road_class=road,
@@ -146,6 +145,8 @@ def _parse_request(data: object, where: str) -> UserRequest:
     desired = mapping.get("desired_speed_kph")
     if desired is not None:
         desired = _number(mapping, "desired_speed_kph", where)
+        if desired < MIN_SPEED_KPH:
+            raise ConfigError(f"{where}.desired_speed_kph", f"must be >= {MIN_SPEED_KPH:g}, got {desired!r}")
     try:
         return UserRequest(
             urgency_tag=str(mapping["urgency_tag"]),

@@ -1,12 +1,14 @@
 """Registry of the fifteen agentic threats and four cross-layer vectors.
 
 Each threat id has exactly one `ThreatSpec` in `THREATS`: its legal
-surfaces, implied layer, payload validator, injector and delta footprint.
-An injector is a deterministic edit of one attack surface inside the
-per-step pipeline state, recorded with before/after digests so the harness
-keeps attacker ground truth while the pipeline stays oblivious. Illegal
-(threat, surface) pairs are rejected when a scenario is loaded, never at run
-time.
+surfaces, implied layer, payload schema, surface view, injector and delta
+footprint. The schema parses a payload once, when the scenario is loaded, into
+the typed values the injector reads (`ThreatInjection.args`), so illegal
+(threat, surface) pairs and malformed payloads are rejected at load time,
+never at run time. An injector is a deterministic edit of one attack surface
+inside the per-step pipeline state; `apply` records it with before/after
+digests of that surface, so the harness keeps attacker ground truth while the
+pipeline stays oblivious.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
+from functools import cached_property
+from typing import Any, Callable
 
 from .cavstack import (
     Layer,
@@ -29,11 +32,14 @@ from .domain import (
     DEFAULT_ADMISSION,
     Hazard,
     MAX_SPEED_LIMIT_KPH,
+    MIN_SPEED_KPH,
     MessageEnvelope,
     Role,
     ThreatId,
     UserRequest,
     VehicleFeedback,
+    is_finite_number,
+    make_envelope,
 )
 from .pipeline import (
     AgentTuning,
@@ -76,6 +82,12 @@ class ThreatInjection:
 
     def active(self, step: int) -> bool:
         return self.window[0] <= step <= self.window[1]
+
+    @cached_property
+    def args(self) -> Any:
+        """The payload as the typed values the injector reads, parsed once (ValueError if malformed)."""
+        spec = THREATS[self.threat]
+        return spec.parse(_mapping(self.payload, f"{self.threat.value} payload", optional=spec.keys), self)
 
 
 @dataclass(frozen=True)
@@ -124,12 +136,12 @@ class SimulatedUserState:
 
 
 def confirm_urgency(user: SimulatedUserState, true_tag: str) -> str:
-    """One urgency-confirmation round trip, after any injected noise queries."""
-    for _ in range(user.noise_queries):
-        user.queries_asked += 1
-        if user.answers_given < USER_ATTENTION_BUDGET:
-            user.answers_given += 1
-    user.queries_asked += 1
+    """One urgency-confirmation round trip, after any injected noise queries.
+
+    The user answers each noise query while the attention budget lasts.
+    """
+    user.queries_asked += user.noise_queries + 1
+    user.answers_given = min(USER_ATTENTION_BUDGET, user.answers_given + user.noise_queries)
     if user.answers_given >= USER_ATTENTION_BUDGET:
         return DEFAULT_URGENCY  # overloaded: rushed default instead of intent
     user.answers_given += 1
@@ -285,7 +297,9 @@ def injection_phase(injection: ThreatInjection) -> Phase:
 
 
 # ---------------------------------------------------------------------------
-# payload validation
+# payload parsers: (payload, injection) -> the typed values the injector reads.
+# Values keep their scenario types where they reach an export (55 and 55.0
+# serialise differently), and envelope payloads stay plain dicts.
 
 
 def _require(condition: bool, message: str) -> None:
@@ -293,158 +307,203 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _is_num(v: object) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _mapping(value: Any, what: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()) -> dict:
+    """`value` as a mapping holding every `required` key and no key outside `required + optional`."""
+    _require(isinstance(value, dict), f"{what} must be a mapping")
+    _require(all(k in value for k in required), f"{what} needs {', '.join(required)}")
+    unknown = set(value) - set(required) - set(optional)
+    _require(not unknown, f"unknown {what} keys: {sorted(unknown, key=str)}")
+    return value
 
 
-def _validate_context_patch(patch: dict) -> None:
-    _require(isinstance(patch, dict), "context_patch must be a mapping")
-    allowed = {"speed_limit_kph", "closures_add", "hazards_add"}
-    unknown = set(patch) - allowed
-    _require(not unknown, f"unknown context_patch keys: {sorted(unknown)}")
+def _speed(value: Any) -> bool:
+    """A finite number of kph, at least the least speed a scenario may state."""
+    return is_finite_number(value) and value >= MIN_SPEED_KPH
+
+
+def _speed_limit(value: Any, what: str) -> None:
+    _require(_speed(value) and value <= MAX_SPEED_LIMIT_KPH, f"{what} out of range: {value!r}")
+
+
+def _hazard(value: object, what: str) -> Hazard:
+    h = _mapping(value, what, required=("kind", "distance_m", "confidence"))
+    _require(isinstance(h["kind"], str), f"{what} kind must be a string")
+    _require(
+        is_finite_number(h["distance_m"]) and is_finite_number(h["confidence"]),
+        f"{what} distance_m and confidence must be finite numbers",
+    )
+    return Hazard(kind=h["kind"], distance_m=h["distance_m"], confidence=h["confidence"])
+
+
+def _context_patch(value: object) -> dict:
+    patch = _mapping(value, "context_patch", optional=("speed_limit_kph", "closures_add", "hazards_add"))
     if "speed_limit_kph" in patch:
-        v = patch["speed_limit_kph"]
-        _require(_is_num(v) and 0 < v <= MAX_SPEED_LIMIT_KPH, f"patched speed limit out of range: {v!r}")
-    if "closures_add" in patch:
-        _require(
-            isinstance(patch["closures_add"], list)
-            and all(isinstance(c, str) for c in patch["closures_add"]),
-            "closures_add must be a list of segment ids",
-        )
-    if "hazards_add" in patch:
-        _require(isinstance(patch["hazards_add"], list), "hazards_add must be a list")
-        for h in patch["hazards_add"]:
-            _require(
-                isinstance(h, dict) and {"kind", "distance_m", "confidence"} <= set(h),
-                "each hazard needs kind, distance_m, confidence",
-            )
+        _speed_limit(patch["speed_limit_kph"], "patched speed limit")
+    closures = patch.get("closures_add", [])
+    _require(
+        isinstance(closures, list) and all(isinstance(c, str) for c in closures),
+        "closures_add must be a list of segment ids",
+    )
+    hazards = patch.get("hazards_add", [])
+    _require(isinstance(hazards, list), "hazards_add must be a list")
+    for h in hazards:
+        _hazard(h, "each hazards_add entry")
+    return patch
 
 
-def _perturbation(t: dict, layer: Layer, window: tuple[int, int]) -> LayerPerturbation:
-    """One payload transform `{field, op, value}` as a layer perturbation."""
-    value = t.get("value")
-    if t["field"] == "hazards" and t["op"] == "InjectRecord":
-        _require(
-            isinstance(value, dict) and {"kind", "distance_m", "confidence"} <= set(value),
-            "hazard injection needs kind, distance_m, confidence",
-        )
-        value = Hazard(kind=value["kind"], distance_m=value["distance_m"], confidence=value["confidence"])
-    return LayerPerturbation(layer=layer, field=t["field"], op=TransformOp(t["op"]), value=value, window=window)
+def _perturbations(
+    transforms: object, what: str, layer: Layer, window: tuple[int, int]
+) -> tuple[LayerPerturbation, ...]:
+    """A payload's list of `{field, op, value}` transforms as checked layer perturbations."""
+    _require(isinstance(transforms, list) and bool(transforms), f"{what} must be a non-empty list")
+    out = []
+    for t in transforms:
+        t = _mapping(t, "transform", required=("field", "op", "value"))
+        value = t["value"]
+        if t["field"] == "hazards" and t["op"] == "InjectRecord":
+            value = _hazard(value, "hazard injection")
+        p = LayerPerturbation(layer, t["field"], TransformOp(t["op"]), value, window)
+        validate_perturbation(p)
+        out.append(p)
+    return tuple(out)
 
 
-def _validate_transforms(transforms: object, layer: Layer, window: tuple[int, int]) -> None:
-    _require(isinstance(transforms, list) and transforms, "transforms must be a non-empty list")
-    for t in transforms:  # type: ignore[union-attr]
-        _require(
-            isinstance(t, dict) and {"field", "op"} <= set(t),
-            "each transform needs field, op, value",
-        )
-        validate_perturbation(_perturbation(t, layer, window))
+def _request(r: dict, what: str) -> UserRequest:
+    desired = r.get("desired_speed_kph")
+    _require(isinstance(r["destination"], str), f"{what} destination must be a string")
+    _require(desired is None or _speed(desired), f"{what} desired_speed_kph must be a speed >= {MIN_SPEED_KPH:g}")
+    return UserRequest(urgency_tag=r["urgency_tag"], destination=r["destination"], desired_speed_kph=desired)
 
 
-# Per-threat payload checks: (payload, injection) -> None, raising ValueError.
+def _parse_t1(p: dict, inj: ThreatInjection) -> tuple[str, float]:
+    _require(_speed(p.get("value_kph")), f"T1 value_kph must be a speed >= {MIN_SPEED_KPH:g}")
+    key = p.get("key", SPEED_CAP_KEY)
+    _require(isinstance(key, str), "T1 key must be a string")
+    return key, float(p["value_kph"])
 
 
-def _check_t1(p: dict, inj: ThreatInjection) -> None:
-    _require(_is_num(p.get("value_kph")) and p["value_kph"] > 0, "T1 needs value_kph > 0")
-
-
-def _check_t2(p: dict, inj: ThreatInjection) -> None:
+def _tool_output(p: dict, inj: ThreatInjection) -> ToolOutput:
     advised = p.get("advised_speed_kph")
-    _require(advised is None or (_is_num(advised) and advised > 0), "T2 advised_speed_kph must be > 0")
+    what = inj.threat.value
+    _require(advised is None or _speed(advised), f"{what} advised_speed_kph must be a speed >= {MIN_SPEED_KPH:g}")
+    route_hint = p.get("route_hint", "")
+    _require(isinstance(route_hint, str), f"{what} route_hint must be a string")
+    return ToolOutput(advised_speed_kph=advised, route_hint=route_hint)
 
 
-def _check_t3(p: dict, inj: ThreatInjection) -> None:
+def _parse_t3(p: dict, inj: ThreatInjection) -> tuple[Role, dict]:
     _require(p.get("grant_role") in (Role.PERSONAL_AGENT.value, Role.DRIVING_STRATEGY_AGENT.value),
              "T3 grant_role must name an agent role")
-    _validate_context_patch(p.get("context_patch", {}))
+    return Role(p["grant_role"]), _context_patch(p.get("context_patch", {}))
 
 
-def _check_t4(p: dict, inj: ThreatInjection) -> None:
+def _parse_t4(p: dict, inj: ThreatInjection) -> float | tuple[LayerPerturbation, ...]:
     factor = p.get("completeness_factor")
-    _require(_is_num(factor) and 0 < factor < 1, "T4 needs completeness_factor in (0, 1)")
+    _require(is_finite_number(factor) and 0 < factor < 1, "T4 needs completeness_factor in (0, 1)")
+    if inj.surface is Surface.LAYER:
+        scale = LayerPerturbation(effective_layer(inj), "completeness", TransformOp.SCALE, factor, inj.window)
+        validate_perturbation(scale)  # telemetry has no completeness: a context layer only
+        return (scale,)
+    return float(factor)
 
 
-def _check_t5(p: dict, inj: ThreatInjection) -> None:
-    _validate_context_patch(p.get("context_patch", {}))
-    _require(bool(p.get("context_patch")), "T5 needs a non-empty context_patch")
+def _parse_t5(p: dict, inj: ThreatInjection) -> dict:
+    patch = _context_patch(p.get("context_patch", {}))
+    _require(bool(patch), "T5 needs a non-empty context_patch")
+    return patch
 
 
-def _check_t6(p: dict, inj: ThreatInjection) -> None:
-    _require(
-        any(k in p for k in ("urgency_tag", "destination", "desired_speed_kph")),
-        "T6 needs at least one of urgency_tag, destination, desired_speed_kph",
-    )
-    if "urgency_tag" in p:
-        _require(p["urgency_tag"] in ("Routine", "Urgent"), "T6 urgency_tag must be Routine or Urgent")
+def _parse_t6(p: dict, inj: ThreatInjection) -> dict:
+    """The request fields to override."""
+    _require(bool(p), "T6 needs at least one of urgency_tag, destination, desired_speed_kph")
+    _request({"urgency_tag": "Routine", "destination": "", **p}, "T6")
+    return dict(p)
 
 
-def _check_t7(p: dict, inj: ThreatInjection) -> None:
-    w = p.get("speed_weight")
-    _require(_is_num(w) and 0 < w <= 1, "T7 needs speed_weight in (0, 1]")
-    if "headway_scale" in p:
-        _require(_is_num(p["headway_scale"]) and p["headway_scale"] >= 1, "T7 headway_scale must be >= 1")
+def _parse_t7(p: dict, inj: ThreatInjection) -> dict[str, float]:
+    weight, scale = p.get("speed_weight"), p.get("headway_scale", 1.0)
+    _require(is_finite_number(weight) and 1e-3 <= weight <= 1, "T7 needs speed_weight in [0.001, 1]")
+    _require(is_finite_number(scale) and scale >= 1, "T7 headway_scale must be finite and >= 1")
+    return {"speed_weight": float(weight), "headway_scale": float(scale)}
 
 
-def _check_t8(p: dict, inj: ThreatInjection) -> None:
+def _parse_t8(p: dict, inj: ThreatInjection) -> None:
     _require(p.get("mode", "strip-provenance") == "strip-provenance", "T8 supports mode strip-provenance")
 
 
-def _check_t9(p: dict, inj: ThreatInjection) -> None:
+def _parse_t9(p: dict, inj: ThreatInjection) -> tuple[Role, str, dict]:
     _require(p.get("claimed") in [r.value for r in Role], "T9 needs a claimed role")
-    _require(p.get("target", "context") in ("context", "user"), "T9 target must be context or user")
-    _validate_context_patch(p.get("context_patch", {}))
+    target = p.get("target", "context")
+    _require(target in ("context", "user"), "T9 target must be context or user")
+    return Role(p["claimed"]), target, _context_patch(p.get("context_patch", {}))
 
 
-def _check_t10(p: dict, inj: ThreatInjection) -> None:
+def _parse_t10(p: dict, inj: ThreatInjection) -> int:
     n = p.get("noise_queries")
-    _require(isinstance(n, int) and n >= 1, "T10 needs noise_queries >= 1")
+    _require(type(n) is int and n >= 1, "T10 needs an integer noise_queries >= 1")
+    return n
 
 
-def _check_t11(p: dict, inj: ThreatInjection) -> None:
-    _require(p.get("config_field") in AgentTuning().field_names(), "T11 config_field must name a tuning knob")
-    _require(_is_num(p.get("config_value")) and p["config_value"] > 0, "T11 needs config_value > 0")
-    advised = p.get("advised_speed_kph")
-    _require(advised is None or (_is_num(advised) and advised > 0), "T11 advised_speed_kph must be > 0")
+def _parse_t11(p: dict, inj: ThreatInjection) -> tuple[ToolOutput, str, float]:
+    name = p.get("config_field")
+    _require(name in AgentTuning().field_names(), "T11 config_field must name a tuning knob")
+    lo, hi = AgentTuning.knob_range(name)
+    value = p.get("config_value")
+    _require(is_finite_number(value) and lo <= value <= hi, f"T11 {name} must be in [{lo:g}, {hi:g}]")
+    return _tool_output(p, inj), name, float(value)
 
 
-def _check_t12(p: dict, inj: ThreatInjection) -> None:
-    _require(p.get("target", "context") in ("context", "external"), "T12 target must be context or external")
-    edits = p.get("edits")
-    _require(isinstance(edits, list) and edits, "T12 needs a non-empty edits list")
-    if p.get("target", "context") == "context":
-        _validate_transforms(edits, Layer.V2X, inj.window)
+def _external_edit(value: object) -> tuple[str, object]:
+    """One edit of an in-flight context patch, as (field, value)."""
+    e = _mapping(value, "edit", required=("field", "op", "value"))
+    _require(e["op"] in ("Set", "InjectRecord"), "external-target edits support Set/InjectRecord")
+    if e["field"] == "speed_limit_kph":
+        _speed_limit(e["value"], "edited speed limit")
+    elif e["field"] == "closures":
+        _require(isinstance(e["value"], str), "a closures edit needs a segment-id string")
+    elif e["field"] == "hazards":
+        _hazard(e["value"], "a hazards edit")
     else:
-        for e in edits:
-            _require(isinstance(e, dict), "each edit needs field, op, value")
-            _require(e.get("op") in ("Set", "InjectRecord"), "external-target edits support Set/InjectRecord")
-            _require(e.get("field") in ("speed_limit_kph", "closures", "hazards"),
-                     f"unsupported external edit field {e.get('field')!r}")
+        raise ValueError(f"unsupported external edit field {e['field']!r}")
+    return e["field"], e["value"]
 
 
-def _check_t13(p: dict, inj: ThreatInjection) -> None:
+def _parse_t12(p: dict, inj: ThreatInjection) -> tuple[str, tuple]:
+    target = p.get("target", "context")
+    _require(target in ("context", "external"), "T12 target must be context or external")
+    edits = p.get("edits")
+    _require(isinstance(edits, list) and bool(edits), "T12 needs a non-empty edits list")
+    if target == "context":
+        return target, _perturbations(edits, "edits", Layer.V2X, inj.window)
+    return target, tuple(_external_edit(e) for e in edits)
+
+
+def _parse_t13(p: dict, inj: ThreatInjection) -> tuple[str, str]:
     agent = p.get("agent")
     _require(agent in ("PA", "DSA"), "T13 agent must be PA or DSA")
     pool = PA_POLICIES if agent == "PA" else DSA_POLICIES
     _require(p.get("policy") in pool, f"T13 policy must be one of {pool}")
+    return agent, p["policy"]
 
 
-def _check_t14(p: dict, inj: ThreatInjection) -> None:
+def _parse_t14(p: dict, inj: ThreatInjection) -> tuple[UserRequest, ...]:
     reqs = p.get("requests")
-    _require(isinstance(reqs, list) and reqs, "T14 needs a non-empty requests list")
-    for r in reqs:
-        _require(isinstance(r, dict) and "urgency_tag" in r and "destination" in r,
-                 "each T14 request needs urgency_tag and destination")
+    _require(isinstance(reqs, list) and bool(reqs), "T14 needs a non-empty requests list")
+    return tuple(
+        _request(_mapping(r, "T14 request", ("urgency_tag", "destination"), ("desired_speed_kph",)), "T14")
+        for r in reqs
+    )
 
 
-def _check_t15(p: dict, inj: ThreatInjection) -> None:
-    w = p.get("framing_weight")
-    _require(_is_num(w) and 0 < w <= 1, "T15 needs framing_weight in (0, 1]")
-    _require(p.get("framing", DEFAULT_URGENCY) in ("Routine", "Urgent"), "T15 framing must be Routine or Urgent")
+def _parse_t15(p: dict, inj: ThreatInjection) -> tuple[float, str]:
+    weight, framing = p.get("framing_weight"), p.get("framing", DEFAULT_URGENCY)
+    _require(is_finite_number(weight) and 0 < weight <= 1, "T15 needs framing_weight in (0, 1]")
+    _require(framing in ("Routine", "Urgent"), "T15 framing must be Routine or Urgent")
+    return float(weight), framing
 
 
-def _check_transforms(p: dict, inj: ThreatInjection) -> None:
-    _validate_transforms(p.get("transforms"), effective_layer(inj), inj.window)
+def _parse_transforms(p: dict, inj: ThreatInjection) -> tuple[LayerPerturbation, ...]:
+    return _perturbations(p.get("transforms"), "transforms", effective_layer(inj), inj.window)
 
 
 def validate_injection(injection: ThreatInjection) -> None:
@@ -464,8 +523,7 @@ def validate_injection(injection: ThreatInjection) -> None:
             raise ValueError(f"{injection.threat.value} on the Layer surface needs an explicit layer")
     elif injection.layer is not None:
         raise ValueError("layer tag only applies to the Layer surface")
-    _require(isinstance(injection.payload, dict), "payload must be a mapping")
-    spec.validate(injection.payload, injection)
+    injection.args  # parse the payload now, so a malformed one fails at load
 
 
 def effective_layer(injection: ThreatInjection) -> Layer:
@@ -475,19 +533,13 @@ def effective_layer(injection: ThreatInjection) -> Layer:
     return layer
 
 
-def to_layer_perturbations(injection: ThreatInjection) -> list[LayerPerturbation]:
-    """Translate a Layer-surface injection into declarative transforms."""
-    if injection.threat is ThreatId.T4:
-        factor = injection.payload["completeness_factor"]
-        transforms = [{"field": "completeness", "op": "Scale", "value": factor}]
-    else:
-        transforms = injection.payload["transforms"]
-    layer = effective_layer(injection)
-    return [_perturbation(t, layer, injection.window) for t in transforms]
+def to_layer_perturbations(injection: ThreatInjection) -> tuple[LayerPerturbation, ...]:
+    """A Layer-surface injection's declarative transforms, as parsed at load."""
+    return injection.args
 
 
 # ---------------------------------------------------------------------------
-# injector implementations (one per threat)
+# injectors: (injection, state, step) -> (note, warning); each edits one surface
 
 
 def apply_context_patch(summary: ContextSummary, patch: dict) -> ContextSummary:
@@ -508,246 +560,147 @@ def apply_context_patch(summary: ContextSummary, patch: dict) -> ContextSummary:
     return summary
 
 
-def _record(
-    injection: ThreatInjection, step: int, before: str, after: str, note: str = "", warning: bool = False
-) -> InjectionEffectRecord:
-    return InjectionEffectRecord(
-        threat=injection.threat,
-        step=step,
-        surface=injection.surface,
-        before_digest=before,
-        after_digest=after,
-        note=note,
-        warning=warning,
-    )
-
-
-def _apply_t1(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = state.memory.digest()
-    key = inj.payload.get("key", SPEED_CAP_KEY)
-    value = float(inj.payload["value_kph"])
-    entry = MemoryEntry(
-        key=key,
-        kind=MemoryKind.CONSTRAINT,
-        value=value,
-        origin=Role.EXTERNAL,
-        inserted_step=step,
-        persistent=inj.persistent,
-    )
+def _act_t1(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    key, value = inj.args
+    entry = MemoryEntry(key, MemoryKind.CONSTRAINT, value, Role.EXTERNAL, step, persistent=inj.persistent)
     if not state.memory.adopt(entry):
-        return _record(inj, step, before, before, note="entry already present")
-    return _record(inj, step, before, state.memory.digest(), note=f"poisoned constraint {key}={value}")
+        return "entry already present", False
+    return f"poisoned constraint {key}={value}", False
 
 
-def _substitute_tool(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, str]:
-    before = digest_of(state.tool_output)
-    state.tool_output = ToolOutput(
-        advised_speed_kph=inj.payload.get("advised_speed_kph"),
-        route_hint=inj.payload.get("route_hint", ""),
-    )
-    return before, digest_of(state.tool_output)
+def _act_t2(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    state.tool_output = inj.args
+    return "tool output substituted", False
 
 
-def _apply_t2(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before, after = _substitute_tool(inj, state, step)
-    return _record(inj, step, before, after, note="tool output substituted")
-
-
-def _apply_t3(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    grant_role = Role(inj.payload["grant_role"])
-    before = digest_of({"admission": state.admission, "envelopes": len(state.envelopes)})
+def _act_t3(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    grant_role, patch = inj.args
     state.admission[Authority.CONTEXT_ONLY] = state.admission[Authority.CONTEXT_ONLY] | {grant_role}
-    state.envelopes.append(
-        MessageEnvelope(
-            sender=grant_role,  # identity is honest; the *permission* is wrong
-            claimed_sender=grant_role,
-            authority=Authority.CONTEXT_ONLY,
-            payload=dict(inj.payload.get("context_patch", {})),
-            provenance=((grant_role, step),),
-            step=step,
-        )
-    )
-    after = digest_of({"admission": state.admission, "envelopes": len(state.envelopes)})
-    return _record(inj, step, before, after, note=f"context authority delegated to {grant_role.value}")
+    # the identity is honest; the *permission* is wrong
+    state.envelopes.append(make_envelope(grant_role, Authority.CONTEXT_ONLY, dict(patch), step))
+    return f"context authority delegated to {grant_role.value}", False
 
 
-def _apply_t4(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = digest_of(state.pa_context)
-    factor = float(inj.payload["completeness_factor"])
-    state.pa_context = replace(
-        state.pa_context, completeness=state.pa_context.completeness * factor
-    )
-    return _record(inj, step, before, digest_of(state.pa_context), note=f"completeness x{factor}")
+def _act_t4(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    factor = inj.args
+    state.pa_context = replace(state.pa_context, completeness=state.pa_context.completeness * factor)
+    return f"completeness x{factor}", False
 
 
-def _apply_t5(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = digest_of(state.pa_context)
-    patch = inj.payload["context_patch"]
+def _act_t5(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    patch = inj.args
     state.pa_context = apply_context_patch(state.pa_context, patch)
     note = "hallucinated context fact"
     # the hallucination enters long-term memory as a self-made constraint
-    if inj.persistent and "speed_limit_kph" in patch and state.memory.adopt(
-        MemoryEntry(
-            key=SPEED_CAP_KEY,
-            kind=MemoryKind.CONSTRAINT,
-            value=float(patch["speed_limit_kph"]),
-            origin=Role.PERSONAL_AGENT,
-            inserted_step=step,
-            persistent=True,
-        )
-    ):
+    if inj.persistent and "speed_limit_kph" in patch and state.memory.adopt(MemoryEntry(
+        SPEED_CAP_KEY, MemoryKind.CONSTRAINT, float(patch["speed_limit_kph"]), Role.PERSONAL_AGENT,
+        inserted_step=step, persistent=True,
+    )):
         note += ", memorized"
-    return _record(inj, step, before, digest_of(state.pa_context), note=note)
+    return note, False
 
 
-def _apply_t6(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = digest_of(state.request)
-    state.request = UserRequest(
-        urgency_tag=inj.payload.get("urgency_tag", state.request.urgency_tag),
-        destination=inj.payload.get("destination", state.request.destination),
-        desired_speed_kph=inj.payload.get("desired_speed_kph", state.request.desired_speed_kph),
-    )
-    return _record(inj, step, before, digest_of(state.request), note="request reinterpreted")
+def _act_t6(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    state.request = replace(state.request, **inj.args)
+    return "request reinterpreted", False
 
 
-def _apply_t7(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = digest_of(state.dsa_weights)
-    state.dsa_weights = {
-        "speed_weight": float(inj.payload["speed_weight"]),
-        "headway_scale": float(inj.payload.get("headway_scale", 1.0)),
-    }
-    return _record(inj, step, before, digest_of(state.dsa_weights), note="optimization priorities skewed")
+def _act_t7(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    state.dsa_weights = dict(inj.args)
+    return "optimization priorities skewed", False
 
 
-def _apply_t8(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = state.log.digest()
+def _act_t8(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
     stripped = state.log.strip_provenance()
-    after = state.log.digest()
-    return _record(
-        inj, step, before, after,
-        note=f"stripped origin hops from {stripped} log entries",
-        warning=stripped == 0 and before == after,
-    )
+    return f"stripped origin hops from {stripped} log entries", stripped == 0
 
 
-def _apply_t9(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = digest_of(state.envelopes)
-    claimed = Role(inj.payload["claimed"])
-    target = inj.payload.get("target", "context")
+def _act_t9(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    claimed, target, patch = inj.args
     if target == "context":
         authority = Authority.CONTEXT_ONLY
-        payload: object = dict(inj.payload.get("context_patch", {}))
+        payload: object = dict(patch)
     else:
         authority = Authority.INTENT_ONLY
         payload = {"forged_user_input": True}
-    state.envelopes.append(
-        MessageEnvelope(
-            sender=Role.EXTERNAL,
-            claimed_sender=claimed,
-            authority=authority,
-            payload=payload,
-            provenance=((Role.EXTERNAL, step),),
-            step=step,
-        )
-    )
-    return _record(
-        inj, step, before, digest_of(state.envelopes),
-        note=f"forged envelope claiming {claimed.value}",
-    )
+    forged = replace(make_envelope(Role.EXTERNAL, authority, payload, step), claimed_sender=claimed)
+    state.envelopes.append(forged)
+    return f"forged envelope claiming {claimed.value}", False
 
 
-def _apply_t10(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = digest_of(state.user.noise_queries)
-    state.user.noise_queries = int(inj.payload["noise_queries"])
-    return _record(inj, step, before, digest_of(state.user.noise_queries), note="confirmation flood")
+def _act_t10(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    state.user.noise_queries = inj.args
+    return "confirmation flood", False
 
 
-def _apply_t11(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = digest_of({"tool": state.tool_output, "tuning": state.tuning})
-    _substitute_tool(inj, state, step)
-    field_name = inj.payload["config_field"]
-    value = float(inj.payload["config_value"])
+def _act_t11(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    tool, field_name, value = inj.args
+    state.tool_output = tool
     mutated = getattr(state.tuning, field_name) != value
     setattr(state.tuning, field_name, value)
-    after = digest_of({"tool": state.tool_output, "tuning": state.tuning})
-    return _record(
-        inj, step, before, after,
-        note=f"tool compromised; config {field_name}={value}" + ("" if mutated else " (already set)"),
-    )
+    return f"tool compromised; config {field_name}={value}" + ("" if mutated else " (already set)"), False
 
 
-def _edit_patch_dict(patch: dict, edit: dict) -> None:
+def _external_context(state: PipelineState) -> int | None:
+    """Index of the last External ContextOnly envelope in flight, if any."""
+    for i in range(len(state.envelopes) - 1, -1, -1):
+        env = state.envelopes[i]
+        if env.sender is Role.EXTERNAL and env.authority is Authority.CONTEXT_ONLY:
+            return i
+    return None
+
+
+def _view_t12(state: PipelineState, args: tuple[str, tuple]) -> str:
+    if args[0] == "context":
+        return digest_of(state.dsa_context)
+    i = _external_context(state)
+    return digest_of(state.envelopes if i is None else state.envelopes[i].payload)
+
+
+def _act_t12(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    target, edits = inj.args
+    if target == "context":
+        for p in edits:
+            state.dsa_context = apply_summary_transform(state.dsa_context, p)
+        return "coordination channel poisoned", False
+    i = _external_context(state)
+    if i is None:
+        return "no external envelope in flight", True
+    env = state.envelopes[i]
+    patch = dict(env.payload) if isinstance(env.payload, dict) else {}
     # the lists may be shared with a configured payload or a logged envelope:
     # build new ones instead of appending in place
-    if edit["field"] == "speed_limit_kph":
-        patch["speed_limit_kph"] = float(edit["value"])
-    elif edit["field"] == "closures":
-        closures = patch.get("closures_add", [])
-        if edit["value"] not in closures:
-            patch["closures_add"] = [*closures, edit["value"]]
-    elif edit["field"] == "hazards":
-        patch["hazards_add"] = [*patch.get("hazards_add", []), dict(edit["value"])]
+    for field_name, value in edits:
+        if field_name == "speed_limit_kph":
+            patch["speed_limit_kph"] = float(value)
+        elif field_name == "closures":
+            closures = patch.get("closures_add", [])
+            if value not in closures:
+                patch["closures_add"] = [*closures, value]
+        else:
+            patch["hazards_add"] = [*patch.get("hazards_add", []), dict(value)]
+    state.envelopes[i] = replace(env, payload=patch)
+    return "in-flight message poisoned", False
 
 
-def _apply_t12(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    target = inj.payload.get("target", "context")
-    if target == "external":
-        for i in range(len(state.envelopes) - 1, -1, -1):
-            env = state.envelopes[i]
-            if env.sender is Role.EXTERNAL and env.authority is Authority.CONTEXT_ONLY:
-                before = digest_of(env.payload)
-                patch = dict(env.payload) if isinstance(env.payload, dict) else {}
-                for edit in inj.payload["edits"]:
-                    _edit_patch_dict(patch, edit)
-                state.envelopes[i] = replace(env, payload=patch)
-                return _record(inj, step, before, digest_of(patch), note="in-flight message poisoned")
-        before = digest_of(state.envelopes)
-        return _record(
-            inj, step, before, before,
-            note="no external envelope in flight", warning=True,
-        )
-    before = digest_of(state.dsa_context)
-    summary = state.dsa_context
-    for edit in inj.payload["edits"]:
-        summary = apply_summary_transform(summary, _perturbation(edit, Layer.V2X, inj.window))
-    state.dsa_context = summary
-    return _record(inj, step, before, digest_of(summary), note="coordination channel poisoned")
-
-
-def _apply_t13(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = digest_of({"pa": state.pa_policy, "dsa": state.dsa_policy})
-    if inj.payload["agent"] == "PA":
-        state.pa_policy = inj.payload["policy"]
+def _act_t13(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    agent, policy = inj.args
+    if agent == "PA":
+        state.pa_policy = policy
     else:
-        state.dsa_policy = inj.payload["policy"]
-    after = digest_of({"pa": state.pa_policy, "dsa": state.dsa_policy})
-    return _record(inj, step, before, after, note=f"{inj.payload['agent']} policy swapped to {inj.payload['policy']}")
+        state.dsa_policy = policy
+    return f"{agent} policy swapped to {policy}", False
 
 
-def _apply_t14(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = digest_of(state.request)
-    sequence = [
-        UserRequest(
-            urgency_tag=r["urgency_tag"],
-            destination=r["destination"],
-            desired_speed_kph=r.get("desired_speed_kph"),
-        )
-        for r in inj.payload["requests"]
-    ]
+def _act_t14(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
     # conflicting instructions processed in order; recency wins
-    state.request = sequence[-1]
-    return _record(
-        inj, step, before, digest_of(state.request),
-        note=f"{len(sequence)} conflicting requests injected",
-    )
+    state.request = inj.args[-1]
+    return f"{len(inj.args)} conflicting requests injected", False
 
 
-def _apply_t15(inj: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
-    before = digest_of({"bias": state.user.framing_bias, "answer": state.user.framing_answer})
-    state.user.framing_bias = float(inj.payload["framing_weight"])
-    state.user.framing_answer = inj.payload.get("framing", DEFAULT_URGENCY)
-    after = digest_of({"bias": state.user.framing_bias, "answer": state.user.framing_answer})
-    return _record(inj, step, before, after, note="user reply biased toward agent framing")
+def _act_t15(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
+    state.user.framing_bias, state.user.framing_answer = inj.args
+    return "user reply biased toward agent framing", False
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +712,13 @@ class ThreatSpec:
     """Everything the harness knows about one threat id."""
 
     surfaces: frozenset[Surface]
-    validate: Callable[[dict, ThreatInjection], None]  # payload checks, at load time
-    # None for the cross-layer vectors: Layer-surface injections act inside
-    # the layer functions, through `to_layer_perturbations`
-    apply: Callable[[ThreatInjection, PipelineState, int], InjectionEffectRecord] | None
+    keys: tuple[str, ...]  # the payload keys the schema knows; any other is rejected
+    parse: Callable[[dict, ThreatInjection], Any]  # payload -> `ThreatInjection.args`
+    # digest of the surface the injector edits, taken before and after it
+    # acts; view and act are None for the cross-layer vectors, whose
+    # injections act inside the layer functions
+    view: Callable[[PipelineState, Any], str] | None
+    act: Callable[[ThreatInjection, PipelineState, int], tuple[str, bool]] | None
     # step-record key prefixes through which the effect may surface; the
     # chain runner's structural attribution reads them
     footprint: tuple[str, ...]
@@ -774,67 +730,82 @@ class ThreatSpec:
 _DOWNSTREAM = ("intent", "submissions", "approved")
 _DECISION = ("submissions", "approved")
 
+
+def _cross_layer(layer: Layer, footprint: tuple[str, ...]) -> ThreatSpec:
+    return ThreatSpec(
+        frozenset({Surface.LAYER}), ("transforms",), _parse_transforms, None, None, footprint, layer=layer
+    )
+
+
 THREATS: dict[ThreatId, ThreatSpec] = {
     ThreatId.T1: ThreatSpec(
-        frozenset({Surface.PA_MEMORY}), _check_t1, _apply_t1, ("memory_digest",) + _DOWNSTREAM,
+        frozenset({Surface.PA_MEMORY}), ("value_kph", "key"), _parse_t1,
+        lambda s, a: s.memory.digest(), _act_t1, ("memory_digest",) + _DOWNSTREAM,
     ),
     ThreatId.T2: ThreatSpec(
-        frozenset({Surface.TOOL_OUTPUT}), _check_t2, _apply_t2, ("tool_output", "memory_digest") + _DOWNSTREAM,
+        frozenset({Surface.TOOL_OUTPUT}), ("advised_speed_kph", "route_hint"), _tool_output,
+        lambda s, a: digest_of(s.tool_output), _act_t2, ("tool_output", "memory_digest") + _DOWNSTREAM,
     ),
     ThreatId.T3: ThreatSpec(
-        frozenset({Surface.INTER_AGENT_MSG}), _check_t3, _apply_t3,
+        frozenset({Surface.INTER_AGENT_MSG}), ("grant_role", "context_patch"), _parse_t3,
+        lambda s, a: digest_of({"admission": s.admission, "envelopes": len(s.envelopes)}), _act_t3,
         ("admission_digest", "envelope_count", "log_digest", "dsa_context") + _DECISION,
     ),
     ThreatId.T4: ThreatSpec(
-        frozenset({Surface.PA_INPUT, Surface.LAYER}), _check_t4, _apply_t4, ("pa_context",),
+        frozenset({Surface.PA_INPUT, Surface.LAYER}), ("completeness_factor",), _parse_t4,
+        lambda s, a: digest_of(s.pa_context), _act_t4, ("pa_context",),
         footprint_extra=lambda inj: ("dsa_context",) if inj.surface is Surface.LAYER else (),
     ),
     ThreatId.T5: ThreatSpec(
-        frozenset({Surface.PA_INPUT}), _check_t5, _apply_t5, ("pa_context", "memory_digest") + _DOWNSTREAM,
+        frozenset({Surface.PA_INPUT}), ("context_patch",), _parse_t5,
+        lambda s, a: digest_of(s.pa_context), _act_t5, ("pa_context", "memory_digest") + _DOWNSTREAM,
     ),
-    ThreatId.T6: ThreatSpec(frozenset({Surface.PA_INPUT}), _check_t6, _apply_t6, ("request",) + _DOWNSTREAM),
-    ThreatId.T7: ThreatSpec(frozenset({Surface.DSA_WEIGHTS}), _check_t7, _apply_t7, _DECISION),
-    ThreatId.T8: ThreatSpec(frozenset({Surface.LOGS}), _check_t8, _apply_t8, ("log_digest",)),
+    ThreatId.T6: ThreatSpec(
+        frozenset({Surface.PA_INPUT}), ("urgency_tag", "destination", "desired_speed_kph"), _parse_t6,
+        lambda s, a: digest_of(s.request), _act_t6, ("request",) + _DOWNSTREAM,
+    ),
+    ThreatId.T7: ThreatSpec(
+        frozenset({Surface.DSA_WEIGHTS}), ("speed_weight", "headway_scale"), _parse_t7,
+        lambda s, a: digest_of(s.dsa_weights), _act_t7, _DECISION,
+    ),
+    ThreatId.T8: ThreatSpec(
+        frozenset({Surface.LOGS}), ("mode",), _parse_t8, lambda s, a: s.log.digest(), _act_t8, ("log_digest",),
+    ),
     ThreatId.T9: ThreatSpec(
-        frozenset({Surface.IDENTITY_FIELD}), _check_t9, _apply_t9,
-        ("envelope_count", "spoofed_envelopes", "log_digest"),
-        footprint_extra=lambda inj: ("dsa_context",) + _DECISION if inj.payload.get("context_patch") else (),
+        frozenset({Surface.IDENTITY_FIELD}), ("claimed", "target", "context_patch"), _parse_t9,
+        lambda s, a: digest_of(s.envelopes), _act_t9, ("envelope_count", "spoofed_envelopes", "log_digest"),
+        footprint_extra=lambda inj: ("dsa_context",) + _DECISION if inj.args[2] else (),
     ),
     ThreatId.T10: ThreatSpec(
-        frozenset({Surface.USER_CHANNEL}), _check_t10, _apply_t10, ("user_queries", "request") + _DOWNSTREAM,
+        frozenset({Surface.USER_CHANNEL}), ("noise_queries",), _parse_t10,
+        lambda s, a: digest_of(s.user.noise_queries), _act_t10, ("user_queries", "request") + _DOWNSTREAM,
     ),
     ThreatId.T11: ThreatSpec(
-        frozenset({Surface.TOOL_OUTPUT}), _check_t11, _apply_t11,
+        frozenset({Surface.TOOL_OUTPUT}), ("config_field", "config_value", "advised_speed_kph", "route_hint"),
+        _parse_t11, lambda s, a: digest_of({"tool": s.tool_output, "tuning": s.tuning}), _act_t11,
         ("tool_output", "tuning_digest", "memory_digest") + _DOWNSTREAM,
     ),
     ThreatId.T12: ThreatSpec(
-        frozenset({Surface.INTER_AGENT_MSG}), _check_t12, _apply_t12, ("dsa_context",) + _DECISION,
+        frozenset({Surface.INTER_AGENT_MSG}), ("target", "edits"), _parse_t12,
+        _view_t12, _act_t12, ("dsa_context",) + _DECISION,
     ),
     ThreatId.T13: ThreatSpec(
-        frozenset({Surface.AGENT_POLICY}), _check_t13, _apply_t13, ("policies",) + _DOWNSTREAM,
+        frozenset({Surface.AGENT_POLICY}), ("agent", "policy"), _parse_t13,
+        lambda s, a: digest_of({"pa": s.pa_policy, "dsa": s.dsa_policy}), _act_t13, ("policies",) + _DOWNSTREAM,
     ),
     ThreatId.T14: ThreatSpec(
-        frozenset({Surface.USER_CHANNEL}), _check_t14, _apply_t14, ("request",) + _DOWNSTREAM,
+        frozenset({Surface.USER_CHANNEL}), ("requests",), _parse_t14,
+        lambda s, a: digest_of(s.request), _act_t14, ("request",) + _DOWNSTREAM,
     ),
     ThreatId.T15: ThreatSpec(
-        frozenset({Surface.USER_CHANNEL}), _check_t15, _apply_t15, ("request",) + _DOWNSTREAM,
+        frozenset({Surface.USER_CHANNEL}), ("framing_weight", "framing"), _parse_t15,
+        lambda s, a: digest_of({"bias": s.user.framing_bias, "answer": s.user.framing_answer}), _act_t15,
+        ("request",) + _DOWNSTREAM,
     ),
-    ThreatId.X_PERCEPTION: ThreatSpec(
-        frozenset({Surface.LAYER}), _check_transforms, None,
-        ("pa_context", "dsa_context") + _DOWNSTREAM, layer=Layer.PERCEPTION,
-    ),
-    ThreatId.X_V2X: ThreatSpec(
-        frozenset({Surface.LAYER}), _check_transforms, None,
-        ("pa_context", "dsa_context") + _DOWNSTREAM, layer=Layer.V2X,
-    ),
-    ThreatId.X_COMPUTE: ThreatSpec(
-        frozenset({Surface.LAYER}), _check_transforms, None,
-        ("pa_context", "dsa_context") + _DOWNSTREAM, layer=Layer.COMPUTE,
-    ),
-    ThreatId.X_CONTROL_FEEDBACK: ThreatSpec(
-        frozenset({Surface.LAYER}), _check_transforms, None,
-        ("feedback",) + _DECISION, layer=Layer.CONTROL_FEEDBACK,
-    ),
+    ThreatId.X_PERCEPTION: _cross_layer(Layer.PERCEPTION, ("pa_context", "dsa_context") + _DOWNSTREAM),
+    ThreatId.X_V2X: _cross_layer(Layer.V2X, ("pa_context", "dsa_context") + _DOWNSTREAM),
+    ThreatId.X_COMPUTE: _cross_layer(Layer.COMPUTE, ("pa_context", "dsa_context") + _DOWNSTREAM),
+    ThreatId.X_CONTROL_FEEDBACK: _cross_layer(Layer.CONTROL_FEEDBACK, ("feedback",) + _DECISION),
 }
 
 
@@ -842,24 +813,38 @@ def legal_surfaces(threat: ThreatId) -> frozenset[Surface]:
     return THREATS[ThreatId(threat)].surfaces
 
 
-def apply(injection: ThreatInjection, state: PipelineState, step: int) -> InjectionEffectRecord:
+def apply(
+    injection: ThreatInjection, state: PipelineState, step: int, layer_before: str = ""
+) -> InjectionEffectRecord:
     """Apply one injection to the pipeline state, returning its oracle record.
 
-    Out-of-window application is a no-op that still yields a warning record.
-    Layer-surface injections are not applied here: they act inside the layer
-    functions, before fusion, through `to_layer_perturbations`, and passing
-    one raises ValueError.
+    The one place that builds an InjectionEffectRecord: it digests the
+    surface the threat edits (its spec's `view`) before and after the
+    injector acts. Out-of-window application is a no-op that still yields a
+    warning record. A Layer-surface injection has already acted inside the
+    layer functions, before fusion: its record compares `layer_before`, the
+    digest of the unperturbed layer views, with the views in `state`, and
+    without `layer_before` it raises ValueError.
     """
-    spec = THREATS[injection.threat]
-    if injection.surface is Surface.LAYER or spec.apply is None:
-        raise ValueError(
-            f"{injection.threat.value} on {injection.surface.value} acts inside the layer functions, "
-            "not through apply(); use to_layer_perturbations"
-        )
-    if not injection.active(step):
-        digest = digest_of(None)
-        return _record(injection, step, digest, digest, note="outside active window", warning=True)
-    return spec.apply(injection, state, step)
+    note, warning = "", False
+    if injection.surface is Surface.LAYER:
+        if not layer_before:
+            raise ValueError(
+                f"{injection.threat.value} on {injection.surface.value} acts inside the layer functions, "
+                "not through apply(); use to_layer_perturbations"
+            )
+        before, note = layer_before, "layer summary perturbed"
+        after = digest_of({"context": state.pa_context, "feedback": state.feedback})
+    elif not injection.active(step):
+        before = after = digest_of(None)
+        note, warning = "outside active window", True
+    else:
+        spec = THREATS[injection.threat]
+        assert spec.view is not None and spec.act is not None
+        before = spec.view(state, injection.args)
+        note, warning = spec.act(injection, state, step)
+        after = spec.view(state, injection.args)
+    return InjectionEffectRecord(injection.threat, step, injection.surface, before, after, note, warning)
 
 
 def delta_footprint(injection: ThreatInjection) -> tuple[str, ...]:

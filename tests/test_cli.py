@@ -7,6 +7,17 @@ from agvsim.cli import main
 from agvsim.scenario import shipped_scenarios
 
 
+T9_ENVELOPE = (
+    "{threat: T9, surface: IdentityField, window: [0, 3],"
+    " payload: {claimed: CavStack, target: context, context_patch: {speed_limit_kph: 60.0}}}"
+)
+
+
+def _with_injection(*injections: str) -> tuple[str, str]:
+    """An (old, new) edit of `chain-base` that adds these injections."""
+    return "requests:\n", "injections:\n" + "".join(f"  - {i}\n" for i in injections) + "requests:\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -113,8 +124,9 @@ class TestRun:
     @pytest.mark.parametrize("old, new, field", [
         ("speed_limit_kph: 90.0", "speed_limit_kph: -5", "world.speed_limit_kph"),
         ("speed_limit_kph: 90.0", "speed_limit_kph: .nan", "world.speed_limit_kph"),
+        ("speed_limit_kph: 90.0", "speed_limit_kph: 0.05", "world.speed_limit_kph"),
         ("vehicle_speed_kph: 72.0", "vehicle_speed_kph: -3", "world.vehicle_speed_kph"),
-    ], ids=["negative-limit", "nan-limit", "negative-speed"])
+    ], ids=["negative-limit", "nan-limit", "below-floor-limit", "negative-speed"])
     def test_out_of_range_world_is_config_error(self, capsys, tmp_path, old, new, field):
         text = shipped_scenarios()["chain-base"].read_text()
         assert old in text
@@ -125,6 +137,70 @@ class TestRun:
         assert out == ""
         assert err.startswith(f"config error: {path}.{field}: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("old, new", [
+        _with_injection("{threat: T6, surface: PAInput, payload: {desired_speed_kph: -5}}"),
+        _with_injection("{threat: T6, surface: PAInput, payload: {desired_speed_kph: fast}}"),
+        _with_injection(
+            "{threat: T14, surface: UserChannel, payload: {requests: [{urgency_tag: Foo, destination: x}]}}"
+        ),
+        _with_injection(
+            "{threat: T11, surface: ToolOutput, payload: {config_field: pa_routine_factor, config_value: .inf}}"
+        ),
+        _with_injection(
+            "{threat: T11, surface: ToolOutput, payload: {config_field: pa_urgent_urgency, config_value: 5}}"
+        ),
+        _with_injection(
+            "{threat: T3, surface: InterAgentMsg, payload: {grant_role: PersonalAgent,"
+            " context_patch: {hazards_add: [{kind: debris, distance_m: 30, confidence: 5}]}}}"
+        ),
+        _with_injection(T9_ENVELOPE, "{threat: T12, surface: InterAgentMsg, payload: {target: external,"
+                        " edits: [{field: speed_limit_kph, op: Set, value: abc}]}}"),
+        _with_injection(T9_ENVELOPE, "{threat: T12, surface: InterAgentMsg, payload: {target: external,"
+                        " edits: [{field: hazards, op: InjectRecord, value: {kind: debris, confidence: 0.9}}]}}"),
+        _with_injection("{threat: T10, surface: UserChannel, payload: {noise_queries: true}}"),
+        _with_injection(
+            "{threat: XPerception, surface: Layer,"
+            " payload: {transforms: [{field: speed_limit_kph, op: Set, value: .nan}]}}"
+        ),
+        _with_injection(
+            "{threat: XControlFeedback, surface: Layer,"
+            " payload: {transforms: [{field: speed_kph, op: Set, value: .nan}]}}"
+        ),
+        _with_injection("{threat: T1, surface: PAMemory, payload: {value_kph: .inf}}"),
+        ("destination: commute}\n", "destination: commute, desired_speed_kph: .inf}\n"),
+        ("destination: commute}\n", "destination: commute, desired_speed_kph: 0.05}\n"),
+        ("  vehicle_speed_kph: 72.0\n",
+         "  vehicle_speed_kph: 72.0\n  hazards: [{kind: debris, distance_m: .inf, confidence: 0.9}]\n"),
+    ], ids=[
+        "T6-negative-speed", "T6-string-speed", "T14-bad-urgency", "T11-inf", "T11-urgency-5",
+        "T3-hazard-confidence-5", "T12-external-abc", "T12-external-hazard-without-distance",
+        "T10-bool", "XPerception-nan", "XControlFeedback-nan", "T1-inf", "request-inf", "request-below-floor",
+        "world-hazard-inf",
+    ])
+    def test_malformed_input_is_config_error(self, capsys, tmp_path, old, new):
+        text = shipped_scenarios()["chain-base"].read_text()
+        assert old in text
+        path = tmp_path / "malformed.yaml"
+        path.write_text(text.replace(old, new, 1))
+        code, out, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "r.csv"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {path}.")
+        assert len(err.splitlines()) == 1
+
+    def test_huge_confirmation_flood_matches_a_small_one(self, capsys, tmp_path):
+        text = shipped_scenarios()["chain-base"].read_text()
+        reports = []
+        for n in (5, 10**9):
+            path = tmp_path / f"flood-{n}.yaml"
+            path.write_text(text.replace(*_with_injection(
+                f"{{threat: T10, surface: UserChannel, window: [0, 3], payload: {{noise_queries: {n}}}}}"
+            )))
+            code, out, _ = run_cli(capsys, "run", str(path))
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
 
 
 class TestChainCommand:

@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 from agvsim.domain import ThreatId
-from agvsim.threats import Surface, legal_surfaces
+from agvsim.threats import THREATS, Surface, legal_surfaces
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +37,20 @@ def test_payload_table_surfaces_match_registry():
             assert surfaces == legal_surfaces(ThreatId(threat)), threat
         seen.extend(threats)
     assert sorted(seen) == sorted(ids)
+
+
+def payload_keys() -> dict[ThreatId, set[str]]:
+    """Threat id -> the payload keys its README row names (backticked lower-case words)."""
+    ids = {t.value for t in ThreatId}
+    keys = {}
+    for threat_cell, _, payload_cell in _payload_table_rows():
+        names = set(re.findall(r"`([a-z_]+)(?::[^`]*)?`", payload_cell))
+        for threat in (w for w in re.split(r"[\s/]+", threat_cell) if w in ids):
+            keys[ThreatId(threat)] = names
+    return keys
+
+
+def test_payload_table_keys_match_registry():
+    keys = payload_keys()
+    for threat in ThreatId:
+        assert keys[threat] == set(THREATS[threat].keys), threat

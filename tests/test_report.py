@@ -18,8 +18,8 @@ from agvsim.report import (
     render_json,
 )
 from agvsim.runner import run_episodes
-from agvsim.scenario import load_shipped
-from agvsim.trace import TracePairingError
+from agvsim.scenario import load_shipped, shipped_scenarios
+from agvsim.trace import EpisodeTrace, TracePairingError
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,17 @@ class TestCompare:
         assert case1_report.outcome == "MisalignedApproved"
         assert case1_report.sc_rejections_baseline == 0
         assert case1_report.sc_rejections_attacked == 0
+
+    def test_episode_rows_are_grouped_in_one_pass(self, monkeypatch):
+        # a per-episode rescan of every step makes compare quadratic in episodes
+        config = dataclasses.replace(load_shipped("case1-highway-routine"), episodes=6)
+        baseline = run_episodes(config, with_injections=False)
+        attacked = run_episodes(config, with_injections=True)
+        episodes = [attacked.episode_steps(e) for e in range(6)]
+        expected = [sum(r.approved.target_speed_kph for r in steps) / len(steps) for steps in episodes]
+        monkeypatch.setattr(EpisodeTrace, "episode_steps", lambda self, episode: pytest.fail("rescan"))
+        report = compare(baseline, attacked)
+        assert [row.attacked_mean_target_kph for row in report.rows] == expected
 
     def test_unpaired_traces_rejected(self):
         a = run_episodes(load_shipped("case1-highway-routine"), with_injections=False)
@@ -108,6 +119,15 @@ class TestJsonExport:
 
     def test_json_is_byte_deterministic(self, case1_report):
         assert render_json(case1_report) == render_json(case1_report)
+
+    @pytest.mark.parametrize("name", sorted(shipped_scenarios()))
+    def test_shipped_export_has_only_finite_numbers(self, name):
+        def reject(constant):
+            raise ValueError(f"{name}: {constant} in the JSON export")
+
+        config = load_shipped(name)
+        report = compare(run_episodes(config, with_injections=False), run_episodes(config, with_injections=True))
+        json.loads(render_json(report), parse_constant=reject)
 
 
 class TestEmission:

@@ -1,5 +1,6 @@
 """Threat registry: legality map, injector effects, stealth, user model."""
 
+import math
 import random
 
 import pytest
@@ -30,6 +31,45 @@ from agvsim.threats import (
     to_layer_perturbations,
     validate_injection,
 )
+
+
+# Malformed payloads: each used to load and then fail inside the episode loop,
+# export NaN or Infinity, or pass an unknown key or a bool count unnoticed.
+MALFORMED_PAYLOADS = [
+    (ThreatId.T6, Surface.PA_INPUT, {"desired_speed_kph": -5}),
+    (ThreatId.T6, Surface.PA_INPUT, {"desired_speed_kph": "fast"}),
+    (ThreatId.T14, Surface.USER_CHANNEL, {"requests": [{"urgency_tag": "Foo", "destination": "x"}]}),
+    (ThreatId.T11, Surface.TOOL_OUTPUT, {"config_field": "pa_routine_factor", "config_value": math.inf}),
+    (ThreatId.T11, Surface.TOOL_OUTPUT, {"config_field": "pa_urgent_urgency", "config_value": 5}),
+    (ThreatId.T3, Surface.INTER_AGENT_MSG, {
+        "grant_role": "PersonalAgent",
+        "context_patch": {"hazards_add": [{"kind": "debris", "distance_m": 30, "confidence": 5}]},
+    }),
+    (ThreatId.T12, Surface.INTER_AGENT_MSG, {
+        "target": "external", "edits": [{"field": "speed_limit_kph", "op": "Set", "value": "abc"}],
+    }),
+    (ThreatId.T12, Surface.INTER_AGENT_MSG, {
+        "target": "external",
+        "edits": [{"field": "hazards", "op": "InjectRecord", "value": {"kind": "debris", "confidence": 0.9}}],
+    }),
+    (ThreatId.T1, Surface.PA_MEMORY, {"value_kph": math.inf}),
+    (ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0, "junk": 1}),
+    (ThreatId.T10, Surface.USER_CHANNEL, {"noise_queries": True}),
+    (ThreatId.X_PERCEPTION, Surface.LAYER, {
+        "transforms": [{"field": "speed_limit_kph", "op": "Set", "value": math.nan}],
+    }),
+    (ThreatId.X_CONTROL_FEEDBACK, Surface.LAYER, {
+        "transforms": [{"field": "speed_kph", "op": "Set", "value": math.nan}],
+    }),
+    # a limit this small underflowed to a 0 kph target under the hazard slowdown
+    (ThreatId.T3, Surface.INTER_AGENT_MSG, {
+        "grant_role": "DrivingStrategyAgent",
+        "context_patch": {
+            "speed_limit_kph": 5e-324,
+            "hazards_add": [{"kind": "debris", "distance_m": 30, "confidence": 0.9}],
+        },
+    }),
+]
 
 
 def summary(limit: float = 90.0) -> ContextSummary:
@@ -123,6 +163,25 @@ class TestLegalityMap:
             validate_injection(
                 ThreatInjection(ThreatId.T12, Surface.INTER_AGENT_MSG, {"target": "external", "edits": [5]})
             )
+        for threat, surface, payload in MALFORMED_PAYLOADS:
+            with pytest.raises(ValueError):
+                validate_injection(ThreatInjection(threat, surface, payload, window=(0, 3)))
+        with pytest.raises(ValueError, match="ControlFeedback-layer field 'completeness'"):
+            validate_injection(ThreatInjection(
+                ThreatId.T4, Surface.LAYER, {"completeness_factor": 0.5}, layer=Layer.CONTROL_FEEDBACK,
+            ))
+
+    def test_payload_is_parsed_once_per_injection(self):
+        inj = injection(ThreatId.T14, Surface.USER_CHANNEL, {"requests": [
+            {"urgency_tag": "Urgent", "destination": "a"},
+            {"urgency_tag": "Routine", "destination": "b", "desired_speed_kph": 55},
+        ]})
+        requests = inj.args
+        assert requests[-1] == UserRequest(urgency_tag="Routine", destination="b", desired_speed_kph=55)
+        assert isinstance(requests[-1].desired_speed_kph, int)  # 55 and 55.0 export differently
+        for step in range(3):
+            apply(inj, make_state(), step)
+        assert inj.args is requests
 
 
 class TestApplyEffects:
@@ -274,6 +333,12 @@ class TestSimulatedUser:
     def test_noise_below_budget_is_harmless(self):
         user = SimulatedUserState(rng=random.Random(0), noise_queries=2)
         assert confirm_urgency(user, "Urgent") == "Urgent"
+
+    @pytest.mark.parametrize("n", [5, 10**9])
+    def test_noise_flood_is_counted_not_looped(self, n):
+        user = SimulatedUserState(rng=random.Random(0), noise_queries=n)
+        assert confirm_urgency(user, "Urgent") == "Routine"
+        assert (user.queries_asked, user.answers_given) == (n + 1, USER_ATTENTION_BUDGET)
 
     def test_framing_bias_full_weight_always_adopts(self):
         user = SimulatedUserState(rng=random.Random(0), framing_bias=1.0, framing_answer="Routine")
