@@ -8,6 +8,7 @@ harness an oracle view the pipeline components cannot read.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -149,14 +150,16 @@ def apply_summary_transform(summary: ContextSummary, p: LayerPerturbation) -> Co
     return replace(summary, **{p.field: updated})
 
 
+# the range each telemetry field is clamped to: every field stays finite, so
+# hostile arithmetic (Set 1e308, then Scale 10) saturates instead of reaching inf
+_FEEDBACK_RANGE = {"speed_kph": (0.0, sys.float_info.max), "braking": (0.0, 1.0)}
+
+
 def apply_feedback_transform(feedback: VehicleFeedback, p: LayerPerturbation) -> VehicleFeedback:
     """Apply one transform to control-layer telemetry (window already checked)."""
     updated = _apply_numeric(getattr(feedback, p.field), p.op, p.value)  # type: ignore[arg-type]
-    if p.field == "speed_kph":
-        updated = max(updated, 0.0)
-    elif p.field == "braking":
-        updated = _clamp(updated, 0.0, 1.0)
-    return replace(feedback, **{p.field: updated})
+    lo, hi = _FEEDBACK_RANGE.get(p.field, (-sys.float_info.max, sys.float_info.max))
+    return replace(feedback, **{p.field: _clamp(updated, lo, hi)})
 
 
 def _truth_projection(world: WorldTruth, source: SourceLayer) -> ContextSummary:

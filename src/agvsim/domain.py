@@ -3,20 +3,93 @@
 Roles, agency levels, driving modes, threat identifiers, message envelopes
 with identity/provenance, and the world/context value types exchanged across
 trust boundaries. Everything here is an immutable value; instances are safe
-to share across concurrent episode runners.
+to share across concurrent episode runners. `ConfigError` and the schema
+helpers that every loader parses file values with live here too, so a value
+is judged by one rule wherever a document writes it.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable, Collection, TypeVar
+
+E = TypeVar("E", bound=Enum)
+T = TypeVar("T")
+
+
+class ConfigError(ValueError):
+    """A configuration value failed parsing, schema or legality checks; `where` is its field path."""
+
+    def __init__(self, where: str, message: str) -> None:
+        self.where = where
+        self.message = message
+        super().__init__(f"{where}: {message}")
 
 
 def is_finite_number(value: object) -> bool:
     """A non-bool int or float that is a finite float: no NaN, no infinity, no int too large for a float."""
     big = sys.float_info.max
     return isinstance(value, (int, float)) and not isinstance(value, bool) and -big <= value <= big
+
+
+# ---------------------------------------------------------------------------
+# the schema vocabulary of every file value: each check returns the value,
+# typed, or raises ConfigError naming the field path `where`
+
+
+def mapping(value: Any, where: str, required: Collection[str] = (), optional: Collection[str] = ()) -> dict:
+    """`value` as a mapping holding every `required` key and no key outside `required` and `optional`;
+    an unknown key is named in the path."""
+    if not isinstance(value, dict):
+        raise ConfigError(where, f"expected a mapping, got {type(value).__name__}")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ConfigError(where, f"missing required keys: {sorted(missing)}")
+    unknown = sorted(set(value) - set(required) - set(optional), key=str)
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}", f"unknown keys: {unknown}")
+    return value
+
+
+def sequence(value: Any, where: str, item: Callable[[Any, str], T], min_len: int = 0) -> tuple[T, ...]:
+    """`value` as a list of at least `min_len` items, each parsed by `item` at `where[i]`."""
+    if not isinstance(value, list) or len(value) < min_len:
+        raise ConfigError(where, f"expected a list{f' of at least {min_len} items' if min_len else ''}")
+    return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def number(value: Any, where: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """`value` as a float: a finite number, not a bool, in [lo, hi]."""
+    if not (is_finite_number(value) and lo <= value <= hi):
+        span = "" if lo == -math.inf else f" >= {lo:g}" if hi == math.inf else f" in [{lo:g}, {hi:g}]"
+        raise ConfigError(where, f"must be a finite number{span}, got {value!r}")
+    return float(value)
+
+
+def integer(value: Any, where: str, lo: int | None = None) -> int:
+    """`value` as an int, not a bool, of at least `lo`."""
+    if not isinstance(value, int) or isinstance(value, bool) or (lo is not None and value < lo):
+        raise ConfigError(where, f"must be an integer{'' if lo is None else f' >= {lo}'}, got {value!r}")
+    return value
+
+
+def string(value: Any, where: str, choices: Collection[str] | None = None) -> str:
+    """`value` as a str, one of `choices` when they are given."""
+    if not isinstance(value, str) or (choices is not None and value not in choices):
+        want = "a string" if choices is None else f"one of {list(choices)}"
+        raise ConfigError(where, f"must be {want}, got {value!r}")
+    return value
+
+
+def member(enum: type[E], value: Any, where: str) -> E:
+    """The member of `enum` whose value is `value`."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigError(where, f"{value!r} is not one of {[m.value for m in enum]}") from None
 
 
 class Role(str, Enum):
@@ -259,16 +332,46 @@ def admitted(envelope: MessageEnvelope, policy: dict[Authority, frozenset[Role]]
     return envelope.claimed_sender in table.get(envelope.authority, frozenset())
 
 
+URGENCY_TAGS = ("Routine", "Urgent")
+
+
 @dataclass(frozen=True)
 class UserRequest:
     """One user trip request, as scripted per step in a scenario."""
 
-    urgency_tag: str                        # "Routine" | "Urgent"
+    urgency_tag: str                        # one of URGENCY_TAGS
     destination: str
     desired_speed_kph: float | None = None  # explicit override, optional
 
     def __post_init__(self) -> None:
-        if self.urgency_tag not in ("Routine", "Urgent"):
+        if self.urgency_tag not in URGENCY_TAGS:
             raise ValueError(f"urgency_tag must be Routine or Urgent, got {self.urgency_tag!r}")
         if self.desired_speed_kph is not None and self.desired_speed_kph <= 0:
             raise ValueError(f"desired speed must be > 0, got {self.desired_speed_kph}")
+
+
+# ---------------------------------------------------------------------------
+# the two record parsers shared by the world, the requests and the payloads
+
+
+def parse_hazard(value: Any, where: str) -> Hazard:
+    """A hazard record: exactly a string `kind`, `distance_m` >= 0 and `confidence` in [0, 1]."""
+    h = mapping(value, where, required=("kind", "distance_m", "confidence"))
+    return Hazard(
+        kind=string(h["kind"], f"{where}.kind"),
+        distance_m=number(h["distance_m"], f"{where}.distance_m", 0.0),
+        confidence=number(h["confidence"], f"{where}.confidence", 0.0, 1.0),
+    )
+
+
+def parse_request(value: Any, where: str) -> UserRequest:
+    """A user request: a string `destination`, an urgency tag and an optional speed of at least MIN_SPEED_KPH."""
+    r = mapping(value, where, required=("urgency_tag", "destination"), optional=("desired_speed_kph",))
+    desired = r.get("desired_speed_kph")
+    return UserRequest(
+        urgency_tag=string(r["urgency_tag"], f"{where}.urgency_tag", URGENCY_TAGS),
+        destination=string(r["destination"], f"{where}.destination"),
+        desired_speed_kph=(
+            None if desired is None else number(desired, f"{where}.desired_speed_kph", MIN_SPEED_KPH)
+        ),
+    )

@@ -198,6 +198,12 @@ class AgentTuning:
         return (0.0, 1.0) if name.endswith("_urgency") else (1e-3, 1e3)
 
 
+def max_delta_kph(rules: Rulebook) -> float:
+    """The widest speed-target jump the acceleration rule admits, shrunk
+    fractionally so values clamped to it re-validate despite float rounding."""
+    return rules.max_accel_mps2 * ACCEL_WINDOW_S * KPH_PER_MPS * (1.0 - 1e-9)
+
+
 def round_half_up(value: float) -> float:
     return math.floor(value + 0.5)
 
@@ -326,11 +332,9 @@ def _clamped_substitute(
     unreachable within the acceleration window), in which case the SC keeps
     revising instead of emitting a non-compliant substitute.
     """
-    # shrink the window fractionally so clamped values re-validate despite
-    # float rounding at the boundary
-    max_delta_kph = rules.max_accel_mps2 * ACCEL_WINDOW_S * KPH_PER_MPS * (1.0 - 1e-9)
-    lo = max(0.0, feedback.speed_kph - max_delta_kph)
-    hi = min(rules.abs_max_speed_kph, context_limit_claimed, feedback.speed_kph + max_delta_kph)
+    delta = max_delta_kph(rules)
+    lo = max(0.0, feedback.speed_kph - delta)
+    hi = min(rules.abs_max_speed_kph, context_limit_claimed, feedback.speed_kph + delta)
     if hi <= 0 or lo > hi:
         return None
     target = min(max(proposal.target_speed_kph, lo), hi)
@@ -385,9 +389,8 @@ def tighten_proposal(
     elif reason == RULE_CONTEXT_LIMIT:
         target = min(target, context_limit_claimed)
     elif reason == RULE_MAX_ACCEL:
-        max_delta_kph = rules.max_accel_mps2 * ACCEL_WINDOW_S * KPH_PER_MPS * (1.0 - 1e-9)
-        lo = max(0.0, feedback.speed_kph - max_delta_kph)
-        target = min(max(target, lo), feedback.speed_kph + max_delta_kph)
+        delta = max_delta_kph(rules)
+        target = min(max(target, feedback.speed_kph - delta, 0.0), feedback.speed_kph + delta)
     elif reason == RULE_MIN_HEADWAY:
         headway = rules.min_headway_s
     return replace(

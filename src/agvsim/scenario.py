@@ -18,26 +18,26 @@ from .cavstack import Layer, WorldTruth
 from .chains import OPEN_WINDOW, ChainSpec, ChainStage, StageKind, Trigger, builtin_chain, validate_chain
 from .domain import (
     AgencyLevel,
+    ConfigError,
     DrivingMode,
-    Hazard,
     MAX_SPEED_LIMIT_KPH,
     MIN_SPEED_KPH,
     RoadClass,
     ThreatId,
     UserRequest,
-    is_finite_number,
+    integer,
+    mapping,
+    member,
+    number,
+    parse_hazard,
+    parse_request,
+    sequence,
+    string,
 )
+from .pipeline import Rulebook, max_delta_kph
 from .threats import Surface, ThreatInjection, validate_injection
 
 logger = logging.getLogger(__name__)
-
-
-class ConfigError(ValueError):
-    """A scenario document failed parsing, schema, or legality checks."""
-
-    def __init__(self, where: str, message: str) -> None:
-        self.where = where
-        super().__init__(f"{where}: {message}")
 
 
 @dataclass(frozen=True)
@@ -58,215 +58,87 @@ class ScenarioConfig:
         return len(self.requests)
 
 
-def _expect_mapping(value: object, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(where, f"expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(data: dict, required: set[str], optional: set[str], where: str) -> None:
-    missing = required - set(data)
-    if missing:
-        raise ConfigError(where, f"missing required keys: {sorted(missing)}")
-    unknown = set(data) - required - optional
-    if unknown:
-        raise ConfigError(where, f"unknown keys: {sorted(unknown, key=str)}")
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number(data: dict, key: str, where: str, required: bool = True, default: float = 0.0) -> float:
-    if key not in data:
-        if required:
-            raise ConfigError(where, f"missing {key}")
-        return default
-    value = data[key]
-    if not is_finite_number(value):
-        raise ConfigError(f"{where}.{key}", f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _parse_hazard(data: object, where: str) -> Hazard:
-    mapping = _expect_mapping(data, where)
-    _check_keys(mapping, {"kind", "distance_m", "confidence"}, set(), where)
-    distance = _number(mapping, "distance_m", where)
-    confidence = _number(mapping, "confidence", where)
-    try:
-        return Hazard(kind=str(mapping["kind"]), distance_m=distance, confidence=confidence)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
-
-
 def _parse_world(data: object, where: str) -> WorldTruth:
-    mapping = _expect_mapping(data, where)
-    _check_keys(
-        mapping,
-        {"speed_limit_kph", "road_class", "vehicle_speed_kph"},
-        {"hazards", "closures"},
-        where,
-    )
-    try:
-        road = RoadClass(mapping["road_class"])
-    except ValueError as exc:
+    world = mapping(data, where, ("speed_limit_kph", "road_class", "vehicle_speed_kph"), ("hazards", "closures"))
+    limit = number(world["speed_limit_kph"], f"{where}.speed_limit_kph", MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH)
+    speed = number(world["vehicle_speed_kph"], f"{where}.vehicle_speed_kph", 0.0)
+    # the SC's own arithmetic: past this, its clamp box is empty and every step raises PipelineError
+    rules = Rulebook()
+    delta, top = max_delta_kph(rules), min(limit, rules.abs_max_speed_kph)
+    if speed - delta > top:
         raise ConfigError(
-            f"{where}.road_class",
-            f"{mapping['road_class']!r} is not one of {[r.value for r in RoadClass]}",
-        ) from exc
-    closures = mapping.get("closures", [])
-    if not isinstance(closures, list) or not all(isinstance(c, str) for c in closures):
-        raise ConfigError(f"{where}.closures", "expected a list of segment-id strings")
-    hazards = mapping.get("hazards", [])
-    if not isinstance(hazards, list):
-        raise ConfigError(f"{where}.hazards", "expected a list of hazard records")
-    limit = _number(mapping, "speed_limit_kph", where)
-    if not MIN_SPEED_KPH <= limit <= MAX_SPEED_LIMIT_KPH:
-        raise ConfigError(
-            f"{where}.speed_limit_kph", f"must be in [{MIN_SPEED_KPH:g}, {MAX_SPEED_LIMIT_KPH:g}], got {limit!r}"
+            f"{where}.vehicle_speed_kph",
+            f"{speed:g} is more than {delta:.6g} kph above min(limit, {rules.abs_max_speed_kph:g}) = {top:g}, "
+            "so no rule-compliant speed is reachable",
         )
-    speed = _number(mapping, "vehicle_speed_kph", where)
-    if speed < 0.0:
-        raise ConfigError(f"{where}.vehicle_speed_kph", f"must be >= 0, got {speed!r}")
     return WorldTruth(
         true_speed_limit_kph=limit,
-        road_class=road,
+        road_class=member(RoadClass, world["road_class"], f"{where}.road_class"),
         vehicle_true_speed_kph=speed,
-        true_hazards=tuple(
-            _parse_hazard(h, f"{where}.hazards[{i}]") for i, h in enumerate(hazards)
-        ),
-        true_closures=tuple(closures),
+        true_hazards=sequence(world.get("hazards", []), f"{where}.hazards", parse_hazard),
+        true_closures=sequence(world.get("closures", []), f"{where}.closures", string),
     )
-
-
-def _parse_request(data: object, where: str) -> UserRequest:
-    mapping = _expect_mapping(data, where)
-    _check_keys(mapping, {"urgency_tag", "destination"}, {"desired_speed_kph"}, where)
-    desired = mapping.get("desired_speed_kph")
-    if desired is not None:
-        desired = _number(mapping, "desired_speed_kph", where)
-        if desired < MIN_SPEED_KPH:
-            raise ConfigError(f"{where}.desired_speed_kph", f"must be >= {MIN_SPEED_KPH:g}, got {desired!r}")
-    try:
-        return UserRequest(
-            urgency_tag=str(mapping["urgency_tag"]),
-            destination=str(mapping["destination"]),
-            desired_speed_kph=desired,
-        )
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
 
 
 def _parse_window(value: object, where: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(_is_int(v) for v in value)
-    ):
+    window = sequence(value, where, integer)
+    if len(window) != 2:
         raise ConfigError(where, f"window must be [start, end] integers, got {value!r}")
-    return (value[0], value[1])
+    return window[0], window[1]
 
 
 def _parse_injection(data: object, where: str) -> ThreatInjection:
-    mapping = _expect_mapping(data, where)
-    _check_keys(mapping, {"threat", "surface", "payload"}, {"window", "persistent", "layer"}, where)
-    try:
-        threat = ThreatId(mapping["threat"])
-    except ValueError as exc:
-        raise ConfigError(
-            f"{where}.threat", f"{mapping['threat']!r} is not a known threat id"
-        ) from exc
-    try:
-        surface = Surface(mapping["surface"])
-    except ValueError as exc:
-        raise ConfigError(
-            f"{where}.surface", f"{mapping['surface']!r} is not a known surface"
-        ) from exc
-    layer = None
-    if "layer" in mapping:
-        try:
-            layer = Layer(mapping["layer"])
-        except ValueError as exc:
-            raise ConfigError(f"{where}.layer", f"{mapping['layer']!r} is not a layer") from exc
-    payload = mapping["payload"]
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{where}.payload", "payload must be a mapping")
-    window = (0, 0)
-    if "window" in mapping:
-        window = _parse_window(mapping["window"], f"{where}.window")
-    persistent = mapping.get("persistent", False)
+    inj = mapping(data, where, ("threat", "surface", "payload"), ("window", "persistent", "layer"))
+    persistent = inj.get("persistent", False)
     if not isinstance(persistent, bool):
         raise ConfigError(f"{where}.persistent", f"must be true or false, got {persistent!r}")
     injection = ThreatInjection(
-        threat=threat,
-        surface=surface,
-        payload=payload,
-        window=window,
+        threat=member(ThreatId, inj["threat"], f"{where}.threat"),
+        surface=member(Surface, inj["surface"], f"{where}.surface"),
+        payload=inj["payload"],
+        window=_parse_window(inj["window"], f"{where}.window") if "window" in inj else (0, 0),
         persistent=persistent,
-        layer=layer,
+        layer=member(Layer, inj["layer"], f"{where}.layer") if "layer" in inj else None,
     )
     try:
         validate_injection(injection)
+    except ConfigError as exc:  # a field of "<threat> payload": name it by its path in the document
+        raise ConfigError(f"{where}.{exc.where.partition(' ')[2]}", exc.message) from exc
     except ValueError as exc:
         raise ConfigError(where, f"illegal injection: {exc}") from exc
     return injection
 
 
 def _parse_trigger(data: object, where: str) -> Trigger:
-    mapping = _expect_mapping(data, where)
-    _check_keys(mapping, set(), {"at_step", "after_stage"}, where)
-    for key, value in mapping.items():
-        if not _is_int(value):
-            raise ConfigError(f"{where}.{key}", f"must be an integer, got {value!r}")
+    trigger = mapping(data, where, optional=("at_step", "after_stage"))
+    steps = {key: integer(value, f"{where}.{key}") for key, value in trigger.items()}
     try:
-        return Trigger(
-            at_step=mapping.get("at_step"),
-            after_stage=mapping.get("after_stage"),
-        )
+        return Trigger(**steps)
     except ValueError as exc:
         raise ConfigError(where, str(exc)) from exc
 
 
 def _parse_chain_stage(data: object, where: str) -> ChainStage:
-    mapping = _expect_mapping(data, where)
-    _check_keys(mapping, {"kind", "trigger"}, {"injection", "probe", "label"}, where)
-    try:
-        kind = StageKind(mapping["kind"])
-    except ValueError as exc:
-        raise ConfigError(f"{where}.kind", "must be inject or observe") from exc
+    stage = mapping(data, where, ("kind", "trigger"), ("injection", "probe", "label"))
+    kind = member(StageKind, stage["kind"], f"{where}.kind")
     injection = None
-    if "injection" in mapping:
-        injection = _parse_injection(mapping["injection"], f"{where}.injection")
+    if "injection" in stage:
         # chain-stage activation is gated by the trigger, not the window
-        injection = replace(injection, window=OPEN_WINDOW)
-    trigger = _parse_trigger(mapping["trigger"], f"{where}.trigger")
+        injection = replace(_parse_injection(stage["injection"], f"{where}.injection"), window=OPEN_WINDOW)
+    trigger = _parse_trigger(stage["trigger"], f"{where}.trigger")
+    probe = string(stage["probe"], f"{where}.probe") if "probe" in stage else None
     try:
-        return ChainStage(
-            kind=kind,
-            trigger=trigger,
-            injection=injection,
-            probe=mapping.get("probe"),
-            label=str(mapping.get("label", "")),
-        )
+        return ChainStage(kind, trigger, injection, probe, label=str(stage.get("label", "")))
     except ValueError as exc:
         raise ConfigError(where, str(exc)) from exc
 
 
 def parse_chain_spec(data: object, where: str) -> ChainSpec:
-    mapping = _expect_mapping(data, where)
-    _check_keys(mapping, {"id", "stages", "episode_length"}, set(), where)
-    stages = mapping["stages"]
-    if not isinstance(stages, list):
-        raise ConfigError(f"{where}.stages", "expected a list of stages")
-    episode_length = mapping["episode_length"]
-    if not _is_int(episode_length) or episode_length < 1:
-        raise ConfigError(f"{where}.episode_length", "must be an integer >= 1")
+    chain = mapping(data, where, ("id", "stages", "episode_length"))
     spec = ChainSpec(
-        id=str(mapping["id"]),
-        stages=tuple(
-            _parse_chain_stage(s, f"{where}.stages[{i}]") for i, s in enumerate(stages)
-        ),
-        episode_length=episode_length,
+        id=str(chain["id"]),
+        stages=sequence(chain["stages"], f"{where}.stages", _parse_chain_stage),
+        episode_length=integer(chain["episode_length"], f"{where}.episode_length", 1),
     )
     try:
         validate_chain(spec)
@@ -284,68 +156,30 @@ def _parse_chain_ref(data: object, where: str) -> ChainSpec:
     return parse_chain_spec(data, where)
 
 
-_OUTCOMES = {"NoEffect", "MisalignedApproved", "BlockedBySC"}
+_OUTCOMES = ("BlockedBySC", "MisalignedApproved", "NoEffect")
 
 
 def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
     """Validate a parsed YAML document into a ScenarioConfig."""
-    mapping = _expect_mapping(data, source)
-    _check_keys(
-        mapping,
-        {"id", "mode", "agency", "seed", "world", "requests"},
-        {"episodes", "injections", "chains", "expected_outcome"},
-        source,
+    doc = mapping(
+        data, source, ("id", "mode", "agency", "seed", "world", "requests"),
+        ("episodes", "injections", "chains", "expected_outcome"),
     )
-    try:
-        mode = DrivingMode(mapping["mode"])
-    except ValueError as exc:
-        raise ConfigError(f"{source}.mode", "must be Manual or Autonomous") from exc
-    agency_raw = mapping["agency"]
-    if not _is_int(agency_raw):
-        raise ConfigError(f"{source}.agency", f"must be an integer 0-5, got {agency_raw!r}")
-    try:
-        agency = AgencyLevel(agency_raw)
-    except ValueError as exc:
-        raise ConfigError(f"{source}.agency", str(exc)) from exc
-    seed = mapping["seed"]
-    if not _is_int(seed):
-        raise ConfigError(f"{source}.seed", f"must be an integer, got {seed!r}")
-    episodes = mapping.get("episodes", 1)
-    if not _is_int(episodes) or episodes < 1:
-        raise ConfigError(f"{source}.episodes", f"must be an integer >= 1, got {episodes!r}")
-    requests_raw = mapping["requests"]
-    if not isinstance(requests_raw, list):
-        raise ConfigError(f"{source}.requests", "expected a list of requests (may be empty)")
-    injections_raw = mapping.get("injections", [])
-    if not isinstance(injections_raw, list):
-        raise ConfigError(f"{source}.injections", "expected a list")
-    chains_raw = mapping.get("chains", [])
-    if not isinstance(chains_raw, list):
-        raise ConfigError(f"{source}.chains", "expected a list")
-    expected = mapping.get("expected_outcome")
-    if expected is not None and expected not in _OUTCOMES:
-        raise ConfigError(
-            f"{source}.expected_outcome", f"must be one of {sorted(_OUTCOMES)}, got {expected!r}"
-        )
-
+    agency = integer(doc["agency"], f"{source}.agency", 0)
+    if agency > 5:
+        raise ConfigError(f"{source}.agency", f"must be an integer 0-5, got {agency!r}")
+    expected = doc.get("expected_outcome")
     config = ScenarioConfig(
-        id=str(mapping["id"]),
-        mode=mode,
-        agency=agency,
-        world=_parse_world(mapping["world"], f"{source}.world"),
-        requests=tuple(
-            _parse_request(r, f"{source}.requests[{i}]") for i, r in enumerate(requests_raw)
-        ),
-        seed=seed,
-        episodes=episodes,
-        injections=tuple(
-            _parse_injection(inj, f"{source}.injections[{i}]")
-            for i, inj in enumerate(injections_raw)
-        ),
-        chains=tuple(
-            _parse_chain_ref(c, f"{source}.chains[{i}]") for i, c in enumerate(chains_raw)
-        ),
-        expected_outcome=expected,
+        id=str(doc["id"]),
+        mode=member(DrivingMode, doc["mode"], f"{source}.mode"),
+        agency=AgencyLevel(agency),
+        world=_parse_world(doc["world"], f"{source}.world"),
+        requests=sequence(doc["requests"], f"{source}.requests", parse_request),
+        seed=integer(doc["seed"], f"{source}.seed"),
+        episodes=integer(doc.get("episodes", 1), f"{source}.episodes", 1),
+        injections=sequence(doc.get("injections", []), f"{source}.injections", _parse_injection),
+        chains=sequence(doc.get("chains", []), f"{source}.chains", _parse_chain_ref),
+        expected_outcome=None if expected is None else string(expected, f"{source}.expected_outcome", _OUTCOMES),
     )
     logger.debug("loaded scenario %s from %s", config.id, source)
     return config

@@ -28,6 +28,7 @@ from .cavstack import (
 )
 from .domain import (
     Authority,
+    ConfigError,
     ContextSummary,
     DEFAULT_ADMISSION,
     Hazard,
@@ -36,10 +37,18 @@ from .domain import (
     MessageEnvelope,
     Role,
     ThreatId,
+    URGENCY_TAGS,
     UserRequest,
     VehicleFeedback,
-    is_finite_number,
+    integer,
     make_envelope,
+    mapping,
+    member,
+    number,
+    parse_hazard,
+    parse_request,
+    sequence,
+    string,
 )
 from .pipeline import (
     AgentTuning,
@@ -86,8 +95,8 @@ class ThreatInjection:
     @cached_property
     def args(self) -> Any:
         """The payload as the typed values the injector reads, parsed once (ValueError if malformed)."""
-        spec = THREATS[self.threat]
-        return spec.parse(_mapping(self.payload, f"{self.threat.value} payload", optional=spec.keys), self)
+        spec, where = THREATS[self.threat], f"{self.threat.value} payload"
+        return spec.parse(mapping(self.payload, where, optional=spec.keys), where, self)
 
 
 @dataclass(frozen=True)
@@ -297,213 +306,153 @@ def injection_phase(injection: ThreatInjection) -> Phase:
 
 
 # ---------------------------------------------------------------------------
-# payload parsers: (payload, injection) -> the typed values the injector reads.
-# Values keep their scenario types where they reach an export (55 and 55.0
-# serialise differently), and envelope payloads stay plain dicts.
+# payload parsers: (payload, where, injection) -> the typed values the injector
+# reads, on the schema vocabulary of `domain`. Every number stored in a typed
+# value is a float; context patches travel in envelopes as the document wrote them.
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _mapping(value: Any, what: str, required: tuple[str, ...] = (), optional: tuple[str, ...] = ()) -> dict:
-    """`value` as a mapping holding every `required` key and no key outside `required + optional`."""
-    _require(isinstance(value, dict), f"{what} must be a mapping")
-    _require(all(k in value for k in required), f"{what} needs {', '.join(required)}")
-    unknown = set(value) - set(required) - set(optional)
-    _require(not unknown, f"unknown {what} keys: {sorted(unknown, key=str)}")
-    return value
-
-
-def _speed(value: Any) -> bool:
-    """A finite number of kph, at least the least speed a scenario may state."""
-    return is_finite_number(value) and value >= MIN_SPEED_KPH
-
-
-def _speed_limit(value: Any, what: str) -> None:
-    _require(_speed(value) and value <= MAX_SPEED_LIMIT_KPH, f"{what} out of range: {value!r}")
-
-
-def _hazard(value: object, what: str) -> Hazard:
-    h = _mapping(value, what, required=("kind", "distance_m", "confidence"))
-    _require(isinstance(h["kind"], str), f"{what} kind must be a string")
-    _require(
-        is_finite_number(h["distance_m"]) and is_finite_number(h["confidence"]),
-        f"{what} distance_m and confidence must be finite numbers",
-    )
-    return Hazard(kind=h["kind"], distance_m=h["distance_m"], confidence=h["confidence"])
-
-
-def _context_patch(value: object) -> dict:
-    patch = _mapping(value, "context_patch", optional=("speed_limit_kph", "closures_add", "hazards_add"))
+def _context_patch(value: object, where: str) -> dict:
+    patch = mapping(value, where, optional=("speed_limit_kph", "closures_add", "hazards_add"))
     if "speed_limit_kph" in patch:
-        _speed_limit(patch["speed_limit_kph"], "patched speed limit")
-    closures = patch.get("closures_add", [])
-    _require(
-        isinstance(closures, list) and all(isinstance(c, str) for c in closures),
-        "closures_add must be a list of segment ids",
-    )
-    hazards = patch.get("hazards_add", [])
-    _require(isinstance(hazards, list), "hazards_add must be a list")
-    for h in hazards:
-        _hazard(h, "each hazards_add entry")
+        number(patch["speed_limit_kph"], f"{where}.speed_limit_kph", MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH)
+    sequence(patch.get("closures_add", []), f"{where}.closures_add", string)
+    sequence(patch.get("hazards_add", []), f"{where}.hazards_add", parse_hazard)
     return patch
 
 
 def _perturbations(
-    transforms: object, what: str, layer: Layer, window: tuple[int, int]
+    transforms: object, where: str, layer: Layer, window: tuple[int, int]
 ) -> tuple[LayerPerturbation, ...]:
     """A payload's list of `{field, op, value}` transforms as checked layer perturbations."""
-    _require(isinstance(transforms, list) and bool(transforms), f"{what} must be a non-empty list")
-    out = []
-    for t in transforms:
-        t = _mapping(t, "transform", required=("field", "op", "value"))
+
+    def perturbation(item: object, at: str) -> LayerPerturbation:
+        t = mapping(item, at, required=("field", "op", "value"))
+        field_name, op = string(t["field"], f"{at}.field"), member(TransformOp, t["op"], f"{at}.op")
         value = t["value"]
-        if t["field"] == "hazards" and t["op"] == "InjectRecord":
-            value = _hazard(value, "hazard injection")
-        p = LayerPerturbation(layer, t["field"], TransformOp(t["op"]), value, window)
-        validate_perturbation(p)
-        out.append(p)
-    return tuple(out)
+        if field_name == "hazards" and op is TransformOp.INJECT_RECORD:
+            value = parse_hazard(value, f"{at}.value")
+        elif field_name in ("hazards", "closures"):  # a closure, or the kind of the hazards to drop
+            value = string(value, f"{at}.value")
+        p = LayerPerturbation(layer, field_name, op, value, window)
+        try:
+            validate_perturbation(p)
+        except ValueError as exc:
+            raise ConfigError(at, str(exc)) from exc
+        return p
+
+    return sequence(transforms, where, perturbation, min_len=1)
 
 
-def _request(r: dict, what: str) -> UserRequest:
-    desired = r.get("desired_speed_kph")
-    _require(isinstance(r["destination"], str), f"{what} destination must be a string")
-    _require(desired is None or _speed(desired), f"{what} desired_speed_kph must be a speed >= {MIN_SPEED_KPH:g}")
-    return UserRequest(urgency_tag=r["urgency_tag"], destination=r["destination"], desired_speed_kph=desired)
+def _parse_t1(p: dict, where: str, inj: ThreatInjection) -> tuple[str, float]:
+    key = string(p.get("key", SPEED_CAP_KEY), f"{where}.key")
+    return key, number(p.get("value_kph"), f"{where}.value_kph", MIN_SPEED_KPH)
 
 
-def _parse_t1(p: dict, inj: ThreatInjection) -> tuple[str, float]:
-    _require(_speed(p.get("value_kph")), f"T1 value_kph must be a speed >= {MIN_SPEED_KPH:g}")
-    key = p.get("key", SPEED_CAP_KEY)
-    _require(isinstance(key, str), "T1 key must be a string")
-    return key, float(p["value_kph"])
-
-
-def _tool_output(p: dict, inj: ThreatInjection) -> ToolOutput:
+def _tool_output(p: dict, where: str, inj: ThreatInjection) -> ToolOutput:
     advised = p.get("advised_speed_kph")
-    what = inj.threat.value
-    _require(advised is None or _speed(advised), f"{what} advised_speed_kph must be a speed >= {MIN_SPEED_KPH:g}")
-    route_hint = p.get("route_hint", "")
-    _require(isinstance(route_hint, str), f"{what} route_hint must be a string")
+    if advised is not None:
+        advised = number(advised, f"{where}.advised_speed_kph", MIN_SPEED_KPH)
+    route_hint = string(p.get("route_hint", ""), f"{where}.route_hint")
     return ToolOutput(advised_speed_kph=advised, route_hint=route_hint)
 
 
-def _parse_t3(p: dict, inj: ThreatInjection) -> tuple[Role, dict]:
-    _require(p.get("grant_role") in (Role.PERSONAL_AGENT.value, Role.DRIVING_STRATEGY_AGENT.value),
-             "T3 grant_role must name an agent role")
-    return Role(p["grant_role"]), _context_patch(p.get("context_patch", {}))
+def _parse_t3(p: dict, where: str, inj: ThreatInjection) -> tuple[Role, dict]:
+    agents = (Role.PERSONAL_AGENT.value, Role.DRIVING_STRATEGY_AGENT.value)
+    role = Role(string(p.get("grant_role"), f"{where}.grant_role", agents))
+    return role, _context_patch(p.get("context_patch", {}), f"{where}.context_patch")
 
 
-def _parse_t4(p: dict, inj: ThreatInjection) -> float | tuple[LayerPerturbation, ...]:
-    factor = p.get("completeness_factor")
-    _require(is_finite_number(factor) and 0 < factor < 1, "T4 needs completeness_factor in (0, 1)")
+def _parse_t4(p: dict, where: str, inj: ThreatInjection) -> float | tuple[LayerPerturbation, ...]:
+    factor = number(p.get("completeness_factor"), f"{where}.completeness_factor", 0.0, 1.0)
+    if factor in (0.0, 1.0):
+        raise ConfigError(f"{where}.completeness_factor", f"must be strictly between 0 and 1, got {factor!r}")
     if inj.surface is Surface.LAYER:
         scale = LayerPerturbation(effective_layer(inj), "completeness", TransformOp.SCALE, factor, inj.window)
         validate_perturbation(scale)  # telemetry has no completeness: a context layer only
         return (scale,)
-    return float(factor)
+    return factor
 
 
-def _parse_t5(p: dict, inj: ThreatInjection) -> dict:
-    patch = _context_patch(p.get("context_patch", {}))
-    _require(bool(patch), "T5 needs a non-empty context_patch")
+def _parse_t5(p: dict, where: str, inj: ThreatInjection) -> dict:
+    patch = _context_patch(p.get("context_patch", {}), f"{where}.context_patch")
+    if not patch:
+        raise ConfigError(f"{where}.context_patch", "T5 needs a non-empty patch")
     return patch
 
 
-def _parse_t6(p: dict, inj: ThreatInjection) -> dict:
-    """The request fields to override."""
-    _require(bool(p), "T6 needs at least one of urgency_tag, destination, desired_speed_kph")
-    _request({"urgency_tag": "Routine", "destination": "", **p}, "T6")
-    return dict(p)
+def _parse_t6(p: dict, where: str, inj: ThreatInjection) -> dict:
+    """The request fields to override, typed as a request's are."""
+    if not p:
+        raise ConfigError(where, "T6 needs at least one of urgency_tag, destination, desired_speed_kph")
+    request = parse_request({"urgency_tag": DEFAULT_URGENCY, "destination": "", **p}, where)
+    return {key: getattr(request, key) for key in p}
 
 
-def _parse_t7(p: dict, inj: ThreatInjection) -> dict[str, float]:
-    weight, scale = p.get("speed_weight"), p.get("headway_scale", 1.0)
-    _require(is_finite_number(weight) and 1e-3 <= weight <= 1, "T7 needs speed_weight in [0.001, 1]")
-    _require(is_finite_number(scale) and scale >= 1, "T7 headway_scale must be finite and >= 1")
-    return {"speed_weight": float(weight), "headway_scale": float(scale)}
+def _parse_t7(p: dict, where: str, inj: ThreatInjection) -> dict[str, float]:
+    return {
+        "speed_weight": number(p.get("speed_weight"), f"{where}.speed_weight", 1e-3, 1.0),
+        "headway_scale": number(p.get("headway_scale", 1.0), f"{where}.headway_scale", 1.0),
+    }
 
 
-def _parse_t8(p: dict, inj: ThreatInjection) -> None:
-    _require(p.get("mode", "strip-provenance") == "strip-provenance", "T8 supports mode strip-provenance")
+def _parse_t8(p: dict, where: str, inj: ThreatInjection) -> None:
+    string(p.get("mode", "strip-provenance"), f"{where}.mode", ("strip-provenance",))
 
 
-def _parse_t9(p: dict, inj: ThreatInjection) -> tuple[Role, str, dict]:
-    _require(p.get("claimed") in [r.value for r in Role], "T9 needs a claimed role")
-    target = p.get("target", "context")
-    _require(target in ("context", "user"), "T9 target must be context or user")
-    return Role(p["claimed"]), target, _context_patch(p.get("context_patch", {}))
+def _parse_t9(p: dict, where: str, inj: ThreatInjection) -> tuple[Role, str, dict]:
+    claimed = member(Role, p.get("claimed"), f"{where}.claimed")
+    target = string(p.get("target", "context"), f"{where}.target", ("context", "user"))
+    return claimed, target, _context_patch(p.get("context_patch", {}), f"{where}.context_patch")
 
 
-def _parse_t10(p: dict, inj: ThreatInjection) -> int:
-    n = p.get("noise_queries")
-    _require(type(n) is int and n >= 1, "T10 needs an integer noise_queries >= 1")
-    return n
+def _parse_t10(p: dict, where: str, inj: ThreatInjection) -> int:
+    return integer(p.get("noise_queries"), f"{where}.noise_queries", 1)
 
 
-def _parse_t11(p: dict, inj: ThreatInjection) -> tuple[ToolOutput, str, float]:
-    name = p.get("config_field")
-    _require(name in AgentTuning().field_names(), "T11 config_field must name a tuning knob")
+def _parse_t11(p: dict, where: str, inj: ThreatInjection) -> tuple[ToolOutput, str, float]:
+    name = string(p.get("config_field"), f"{where}.config_field", AgentTuning().field_names())
     lo, hi = AgentTuning.knob_range(name)
-    value = p.get("config_value")
-    _require(is_finite_number(value) and lo <= value <= hi, f"T11 {name} must be in [{lo:g}, {hi:g}]")
-    return _tool_output(p, inj), name, float(value)
+    return _tool_output(p, where, inj), name, number(p.get("config_value"), f"{where}.config_value", lo, hi)
 
 
-def _external_edit(value: object) -> tuple[str, object]:
-    """One edit of an in-flight context patch, as (field, value)."""
-    e = _mapping(value, "edit", required=("field", "op", "value"))
-    _require(e["op"] in ("Set", "InjectRecord"), "external-target edits support Set/InjectRecord")
-    if e["field"] == "speed_limit_kph":
-        _speed_limit(e["value"], "edited speed limit")
-    elif e["field"] == "closures":
-        _require(isinstance(e["value"], str), "a closures edit needs a segment-id string")
-    elif e["field"] == "hazards":
-        _hazard(e["value"], "a hazards edit")
-    else:
-        raise ValueError(f"unsupported external edit field {e['field']!r}")
-    return e["field"], e["value"]
+def _external_edit(value: object, where: str) -> tuple[str, object]:
+    """One edit of an in-flight context patch, as (field, value); a hazard stays as the document wrote it."""
+    e = mapping(value, where, required=("field", "op", "value"))
+    string(e["op"], f"{where}.op", ("Set", "InjectRecord"))
+    field_name = string(e["field"], f"{where}.field", ("speed_limit_kph", "closures", "hazards"))
+    if field_name == "speed_limit_kph":
+        return field_name, number(e["value"], f"{where}.value", MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH)
+    if field_name == "closures":
+        return field_name, string(e["value"], f"{where}.value")
+    parse_hazard(e["value"], f"{where}.value")
+    return field_name, e["value"]
 
 
-def _parse_t12(p: dict, inj: ThreatInjection) -> tuple[str, tuple]:
-    target = p.get("target", "context")
-    _require(target in ("context", "external"), "T12 target must be context or external")
-    edits = p.get("edits")
-    _require(isinstance(edits, list) and bool(edits), "T12 needs a non-empty edits list")
+def _parse_t12(p: dict, where: str, inj: ThreatInjection) -> tuple[str, tuple]:
+    target = string(p.get("target", "context"), f"{where}.target", ("context", "external"))
     if target == "context":
-        return target, _perturbations(edits, "edits", Layer.V2X, inj.window)
-    return target, tuple(_external_edit(e) for e in edits)
+        return target, _perturbations(p.get("edits"), f"{where}.edits", Layer.V2X, inj.window)
+    return target, sequence(p.get("edits"), f"{where}.edits", _external_edit, min_len=1)
 
 
-def _parse_t13(p: dict, inj: ThreatInjection) -> tuple[str, str]:
-    agent = p.get("agent")
-    _require(agent in ("PA", "DSA"), "T13 agent must be PA or DSA")
-    pool = PA_POLICIES if agent == "PA" else DSA_POLICIES
-    _require(p.get("policy") in pool, f"T13 policy must be one of {pool}")
-    return agent, p["policy"]
+def _parse_t13(p: dict, where: str, inj: ThreatInjection) -> tuple[str, str]:
+    agent = string(p.get("agent"), f"{where}.agent", ("PA", "DSA"))
+    return agent, string(p.get("policy"), f"{where}.policy", PA_POLICIES if agent == "PA" else DSA_POLICIES)
 
 
-def _parse_t14(p: dict, inj: ThreatInjection) -> tuple[UserRequest, ...]:
-    reqs = p.get("requests")
-    _require(isinstance(reqs, list) and bool(reqs), "T14 needs a non-empty requests list")
-    return tuple(
-        _request(_mapping(r, "T14 request", ("urgency_tag", "destination"), ("desired_speed_kph",)), "T14")
-        for r in reqs
-    )
+def _parse_t14(p: dict, where: str, inj: ThreatInjection) -> tuple[UserRequest, ...]:
+    return sequence(p.get("requests"), f"{where}.requests", parse_request, min_len=1)
 
 
-def _parse_t15(p: dict, inj: ThreatInjection) -> tuple[float, str]:
-    weight, framing = p.get("framing_weight"), p.get("framing", DEFAULT_URGENCY)
-    _require(is_finite_number(weight) and 0 < weight <= 1, "T15 needs framing_weight in (0, 1]")
-    _require(framing in ("Routine", "Urgent"), "T15 framing must be Routine or Urgent")
-    return float(weight), framing
+def _parse_t15(p: dict, where: str, inj: ThreatInjection) -> tuple[float, str]:
+    weight = number(p.get("framing_weight"), f"{where}.framing_weight", 0.0, 1.0)
+    if weight == 0.0:
+        raise ConfigError(f"{where}.framing_weight", "must be > 0")
+    return weight, string(p.get("framing", DEFAULT_URGENCY), f"{where}.framing", URGENCY_TAGS)
 
 
-def _parse_transforms(p: dict, inj: ThreatInjection) -> tuple[LayerPerturbation, ...]:
-    return _perturbations(p.get("transforms"), "transforms", effective_layer(inj), inj.window)
+def _parse_transforms(p: dict, where: str, inj: ThreatInjection) -> tuple[LayerPerturbation, ...]:
+    return _perturbations(p.get("transforms"), f"{where}.transforms", effective_layer(inj), inj.window)
 
 
 def validate_injection(injection: ThreatInjection) -> None:
@@ -555,7 +504,7 @@ def apply_context_patch(summary: ContextSummary, patch: dict) -> ContextSummary:
     if patch.get("hazards_add"):
         hazards = list(summary.hazards)
         for h in patch["hazards_add"]:
-            hazards.append(Hazard(kind=h["kind"], distance_m=h["distance_m"], confidence=h["confidence"]))
+            hazards.append(Hazard(h["kind"], float(h["distance_m"]), float(h["confidence"])))
         summary = replace(summary, hazards=tuple(hazards))
     return summary
 
@@ -672,7 +621,7 @@ def _act_t12(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str
     # build new ones instead of appending in place
     for field_name, value in edits:
         if field_name == "speed_limit_kph":
-            patch["speed_limit_kph"] = float(value)
+            patch["speed_limit_kph"] = value
         elif field_name == "closures":
             closures = patch.get("closures_add", [])
             if value not in closures:
@@ -713,7 +662,7 @@ class ThreatSpec:
 
     surfaces: frozenset[Surface]
     keys: tuple[str, ...]  # the payload keys the schema knows; any other is rejected
-    parse: Callable[[dict, ThreatInjection], Any]  # payload -> `ThreatInjection.args`
+    parse: Callable[[dict, str, ThreatInjection], Any]  # (payload, where, injection) -> `ThreatInjection.args`
     # digest of the surface the injector edits, taken before and after it
     # acts; view and act are None for the cross-layer vectors, whose
     # injections act inside the layer functions

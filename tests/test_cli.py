@@ -138,6 +138,20 @@ class TestRun:
         assert err.startswith(f"config error: {path}.{field}: ")
         assert len(err.splitlines()) == 1
 
+    def test_world_with_no_reachable_speed_is_config_error(self, capsys, tmp_path):
+        # 238 kph is more than the SC's 108 kph acceleration window above min(138, 130)
+        text = shipped_scenarios()["chain-base"].read_text()
+        path = tmp_path / "unreachable.yaml"
+        path.write_text(
+            text.replace("speed_limit_kph: 90.0", "speed_limit_kph: 138.0")
+            .replace("vehicle_speed_kph: 72.0", "vehicle_speed_kph: 238.0")
+        )
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {path}.world.vehicle_speed_kph: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("old, new", [
         _with_injection("{threat: T6, surface: PAInput, payload: {desired_speed_kph: -5}}"),
         _with_injection("{threat: T6, surface: PAInput, payload: {desired_speed_kph: fast}}"),
@@ -276,6 +290,25 @@ class TestChainCommand:
         assert code == 1
         assert out == ""
         assert err.startswith(f"config error: {path}.stages[1].trigger.{field}: must be an integer")
+        assert len(err.splitlines()) == 1
+
+    def test_unhashable_probe_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "chain.yaml"
+        path.write_text(
+            "id: file-chain\n"
+            "episode_length: 2\n"
+            "stages:\n"
+            "  - kind: inject\n"
+            "    trigger: {at_step: 0}\n"
+            "    injection: {threat: T1, surface: PAMemory, payload: {value_kph: 45.0}}\n"
+            "  - kind: observe\n"
+            "    trigger: {after_stage: 0}\n"
+            "    probe: [1]\n"
+        )
+        code, out, err = run_cli(capsys, "chain", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {path}.stages[1].probe: must be a string")
         assert len(err.splitlines()) == 1
 
     def test_scenario_without_requests_is_config_error(self, capsys, tmp_path):

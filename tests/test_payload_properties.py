@@ -3,11 +3,12 @@
 A generated payload for each threat id, with the keys of its README payload
 table row plus junk keys and values drawn from numbers (NaN, infinities and huge ones included),
 bools, strings, lists and mappings, is added to `chain-base`. Loading it must
-raise `ConfigError`, or the paired run must complete and export; a
-`PipelineError` (no rule-compliant proposal exists) is the one run-time
-failure allowed.
+raise `ConfigError`, or the paired run must complete and export, with no
+Infinity or NaN in the JSON; a `PipelineError` (no rule-compliant proposal
+exists) is the one run-time failure allowed.
 """
 
+import json
 import math
 import sys
 
@@ -120,6 +121,9 @@ def injections(draw, threat: ThreatId) -> dict:
 
 @pytest.mark.parametrize("threat", list(ThreatId), ids=lambda t: t.value)
 def test_generated_payload_loads_and_runs_or_is_rejected(threat):
+    def reject(constant):
+        raise ValueError(f"{constant} in the JSON export of a {threat.value} run")
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(injections(threat))
     def check(injection):
@@ -134,6 +138,6 @@ def test_generated_payload_loads_and_runs_or_is_rejected(threat):
             return
         report = compare(baseline, attacked)
         render_csv(report)
-        render_json(report)
+        json.loads(render_json(report), parse_constant=reject)
 
     check()

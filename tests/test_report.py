@@ -4,8 +4,10 @@ import csv
 import dataclasses
 import io
 import json
+import sys
 
 import pytest
+import yaml
 
 from agvsim.report import (
     CSV_COLUMNS,
@@ -18,7 +20,7 @@ from agvsim.report import (
     render_json,
 )
 from agvsim.runner import run_episodes
-from agvsim.scenario import load_shipped, shipped_scenarios
+from agvsim.scenario import load_shipped, parse_scenario, shipped_scenarios
 from agvsim.trace import EpisodeTrace, TracePairingError
 
 
@@ -128,6 +130,20 @@ class TestJsonExport:
         config = load_shipped(name)
         report = compare(run_episodes(config, with_injections=False), run_episodes(config, with_injections=True))
         json.loads(render_json(report), parse_constant=reject)
+
+    def test_overflowing_feedback_transform_exports_finite_numbers(self):
+        def reject(constant):
+            raise ValueError(f"{constant} in the JSON export")
+
+        base = yaml.safe_load(shipped_scenarios()["chain-base"].read_text())
+        injection = {"threat": "XControlFeedback", "surface": "Layer", "window": [0, 3], "payload": {"transforms": [
+            {"field": "accel_mps2", "op": "Set", "value": 1e308},
+            {"field": "accel_mps2", "op": "Scale", "value": 10},
+        ]}}
+        config = parse_scenario({**base, "injections": [injection]}, "overflow")
+        report = compare(run_episodes(config, with_injections=False), run_episodes(config, with_injections=True))
+        exported = json.loads(render_json(report), parse_constant=reject)
+        assert exported["attacked_trace"]["steps"][0]["feedback"]["accel_mps2"] == sys.float_info.max
 
 
 class TestEmission:

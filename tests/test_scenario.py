@@ -1,11 +1,18 @@
 """Scenario loading: schema validation, legality, error identification."""
 
+import math
 import textwrap
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agvsim.domain import ThreatId
+import agvsim
+from agvsim import domain
+from agvsim.domain import Hazard, ThreatId
+from agvsim.pipeline import PipelineError
+from agvsim.runner import run_episodes
 from agvsim.scenario import (
     ConfigError,
     load_scenario,
@@ -13,6 +20,7 @@ from agvsim.scenario import (
     parse_scenario,
     shipped_scenarios,
 )
+from agvsim.threats import to_layer_perturbations
 
 MINIMAL = """
 id: demo
@@ -172,3 +180,109 @@ class TestChainRefs:
     def test_unknown_chain_ref_rejected(self):
         with pytest.raises(ConfigError, match="unknown chain"):
             parse_text(MINIMAL + "\nchains: [chain-77]\n")
+
+
+def test_config_error_is_one_class():
+    assert agvsim.ConfigError is ConfigError is domain.ConfigError
+
+
+def _inject(threat: str, surface: str, payload: object) -> dict:
+    return {"injections": [{"threat": threat, "surface": surface, "payload": payload}]}
+
+
+DOC = yaml.safe_load(MINIMAL)
+PATCH_HAZARD = "injections[0].payload.context_patch.hazards_add[0]"
+# position -> (a document edit that places the record, the path of the record)
+HAZARD_POSITIONS = {
+    "world": lambda h: ({"world": {**DOC["world"], "hazards": [h]}}, "world.hazards[0]"),
+    "T3": lambda h: (_inject("T3", "InterAgentMsg", {
+        "grant_role": "PersonalAgent", "context_patch": {"hazards_add": [h]},
+    }), PATCH_HAZARD),
+    "T5": lambda h: (_inject("T5", "PAInput", {"context_patch": {"hazards_add": [h]}}), PATCH_HAZARD),
+    "T9": lambda h: (_inject("T9", "IdentityField", {
+        "claimed": "CavStack", "context_patch": {"hazards_add": [h]},
+    }), PATCH_HAZARD),
+    "T12-external": lambda h: (_inject("T12", "InterAgentMsg", {
+        "target": "external", "edits": [{"field": "hazards", "op": "InjectRecord", "value": h}],
+    }), "injections[0].payload.edits[0].value"),
+    "XPerception": lambda h: (_inject("XPerception", "Layer", {
+        "transforms": [{"field": "hazards", "op": "InjectRecord", "value": h}],
+    }), "injections[0].payload.transforms[0].value"),
+}
+REQUEST_POSITIONS = {
+    "requests": lambda r: ({"requests": [r]}, "requests[0]"),
+    "T14": lambda r: (_inject("T14", "UserChannel", {"requests": [r]}), "injections[0].payload.requests[0]"),
+    "T6": lambda r: (_inject("T6", "PAInput", r), "injections[0].payload"),
+}
+
+
+class TestOneRule:
+    """A hazard or a request is judged by the same rule wherever a document writes it."""
+
+    HAZARD = {"kind": "debris", "distance_m": 30.0, "confidence": 0.9}
+    REQUEST = {"urgency_tag": "Routine", "destination": "office"}
+    # (edit of a well-formed record, the field its error path must end at)
+    BAD_HAZARDS = {
+        "kind-5": ({"kind": 5}, "kind"),
+        "extra-key": ({"extra": 1}, "extra"),
+        "confidence-5": ({"confidence": 5}, "confidence"),
+        "distance-negative": ({"distance_m": -1}, "distance_m"),
+        "distance-nan": ({"distance_m": math.nan}, "distance_m"),
+    }
+    BAD_REQUESTS = {
+        "destination-42": ({"destination": 42}, "destination"),
+        "destination-list": ({"destination": [1, 2]}, "destination"),
+        "urgency-Foo": ({"urgency_tag": "Foo"}, "urgency_tag"),
+        "speed-inf": ({"desired_speed_kph": math.inf}, "desired_speed_kph"),
+    }
+
+    @staticmethod
+    def rejected_at(edit: dict) -> str:
+        with pytest.raises(ConfigError) as info:
+            parse_scenario({**DOC, **edit}, "<test>")
+        return info.value.where
+
+    @pytest.mark.parametrize("bad", BAD_HAZARDS)
+    @pytest.mark.parametrize("position", HAZARD_POSITIONS)
+    def test_bad_hazard_is_rejected_at_its_field(self, position, bad):
+        change, field = self.BAD_HAZARDS[bad]
+        edit, path = HAZARD_POSITIONS[position]({**self.HAZARD, **change})
+        assert self.rejected_at(edit) == f"<test>.{path}.{field}"
+
+    @pytest.mark.parametrize("bad", BAD_REQUESTS)
+    @pytest.mark.parametrize("position", REQUEST_POSITIONS)
+    def test_bad_request_is_rejected_at_its_field(self, position, bad):
+        change, field = self.BAD_REQUESTS[bad]
+        edit, path = REQUEST_POSITIONS[position]({**self.REQUEST, **change})
+        assert self.rejected_at(edit) == f"<test>.{path}.{field}"
+
+    def test_integer_hazard_is_the_same_float_hazard_in_world_and_layer(self):
+        written = {"kind": "debris", "distance_m": 30, "confidence": 1}
+        world_edit, _ = HAZARD_POSITIONS["world"](written)
+        layer_edit, _ = HAZARD_POSITIONS["XPerception"](written)
+        config = parse_scenario({**DOC, **world_edit, **layer_edit}, "<test>")
+        in_world = config.world.true_hazards[0]
+        in_layer = to_layer_perturbations(config.injections[0])[0].value
+        assert in_world == in_layer == Hazard("debris", 30.0, 1.0)
+        for hazard in (in_world, in_layer):
+            assert type(hazard.distance_m) is float and type(hazard.confidence) is float
+
+
+class TestReachableWorld:
+    BASE = yaml.safe_load(shipped_scenarios()["chain-base"].read_text())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_loaded_world_runs_its_baseline(self, data):
+        limit = data.draw(st.floats(0.1, 200), label="limit")
+        speed = data.draw(st.floats(0, min(limit, 130) + 250), label="speed")
+        world = {**self.BASE["world"], "speed_limit_kph": limit, "vehicle_speed_kph": speed}
+        try:
+            config = parse_scenario({**self.BASE, "world": world}, "generated")
+        except ConfigError as exc:
+            assert exc.where == "generated.world.vehicle_speed_kph"
+            return
+        try:
+            run_episodes(config, with_injections=False)
+        except PipelineError as exc:
+            pytest.fail(f"limit {limit!r}, speed {speed!r} loaded but cannot run: {exc}")

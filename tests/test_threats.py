@@ -178,7 +178,7 @@ class TestLegalityMap:
         ]})
         requests = inj.args
         assert requests[-1] == UserRequest(urgency_tag="Routine", destination="b", desired_speed_kph=55)
-        assert isinstance(requests[-1].desired_speed_kph, int)  # 55 and 55.0 export differently
+        assert isinstance(requests[-1].desired_speed_kph, float)  # typed numbers are floats, as the world's
         for step in range(3):
             apply(inj, make_state(), step)
         assert inj.args is requests
