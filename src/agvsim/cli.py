@@ -90,6 +90,12 @@ def _load_scenario_arg(ref: str):
     return load_shipped(ref)
 
 
+def _write_export(text: str) -> None:
+    """Exports go to stdout as UTF-8 whatever the locale, the same bytes `--out` writes."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(text.encode("utf-8"))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_scenario_arg(args.scenario)
     seed = _resolve_seed(args.seed)
@@ -99,7 +105,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.out:
             emit_trace(trace, args.out)
         else:
-            sys.stdout.write(trace.to_json() + "\n")
+            _write_export(trace.to_json() + "\n")
         return EXIT_OK
 
     baseline = run_episodes(config, with_injections=False, seed=seed)
@@ -112,7 +118,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             # the hierarchical trace export rides along for CSV outputs
             emit_report(report, ReportFormat.JSON, args.out + ".trace.json")
     else:
-        sys.stdout.write(render_csv(report) if format_ is ReportFormat.CSV else render_json(report))
+        _write_export(render_csv(report) if format_ is ReportFormat.CSV else render_json(report))
     return EXIT_OK
 
 

@@ -207,21 +207,21 @@ def render_json(report: MisalignmentReport) -> str:
         "baseline_trace": report.baseline,
         "attacked_trace": report.attacked,
     }
-    return canonical_json(payload, indent=2) + "\n"
+    return canonical_json(payload) + "\n"
 
 
 def emit_report(report: MisalignmentReport, format: ReportFormat, path: str | Path) -> None:
-    """Write the report to disk; I/O failures surface with the path attached."""
+    """Write the report to disk as UTF-8; I/O failures surface with the path attached."""
     text = render_csv(report) if ReportFormat(format) is ReportFormat.CSV else render_json(report)
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ReportIOError(f"cannot write report to {path}: {exc}") from exc
 
 
 def emit_trace(trace: EpisodeTrace, path: str | Path) -> None:
-    """Structured export of a single (unpaired) run."""
+    """Structured export of a single (unpaired) run, as UTF-8."""
     try:
-        Path(path).write_text(trace.to_json() + "\n")
+        Path(path).write_text(trace.to_json() + "\n", encoding="utf-8")
     except OSError as exc:
         raise ReportIOError(f"cannot write trace to {path}: {exc}") from exc

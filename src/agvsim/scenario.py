@@ -39,6 +39,10 @@ from .threats import Surface, ThreatInjection, validate_injection
 
 logger = logging.getLogger(__name__)
 
+# libyaml's parser when PyYAML was built with it; both loaders build values
+# with the same SafeConstructor
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -192,7 +196,7 @@ def _read_yaml(path: Path) -> object:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read: {exc}") from exc
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         location = f"{path}:{mark.line + 1}" if mark is not None else str(path)

@@ -12,6 +12,22 @@ import hashlib
 import json
 from collections.abc import Iterable
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _escape
+
+# dataclass -> ((field name, its escaped JSON key plus ": "), ...) sorted by
+# name; filled once per class by `_fields`
+_FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}
+
+# how `json` writes the floats whose repr is not JSON
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _fields(cls: type) -> tuple[tuple[str, str], ...]:
+    table = _FIELDS.get(cls)
+    if table is None:
+        names = sorted(f.name for f in dataclasses.fields(cls))
+        table = _FIELDS[cls] = tuple((name, _escape(name) + ": ") for name in names)
+    return table
 
 
 def to_jsonable(obj: object) -> object:
@@ -21,10 +37,7 @@ def to_jsonable(obj: object) -> object:
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+        return {name: to_jsonable(getattr(obj, name)) for name, _ in _fields(type(obj))}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
@@ -33,8 +46,75 @@ def to_jsonable(obj: object) -> object:
     return repr(obj)
 
 
-def canonical_json(obj: object, indent: int | None = None) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=indent)
+def canonical_json(obj: object) -> str:
+    """`json.dumps(to_jsonable(obj), sort_keys=True, indent=2)`, written without the plain copy.
+
+    The type rules are `to_jsonable`'s, taken in the same order.
+    """
+    return _text(obj, "\n")
+
+
+def _text(obj: object, nl: str) -> str:
+    """JSON text of `obj` whose closing bracket follows `nl` (a newline plus the indent)."""
+    cls = type(obj)
+    if cls is str:
+        return _escape(obj)
+    fields = _FIELDS.get(cls)
+    if fields is not None:
+        if not fields:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [key + _text(getattr(obj, name), inner) for name, key in fields]
+        ) + nl + "}"
+    if cls is float:
+        text = float.__repr__(obj)
+        return _FLOAT_SPECIALS.get(text, text)
+    if cls is int:
+        return int.__repr__(obj)
+    if cls is tuple or cls is list:
+        return _items(obj, nl)
+    return _text_other(obj, nl)
+
+
+def _text_other(obj: object, nl: str) -> str:
+    """`_text` for every type without a fast path, in `to_jsonable`'s order."""
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_SPECIALS.get(text, text)
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, Enum):
+        return _text(obj.value, nl)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _fields(type(obj))  # from now on `_text` finds the class in the table
+        return _text(obj, nl)
+    if isinstance(obj, dict):
+        plain = {str(k): v for k, v in obj.items()}
+        if not plain:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [_escape(k) + ": " + _text(plain[k], inner) for k in sorted(plain)]
+        ) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        return _items(obj, nl)
+    if isinstance(obj, (set, frozenset)):
+        return _items(sorted(obj, key=repr), nl)
+    return _escape(repr(obj))
+
+
+def _items(items: list | tuple, nl: str) -> str:
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join([_text(v, inner) for v in items]) + nl + "]"
 
 
 def _plain_digest(plain: object) -> str:

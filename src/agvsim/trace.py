@@ -47,15 +47,6 @@ class StepRecord:
     log_digest: str
     effects: tuple[InjectionEffectRecord, ...] = ()
 
-    def comparable_view(self) -> dict:
-        """JSON-able view used for paired diffs; excludes the oracle trail."""
-        view = to_jsonable(self)
-        assert isinstance(view, dict)
-        view.pop("effects")
-        view["envelope_count"] = len(self.envelopes)
-        view.pop("envelopes")  # envelope content mirrors other fields
-        return view
-
 
 @dataclass(frozen=True)
 class EpisodeTrace:
@@ -82,8 +73,8 @@ class EpisodeTrace:
     def digest(self) -> str:
         return digest_of(self)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return canonical_json(self, indent=indent)
+    def to_json(self) -> str:
+        return canonical_json(self)
 
 
 def check_paired(attacked: EpisodeTrace, baseline: EpisodeTrace) -> None:
@@ -119,14 +110,16 @@ class StepDelta:
         return {path.split(".", 1)[0] for path in self.changed_paths}
 
 
-# the fields of `comparable_view` that are diffed leaf by leaf
+# the fields diffed leaf by leaf: all but the oracle trail and the envelopes,
+# whose content mirrors other fields and of which only the count is compared
 _DIFFED_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name not in ("envelopes", "effects"))
 
 
 def step_deltas(attacked: EpisodeTrace, baseline: EpisodeTrace) -> list[StepDelta]:
     """Field-wise diff of every paired step, in step order.
 
-    Gives the leaf paths on which the two records' `comparable_view`s differ.
+    Gives the leaf paths on which the two records differ, with
+    `envelope_count` standing for the envelopes.
     Every field is a frozen dataclass, tuple, string or number, so equal
     fields have equal leaves: only a field that differs is flattened.
     """

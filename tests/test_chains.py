@@ -21,6 +21,7 @@ from agvsim.domain import ThreatId
 from agvsim.scenario import load_shipped
 from agvsim.runner import run_episodes
 from agvsim.threats import Surface, ThreatInjection
+from test_incremental import comparable_view
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +213,7 @@ class TestRunChain:
         )
         propagation, baseline = run_chain(delayed, base_scenario)
         for a, b in zip(propagation.attacked.steps[:2], baseline.steps[:2]):
-            assert a.comparable_view() == b.comparable_view()
+            assert comparable_view(a) == comparable_view(b)
 
 
 class TestClassifyOutcome:

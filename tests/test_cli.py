@@ -1,7 +1,14 @@
 """CLI behavior: subcommands, exit codes, seed precedence, determinism."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import agvsim
 from agvsim.chains import builtin_chains
 from agvsim.cli import main
 from agvsim.scenario import shipped_scenarios
@@ -66,6 +73,28 @@ class TestRun:
         assert run_cli(capsys, "run", name, "--seed", "7", "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.csv.trace.json").read_bytes() == (tmp_path / "b.csv.trace.json").read_bytes()
+
+    def test_exports_are_utf8_whatever_the_locale(self, tmp_path):
+        # a non-ASCII scenario id reaches the CSV; an ASCII locale must not change a byte
+        scenario = tmp_path / "unicode.yaml"
+        text = shipped_scenarios()["chain-base"].read_text(encoding="utf-8")
+        scenario.write_text(re.sub(r"(?m)^id: .*$", 'id: "straße-ü"', text, count=1), encoding="utf-8")
+        src = str(Path(agvsim.__file__).resolve().parents[1])
+        cli = [sys.executable, "-m", "agvsim.cli", "run", str(scenario)]
+        outputs = {}
+        for locale in ("C", "C.UTF-8"):
+            env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": locale,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / locale / "x.csv"
+            out.parent.mkdir()
+            to_file = subprocess.run(cli + ["--out", str(out)], env=env, capture_output=True, timeout=60)
+            to_stdout = subprocess.run(cli, env=env, capture_output=True, timeout=60)
+            assert (to_file.returncode, to_file.stderr) == (0, b""), locale
+            assert (to_stdout.returncode, to_stdout.stderr) == (0, b""), locale
+            outputs[locale] = (out.read_bytes(), Path(f"{out}.trace.json").read_bytes(), to_stdout.stdout)
+        assert outputs["C"] == outputs["C.UTF-8"]
+        assert outputs["C"][0] == outputs["C"][2]
+        assert "straße-ü".encode() in outputs["C"][0]
 
     def test_run_json_format(self, capsys, tmp_path):
         out = tmp_path / "r.json"

@@ -17,7 +17,7 @@ from agvsim.chains import builtin_chains, run_chain
 from agvsim.domain import Authority, MessageEnvelope, Role, ThreatId, make_envelope
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_scenario, shipped_scenarios
-from agvsim.serialize import digest_of, leaf_paths
+from agvsim.serialize import digest_of, leaf_paths, to_jsonable
 from agvsim.threats import MessageLog
 from agvsim.trace import step_deltas
 from test_golden import open_campaign
@@ -26,12 +26,21 @@ SHIPPED = sorted(shipped_scenarios())
 FIXTURES = [name for name in SHIPPED if name.startswith("threat-")]
 
 
+def comparable_view(record) -> dict:
+    """The whole step record as JSON types, without the oracle trail and with the envelopes as a count."""
+    view = to_jsonable(record)
+    view.pop("effects")
+    view["envelope_count"] = len(record.envelopes)
+    view.pop("envelopes")  # envelope content mirrors other fields
+    return view
+
+
 def reference_changed_paths(attacked, baseline) -> list[tuple[str, ...]]:
     """Every leaf of both comparable views, compared path by path."""
     out = []
     for a, b in zip(attacked.steps, baseline.steps):
-        a_leaves = leaf_paths(a.comparable_view())
-        b_leaves = leaf_paths(b.comparable_view())
+        a_leaves = leaf_paths(comparable_view(a))
+        b_leaves = leaf_paths(comparable_view(b))
         out.append(tuple(sorted(
             path for path in set(a_leaves) | set(b_leaves) if a_leaves.get(path) != b_leaves.get(path)
         )))

@@ -182,6 +182,30 @@ class TestChainRefs:
             parse_text(MINIMAL + "\nchains: [chain-77]\n")
 
 
+# YAML features beyond what the shipped files use: anchors, aliases, a merge
+# key, block text, YAML 1.1 scalars and escapes
+YAML_FEATURES = r"""
+id: &name yaml-features
+episode_length: 2
+base: &stage {kind: inject, trigger: {at_step: 0}}
+stages:
+  - <<: *stage
+    injection: {threat: T1, surface: PAMemory, payload: {value_kph: 4.5e+1}}
+  - {kind: observe, trigger: {after_stage: 0}, probe: target_changed, label: *name}
+notes: |
+  multi-line "quoted"
+  text ü
+scalars: [yes, No, on, ~, null, .inf, -.inf, 0x1F, 0o17, 1_000, 2024-01-02, '07', "\u00fc\t", 1e3]
+"""
+
+
+def test_yaml_loader_builds_the_documents_safe_loader_builds():
+    # libyaml parses when PyYAML has it; no loaded value may depend on which parser ran
+    texts = [path.read_text(encoding="utf-8") for path in shipped_scenarios().values()]
+    for text in texts + [YAML_FEATURES]:
+        assert yaml.load(text, Loader=agvsim.scenario._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def test_config_error_is_one_class():
     assert agvsim.ConfigError is ConfigError is domain.ConfigError
 

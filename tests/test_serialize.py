@@ -1,0 +1,78 @@
+"""`canonical_json` against the reference it replaces: json.dumps of `to_jsonable`."""
+
+import json
+import sys
+from dataclasses import dataclass
+from enum import Enum
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agvsim.serialize import canonical_json, to_jsonable
+
+
+class Colour(str, Enum):
+    RED = "red"
+    WHITE = "weiß"
+
+
+@dataclass(frozen=True)
+class Empty:
+    pass
+
+
+@dataclass(frozen=True)
+class Leaf:
+    # declared out of name order: the writer sorts the keys
+    zeta: float
+    alpha: str
+    colour: Colour
+
+
+@dataclass(frozen=True)
+class Node:
+    children: tuple
+    leaf: Leaf
+    extra: object = None
+
+
+def reference(obj: object) -> str:
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, sys.float_info.max, float("nan"), float("inf"), float("-inf")]),
+)
+_ints = st.one_of(st.integers(), st.integers(min_value=2**53, max_value=2**80), st.integers(max_value=-(2**53)))
+_texts = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),  # lone surrogates included
+    st.sampled_from(["", "ü", "日本", '"\\', "\x00\x1f\x7f", "\ud800", "a\udfffb", "1", "True", "None"]),
+)
+_leaves = st.builds(Leaf, zeta=_floats, alpha=_texts, colour=st.sampled_from(Colour))
+_hashables = st.one_of(
+    st.none(), st.booleans(), _ints, _floats, _texts, st.sampled_from(Colour), st.just(Empty()), _leaves,
+    st.complex_numbers(max_magnitude=10),  # no JSON type: written as its repr
+)
+# int, bool and None keys collide with the strings "1", "True" and "None" after str()
+_keys = st.one_of(_texts, st.integers(-2, 2), st.booleans(), st.none(), st.sampled_from(Colour))
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+        st.sets(_hashables, max_size=4),
+        st.frozensets(_hashables, max_size=4),
+        st.builds(Node, children=st.lists(children, max_size=3).map(tuple), leaf=_leaves, extra=children),
+    )
+
+
+_values = st.recursive(_hashables, _containers, max_leaves=24)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_values)
+def test_writer_equals_json_dumps_of_to_jsonable(value):
+    assert canonical_json(value) == reference(value)
