@@ -82,18 +82,18 @@ def run_episodes(
     with_injections: bool,
     chain: ChainSchedule | None = None,
     seed: int | None = None,
-    steps_per_episode: int | None = None,
 ) -> EpisodeTrace:
     """Run all episodes of a scenario, attacked or baseline.
 
     The baseline run (`with_injections=False`) skips every injection and
     chain stage but consumes identical seeds and steps, so the pair differs
-    only where attacks acted. `chain` schedules one extra chain; the runner
-    marks in it the step at which each inject stage first takes effect.
+    only where attacks acted. `chain` sets the episode length to the
+    chain's; an attacked run also schedules it as one extra chain and marks
+    in it the step at which each inject stage first takes effect, while a
+    baseline takes only the episode length.
     """
     seed_value = config.seed if seed is None else seed
-    if steps_per_episode is None:
-        steps_per_episode = chain.spec.episode_length if chain is not None else config.steps_per_episode
+    steps_per_episode = chain.spec.episode_length if chain is not None else config.steps_per_episode
     if steps_per_episode and not config.requests:
         raise ConfigError(config.id, f"no requests to drive {steps_per_episode} steps per episode")
 

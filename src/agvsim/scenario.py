@@ -198,9 +198,18 @@ def _read_yaml(path: Path) -> object:
     try:
         return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
+        # one line: PyYAML's problem, without its context and source excerpts
+        location = str(path)
         mark = getattr(exc, "problem_mark", None)
-        location = f"{path}:{mark.line + 1}" if mark is not None else str(path)
-        raise ConfigError(location, f"parse error: {exc}") from exc
+        if mark is not None:
+            location = f"{path}:{mark.line + 1}:{mark.column + 1}"
+        elif isinstance(exc, yaml.reader.ReaderError):
+            # the first character the reader refuses; libyaml counts `position` in bytes
+            offset = text.find(chr(exc.character))
+            line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+            location = f"{path}:{line}:{column}"
+        problem = getattr(exc, "problem", None) or str(exc).split("\n", 1)[0]
+        raise ConfigError(location, f"parse error: {problem}") from exc
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -158,20 +158,3 @@ class ListDigest:
         # json.dumps joins list items with ", "
         text = json.dumps(to_jsonable(item), sort_keys=True)
         return (", " + text if i else text).encode()
-
-
-def leaf_paths(obj: object, prefix: str = "") -> dict[str, object]:
-    """Flatten a JSON-able structure into {dotted.path: leaf value}."""
-    plain = to_jsonable(obj) if prefix == "" else obj
-    out: dict[str, object] = {}
-    if isinstance(plain, dict):
-        for key, value in plain.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            out.update(leaf_paths(value, path) if isinstance(value, (dict, list)) else {path: value})
-    elif isinstance(plain, list):
-        for i, value in enumerate(plain):
-            path = f"{prefix}.{i}" if prefix else str(i)
-            out.update(leaf_paths(value, path) if isinstance(value, (dict, list)) else {path: value})
-    else:
-        out[prefix or "value"] = plain
-    return out

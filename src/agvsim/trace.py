@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 from .domain import MessageEnvelope, UserRequest, ContextSummary, VehicleFeedback
 from .pipeline import IntentDescriptor, SafetyVerdict, StrategyProposal
-from .serialize import canonical_json, digest_of, leaf_paths, to_jsonable
+from .serialize import canonical_json, digest_of
 from .threats import InjectionEffectRecord, ToolOutput
 
 
@@ -99,45 +99,29 @@ def stealth_check(attacked: EpisodeTrace, baseline: EpisodeTrace) -> bool:
 
 @dataclass(frozen=True)
 class StepDelta:
-    """Leaf-level differences between paired step records."""
+    """The step-record fields on which paired steps differ."""
 
     episode: int
     step: int
     global_step: int
-    changed_paths: tuple[str, ...]
-
-    def prefixes(self) -> set[str]:
-        return {path.split(".", 1)[0] for path in self.changed_paths}
+    changed_paths: tuple[str, ...]  # field names, sorted
 
 
-# the fields diffed leaf by leaf: all but the oracle trail and the envelopes,
-# whose content mirrors other fields and of which only the count is compared
+# the fields compared: all but the oracle trail and the envelopes, whose
+# content mirrors other fields and of which only the count is compared
 _DIFFED_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name not in ("envelopes", "effects"))
 
 
 def step_deltas(attacked: EpisodeTrace, baseline: EpisodeTrace) -> list[StepDelta]:
     """Field-wise diff of every paired step, in step order.
 
-    Gives the leaf paths on which the two records differ, with
+    Gives the names of the fields on which the two records differ, with
     `envelope_count` standing for the envelopes.
-    Every field is a frozen dataclass, tuple, string or number, so equal
-    fields have equal leaves: only a field that differs is flattened.
     """
     check_paired(attacked, baseline)
     deltas = []
     for a, b in zip(attacked.steps, baseline.steps):
-        changed = []
-        for name in _DIFFED_FIELDS:
-            a_value, b_value = getattr(a, name), getattr(b, name)
-            if a_value == b_value:
-                continue
-            a_leaves = leaf_paths(to_jsonable(a_value), name)
-            b_leaves = leaf_paths(to_jsonable(b_value), name)
-            changed.extend(
-                path
-                for path in a_leaves.keys() | b_leaves.keys()
-                if a_leaves.get(path) != b_leaves.get(path)
-            )
+        changed = [name for name in _DIFFED_FIELDS if getattr(a, name) != getattr(b, name)]
         if len(a.envelopes) != len(b.envelopes):
             changed.append("envelope_count")
         deltas.append(

@@ -187,7 +187,7 @@ class TestRunChain:
         assert not propagation.stealth
 
     def test_delta_attribution_exactly_one_stage_per_field(self, base_scenario):
-        # every changed field prefix is claimed by exactly one inject stage
+        # every changed field is claimed by exactly one inject stage
         from agvsim.threats import delta_footprint
         from agvsim.trace import step_deltas
 
@@ -199,9 +199,9 @@ class TestRunChain:
                 if stage.kind is StageKind.INJECT
             ]
             for delta in step_deltas(propagation.attacked, baseline):
-                for prefix in delta.prefixes():
-                    owners = [i for i, fp in footprints if prefix in fp]
-                    assert len(owners) == 1, (spec.id, prefix, owners)
+                for name in delta.changed_paths:
+                    owners = [i for i, fp in footprints if name in fp]
+                    assert len(owners) == 1, (spec.id, name, owners)
 
     def test_pairing_prefix_identical_before_first_stage(self, base_scenario):
         # move the single stage later: pre-injection steps must hash identically

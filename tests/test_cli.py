@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import agvsim
+import agvsim.scenario
 from agvsim.chains import builtin_chains
 from agvsim.cli import main
 from agvsim.scenario import shipped_scenarios
@@ -29,6 +31,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv, **env):
+    """`python -m agvsim.cli argv` in a fresh interpreter, with `env` added to the environment."""
+    src = str(Path(agvsim.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "agvsim.cli", *argv], env=env, capture_output=True, timeout=60)
 
 
 class TestScore:
@@ -79,22 +88,32 @@ class TestRun:
         scenario = tmp_path / "unicode.yaml"
         text = shipped_scenarios()["chain-base"].read_text(encoding="utf-8")
         scenario.write_text(re.sub(r"(?m)^id: .*$", 'id: "straße-ü"', text, count=1), encoding="utf-8")
-        src = str(Path(agvsim.__file__).resolve().parents[1])
-        cli = [sys.executable, "-m", "agvsim.cli", "run", str(scenario)]
         outputs = {}
         for locale in ("C", "C.UTF-8"):
-            env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": locale,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            env = {"PYTHONUTF8": "0", "LC_ALL": locale}
             out = tmp_path / locale / "x.csv"
             out.parent.mkdir()
-            to_file = subprocess.run(cli + ["--out", str(out)], env=env, capture_output=True, timeout=60)
-            to_stdout = subprocess.run(cli, env=env, capture_output=True, timeout=60)
+            to_file = run_cli_process("run", str(scenario), "--out", str(out), **env)
+            to_stdout = run_cli_process("run", str(scenario), **env)
             assert (to_file.returncode, to_file.stderr) == (0, b""), locale
             assert (to_stdout.returncode, to_stdout.stderr) == (0, b""), locale
             outputs[locale] = (out.read_bytes(), Path(f"{out}.trace.json").read_bytes(), to_stdout.stdout)
         assert outputs["C"] == outputs["C.UTF-8"]
         assert outputs["C"][0] == outputs["C"][2]
         assert "straße-ü".encode() in outputs["C"][0]
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "case1-highway-urgent", "--format", "json"),
+        ("run", "threat-t03", "--format", "json"),
+        ("chain", "chain-2"),
+    ], ids=["case1-json", "t03-json", "chain-2"])
+    def test_exports_do_not_depend_on_the_hash_seed(self, argv):
+        outputs = []
+        for hash_seed in ("0", "12345"):
+            result = run_cli_process(*argv, PYTHONHASHSEED=hash_seed)
+            assert (result.returncode, result.stderr) == (0, b""), hash_seed
+            outputs.append(result.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_run_json_format(self, capsys, tmp_path):
         out = tmp_path / "r.json"
@@ -148,6 +167,22 @@ class TestRun:
         assert code == 1
         assert out == ""
         assert err.startswith(f"config error: {path}: cannot read: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("loader", ["in-use", "SafeLoader"])
+    @pytest.mark.parametrize("text, location, problem", [
+        ("id: [unclosed\nmode: Autonomous\n", "2:5", ""),
+        ("id: a\x01b\n", "1:6", "unacceptable character #x0001: "),
+    ], ids=["unclosed-flow", "control-character"])
+    def test_yaml_syntax_error_is_one_line(self, capsys, tmp_path, monkeypatch, loader, text, location, problem):
+        if loader == "SafeLoader":
+            monkeypatch.setattr(agvsim.scenario, "_YAML_LOADER", yaml.SafeLoader)
+        path = tmp_path / "broken.yaml"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {path}:{location}: parse error: {problem}")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("old, new, field", [
