@@ -28,18 +28,32 @@ EXIT_IO = 2
 
 
 class _UsageError(Exception):
-    pass
+    """Bad usage, raised by the (sub)command parser whose arguments are wrong."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str) -> None:
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; we reserve 2 for I/O errors
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise _UsageError(self, message)
+
+
+class _CommandParser(_Parser):
+    # argparse hands a subcommand's unknown arguments up to the top-level
+    # parser; report them here, under this command's usage
+    def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
+        namespace, unknown = super().parse_known_args(args, namespace)
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return namespace, unknown
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="agvsim", description="Agentic-vehicle security simulator")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
 
     run_p = sub.add_parser("run", help="run a scenario (paired baseline + attacked by default)")
     run_p.add_argument("scenario", help="scenario file path or shipped scenario id")
@@ -226,12 +240,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("a command is required")
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return EXIT_CONFIG
-    if args.command is None:
-        parser.print_usage(sys.stderr)
+        usage = " ".join(exc.parser.format_usage().split())  # one line: argparse wraps long usages
+        print(f"{exc.parser.prog}: error: {exc} ({usage})", file=sys.stderr)
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)

@@ -56,6 +56,7 @@ class MemoryStore:
 
     def __init__(self, entries: tuple[MemoryEntry, ...] = ()) -> None:
         self._entries: list[MemoryEntry] = list(entries)
+        self._digest: str | None = None  # of `_entries`; cleared by every append
 
     @property
     def entries(self) -> tuple[MemoryEntry, ...]:
@@ -63,6 +64,7 @@ class MemoryStore:
 
     def append(self, entry: MemoryEntry) -> None:
         self._entries.append(entry)
+        self._digest = None
 
     def adopt(self, entry: MemoryEntry) -> bool:
         """Append unless an entry with the same key, value and origin is held; True if appended."""
@@ -71,7 +73,7 @@ class MemoryStore:
             for e in self._entries
         ):
             return False
-        self._entries.append(entry)
+        self.append(entry)
         return True
 
     def speed_caps(self) -> list[tuple[str, float]]:
@@ -87,10 +89,12 @@ class MemoryStore:
         return MemoryStore(tuple(e for e in self._entries if e.persistent))
 
     def digest(self) -> str:
-        return _plain_digest(
-            [[e.key, e.kind.value, repr(e.value), e.origin.value, e.inserted_step, e.persistent]
-             for e in self._entries]
-        )
+        if self._digest is None:
+            self._digest = _plain_digest(
+                [[e.key, e.kind.value, repr(e.value), e.origin.value, e.inserted_step, e.persistent]
+                 for e in self._entries]
+            )
+        return self._digest
 
 
 @dataclass(frozen=True)
@@ -175,10 +179,11 @@ class Rulebook:
                 raise ValueError(f"rulebook bound {name} must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentTuning:
-    """Calibration knobs of the rule agents (mutable: remote-code-execution
-    style attacks are modeled as a bounded edit of exactly one field)."""
+    """Calibration knobs of the rule agents (frozen: a remote-code-execution
+    style attack, T11, replaces the tuning with a copy that differs in
+    exactly one field, so a changed tuning is a new object)."""
 
     pa_routine_factor: float = 0.9       # routine trips aim below the limit
     pa_routine_urgency: float = 0.4

@@ -17,6 +17,7 @@ from dataclasses import replace
 from .cavstack import control_feedback, fuse, perceive, v2x_broadcast
 from .chains import ChainSchedule
 from .domain import (
+    DEFAULT_ADMISSION,
     Authority,
     Role,
     admitted,
@@ -32,7 +33,7 @@ from .pipeline import (
     validate_with_revision,
 )
 from .scenario import ConfigError, ScenarioConfig
-from .serialize import digest_of
+from .serialize import _plain_digest, digest_of
 from .threats import (
     InjectionEffectRecord,
     MessageLog,
@@ -55,6 +56,10 @@ from .trace import EpisodeTrace, StepRecord
 def _episode_rng(seed: int, episode: int) -> random.Random:
     # integer seeding only: string seeds would pull in hash randomization
     return random.Random(seed * 1_000_003 + episode)
+
+
+def _admission_digest(admission: dict[Authority, frozenset[Role]]) -> str:
+    return digest_of({a.value: sorted(r.value for r in roles) for a, roles in admission.items()})
 
 
 def _run_phase(
@@ -109,6 +114,10 @@ def run_episodes(
     clean_digest = ""  # the unperturbed views' digest, built at most once: the world never changes
     rules = Rulebook()
     tuning = AgentTuning()
+    # each digest is recomputed only when its object changes: T11 replaces
+    # the frozen tuning, and only T3 edits the admission table
+    tuning_digested, tuning_digest = tuning, digest_of(tuning)
+    default_admission_digest = _admission_digest(DEFAULT_ADMISSION)
     memory = MemoryStore()
     log = MessageLog()
     records: list[StepRecord] = []
@@ -158,6 +167,9 @@ def run_episodes(
             )
             _run_phase(active, Phase.LAYER, state, g, effects, clean_digest)
             _run_phase(active, Phase.PRE_PA, state, g, effects, clean_digest)
+            tuning = state.tuning  # T11 acts pre-PA; its knobs hold from here on
+            if tuning is not tuning_digested:
+                tuning_digested, tuning_digest = tuning, digest_of(tuning)
 
             # the PA confirms urgency with the (possibly overloaded) user
             confirmed = confirm_urgency(state.user, state.request.urgency_tag)
@@ -254,13 +266,14 @@ def run_episodes(
                     user_queries=user.queries_asked,
                     policies=(state.pa_policy, state.dsa_policy),
                     memory_digest=memory.digest(),
-                    tuning_digest=digest_of(tuning),
-                    admission_digest=digest_of(
-                        {a.value: sorted(r.value for r in roles) for a, roles in state.admission.items()}
+                    tuning_digest=tuning_digest,
+                    admission_digest=(
+                        default_admission_digest if state.admission == DEFAULT_ADMISSION
+                        else _admission_digest(state.admission)
                     ),
                     # provenance shape only: tracks attribution loss and
                     # message-count changes without mirroring payload content
-                    log_digest=digest_of(
+                    log_digest=_plain_digest(
                         [[[role.value, hop] for role, hop in env.provenance] for env in step_envelopes]
                     ),
                     effects=tuple(effects),

@@ -44,6 +44,32 @@ logger = logging.getLogger(__name__)
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+# far deeper than any schema nests, and far inside the recursion limit that
+# `str`, `repr` and the parsers meet on a nested value
+MAX_DEPTH = 64
+
+
+def _check_depth(data: object, where: str) -> None:
+    """Reject a document whose lists and mappings nest more than MAX_DEPTH deep.
+
+    The walk keeps its own stack, and a container shared through YAML
+    aliases is walked again only when reached deeper than before, so a
+    self-referencing alias is rejected as too deep. The error names the
+    top-level key the nesting sits under.
+    """
+    deepest: dict[int, int] = {}
+    stack = [(data, 0, where)]
+    while stack:
+        value, depth, path = stack.pop()
+        if not isinstance(value, (dict, list)) or deepest.get(id(value), -1) >= depth:
+            continue
+        if depth >= MAX_DEPTH:
+            raise ConfigError(path, f"lists and mappings nest more than {MAX_DEPTH} deep")
+        deepest[id(value)] = depth
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        stack.extend((child, depth + 1, f"{path}.{key}" if depth == 0 else path) for key, child in items)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     id: str
@@ -138,6 +164,7 @@ def _parse_chain_stage(data: object, where: str) -> ChainStage:
 
 
 def parse_chain_spec(data: object, where: str) -> ChainSpec:
+    _check_depth(data, where)
     chain = mapping(data, where, ("id", "stages", "episode_length"))
     spec = ChainSpec(
         id=str(chain["id"]),
@@ -165,6 +192,7 @@ _OUTCOMES = ("BlockedBySC", "MisalignedApproved", "NoEffect")
 
 def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
     """Validate a parsed YAML document into a ScenarioConfig."""
+    _check_depth(data, source)
     doc = mapping(
         data, source, ("id", "mode", "agency", "seed", "world", "requests"),
         ("episodes", "injections", "chains", "expected_outcome"),

@@ -586,7 +586,7 @@ def _act_t11(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str
     tool, field_name, value = inj.args
     state.tool_output = tool
     mutated = getattr(state.tuning, field_name) != value
-    setattr(state.tuning, field_name, value)
+    state.tuning = replace(state.tuning, **{field_name: value})
     return f"tool compromised; config {field_name}={value}" + ("" if mutated else " (already set)"), False
 
 

@@ -267,6 +267,24 @@ class TestRun:
         assert err.startswith(f"config error: {path}.")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("old, new", [
+        ("id: chain-base\n", "id: " + "[" * 3000 + "]" * 3000 + "\n"),
+        _with_injection("{threat: T1, surface: PAMemory, window: [0, 3], payload: {value_kph: "
+                        + "[" * 3000 + "]" * 3000 + "}}"),
+        ("id: chain-base\n", "id: &self [*self]\n"),
+    ], ids=["id", "T1-value_kph", "self-alias"])
+    def test_deep_nesting_is_config_error(self, capsys, tmp_path, old, new):
+        text = shipped_scenarios()["chain-base"].read_text()
+        assert old in text
+        path = tmp_path / "deep.yaml"
+        path.write_text(text.replace(old, new, 1))
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {path}.")
+        assert "nest more than" in err
+        assert len(err.splitlines()) == 1
+
     def test_huge_confirmation_flood_matches_a_small_one(self, capsys, tmp_path):
         text = shipped_scenarios()["chain-base"].read_text()
         reports = []
@@ -412,3 +430,18 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys)
         assert code == 1
         assert "usage:" in err
+
+    @pytest.mark.parametrize("argv, prog, message", [
+        (["run", "--bogus", "x"], "agvsim run", "unrecognized arguments: --bogus"),
+        (["list"], "agvsim list", "the following arguments are required: what"),
+        (["frobnicate"], "agvsim", "argument command: invalid choice: 'frobnicate'"),
+        (["--bogus", "run", "x"], "agvsim", "unrecognized arguments: --bogus"),
+    ])
+    def test_usage_error_is_one_line_with_the_failing_command_usage(self, capsys, argv, prog, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"{prog}: error: {message}")
+        assert err.rstrip().endswith(")") and f"(usage: {prog} [-h] " in err
+        assert "  " not in err

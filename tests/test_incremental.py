@@ -3,20 +3,25 @@
 `step_deltas` compares step records field by field, and `MessageLog.digest`
 hashes each settled log entry once. Both must give exactly what flattening
 or hashing everything gives, and T8's cost per application must not grow
-with the horizon.
+with the horizon. The runner digests the tuning and the admission table
+only when they change, and `MemoryStore` keeps its digest until its next
+append, so neither count grows with the steps.
 """
 
 import dataclasses
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agvsim.runner
 import agvsim.serialize
 from agvsim.chains import builtin_chains, run_chain
 from agvsim.domain import Authority, MessageEnvelope, Role, ThreatId, make_envelope
+from agvsim.pipeline import AgentTuning, MemoryEntry, MemoryKind, MemoryStore
 from agvsim.runner import run_episodes
-from agvsim.scenario import load_scenario, shipped_scenarios
+from agvsim.scenario import load_scenario, parse_scenario, shipped_scenarios
 from agvsim.serialize import digest_of, to_jsonable
 from agvsim.threats import MessageLog
 from agvsim.trace import step_deltas
@@ -161,3 +166,67 @@ def test_t8_serialises_each_log_entry_a_fixed_number_of_times(monkeypatch):
         assert applications == len(attacked.steps)
         per_application.append(counted["envelopes"] / applications)
     assert per_application[0] == per_application[1]
+
+
+def with_episodes(name: str, episodes: int):
+    data = yaml.safe_load(shipped_scenarios()[name].read_text())
+    return parse_scenario({**data, "episodes": episodes}, name)
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Counts `runner.digest_of` calls by argument type, and every `serialize._plain_digest` call."""
+    calls = {"runner": [], "plain": 0}
+    digest_of_, plain_digest = agvsim.runner.digest_of, agvsim.serialize._plain_digest
+
+    def counting_digest_of(obj):
+        calls["runner"].append(type(obj))
+        return digest_of_(obj)
+
+    def counting_plain_digest(plain):
+        calls["plain"] += 1
+        return plain_digest(plain)
+
+    monkeypatch.setattr(agvsim.runner, "digest_of", counting_digest_of)
+    monkeypatch.setattr(agvsim.serialize, "_plain_digest", counting_plain_digest)
+    return calls
+
+
+def test_runner_digests_per_run_do_not_grow_with_steps(digest_calls):
+    per_run = []
+    for episodes in (1, 4):
+        digest_calls["runner"].clear()
+        digest_calls["plain"] = 0
+        trace = run_episodes(with_episodes("chain-base", episodes), with_injections=True)
+        assert len(trace.steps) == 4 * episodes
+        per_run.append((len(digest_calls["runner"]), digest_calls["plain"]))
+    assert per_run[0] == per_run[1]
+
+
+def test_tuning_is_digested_once_plus_once_per_t11_application(digest_calls):
+    # the fixture's window closes after step 2; the tuning T11 left holds for the other 9 steps
+    attacked = run_episodes(with_episodes("threat-t11", 4), with_injections=True)
+    applied = sum(1 for r in attacked.steps if any(e.threat is ThreatId.T11 and not e.warning for e in r.effects))
+    assert (len(attacked.steps), applied) == (12, 3)
+    assert digest_calls["runner"].count(AgentTuning) <= 1 + applied
+    edited = digest_of(dataclasses.replace(AgentTuning(), dsa_hazard_confidence_min=2.0))
+    assert {r.tuning_digest for r in attacked.steps} == {edited}
+
+
+def test_memory_digest_follows_every_append():
+    entries = [
+        MemoryEntry(f"k{i % 3}", MemoryKind.CONSTRAINT, float(i % 2), Role.EXTERNAL,
+                    inserted_step=i, persistent=i % 2 == 0)
+        for i in range(8)
+    ]
+    store = MemoryStore()
+    held: list[MemoryEntry] = []
+    for i, entry in enumerate(entries):
+        assert store.digest() == MemoryStore(tuple(held)).digest()
+        if i % 2:
+            store.append(entry)
+            held.append(entry)
+        elif store.adopt(entry):
+            held.append(entry)
+        assert store.digest() == MemoryStore(tuple(held)).digest()
+    assert store.carry_over().digest() == MemoryStore(tuple(e for e in held if e.persistent)).digest()

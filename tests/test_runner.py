@@ -4,12 +4,15 @@ import copy
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agvsim.domain import Authority, Role
-from agvsim.pipeline import Decision
+from agvsim.pipeline import AgentTuning, Decision
 from agvsim.report import compare, render_json
 from agvsim.scenario import load_shipped, parse_scenario
 from agvsim.runner import run_episodes
+from agvsim.serialize import digest_of
 from agvsim.threats import Surface
 from agvsim.trace import TracePairingError, stealth_check, step_deltas
 
@@ -227,3 +230,70 @@ class TestLogsAndAttribution:
         config = dataclasses.replace(load_shipped("chain-base"), requests=())
         trace = run_episodes(config, with_injections=False)
         assert trace.steps == ()
+
+
+def t11_config(injections: list[tuple[str, float, tuple[int, int]]], episodes: int):
+    """`chain-base` (4 requests) with one T11 injection per (knob, value, window)."""
+    return parse_scenario({
+        "id": "t11-sequence",
+        "mode": "Autonomous",
+        "agency": 4,
+        "seed": 401,
+        "episodes": episodes,
+        "world": {"speed_limit_kph": 90.0, "road_class": "Highway", "vehicle_speed_kph": 72.0},
+        "requests": [{"urgency_tag": "Routine", "destination": "commute"}] * 4,
+        "injections": [
+            {"threat": "T11", "surface": "ToolOutput", "window": list(window),
+             "payload": {"config_field": knob, "config_value": value}}
+            for knob, value, window in injections
+        ],
+    })
+
+
+def expected_tuning_digests(injections: list[tuple[str, float, tuple[int, int]]], steps: int) -> list[str]:
+    """Per global step, the digest of a fresh tuning with every knob applied so far, in list order."""
+    knobs: dict[str, float] = {}
+    out = []
+    for g in range(steps):
+        for knob, value, (start, end) in injections:
+            if start <= g <= end:
+                knobs[knob] = value
+        out.append(digest_of(AgentTuning(**knobs)))
+    return out
+
+
+@st.composite
+def t11_injections(draw, horizon: int) -> list[tuple[str, float, tuple[int, int]]]:
+    """1-4 T11 injections over one or two knobs, so later ones often rewrite earlier ones.
+
+    Values include each knob's range ends, and both zeros for the urgency knobs.
+    """
+    knobs = draw(st.lists(st.sampled_from(AgentTuning().field_names()), min_size=1, max_size=2, unique=True))
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        knob = draw(st.sampled_from(knobs))
+        lo, hi = AgentTuning.knob_range(knob)
+        ends = [lo, hi, 0.0, -0.0] if lo == 0.0 else [lo, hi]
+        value = draw(st.one_of(st.sampled_from(ends), st.floats(lo, hi)))
+        start = draw(st.integers(0, horizon - 1))
+        out.append((knob, value, (start, draw(st.integers(start, horizon - 1)))))
+    return out
+
+
+class TestTuningDigest:
+    def test_negative_zero_knob_gets_its_own_digest(self):
+        # 0.0 == -0.0 and both hash alike, but they serialise differently
+        injections = [
+            ("pa_routine_urgency", 0.0, (0, 1)),
+            ("pa_routine_urgency", -0.0, (2, 3)),
+        ]
+        attacked = run_episodes(t11_config(injections, 1), with_injections=True)
+        got = [r.tuning_digest for r in attacked.steps]
+        assert got == expected_tuning_digests(injections, 4)
+        assert got[1] != got[2]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(t11_injections(horizon=8))
+    def test_tuning_digest_follows_every_t11_injection(self, injections):
+        attacked = run_episodes(t11_config(injections, 2), with_injections=True)
+        assert [r.tuning_digest for r in attacked.steps] == expected_tuning_digests(injections, 8)

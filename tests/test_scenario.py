@@ -14,9 +14,11 @@ from agvsim.domain import Hazard, ThreatId
 from agvsim.pipeline import PipelineError
 from agvsim.runner import run_episodes
 from agvsim.scenario import (
+    MAX_DEPTH,
     ConfigError,
     load_scenario,
     load_shipped,
+    parse_chain_spec,
     parse_scenario,
     shipped_scenarios,
 )
@@ -153,6 +155,20 @@ chains:
         bad.write_text("id: [unclosed\nmode: Autonomous\n")
         with pytest.raises(ConfigError, match="parse error"):
             load_scenario(bad)
+
+    def test_nesting_is_rejected_past_max_depth(self):
+        def nested(levels: int) -> list:
+            value: list = []
+            for _ in range(levels - 1):
+                value = [value]
+            return value
+
+        doc = yaml.safe_load(MINIMAL)
+        assert parse_scenario({**doc, "id": nested(MAX_DEPTH - 1)}).id.startswith("[[")
+        with pytest.raises(ConfigError, match=r"<memory>\.id: lists and mappings nest more than 64 deep"):
+            parse_scenario({**doc, "id": nested(MAX_DEPTH)})
+        with pytest.raises(ConfigError, match=r"<chain>\.stages: lists and mappings nest"):
+            parse_chain_spec({"id": "c", "episode_length": 1, "stages": nested(MAX_DEPTH)}, "<chain>")
 
     def test_missing_file_is_a_config_error(self):
         with pytest.raises(ConfigError, match="cannot read"):
