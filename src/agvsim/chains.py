@@ -203,10 +203,9 @@ class StageDelta:
 
 @dataclass(frozen=True)
 class PropagationTrace:
-    """Attacked-run snapshots plus per-stage attribution and the stealth flag."""
+    """The paired runs of a chain plus per-stage attribution and the stealth flag."""
 
     chain_id: str
-    snapshots: tuple                 # the attacked run's step records
     stage_deltas: tuple[StageDelta, ...]
     stealth: bool
     outcome: OutcomeClass
@@ -273,7 +272,6 @@ def run_chain(
 
     propagation = PropagationTrace(
         chain_id=spec.id,
-        snapshots=attacked.steps,
         stage_deltas=tuple(stage_deltas),
         stealth=stealth_check(attacked, baseline),
         outcome=classify_outcome(attacked, baseline),

@@ -157,8 +157,9 @@ def _parse_chain_stage(data: object, where: str) -> ChainStage:
         injection = replace(_parse_injection(stage["injection"], f"{where}.injection"), window=OPEN_WINDOW)
     trigger = _parse_trigger(stage["trigger"], f"{where}.trigger")
     probe = string(stage["probe"], f"{where}.probe") if "probe" in stage else None
+    label = string(stage.get("label", ""), f"{where}.label")
     try:
-        return ChainStage(kind, trigger, injection, probe, label=str(stage.get("label", "")))
+        return ChainStage(kind, trigger, injection, probe, label=label)
     except ValueError as exc:
         raise ConfigError(where, str(exc)) from exc
 
@@ -167,7 +168,7 @@ def parse_chain_spec(data: object, where: str) -> ChainSpec:
     _check_depth(data, where)
     chain = mapping(data, where, ("id", "stages", "episode_length"))
     spec = ChainSpec(
-        id=str(chain["id"]),
+        id=string(chain["id"], f"{where}.id"),
         stages=sequence(chain["stages"], f"{where}.stages", _parse_chain_stage),
         episode_length=integer(chain["episode_length"], f"{where}.episode_length", 1),
     )
@@ -202,7 +203,7 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
         raise ConfigError(f"{source}.agency", f"must be an integer 0-5, got {agency!r}")
     expected = doc.get("expected_outcome")
     config = ScenarioConfig(
-        id=str(doc["id"]),
+        id=string(doc["id"], f"{source}.id"),
         mode=member(DrivingMode, doc["mode"], f"{source}.mode"),
         agency=AgencyLevel(agency),
         world=_parse_world(doc["world"], f"{source}.world"),

@@ -1,8 +1,10 @@
-"""Canonical JSON-able views and digests for deterministic exports.
+"""Canonical JSON text and digests for deterministic exports.
 
 Every exported byte must be a pure function of (config, seed), so all
-serialization funnels through these helpers: sorted keys, no timestamps,
-no id()-dependent content.
+serialization funnels through one writer, `_text`: sorted keys, no
+timestamps, no id()-dependent content. It writes two layouts: indented for
+the exports (`canonical_json`) and compact for the digests (`digest_of`,
+`ListDigest`).
 """
 
 from __future__ import annotations
@@ -30,37 +32,27 @@ def _fields(cls: type) -> tuple[tuple[str, str], ...]:
     return table
 
 
-def to_jsonable(obj: object) -> object:
-    """Recursively convert dataclasses/enums/tuples into plain JSON types."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, Enum):
-        return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {name: to_jsonable(getattr(obj, name)) for name, _ in _fields(type(obj))}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v) for v in items]
-    return repr(obj)
-
-
 def canonical_json(obj: object) -> str:
-    """`json.dumps(to_jsonable(obj), sort_keys=True, indent=2)`, written without the plain copy.
-
-    The type rules are `to_jsonable`'s, taken in the same order.
-    """
+    """The indented JSON text of `obj`: two spaces per level, keys sorted."""
     return _text(obj, "\n")
 
 
-def _text(obj: object, nl: str) -> str:
-    """JSON text of `obj` whose closing bracket follows `nl` (a newline plus the indent)."""
+def _text(obj: object, nl: str | None) -> str:
+    """JSON text of `obj`, the one place the type rules live.
+
+    Enum -> its value, dataclass -> its fields by name, dict keys through
+    `str()`, sets sorted by `repr`, anything else its `repr` as a string.
+    Indented, the closing bracket follows `nl` (a newline plus the indent);
+    with `nl=None`, compact with the `json` module's default separators:
+    items ", " apart, no newlines.
+    """
     cls = type(obj)
     if cls is str:
         return _escape(obj)
     fields = _FIELDS.get(cls)
     if fields is not None:
+        if nl is None:
+            return "{" + ", ".join([key + _text(getattr(obj, name), None) for name, key in fields]) + "}"
         if not fields:
             return "{}"
         inner = nl + "  "
@@ -77,8 +69,8 @@ def _text(obj: object, nl: str) -> str:
     return _text_other(obj, nl)
 
 
-def _text_other(obj: object, nl: str) -> str:
-    """`_text` for every type without a fast path, in `to_jsonable`'s order."""
+def _text_other(obj: object, nl: str | None) -> str:
+    """`_text` for every type without a fast path."""
     if obj is None:
         return "null"
     if obj is True or obj is False:
@@ -97,6 +89,8 @@ def _text_other(obj: object, nl: str) -> str:
         return _text(obj, nl)
     if isinstance(obj, dict):
         plain = {str(k): v for k, v in obj.items()}
+        if nl is None:
+            return "{" + ", ".join([_escape(k) + ": " + _text(plain[k], None) for k in sorted(plain)]) + "}"
         if not plain:
             return "{}"
         inner = nl + "  "
@@ -110,7 +104,9 @@ def _text_other(obj: object, nl: str) -> str:
     return _escape(repr(obj))
 
 
-def _items(items: list | tuple, nl: str) -> str:
+def _items(items: list | tuple, nl: str | None) -> str:
+    if nl is None:
+        return "[" + ", ".join([_text(v, None) for v in items]) + "]"
     if not items:
         return "[]"
     inner = nl + "  "
@@ -118,17 +114,20 @@ def _items(items: list | tuple, nl: str) -> str:
 
 
 def _plain_digest(plain: object) -> str:
-    """The one digest format: sha256 of sorted-key JSON, first 16 hex digits.
+    """`digest_of` a value that is already JSON types, through the C encoder.
 
-    `plain` must already be JSON types; callers with a fixed projection of
-    their own state pass it here directly instead of through `to_jsonable`.
+    For the hand-made plain projections of a state, which this encodes
+    faster than `_text` walks them.
     """
     return hashlib.sha256(json.dumps(plain, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def digest_of(obj: object) -> str:
-    """Short stable content hash, used for before/after oracle trails."""
-    return _plain_digest(to_jsonable(obj))
+    """Short stable content hash, used for before/after oracle trails.
+
+    The first 16 hex digits of the sha256 of the compact JSON text.
+    """
+    return hashlib.sha256(_text(obj, None).encode()).hexdigest()[:16]
 
 
 class ListDigest:
@@ -155,6 +154,6 @@ class ListDigest:
 
     @staticmethod
     def _item_bytes(i: int, item: object) -> bytes:
-        # json.dumps joins list items with ", "
-        text = json.dumps(to_jsonable(item), sort_keys=True)
+        # the compact layout joins list items with ", "
+        text = _text(item, None)
         return (", " + text if i else text).encode()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 from .domain import MessageEnvelope, UserRequest, ContextSummary, VehicleFeedback
 from .pipeline import IntentDescriptor, SafetyVerdict, StrategyProposal
-from .serialize import canonical_json, digest_of
+from .serialize import canonical_json
 from .threats import InjectionEffectRecord, ToolOutput
 
 
@@ -66,12 +66,6 @@ class EpisodeTrace:
 
     def approved_targets(self) -> tuple[float, ...]:
         return tuple(record.approved.target_speed_kph for record in self.steps)
-
-    def episode_steps(self, episode: int) -> tuple[StepRecord, ...]:
-        return tuple(r for r in self.steps if r.episode == episode)
-
-    def digest(self) -> str:
-        return digest_of(self)
 
     def to_json(self) -> str:
         return canonical_json(self)

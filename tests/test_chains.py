@@ -151,7 +151,7 @@ class TestRunChain:
     def test_snapshot_count_equals_episode_length(self, base_scenario):
         for spec in builtin_chains():
             propagation, _ = run_chain(spec, base_scenario)
-            assert len(propagation.snapshots) == spec.episode_length
+            assert len(propagation.attacked.steps) == spec.episode_length
 
     def test_empty_chain_is_no_effect(self, base_scenario):
         empty = ChainSpec(id="empty", stages=(), episode_length=3)

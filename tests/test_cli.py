@@ -250,11 +250,12 @@ class TestRun:
         ("destination: commute}\n", "destination: commute, desired_speed_kph: 0.05}\n"),
         ("  vehicle_speed_kph: 72.0\n",
          "  vehicle_speed_kph: 72.0\n  hazards: [{kind: debris, distance_m: .inf, confidence: 0.9}]\n"),
+        ("id: chain-base\n", "id: [1, 2]\n"),
     ], ids=[
         "T6-negative-speed", "T6-string-speed", "T14-bad-urgency", "T11-inf", "T11-urgency-5",
         "T3-hazard-confidence-5", "T12-external-abc", "T12-external-hazard-without-distance",
         "T10-bool", "XPerception-nan", "XControlFeedback-nan", "T1-inf", "request-inf", "request-below-floor",
-        "world-hazard-inf",
+        "world-hazard-inf", "id-list",
     ])
     def test_malformed_input_is_config_error(self, capsys, tmp_path, old, new):
         text = shipped_scenarios()["chain-base"].read_text()

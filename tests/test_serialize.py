@@ -1,5 +1,12 @@
-"""`canonical_json` against the reference it replaces: json.dumps of `to_jsonable`."""
+"""The writer's two layouts against the reference they replace: json.dumps of `to_jsonable`.
 
+`canonical_json` must equal `json.dumps(to_jsonable(x), sort_keys=True,
+indent=2)`, and `digest_of` and `ListDigest` the sha256 of the compact
+`json.dumps(to_jsonable(x), sort_keys=True)`.
+"""
+
+import dataclasses
+import hashlib
 import json
 import sys
 from dataclasses import dataclass
@@ -8,7 +15,23 @@ from enum import Enum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agvsim.serialize import canonical_json, to_jsonable
+from agvsim.serialize import ListDigest, canonical_json, digest_of
+
+
+def to_jsonable(obj: object) -> object:
+    """Recursively convert dataclasses/enums/tuples into plain JSON types."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
+        return [to_jsonable(v) for v in items]
+    return repr(obj)
 
 
 class Colour(str, Enum):
@@ -38,6 +61,10 @@ class Node:
 
 def reference(obj: object) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
+
+
+def reference_digest(obj: object) -> str:
+    return hashlib.sha256(json.dumps(to_jsonable(obj), sort_keys=True).encode()).hexdigest()[:16]
 
 
 _floats = st.one_of(
@@ -76,3 +103,19 @@ _values = st.recursive(_hashables, _containers, max_leaves=24)
 @given(_values)
 def test_writer_equals_json_dumps_of_to_jsonable(value):
     assert canonical_json(value) == reference(value)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_values)
+def test_digest_equals_sha256_of_compact_json_dumps(value):
+    assert digest_of(value) == reference_digest(value)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(_values, max_size=6), st.data())
+def test_list_digest_equals_digest_of_the_whole_list(items, data):
+    settled = data.draw(st.integers(0, len(items)), label="settled")
+    digest = ListDigest()
+    for item in items[:settled]:
+        digest.add(item)
+    assert digest.digest(items[settled:]) == digest_of(items) == reference_digest(items)
