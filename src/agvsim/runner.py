@@ -14,14 +14,16 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from .cavstack import control_feedback, fuse, perceive, v2x_broadcast
+from .cavstack import LayerPerturbation, control_feedback, fuse, perceive, v2x_broadcast
 from .chains import ChainSchedule
 from .domain import (
     DEFAULT_ADMISSION,
     Authority,
+    ContextSummary,
+    MessageEnvelope,
     Role,
+    VehicleFeedback,
     admitted,
-    make_envelope,
 )
 from .pipeline import (
     MemoryEntry,
@@ -56,6 +58,12 @@ from .trace import EpisodeTrace, StepRecord
 def _episode_rng(seed: int, episode: int) -> random.Random:
     # integer seeding only: string seeds would pull in hash randomization
     return random.Random(seed * 1_000_003 + episode)
+
+
+def _delivered(sender: Role, authority: Authority, payload: object, step: int, to: Role) -> MessageEnvelope:
+    """An honestly labelled envelope sent at `step` and received by `to` at the next step:
+    `make_envelope(...).with_hop(to, step + 1)`, built as one object."""
+    return MessageEnvelope(sender, sender, authority, payload, ((sender, step), (to, step + 1)), step)
 
 
 def _admission_digest(admission: dict[Authority, frozenset[Role]]) -> str:
@@ -111,7 +119,23 @@ def run_episodes(
 
     world = config.world
     world_digest_before = world.digest()
-    clean_digest = ""  # the unperturbed views' digest, built at most once: the world never changes
+    # the world never changes, so the views depend only on the active layer
+    # perturbations: (fused context, feedback) per active set, keyed by their
+    # ids in list order. The config holds the parsed perturbations for the
+    # whole run, so no id is reused; equal values may still write differently
+    # (0.0 and -0.0), so the key is identity, never value
+    views: dict[tuple[int, ...], tuple[ContextSummary, VehicleFeedback]] = {}
+
+    def layer_views(perturbations: list[LayerPerturbation], g: int) -> tuple[ContextSummary, VehicleFeedback]:
+        key = tuple(map(id, perturbations))
+        built = views.get(key)
+        if built is None:
+            fused = fuse([perceive(world, perturbations, g), v2x_broadcast(world, perturbations, g)])
+            built = views[key] = (fused, control_feedback(world, perturbations, g))
+        return built
+
+    clean_digest = ""  # the digest of the views with no perturbation, built at most once
+    no_tool_output = ToolOutput()  # frozen: one per run
     rules = Rulebook()
     tuning = AgentTuning()
     # each digest is recomputed only when its object changes: T11 replaces
@@ -142,16 +166,12 @@ def run_episodes(
 
             # layer transforms act inside the layer functions, before fusion
             layer_injections = [inj for _, _, inj in active if injection_phase(inj) is Phase.LAYER]
-            perturbations = [p for inj in layer_injections for p in to_layer_perturbations(inj)]
-            perception_view = perceive(world, perturbations, g)
-            v2x_view = v2x_broadcast(world, perturbations, g)
-            feedback = control_feedback(world, perturbations, g)
-            fused = fuse([perception_view, v2x_view])
+            fused, feedback = layer_views(
+                [p for inj in layer_injections for p in to_layer_perturbations(inj) if p.active(g)], g
+            )
             if layer_injections and not clean_digest:
-                clean_digest = digest_of({
-                    "context": fuse([perceive(world, [], g), v2x_broadcast(world, [], g)]),
-                    "feedback": control_feedback(world, [], g),
-                })
+                clean_fused, clean_feedback = layer_views([], g)
+                clean_digest = digest_of({"context": clean_fused, "feedback": clean_feedback})
 
             user.reset_step()
             state = PipelineState(
@@ -160,7 +180,7 @@ def run_episodes(
                 pa_context=fused,
                 dsa_context=fused,
                 feedback=feedback,
-                tool_output=ToolOutput(),
+                tool_output=no_tool_output,
                 user=user,
                 tuning=tuning,
                 log=log,
@@ -191,24 +211,22 @@ def run_episodes(
                 )
 
             state.envelopes.append(
-                make_envelope(Role.USER, Authority.INTENT_ONLY, dict(
+                _delivered(Role.USER, Authority.INTENT_ONLY, dict(
                     urgency_tag=state.request.urgency_tag,
                     destination=state.request.destination,
-                ), g).with_hop(Role.PERSONAL_AGENT, g + 1)
+                ), g, Role.PERSONAL_AGENT)
             )
 
             intent = run_pa_policy(state.pa_policy, state.request, memory, state.pa_context, tuning)
             state.envelopes.append(
-                make_envelope(Role.PERSONAL_AGENT, Authority.INTENT_ONLY, intent, g)
-                .with_hop(Role.DRIVING_STRATEGY_AGENT, g + 1)
+                _delivered(Role.PERSONAL_AGENT, Authority.INTENT_ONLY, intent, g, Role.DRIVING_STRATEGY_AGENT)
             )
 
             _run_phase(active, Phase.PRE_DSA, state, g, effects, clean_digest)
 
             # the stack's own context message, carrying the (possibly poisoned) summary
             state.envelopes.append(
-                make_envelope(Role.CAV_STACK, Authority.CONTEXT_ONLY, state.dsa_context, g)
-                .with_hop(Role.DRIVING_STRATEGY_AGENT, g + 1)
+                _delivered(Role.CAV_STACK, Authority.CONTEXT_ONLY, state.dsa_context, g, Role.DRIVING_STRATEGY_AGENT)
             )
 
             # admission: claimed identity decides; patches from admitted
@@ -232,12 +250,10 @@ def run_episodes(
             )
             for submitted, verdict in zip(submissions, verdicts):
                 state.envelopes.append(
-                    make_envelope(Role.DRIVING_STRATEGY_AGENT, Authority.PROPOSAL_ONLY, submitted, g)
-                    .with_hop(Role.SAFETY_CHECK, g + 1)
+                    _delivered(Role.DRIVING_STRATEGY_AGENT, Authority.PROPOSAL_ONLY, submitted, g, Role.SAFETY_CHECK)
                 )
                 state.envelopes.append(
-                    make_envelope(Role.SAFETY_CHECK, Authority.VERDICT_ONLY, verdict, g)
-                    .with_hop(Role.DRIVING_STRATEGY_AGENT, g + 1)
+                    _delivered(Role.SAFETY_CHECK, Authority.VERDICT_ONLY, verdict, g, Role.DRIVING_STRATEGY_AGENT)
                 )
 
             log_start = len(log)

@@ -33,18 +33,23 @@ def _fields(cls: type) -> tuple[tuple[str, str], ...]:
 
 
 def canonical_json(obj: object) -> str:
-    """The indented JSON text of `obj`: two spaces per level, keys sorted."""
-    return _text(obj, "\n")
+    """The indented JSON text of `obj`: two spaces per level, keys sorted.
+
+    A frozen dataclass that occurs more than once is written once per call;
+    the memo of this call keeps each text with the object it was written for.
+    """
+    return _text(obj, "\n", {})
 
 
-def _text(obj: object, nl: str | None) -> str:
+def _text(obj: object, nl: str | None, memo: dict | None = None) -> str:
     """JSON text of `obj`, the one place the type rules live.
 
     Enum -> its value, dataclass -> its fields by name, dict keys through
     `str()`, sets sorted by `repr`, anything else its `repr` as a string.
-    Indented, the closing bracket follows `nl` (a newline plus the indent);
-    with `nl=None`, compact with the `json` module's default separators:
-    items ", " apart, no newlines.
+    Indented, the closing bracket follows `nl` (a newline plus the indent),
+    and `memo` maps the id of each frozen dataclass written so far to
+    (its `nl`, its text, the object); with `nl=None`, compact with the `json`
+    module's default separators: items ", " apart, no newlines.
     """
     cls = type(obj)
     if cls is str:
@@ -53,23 +58,31 @@ def _text(obj: object, nl: str | None) -> str:
     if fields is not None:
         if nl is None:
             return "{" + ", ".join([key + _text(getattr(obj, name), None) for name, key in fields]) + "}"
+        written = memo.get(id(obj))  # type: ignore[union-attr]
+        if written is not None:
+            # JSON escapes the newlines inside strings, so every newline of
+            # the text starts a line of the layout, after the old indent
+            return written[1] if written[0] == nl else written[1].replace(written[0], nl)
         if not fields:
             return "{}"
         inner = nl + "  "
-        return "{" + inner + ("," + inner).join(
-            [key + _text(getattr(obj, name), inner) for name, key in fields]
+        text = "{" + inner + ("," + inner).join(
+            [key + _text(getattr(obj, name), inner, memo) for name, key in fields]
         ) + nl + "}"
+        if cls.__dataclass_params__.frozen:  # type: ignore[attr-defined]
+            memo[id(obj)] = (nl, text, obj)  # type: ignore[index]
+        return text
     if cls is float:
         text = float.__repr__(obj)
         return _FLOAT_SPECIALS.get(text, text)
     if cls is int:
         return int.__repr__(obj)
     if cls is tuple or cls is list:
-        return _items(obj, nl)
-    return _text_other(obj, nl)
+        return _items(obj, nl, memo)
+    return _text_other(obj, nl, memo)
 
 
-def _text_other(obj: object, nl: str | None) -> str:
+def _text_other(obj: object, nl: str | None, memo: dict | None) -> str:
     """`_text` for every type without a fast path."""
     if obj is None:
         return "null"
@@ -83,10 +96,10 @@ def _text_other(obj: object, nl: str | None) -> str:
     if isinstance(obj, str):
         return _escape(obj)
     if isinstance(obj, Enum):
-        return _text(obj.value, nl)
+        return _text(obj.value, nl, memo)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         _fields(type(obj))  # from now on `_text` finds the class in the table
-        return _text(obj, nl)
+        return _text(obj, nl, memo)
     if isinstance(obj, dict):
         plain = {str(k): v for k, v in obj.items()}
         if nl is None:
@@ -95,22 +108,22 @@ def _text_other(obj: object, nl: str | None) -> str:
             return "{}"
         inner = nl + "  "
         return "{" + inner + ("," + inner).join(
-            [_escape(k) + ": " + _text(plain[k], inner) for k in sorted(plain)]
+            [_escape(k) + ": " + _text(plain[k], inner, memo) for k in sorted(plain)]
         ) + nl + "}"
     if isinstance(obj, (list, tuple)):
-        return _items(obj, nl)
+        return _items(obj, nl, memo)
     if isinstance(obj, (set, frozenset)):
-        return _items(sorted(obj, key=repr), nl)
+        return _items(sorted(obj, key=repr), nl, memo)
     return _escape(repr(obj))
 
 
-def _items(items: list | tuple, nl: str | None) -> str:
+def _items(items: list | tuple, nl: str | None, memo: dict | None) -> str:
     if nl is None:
         return "[" + ", ".join([_text(v, None) for v in items]) + "]"
     if not items:
         return "[]"
     inner = nl + "  "
-    return "[" + inner + ("," + inner).join([_text(v, inner) for v in items]) + nl + "]"
+    return "[" + inner + ("," + inner).join([_text(v, inner, memo) for v in items]) + nl + "]"
 
 
 def _plain_digest(plain: object) -> str:

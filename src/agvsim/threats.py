@@ -762,6 +762,10 @@ def legal_surfaces(threat: ThreatId) -> frozenset[Surface]:
     return THREATS[ThreatId(threat)].surfaces
 
 
+# the before and after digest of an out-of-window application, which edits nothing
+_NO_EDIT_DIGEST = digest_of(None)
+
+
 def apply(
     injection: ThreatInjection, state: PipelineState, step: int, layer_before: str = ""
 ) -> InjectionEffectRecord:
@@ -785,7 +789,7 @@ def apply(
         before, note = layer_before, "layer summary perturbed"
         after = digest_of({"context": state.pa_context, "feedback": state.feedback})
     elif not injection.active(step):
-        before = after = digest_of(None)
+        before = after = _NO_EDIT_DIGEST
         note, warning = "outside active window", True
     else:
         spec = THREATS[injection.threat]

@@ -1,9 +1,12 @@
-"""The README's threat payload table agrees with the threat registry."""
+"""The README's threat payload table agrees with the threat registry, and its YAML examples load."""
 
 import re
 from pathlib import Path
 
+import yaml
+
 from agvsim.domain import ThreatId
+from agvsim.scenario import parse_chain_spec, parse_scenario
 from agvsim.threats import THREATS, Surface, legal_surfaces
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -54,3 +57,19 @@ def test_payload_table_keys_match_registry():
     keys = payload_keys()
     for threat in ThreatId:
         assert keys[threat] == set(THREATS[threat].keys), threat
+
+
+def yaml_example(heading: str) -> object:
+    """The first YAML block after `heading` in the README, parsed."""
+    section = README.read_text().split(heading + "\n", 1)[1]
+    return yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+
+def test_scenario_example_loads_as_written():
+    config = parse_scenario(yaml_example("## Scenario files"), "README scenario")
+    assert (config.id, config.episodes, len(config.injections)) == ("demo", 2, 1)
+
+
+def test_chain_example_loads_as_written():
+    spec = parse_chain_spec(yaml_example("### Chain specs"), "README chain")
+    assert (spec.id, spec.episode_length, len(spec.stages)) == ("custom-chain", 4, 2)

@@ -5,7 +5,9 @@ hashes each settled log entry once. Both must give exactly what flattening
 or hashing everything gives, and T8's cost per application must not grow
 with the horizon. The runner digests the tuning and the admission table
 only when they change, and `MemoryStore` keeps its digest until its next
-append, so neither count grows with the steps.
+append, so neither count grows with the steps. It builds the layer views
+once per set of active layer perturbations, and they must equal the views
+rebuilt at every step.
 """
 
 import dataclasses
@@ -17,13 +19,14 @@ from hypothesis import strategies as st
 
 import agvsim.runner
 import agvsim.serialize
+from agvsim.cavstack import control_feedback, fuse, perceive, v2x_broadcast
 from agvsim.chains import builtin_chains, run_chain
 from agvsim.domain import Authority, MessageEnvelope, Role, ThreatId, make_envelope
 from agvsim.pipeline import AgentTuning, MemoryEntry, MemoryKind, MemoryStore
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_scenario, parse_scenario, shipped_scenarios
-from agvsim.serialize import digest_of
-from agvsim.threats import MessageLog
+from agvsim.serialize import canonical_json, digest_of
+from agvsim.threats import MessageLog, Surface, to_layer_perturbations
 from agvsim.trace import step_deltas
 from test_golden import open_campaign
 from test_serialize import to_jsonable
@@ -154,10 +157,10 @@ def test_t8_serialises_each_log_entry_a_fixed_number_of_times(monkeypatch):
     counted = {"envelopes": 0}
     original = agvsim.serialize._text
 
-    def counting(obj, nl):
+    def counting(obj, nl, *memo):
         if isinstance(obj, MessageEnvelope):
             counted["envelopes"] += 1
-        return original(obj, nl)
+        return original(obj, nl, *memo)
 
     monkeypatch.setattr(agvsim.serialize, "_text", counting)
     per_application = []
@@ -233,3 +236,93 @@ def test_memory_digest_follows_every_append():
             held.append(entry)
         assert store.digest() == MemoryStore(tuple(held)).digest()
     assert store.carry_over().digest() == MemoryStore(tuple(e for e in held if e.persistent)).digest()
+
+
+def active_layer_sets(config, horizon: int) -> list[tuple]:
+    """Per global step, the layer perturbations active in a run of `config`'s own injections."""
+    return [
+        tuple(
+            p for inj in config.injections if inj.surface is Surface.LAYER and inj.active(g)
+            for p in to_layer_perturbations(inj) if p.active(g)
+        )
+        for g in range(horizon)
+    ]
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+_small = st.one_of(_signed_zero, st.sampled_from([0.5, 1.0, 2.0, -3.0, 40.0]))
+_hazard_records = st.fixed_dictionaries({
+    "kind": st.sampled_from(["debris", "pedestrian"]),
+    "distance_m": st.one_of(_signed_zero, st.sampled_from([5.0, 80.0])),
+    "confidence": st.one_of(_signed_zero, st.sampled_from([0.6, 1.0])),
+})
+_context_transforms = st.one_of(
+    st.fixed_dictionaries({
+        "field": st.sampled_from(["speed_limit_kph", "traffic_density", "completeness"]),
+        "op": st.sampled_from(["Set", "Add", "Scale"]),
+        "value": _small,
+    }),
+    st.fixed_dictionaries({"field": st.just("hazards"), "op": st.just("InjectRecord"), "value": _hazard_records}),
+    st.fixed_dictionaries({"field": st.just("hazards"), "op": st.just("DropRecord"), "value": st.just("debris")}),
+    st.fixed_dictionaries({
+        "field": st.just("closures"), "op": st.sampled_from(["InjectRecord", "DropRecord"]),
+        "value": st.sampled_from(["seg-1", "seg-2"]),
+    }),
+)
+_feedback_transforms = st.fixed_dictionaries({
+    "field": st.sampled_from(["speed_kph", "accel_mps2", "steering_deg", "braking"]),
+    "op": st.sampled_from(["Set", "Add", "Scale"]),
+    "value": _small,
+})
+
+
+@st.composite
+def layer_injections(draw) -> dict:
+    start = draw(st.integers(0, 7))
+    window = [start, start + draw(st.integers(0, 5))]
+    kind = draw(st.sampled_from(["XPerception", "XV2X", "XCompute", "XControlFeedback", "T4"]))
+    if kind == "T4":
+        return {"threat": "T4", "surface": "Layer", "window": window,
+                "layer": draw(st.sampled_from(["Perception", "V2X", "Compute"])),
+                "payload": {"completeness_factor": draw(st.sampled_from([0.25, 0.5, 0.75]))}}
+    transforms = _feedback_transforms if kind == "XControlFeedback" else _context_transforms
+    return {"threat": kind, "surface": "Layer", "window": window,
+            "payload": {"transforms": draw(st.lists(transforms, min_size=1, max_size=3))}}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(layer_injections(), min_size=1, max_size=3))
+def test_shared_layer_views_equal_a_rebuild_at_every_step(injections):
+    data = yaml.safe_load(shipped_scenarios()["chain-base"].read_text())
+    config = parse_scenario({**data, "episodes": 3, "injections": injections}, "layers")
+    trace = run_episodes(config, with_injections=True)
+    active = active_layer_sets(config, len(trace.steps))
+    for record in trace.steps:
+        g = record.global_step
+        perturbations = list(active[g])
+        fused = fuse([perceive(config.world, perturbations, g), v2x_broadcast(config.world, perturbations, g)])
+        assert canonical_json(record.pa_context) == canonical_json(fused)
+        assert canonical_json(record.feedback) == canonical_json(control_feedback(config.world, perturbations, g))
+
+
+@pytest.mark.parametrize("name", ["threat-xv2x", "case2-highway"])
+def test_layer_views_are_built_once_per_active_set(monkeypatch, name):
+    calls = {"perceive": 0}
+    original = agvsim.runner.perceive
+
+    def counting(world, perturbations, step):
+        calls["perceive"] += 1
+        return original(world, perturbations, step)
+
+    monkeypatch.setattr(agvsim.runner, "perceive", counting)
+    per_run = []
+    for episodes in (8, 32):
+        config = with_episodes(name, episodes)
+        calls["perceive"] = 0
+        trace = run_episodes(config, with_injections=True)
+        # the empty set is among them: the layer records' before-digests read its views
+        distinct = {tuple(map(id, s)) for s in active_layer_sets(config, len(trace.steps))} | {()}
+        assert len(distinct) > 1
+        assert calls["perceive"] == len(distinct)
+        per_run.append(calls["perceive"])
+    assert per_run[0] == per_run[1]

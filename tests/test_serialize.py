@@ -2,7 +2,8 @@
 
 `canonical_json` must equal `json.dumps(to_jsonable(x), sort_keys=True,
 indent=2)`, and `digest_of` and `ListDigest` the sha256 of the compact
-`json.dumps(to_jsonable(x), sort_keys=True)`.
+`json.dumps(to_jsonable(x), sort_keys=True)`. `canonical_json` writes a
+frozen dataclass that occurs more than once only once per call.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ from enum import Enum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agvsim.serialize
 from agvsim.serialize import ListDigest, canonical_json, digest_of
 
 
@@ -119,3 +121,52 @@ def test_list_digest_equals_digest_of_the_whole_list(items, data):
     for item in items[:settled]:
         digest.add(item)
     assert digest.digest(items[settled:]) == digest_of(items) == reference_digest(items)
+
+
+@dataclass
+class Box:
+    # mutable: written afresh wherever it occurs
+    item: object
+
+
+def test_a_shared_frozen_object_is_written_once_per_call(monkeypatch):
+    marker = ["only inside the shared node"]
+    shared = Node(children=(Leaf(1.5, "a\nb", Colour.WHITE),), leaf=Leaf(-0.0, "", Colour.RED), extra=marker)
+    value = {"top": shared, "mid": [shared, Box(shared)], "deep": Node(children=((shared,),), leaf=shared.leaf)}
+    writes = []
+    original = agvsim.serialize._text
+
+    def counting(obj, nl, *memo):
+        if obj is marker:  # a list is never memoised: one write of it is one write of `shared`
+            writes[-1] += 1
+        return original(obj, nl, *memo)
+
+    monkeypatch.setattr(agvsim.serialize, "_text", counting)
+    for _ in range(2):
+        writes.append(0)
+        assert canonical_json(value) == reference(value)
+    assert writes == [1, 1]  # a memo that outlived its call would make the second count 0
+
+
+@st.composite
+def values_sharing_objects(draw):
+    """A value in which earlier-drawn frozen objects recur at varying depths."""
+    pool: list = []
+    for _ in range(draw(st.integers(1, 4))):
+        children = st.lists(st.one_of(_hashables, st.sampled_from(pool)) if pool else _hashables, max_size=3)
+        pool.append(draw(st.one_of(
+            _leaves, st.just(Empty()),
+            st.builds(Node, children=children.map(tuple), leaf=_leaves, extra=st.one_of(st.none(), children)),
+        )))
+    shared = st.sampled_from(pool)
+    return draw(st.recursive(
+        st.one_of(shared, _hashables),
+        lambda children: st.one_of(_containers(children), st.builds(Box, children)),
+        max_leaves=16,
+    ))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(values_sharing_objects())
+def test_shared_objects_write_as_json_dumps_of_to_jsonable(value):
+    assert canonical_json(value) == reference(value)
