@@ -21,8 +21,8 @@ from .trace import EpisodeTrace, check_paired, stealth_check, step_deltas
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
 
-# Chain-stage injections stay active from their trigger step onward; the
-# scheduler gates activation, not the injection's own window.
+# Chain-stage injections stay active from their trigger step onward: the
+# trigger alone gates activation, so every stage injection has this window.
 OPEN_WINDOW = (0, 2**31 - 1)
 
 
@@ -54,10 +54,10 @@ class ChainStage:
     label: str = ""                           # e.g. the threat tag this stage realizes
 
     def __post_init__(self) -> None:
-        if self.kind is StageKind.INJECT and self.injection is None:
-            raise ValueError("inject stages need an injection")
-        if self.kind is StageKind.OBSERVE and self.probe is None:
-            raise ValueError("observe stages need a probe")
+        if self.kind is StageKind.INJECT and (self.injection is None or self.probe is not None):
+            raise ValueError("inject stages need an injection and take no probe")
+        if self.kind is StageKind.OBSERVE and (self.probe is None or self.injection is not None):
+            raise ValueError("observe stages need a probe and take no injection")
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,11 @@ def validate_chain(spec: ChainSpec) -> None:
         if stage.kind is StageKind.INJECT:
             assert stage.injection is not None
             validate_injection(stage.injection)
+            if stage.injection.window != OPEN_WINDOW:
+                raise ValueError(
+                    f"{where}: the trigger decides when a stage acts; its injection's window "
+                    f"must be OPEN_WINDOW, got {stage.injection.window}"
+                )
         else:
             if stage.probe not in PROBES:
                 raise ValueError(f"{where}: unknown probe {stage.probe!r}")

@@ -170,10 +170,6 @@ class ThreatId(str, Enum):
         return self.value.startswith("X")
 
 
-AGENTIC_THREATS: tuple[ThreatId, ...] = tuple(t for t in ThreatId if not t.is_cross_layer)
-CROSS_LAYER_THREATS: tuple[ThreatId, ...] = tuple(t for t in ThreatId if t.is_cross_layer)
-
-
 class Authority(str, Enum):
     """What kind of content an envelope is allowed to carry."""
 

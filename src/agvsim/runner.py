@@ -71,23 +71,25 @@ def _admission_digest(admission: dict[Authority, frozenset[Role]]) -> str:
 
 
 def _run_phase(
-    active: list[tuple[ChainSchedule | None, int, ThreatInjection]],
+    active: list[tuple[int | None, ThreatInjection]],
     phase: Phase,
     state: PipelineState,
     g: int,
     effects: list[InjectionEffectRecord],
     layer_before: str,
+    chain: ChainSchedule | None,
 ) -> None:
     """Apply each active injection of `phase` in list order, keeping its record.
 
-    A chain stage is marked fired at its first record without a warning.
+    An entry carries its chain stage index, or None for a scenario injection;
+    a stage is marked fired at its first record without a warning.
     """
-    for schedule, index, inj in active:
+    for index, inj in active:
         if injection_phase(inj) is phase:
             record = apply(inj, state, g, layer_before)
             effects.append(record)
-            if schedule is not None and not record.warning:
-                schedule.mark_fired(index, g)
+            if index is not None and not record.warning:
+                chain.mark_fired(index, g)  # type: ignore[union-attr]
 
 
 def run_episodes(
@@ -101,9 +103,9 @@ def run_episodes(
     The baseline run (`with_injections=False`) skips every injection and
     chain stage but consumes identical seeds and steps, so the pair differs
     only where attacks acted. `chain` sets the episode length to the
-    chain's; an attacked run also schedules it as one extra chain and marks
-    in it the step at which each inject stage first takes effect, while a
-    baseline takes only the episode length.
+    chain's; an attacked run also acts its stages from their triggers on and
+    marks in it the step at which each inject stage first takes effect,
+    while a baseline takes only the episode length.
     """
     seed_value = config.seed if seed is None else seed
     steps_per_episode = chain.spec.episode_length if chain is not None else config.steps_per_episode
@@ -111,11 +113,7 @@ def run_episodes(
         raise ConfigError(config.id, f"no requests to drive {steps_per_episode} steps per episode")
 
     static_injections = list(config.injections) if with_injections else []
-    schedules = []
-    if with_injections:
-        schedules = [ChainSchedule(spec) for spec in config.chains]
-        if chain is not None:
-            schedules.append(chain)
+    stages = chain if with_injections else None
 
     world = config.world
     world_digest_before = world.digest()
@@ -158,14 +156,14 @@ def run_episodes(
 
             # one list of what is active this step, static injections (by
             # window) before chain stages (by trigger resolution)
-            active: list[tuple[ChainSchedule | None, int, ThreatInjection]] = [
-                (None, -1, inj) for inj in static_injections if inj.active(g)
+            active: list[tuple[int | None, ThreatInjection]] = [
+                (None, inj) for inj in static_injections if inj.active(g)
             ]
-            for schedule in schedules:
-                active.extend((schedule, index, inj) for index, inj in schedule.active_injections(g))
+            if stages is not None:
+                active.extend(stages.active_injections(g))
 
             # layer transforms act inside the layer functions, before fusion
-            layer_injections = [inj for _, _, inj in active if injection_phase(inj) is Phase.LAYER]
+            layer_injections = [inj for _, inj in active if injection_phase(inj) is Phase.LAYER]
             fused, feedback = layer_views(
                 [p for inj in layer_injections for p in to_layer_perturbations(inj) if p.active(g)], g
             )
@@ -185,8 +183,8 @@ def run_episodes(
                 tuning=tuning,
                 log=log,
             )
-            _run_phase(active, Phase.LAYER, state, g, effects, clean_digest)
-            _run_phase(active, Phase.PRE_PA, state, g, effects, clean_digest)
+            _run_phase(active, Phase.LAYER, state, g, effects, clean_digest, stages)
+            _run_phase(active, Phase.PRE_PA, state, g, effects, clean_digest, stages)
             tuning = state.tuning  # T11 acts pre-PA; its knobs hold from here on
             if tuning is not tuning_digested:
                 tuning_digested, tuning_digest = tuning, digest_of(tuning)
@@ -222,7 +220,7 @@ def run_episodes(
                 _delivered(Role.PERSONAL_AGENT, Authority.INTENT_ONLY, intent, g, Role.DRIVING_STRATEGY_AGENT)
             )
 
-            _run_phase(active, Phase.PRE_DSA, state, g, effects, clean_digest)
+            _run_phase(active, Phase.PRE_DSA, state, g, effects, clean_digest, stages)
 
             # the stack's own context message, carrying the (possibly poisoned) summary
             state.envelopes.append(
@@ -259,7 +257,7 @@ def run_episodes(
             log_start = len(log)
             log.extend(state.envelopes)
 
-            _run_phase(active, Phase.POST_STEP, state, g, effects, clean_digest)
+            _run_phase(active, Phase.POST_STEP, state, g, effects, clean_digest, stages)
 
             step_envelopes = log.since(log_start)
             records.append(

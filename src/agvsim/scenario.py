@@ -15,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from .cavstack import Layer, WorldTruth
-from .chains import OPEN_WINDOW, ChainSpec, ChainStage, StageKind, Trigger, builtin_chain, validate_chain
+from .chains import OPEN_WINDOW, ChainSpec, ChainStage, StageKind, Trigger, validate_chain
 from .domain import (
     AgencyLevel,
     ConfigError,
@@ -80,7 +80,6 @@ class ScenarioConfig:
     seed: int
     episodes: int = 1
     injections: tuple[ThreatInjection, ...] = ()
-    chains: tuple[ChainSpec, ...] = ()
     expected_outcome: str | None = None  # fixture metadata, not engine input
 
     @property
@@ -153,8 +152,10 @@ def _parse_chain_stage(data: object, where: str) -> ChainStage:
     kind = member(StageKind, stage["kind"], f"{where}.kind")
     injection = None
     if "injection" in stage:
-        # chain-stage activation is gated by the trigger, not the window
-        injection = replace(_parse_injection(stage["injection"], f"{where}.injection"), window=OPEN_WINDOW)
+        data = stage["injection"]
+        if isinstance(data, dict) and "window" in data:
+            raise ConfigError(f"{where}.injection.window", "a chain stage acts from its trigger on and takes no window")
+        injection = replace(_parse_injection(data, f"{where}.injection"), window=OPEN_WINDOW)
     trigger = _parse_trigger(stage["trigger"], f"{where}.trigger")
     probe = string(stage["probe"], f"{where}.probe") if "probe" in stage else None
     label = string(stage.get("label", ""), f"{where}.label")
@@ -179,15 +180,6 @@ def parse_chain_spec(data: object, where: str) -> ChainSpec:
     return spec
 
 
-def _parse_chain_ref(data: object, where: str) -> ChainSpec:
-    if isinstance(data, str):
-        try:
-            return builtin_chain(data)
-        except KeyError as exc:
-            raise ConfigError(where, exc.args[0]) from exc
-    return parse_chain_spec(data, where)
-
-
 _OUTCOMES = ("BlockedBySC", "MisalignedApproved", "NoEffect")
 
 
@@ -196,7 +188,7 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
     _check_depth(data, source)
     doc = mapping(
         data, source, ("id", "mode", "agency", "seed", "world", "requests"),
-        ("episodes", "injections", "chains", "expected_outcome"),
+        ("episodes", "injections", "expected_outcome"),
     )
     agency = integer(doc["agency"], f"{source}.agency", 0)
     if agency > 5:
@@ -211,7 +203,6 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
         seed=integer(doc["seed"], f"{source}.seed"),
         episodes=integer(doc.get("episodes", 1), f"{source}.episodes", 1),
         injections=sequence(doc.get("injections", []), f"{source}.injections", _parse_injection),
-        chains=sequence(doc.get("chains", []), f"{source}.chains", _parse_chain_ref),
         expected_outcome=None if expected is None else string(expected, f"{source}.expected_outcome", _OUTCOMES),
     )
     logger.debug("loaded scenario %s from %s", config.id, source)

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from agvsim.chains import (
+    OPEN_WINDOW,
     ChainSpec,
     ChainStage,
     OutcomeClass,
@@ -18,7 +19,7 @@ from agvsim.chains import (
 )
 from agvsim.cavstack import Layer
 from agvsim.domain import ThreatId
-from agvsim.scenario import load_shipped
+from agvsim.scenario import load_shipped, shipped_scenarios
 from agvsim.runner import run_episodes
 from agvsim.threats import Surface, ThreatInjection
 from test_incremental import comparable_view
@@ -100,6 +101,28 @@ class TestChainValidation:
         with pytest.raises(ValueError, match="unknown probe"):
             validate_chain(ChainSpec(id="bad", stages=(stage,), episode_length=3))
 
+    def test_a_key_the_stage_would_drop_is_rejected(self):
+        injection = ThreatInjection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}, window=OPEN_WINDOW)
+        with pytest.raises(ValueError, match="observe stages need a probe and take no injection"):
+            ChainStage(StageKind.OBSERVE, Trigger(at_step=0), injection, "route-pref-changed")
+        with pytest.raises(ValueError, match="inject stages need an injection and take no probe"):
+            ChainStage(StageKind.INJECT, Trigger(at_step=0), injection, "route-pref-changed")
+
+    def test_a_stage_injection_takes_no_window(self, base_scenario):
+        # the default window (0, 0) would stop the stage after step 0 whatever its trigger
+        stage = ChainStage(
+            kind=StageKind.INJECT,
+            trigger=Trigger(at_step=1),
+            injection=ThreatInjection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}),
+        )
+        spec = ChainSpec(id="windowed", stages=(stage,), episode_length=4)
+        with pytest.raises(ValueError, match=r"stage 0: .* window must be OPEN_WINDOW, got \(0, 0\)"):
+            run_chain(spec, base_scenario)
+        opened = dataclasses.replace(stage, injection=dataclasses.replace(stage.injection, window=OPEN_WINDOW))
+        propagation, _ = run_chain(dataclasses.replace(spec, stages=(opened,)), base_scenario)
+        assert propagation.outcome is OutcomeClass.MISALIGNED_APPROVED
+        assert propagation.stage_deltas[0].fired_step == 1
+
 
 class TestRunChain:
     def test_chain_1_paired_oracle(self, base_scenario):
@@ -148,10 +171,12 @@ class TestRunChain:
         propagation, _ = run_chain(spec, scenario)
         assert propagation.stage_deltas[0].fired_step == 1
 
-    def test_snapshot_count_equals_episode_length(self, base_scenario):
+    @pytest.mark.parametrize("name", sorted(shipped_scenarios()))
+    def test_snapshot_count_equals_episode_length(self, name):
+        scenario = load_shipped(name)
         for spec in builtin_chains():
-            propagation, _ = run_chain(spec, base_scenario)
-            assert len(propagation.attacked.steps) == spec.episode_length
+            propagation, baseline = run_chain(spec, scenario)
+            assert len(propagation.attacked.steps) == len(baseline.steps) == spec.episode_length, spec.id
 
     def test_empty_chain_is_no_effect(self, base_scenario):
         empty = ChainSpec(id="empty", stages=(), episode_length=3)

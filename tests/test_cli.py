@@ -216,6 +216,15 @@ class TestRun:
         assert err.startswith(f"config error: {path}.world.vehicle_speed_kph: ")
         assert len(err.splitlines()) == 1
 
+    def test_scenario_chains_key_is_config_error(self, capsys, tmp_path):
+        # a chain runs only through `agvsim chain`
+        path = tmp_path / "chained.yaml"
+        path.write_text(shipped_scenarios()["chain-base"].read_text() + "chains: [chain-1]\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"config error: {path}.chains: unknown keys: ['chains']\n"
+
     @pytest.mark.parametrize("old, new", [
         _with_injection("{threat: T6, surface: PAInput, payload: {desired_speed_kph: -5}}"),
         _with_injection("{threat: T6, surface: PAInput, payload: {desired_speed_kph: fast}}"),

@@ -1,12 +1,13 @@
 """The README's threat payload table agrees with the threat registry, and its YAML examples load."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import yaml
 
 from agvsim.domain import ThreatId
-from agvsim.scenario import parse_chain_spec, parse_scenario
+from agvsim.scenario import ScenarioConfig, parse_chain_spec, parse_scenario
 from agvsim.threats import THREATS, Surface, legal_surfaces
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -68,6 +69,11 @@ def yaml_example(heading: str) -> object:
 def test_scenario_example_loads_as_written():
     config = parse_scenario(yaml_example("## Scenario files"), "README scenario")
     assert (config.id, config.episodes, len(config.injections)) == ("demo", 2, 1)
+
+
+def test_scenario_example_names_every_scenario_field():
+    example = yaml_example("## Scenario files")
+    assert sorted(example) == sorted(f.name for f in dataclasses.fields(ScenarioConfig))
 
 
 def test_chain_example_loads_as_written():

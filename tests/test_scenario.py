@@ -137,14 +137,9 @@ injections:
             parse_text(MINIMAL + "episodes: true\n")
 
     def test_bool_chain_episode_length_rejected(self):
-        text = MINIMAL + """
-chains:
-  - id: inline
-    episode_length: true
-    stages: []
-"""
-        with pytest.raises(ConfigError, match=r"chains\[0\]\.episode_length: must be an integer >= 1"):
-            parse_text(text)
+        chain = {"id": "inline", "episode_length": True, "stages": []}
+        with pytest.raises(ConfigError, match=r"<chain>\.episode_length: must be an integer >= 1, got True"):
+            parse_chain_spec(chain, "<chain>")
 
     def test_unknown_expected_outcome_rejected(self):
         with pytest.raises(ConfigError, match="expected_outcome"):
@@ -193,26 +188,50 @@ chains:
 
 
 class TestChainRefs:
-    def test_builtin_reference_by_id(self):
-        config = parse_text(MINIMAL + "\nchains: [chain-1]\n")
-        assert config.chains[0].id.startswith("chain-1")
+    @pytest.mark.parametrize("chains", [
+        "[chain-1]",
+        """
+  - id: inline-demo
+    episode_length: 2
+    stages:
+      - kind: inject
+        trigger: {at_step: 0}
+        injection: {threat: T1, surface: PAMemory, payload: {value_kph: 45.0}}
+""",
+    ], ids=["builtin", "inline"])
+    def test_chains_key_is_unknown(self, chains):
+        # a chain runs only through run_chain, over its own episode_length
+        with pytest.raises(ConfigError, match=r"^<test>\.chains: unknown keys: \['chains'\]$"):
+            parse_text(MINIMAL + f"chains: {chains}")
 
-    def test_inline_chain_spec(self):
-        text = MINIMAL + textwrap.dedent("""
-        chains:
-          - id: inline-demo
-            episode_length: 2
-            stages:
-              - kind: inject
-                trigger: {at_step: 0}
-                injection: {threat: T1, surface: PAMemory, payload: {value_kph: 45.0}}
-        """)
-        config = parse_text(text)
-        assert config.chains[0].id == "inline-demo"
 
-    def test_unknown_chain_ref_rejected(self):
-        with pytest.raises(ConfigError, match="unknown chain"):
-            parse_text(MINIMAL + "\nchains: [chain-77]\n")
+class TestChainStages:
+    STAGES = {
+        "observe-with-injection": (
+            {"kind": "observe", "trigger": {"after_stage": 0}, "probe": "route-pref-changed",
+             "injection": {"threat": "T1", "surface": "PAMemory", "payload": {"value_kph": 45.0}}},
+            r"<chain>\.stages\[1\]: observe stages need a probe and take no injection",
+        ),
+        "inject-with-probe": (
+            {"kind": "inject", "trigger": {"after_stage": 0}, "probe": "route-pref-changed",
+             "injection": {"threat": "T1", "surface": "PAMemory", "payload": {"value_kph": 45.0}}},
+            r"<chain>\.stages\[1\]: inject stages need an injection and take no probe",
+        ),
+        "inject-with-window": (
+            {"kind": "inject", "trigger": {"after_stage": 0}, "injection": {
+                "threat": "T1", "surface": "PAMemory", "window": [0, 3], "payload": {"value_kph": 45.0}}},
+            r"<chain>\.stages\[1\]\.injection\.window: a chain stage acts from its trigger on and takes no window",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", STAGES)
+    def test_a_key_the_stage_would_drop_is_rejected(self, name):
+        stage, message = self.STAGES[name]
+        first = {"kind": "inject", "trigger": {"at_step": 0},
+                 "injection": {"threat": "T9", "surface": "IdentityField",
+                               "payload": {"claimed": "CavStack", "target": "context"}}}
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_chain_spec({"id": "c", "episode_length": 2, "stages": [first, stage]}, "<chain>")
 
 
 # YAML features beyond what the shipped files use: anchors, aliases, a merge
