@@ -188,21 +188,30 @@ injections:
 
 
 class TestChainRefs:
-    @pytest.mark.parametrize("chains", [
-        "[chain-1]",
-        """
+    """A chain runs only through run_chain, over its own episode_length: a
+    scenario that still names one, builtin or inline, fails as the unknown key."""
+
+    @staticmethod
+    def assert_chains_key_unknown(chains: str) -> None:
+        with pytest.raises(ConfigError, match=r"^<test>\.chains: unknown keys: \['chains'\]$"):
+            parse_text(MINIMAL + f"chains: {chains}")
+
+    def test_builtin_reference_by_id(self):
+        self.assert_chains_key_unknown("[chain-1]")
+
+    def test_inline_chain_spec(self):
+        self.assert_chains_key_unknown("""
   - id: inline-demo
     episode_length: 2
     stages:
       - kind: inject
         trigger: {at_step: 0}
         injection: {threat: T1, surface: PAMemory, payload: {value_kph: 45.0}}
-""",
-    ], ids=["builtin", "inline"])
-    def test_chains_key_is_unknown(self, chains):
-        # a chain runs only through run_chain, over its own episode_length
-        with pytest.raises(ConfigError, match=r"^<test>\.chains: unknown keys: \['chains'\]$"):
-            parse_text(MINIMAL + f"chains: {chains}")
+""")
+
+    def test_unknown_chain_ref_rejected(self):
+        # no chain reference is resolved from a scenario, so the key fails before the id
+        self.assert_chains_key_unknown("[chain-77]")
 
 
 class TestChainStages:
