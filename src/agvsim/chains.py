@@ -72,9 +72,14 @@ class ChainSpec:
 
 
 def validate_chain(spec: ChainSpec) -> None:
-    """Stage legality plus DAG ordering of triggers."""
+    """Stage legality, triggers inside the episode, plus DAG ordering of triggers."""
     for i, stage in enumerate(spec.stages):
         where = f"chain {spec.id!r} stage {i}"
+        if stage.trigger.at_step is not None and stage.trigger.at_step >= spec.episode_length:
+            raise ValueError(
+                f"{where}: at_step {stage.trigger.at_step} is past the last step, "
+                f"{spec.episode_length - 1}; the stage could never act"
+            )
         if stage.trigger.after_stage is not None:
             k = stage.trigger.after_stage
             if not 0 <= k < i:

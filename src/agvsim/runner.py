@@ -38,6 +38,7 @@ from .scenario import ConfigError, ScenarioConfig
 from .serialize import _plain_digest, digest_of
 from .threats import (
     InjectionEffectRecord,
+    LazyDigest,
     MessageLog,
     Phase,
     PipelineState,
@@ -70,13 +71,20 @@ def _admission_digest(admission: dict[Authority, frozenset[Role]]) -> str:
     return digest_of({a.value: sorted(r.value for r in roles) for a, roles in admission.items()})
 
 
+_DEFAULT_ADMISSION_DIGEST = _admission_digest(DEFAULT_ADMISSION)
+# every run starts from this one frozen tuning, so the runner's memo by
+# identity finds its digest until T11 replaces it
+_DEFAULT_TUNING = AgentTuning()
+_DEFAULT_TUNING_DIGEST = digest_of(_DEFAULT_TUNING)
+
+
 def _run_phase(
     active: list[tuple[int | None, ThreatInjection]],
     phase: Phase,
     state: PipelineState,
     g: int,
     effects: list[InjectionEffectRecord],
-    layer_before: str,
+    layer_before: LazyDigest | None,
     chain: ChainSchedule | None,
 ) -> None:
     """Apply each active injection of `phase` in list order, keeping its record.
@@ -132,14 +140,13 @@ def run_episodes(
             built = views[key] = (fused, control_feedback(world, perturbations, g))
         return built
 
-    clean_digest = ""  # the digest of the views with no perturbation, built at most once
+    clean: LazyDigest | None = None  # the views with no perturbation, built at most once
     no_tool_output = ToolOutput()  # frozen: one per run
     rules = Rulebook()
-    tuning = AgentTuning()
+    tuning = _DEFAULT_TUNING
     # each digest is recomputed only when its object changes: T11 replaces
     # the frozen tuning, and only T3 edits the admission table
-    tuning_digested, tuning_digest = tuning, digest_of(tuning)
-    default_admission_digest = _admission_digest(DEFAULT_ADMISSION)
+    tuning_digested, tuning_digest = tuning, _DEFAULT_TUNING_DIGEST
     memory = MemoryStore()
     log = MessageLog()
     records: list[StepRecord] = []
@@ -167,9 +174,9 @@ def run_episodes(
             fused, feedback = layer_views(
                 [p for inj in layer_injections for p in to_layer_perturbations(inj) if p.active(g)], g
             )
-            if layer_injections and not clean_digest:
+            if layer_injections and clean is None:
                 clean_fused, clean_feedback = layer_views([], g)
-                clean_digest = digest_of({"context": clean_fused, "feedback": clean_feedback})
+                clean = LazyDigest({"context": clean_fused, "feedback": clean_feedback})
 
             user.reset_step()
             state = PipelineState(
@@ -183,8 +190,8 @@ def run_episodes(
                 tuning=tuning,
                 log=log,
             )
-            _run_phase(active, Phase.LAYER, state, g, effects, clean_digest, stages)
-            _run_phase(active, Phase.PRE_PA, state, g, effects, clean_digest, stages)
+            _run_phase(active, Phase.LAYER, state, g, effects, clean, stages)
+            _run_phase(active, Phase.PRE_PA, state, g, effects, clean, stages)
             tuning = state.tuning  # T11 acts pre-PA; its knobs hold from here on
             if tuning is not tuning_digested:
                 tuning_digested, tuning_digest = tuning, digest_of(tuning)
@@ -220,7 +227,7 @@ def run_episodes(
                 _delivered(Role.PERSONAL_AGENT, Authority.INTENT_ONLY, intent, g, Role.DRIVING_STRATEGY_AGENT)
             )
 
-            _run_phase(active, Phase.PRE_DSA, state, g, effects, clean_digest, stages)
+            _run_phase(active, Phase.PRE_DSA, state, g, effects, clean, stages)
 
             # the stack's own context message, carrying the (possibly poisoned) summary
             state.envelopes.append(
@@ -257,7 +264,7 @@ def run_episodes(
             log_start = len(log)
             log.extend(state.envelopes)
 
-            _run_phase(active, Phase.POST_STEP, state, g, effects, clean_digest, stages)
+            _run_phase(active, Phase.POST_STEP, state, g, effects, clean, stages)
 
             step_envelopes = log.since(log_start)
             records.append(
@@ -282,7 +289,7 @@ def run_episodes(
                     memory_digest=memory.digest(),
                     tuning_digest=tuning_digest,
                     admission_digest=(
-                        default_admission_digest if state.admission == DEFAULT_ADMISSION
+                        _DEFAULT_ADMISSION_DIGEST if state.admission == DEFAULT_ADMISSION
                         else _admission_digest(state.admission)
                     ),
                     # provenance shape only: tracks attribution loss and

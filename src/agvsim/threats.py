@@ -8,7 +8,9 @@ the typed values the injector reads (`ThreatInjection.args`), so illegal
 never at run time. An injector is a deterministic edit of one attack surface
 inside the per-step pipeline state; `apply` records it with before/after
 digests of that surface, so the harness keeps attacker ground truth while the
-pipeline stays oblivious.
+pipeline stays oblivious. A record keeps the surface as the view saw it and
+takes its digest when the digest is first read, so runs that export no JSON
+never take it.
 """
 
 from __future__ import annotations
@@ -99,15 +101,54 @@ class ThreatInjection:
         return spec.parse(mapping(self.payload, where, optional=spec.keys), where, self)
 
 
+class LazyDigest:
+    """A surface as a view saw it, with its `digest_of` taken once, when first asked for.
+
+    The value must be one that nothing edits later: a frozen object, a
+    scalar, or a copy.
+    """
+
+    __slots__ = ("value", "_digest")
+
+    def __init__(self, value: object) -> None:
+        self.value = value
+        self._digest = ""
+
+    def digest(self) -> str:
+        if not self._digest:
+            self._digest = digest_of(self.value)
+        return self._digest
+
+
+class _DigestField:
+    """A record field that holds a digest or a `LazyDigest`, and reads as the digest."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, record: object, owner: type | None = None) -> str:
+        if record is None:
+            raise AttributeError(self._name)  # no class default: the field stays required
+        held = record.__dict__[self._name]
+        return held if type(held) is str else held.digest()
+
+    def __set__(self, record: object, value: str | LazyDigest) -> None:
+        record.__dict__[self._name] = value
+
+
 @dataclass(frozen=True)
 class InjectionEffectRecord:
-    """Oracle trail: one record per applied injection per step."""
+    """Oracle trail: one record per applied injection per step.
+
+    Each digest may be given as a `LazyDigest`; it reads as its 16-hex
+    string all the same.
+    """
 
     threat: ThreatId
     step: int
     surface: Surface
-    before_digest: str
-    after_digest: str
+    before_digest: str = _DigestField()  # type: ignore[assignment]
+    after_digest: str = _DigestField()  # type: ignore[assignment]
     note: str = ""
     warning: bool = False
 
@@ -599,11 +640,11 @@ def _external_context(state: PipelineState) -> int | None:
     return None
 
 
-def _view_t12(state: PipelineState, args: tuple[str, tuple]) -> str:
+def _view_t12(state: PipelineState, args: tuple[str, tuple]) -> LazyDigest:
     if args[0] == "context":
-        return digest_of(state.dsa_context)
+        return LazyDigest(state.dsa_context)
     i = _external_context(state)
-    return digest_of(state.envelopes if i is None else state.envelopes[i].payload)
+    return LazyDigest(tuple(state.envelopes) if i is None else state.envelopes[i].payload)
 
 
 def _act_t12(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
@@ -663,10 +704,11 @@ class ThreatSpec:
     surfaces: frozenset[Surface]
     keys: tuple[str, ...]  # the payload keys the schema knows; any other is rejected
     parse: Callable[[dict, str, ThreatInjection], Any]  # (payload, where, injection) -> `ThreatInjection.args`
-    # digest of the surface the injector edits, taken before and after it
-    # acts; view and act are None for the cross-layer vectors, whose
-    # injections act inside the layer functions
-    view: Callable[[PipelineState, Any], str] | None
+    # the surface the injector edits, seen before and after it acts: a digest
+    # taken now for the stores that change in place (T1, T8), else the
+    # surface itself; view and act are None for the cross-layer vectors,
+    # whose injections act inside the layer functions
+    view: Callable[[PipelineState, Any], str | LazyDigest] | None
     act: Callable[[ThreatInjection, PipelineState, int], tuple[str, bool]] | None
     # step-record key prefixes through which the effect may surface; the
     # chain runner's structural attribution reads them
@@ -693,45 +735,46 @@ THREATS: dict[ThreatId, ThreatSpec] = {
     ),
     ThreatId.T2: ThreatSpec(
         frozenset({Surface.TOOL_OUTPUT}), ("advised_speed_kph", "route_hint"), _tool_output,
-        lambda s, a: digest_of(s.tool_output), _act_t2, ("tool_output", "memory_digest") + _DOWNSTREAM,
+        lambda s, a: LazyDigest(s.tool_output), _act_t2, ("tool_output", "memory_digest") + _DOWNSTREAM,
     ),
     ThreatId.T3: ThreatSpec(
         frozenset({Surface.INTER_AGENT_MSG}), ("grant_role", "context_patch"), _parse_t3,
-        lambda s, a: digest_of({"admission": s.admission, "envelopes": len(s.envelopes)}), _act_t3,
+        # a copy: `_act_t3` edits the admission table in place
+        lambda s, a: LazyDigest({"admission": dict(s.admission), "envelopes": len(s.envelopes)}), _act_t3,
         ("admission_digest", "envelope_count", "log_digest", "dsa_context") + _DECISION,
     ),
     ThreatId.T4: ThreatSpec(
         frozenset({Surface.PA_INPUT, Surface.LAYER}), ("completeness_factor",), _parse_t4,
-        lambda s, a: digest_of(s.pa_context), _act_t4, ("pa_context",),
+        lambda s, a: LazyDigest(s.pa_context), _act_t4, ("pa_context",),
         footprint_extra=lambda inj: ("dsa_context",) if inj.surface is Surface.LAYER else (),
     ),
     ThreatId.T5: ThreatSpec(
         frozenset({Surface.PA_INPUT}), ("context_patch",), _parse_t5,
-        lambda s, a: digest_of(s.pa_context), _act_t5, ("pa_context", "memory_digest") + _DOWNSTREAM,
+        lambda s, a: LazyDigest(s.pa_context), _act_t5, ("pa_context", "memory_digest") + _DOWNSTREAM,
     ),
     ThreatId.T6: ThreatSpec(
         frozenset({Surface.PA_INPUT}), ("urgency_tag", "destination", "desired_speed_kph"), _parse_t6,
-        lambda s, a: digest_of(s.request), _act_t6, ("request",) + _DOWNSTREAM,
+        lambda s, a: LazyDigest(s.request), _act_t6, ("request",) + _DOWNSTREAM,
     ),
     ThreatId.T7: ThreatSpec(
         frozenset({Surface.DSA_WEIGHTS}), ("speed_weight", "headway_scale"), _parse_t7,
-        lambda s, a: digest_of(s.dsa_weights), _act_t7, _DECISION,
+        lambda s, a: LazyDigest(s.dsa_weights), _act_t7, _DECISION,
     ),
     ThreatId.T8: ThreatSpec(
         frozenset({Surface.LOGS}), ("mode",), _parse_t8, lambda s, a: s.log.digest(), _act_t8, ("log_digest",),
     ),
     ThreatId.T9: ThreatSpec(
         frozenset({Surface.IDENTITY_FIELD}), ("claimed", "target", "context_patch"), _parse_t9,
-        lambda s, a: digest_of(s.envelopes), _act_t9, ("envelope_count", "spoofed_envelopes", "log_digest"),
+        lambda s, a: LazyDigest(tuple(s.envelopes)), _act_t9, ("envelope_count", "spoofed_envelopes", "log_digest"),
         footprint_extra=lambda inj: ("dsa_context",) + _DECISION if inj.args[2] else (),
     ),
     ThreatId.T10: ThreatSpec(
         frozenset({Surface.USER_CHANNEL}), ("noise_queries",), _parse_t10,
-        lambda s, a: digest_of(s.user.noise_queries), _act_t10, ("user_queries", "request") + _DOWNSTREAM,
+        lambda s, a: LazyDigest(s.user.noise_queries), _act_t10, ("user_queries", "request") + _DOWNSTREAM,
     ),
     ThreatId.T11: ThreatSpec(
         frozenset({Surface.TOOL_OUTPUT}), ("config_field", "config_value", "advised_speed_kph", "route_hint"),
-        _parse_t11, lambda s, a: digest_of({"tool": s.tool_output, "tuning": s.tuning}), _act_t11,
+        _parse_t11, lambda s, a: LazyDigest({"tool": s.tool_output, "tuning": s.tuning}), _act_t11,
         ("tool_output", "tuning_digest", "memory_digest") + _DOWNSTREAM,
     ),
     ThreatId.T12: ThreatSpec(
@@ -740,15 +783,15 @@ THREATS: dict[ThreatId, ThreatSpec] = {
     ),
     ThreatId.T13: ThreatSpec(
         frozenset({Surface.AGENT_POLICY}), ("agent", "policy"), _parse_t13,
-        lambda s, a: digest_of({"pa": s.pa_policy, "dsa": s.dsa_policy}), _act_t13, ("policies",) + _DOWNSTREAM,
+        lambda s, a: LazyDigest({"pa": s.pa_policy, "dsa": s.dsa_policy}), _act_t13, ("policies",) + _DOWNSTREAM,
     ),
     ThreatId.T14: ThreatSpec(
         frozenset({Surface.USER_CHANNEL}), ("requests",), _parse_t14,
-        lambda s, a: digest_of(s.request), _act_t14, ("request",) + _DOWNSTREAM,
+        lambda s, a: LazyDigest(s.request), _act_t14, ("request",) + _DOWNSTREAM,
     ),
     ThreatId.T15: ThreatSpec(
         frozenset({Surface.USER_CHANNEL}), ("framing_weight", "framing"), _parse_t15,
-        lambda s, a: digest_of({"bias": s.user.framing_bias, "answer": s.user.framing_answer}), _act_t15,
+        lambda s, a: LazyDigest({"bias": s.user.framing_bias, "answer": s.user.framing_answer}), _act_t15,
         ("request",) + _DOWNSTREAM,
     ),
     ThreatId.X_PERCEPTION: _cross_layer(Layer.PERCEPTION, ("pa_context", "dsa_context") + _DOWNSTREAM),
@@ -767,27 +810,27 @@ _NO_EDIT_DIGEST = digest_of(None)
 
 
 def apply(
-    injection: ThreatInjection, state: PipelineState, step: int, layer_before: str = ""
+    injection: ThreatInjection, state: PipelineState, step: int, layer_before: LazyDigest | None = None
 ) -> InjectionEffectRecord:
     """Apply one injection to the pipeline state, returning its oracle record.
 
-    The one place that builds an InjectionEffectRecord: it digests the
-    surface the threat edits (its spec's `view`) before and after the
+    The one place that builds an InjectionEffectRecord: it keeps the surface
+    the threat edits (its spec's `view`) as seen before and after the
     injector acts. Out-of-window application is a no-op that still yields a
     warning record. A Layer-surface injection has already acted inside the
     layer functions, before fusion: its record compares `layer_before`, the
-    digest of the unperturbed layer views, with the views in `state`, and
-    without `layer_before` it raises ValueError.
+    unperturbed layer views, with the views in `state`, and without
+    `layer_before` it raises ValueError.
     """
     note, warning = "", False
     if injection.surface is Surface.LAYER:
-        if not layer_before:
+        if layer_before is None:
             raise ValueError(
                 f"{injection.threat.value} on {injection.surface.value} acts inside the layer functions, "
                 "not through apply(); use to_layer_perturbations"
             )
         before, note = layer_before, "layer summary perturbed"
-        after = digest_of({"context": state.pa_context, "feedback": state.feedback})
+        after = LazyDigest({"context": state.pa_context, "feedback": state.feedback})
     elif not injection.active(step):
         before = after = _NO_EDIT_DIGEST
         note, warning = "outside active window", True

@@ -101,6 +101,23 @@ class TestChainValidation:
         with pytest.raises(ValueError, match="unknown probe"):
             validate_chain(ChainSpec(id="bad", stages=(stage,), episode_length=3))
 
+    @pytest.mark.parametrize("stage", [
+        ChainStage(StageKind.INJECT, Trigger(at_step=4), ThreatInjection(
+            ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}, window=OPEN_WINDOW,
+        )),
+        ChainStage(StageKind.OBSERVE, Trigger(at_step=9), probe="route-pref-changed"),
+    ], ids=["inject-at-length", "observe-past-length"])
+    def test_a_trigger_past_the_last_step_is_rejected(self, base_scenario, stage):
+        # such a stage could never act, and the chain would run as NoEffect
+        spec = ChainSpec(id="late", stages=(stage,), episode_length=4)
+        message = rf"chain 'late' stage 0: at_step {stage.trigger.at_step} is past the last step, 3"
+        with pytest.raises(ValueError, match=message):
+            validate_chain(spec)
+        with pytest.raises(ValueError, match=message):
+            run_chain(spec, base_scenario)
+        last = dataclasses.replace(stage, trigger=Trigger(at_step=3))
+        validate_chain(dataclasses.replace(spec, stages=(last,)))
+
     def test_a_key_the_stage_would_drop_is_rejected(self):
         injection = ThreatInjection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}, window=OPEN_WINDOW)
         with pytest.raises(ValueError, match="observe stages need a probe and take no injection"):

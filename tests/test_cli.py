@@ -384,6 +384,24 @@ class TestChainCommand:
         assert err.startswith(f"config error: {path}.stages[1].trigger.{field}: must be an integer")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("stage", [
+        "  - kind: inject\n"
+        "    trigger: {at_step: 2}\n"
+        "    injection: {threat: T1, surface: PAMemory, payload: {value_kph: 45.0}}\n",
+        "  - kind: observe\n"
+        "    trigger: {at_step: 5}\n"
+        "    probe: route-pref-changed\n",
+    ], ids=["inject", "observe"])
+    def test_trigger_past_the_last_step_is_config_error(self, capsys, tmp_path, stage):
+        path = tmp_path / "chain.yaml"
+        path.write_text("id: file-chain\nepisode_length: 2\nstages:\n" + stage)
+        code, out, err = run_cli(capsys, "chain", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {path}: chain 'file-chain' stage 0: at_step ")
+        assert "is past the last step, 1" in err
+        assert len(err.splitlines()) == 1
+
     def test_unhashable_probe_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "chain.yaml"
         path.write_text(

@@ -7,7 +7,10 @@ with the horizon. The runner digests the tuning and the admission table
 only when they change, and `MemoryStore` keeps its digest until its next
 append, so neither count grows with the steps. It builds the layer views
 once per set of active layer perturbations, and they must equal the views
-rebuilt at every step.
+rebuilt at every step. An effect record takes the digests of the surface
+its view saw only when they are first read: each must equal the digest
+taken at apply time, a run that exports no JSON takes none, and an export
+takes each once.
 """
 
 import dataclasses
@@ -19,16 +22,19 @@ from hypothesis import strategies as st
 
 import agvsim.runner
 import agvsim.serialize
+import agvsim.threats
 from agvsim.cavstack import control_feedback, fuse, perceive, v2x_broadcast
 from agvsim.chains import builtin_chains, run_chain
 from agvsim.domain import Authority, MessageEnvelope, Role, ThreatId, make_envelope
-from agvsim.pipeline import AgentTuning, MemoryEntry, MemoryKind, MemoryStore
+from agvsim.pipeline import AgentTuning, MemoryEntry, MemoryKind, MemoryStore, PipelineError
+from agvsim.report import compare, render_csv, render_json
 from agvsim.runner import run_episodes
-from agvsim.scenario import load_scenario, parse_scenario, shipped_scenarios
+from agvsim.scenario import ConfigError, load_scenario, parse_scenario, shipped_scenarios
 from agvsim.serialize import canonical_json, digest_of
-from agvsim.threats import MessageLog, Surface, to_layer_perturbations
+from agvsim.threats import THREATS, LazyDigest, MessageLog, Surface, to_layer_perturbations
 from agvsim.trace import step_deltas
 from test_golden import open_campaign
+from test_payload_properties import BASE, injections
 from test_serialize import to_jsonable
 
 SHIPPED = sorted(shipped_scenarios())
@@ -326,3 +332,129 @@ def test_layer_views_are_built_once_per_active_set(monkeypatch, name):
         assert calls["perceive"] == len(distinct)
         per_run.append(calls["perceive"])
     assert per_run[0] == per_run[1]
+
+
+class AtApply(LazyDigest):
+    """A `LazyDigest` that also notes the digest its value has when the view builds it."""
+
+    __slots__ = ("at_apply",)
+
+    def __init__(self, value: object) -> None:
+        super().__init__(value)
+        self.at_apply = digest_of(value)
+
+
+@pytest.fixture
+def at_apply(monkeypatch):
+    monkeypatch.setattr(agvsim.threats, "LazyDigest", AtApply)
+    monkeypatch.setattr(agvsim.runner, "LazyDigest", AtApply)
+
+
+def lazy_mismatches(traces) -> tuple[int, list[tuple]]:
+    """How many digests the effect records hold lazily, and each that, read after the
+    run, differs from the digest its value had at apply time."""
+    held, mismatches = 0, []
+    for trace in traces:
+        for record in trace.steps:
+            for effect in record.effects:
+                for name in ("before_digest", "after_digest"):
+                    lazy = vars(effect)[name]
+                    if isinstance(lazy, LazyDigest):
+                        held += 1
+                        if getattr(effect, name) != lazy.at_apply:
+                            mismatches.append((trace.scenario_id, record.global_step, effect.threat.value, name))
+    return held, mismatches
+
+
+@pytest.mark.parametrize("group", ["shipped", "campaigns", "chains"])
+def test_lazy_effect_digests_equal_the_digests_at_apply_time(at_apply, group):
+    held, mismatches = lazy_mismatches(trace for pair in pairs(group) for trace in pair)
+    assert held > 0
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("threat", list(ThreatId), ids=lambda t: t.value)
+def test_lazy_effect_digests_of_generated_payloads_equal_the_digests_at_apply_time(at_apply, threat):
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(injections(threat))
+    def check(injection):
+        try:
+            config = parse_scenario({**BASE, "injections": [injection]}, "generated")
+            attacked = run_episodes(config, with_injections=True)
+        except (ConfigError, PipelineError):
+            return
+        assert lazy_mismatches([attacked])[1] == []
+
+    check()
+
+
+@pytest.mark.parametrize("name, view", [
+    ("threat-t09", lambda s, a: agvsim.threats.LazyDigest(s.envelopes)),
+    ("threat-t03", lambda s, a: agvsim.threats.LazyDigest({"admission": s.admission, "envelopes": len(s.envelopes)})),
+], ids=["T9-live-envelopes", "T3-live-admission"])
+def test_a_view_of_a_live_surface_fails_the_equivalence_check(at_apply, monkeypatch, name, view):
+    config = open_campaign(name)
+    threat = config.injections[0].threat
+    monkeypatch.setitem(THREATS, threat, dataclasses.replace(THREATS[threat], view=view))
+    held, mismatches = lazy_mismatches(paired(config))
+    assert held > 0
+    assert {m[2] for m in mismatches} == {threat.value}
+
+
+@pytest.fixture
+def effect_digests(monkeypatch):
+    """Every value an effect record digests: the `threats.digest_of` calls."""
+    values = []
+    original = agvsim.threats.digest_of
+
+    def counting(obj):
+        values.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr(agvsim.threats, "digest_of", counting)
+    return values
+
+
+def lazy_digests(trace) -> list[LazyDigest]:
+    """The distinct digests the trace's effect records hold lazily."""
+    held = {
+        id(value): value
+        for record in trace.steps for effect in record.effects for value in vars(effect).values()
+        if isinstance(value, LazyDigest)
+    }
+    return list(held.values())
+
+
+@pytest.mark.parametrize("name", ["threat-t09", "threat-xperception"])
+def test_a_csv_only_run_takes_no_effect_record_digest(effect_digests, name):
+    attacked, baseline = paired(load_scenario(shipped_scenarios()[name]))
+    render_csv(compare(baseline, attacked))
+    assert effect_digests == []
+    assert lazy_digests(attacked)
+
+
+@pytest.mark.parametrize("name", ["threat-t09", "threat-xperception"])
+def test_the_json_export_takes_each_effect_record_digest_once(effect_digests, name):
+    attacked, baseline = paired(load_scenario(shipped_scenarios()[name]))
+    report = compare(baseline, attacked)
+    held = lazy_digests(attacked)
+    assert held
+    first = render_json(report)
+    assert render_json(report) == first
+    # each value digested once, a shared one (the Layer records' clean views) included
+    assert sorted(map(id, effect_digests)) == sorted(id(lazy.value) for lazy in held)
+
+
+@pytest.mark.parametrize("name, threat", [("threat-t01", ThreatId.T1), ("threat-t08", ThreatId.T8)])
+def test_store_digests_are_taken_at_apply_time(effect_digests, name, threat):
+    # the memory store and the message log change in place, so their
+    # records hold the digest itself, taken when the injector ran
+    attacked = run_episodes(open_campaign(name), with_injections=True)
+    held = [
+        vars(effect)[field]
+        for record in attacked.steps for effect in record.effects if effect.threat is threat
+        for field in ("before_digest", "after_digest")
+    ]
+    assert len(held) == 2 * len(attacked.steps)
+    assert all(type(digest) is str for digest in held)
+    assert effect_digests == []

@@ -26,8 +26,9 @@ def test_every_tracing_target_resolves():
 
 def test_every_runner_target_is_called():
     # a target the runner imports but no longer calls would zero its
-    # `--trace 1` metrics without any error: run one Layer attack and one
-    # chain under the wrappers and require a span from each runner target
+    # `--trace 1` metrics without any error: run one Layer attack, one chain
+    # and one T11 attack (the runner digests the tuning only once T11 has
+    # replaced it) under the wrappers and require a span from each runner target
     from agvsim import chains, runner
     from agvsim.scenario import load_shipped
 
@@ -42,7 +43,30 @@ def test_every_runner_target_is_called():
     with tracing.instrument(tracer):
         runner.run_episodes(load_shipped("threat-xperception"), with_injections=True)
         chains.run_chain(chains.builtin_chain("chain-1"), load_shipped("chain-base"))
+        runner.run_episodes(load_shipped("threat-t11"), with_injections=True)
     called = {span[0] for span in tracer.take()}
     targets = {attr for owner_path, attr, _ in tracing.TARGETS if owner_path == "agvsim.runner"}
     assert len(targets) == 11
     assert targets - called == set()
+
+
+def test_effect_record_digests_are_traced_where_they_are_taken():
+    # an effect record digests its surface when the JSON export reads it,
+    # through `agvsim.threats.digest_of`: trace that site alone and require
+    # one `serialize.digest` span per digest the T9 records hold
+    from agvsim.report import compare, render_json
+    from agvsim.runner import run_episodes
+    from agvsim.scenario import load_shipped
+
+    tracing = _load_tracing()
+    site = ("agvsim.threats", "digest_of", "serialize.digest")
+    assert site in tracing.TARGETS
+    tracing.TARGETS = (site,)
+    config = load_shipped("threat-t09")
+    report = compare(run_episodes(config, with_injections=False), run_episodes(config, with_injections=True))
+    applied = sum(1 for record in report.attacked.steps for effect in record.effects if not effect.warning)
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        render_json(report)
+    names = [span[0] for span in tracer.take()]
+    assert applied > 0
+    assert names == ["serialize.digest"] * (2 * applied)
