@@ -3,7 +3,8 @@
 Attacks on these layers are declarative transforms over the *summaries* the
 layers emit; ground truth is never edited. That keeps every perturbation
 serializable in scenario files and replayable bit-exact, and it gives the
-harness an oracle view the pipeline components cannot read.
+harness an oracle view the pipeline components cannot read. A layer is a pure
+function of the world and the perturbations the runner found active.
 """
 
 from __future__ import annotations
@@ -68,16 +69,12 @@ _FEEDBACK_NUMERIC_FIELDS = ("speed_kph", "accel_mps2", "steering_deg", "braking"
 
 @dataclass(frozen=True)
 class LayerPerturbation:
-    """One declarative edit of a layer summary, active over a step window."""
+    """One declarative edit of a layer summary."""
 
     layer: Layer
     field: str
     op: TransformOp
     value: object
-    window: tuple[int, int] = (0, 2**31 - 1)  # [start, end] inclusive, global steps
-
-    def active(self, step: int) -> bool:
-        return self.window[0] <= step <= self.window[1]
 
 
 def validate_perturbation(p: LayerPerturbation) -> None:
@@ -101,8 +98,6 @@ def validate_perturbation(p: LayerPerturbation) -> None:
             raise ValueError(f"transform on {p.field!r} needs a finite number, got {p.value!r}")
     else:
         raise ValueError(f"unknown {p.layer.value}-layer field {p.field!r}")
-    if p.window[0] < 0 or p.window[1] < p.window[0]:
-        raise ValueError(f"bad window {p.window}")
     if p.field == "hazards" and p.op is TransformOp.INJECT_RECORD and not isinstance(p.value, Hazard):
         raise ValueError("hazard injection needs a hazard record value")
     if p.field == "closures" and p.op is TransformOp.INJECT_RECORD and not isinstance(p.value, str):
@@ -124,7 +119,7 @@ def _clamp(value: float, lo: float, hi: float) -> float:
 
 
 def apply_summary_transform(summary: ContextSummary, p: LayerPerturbation) -> ContextSummary:
-    """Apply one transform to a context summary (window already checked)."""
+    """Apply one transform to a context summary."""
     if p.field == "hazards":
         hazards = list(summary.hazards)
         if p.op is TransformOp.INJECT_RECORD:
@@ -156,7 +151,7 @@ _FEEDBACK_RANGE = {"speed_kph": (0.0, sys.float_info.max), "braking": (0.0, 1.0)
 
 
 def apply_feedback_transform(feedback: VehicleFeedback, p: LayerPerturbation) -> VehicleFeedback:
-    """Apply one transform to control-layer telemetry (window already checked)."""
+    """Apply one transform to control-layer telemetry."""
     updated = _apply_numeric(getattr(feedback, p.field), p.op, p.value)  # type: ignore[arg-type]
     lo, hi = _FEEDBACK_RANGE.get(p.field, (-sys.float_info.max, sys.float_info.max))
     return replace(feedback, **{p.field: _clamp(updated, lo, hi)})
@@ -174,36 +169,30 @@ def _truth_projection(world: WorldTruth, source: SourceLayer) -> ContextSummary:
     )
 
 
-def perceive(
-    world: WorldTruth, perturbations: list[LayerPerturbation], step: int
-) -> ContextSummary:
-    """Perception/fusion stack output: truth projection plus any active
+def perceive(world: WorldTruth, perturbations: list[LayerPerturbation]) -> ContextSummary:
+    """Perception/fusion stack output: truth projection plus the given
     perception- or computing-layer transforms, applied in list order."""
     summary = _truth_projection(world, SourceLayer.FUSION)
     for p in perturbations:
-        if p.layer in (Layer.PERCEPTION, Layer.COMPUTE) and p.active(step):
+        if p.layer in (Layer.PERCEPTION, Layer.COMPUTE):
             summary = apply_summary_transform(summary, p)
     return summary
 
 
-def v2x_broadcast(
-    world: WorldTruth, perturbations: list[LayerPerturbation], step: int
-) -> ContextSummary:
+def v2x_broadcast(world: WorldTruth, perturbations: list[LayerPerturbation]) -> ContextSummary:
     """Infrastructure/V2X channel output; V2X transforms only."""
     summary = _truth_projection(world, SourceLayer.V2X)
     for p in perturbations:
-        if p.layer is Layer.V2X and p.active(step):
+        if p.layer is Layer.V2X:
             summary = apply_summary_transform(summary, p)
     return summary
 
 
-def control_feedback(
-    world: WorldTruth, perturbations: list[LayerPerturbation], step: int
-) -> VehicleFeedback:
+def control_feedback(world: WorldTruth, perturbations: list[LayerPerturbation]) -> VehicleFeedback:
     """Control-layer telemetry as reported upward, possibly falsified."""
     feedback = VehicleFeedback(speed_kph=world.vehicle_true_speed_kph)
     for p in perturbations:
-        if p.layer is Layer.CONTROL_FEEDBACK and p.active(step):
+        if p.layer is Layer.CONTROL_FEEDBACK:
             feedback = apply_feedback_transform(feedback, p)
     return feedback
 

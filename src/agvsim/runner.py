@@ -132,12 +132,12 @@ def run_episodes(
     # (0.0 and -0.0), so the key is identity, never value
     views: dict[tuple[int, ...], tuple[ContextSummary, VehicleFeedback]] = {}
 
-    def layer_views(perturbations: list[LayerPerturbation], g: int) -> tuple[ContextSummary, VehicleFeedback]:
+    def layer_views(perturbations: list[LayerPerturbation]) -> tuple[ContextSummary, VehicleFeedback]:
         key = tuple(map(id, perturbations))
         built = views.get(key)
         if built is None:
-            fused = fuse([perceive(world, perturbations, g), v2x_broadcast(world, perturbations, g)])
-            built = views[key] = (fused, control_feedback(world, perturbations, g))
+            fused = fuse([perceive(world, perturbations), v2x_broadcast(world, perturbations)])
+            built = views[key] = (fused, control_feedback(world, perturbations))
         return built
 
     clean: LazyDigest | None = None  # the views with no perturbation, built at most once
@@ -161,8 +161,8 @@ def run_episodes(
             request = config.requests[step % len(config.requests)]
             effects: list[InjectionEffectRecord] = []
 
-            # one list of what is active this step, static injections (by
-            # window) before chain stages (by trigger resolution)
+            # one list of what is active this step, the only window check:
+            # static injections (by window) before chain stages (by trigger)
             active: list[tuple[int | None, ThreatInjection]] = [
                 (None, inj) for inj in static_injections if inj.active(g)
             ]
@@ -171,11 +171,9 @@ def run_episodes(
 
             # layer transforms act inside the layer functions, before fusion
             layer_injections = [inj for _, inj in active if injection_phase(inj) is Phase.LAYER]
-            fused, feedback = layer_views(
-                [p for inj in layer_injections for p in to_layer_perturbations(inj) if p.active(g)], g
-            )
+            fused, feedback = layer_views([p for inj in layer_injections for p in to_layer_perturbations(inj)])
             if layer_injections and clean is None:
-                clean_fused, clean_feedback = layer_views([], g)
+                clean_fused, clean_feedback = layer_views([])
                 clean = LazyDigest({"context": clean_fused, "feedback": clean_feedback})
 
             user.reset_step()

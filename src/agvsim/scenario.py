@@ -44,6 +44,25 @@ logger = logging.getLogger(__name__)
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+class _UniqueKeyLoader(_YAML_LOADER):  # type: ignore[misc, valid-type]
+    """The YAML loader, rejecting a mapping that repeats a scalar key; `<<` merges still override."""
+
+    def flatten_mapping(self, node: yaml.MappingNode) -> None:
+        # a mapping is flattened before it is built and again wherever it is
+        # merged: only the first time are its keys as written
+        if not hasattr(node, "keys_checked"):
+            node.keys_checked = True  # type: ignore[attr-defined]
+            seen: set[tuple[str, str]] = set()
+            for key, _ in node.value:
+                if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                    if (key.tag, key.value) in seen:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"duplicate key {key.value!r}", key.start_mark
+                        )
+                    seen.add((key.tag, key.value))
+        super().flatten_mapping(node)
+
+
 # far deeper than any schema nests, and far inside the recursion limit that
 # `str`, `repr` and the parsers meet on a nested value
 MAX_DEPTH = 64
@@ -216,7 +235,7 @@ def _read_yaml(path: Path) -> object:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read: {exc}") from exc
     try:
-        return yaml.load(text, Loader=_YAML_LOADER)
+        return yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         # one line: PyYAML's problem, without its context and source excerpts
         location = str(path)

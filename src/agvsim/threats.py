@@ -361,9 +361,7 @@ def _context_patch(value: object, where: str) -> dict:
     return patch
 
 
-def _perturbations(
-    transforms: object, where: str, layer: Layer, window: tuple[int, int]
-) -> tuple[LayerPerturbation, ...]:
+def _perturbations(transforms: object, where: str, layer: Layer) -> tuple[LayerPerturbation, ...]:
     """A payload's list of `{field, op, value}` transforms as checked layer perturbations."""
 
     def perturbation(item: object, at: str) -> LayerPerturbation:
@@ -374,7 +372,7 @@ def _perturbations(
             value = parse_hazard(value, f"{at}.value")
         elif field_name in ("hazards", "closures"):  # a closure, or the kind of the hazards to drop
             value = string(value, f"{at}.value")
-        p = LayerPerturbation(layer, field_name, op, value, window)
+        p = LayerPerturbation(layer, field_name, op, value)
         try:
             validate_perturbation(p)
         except ValueError as exc:
@@ -408,7 +406,7 @@ def _parse_t4(p: dict, where: str, inj: ThreatInjection) -> float | tuple[LayerP
     if factor in (0.0, 1.0):
         raise ConfigError(f"{where}.completeness_factor", f"must be strictly between 0 and 1, got {factor!r}")
     if inj.surface is Surface.LAYER:
-        scale = LayerPerturbation(effective_layer(inj), "completeness", TransformOp.SCALE, factor, inj.window)
+        scale = LayerPerturbation(effective_layer(inj), "completeness", TransformOp.SCALE, factor)
         validate_perturbation(scale)  # telemetry has no completeness: a context layer only
         return (scale,)
     return factor
@@ -432,7 +430,7 @@ def _parse_t6(p: dict, where: str, inj: ThreatInjection) -> dict:
 def _parse_t7(p: dict, where: str, inj: ThreatInjection) -> dict[str, float]:
     return {
         "speed_weight": number(p.get("speed_weight"), f"{where}.speed_weight", 1e-3, 1.0),
-        "headway_scale": number(p.get("headway_scale", 1.0), f"{where}.headway_scale", 1.0),
+        "headway_scale": number(p.get("headway_scale", 1.0), f"{where}.headway_scale", 1.0, 1e3),
     }
 
 
@@ -472,7 +470,7 @@ def _external_edit(value: object, where: str) -> tuple[str, object]:
 def _parse_t12(p: dict, where: str, inj: ThreatInjection) -> tuple[str, tuple]:
     target = string(p.get("target", "context"), f"{where}.target", ("context", "external"))
     if target == "context":
-        return target, _perturbations(p.get("edits"), f"{where}.edits", Layer.V2X, inj.window)
+        return target, _perturbations(p.get("edits"), f"{where}.edits", Layer.V2X)
     return target, sequence(p.get("edits"), f"{where}.edits", _external_edit, min_len=1)
 
 
@@ -493,7 +491,7 @@ def _parse_t15(p: dict, where: str, inj: ThreatInjection) -> tuple[float, str]:
 
 
 def _parse_transforms(p: dict, where: str, inj: ThreatInjection) -> tuple[LayerPerturbation, ...]:
-    return _perturbations(p.get("transforms"), f"{where}.transforms", effective_layer(inj), inj.window)
+    return _perturbations(p.get("transforms"), f"{where}.transforms", effective_layer(inj))
 
 
 def validate_injection(injection: ThreatInjection) -> None:
@@ -805,10 +803,6 @@ def legal_surfaces(threat: ThreatId) -> frozenset[Surface]:
     return THREATS[ThreatId(threat)].surfaces
 
 
-# the before and after digest of an out-of-window application, which edits nothing
-_NO_EDIT_DIGEST = digest_of(None)
-
-
 def apply(
     injection: ThreatInjection, state: PipelineState, step: int, layer_before: LazyDigest | None = None
 ) -> InjectionEffectRecord:
@@ -816,24 +810,20 @@ def apply(
 
     The one place that builds an InjectionEffectRecord: it keeps the surface
     the threat edits (its spec's `view`) as seen before and after the
-    injector acts. Out-of-window application is a no-op that still yields a
-    warning record. A Layer-surface injection has already acted inside the
-    layer functions, before fusion: its record compares `layer_before`, the
-    unperturbed layer views, with the views in `state`, and without
-    `layer_before` it raises ValueError.
+    injector acts. The runner calls it only at the steps where the
+    injection's window or chain trigger makes it active. A Layer-surface
+    injection has already acted inside the layer functions, before fusion:
+    its record compares `layer_before`, the unperturbed layer views, with the
+    views in `state`, and without `layer_before` it raises ValueError.
     """
-    note, warning = "", False
     if injection.surface is Surface.LAYER:
         if layer_before is None:
             raise ValueError(
                 f"{injection.threat.value} on {injection.surface.value} acts inside the layer functions, "
                 "not through apply(); use to_layer_perturbations"
             )
-        before, note = layer_before, "layer summary perturbed"
+        before, note, warning = layer_before, "layer summary perturbed", False
         after = LazyDigest({"context": state.pa_context, "feedback": state.feedback})
-    elif not injection.active(step):
-        before = after = _NO_EDIT_DIGEST
-        note, warning = "outside active window", True
     else:
         spec = THREATS[injection.threat]
         assert spec.view is not None and spec.act is not None

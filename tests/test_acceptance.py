@@ -11,6 +11,7 @@ from itertools import product
 
 from agvsim.chains import (
     ChainSpec,
+    OPEN_WINDOW,
     ChainStage,
     OutcomeClass,
     StageKind,
@@ -189,7 +190,7 @@ def test_criterion_7_chain_outcomes():
                 injection=ThreatInjection(
                     ThreatId.T13, Surface.AGENT_POLICY,
                     {"agent": "DSA", "policy": "rogue-speedster"},
-                    window=(0, 2**31 - 1),
+                    window=OPEN_WINDOW,
                 ),
             ),
         ),

@@ -28,13 +28,13 @@ def world(limit: float = 90.0, speed: float = 72.0, hazards=(), closures=()) -> 
     )
 
 
-def perturb(layer: Layer, field: str, op: TransformOp, value, window=(0, 99)) -> LayerPerturbation:
-    return LayerPerturbation(layer=layer, field=field, op=op, value=value, window=window)
+def perturb(layer: Layer, field: str, op: TransformOp, value) -> LayerPerturbation:
+    return LayerPerturbation(layer=layer, field=field, op=op, value=value)
 
 
 class TestPerceive:
     def test_identity_projection(self):
-        summary = perceive(world(limit=90.0), [], 0)
+        summary = perceive(world(limit=90.0), [])
         assert summary.speed_limit_kph == 90.0
         assert summary.source_layer is SourceLayer.FUSION
         assert summary.completeness == 1.0
@@ -42,61 +42,55 @@ class TestPerceive:
     def test_inject_phantom_hazard(self):
         phantom = Hazard(kind="phantom", distance_m=60.0, confidence=0.9)
         p = perturb(Layer.PERCEPTION, "hazards", TransformOp.INJECT_RECORD, phantom)
-        summary = perceive(world(), [p], 0)
+        summary = perceive(world(), [p])
         assert phantom in summary.hazards
 
     def test_scale_limit_half(self):
         p = perturb(Layer.PERCEPTION, "speed_limit_kph", TransformOp.SCALE, 0.5)
-        assert perceive(world(limit=80.0), [p], 0).speed_limit_kph == 40.0
+        assert perceive(world(limit=80.0), [p]).speed_limit_kph == 40.0
 
     def test_compute_layer_transforms_also_apply(self):
         p = perturb(Layer.COMPUTE, "speed_limit_kph", TransformOp.ADD, -20.0)
-        assert perceive(world(limit=90.0), [p], 0).speed_limit_kph == 70.0
+        assert perceive(world(limit=90.0), [p]).speed_limit_kph == 70.0
 
     def test_v2x_transforms_do_not_apply_to_perception(self):
         p = perturb(Layer.V2X, "speed_limit_kph", TransformOp.SET, 40.0)
-        assert perceive(world(limit=90.0), [p], 0).speed_limit_kph == 90.0
+        assert perceive(world(limit=90.0), [p]).speed_limit_kph == 90.0
 
     def test_transforms_apply_in_list_order(self):
         double = perturb(Layer.PERCEPTION, "speed_limit_kph", TransformOp.SCALE, 2.0)
         minus_fifty = perturb(Layer.PERCEPTION, "speed_limit_kph", TransformOp.ADD, -50.0)
-        assert perceive(world(limit=60.0), [double, minus_fifty], 0).speed_limit_kph == 70.0
-        assert perceive(world(limit=60.0), [minus_fifty, double], 0).speed_limit_kph == 20.0
+        assert perceive(world(limit=60.0), [double, minus_fifty]).speed_limit_kph == 70.0
+        assert perceive(world(limit=60.0), [minus_fifty, double]).speed_limit_kph == 20.0
 
 
 class TestV2X:
     def test_set_limit_40_on_truth_80(self):
         p = perturb(Layer.V2X, "speed_limit_kph", TransformOp.SET, 40.0)
-        summary = v2x_broadcast(world(limit=80.0), [p], 0)
+        summary = v2x_broadcast(world(limit=80.0), [p])
         assert summary.speed_limit_kph == 40.0
         assert summary.source_layer is SourceLayer.V2X
 
     def test_inject_closure(self):
         p = perturb(Layer.V2X, "closures", TransformOp.INJECT_RECORD, "R7")
-        assert "R7" in v2x_broadcast(world(), [p], 0).closures
-
-    def test_inactive_window_is_identity(self):
-        p = perturb(Layer.V2X, "speed_limit_kph", TransformOp.SET, 40.0, window=(10, 20))
-        assert v2x_broadcast(world(limit=80.0), [p], 5).speed_limit_kph == 80.0
-        assert v2x_broadcast(world(limit=80.0), [p], 10).speed_limit_kph == 40.0
-        assert v2x_broadcast(world(limit=80.0), [p], 21).speed_limit_kph == 80.0
+        assert "R7" in v2x_broadcast(world(), [p]).closures
 
 
 class TestControlFeedback:
     def test_identity(self):
-        assert control_feedback(world(speed=72.0), [], 0).speed_kph == 72.0
+        assert control_feedback(world(speed=72.0), []).speed_kph == 72.0
 
     def test_add_negative_offset(self):
         p = perturb(Layer.CONTROL_FEEDBACK, "speed_kph", TransformOp.ADD, -30.0)
-        assert control_feedback(world(speed=72.0), [p], 0).speed_kph == 42.0
+        assert control_feedback(world(speed=72.0), [p]).speed_kph == 42.0
 
     def test_set_braking(self):
         p = perturb(Layer.CONTROL_FEEDBACK, "braking", TransformOp.SET, 1.0)
-        assert control_feedback(world(), [p], 0).braking == 1.0
+        assert control_feedback(world(), [p]).braking == 1.0
 
     def test_speed_clamped_nonnegative(self):
         p = perturb(Layer.CONTROL_FEEDBACK, "speed_kph", TransformOp.ADD, -500.0)
-        assert control_feedback(world(speed=72.0), [p], 0).speed_kph == 0.0
+        assert control_feedback(world(speed=72.0), [p]).speed_kph == 0.0
 
 
 def summary(limit: float, source=SourceLayer.FUSION, hazards=(), closures=(), completeness=1.0):
@@ -170,12 +164,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_perturbation(perturb(Layer.PERCEPTION, "braking", TransformOp.SET, 1.0))
 
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            validate_perturbation(
-                perturb(Layer.V2X, "speed_limit_kph", TransformOp.SET, 40.0, window=(5, 2))
-            )
-
 
 class TestWorldTruthImmutability:
     def test_frozen(self):
@@ -192,7 +180,7 @@ class TestWorldTruthImmutability:
             perturb(Layer.PERCEPTION, "hazards", TransformOp.DROP_RECORD, "real"),
             perturb(Layer.CONTROL_FEEDBACK, "speed_kph", TransformOp.SET, 0.0),
         ]
-        perceive(w, perturbations, 0)
-        v2x_broadcast(w, perturbations, 0)
-        control_feedback(w, perturbations, 0)
+        perceive(w, perturbations)
+        v2x_broadcast(w, perturbations)
+        control_feedback(w, perturbations)
         assert w.digest() == before

@@ -182,7 +182,7 @@ class TestRunChain:
         stage = ChainStage(
             kind=StageKind.INJECT,
             trigger=Trigger(at_step=0),
-            injection=ThreatInjection(ThreatId.T8, Surface.LOGS, {}, window=(0, 2**31 - 1)),
+            injection=ThreatInjection(ThreatId.T8, Surface.LOGS, {}, window=OPEN_WINDOW),
         )
         spec = ChainSpec(id="t8-twin", stages=(stage,), episode_length=4)
         propagation, _ = run_chain(spec, scenario)
@@ -219,7 +219,7 @@ class TestRunChain:
                     injection=ThreatInjection(
                         ThreatId.T13, Surface.AGENT_POLICY,
                         {"agent": "DSA", "policy": "rogue-speedster"},
-                        window=(0, 2**31 - 1),
+                        window=OPEN_WINDOW,
                     ),
                 ),
             ),

@@ -432,6 +432,20 @@ class TestChainCommand:
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, document, line, key", [
+    ("run", shipped_scenarios()["chain-base"].read_text().replace("seed: 401\n", "seed: 401\nseed: 402\n"),
+     6, "seed"),
+    ("chain", "id: file-chain\nepisode_length: 2\nepisode_length: 3\nstages: []\n", 3, "episode_length"),
+], ids=["scenario", "chain"])
+def test_duplicate_key_is_one_config_error_line(capsys, tmp_path, command, document, line, key):
+    assert document.count(f"{key}: ") == 2
+    path = tmp_path / "duplicate.yaml"
+    path.write_text(document)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"config error: {path}:{line}:1: parse error: duplicate key '{key}'\n"
+
+
 class TestList:
     def test_list_threats_covers_all_ids(self, capsys):
         code, out, _ = run_cli(capsys, "list", "threats")

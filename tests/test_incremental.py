@@ -249,7 +249,7 @@ def active_layer_sets(config, horizon: int) -> list[tuple]:
     return [
         tuple(
             p for inj in config.injections if inj.surface is Surface.LAYER and inj.active(g)
-            for p in to_layer_perturbations(inj) if p.active(g)
+            for p in to_layer_perturbations(inj)
         )
         for g in range(horizon)
     ]
@@ -306,9 +306,9 @@ def test_shared_layer_views_equal_a_rebuild_at_every_step(injections):
     for record in trace.steps:
         g = record.global_step
         perturbations = list(active[g])
-        fused = fuse([perceive(config.world, perturbations, g), v2x_broadcast(config.world, perturbations, g)])
+        fused = fuse([perceive(config.world, perturbations), v2x_broadcast(config.world, perturbations)])
         assert canonical_json(record.pa_context) == canonical_json(fused)
-        assert canonical_json(record.feedback) == canonical_json(control_feedback(config.world, perturbations, g))
+        assert canonical_json(record.feedback) == canonical_json(control_feedback(config.world, perturbations))
 
 
 @pytest.mark.parametrize("name", ["threat-xv2x", "case2-highway"])
@@ -316,9 +316,9 @@ def test_layer_views_are_built_once_per_active_set(monkeypatch, name):
     calls = {"perceive": 0}
     original = agvsim.runner.perceive
 
-    def counting(world, perturbations, step):
+    def counting(world, perturbations):
         calls["perceive"] += 1
-        return original(world, perturbations, step)
+        return original(world, perturbations)
 
     monkeypatch.setattr(agvsim.runner, "perceive", counting)
     per_run = []

@@ -127,8 +127,9 @@ class TestJsonExport:
             raise ValueError(f"{name}: {constant} in the JSON export")
 
         config = load_shipped(name)
-        report = compare(run_episodes(config, with_injections=False), run_episodes(config, with_injections=True))
-        json.loads(render_json(report), parse_constant=reject)
+        baseline, attacked = (run_episodes(config, with_injections=injected) for injected in (False, True))
+        for export in (render_json(compare(baseline, attacked)), baseline.to_json(), attacked.to_json()):
+            json.loads(export, parse_constant=reject)
 
     def test_overflowing_feedback_transform_exports_finite_numbers(self):
         def reject(constant):

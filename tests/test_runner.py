@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agvsim.domain import Authority, Role
+from agvsim.domain import Authority, Role, ThreatId
 from agvsim.pipeline import AgentTuning, Decision
 from agvsim.report import compare, render_json
 from agvsim.scenario import load_shipped, parse_scenario
 from agvsim.runner import run_episodes
 from agvsim.serialize import digest_of
-from agvsim.threats import Surface
+from agvsim.threats import Surface, ThreatInjection
 from agvsim.trace import TracePairingError, stealth_check, step_deltas
 
 
@@ -230,6 +230,48 @@ class TestLogsAndAttribution:
         config = dataclasses.replace(load_shipped("chain-base"), requests=())
         trace = run_episodes(config, with_injections=False)
         assert trace.steps == ()
+
+
+def window_1_1(injection: dict):
+    """A three-request, one-episode scenario with one injection active at step 1 only."""
+    return parse_scenario({
+        "id": "window-1-1",
+        "mode": "Autonomous",
+        "agency": 4,
+        "seed": 7,
+        "world": {"speed_limit_kph": 80.0, "road_class": "Highway", "vehicle_speed_kph": 72.0},
+        "requests": [{"urgency_tag": "Routine", "destination": "commute"}] * 3,
+        "injections": [{**injection, "window": [1, 1]}],
+    })
+
+
+class TestWindows:
+    """The runner's active list is the one check of an injection's window."""
+
+    def test_layer_transform_changes_only_the_contexts_of_its_window(self):
+        config = window_1_1({"threat": "XV2X", "surface": "Layer", "payload": {
+            "transforms": [{"field": "speed_limit_kph", "op": "Set", "value": 40.0}],
+        }})
+        baseline = run_episodes(config, with_injections=False)
+        attacked = run_episodes(config, with_injections=True)
+        changed = [
+            a.global_step for a, b in zip(attacked.steps, baseline.steps)
+            if (a.pa_context, a.dsa_context) != (b.pa_context, b.dsa_context)
+        ]
+        assert changed == [1]
+        assert attacked.steps[1].pa_context.speed_limit_kph == 40.0
+
+    def test_injection_leaves_effect_records_only_in_its_window(self):
+        config = window_1_1({"threat": "T1", "surface": "PAMemory", "payload": {"value_kph": 45.0}})
+        attacked = run_episodes(config, with_injections=True)
+        assert [(r.global_step, e.step, e.threat) for r in attacked.steps for e in r.effects] == [(1, 1, ThreatId.T1)]
+
+    def test_both_fail_when_every_injection_is_always_active(self, monkeypatch):
+        monkeypatch.setattr(ThreatInjection, "active", lambda self, step: True)
+        with pytest.raises(AssertionError):
+            self.test_layer_transform_changes_only_the_contexts_of_its_window()
+        with pytest.raises(AssertionError):
+            self.test_injection_leaves_effect_records_only_in_its_window()
 
 
 def t11_config(injections: list[tuple[str, float, tuple[int, int]]], episodes: int):

@@ -1,5 +1,6 @@
 """Scenario loading: schema validation, legality, error identification."""
 
+import json
 import math
 import textwrap
 
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 
 import agvsim
 from agvsim import domain
-from agvsim.domain import Hazard, ThreatId
+from agvsim.domain import Hazard, ThreatId, UserRequest
 from agvsim.pipeline import PipelineError
+from agvsim.report import compare, render_json
 from agvsim.runner import run_episodes
 from agvsim.scenario import (
     MAX_DEPTH,
     ConfigError,
+    load_chain_spec,
     load_scenario,
     load_shipped,
     parse_chain_spec,
@@ -103,6 +106,25 @@ class TestSchemaErrors:
         """)
         with pytest.raises(ConfigError, match="window"):
             parse_text(text)
+
+    def test_t7_headway_scale_is_bounded_so_the_headway_stays_finite(self):
+        # at traffic density 1 the DSA keeps a 2 s headway, which 1e308 would scale to inf
+        t7 = "{threat: T7, surface: DSAWeights, payload: {speed_weight: 0.5, headway_scale: 1.0e+308}}"
+        dense = ("{threat: XPerception, surface: Layer,"
+                 " payload: {transforms: [{field: traffic_density, op: Set, value: 1.0}]}}")
+        text = MINIMAL + f"injections:\n  - {t7}\n  - {dense}\n"
+        with pytest.raises(ConfigError, match=(
+            r"^<test>\.injections\[0\]\.payload\.headway_scale: must be a finite number in \[1, 1000\], got 1e\+308$"
+        )):
+            parse_text(text)
+
+        def reject(constant):
+            raise ValueError(f"{constant} in the JSON export")
+
+        config = parse_text(text.replace("1.0e+308", "1000.0"))
+        report = compare(run_episodes(config, with_injections=False), run_episodes(config, with_injections=True))
+        exported = json.loads(render_json(report), parse_constant=reject)
+        assert exported["attacked_trace"]["steps"][0]["approved"]["headway_s"] == 2000.0
 
     def test_bad_payload_value_rejected(self):
         text = MINIMAL + textwrap.dedent("""
@@ -265,6 +287,61 @@ def test_yaml_loader_builds_the_documents_safe_loader_builds():
     texts = [path.read_text(encoding="utf-8") for path in shipped_scenarios().values()]
     for text in texts + [YAML_FEATURES]:
         assert yaml.load(text, Loader=agvsim.scenario._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+class TestDuplicateKeys:
+    """A mapping that repeats a key fails the load at the repeat; a `<<` merge still overrides."""
+
+    @staticmethod
+    def write(tmp_path, text: str):
+        path = tmp_path / "doc.yaml"
+        path.write_text(textwrap.dedent(text).lstrip())
+        return path
+
+    def test_top_level_key(self, tmp_path):
+        path = self.write(tmp_path, MINIMAL.replace("seed: 5\n", "seed: 1\nseed: 2\n"))
+        with pytest.raises(ConfigError) as caught:
+            load_scenario(path)
+        assert str(caught.value) == f"{path}:5:1: parse error: duplicate key 'seed'"
+
+    def test_key_in_the_world(self, tmp_path):
+        path = self.write(tmp_path, MINIMAL.replace(
+            "  vehicle_speed_kph: 72.0\n", "  vehicle_speed_kph: 72.0\n  speed_limit_kph: 30.0\n"
+        ))
+        with pytest.raises(ConfigError) as caught:
+            load_scenario(path)
+        assert str(caught.value) == f"{path}:9:3: parse error: duplicate key 'speed_limit_kph'"
+
+    def test_key_in_a_chain_file(self, tmp_path):
+        path = self.write(tmp_path, """
+            id: file-chain
+            episode_length: 2
+            stages:
+              - kind: inject
+                trigger: {at_step: 0, at_step: 1}
+                injection: {threat: T1, surface: PAMemory, payload: {value_kph: 45.0}}
+        """)
+        with pytest.raises(ConfigError) as caught:
+            load_chain_spec(path)
+        assert str(caught.value) == f"{path}:5:27: parse error: duplicate key 'at_step'"
+
+    def test_merge_keys_still_override(self, tmp_path):
+        # the request merges the payload before the payload is built: the
+        # payload's own keys must not be checked again against the merged ones
+        path = self.write(tmp_path, MINIMAL.replace("""\
+requests:
+  - {urgency_tag: Routine, destination: office}
+""", """\
+injections:
+  - threat: T6
+    surface: PAInput
+    payload: &urgent {<<: {urgency_tag: Routine}, urgency_tag: Urgent}
+requests:
+  - {<<: *urgent, destination: office}
+"""))
+        config = load_scenario(path)
+        assert config.injections[0].payload == {"urgency_tag": "Urgent"}
+        assert config.requests[0] == UserRequest(urgency_tag="Urgent", destination="office")
 
 
 def test_config_error_is_one_class():

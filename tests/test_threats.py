@@ -302,14 +302,6 @@ class TestApplyEffects:
             apply(inj, state, 0)
         assert state.pa_context == summary() and state.feedback == VehicleFeedback(speed_kph=72.0)
 
-    def test_out_of_window_application_is_warning_noop(self):
-        state = make_state()
-        inj = injection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}, window=(5, 9))
-        record = apply(inj, state, 0)
-        assert record.warning
-        assert record.before_digest == record.after_digest
-        assert state.memory.entries == ()
-
     def test_determinism_of_effect_records(self):
         records = []
         for _ in range(2):
