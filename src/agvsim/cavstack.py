@@ -4,7 +4,7 @@ Attacks on these layers are declarative transforms over the *summaries* the
 layers emit; ground truth is never edited. That keeps every perturbation
 serializable in scenario files and replayable bit-exact, and it gives the
 harness an oracle view the pipeline components cannot read. A layer is a pure
-function of the world and the perturbations the runner found active.
+function of the world and the perturbations it is given.
 """
 
 from __future__ import annotations

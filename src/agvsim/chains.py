@@ -22,7 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
 
 # Chain-stage injections stay active from their trigger step onward: the
-# trigger alone gates activation, so every stage injection has this window.
+# trigger alone gates activation, and nothing reads a stage injection's
+# window, so every stage injection must carry this one.
 OPEN_WINDOW = (0, 2**31 - 1)
 
 
@@ -89,6 +90,7 @@ def validate_chain(spec: ChainSpec) -> None:
         if stage.kind is StageKind.INJECT:
             assert stage.injection is not None
             validate_injection(stage.injection)
+            # a narrower window would read as a limit the run does not apply
             if stage.injection.window != OPEN_WINDOW:
                 raise ValueError(
                     f"{where}: the trigger decides when a stage acts; its injection's window "

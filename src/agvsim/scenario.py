@@ -39,13 +39,8 @@ from .threats import Surface, ThreatInjection, validate_injection
 
 logger = logging.getLogger(__name__)
 
-# libyaml's parser when PyYAML was built with it; both loaders build values
-# with the same SafeConstructor
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-class _UniqueKeyLoader(_YAML_LOADER):  # type: ignore[misc, valid-type]
-    """The YAML loader, rejecting a mapping that repeats a scalar key; `<<` merges still override."""
+class _UniqueKeys:
+    """Loader mixin: reject a mapping that repeats a scalar key; `<<` merges still override."""
 
     def flatten_mapping(self, node: yaml.MappingNode) -> None:
         # a mapping is flattened before it is built and again wherever it is
@@ -60,7 +55,12 @@ class _UniqueKeyLoader(_YAML_LOADER):  # type: ignore[misc, valid-type]
                             None, None, f"duplicate key {key.value!r}", key.start_mark
                         )
                     seen.add((key.tag, key.value))
-        super().flatten_mapping(node)
+        super().flatten_mapping(node)  # type: ignore[misc]
+
+
+# libyaml's parser when PyYAML was built with it; both parsers build values
+# with the same SafeConstructor
+_YAML_LOADER = type("_YAML_LOADER", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
 
 
 # far deeper than any schema nests, and far inside the recursion limit that
@@ -235,7 +235,7 @@ def _read_yaml(path: Path) -> object:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read: {exc}") from exc
     try:
-        return yaml.load(text, Loader=_UniqueKeyLoader)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         # one line: PyYAML's problem, without its context and source excerpts
         location = str(path)

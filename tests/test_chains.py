@@ -126,7 +126,7 @@ class TestChainValidation:
             ChainStage(StageKind.INJECT, Trigger(at_step=0), injection, "route-pref-changed")
 
     def test_a_stage_injection_takes_no_window(self, base_scenario):
-        # the default window (0, 0) would stop the stage after step 0 whatever its trigger
+        # the default window (0, 0) reads as "step 0 only", a limit the trigger-driven run does not apply
         stage = ChainStage(
             kind=StageKind.INJECT,
             trigger=Trigger(at_step=1),

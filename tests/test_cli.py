@@ -16,6 +16,9 @@ from agvsim.cli import main
 from agvsim.scenario import shipped_scenarios
 
 
+# the loader in use, on PyYAML's pure-Python parser instead of libyaml's
+PURE_PYTHON_LOADER = type("PurePythonLoader", (agvsim.scenario._UniqueKeys, yaml.SafeLoader), {})
+
 T9_ENVELOPE = (
     "{threat: T9, surface: IdentityField, window: [0, 3],"
     " payload: {claimed: CavStack, target: context, context_patch: {speed_limit_kph: 60.0}}}"
@@ -176,7 +179,7 @@ class TestRun:
     ], ids=["unclosed-flow", "control-character"])
     def test_yaml_syntax_error_is_one_line(self, capsys, tmp_path, monkeypatch, loader, text, location, problem):
         if loader == "SafeLoader":
-            monkeypatch.setattr(agvsim.scenario, "_YAML_LOADER", yaml.SafeLoader)
+            monkeypatch.setattr(agvsim.scenario, "_YAML_LOADER", PURE_PYTHON_LOADER)
         path = tmp_path / "broken.yaml"
         path.write_text(text)
         code, out, err = run_cli(capsys, "run", str(path))

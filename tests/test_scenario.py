@@ -292,6 +292,14 @@ def test_yaml_loader_builds_the_documents_safe_loader_builds():
 class TestDuplicateKeys:
     """A mapping that repeats a key fails the load at the repeat; a `<<` merge still overrides."""
 
+    @pytest.fixture(autouse=True, params=["in-use", "SafeLoader"])
+    def loader(self, request, monkeypatch):
+        # libyaml's parser when PyYAML has it, and the pure-Python one it falls back to
+        if request.param == "SafeLoader":
+            monkeypatch.setattr(agvsim.scenario, "_YAML_LOADER", type(
+                "PurePythonLoader", (agvsim.scenario._UniqueKeys, yaml.SafeLoader), {}
+            ))
+
     @staticmethod
     def write(tmp_path, text: str):
         path = tmp_path / "doc.yaml"

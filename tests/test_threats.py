@@ -291,9 +291,9 @@ class TestApplyEffects:
         ),
         ThreatInjection(
             ThreatId.X_CONTROL_FEEDBACK, Surface.LAYER,
-            {"transforms": [{"field": "speed_kph", "op": "Add", "value": 10.0}]}, window=(5, 9),
+            {"transforms": [{"field": "speed_kph", "op": "Add", "value": 10.0}]},
         ),
-    ], ids=["T4", "XV2X", "XControlFeedback-out-of-window"])
+    ], ids=["T4", "XV2X", "XControlFeedback"])
     def test_layer_surface_injection_is_not_applied_to_a_state(self, inj):
         # Layer-surface injections act inside the layer functions, before fusion
         validate_injection(inj)
