@@ -21,12 +21,6 @@ from .trace import EpisodeTrace, check_paired, stealth_check, step_deltas
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
 
-# Chain-stage injections stay active from their trigger step onward: the
-# trigger alone gates activation, and nothing reads a stage injection's
-# window, so every stage injection must carry this one.
-OPEN_WINDOW = (0, 2**31 - 1)
-
-
 @dataclass(frozen=True)
 class Trigger:
     """When a stage activates: at a fixed step, or after another stage fires."""
@@ -90,12 +84,6 @@ def validate_chain(spec: ChainSpec) -> None:
         if stage.kind is StageKind.INJECT:
             assert stage.injection is not None
             validate_injection(stage.injection)
-            # a narrower window would read as a limit the run does not apply
-            if stage.injection.window != OPEN_WINDOW:
-                raise ValueError(
-                    f"{where}: the trigger decides when a stage acts; its injection's window "
-                    f"must be OPEN_WINDOW, got {stage.injection.window}"
-                )
         else:
             if stage.probe not in PROBES:
                 raise ValueError(f"{where}: unknown probe {stage.probe!r}")
@@ -302,10 +290,7 @@ def _inject(threat: ThreatId, surface: Surface, payload: dict, trigger: Trigger,
     return ChainStage(
         kind=StageKind.INJECT,
         trigger=trigger,
-        injection=ThreatInjection(
-            threat=threat, surface=surface, payload=payload,
-            window=OPEN_WINDOW, persistent=persistent,
-        ),
+        injection=ThreatInjection(threat=threat, surface=surface, payload=payload, persistent=persistent),
         label=label or threat.value,
     )
 

@@ -155,10 +155,9 @@ def _parse_agency(text: str) -> AgencyBucket:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    try:
-        threat = ThreatId(args.threat.upper())
-    except ValueError as exc:
-        raise ConfigError("threat", f"unknown threat id {args.threat!r}") from exc
+    threat = next((t for t in ThreatId if t.value.lower() == args.threat.lower()), None)
+    if threat is None:
+        raise ConfigError("threat", f"unknown threat id {args.threat!r}")
     overrides = {}
     for item in args.set:
         if "=" not in item:
@@ -174,7 +173,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     try:
         total, band = what_if(threat, _parse_mode(args.mode), _parse_agency(args.agency), overrides)
     except KeyError as exc:
-        raise ConfigError("threat", str(exc)) from exc
+        raise ConfigError("threat", exc.args[0]) from exc
     print(f"{total} {band.value}")
     return EXIT_OK
 

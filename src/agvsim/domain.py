@@ -285,22 +285,9 @@ class MessageEnvelope:
     def spoofed(self) -> bool:
         return self.claimed_sender is not self.sender
 
-    def with_hop(self, role: Role, step: int) -> MessageEnvelope:
-        """Return a copy with one more provenance hop appended."""
-        return MessageEnvelope(
-            sender=self.sender,
-            claimed_sender=self.claimed_sender,
-            authority=self.authority,
-            payload=self.payload,
-            provenance=self.provenance + ((role, step),),
-            step=self.step,
-        )
-
 
 def make_envelope(sender: Role, authority: Authority, payload: object, step: int) -> MessageEnvelope:
     """Construct a fresh, honestly-labelled envelope with a single-hop provenance."""
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
     return MessageEnvelope(
         sender=sender,
         claimed_sender=sender,

@@ -62,8 +62,7 @@ def _episode_rng(seed: int, episode: int) -> random.Random:
 
 
 def _delivered(sender: Role, authority: Authority, payload: object, step: int, to: Role) -> MessageEnvelope:
-    """An honestly labelled envelope sent at `step` and received by `to` at the next step:
-    `make_envelope(...).with_hop(to, step + 1)`, built as one object."""
+    """An honestly labelled envelope sent at `step` and received by `to` at the next step."""
     return MessageEnvelope(sender, sender, authority, payload, ((sender, step), (to, step + 1)), step)
 
 
@@ -164,7 +163,7 @@ def run_episodes(
             # one list of what is active this step, the only window check:
             # static injections (by window) before chain stages (by trigger)
             active: list[tuple[int | None, ThreatInjection]] = [
-                (None, inj) for inj in static_injections if inj.active(g)
+                (None, inj) for inj, (start, end) in static_injections if start <= g <= end
             ]
             if stages is not None:
                 active.extend(stages.active_injections(g))

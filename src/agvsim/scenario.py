@@ -8,14 +8,14 @@ for parse errors) so a broken scenario never reaches the episode loop.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
 from .cavstack import Layer, WorldTruth
-from .chains import OPEN_WINDOW, ChainSpec, ChainStage, StageKind, Trigger, validate_chain
+from .chains import ChainSpec, ChainStage, StageKind, Trigger, validate_chain
 from .domain import (
     AgencyLevel,
     ConfigError,
@@ -98,7 +98,8 @@ class ScenarioConfig:
     requests: tuple[UserRequest, ...]
     seed: int
     episodes: int = 1
-    injections: tuple[ThreatInjection, ...] = ()
+    # each injection with its window: [start, end] inclusive, in global steps
+    injections: tuple[tuple[ThreatInjection, tuple[int, int]], ...] = ()
     expected_outcome: str | None = None  # fixture metadata, not engine input
 
     @property
@@ -130,13 +131,22 @@ def _parse_world(data: object, where: str) -> WorldTruth:
 
 def _parse_window(value: object, where: str) -> tuple[int, int]:
     window = sequence(value, where, integer)
-    if len(window) != 2:
-        raise ConfigError(where, f"window must be [start, end] integers, got {value!r}")
+    if len(window) != 2 or not 0 <= window[0] <= window[1]:
+        raise ConfigError(where, f"window must be [start, end] integers with 0 <= start <= end, got {value!r}")
     return window[0], window[1]
 
 
+def _parse_scheduled_injection(data: object, where: str) -> tuple[ThreatInjection, tuple[int, int]]:
+    """A scenario injection and its window, `[0, 0]` when the file gives none."""
+    window: object = [0, 0]
+    if isinstance(data, dict) and "window" in data:
+        data = dict(data)
+        window = data.pop("window")
+    return _parse_injection(data, where), _parse_window(window, f"{where}.window")
+
+
 def _parse_injection(data: object, where: str) -> ThreatInjection:
-    inj = mapping(data, where, ("threat", "surface", "payload"), ("window", "persistent", "layer"))
+    inj = mapping(data, where, ("threat", "surface", "payload"), ("persistent", "layer"))
     persistent = inj.get("persistent", False)
     if not isinstance(persistent, bool):
         raise ConfigError(f"{where}.persistent", f"must be true or false, got {persistent!r}")
@@ -144,7 +154,6 @@ def _parse_injection(data: object, where: str) -> ThreatInjection:
         threat=member(ThreatId, inj["threat"], f"{where}.threat"),
         surface=member(Surface, inj["surface"], f"{where}.surface"),
         payload=inj["payload"],
-        window=_parse_window(inj["window"], f"{where}.window") if "window" in inj else (0, 0),
         persistent=persistent,
         layer=member(Layer, inj["layer"], f"{where}.layer") if "layer" in inj else None,
     )
@@ -174,7 +183,7 @@ def _parse_chain_stage(data: object, where: str) -> ChainStage:
         data = stage["injection"]
         if isinstance(data, dict) and "window" in data:
             raise ConfigError(f"{where}.injection.window", "a chain stage acts from its trigger on and takes no window")
-        injection = replace(_parse_injection(data, f"{where}.injection"), window=OPEN_WINDOW)
+        injection = _parse_injection(data, f"{where}.injection")
     trigger = _parse_trigger(stage["trigger"], f"{where}.trigger")
     probe = string(stage["probe"], f"{where}.probe") if "probe" in stage else None
     label = string(stage.get("label", ""), f"{where}.label")
@@ -221,7 +230,7 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
         requests=sequence(doc["requests"], f"{source}.requests", parse_request),
         seed=integer(doc["seed"], f"{source}.seed"),
         episodes=integer(doc.get("episodes", 1), f"{source}.episodes", 1),
-        injections=sequence(doc.get("injections", []), f"{source}.injections", _parse_injection),
+        injections=sequence(doc.get("injections", []), f"{source}.injections", _parse_scheduled_injection),
         expected_outcome=None if expected is None else string(expected, f"{source}.expected_outcome", _OUTCOMES),
     )
     logger.debug("loaded scenario %s from %s", config.id, source)

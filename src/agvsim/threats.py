@@ -82,17 +82,17 @@ class Surface(str, Enum):
 
 @dataclass(frozen=True)
 class ThreatInjection:
-    """A tagged perturbation: threat id, target surface, payload, window."""
+    """A tagged perturbation: threat id, target surface, payload.
+
+    When it acts is up to what schedules it: a scenario window or a chain
+    trigger.
+    """
 
     threat: ThreatId
     surface: Surface
     payload: dict
-    window: tuple[int, int] = (0, 0)  # [start, end] inclusive, global steps
     persistent: bool = False
     layer: Layer | None = None  # only meaningful on the Layer surface
-
-    def active(self, step: int) -> bool:
-        return self.window[0] <= step <= self.window[1]
 
     @cached_property
     def args(self) -> Any:
@@ -441,6 +441,8 @@ def _parse_t8(p: dict, where: str, inj: ThreatInjection) -> None:
 def _parse_t9(p: dict, where: str, inj: ThreatInjection) -> tuple[Role, str, dict]:
     claimed = member(Role, p.get("claimed"), f"{where}.claimed")
     target = string(p.get("target", "context"), f"{where}.target", ("context", "user"))
+    if target == "user" and "context_patch" in p:
+        raise ConfigError(f"{where}.context_patch", "a forged user input carries no patch; only target: context does")
     return claimed, target, _context_patch(p.get("context_patch", {}), f"{where}.context_patch")
 
 
@@ -457,8 +459,11 @@ def _parse_t11(p: dict, where: str, inj: ThreatInjection) -> tuple[ToolOutput, s
 def _external_edit(value: object, where: str) -> tuple[str, object]:
     """One edit of an in-flight context patch, as (field, value); a hazard stays as the document wrote it."""
     e = mapping(value, where, required=("field", "op", "value"))
-    string(e["op"], f"{where}.op", ("Set", "InjectRecord"))
+    op = string(e["op"], f"{where}.op", ("Set", "InjectRecord"))
     field_name = string(e["field"], f"{where}.field", ("speed_limit_kph", "closures", "hazards"))
+    wanted = "Set" if field_name == "speed_limit_kph" else "InjectRecord"  # as `validate_perturbation` pairs them
+    if op != wanted:
+        raise ConfigError(f"{where}.op", f"field {field_name!r} only supports {wanted}, got {op}")
     if field_name == "speed_limit_kph":
         return field_name, number(e["value"], f"{where}.value", MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH)
     if field_name == "closures":
@@ -502,8 +507,6 @@ def validate_injection(injection: ThreatInjection) -> None:
             f"{injection.threat.value} may not target surface {injection.surface.value}; "
             f"legal: {sorted(s.value for s in spec.surfaces)}"
         )
-    if injection.window[0] < 0 or injection.window[1] < injection.window[0]:
-        raise ValueError(f"bad injection window {injection.window}")
     if injection.surface is Surface.LAYER:
         if spec.layer is not None and injection.layer not in (None, spec.layer):
             raise ValueError(f"{injection.threat.value} is bound to layer {spec.layer.value}")
@@ -810,11 +813,11 @@ def apply(
 
     The one place that builds an InjectionEffectRecord: it keeps the surface
     the threat edits (its spec's `view`) as seen before and after the
-    injector acts. The runner calls it only at the steps where the
-    injection's window or chain trigger makes it active. A Layer-surface
-    injection has already acted inside the layer functions, before fusion:
-    its record compares `layer_before`, the unperturbed layer views, with the
-    views in `state`, and without `layer_before` it raises ValueError.
+    injector acts. The runner calls it only at the steps where its schedule
+    makes it active. A Layer-surface injection has already acted inside the
+    layer functions, before fusion: its record compares `layer_before`, the
+    unperturbed layer views, with the views in `state`, and without
+    `layer_before` it raises ValueError.
     """
     if injection.surface is Surface.LAYER:
         if layer_before is None:

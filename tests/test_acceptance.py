@@ -11,7 +11,6 @@ from itertools import product
 
 from agvsim.chains import (
     ChainSpec,
-    OPEN_WINDOW,
     ChainStage,
     OutcomeClass,
     StageKind,
@@ -119,7 +118,7 @@ def test_criterion_4_case_study_memory_poisoning():
     assert len(CASE1_SCENARIOS) == 8
     for name in CASE1_SCENARIOS:
         config = load_shipped(name)
-        assert any(i.threat is ThreatId.T1 for i in config.injections)
+        assert any(i.threat is ThreatId.T1 for i, _ in config.injections)
         baseline = run_episodes(config, with_injections=False)
         attacked = run_episodes(config, with_injections=True)
         assert all(t <= 45.0 for t in attacked.approved_targets()), name
@@ -190,7 +189,6 @@ def test_criterion_7_chain_outcomes():
                 injection=ThreatInjection(
                     ThreatId.T13, Surface.AGENT_POLICY,
                     {"agent": "DSA", "policy": "rogue-speedster"},
-                    window=OPEN_WINDOW,
                 ),
             ),
         ),
@@ -216,7 +214,7 @@ def test_criterion_8_threat_coverage():
     for threat, fixture in fixture_by_threat.items():
         assert legal_surfaces(threat)  # registered injector surface exists
         config = load_shipped(fixture)
-        injections = [i for i in config.injections if i.threat is threat]
+        injections = [i for i, _ in config.injections if i.threat is threat]
         assert injections, fixture
         for injection in injections:
             validate_injection(injection)  # executable: passes load-time checks

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from agvsim.chains import (
-    OPEN_WINDOW,
     ChainSpec,
     ChainStage,
     OutcomeClass,
@@ -103,7 +102,7 @@ class TestChainValidation:
 
     @pytest.mark.parametrize("stage", [
         ChainStage(StageKind.INJECT, Trigger(at_step=4), ThreatInjection(
-            ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}, window=OPEN_WINDOW,
+            ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0},
         )),
         ChainStage(StageKind.OBSERVE, Trigger(at_step=9), probe="route-pref-changed"),
     ], ids=["inject-at-length", "observe-past-length"])
@@ -119,26 +118,24 @@ class TestChainValidation:
         validate_chain(dataclasses.replace(spec, stages=(last,)))
 
     def test_a_key_the_stage_would_drop_is_rejected(self):
-        injection = ThreatInjection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}, window=OPEN_WINDOW)
+        injection = ThreatInjection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0})
         with pytest.raises(ValueError, match="observe stages need a probe and take no injection"):
             ChainStage(StageKind.OBSERVE, Trigger(at_step=0), injection, "route-pref-changed")
         with pytest.raises(ValueError, match="inject stages need an injection and take no probe"):
             ChainStage(StageKind.INJECT, Trigger(at_step=0), injection, "route-pref-changed")
 
-    def test_a_stage_injection_takes_no_window(self, base_scenario):
-        # the default window (0, 0) reads as "step 0 only", a limit the trigger-driven run does not apply
+    def test_a_stage_injection_acts_from_its_trigger_on(self, base_scenario):
+        # an injection carries no window: the trigger alone decides when a stage acts
         stage = ChainStage(
             kind=StageKind.INJECT,
             trigger=Trigger(at_step=1),
             injection=ThreatInjection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}),
         )
-        spec = ChainSpec(id="windowed", stages=(stage,), episode_length=4)
-        with pytest.raises(ValueError, match=r"stage 0: .* window must be OPEN_WINDOW, got \(0, 0\)"):
-            run_chain(spec, base_scenario)
-        opened = dataclasses.replace(stage, injection=dataclasses.replace(stage.injection, window=OPEN_WINDOW))
-        propagation, _ = run_chain(dataclasses.replace(spec, stages=(opened,)), base_scenario)
+        spec = ChainSpec(id="from-step-1", stages=(stage,), episode_length=4)
+        propagation, _ = run_chain(spec, base_scenario)
         assert propagation.outcome is OutcomeClass.MISALIGNED_APPROVED
         assert propagation.stage_deltas[0].fired_step == 1
+        assert [len(record.effects) for record in propagation.attacked.steps] == [0, 1, 1, 1]
 
 
 class TestRunChain:
@@ -175,14 +172,12 @@ class TestRunChain:
     def test_stage_fired_step_is_the_runners_not_a_static_twin(self, base_scenario):
         # a static T8 strips the log at step 0, so the stage's own strip
         # there finds nothing and only takes effect at step 1
-        static = ThreatInjection(
-            ThreatId.T8, Surface.LOGS, {"mode": "strip-provenance"}, window=(0, 0)
-        )
-        scenario = dataclasses.replace(base_scenario, injections=(static,))
+        static = ThreatInjection(ThreatId.T8, Surface.LOGS, {"mode": "strip-provenance"})
+        scenario = dataclasses.replace(base_scenario, injections=((static, (0, 0)),))
         stage = ChainStage(
             kind=StageKind.INJECT,
             trigger=Trigger(at_step=0),
-            injection=ThreatInjection(ThreatId.T8, Surface.LOGS, {}, window=OPEN_WINDOW),
+            injection=ThreatInjection(ThreatId.T8, Surface.LOGS, {}),
         )
         spec = ChainSpec(id="t8-twin", stages=(stage,), episode_length=4)
         propagation, _ = run_chain(spec, scenario)
@@ -219,7 +214,6 @@ class TestRunChain:
                     injection=ThreatInjection(
                         ThreatId.T13, Surface.AGENT_POLICY,
                         {"agent": "DSA", "policy": "rogue-speedster"},
-                        window=OPEN_WINDOW,
                     ),
                 ),
             ),

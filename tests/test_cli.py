@@ -63,6 +63,16 @@ class TestScore:
         assert code == 1
         assert "T99" in err
 
+    @pytest.mark.parametrize("threat", ["XPerception", "xperception"])
+    def test_a_threat_without_a_table_row_says_so_in_one_line(self, capsys, threat):
+        code, out, err = run_cli(capsys, "score", threat, "autonomous", "high")
+        assert (code, out) == (1, "")
+        assert err == "config error: threat: XPerception has no severity-table row (agentic threats only)\n"
+
+    def test_threat_id_is_matched_case_insensitively(self, capsys):
+        code, out, _ = run_cli(capsys, "score", "t7", "autonomous", "high")
+        assert (code, out) == (0, "16 Critical\n")
+
     def test_bad_rating_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "score", "T1", "manual", "low", "--set", "SI=Z")
         assert code == 1

@@ -51,14 +51,6 @@ class TestEnvelopes:
         assert env.provenance == ((Role.PERSONAL_AGENT, 0),)
         assert not env.spoofed
 
-    def test_appending_a_hop_extends_provenance(self):
-        env = make_envelope(Role.PERSONAL_AGENT, Authority.INTENT_ONLY, None, 2)
-        hopped = env.with_hop(Role.DRIVING_STRATEGY_AGENT, 3)
-        assert len(hopped.provenance) == 2
-        assert hopped.provenance[-1] == (Role.DRIVING_STRATEGY_AGENT, 3)
-        # original untouched (append-only on immutable values)
-        assert len(env.provenance) == 1
-
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             make_envelope(Role.USER, Authority.INTENT_ONLY, None, -1)

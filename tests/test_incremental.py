@@ -123,7 +123,8 @@ def envelopes(draw) -> MessageEnvelope:
     env = make_envelope(draw(st.sampled_from(_ROLES)), draw(st.sampled_from(list(Authority))),
                         draw(_payloads), draw(st.integers(0, 50)))
     for _ in range(draw(st.integers(0, 2))):
-        env = env.with_hop(draw(st.sampled_from(_ROLES)), draw(st.integers(0, 50)))
+        hop = (draw(st.sampled_from(_ROLES)), draw(st.integers(0, 50)))
+        env = dataclasses.replace(env, provenance=env.provenance + (hop,))
     return env
 
 
@@ -248,7 +249,7 @@ def active_layer_sets(config, horizon: int) -> list[tuple]:
     """Per global step, the layer perturbations active in a run of `config`'s own injections."""
     return [
         tuple(
-            p for inj in config.injections if inj.surface is Surface.LAYER and inj.active(g)
+            p for inj, (start, end) in config.injections if inj.surface is Surface.LAYER and start <= g <= end
             for p in to_layer_perturbations(inj)
         )
         for g in range(horizon)
@@ -394,7 +395,7 @@ def test_lazy_effect_digests_of_generated_payloads_equal_the_digests_at_apply_ti
 ], ids=["T9-live-envelopes", "T3-live-admission"])
 def test_a_view_of_a_live_surface_fails_the_equivalence_check(at_apply, monkeypatch, name, view):
     config = open_campaign(name)
-    threat = config.injections[0].threat
+    threat = config.injections[0][0].threat
     monkeypatch.setitem(THREATS, threat, dataclasses.replace(THREATS[threat], view=view))
     held, mismatches = lazy_mismatches(paired(config))
     assert held > 0

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agvsim.scenario
 from agvsim.domain import Authority, Role, ThreatId
 from agvsim.pipeline import AgentTuning, Decision
 from agvsim.report import compare, render_json
 from agvsim.scenario import load_shipped, parse_scenario
 from agvsim.runner import run_episodes
 from agvsim.serialize import digest_of
-from agvsim.threats import Surface, ThreatInjection
+from agvsim.threats import Surface
 from agvsim.trace import TracePairingError, stealth_check, step_deltas
 
 
@@ -46,8 +47,8 @@ class TestDeterminism:
         partial = dataclasses.replace(
             config,
             injections=tuple(
-                dataclasses.replace(inj, payload={**inj.payload, "framing_weight": 0.5})
-                for inj in config.injections
+                (dataclasses.replace(inj, payload={**inj.payload, "framing_weight": 0.5}), window)
+                for inj, window in config.injections
             ),
         )
         runs = [run_episodes(partial, with_injections=True, seed=5) for _ in range(2)]
@@ -74,7 +75,7 @@ class TestDeterminism:
                              "edits": [{"field": "hazards", "op": "InjectRecord", "value": hazard}]}},
             ],
         })
-        payloads = copy.deepcopy([inj.payload for inj in config.injections])
+        payloads = copy.deepcopy([inj.payload for inj, _ in config.injections])
 
         def export() -> str:
             attacked = run_episodes(config, with_injections=True)
@@ -82,7 +83,7 @@ class TestDeterminism:
 
         first = export()
         assert export() == first
-        assert [inj.payload for inj in config.injections] == payloads
+        assert [inj.payload for inj, _ in config.injections] == payloads
         attacked = run_episodes(config, with_injections=True)
         assert [len(r.dsa_context.hazards) for r in attacked.steps] == [2, 2]
         logged = [e.payload for r in attacked.steps for e in r.envelopes if e.sender is Role.EXTERNAL]
@@ -159,7 +160,7 @@ class TestPersistence:
         volatile = dataclasses.replace(
             config,
             injections=tuple(
-                dataclasses.replace(inj, persistent=False) for inj in config.injections
+                (dataclasses.replace(inj, persistent=False), window) for inj, window in config.injections
             ),
         )
         baseline = run_episodes(volatile, with_injections=False)
@@ -183,11 +184,13 @@ class TestStealthCheck:
         speedster = dataclasses.replace(
             config,
             injections=(
-                ThreatInjection(
-                    threat=ThreatId.T13,
-                    surface=Surface.AGENT_POLICY,
-                    payload={"agent": "DSA", "policy": "rogue-speedster"},
-                    window=(0, 3),
+                (
+                    ThreatInjection(
+                        threat=ThreatId.T13,
+                        surface=Surface.AGENT_POLICY,
+                        payload={"agent": "DSA", "policy": "rogue-speedster"},
+                    ),
+                    (0, 3),
                 ),
             ),
         )
@@ -222,7 +225,7 @@ class TestLogsAndAttribution:
 
         for name in ("threat-t01", "threat-t07", "threat-xv2x", "threat-t06"):
             baseline, attacked, config = paired(name)
-            footprint = set().union(*(delta_footprint(inj) for inj in config.injections))
+            footprint = set().union(*(delta_footprint(inj) for inj, _ in config.injections))
             for delta in step_deltas(attacked, baseline):
                 assert set(delta.changed_paths) <= footprint, (name, delta.changed_paths)
 
@@ -267,7 +270,7 @@ class TestWindows:
         assert [(r.global_step, e.step, e.threat) for r in attacked.steps for e in r.effects] == [(1, 1, ThreatId.T1)]
 
     def test_both_fail_when_every_injection_is_always_active(self, monkeypatch):
-        monkeypatch.setattr(ThreatInjection, "active", lambda self, step: True)
+        monkeypatch.setattr(agvsim.scenario, "_parse_window", lambda value, where: (0, 2**31 - 1))
         with pytest.raises(AssertionError):
             self.test_layer_transform_changes_only_the_contexts_of_its_window()
         with pytest.raises(AssertionError):

@@ -55,8 +55,10 @@ class TestHappyPath:
     def test_shipped_case_study_fixture(self):
         config = load_shipped("case1-highway-routine")
         assert len(config.injections) == 1
-        assert config.injections[0].threat is ThreatId.T1
-        assert config.injections[0].persistent
+        injection, window = config.injections[0]
+        assert injection.threat is ThreatId.T1
+        assert injection.persistent
+        assert window == (0, 0)
 
     def test_every_shipped_fixture_loads(self):
         names = shipped_scenarios()
@@ -100,12 +102,13 @@ class TestSchemaErrors:
             parse_text(MINIMAL.replace("Highway", "Moon"))
 
     def test_bad_window_rejected(self):
-        text = MINIMAL + textwrap.dedent("""
-        injections:
-          - {threat: T1, surface: PAMemory, payload: {value_kph: 45.0}, window: [3, 1]}
-        """)
-        with pytest.raises(ConfigError, match="window"):
-            parse_text(text)
+        for window in ("[3, 1]", "[-1, 2]", "[0]"):
+            text = MINIMAL + textwrap.dedent(f"""
+            injections:
+              - {{threat: T1, surface: PAMemory, payload: {{value_kph: 45.0}}, window: {window}}}
+            """)
+            with pytest.raises(ConfigError, match=r"^<test>\.injections\[0\]\.window: window must be \[start, end\]"):
+                parse_text(text)
 
     def test_t7_headway_scale_is_bounded_so_the_headway_stays_finite(self):
         # at traffic density 1 the DSA keeps a 2 s headway, which 1e308 would scale to inf
@@ -134,6 +137,40 @@ class TestSchemaErrors:
         with pytest.raises(ConfigError, match="completeness_factor"):
             parse_text(text)
 
+    @pytest.mark.parametrize("bad, fixed, message", [
+        (
+            "{threat: T9, surface: IdentityField, payload: {claimed: User, target: user,"
+            " context_patch: {speed_limit_kph: 30}}}",
+            "{threat: T9, surface: IdentityField, payload: {claimed: User, target: user}}",
+            r"context_patch: a forged user input carries no patch; only target: context does",
+        ),
+        (
+            "{threat: T12, surface: InterAgentMsg, payload: {target: external,"
+            " edits: [{field: speed_limit_kph, op: InjectRecord, value: 40}]}}",
+            "{threat: T12, surface: InterAgentMsg, payload: {target: external,"
+            " edits: [{field: speed_limit_kph, op: Set, value: 40}]}}",
+            r"edits\[0\]\.op: field 'speed_limit_kph' only supports Set, got InjectRecord",
+        ),
+        (
+            "{threat: T12, surface: InterAgentMsg, payload: {target: external,"
+            " edits: [{field: closures, op: Set, value: R7}]}}",
+            "{threat: T12, surface: InterAgentMsg, payload: {target: external,"
+            " edits: [{field: closures, op: InjectRecord, value: R7}]}}",
+            r"edits\[0\]\.op: field 'closures' only supports InjectRecord, got Set",
+        ),
+    ], ids=["t9-user-with-patch", "t12-inject-a-limit", "t12-set-a-closure"])
+    def test_a_payload_value_its_injector_would_ignore_is_rejected(self, bad, fixed, message):
+        # after a T9 context patch, which puts the envelope a T12 external edit works on in flight
+        patch = ("{threat: T9, surface: IdentityField, payload: {claimed: CavStack, target: context,"
+                 " context_patch: {speed_limit_kph: 30}}}")
+
+        def text(injection: str) -> str:
+            return MINIMAL + f"injections:\n  - {patch}\n  - {injection}\n"
+
+        with pytest.raises(ConfigError, match=rf"^<test>\.injections\[1\]\.payload\.{message}$"):
+            parse_text(text(bad))
+        parse_text(text(fixed))
+
     @pytest.mark.parametrize("value", ['"no"', "1", "null"])
     def test_persistent_must_be_a_yaml_bool(self, value):
         text = MINIMAL + f"""
@@ -152,7 +189,7 @@ injections:
   - {threat: T1, surface: PAMemory, persistent: false, payload: {value_kph: 45.0}}
   - {threat: T1, surface: PAMemory, persistent: true, payload: {value_kph: 40.0}}
 """
-        assert [inj.persistent for inj in parse_text(text).injections] == [False, True]
+        assert [inj.persistent for inj, _ in parse_text(text).injections] == [False, True]
 
     def test_bool_episodes_rejected(self):
         with pytest.raises(ConfigError, match=r"\.episodes: must be an integer >= 1, got True"):
@@ -348,7 +385,7 @@ requests:
   - {<<: *urgent, destination: office}
 """))
         config = load_scenario(path)
-        assert config.injections[0].payload == {"urgency_tag": "Urgent"}
+        assert config.injections[0][0].payload == {"urgency_tag": "Urgent"}
         assert config.requests[0] == UserRequest(urgency_tag="Urgent", destination="office")
 
 
@@ -432,7 +469,7 @@ class TestOneRule:
         layer_edit, _ = HAZARD_POSITIONS["XPerception"](written)
         config = parse_scenario({**DOC, **world_edit, **layer_edit}, "<test>")
         in_world = config.world.true_hazards[0]
-        in_layer = to_layer_perturbations(config.injections[0])[0].value
+        in_layer = to_layer_perturbations(config.injections[0][0])[0].value
         assert in_world == in_layer == Hazard("debris", 30.0, 1.0)
         for hazard in (in_world, in_layer):
             assert type(hazard.distance_m) is float and type(hazard.confidence) is float

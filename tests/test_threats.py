@@ -89,12 +89,8 @@ def make_state(urgency: str = "Routine") -> PipelineState:
     )
 
 
-def injection(threat: ThreatId, surface: Surface, payload: dict, window=(0, 9),
-              persistent=False, layer=None) -> ThreatInjection:
-    inj = ThreatInjection(
-        threat=threat, surface=surface, payload=payload, window=window,
-        persistent=persistent, layer=layer,
-    )
+def injection(threat: ThreatId, surface: Surface, payload: dict, persistent=False, layer=None) -> ThreatInjection:
+    inj = ThreatInjection(threat=threat, surface=surface, payload=payload, persistent=persistent, layer=layer)
     validate_injection(inj)
     return inj
 
@@ -165,7 +161,7 @@ class TestLegalityMap:
             )
         for threat, surface, payload in MALFORMED_PAYLOADS:
             with pytest.raises(ValueError):
-                validate_injection(ThreatInjection(threat, surface, payload, window=(0, 3)))
+                validate_injection(ThreatInjection(threat, surface, payload))
         with pytest.raises(ValueError, match="ControlFeedback-layer field 'completeness'"):
             validate_injection(ThreatInjection(
                 ThreatId.T4, Surface.LAYER, {"completeness_factor": 0.5}, layer=Layer.CONTROL_FEEDBACK,
@@ -187,7 +183,7 @@ class TestLegalityMap:
 class TestApplyEffects:
     def test_t1_memory_poisoning_inserts_cap_45(self):
         state = make_state()
-        inj = injection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}, window=(0, 0))
+        inj = injection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0})
         record = apply(inj, state, 0)
         assert not record.warning
         assert record.before_digest != record.after_digest
@@ -195,7 +191,7 @@ class TestApplyEffects:
 
     def test_t1_is_idempotent_within_a_store(self):
         state = make_state()
-        inj = injection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}, window=(0, 5))
+        inj = injection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0})
         apply(inj, state, 0)
         second = apply(inj, state, 1)
         assert second.before_digest == second.after_digest
@@ -306,7 +302,7 @@ class TestApplyEffects:
         records = []
         for _ in range(2):
             state = make_state()
-            inj = injection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}, window=(0, 0))
+            inj = injection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0})
             records.append(apply(inj, state, 0))
         assert records[0] == records[1]
 

@@ -1,21 +1,26 @@
 """Guards for the tooling that reaches into the package from outside it."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_tracing_target_resolves():
     # `perfbench/run.py --trace 1` wraps these lookup sites; a rename breaks it
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     missing = []
     for owner_path, attr, _ in tracing.TARGETS:
         owner = tracing._resolve(owner_path)
@@ -32,7 +37,7 @@ def test_every_runner_target_is_called():
     from agvsim import chains, runner
     from agvsim.scenario import load_shipped
 
-    tracing = _load_tracing()
+    tracing = _load("tracing")
 
     class PerFunction(tracing.Tracer):
         # targets that share a span name ("threats.apply") stay apart
@@ -58,7 +63,7 @@ def test_effect_record_digests_are_traced_where_they_are_taken():
     from agvsim.runner import run_episodes
     from agvsim.scenario import load_shipped
 
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     site = ("agvsim.threats", "digest_of", "serialize.digest")
     assert site in tracing.TARGETS
     tracing.TARGETS = (site,)
@@ -70,3 +75,18 @@ def test_effect_record_digests_are_traced_where_they_are_taken():
     names = [span[0] for span in tracer.take()]
     assert applied > 0
     assert names == ["serialize.digest"] * (2 * applied)
+
+
+@pytest.mark.parametrize("name", ["corpus", "campaign", "chain-sweep"])
+def test_the_benchmark_workloads_run_and_match_their_golden_digests(tmp_path, name):
+    # the benchmark builds its inputs and reads its results through the
+    # package's API; run the first main and the first probe operation of each
+    # in-process workload through the benchmark's own checker
+    workloads, run = _load("workloads"), _load("run")
+    golden = json.loads((PERFBENCH / "golden.json").read_text())
+    assert golden["seed"] == 0
+    ctx = workloads.Context(seed=0, tmp=tmp_path, src=PERFBENCH.parent / "src", spans_dir=None)
+    workload = workloads.BUILDERS[name](ctx)
+    checker = run.Checker(golden["digests"][name])
+    run.run_ops([workload.main[0], workload.probe[0]], checker, [])
+    assert (checker.attempted, checker.failed) == (2, 0), checker.errors
