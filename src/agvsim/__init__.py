@@ -77,7 +77,6 @@ from .threats import (
     ThreatInjection,
     apply,
     legal_surfaces,
-    validate_injection,
 )
 from .trace import EpisodeTrace, StepRecord, stealth_check
 

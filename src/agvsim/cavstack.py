@@ -69,39 +69,38 @@ _FEEDBACK_NUMERIC_FIELDS = ("speed_kph", "accel_mps2", "steering_deg", "braking"
 
 @dataclass(frozen=True)
 class LayerPerturbation:
-    """One declarative edit of a layer summary."""
+    """One declarative edit of a layer summary.
+
+    An unknown field or a nonsense op/field pair is rejected when it is
+    built, so application never fails at run time.
+    """
 
     layer: Layer
     field: str
     op: TransformOp
     value: object
 
-
-def validate_perturbation(p: LayerPerturbation) -> None:
-    """Reject transforms over unknown fields or nonsense op/field pairs.
-
-    This runs at configuration-load time; application never fails at runtime.
-    """
-    if p.layer is Layer.CONTROL_FEEDBACK:
-        known = _FEEDBACK_NUMERIC_FIELDS
-        records: tuple[str, ...] = ()
-    else:
-        known = _CONTEXT_NUMERIC_FIELDS
-        records = _CONTEXT_RECORD_FIELDS
-    if p.field in records:
-        if p.op not in (TransformOp.INJECT_RECORD, TransformOp.DROP_RECORD):
-            raise ValueError(f"field {p.field!r} only supports InjectRecord/DropRecord, got {p.op.value}")
-    elif p.field in known:
-        if p.op in (TransformOp.INJECT_RECORD, TransformOp.DROP_RECORD):
-            raise ValueError(f"field {p.field!r} is scalar; {p.op.value} needs a record field")
-        if not is_finite_number(p.value):
-            raise ValueError(f"transform on {p.field!r} needs a finite number, got {p.value!r}")
-    else:
-        raise ValueError(f"unknown {p.layer.value}-layer field {p.field!r}")
-    if p.field == "hazards" and p.op is TransformOp.INJECT_RECORD and not isinstance(p.value, Hazard):
-        raise ValueError("hazard injection needs a hazard record value")
-    if p.field == "closures" and p.op is TransformOp.INJECT_RECORD and not isinstance(p.value, str):
-        raise ValueError("closure injection needs a segment-id string value")
+    def __post_init__(self) -> None:
+        if self.layer is Layer.CONTROL_FEEDBACK:
+            known = _FEEDBACK_NUMERIC_FIELDS
+            records: tuple[str, ...] = ()
+        else:
+            known = _CONTEXT_NUMERIC_FIELDS
+            records = _CONTEXT_RECORD_FIELDS
+        if self.field in records:
+            if self.op not in (TransformOp.INJECT_RECORD, TransformOp.DROP_RECORD):
+                raise ValueError(f"field {self.field!r} only supports InjectRecord/DropRecord, got {self.op.value}")
+        elif self.field in known:
+            if self.op in (TransformOp.INJECT_RECORD, TransformOp.DROP_RECORD):
+                raise ValueError(f"field {self.field!r} is scalar; {self.op.value} needs a record field")
+            if not is_finite_number(self.value):
+                raise ValueError(f"transform on {self.field!r} needs a finite number, got {self.value!r}")
+        else:
+            raise ValueError(f"unknown {self.layer.value}-layer field {self.field!r}")
+        if self.field == "hazards" and self.op is TransformOp.INJECT_RECORD and not isinstance(self.value, Hazard):
+            raise ValueError("hazard injection needs a hazard record value")
+        if self.field == "closures" and self.op is TransformOp.INJECT_RECORD and not isinstance(self.value, str):
+            raise ValueError("closure injection needs a segment-id string value")
 
 
 def _apply_numeric(current: float, op: TransformOp, value: float) -> float:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
-from .domain import ThreatId
+from .domain import MAX_RUN_STEPS, ThreatId
 from .pipeline import Decision
-from .threats import Surface, ThreatInjection, delta_footprint, validate_injection
+from .threats import Surface, ThreatInjection, delta_footprint
 from .trace import EpisodeTrace, check_paired, stealth_check, step_deltas
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,35 +57,30 @@ class ChainStage:
 
 @dataclass(frozen=True)
 class ChainSpec:
+    """A chain, checked when it is built: every trigger inside the episode,
+    triggers ordered as a DAG, and every probe known."""
+
     id: str
     stages: tuple[ChainStage, ...]
     episode_length: int
 
     def __post_init__(self) -> None:
-        if self.episode_length < 1:
-            raise ValueError("episode_length must be >= 1")
-
-
-def validate_chain(spec: ChainSpec) -> None:
-    """Stage legality, triggers inside the episode, plus DAG ordering of triggers."""
-    for i, stage in enumerate(spec.stages):
-        where = f"chain {spec.id!r} stage {i}"
-        if stage.trigger.at_step is not None and stage.trigger.at_step >= spec.episode_length:
-            raise ValueError(
-                f"{where}: at_step {stage.trigger.at_step} is past the last step, "
-                f"{spec.episode_length - 1}; the stage could never act"
-            )
-        if stage.trigger.after_stage is not None:
-            k = stage.trigger.after_stage
-            if not 0 <= k < i:
-                raise ValueError(f"{where}: after_stage {k} must reference an earlier stage")
-            if stage.kind is StageKind.INJECT and spec.stages[k].kind is not StageKind.INJECT:
-                raise ValueError(f"{where}: inject stages may only wait on inject stages")
-        if stage.kind is StageKind.INJECT:
-            assert stage.injection is not None
-            validate_injection(stage.injection)
-        else:
-            if stage.probe not in PROBES:
+        if not 1 <= self.episode_length <= MAX_RUN_STEPS:
+            raise ValueError(f"episode_length must be in [1, {MAX_RUN_STEPS}], got {self.episode_length}")
+        for i, stage in enumerate(self.stages):
+            where = f"chain {self.id!r} stage {i}"
+            if stage.trigger.at_step is not None and stage.trigger.at_step >= self.episode_length:
+                raise ValueError(
+                    f"{where}: at_step {stage.trigger.at_step} is past the last step, "
+                    f"{self.episode_length - 1}; the stage could never act"
+                )
+            if stage.trigger.after_stage is not None:
+                k = stage.trigger.after_stage
+                if not 0 <= k < i:
+                    raise ValueError(f"{where}: after_stage {k} must reference an earlier stage")
+                if stage.kind is StageKind.INJECT and self.stages[k].kind is not StageKind.INJECT:
+                    raise ValueError(f"{where}: inject stages may only wait on inject stages")
+            if stage.kind is StageKind.OBSERVE and stage.probe not in PROBES:
                 raise ValueError(f"{where}: unknown probe {stage.probe!r}")
 
 
@@ -225,7 +220,6 @@ def run_chain(
     """
     from .runner import run_episodes  # runner depends on scenario parsing
 
-    validate_chain(spec)
     base = replace(scenario, episodes=1)
     schedule = ChainSchedule(spec)
     attacked = run_episodes(base, with_injections=True, chain=schedule, seed=seed)

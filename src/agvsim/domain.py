@@ -214,6 +214,11 @@ class Hazard:
 MIN_SPEED_KPH = 0.1
 MAX_SPEED_LIMIT_KPH = 200.0
 
+# The most global steps one run may take: a scenario's episodes times its
+# requests, or a chain's episode length. A run keeps every step record, a few
+# KB per paired step, so a run at this limit stays well under a gigabyte.
+MAX_RUN_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class ContextSummary:

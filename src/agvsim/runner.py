@@ -83,7 +83,7 @@ def _run_phase(
     state: PipelineState,
     g: int,
     effects: list[InjectionEffectRecord],
-    layer_before: LazyDigest | None,
+    layer_before: LazyDigest,
     chain: ChainSchedule | None,
 ) -> None:
     """Apply each active injection of `phase` in list order, keeping its record.
@@ -139,7 +139,8 @@ def run_episodes(
             built = views[key] = (fused, control_feedback(world, perturbations))
         return built
 
-    clean: LazyDigest | None = None  # the views with no perturbation, built at most once
+    clean_fused, clean_feedback = layer_views([])  # the unperturbed views, which Layer records compare with
+    clean = LazyDigest({"context": clean_fused, "feedback": clean_feedback})
     no_tool_output = ToolOutput()  # frozen: one per run
     rules = Rulebook()
     tuning = _DEFAULT_TUNING
@@ -171,9 +172,6 @@ def run_episodes(
             # layer transforms act inside the layer functions, before fusion
             layer_injections = [inj for _, inj in active if injection_phase(inj) is Phase.LAYER]
             fused, feedback = layer_views([p for inj in layer_injections for p in to_layer_perturbations(inj)])
-            if layer_injections and clean is None:
-                clean_fused, clean_feedback = layer_views([])
-                clean = LazyDigest({"context": clean_fused, "feedback": clean_feedback})
 
             user.reset_step()
             state = PipelineState(

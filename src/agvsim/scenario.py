@@ -15,11 +15,12 @@ from pathlib import Path
 import yaml
 
 from .cavstack import Layer, WorldTruth
-from .chains import ChainSpec, ChainStage, StageKind, Trigger, validate_chain
+from .chains import ChainSpec, ChainStage, StageKind, Trigger
 from .domain import (
     AgencyLevel,
     ConfigError,
     DrivingMode,
+    MAX_RUN_STEPS,
     MAX_SPEED_LIMIT_KPH,
     MIN_SPEED_KPH,
     RoadClass,
@@ -35,7 +36,7 @@ from .domain import (
     string,
 )
 from .pipeline import Rulebook, max_delta_kph
-from .threats import Surface, ThreatInjection, validate_injection
+from .threats import Surface, ThreatInjection
 
 logger = logging.getLogger(__name__)
 
@@ -150,20 +151,15 @@ def _parse_injection(data: object, where: str) -> ThreatInjection:
     persistent = inj.get("persistent", False)
     if not isinstance(persistent, bool):
         raise ConfigError(f"{where}.persistent", f"must be true or false, got {persistent!r}")
-    injection = ThreatInjection(
-        threat=member(ThreatId, inj["threat"], f"{where}.threat"),
-        surface=member(Surface, inj["surface"], f"{where}.surface"),
-        payload=inj["payload"],
-        persistent=persistent,
-        layer=member(Layer, inj["layer"], f"{where}.layer") if "layer" in inj else None,
-    )
+    threat = member(ThreatId, inj["threat"], f"{where}.threat")
+    surface = member(Surface, inj["surface"], f"{where}.surface")
+    layer = member(Layer, inj["layer"], f"{where}.layer") if "layer" in inj else None
     try:
-        validate_injection(injection)
+        return ThreatInjection(threat, surface, inj["payload"], persistent, layer)
     except ConfigError as exc:  # a field of "<threat> payload": name it by its path in the document
         raise ConfigError(f"{where}.{exc.where.partition(' ')[2]}", exc.message) from exc
     except ValueError as exc:
         raise ConfigError(where, f"illegal injection: {exc}") from exc
-    return injection
 
 
 def _parse_trigger(data: object, where: str) -> Trigger:
@@ -196,16 +192,14 @@ def _parse_chain_stage(data: object, where: str) -> ChainStage:
 def parse_chain_spec(data: object, where: str) -> ChainSpec:
     _check_depth(data, where)
     chain = mapping(data, where, ("id", "stages", "episode_length"))
-    spec = ChainSpec(
-        id=string(chain["id"], f"{where}.id"),
-        stages=sequence(chain["stages"], f"{where}.stages", _parse_chain_stage),
-        episode_length=integer(chain["episode_length"], f"{where}.episode_length", 1),
-    )
+    # parsed outside the `try`: a stage's own ConfigError already names its path
+    chain_id = string(chain["id"], f"{where}.id")
+    stages = sequence(chain["stages"], f"{where}.stages", _parse_chain_stage)
+    episode_length = integer(chain["episode_length"], f"{where}.episode_length", 1)
     try:
-        validate_chain(spec)
+        return ChainSpec(chain_id, stages, episode_length)
     except ValueError as exc:
         raise ConfigError(where, str(exc)) from exc
-    return spec
 
 
 _OUTCOMES = ("BlockedBySC", "MisalignedApproved", "NoEffect")
@@ -233,6 +227,13 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
         injections=sequence(doc.get("injections", []), f"{source}.injections", _parse_scheduled_injection),
         expected_outcome=None if expected is None else string(expected, f"{source}.expected_outcome", _OUTCOMES),
     )
+    steps = config.episodes * config.steps_per_episode
+    if steps > MAX_RUN_STEPS:
+        raise ConfigError(
+            f"{source}.episodes",
+            f"episodes x requests = {config.episodes} x {config.steps_per_episode} = {steps} steps; "
+            f"a run may take at most {MAX_RUN_STEPS}",
+        )
     logger.debug("loaded scenario %s from %s", config.id, source)
     return config
 

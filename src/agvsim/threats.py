@@ -2,15 +2,15 @@
 
 Each threat id has exactly one `ThreatSpec` in `THREATS`: its legal
 surfaces, implied layer, payload schema, surface view, injector and delta
-footprint. The schema parses a payload once, when the scenario is loaded, into
+footprint. The schema parses a payload once, when its injection is built, into
 the typed values the injector reads (`ThreatInjection.args`), so illegal
-(threat, surface) pairs and malformed payloads are rejected at load time,
-never at run time. An injector is a deterministic edit of one attack surface
-inside the per-step pipeline state; `apply` records it with before/after
-digests of that surface, so the harness keeps attacker ground truth while the
-pipeline stays oblivious. A record keeps the surface as the view saw it and
-takes its digest when the digest is first read, so runs that export no JSON
-never take it.
+(threat, surface) pairs and malformed payloads are rejected where they are
+built, in a loader or in code, never at run time. An injector is a
+deterministic edit of one attack surface inside the per-step pipeline state;
+`apply` records it with before/after digests of that surface, so the harness
+keeps attacker ground truth while the pipeline stays oblivious. A record
+keeps the surface as the view saw it and takes its digest when the digest is
+first read, so runs that export no JSON never take it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .cavstack import (
     LayerPerturbation,
     TransformOp,
     apply_summary_transform,
-    validate_perturbation,
 )
 from .domain import (
     Authority,
@@ -84,8 +83,10 @@ class Surface(str, Enum):
 class ThreatInjection:
     """A tagged perturbation: threat id, target surface, payload.
 
-    When it acts is up to what schedules it: a scenario window or a chain
-    trigger.
+    It is checked when it is built: an illegal (threat, surface) pair or
+    layer tag raises ValueError, and a malformed payload raises ConfigError
+    naming its field. When it acts is up to what schedules it: a scenario
+    window or a chain trigger.
     """
 
     threat: ThreatId
@@ -93,6 +94,22 @@ class ThreatInjection:
     payload: dict
     persistent: bool = False
     layer: Layer | None = None  # only meaningful on the Layer surface
+
+    def __post_init__(self) -> None:
+        spec = THREATS[self.threat]
+        if self.surface not in spec.surfaces:
+            raise ValueError(
+                f"{self.threat.value} may not target surface {self.surface.value}; "
+                f"legal: {sorted(s.value for s in spec.surfaces)}"
+            )
+        if self.surface is Surface.LAYER:
+            if spec.layer is not None and self.layer not in (None, spec.layer):
+                raise ValueError(f"{self.threat.value} is bound to layer {spec.layer.value}")
+            if spec.layer is None and self.layer is None:
+                raise ValueError(f"{self.threat.value} on the Layer surface needs an explicit layer")
+        elif self.layer is not None:
+            raise ValueError("layer tag only applies to the Layer surface")
+        self.args  # parse the payload now, so a malformed one fails here
 
     @cached_property
     def args(self) -> Any:
@@ -372,12 +389,10 @@ def _perturbations(transforms: object, where: str, layer: Layer) -> tuple[LayerP
             value = parse_hazard(value, f"{at}.value")
         elif field_name in ("hazards", "closures"):  # a closure, or the kind of the hazards to drop
             value = string(value, f"{at}.value")
-        p = LayerPerturbation(layer, field_name, op, value)
         try:
-            validate_perturbation(p)
+            return LayerPerturbation(layer, field_name, op, value)
         except ValueError as exc:
             raise ConfigError(at, str(exc)) from exc
-        return p
 
     return sequence(transforms, where, perturbation, min_len=1)
 
@@ -406,9 +421,8 @@ def _parse_t4(p: dict, where: str, inj: ThreatInjection) -> float | tuple[LayerP
     if factor in (0.0, 1.0):
         raise ConfigError(f"{where}.completeness_factor", f"must be strictly between 0 and 1, got {factor!r}")
     if inj.surface is Surface.LAYER:
-        scale = LayerPerturbation(effective_layer(inj), "completeness", TransformOp.SCALE, factor)
-        validate_perturbation(scale)  # telemetry has no completeness: a context layer only
-        return (scale,)
+        # telemetry has no completeness: a context layer only
+        return (LayerPerturbation(effective_layer(inj), "completeness", TransformOp.SCALE, factor),)
     return factor
 
 
@@ -461,7 +475,7 @@ def _external_edit(value: object, where: str) -> tuple[str, object]:
     e = mapping(value, where, required=("field", "op", "value"))
     op = string(e["op"], f"{where}.op", ("Set", "InjectRecord"))
     field_name = string(e["field"], f"{where}.field", ("speed_limit_kph", "closures", "hazards"))
-    wanted = "Set" if field_name == "speed_limit_kph" else "InjectRecord"  # as `validate_perturbation` pairs them
+    wanted = "Set" if field_name == "speed_limit_kph" else "InjectRecord"  # as `LayerPerturbation` pairs them
     if op != wanted:
         raise ConfigError(f"{where}.op", f"field {field_name!r} only supports {wanted}, got {op}")
     if field_name == "speed_limit_kph":
@@ -497,24 +511,6 @@ def _parse_t15(p: dict, where: str, inj: ThreatInjection) -> tuple[float, str]:
 
 def _parse_transforms(p: dict, where: str, inj: ThreatInjection) -> tuple[LayerPerturbation, ...]:
     return _perturbations(p.get("transforms"), f"{where}.transforms", effective_layer(inj))
-
-
-def validate_injection(injection: ThreatInjection) -> None:
-    """Legality and payload checks, run at configuration-load time."""
-    spec = THREATS[injection.threat]
-    if injection.surface not in spec.surfaces:
-        raise ValueError(
-            f"{injection.threat.value} may not target surface {injection.surface.value}; "
-            f"legal: {sorted(s.value for s in spec.surfaces)}"
-        )
-    if injection.surface is Surface.LAYER:
-        if spec.layer is not None and injection.layer not in (None, spec.layer):
-            raise ValueError(f"{injection.threat.value} is bound to layer {spec.layer.value}")
-        if spec.layer is None and injection.layer is None:
-            raise ValueError(f"{injection.threat.value} on the Layer surface needs an explicit layer")
-    elif injection.layer is not None:
-        raise ValueError("layer tag only applies to the Layer surface")
-    injection.args  # parse the payload now, so a malformed one fails at load
 
 
 def effective_layer(injection: ThreatInjection) -> Layer:

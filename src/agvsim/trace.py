@@ -64,9 +64,6 @@ class EpisodeTrace:
     def verdict_sequence(self) -> tuple[str, ...]:
         return tuple(v.decision.value for record in self.steps for v in record.verdicts)
 
-    def approved_targets(self) -> tuple[float, ...]:
-        return tuple(record.approved.target_speed_kph for record in self.steps)
-
     def to_json(self) -> str:
         return canonical_json(self)
 

@@ -32,7 +32,7 @@ from agvsim.report import compare
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped
 from agvsim.severity import OrdinalRating, SeverityBand, band, lookup, total, validate_tables
-from agvsim.threats import Surface, ThreatInjection, legal_surfaces, validate_injection
+from agvsim.threats import Surface, ThreatInjection, legal_surfaces
 from agvsim.trace import stealth_check
 
 from test_severity import CONTEXTS, GOLDEN_CELLS, _golden, brute_force_discrepancies
@@ -121,9 +121,9 @@ def test_criterion_4_case_study_memory_poisoning():
         assert any(i.threat is ThreatId.T1 for i, _ in config.injections)
         baseline = run_episodes(config, with_injections=False)
         attacked = run_episodes(config, with_injections=True)
-        assert all(t <= 45.0 for t in attacked.approved_targets()), name
+        assert all(r.approved.target_speed_kph <= 45.0 for r in attacked.steps), name
         if config.world.road_class in (RoadClass.HIGHWAY, RoadClass.ARTERIAL):
-            assert all(80.0 <= t <= 90.0 for t in baseline.approved_targets()), name
+            assert all(80.0 <= r.approved.target_speed_kph <= 90.0 for r in baseline.steps), name
         assert attacked.verdict_sequence() == baseline.verdict_sequence(), name
     _report(4, "case study I: caps hold, baselines in range, verdicts identical", started, 5.0)
 
@@ -135,7 +135,7 @@ def test_criterion_5_case_study_v2x_spoofing():
         assert 80.0 <= config.world.true_speed_limit_kph <= 90.0
         baseline = run_episodes(config, with_injections=False)
         attacked = run_episodes(config, with_injections=True)
-        assert all(t <= 40.0 for t in attacked.approved_targets()), name
+        assert all(r.approved.target_speed_kph <= 40.0 for r in attacked.steps), name
         assert stealth_check(attacked, baseline) is True, name
         assert attacked.world_digest_before == attacked.world_digest_after, name
     _report(5, "case study II: spoofed limit bounds targets, stealthy, truth intact", started, 5.0)
@@ -214,10 +214,8 @@ def test_criterion_8_threat_coverage():
     for threat, fixture in fixture_by_threat.items():
         assert legal_surfaces(threat)  # registered injector surface exists
         config = load_shipped(fixture)
-        injections = [i for i, _ in config.injections if i.threat is threat]
-        assert injections, fixture
-        for injection in injections:
-            validate_injection(injection)  # executable: passes load-time checks
+        # loaded, so each injection passed the checks it runs when built
+        assert any(i.threat is threat for i, _ in config.injections), fixture
         baseline = run_episodes(config, with_injections=False)
         attacked = run_episodes(config, with_injections=True)
         applied = [

@@ -13,7 +13,6 @@ from agvsim.cavstack import (
     fuse,
     perceive,
     v2x_broadcast,
-    validate_perturbation,
 )
 from agvsim.domain import ContextSummary, Hazard, RoadClass, SourceLayer
 
@@ -146,23 +145,19 @@ class TestFuse:
 class TestValidation:
     def test_unknown_field_rejected_at_load(self):
         with pytest.raises(ValueError):
-            validate_perturbation(
-                perturb(Layer.PERCEPTION, "wheel_diameter", TransformOp.SET, 1.0)
-            )
+            perturb(Layer.PERCEPTION, "wheel_diameter", TransformOp.SET, 1.0)
 
     def test_scalar_op_on_record_field_rejected(self):
         with pytest.raises(ValueError):
-            validate_perturbation(perturb(Layer.V2X, "closures", TransformOp.SCALE, 2.0))
+            perturb(Layer.V2X, "closures", TransformOp.SCALE, 2.0)
 
     def test_record_op_on_scalar_field_rejected(self):
         with pytest.raises(ValueError):
-            validate_perturbation(
-                perturb(Layer.V2X, "speed_limit_kph", TransformOp.INJECT_RECORD, 40.0)
-            )
+            perturb(Layer.V2X, "speed_limit_kph", TransformOp.INJECT_RECORD, 40.0)
 
     def test_feedback_fields_only_on_control_layer(self):
         with pytest.raises(ValueError):
-            validate_perturbation(perturb(Layer.PERCEPTION, "braking", TransformOp.SET, 1.0))
+            perturb(Layer.PERCEPTION, "braking", TransformOp.SET, 1.0)
 
 
 class TestWorldTruthImmutability:

@@ -14,7 +14,6 @@ from agvsim.chains import (
     builtin_chains,
     classify_outcome,
     run_chain,
-    validate_chain,
 )
 from agvsim.cavstack import Layer
 from agvsim.domain import ThreatId
@@ -52,8 +51,7 @@ class TestBuiltinChains:
         assert threats == [ThreatId.T9, ThreatId.T12]
 
     def test_all_builtin_specs_validate(self):
-        for spec in builtin_chains():
-            validate_chain(spec)
+        builtin_chains()  # each spec checks itself when it is built
 
     def test_unknown_id_rejected(self):
         with pytest.raises(KeyError):
@@ -72,7 +70,7 @@ class TestChainValidation:
             kind=StageKind.OBSERVE, trigger=Trigger(after_stage=1), probe="route-pref-changed"
         )
         with pytest.raises(ValueError, match="earlier stage"):
-            validate_chain(ChainSpec(id="bad", stages=(stage,), episode_length=3))
+            ChainSpec(id="bad", stages=(stage,), episode_length=3)
 
     def test_inject_stage_cannot_wait_on_observe(self):
         observe = ChainStage(
@@ -84,21 +82,16 @@ class TestChainValidation:
             injection=ThreatInjection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0}),
         )
         with pytest.raises(ValueError, match="inject stages"):
-            validate_chain(ChainSpec(id="bad", stages=(observe, inject), episode_length=3))
+            ChainSpec(id="bad", stages=(observe, inject), episode_length=3)
 
     def test_illegal_stage_injection_rejected(self):
-        inject = ChainStage(
-            kind=StageKind.INJECT,
-            trigger=Trigger(at_step=0),
-            injection=ThreatInjection(ThreatId.T1, Surface.LOGS, {"value_kph": 45.0}),
-        )
         with pytest.raises(ValueError, match="may not target"):
-            validate_chain(ChainSpec(id="bad", stages=(inject,), episode_length=3))
+            ThreatInjection(ThreatId.T1, Surface.LOGS, {"value_kph": 45.0})
 
     def test_unknown_probe_rejected(self):
         stage = ChainStage(kind=StageKind.OBSERVE, trigger=Trigger(at_step=0), probe="nonsense")
         with pytest.raises(ValueError, match="unknown probe"):
-            validate_chain(ChainSpec(id="bad", stages=(stage,), episode_length=3))
+            ChainSpec(id="bad", stages=(stage,), episode_length=3)
 
     @pytest.mark.parametrize("stage", [
         ChainStage(StageKind.INJECT, Trigger(at_step=4), ThreatInjection(
@@ -106,16 +99,13 @@ class TestChainValidation:
         )),
         ChainStage(StageKind.OBSERVE, Trigger(at_step=9), probe="route-pref-changed"),
     ], ids=["inject-at-length", "observe-past-length"])
-    def test_a_trigger_past_the_last_step_is_rejected(self, base_scenario, stage):
+    def test_a_trigger_past_the_last_step_is_rejected(self, stage):
         # such a stage could never act, and the chain would run as NoEffect
-        spec = ChainSpec(id="late", stages=(stage,), episode_length=4)
         message = rf"chain 'late' stage 0: at_step {stage.trigger.at_step} is past the last step, 3"
         with pytest.raises(ValueError, match=message):
-            validate_chain(spec)
-        with pytest.raises(ValueError, match=message):
-            run_chain(spec, base_scenario)
+            ChainSpec(id="late", stages=(stage,), episode_length=4)
         last = dataclasses.replace(stage, trigger=Trigger(at_step=3))
-        validate_chain(dataclasses.replace(spec, stages=(last,)))
+        ChainSpec(id="late", stages=(last,), episode_length=4)
 
     def test_a_key_the_stage_would_drop_is_rejected(self):
         injection = ThreatInjection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": 45.0})

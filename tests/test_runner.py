@@ -27,6 +27,10 @@ def paired(name: str):
     )
 
 
+def approved_targets(trace) -> tuple[float, ...]:
+    return tuple(record.approved.target_speed_kph for record in trace.steps)
+
+
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self):
         config = load_shipped("case1-highway-routine")
@@ -39,7 +43,7 @@ class TestDeterminism:
         a = run_episodes(config, with_injections=True, seed=1)
         b = run_episodes(config, with_injections=True, seed=2)
         # no seeded randomness in this scenario: only the recorded seed differs
-        assert a.approved_targets() == b.approved_targets()
+        assert approved_targets(a) == approved_targets(b)
         assert a.seed == 1 and b.seed == 2
 
     def test_t15_outcome_depends_only_on_seed(self):
@@ -218,7 +222,7 @@ class TestLogsAndAttribution:
         assert any(len(env.provenance) > 1 for env in clean)
         assert all(len(env.provenance) == 1 for env in stripped)
         # behavior itself is untouched: attribution failure only
-        assert attacked.approved_targets() == baseline.approved_targets()
+        assert approved_targets(attacked) == approved_targets(baseline)
 
     def test_deltas_stay_within_injection_footprint(self):
         from agvsim.threats import delta_footprint

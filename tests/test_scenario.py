@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import agvsim
 from agvsim import domain
-from agvsim.domain import Hazard, ThreatId, UserRequest
+from agvsim.domain import MAX_RUN_STEPS, Hazard, ThreatId, UserRequest
 from agvsim.pipeline import PipelineError
 from agvsim.report import compare, render_json
 from agvsim.runner import run_episodes
@@ -194,6 +194,25 @@ injections:
     def test_bool_episodes_rejected(self):
         with pytest.raises(ConfigError, match=r"\.episodes: must be an integer >= 1, got True"):
             parse_text(MINIMAL + "episodes: true\n")
+
+    def test_a_run_past_max_run_steps_is_rejected_at_load(self):
+        # loaded only, never run: MINIMAL has one request, so one step per episode
+        assert parse_text(MINIMAL + f"episodes: {MAX_RUN_STEPS}\n").episodes == MAX_RUN_STEPS
+        for episodes in (MAX_RUN_STEPS + 1, 10**20):
+            message = (
+                rf"^<test>\.episodes: episodes x requests = {episodes} x 1 = {episodes} steps; "
+                rf"a run may take at most {MAX_RUN_STEPS}$"
+            )
+            with pytest.raises(ConfigError, match=message):
+                parse_text(MINIMAL + f"episodes: {episodes}\n")
+
+    def test_a_chain_past_max_run_steps_is_rejected_at_load(self):
+        # loaded only, never run
+        assert parse_chain_spec({"id": "c", "episode_length": MAX_RUN_STEPS, "stages": []}, "<chain>")
+        for length in (MAX_RUN_STEPS + 1, 10**20):
+            message = rf"^<chain>: episode_length must be in \[1, {MAX_RUN_STEPS}\], got {length}$"
+            with pytest.raises(ConfigError, match=message):
+                parse_chain_spec({"id": "c", "episode_length": length, "stages": []}, "<chain>")
 
     def test_bool_chain_episode_length_rejected(self):
         chain = {"id": "inline", "episode_length": True, "stages": []}

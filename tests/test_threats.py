@@ -1,13 +1,17 @@
 """Threat registry: legality map, injector effects, stealth, user model."""
 
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agvsim.cavstack import Layer
 from agvsim.domain import (
     Authority,
+    ConfigError,
     ContextSummary,
     DEFAULT_ADMISSION,
     RoadClass,
@@ -17,6 +21,8 @@ from agvsim.domain import (
     VehicleFeedback,
 )
 from agvsim.pipeline import AgentTuning, MemoryStore, SPEED_CAP_KEY
+from agvsim.runner import run_episodes
+from agvsim.scenario import load_shipped
 from agvsim.threats import (
     PipelineState,
     SimulatedUserState,
@@ -29,7 +35,6 @@ from agvsim.threats import (
     delta_footprint,
     legal_surfaces,
     to_layer_perturbations,
-    validate_injection,
 )
 
 
@@ -90,9 +95,7 @@ def make_state(urgency: str = "Routine") -> PipelineState:
 
 
 def injection(threat: ThreatId, surface: Surface, payload: dict, persistent=False, layer=None) -> ThreatInjection:
-    inj = ThreatInjection(threat=threat, surface=surface, payload=payload, persistent=persistent, layer=layer)
-    validate_injection(inj)
-    return inj
+    return ThreatInjection(threat=threat, surface=surface, payload=payload, persistent=persistent, layer=layer)
 
 
 class TestLegalityMap:
@@ -125,9 +128,7 @@ class TestLegalityMap:
 
     def test_illegal_pair_rejected_at_load(self):
         with pytest.raises(ValueError, match="may not target"):
-            validate_injection(
-                ThreatInjection(ThreatId.T1, Surface.TOOL_OUTPUT, {"value_kph": 45.0})
-            )
+            ThreatInjection(ThreatId.T1, Surface.TOOL_OUTPUT, {"value_kph": 45.0})
 
     def test_cross_layer_threat_layer_is_implied(self):
         inj = injection(
@@ -138,34 +139,28 @@ class TestLegalityMap:
 
     def test_conflicting_layer_tag_rejected(self):
         with pytest.raises(ValueError, match="bound to layer"):
-            validate_injection(
-                ThreatInjection(
-                    ThreatId.X_V2X, Surface.LAYER,
-                    {"transforms": [{"field": "speed_limit_kph", "op": "Set", "value": 40.0}]},
-                    layer=Layer.PERCEPTION,
-                )
+            ThreatInjection(
+                ThreatId.X_V2X, Surface.LAYER,
+                {"transforms": [{"field": "speed_limit_kph", "op": "Set", "value": 40.0}]},
+                layer=Layer.PERCEPTION,
             )
 
     def test_bad_payload_rejected(self):
         with pytest.raises(ValueError):
-            validate_injection(ThreatInjection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": -5}))
+            ThreatInjection(ThreatId.T1, Surface.PA_MEMORY, {"value_kph": -5})
         with pytest.raises(ValueError):
-            validate_injection(ThreatInjection(ThreatId.T7, Surface.DSA_WEIGHTS, {"speed_weight": 2.0}))
+            ThreatInjection(ThreatId.T7, Surface.DSA_WEIGHTS, {"speed_weight": 2.0})
         with pytest.raises(ValueError):
-            validate_injection(
-                ThreatInjection(ThreatId.T13, Surface.AGENT_POLICY, {"agent": "DSA", "policy": "nope"})
-            )
+            ThreatInjection(ThreatId.T13, Surface.AGENT_POLICY, {"agent": "DSA", "policy": "nope"})
         with pytest.raises(ValueError):
-            validate_injection(
-                ThreatInjection(ThreatId.T12, Surface.INTER_AGENT_MSG, {"target": "external", "edits": [5]})
-            )
+            ThreatInjection(ThreatId.T12, Surface.INTER_AGENT_MSG, {"target": "external", "edits": [5]})
         for threat, surface, payload in MALFORMED_PAYLOADS:
             with pytest.raises(ValueError):
-                validate_injection(ThreatInjection(threat, surface, payload))
+                ThreatInjection(threat, surface, payload)
         with pytest.raises(ValueError, match="ControlFeedback-layer field 'completeness'"):
-            validate_injection(ThreatInjection(
+            ThreatInjection(
                 ThreatId.T4, Surface.LAYER, {"completeness_factor": 0.5}, layer=Layer.CONTROL_FEEDBACK,
-            ))
+            )
 
     def test_payload_is_parsed_once_per_injection(self):
         inj = injection(ThreatId.T14, Surface.USER_CHANNEL, {"requests": [
@@ -178,6 +173,59 @@ class TestLegalityMap:
         for step in range(3):
             apply(inj, make_state(), step)
         assert inj.args is requests
+
+
+def fixture_payload(threat: ThreatId) -> dict:
+    """The payload of `threat` in its shipped `threat-*` fixture."""
+    name = f"threat-{threat.value.lower()}" if threat.is_cross_layer else f"threat-t{int(threat.value[1:]):02d}"
+    return next(inj.payload for inj, _ in load_shipped(name).injections if inj.threat is threat)
+
+
+FIXTURE_PAYLOADS = {threat: fixture_payload(threat) for threat in ThreatId}
+CHAIN_BASE = load_shipped("chain-base")
+
+
+@st.composite
+def placements(draw) -> tuple[ThreatId, Surface, Layer | None]:
+    """A threat on any surface, drawn from its legal ones half the time, with any layer tag or none."""
+    threat = draw(st.sampled_from(list(ThreatId)))
+    legal = sorted(legal_surfaces(threat), key=lambda s: s.value)
+    surface = draw(st.sampled_from(legal) | st.sampled_from(list(Surface)))
+    return threat, surface, draw(st.sampled_from([None, *Layer]))
+
+
+class TestBuiltInCode:
+    """An injection built in Python is checked as a loaded one is, when it is built."""
+
+    def test_an_illegal_surface_is_rejected_naming_the_legal_ones(self):
+        with pytest.raises(ValueError, match=r"^T1 may not target surface ToolOutput; legal: \['PAMemory'\]$"):
+            ThreatInjection(ThreatId.T1, Surface.TOOL_OUTPUT, {"value_kph": 45.0})
+
+    def test_t1_on_the_layer_surface_is_rejected(self):
+        # built, it would reach the layer functions, which read its parsed payload as transforms
+        with pytest.raises(ValueError, match="^T1 may not target surface Layer"):
+            ThreatInjection(ThreatId.T1, Surface.LAYER, {"value_kph": 45.0})
+
+    def test_a_malformed_payload_is_a_config_error_naming_its_field(self):
+        with pytest.raises(ConfigError, match=r"^T7 payload\.speed_weight: must be a finite number in \[0\.001, 1\]"):
+            ThreatInjection(ThreatId.T7, Surface.DSA_WEIGHTS, {"speed_weight": 5})
+
+    @given(placements())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_an_injection_is_rejected_when_built_or_runs(self, placement):
+        threat, surface, layer = placement
+        if surface not in legal_surfaces(threat):
+            with pytest.raises(ValueError, match=f"may not target surface {surface.value}"):
+                ThreatInjection(threat, surface, FIXTURE_PAYLOADS[threat], layer=layer)
+            return
+        try:
+            inj = ThreatInjection(threat, surface, FIXTURE_PAYLOADS[threat], layer=layer)
+        except ValueError:
+            return  # a layer tag that does not fit the threat or the surface
+        steps = CHAIN_BASE.steps_per_episode
+        config = dataclasses.replace(CHAIN_BASE, injections=((inj, (0, steps - 1)),))
+        trace = run_episodes(config, with_injections=True)
+        assert [e.threat for record in trace.steps for e in record.effects] == [threat] * steps
 
 
 class TestApplyEffects:
@@ -292,7 +340,6 @@ class TestApplyEffects:
     ], ids=["T4", "XV2X", "XControlFeedback"])
     def test_layer_surface_injection_is_not_applied_to_a_state(self, inj):
         # Layer-surface injections act inside the layer functions, before fusion
-        validate_injection(inj)
         state = make_state()
         with pytest.raises(ValueError, match="layer functions"):
             apply(inj, state, 0)
