@@ -7,15 +7,7 @@ propagation traces, and an ordinal severity-scoring engine over six
 operating contexts.
 """
 
-from .chains import (
-    ChainSpec,
-    ChainStage,
-    OutcomeClass,
-    PropagationTrace,
-    builtin_chains,
-    classify_outcome,
-    run_chain,
-)
+from .chains import ChainSpec, ChainStage, PropagationTrace, builtin_chains, run_chain
 from .domain import (
     AgencyBucket,
     AgencyLevel,
@@ -78,6 +70,6 @@ from .threats import (
     apply,
     legal_surfaces,
 )
-from .trace import EpisodeTrace, StepRecord, stealth_check
+from .trace import EpisodeTrace, OutcomeClass, StepRecord, classify_outcome, stealth_check
 
 __version__ = "0.1.0"

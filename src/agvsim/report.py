@@ -14,10 +14,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .chains import classify_outcome
 from .pipeline import Decision
 from .serialize import canonical_json
-from .trace import EpisodeTrace, StepRecord, check_paired, stealth_check, step_deltas
+from .trace import EpisodeTrace, StepRecord, classify_outcome, stealth_check, step_deltas
 
 
 class ReportIOError(OSError):
@@ -98,46 +97,32 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
     Persistence counts episodes whose behavior still deviates from baseline
     although no injection fired inside them (carried-over influence only).
     """
-    check_paired(attacked, baseline)
-    deltas = step_deltas(attacked, baseline)
-
-    step_rows = []
-    delta_by_episode: dict[int, bool] = {e: False for e in range(attacked.episodes)}
-    fresh_effect_by_episode: dict[int, bool] = {e: False for e in range(attacked.episodes)}
-    # (baseline, attacked) steps per episode, grouped in this one pass
-    steps_by_episode: dict[int, tuple[list[StepRecord], list[StepRecord]]] = {
-        e: ([], []) for e in range(attacked.episodes)
-    }
-    for b_rec, a_rec, delta in zip(baseline.steps, attacked.steps, deltas):
-        steps_by_episode[a_rec.episode][0].append(b_rec)
-        steps_by_episode[a_rec.episode][1].append(a_rec)
-        step_rows.append(
-            StepRow(
-                scenario_id=attacked.scenario_id,
-                episode=a_rec.episode,
-                step=a_rec.step,
-                baseline_target_kph=b_rec.approved.target_speed_kph,
-                attacked_target_kph=a_rec.approved.target_speed_kph,
-                delta_kph=a_rec.approved.target_speed_kph - b_rec.approved.target_speed_kph,
-                verdict_baseline=_verdict_cell(b_rec),
-                verdict_attacked=_verdict_cell(a_rec),
-            )
+    deltas = step_deltas(attacked, baseline)  # checks the pair first
+    step_rows = tuple(
+        StepRow(
+            scenario_id=attacked.scenario_id,
+            episode=a_rec.episode,
+            step=a_rec.step,
+            baseline_target_kph=b_rec.approved.target_speed_kph,
+            attacked_target_kph=a_rec.approved.target_speed_kph,
+            delta_kph=a_rec.approved.target_speed_kph - b_rec.approved.target_speed_kph,
+            verdict_baseline=_verdict_cell(b_rec),
+            verdict_attacked=_verdict_cell(a_rec),
         )
-        if delta.changed_paths:
-            delta_by_episode[a_rec.episode] = True
-        if any(not e.warning for e in a_rec.effects):
-            fresh_effect_by_episode[a_rec.episode] = True
-
-    persistence = sum(
-        1
-        for episode in range(attacked.episodes)
-        if delta_by_episode[episode] and not fresh_effect_by_episode[episode]
+        for b_rec, a_rec in zip(baseline.steps, attacked.steps)
     )
 
+    persistence = 0
     episode_rows = []
-    for episode, (b_steps, a_steps) in steps_by_episode.items():
+    n = attacked.steps_per_episode
+    for episode in range(attacked.episodes):
+        span = slice(episode * n, (episode + 1) * n)
+        b_steps, a_steps = baseline.steps[span], attacked.steps[span]
         if not a_steps:  # zero-step episodes yield no rows to aggregate
             continue
+        any_delta = any(d.changed_paths for d in deltas[span])
+        if any_delta and all(e.warning for record in a_steps for e in record.effects):
+            persistence += 1
         b_mean = sum(r.approved.target_speed_kph for r in b_steps) / len(b_steps)
         a_mean = sum(r.approved.target_speed_kph for r in a_steps) / len(a_steps)
         episode_rows.append(
@@ -149,7 +134,7 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
                 delta_mean_kph=a_mean - b_mean,
                 sc_rejections_baseline=_rejections(b_steps),
                 sc_rejections_attacked=_rejections(a_steps),
-                any_delta=delta_by_episode[episode],
+                any_delta=any_delta,
             )
         )
 
@@ -162,7 +147,7 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
         sc_rejections_baseline=_rejections(baseline.steps),
         sc_rejections_attacked=_rejections(attacked.steps),
         rows=tuple(episode_rows),
-        step_rows=tuple(step_rows),
+        step_rows=step_rows,
         baseline=baseline,
         attacked=attacked,
     )

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from .cavstack import LayerPerturbation, control_feedback, fuse, perceive, v2x_broadcast
-from .chains import ChainSchedule
 from .domain import (
     DEFAULT_ADMISSION,
     Authority,
@@ -34,7 +34,6 @@ from .pipeline import (
     SPEED_CAP_KEY,
     validate_with_revision,
 )
-from .scenario import ConfigError, ScenarioConfig
 from .serialize import _plain_digest, digest_of
 from .threats import (
     InjectionEffectRecord,
@@ -54,6 +53,10 @@ from .threats import (
     to_layer_perturbations,
 )
 from .trace import EpisodeTrace, StepRecord
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .chains import ChainSchedule
+    from .scenario import ScenarioConfig
 
 
 def _episode_rng(seed: int, episode: int) -> random.Random:
@@ -109,15 +112,12 @@ def run_episodes(
 
     The baseline run (`with_injections=False`) skips every injection and
     chain stage but consumes identical seeds and steps, so the pair differs
-    only where attacks acted. `chain` sets the episode length to the
-    chain's; an attacked run also acts its stages from their triggers on and
-    marks in it the step at which each inject stage first takes effect,
-    while a baseline takes only the episode length.
+    only where attacks acted. An attacked run also acts the stages of
+    `chain` from their triggers on and marks in it the step at which each
+    inject stage first takes effect.
     """
     seed_value = config.seed if seed is None else seed
-    steps_per_episode = chain.spec.episode_length if chain is not None else config.steps_per_episode
-    if steps_per_episode and not config.requests:
-        raise ConfigError(config.id, f"no requests to drive {steps_per_episode} steps per episode")
+    steps_per_episode = config.steps_per_episode
 
     static_injections = list(config.injections) if with_injections else []
     stages = chain if with_injections else None
@@ -156,9 +156,8 @@ def run_episodes(
             memory = memory.carry_over()
         user = SimulatedUserState(rng=_episode_rng(seed_value, episode))
 
-        for step in range(steps_per_episode):
+        for step, request in enumerate(config.requests):
             g = episode * steps_per_episode + step
-            request = config.requests[step % len(config.requests)]
             effects: list[InjectionEffectRecord] = []
 
             # one list of what is active this step, the only window check:

@@ -156,7 +156,7 @@ def _parse_injection(data: object, where: str) -> ThreatInjection:
     layer = member(Layer, inj["layer"], f"{where}.layer") if "layer" in inj else None
     try:
         return ThreatInjection(threat, surface, inj["payload"], persistent, layer)
-    except ConfigError as exc:  # a field of "<threat> payload": name it by its path in the document
+    except ConfigError as exc:  # a field of "<threat> payload" or "<threat> persistent": name it by its path
         raise ConfigError(f"{where}.{exc.where.partition(' ')[2]}", exc.message) from exc
     except ValueError as exc:
         raise ConfigError(where, f"illegal injection: {exc}") from exc

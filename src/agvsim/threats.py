@@ -84,9 +84,10 @@ class ThreatInjection:
     """A tagged perturbation: threat id, target surface, payload.
 
     It is checked when it is built: an illegal (threat, surface) pair or
-    layer tag raises ValueError, and a malformed payload raises ConfigError
-    naming its field. When it acts is up to what schedules it: a scenario
-    window or a chain trigger.
+    layer tag raises ValueError, and a malformed payload, or a `persistent`
+    flag that the threat's injector never reads, raises ConfigError naming
+    its field. When it acts is up to what schedules it: a scenario window or
+    a chain trigger.
     """
 
     threat: ThreatId
@@ -109,6 +110,10 @@ class ThreatInjection:
                 raise ValueError(f"{self.threat.value} on the Layer surface needs an explicit layer")
         elif self.layer is not None:
             raise ValueError("layer tag only applies to the Layer surface")
+        if self.persistent and not spec.persistent:
+            readers = ", ".join(t.value for t, s in THREATS.items() if s.persistent)
+            threat = self.threat.value
+            raise ConfigError(f"{threat} persistent", f"{threat} does not read it; only {readers} do")
         self.args  # parse the payload now, so a malformed one fails here
 
     @cached_property
@@ -713,6 +718,7 @@ class ThreatSpec:
     # the part of the footprint that depends on the surface or the payload
     footprint_extra: Callable[[ThreatInjection], tuple[str, ...]] | None = None
     layer: Layer | None = None  # implied by cross-layer vectors; T4-on-Layer may pick any
+    persistent: bool = False  # the injector reads `ThreatInjection.persistent`
 
 
 _DOWNSTREAM = ("intent", "submissions", "approved")
@@ -728,7 +734,7 @@ def _cross_layer(layer: Layer, footprint: tuple[str, ...]) -> ThreatSpec:
 THREATS: dict[ThreatId, ThreatSpec] = {
     ThreatId.T1: ThreatSpec(
         frozenset({Surface.PA_MEMORY}), ("value_kph", "key"), _parse_t1,
-        lambda s, a: s.memory.digest(), _act_t1, ("memory_digest",) + _DOWNSTREAM,
+        lambda s, a: s.memory.digest(), _act_t1, ("memory_digest",) + _DOWNSTREAM, persistent=True,
     ),
     ThreatId.T2: ThreatSpec(
         frozenset({Surface.TOOL_OUTPUT}), ("advised_speed_kph", "route_hint"), _tool_output,
@@ -748,6 +754,7 @@ THREATS: dict[ThreatId, ThreatSpec] = {
     ThreatId.T5: ThreatSpec(
         frozenset({Surface.PA_INPUT}), ("context_patch",), _parse_t5,
         lambda s, a: LazyDigest(s.pa_context), _act_t5, ("pa_context", "memory_digest") + _DOWNSTREAM,
+        persistent=True,
     ),
     ThreatId.T6: ThreatSpec(
         frozenset({Surface.PA_INPUT}), ("urgency_tag", "destination", "desired_speed_kph"), _parse_t6,

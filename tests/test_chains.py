@@ -180,6 +180,19 @@ class TestRunChain:
             propagation, baseline = run_chain(spec, scenario)
             assert len(propagation.attacked.steps) == len(baseline.steps) == spec.episode_length, spec.id
 
+    @pytest.mark.parametrize(
+        "name", [n for n in sorted(shipped_scenarios()) if len(load_shipped(n).requests) == 3]
+    )
+    def test_a_chains_baseline_is_the_plain_baseline_of_its_cycled_scenario(self, name):
+        # 3 requests under a 4-step chain: the fourth step takes the first request again
+        scenario = load_shipped(name)
+        cycled = dataclasses.replace(scenario, episodes=1, requests=scenario.requests + scenario.requests[:1])
+        expected = run_episodes(cycled, with_injections=False).to_json()
+        for spec in builtin_chains():
+            assert spec.episode_length == 4, spec.id
+            _, baseline = run_chain(spec, scenario)
+            assert baseline.to_json() == expected, spec.id
+
     def test_empty_chain_is_no_effect(self, base_scenario):
         empty = ChainSpec(id="empty", stages=(), episode_length=3)
         propagation, baseline = run_chain(empty, base_scenario)

@@ -445,6 +445,15 @@ class TestChainCommand:
         assert len(err.splitlines()) == 1
 
 
+    def test_scenario_without_requests_names_the_chains_length(self, capsys, tmp_path):
+        text = shipped_scenarios()["chain-base"].read_text().replace("id: chain-base\n", "id: no-requests\n")
+        path = tmp_path / "no-requests.yaml"
+        path.write_text(text.split("requests:")[0] + "requests: []\n")
+        code, out, err = run_cli(capsys, "chain", "chain-1", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err == "config error: no-requests: no requests to drive 4 steps per episode\n"
+
+
 @pytest.mark.parametrize("command, document, line, key", [
     ("run", shipped_scenarios()["chain-base"].read_text().replace("seed: 401\n", "seed: 401\nseed: 402\n"),
      6, "seed"),

@@ -72,6 +72,16 @@ class TestCompare:
         with pytest.raises(TracePairingError):
             compare(a, b)
 
+    def test_traces_of_other_episode_lengths_are_unpaired(self):
+        # 2 x 3 steps against 3 x 2: as many steps, but not the same episodes
+        config = load_shipped("threat-t01")
+        attacked = run_episodes(dataclasses.replace(config, episodes=2), with_injections=True)
+        shorter = dataclasses.replace(config, episodes=3, requests=config.requests[:2])
+        baseline = run_episodes(shorter, with_injections=False)
+        assert len(attacked.steps) == len(baseline.steps) == 6
+        with pytest.raises(TracePairingError, match=r"^unpaired traces: 3 vs 2 steps per episode$"):
+            compare(baseline, attacked)
+
 
 class TestCsvRendering:
     def test_exact_column_set_and_order(self, case1_report):

@@ -174,6 +174,62 @@ class TestPersistence:
         assert all(not d.changed_paths for d in episode1)
 
 
+def window_0_0(name: str, persistent: bool | None = None):
+    """A threat fixture over 2 episodes with each injection active at global step 0 only.
+
+    Gives {global step: changed fields} of the steps that deviate from the
+    baseline, and the global steps that carry effect records. `persistent`,
+    when given, replaces each injection's flag.
+    """
+    config = load_shipped(name)
+    config = dataclasses.replace(config, episodes=2, injections=tuple(
+        (inj if persistent is None else dataclasses.replace(inj, persistent=persistent), (0, 0))
+        for inj, _ in config.injections
+    ))
+    assert config.steps_per_episode == 3
+    baseline = run_episodes(config, with_injections=False)
+    attacked = run_episodes(config, with_injections=True)
+    deviating = {d.global_step: d.changed_paths for d in step_deltas(attacked, baseline) if d.changed_paths}
+    return deviating, [r.global_step for r in attacked.steps if r.effects]
+
+
+class TestEffectLifetimes:
+    """How long what an injection leaves behind outlives its window (README § Scenario files)."""
+
+    @pytest.mark.parametrize("name, persistent, steps", [
+        ("threat-t01", False, [0, 1, 2]),
+        ("threat-t01", True, [0, 1, 2, 3, 4, 5]),
+        ("threat-t02", None, [0, 1, 2]),
+        ("threat-t05", True, [0, 1, 2, 3, 4, 5]),
+    ])
+    def test_memory_entries_last_the_episode_and_cross_it_only_when_persistent(self, name, persistent, steps):
+        deviating, effects = window_0_0(name, persistent)
+        assert sorted(deviating) == steps
+        assert all("memory_digest" in paths for paths in deviating.values())
+        assert effects == [0]
+
+    def test_t11_tuning_lasts_the_rest_of_the_run(self):
+        deviating, effects = window_0_0("threat-t11")
+        assert sorted(deviating) == [0, 1, 2, 3, 4, 5]
+        assert all(deviating[g] == ("approved", "submissions", "tuning_digest") for g in range(1, 6))
+        assert effects == [0]
+
+    def test_t15_framing_lasts_the_rest_of_the_episode(self):
+        deviating, effects = window_0_0("threat-t15")
+        assert sorted(deviating) == [0, 1, 2]
+        assert effects == [0]
+
+    @pytest.mark.parametrize("name", [
+        "threat-t03", "threat-t04", "threat-t05", "threat-t06", "threat-t07", "threat-t08", "threat-t09",
+        "threat-t10", "threat-t12", "threat-t13", "threat-t14",
+        "threat-xcompute", "threat-xcontrolfeedback", "threat-xperception", "threat-xv2x",
+    ])
+    def test_every_other_effect_stays_in_its_window(self, name):
+        deviating, effects = window_0_0(name)
+        assert set(deviating) <= {0}
+        assert effects == [0]
+
+
 class TestStealthCheck:
     def test_case_study_attack_is_stealthy(self):
         baseline, attacked, _ = paired("case1-highway-routine")

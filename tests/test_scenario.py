@@ -191,6 +191,20 @@ injections:
 """
         assert [inj.persistent for inj, _ in parse_text(text).injections] == [False, True]
 
+    @pytest.mark.parametrize("name", sorted(n for n in shipped_scenarios() if n.startswith("threat-")))
+    def test_persistent_is_rejected_where_the_injector_never_reads_it(self, name):
+        # each threat fixture's own injection, flagged persistent: only the T1 and T5 injectors read it
+        data = yaml.safe_load(shipped_scenarios()[name].read_text(encoding="utf-8"))
+        (injection,) = data["injections"]
+        data["injections"] = [{**injection, "persistent": True}]
+        threat = injection["threat"]
+        if threat in ("T1", "T5"):
+            assert [inj.persistent for inj, _ in parse_scenario(data, "<test>").injections] == [True]
+        else:
+            message = rf"^<test>\.injections\[0\]\.persistent: {threat} does not read it; only T1, T5 do$"
+            with pytest.raises(ConfigError, match=message):
+                parse_scenario(data, "<test>")
+
     def test_bool_episodes_rejected(self):
         with pytest.raises(ConfigError, match=r"\.episodes: must be an integer >= 1, got True"):
             parse_text(MINIMAL + "episodes: true\n")
@@ -319,6 +333,19 @@ class TestChainStages:
                                "payload": {"claimed": "CavStack", "target": "context"}}}
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_chain_spec({"id": "c", "episode_length": 2, "stages": [first, stage]}, "<chain>")
+
+    def test_persistent_is_rejected_on_a_stage_whose_injector_never_reads_it(self):
+        def chain(threat: str, surface: str, payload: dict) -> dict:
+            injection = {"threat": threat, "surface": surface, "persistent": True, "payload": payload}
+            return {"id": "c", "episode_length": 1,
+                    "stages": [{"kind": "inject", "trigger": {"at_step": 0}, "injection": injection}]}
+
+        message = r"^<chain>\.stages\[0\]\.injection\.persistent: T2 does not read it; only T1, T5 do$"
+        with pytest.raises(ConfigError, match=message):
+            parse_chain_spec(chain("T2", "ToolOutput", {"advised_speed_kph": 40.0}), "<chain>")
+        # chain-3's stage: T5 memorizes its patched limit across episodes
+        spec = parse_chain_spec(chain("T5", "PAInput", {"context_patch": {"speed_limit_kph": 60.0}}), "<chain>")
+        assert spec.stages[0].injection.persistent
 
 
 # YAML features beyond what the shipped files use: anchors, aliases, a merge

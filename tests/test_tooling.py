@@ -1,5 +1,6 @@
 """Guards for the tooling that reaches into the package from outside it."""
 
+import ast
 import importlib.util
 import json
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "agvsim"
 
 
 def _load(name: str):
@@ -90,3 +92,79 @@ def test_the_benchmark_workloads_run_and_match_their_golden_digests(tmp_path, na
     checker = run.Checker(golden["digests"][name])
     run.run_ops([workload.main[0], workload.probe[0]], checker, [])
     assert (checker.attempted, checker.failed) == (2, 0), checker.errors
+
+
+def _import_graph():
+    """The package's own imports, read from the source of `src/agvsim/*.py`.
+
+    Gives (run-time edges, edges under `if TYPE_CHECKING`, relative imports
+    inside a function, absolute imports of the package), each edge set keyed
+    by module stem: `from .x import y` names x, `from . import y` names y.
+    """
+    runtime: dict[str, set[str]] = {}
+    type_only: dict[str, set[str]] = {}
+    in_functions, absolute = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        runtime[module], type_only[module] = set(), set()
+
+        def visit(node, edges, in_function):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if in_function:
+                    in_functions.append(where)
+                edges.update([node.module.partition(".")[0]] if node.module else [a.name for a in node.names])
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+                absolute.extend(where for name in names if name.partition(".")[0] == "agvsim")
+            elif isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                for stmt in node.body:
+                    visit(stmt, type_only[module], in_function)
+                for stmt in node.orelse:
+                    visit(stmt, edges, in_function)
+            else:
+                nested = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                for child in ast.iter_child_nodes(node):
+                    visit(child, edges, nested)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), runtime[module], False)
+    return runtime, type_only, in_functions, absolute
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of `graph` as the modules along it, first repeated at the end, or None."""
+    done: set[str] = set()
+
+    def walk(path: list[str]) -> list[str] | None:
+        for dep in sorted(graph.get(path[-1], ())):
+            if dep in path:
+                return path[path.index(dep):] + [dep]
+            if dep not in done:
+                found = walk(path + [dep])
+                if found:
+                    return found
+        done.add(path[-1])
+        return None
+
+    for module in sorted(graph):
+        found = None if module in done else walk([module])
+        if found:
+            return found
+    return None
+
+
+def test_the_package_imports_form_no_cycle_and_none_sits_in_a_function():
+    runtime, type_only, in_functions, absolute = _import_graph()
+    assert in_functions == []
+    assert absolute == []
+    assert _cycle(runtime) is None
+    # the runner stays below chains and scenario, and a report needs no chain
+    assert not {"chains", "scenario"} & runtime["runner"]
+    assert "chains" not in runtime["report"] | type_only["report"]
+    # the walk sees the edges that matter: chains calls the runner, the
+    # scenario loader builds chain specs, and the runner's annotations name
+    # both, which would close a cycle at run time
+    assert "runner" in runtime["chains"] and "chains" in runtime["scenario"]
+    assert {"chains", "scenario"} <= type_only["runner"]
+    with_annotations = {m: runtime[m] | type_only[m] for m in runtime}
+    assert _cycle(with_annotations) is not None
