@@ -86,7 +86,10 @@ class MemoryStore:
 
     def carry_over(self) -> "MemoryStore":
         """New store holding only the entries flagged persistent."""
-        return MemoryStore(tuple(e for e in self._entries if e.persistent))
+        carried = MemoryStore(tuple(e for e in self._entries if e.persistent))
+        if len(carried._entries) == len(self._entries):
+            carried._digest = self._digest  # the same entries: the digest, if taken, still holds
+        return carried
 
     def digest(self) -> str:
         if self._digest is None:

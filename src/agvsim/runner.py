@@ -34,7 +34,7 @@ from .pipeline import (
     SPEED_CAP_KEY,
     validate_with_revision,
 )
-from .serialize import _plain_digest, digest_of
+from .serialize import digest_of
 from .threats import (
     InjectionEffectRecord,
     LazyDigest,
@@ -52,7 +52,7 @@ from .threats import (
     run_pa_policy,
     to_layer_perturbations,
 )
-from .trace import EpisodeTrace, StepRecord
+from .trace import EpisodeTrace, StepRecord, lazy_log_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chains import ChainSchedule
@@ -286,11 +286,7 @@ def run_episodes(
                         _DEFAULT_ADMISSION_DIGEST if state.admission == DEFAULT_ADMISSION
                         else _admission_digest(state.admission)
                     ),
-                    # provenance shape only: tracks attribution loss and
-                    # message-count changes without mirroring payload content
-                    log_digest=_plain_digest(
-                        [[[role.value, hop] for role, hop in env.provenance] for env in step_envelopes]
-                    ),
+                    log_digest=lazy_log_digest(step_envelopes),
                     effects=tuple(effects),
                 )
             )

@@ -12,23 +12,45 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
+from operator import attrgetter
+from typing import Any
 
-# dataclass -> ((field name, its escaped JSON key plus ": "), ...) sorted by
-# name; filled once per class by `_fields`
-_FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}
+# dataclass -> (a getter of its field values as a tuple, sorted by field name,
+# and each field's escaped JSON key plus ": " in the same order); filled once
+# per class by `_fields`
+_FIELDS: dict[type, tuple[Callable[[object], tuple], tuple[str, ...]]] = {}
 
 # how `json` writes the floats whose repr is not JSON
 _FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _fields(cls: type) -> tuple[tuple[str, str], ...]:
+def _float_text(obj: float) -> str:
+    text = float.__repr__(obj)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+# exact type -> the writer of its JSON text, for the values written without
+# recursion; a str-valued Enum class joins the first time `_text_other`
+# meets it, as the lookup of a member -> escaped value dict
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _fields(cls: type) -> tuple[Callable[[object], tuple], tuple[str, ...]]:
     table = _FIELDS.get(cls)
     if table is None:
         names = sorted(f.name for f in dataclasses.fields(cls))
-        table = _FIELDS[cls] = tuple((name, _escape(name) + ": ") for name in names)
+        # `attrgetter` gives a tuple only for two names or more
+        get = attrgetter(*names) if len(names) > 1 else lambda obj: tuple(getattr(obj, n) for n in names)
+        table = _FIELDS[cls] = (get, tuple(_escape(name) + ": " for name in names))
     return table
 
 
@@ -50,53 +72,55 @@ def _text(obj: object, nl: str | None, memo: dict | None = None) -> str:
     and `memo` maps the id of each frozen dataclass written so far to
     (its `nl`, its text, the object); with `nl=None`, compact with the `json`
     module's default separators: items ", " apart, no newlines.
+
+    The dataclass and list loops write the leaves (`_LEAVES`) themselves and
+    every other value through this function, looked up by its module name.
     """
     cls = type(obj)
-    if cls is str:
-        return _escape(obj)
-    fields = _FIELDS.get(cls)
-    if fields is not None:
+    leaf = _LEAVES.get(cls)
+    if leaf is not None:
+        return leaf(obj)
+    table = _FIELDS.get(cls)
+    if table is not None:
+        get, keys = table
         if nl is None:
-            return "{" + ", ".join([key + _text(getattr(obj, name), None) for name, key in fields]) + "}"
+            return "{" + ", ".join([
+                key + (leaf(value) if (leaf := _LEAVES.get(type(value))) else _text(value, None))
+                for key, value in zip(keys, get(obj))
+            ]) + "}"
         written = memo.get(id(obj))  # type: ignore[union-attr]
         if written is not None:
             # JSON escapes the newlines inside strings, so every newline of
             # the text starts a line of the layout, after the old indent
             return written[1] if written[0] == nl else written[1].replace(written[0], nl)
-        if not fields:
+        if not keys:
             return "{}"
         inner = nl + "  "
-        text = "{" + inner + ("," + inner).join(
-            [key + _text(getattr(obj, name), inner, memo) for name, key in fields]
-        ) + nl + "}"
+        text = "{" + inner + ("," + inner).join([
+            key + (leaf(value) if (leaf := _LEAVES.get(type(value))) else _text(value, inner, memo))
+            for key, value in zip(keys, get(obj))
+        ]) + nl + "}"
         if cls.__dataclass_params__.frozen:  # type: ignore[attr-defined]
             memo[id(obj)] = (nl, text, obj)  # type: ignore[index]
         return text
-    if cls is float:
-        text = float.__repr__(obj)
-        return _FLOAT_SPECIALS.get(text, text)
-    if cls is int:
-        return int.__repr__(obj)
     if cls is tuple or cls is list:
         return _items(obj, nl, memo)
     return _text_other(obj, nl, memo)
 
 
 def _text_other(obj: object, nl: str | None, memo: dict | None) -> str:
-    """`_text` for every type without a fast path."""
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
+    """`_text` for every type without a fast path (`None` and bool have one)."""
+    if isinstance(obj, Enum):
+        cls = type(obj)
+        if all(type(member.value) is str for member in cls):
+            _LEAVES[cls] = {member: _escape(member.value) for member in cls}.__getitem__
+        return _text(obj.value, nl, memo)
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _FLOAT_SPECIALS.get(text, text)
+        return _float_text(obj)
     if isinstance(obj, str):
         return _escape(obj)
-    if isinstance(obj, Enum):
-        return _text(obj.value, nl, memo)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         _fields(type(obj))  # from now on `_text` finds the class in the table
         return _text(obj, nl, memo)
@@ -119,11 +143,15 @@ def _text_other(obj: object, nl: str | None, memo: dict | None) -> str:
 
 def _items(items: list | tuple, nl: str | None, memo: dict | None) -> str:
     if nl is None:
-        return "[" + ", ".join([_text(v, None) for v in items]) + "]"
+        return "[" + ", ".join([
+            leaf(v) if (leaf := _LEAVES.get(type(v))) else _text(v, None) for v in items
+        ]) + "]"
     if not items:
         return "[]"
     inner = nl + "  "
-    return "[" + inner + ("," + inner).join([_text(v, inner, memo) for v in items]) + nl + "]"
+    return "[" + inner + ("," + inner).join([
+        leaf(v) if (leaf := _LEAVES.get(type(v))) else _text(v, inner, memo) for v in items
+    ]) + nl + "]"
 
 
 def _plain_digest(plain: object) -> str:

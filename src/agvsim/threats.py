@@ -63,7 +63,7 @@ from .pipeline import (
     dsa_propose,
     pa_interpret,
 )
-from .serialize import ListDigest, digest_of
+from .serialize import ListDigest, _plain_digest, digest_of
 
 
 class Surface(str, Enum):
@@ -127,18 +127,21 @@ class LazyDigest:
     """A surface as a view saw it, with its `digest_of` taken once, when first asked for.
 
     The value must be one that nothing edits later: a frozen object, a
-    scalar, or a copy.
+    scalar, or a copy. With `plain`, the digest is that of `plain(value)`,
+    a hand-made projection to JSON types.
     """
 
-    __slots__ = ("value", "_digest")
+    __slots__ = ("value", "_plain", "_digest")
 
-    def __init__(self, value: object) -> None:
+    def __init__(self, value: object, plain: Callable[[Any], object] | None = None) -> None:
         self.value = value
+        self._plain = plain
         self._digest = ""
 
     def digest(self) -> str:
         if not self._digest:
-            self._digest = digest_of(self.value)
+            plain = self._plain
+            self._digest = digest_of(self.value) if plain is None else _plain_digest(plain(self.value))
         return self._digest
 
 

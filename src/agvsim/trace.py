@@ -14,7 +14,7 @@ from enum import Enum
 from .domain import MessageEnvelope, UserRequest, ContextSummary, VehicleFeedback
 from .pipeline import Decision, IntentDescriptor, SafetyVerdict, StrategyProposal
 from .serialize import canonical_json
-from .threats import InjectionEffectRecord, ToolOutput
+from .threats import InjectionEffectRecord, LazyDigest, ToolOutput, _DigestField
 
 
 class TracePairingError(ValueError):
@@ -45,8 +45,20 @@ class StepRecord:
     memory_digest: str
     tuning_digest: str
     admission_digest: str
-    log_digest: str
+    # provenance shape only: tracks attribution loss and message-count
+    # changes without mirroring payload content; may be given as
+    # `lazy_log_digest(envelopes)`, which digests when first read
+    log_digest: str = _DigestField()  # type: ignore[assignment]
     effects: tuple[InjectionEffectRecord, ...] = ()
+
+
+def _provenance_shape(envelopes: tuple[MessageEnvelope, ...]) -> list:
+    return [[[role.value, hop] for role, hop in env.provenance] for env in envelopes]
+
+
+def lazy_log_digest(envelopes: tuple[MessageEnvelope, ...]) -> LazyDigest:
+    """The `log_digest` of a step's envelopes, taken when first read."""
+    return LazyDigest(envelopes, _provenance_shape)
 
 
 @dataclass(frozen=True)
@@ -130,21 +142,29 @@ class StepDelta:
     changed_paths: tuple[str, ...]  # field names, sorted
 
 
-# the fields compared: all but the oracle trail and the envelopes, whose
-# content mirrors other fields and of which only the count is compared
-_DIFFED_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name not in ("envelopes", "effects"))
+# the fields compared by value: all but the oracle trail, the envelopes,
+# whose content mirrors other fields and of which only the count and the
+# provenance are compared, and `log_digest`, the digest of that provenance
+_DIFFED_FIELDS = tuple(
+    f.name for f in fields(StepRecord) if f.name not in ("envelopes", "effects", "log_digest")
+)
 
 
 def step_deltas(attacked: EpisodeTrace, baseline: EpisodeTrace) -> list[StepDelta]:
     """Field-wise diff of every paired step, in step order.
 
     Gives the names of the fields on which the two records differ, with
-    `envelope_count` standing for the envelopes.
+    `envelope_count` standing for the envelopes. `log_digest` differs where
+    the envelopes' provenance does: every hop is a (Role, int) pair, so the
+    provenance lists are equal exactly when their digests are, and no digest
+    is taken.
     """
     check_paired(attacked, baseline)
     deltas = []
     for a, b in zip(attacked.steps, baseline.steps):
         changed = [name for name in _DIFFED_FIELDS if getattr(a, name) != getattr(b, name)]
+        if [e.provenance for e in a.envelopes] != [e.provenance for e in b.envelopes]:
+            changed.append("log_digest")
         if len(a.envelopes) != len(b.envelopes):
             changed.append("envelope_count")
         deltas.append(

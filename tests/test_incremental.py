@@ -5,15 +5,19 @@ hashes each settled log entry once. Both must give exactly what flattening
 or hashing everything gives, and T8's cost per application must not grow
 with the horizon. The runner digests the tuning and the admission table
 only when they change, and `MemoryStore` keeps its digest until its next
-append, so neither count grows with the steps. It builds the layer views
-once per set of active layer perturbations, and they must equal the views
-rebuilt at every step. An effect record takes the digests of the surface
-its view saw only when they are first read: each must equal the digest
-taken at apply time, a run that exports no JSON takes none, and an export
-takes each once.
+append, also across an episode that carries every entry over, so neither
+count grows with the steps. It builds the layer views once per set of
+active layer perturbations, and they must equal the views rebuilt at every
+step. An effect record takes the digests of the surface its view saw only
+when they are first read: each must equal the digest taken at apply time, a
+run that exports no JSON takes none, and an export takes each once. A step
+record's `log_digest` is taken the same way, from the step's own envelopes:
+it must equal the digest the runner used to take at every step, `step_deltas`
+and the CSV export take none, and the JSON export takes each once.
 """
 
 import dataclasses
+import sys
 
 import pytest
 import yaml
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 import agvsim.runner
 import agvsim.serialize
 import agvsim.threats
+import agvsim.trace
 from agvsim.cavstack import control_feedback, fuse, perceive, v2x_broadcast
 from agvsim.chains import builtin_chains, run_chain
 from agvsim.domain import Authority, MessageEnvelope, Role, ThreatId, make_envelope
@@ -32,7 +37,7 @@ from agvsim.runner import run_episodes
 from agvsim.scenario import ConfigError, load_scenario, parse_scenario, shipped_scenarios
 from agvsim.serialize import canonical_json, digest_of
 from agvsim.threats import THREATS, LazyDigest, MessageLog, Surface, to_layer_perturbations
-from agvsim.trace import step_deltas
+from agvsim.trace import lazy_log_digest, step_deltas
 from test_golden import open_campaign
 from test_payload_properties import BASE, injections
 from test_serialize import to_jsonable
@@ -188,7 +193,11 @@ def with_episodes(name: str, episodes: int):
 
 @pytest.fixture
 def digest_calls(monkeypatch):
-    """Counts `runner.digest_of` calls by argument type, and every `serialize._plain_digest` call."""
+    """Counts `runner.digest_of` calls by argument type, and every `serialize._plain_digest` call.
+
+    The modules that call `_plain_digest` bind the name when they are
+    imported, so it is counted under each module that holds it.
+    """
     calls = {"runner": [], "plain": 0}
     digest_of_, plain_digest = agvsim.runner.digest_of, agvsim.serialize._plain_digest
 
@@ -201,7 +210,13 @@ def digest_calls(monkeypatch):
         return plain_digest(plain)
 
     monkeypatch.setattr(agvsim.runner, "digest_of", counting_digest_of)
-    monkeypatch.setattr(agvsim.serialize, "_plain_digest", counting_plain_digest)
+    holders = [
+        module for name, module in list(sys.modules.items())
+        if name.startswith("agvsim.") and getattr(module, "_plain_digest", None) is plain_digest
+    ]
+    assert agvsim.serialize in holders and len(holders) > 1  # its callers hold it too
+    for module in holders:
+        monkeypatch.setattr(module, "_plain_digest", counting_plain_digest)
     return calls
 
 
@@ -213,7 +228,28 @@ def test_runner_digests_per_run_do_not_grow_with_steps(digest_calls):
         trace = run_episodes(with_episodes("chain-base", episodes), with_injections=True)
         assert len(trace.steps) == 4 * episodes
         per_run.append((len(digest_calls["runner"]), digest_calls["plain"]))
+    assert per_run[0][1] > 0  # the world and the memory store are digested at least once
     assert per_run[0] == per_run[1]
+
+
+def test_a_store_carried_over_whole_keeps_its_digest(digest_calls):
+    entries = tuple(
+        MemoryEntry(f"k{i}", MemoryKind.CONSTRAINT, float(i), Role.EXTERNAL, inserted_step=i, persistent=True)
+        for i in range(3)
+    )
+    store = MemoryStore(entries)
+    digest = store.digest()
+    assert digest_calls["plain"] == 1
+    carried = store.carry_over()
+    assert carried.digest() == digest
+    assert digest_calls["plain"] == 1
+    # one entry dropped: the carried store digests its own entries
+    store.append(MemoryEntry("dropped", MemoryKind.HISTORY, 0.0, Role.USER, inserted_step=3))
+    carried = store.carry_over()
+    assert carried.digest() == digest
+    assert digest_calls["plain"] == 2
+    carried.append(entries[0])
+    assert carried.digest() == MemoryStore(entries + entries[:1]).digest()
 
 
 def test_tuning_is_digested_once_plus_once_per_t11_application(digest_calls):
@@ -459,3 +495,73 @@ def test_store_digests_are_taken_at_apply_time(effect_digests, name, threat):
     assert len(held) == 2 * len(attacked.steps)
     assert all(type(digest) is str for digest in held)
     assert effect_digests == []
+
+
+@pytest.mark.parametrize("group", ["shipped", "campaigns", "chains"])
+def test_lazy_log_digest_equals_the_eager_digest_of_the_provenance(group):
+    steps = 0
+    for pair in pairs(group):
+        for trace in pair:
+            for record in trace.steps:
+                held = vars(record)["log_digest"]
+                assert isinstance(held, LazyDigest) and held.value is record.envelopes
+                # the runner's former eager projection, hop by hop
+                eager = digest_of([[[role.value, hop] for role, hop in env.provenance] for env in record.envelopes])
+                assert record.log_digest == eager
+                steps += 1
+    assert steps > 0
+
+
+@pytest.fixture
+def log_digests(monkeypatch):
+    """The envelope tuple of every log digest taken."""
+    taken = []
+    original = agvsim.trace._provenance_shape
+
+    def counting(envelopes):
+        taken.append(envelopes)
+        return original(envelopes)
+
+    monkeypatch.setattr(agvsim.trace, "_provenance_shape", counting)
+    return taken
+
+
+@pytest.mark.parametrize("name", ["threat-t08", "threat-t09", "case1-arterial-routine"])
+def test_a_csv_only_run_takes_no_log_digest(log_digests, name):
+    attacked, baseline = paired(load_scenario(shipped_scenarios()[name]))
+    deltas = step_deltas(attacked, baseline)
+    render_csv(compare(baseline, attacked))
+    assert log_digests == []
+    if name != "case1-arterial-routine":  # T8 strips, T9 forges: the provenance differs
+        assert any("log_digest" in d.changed_paths for d in deltas)
+
+
+@pytest.mark.parametrize("name", ["threat-t08", "threat-t09"])
+def test_the_json_export_takes_each_log_digest_once(log_digests, name):
+    attacked, baseline = paired(load_scenario(shipped_scenarios()[name]))
+    report = compare(baseline, attacked)
+    first = render_json(report)
+    records = attacked.steps + baseline.steps
+    assert sorted(map(id, log_digests)) == sorted(id(record.envelopes) for record in records)
+    log_digests.clear()
+    assert render_json(report) == first
+    assert log_digests == []
+
+
+@st.composite
+def envelope_tuple_pairs(draw) -> tuple[tuple, tuple]:
+    first = tuple(draw(st.lists(envelopes(), max_size=4)))
+    if draw(st.booleans()):
+        return first, tuple(draw(st.lists(envelopes(), max_size=4)))
+    # the same provenance under other senders, authorities and payloads
+    others = draw(st.lists(envelopes(), min_size=len(first), max_size=len(first)))
+    return first, tuple(dataclasses.replace(o, provenance=e.provenance) for o, e in zip(others, first))
+
+
+@settings(max_examples=300, deadline=None)
+@given(envelope_tuple_pairs())
+def test_equal_provenance_lists_are_exactly_equal_log_digests(pair):
+    # what lets `step_deltas` compare the provenance in place of the digests
+    a, b = pair
+    same = [e.provenance for e in a] == [e.provenance for e in b]
+    assert same == (lazy_log_digest(a).digest() == lazy_log_digest(b).digest())
