@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .cavstack import LayerPerturbation, control_feedback, fuse, perceive, v2x_broadcast
@@ -34,6 +35,7 @@ from .pipeline import (
     SPEED_CAP_KEY,
     validate_with_revision,
 )
+from . import serialize
 from .serialize import digest_of
 from .threats import (
     InjectionEffectRecord,
@@ -69,15 +71,24 @@ def _delivered(sender: Role, authority: Authority, payload: object, step: int, t
     return MessageEnvelope(sender, sender, authority, payload, ((sender, step), (to, step + 1)), step)
 
 
-def _admission_digest(admission: dict[Authority, frozenset[Role]]) -> str:
-    return digest_of({a.value: sorted(r.value for r in roles) for a, roles in admission.items()})
+def _admission_plain(admission: dict[Authority, frozenset[Role]]) -> dict[str, list[str]]:
+    return {a.value: sorted(r.value for r in roles) for a, roles in admission.items()}
 
 
-_DEFAULT_ADMISSION_DIGEST = _admission_digest(DEFAULT_ADMISSION)
 # every run starts from this one frozen tuning, so the runner's memo by
 # identity finds its digest until T11 replaces it
 _DEFAULT_TUNING = AgentTuning()
-_DEFAULT_TUNING_DIGEST = digest_of(_DEFAULT_TUNING)
+
+
+@cache
+def _default_digests() -> tuple[str, str]:
+    """The digests of `_DEFAULT_TUNING` and of `DEFAULT_ADMISSION`, taken once per process.
+
+    The first run takes them, not the import, so that importing the package
+    writes no JSON. They go through `serialize.digest_of`, not this module's
+    `digest_of`, whose calls are each run's own digests.
+    """
+    return serialize.digest_of(_DEFAULT_TUNING), serialize.digest_of(_admission_plain(DEFAULT_ADMISSION))
 
 
 def _run_phase(
@@ -146,7 +157,8 @@ def run_episodes(
     tuning = _DEFAULT_TUNING
     # each digest is recomputed only when its object changes: T11 replaces
     # the frozen tuning, and only T3 edits the admission table
-    tuning_digested, tuning_digest = tuning, _DEFAULT_TUNING_DIGEST
+    tuning_digested = tuning
+    tuning_digest, default_admission_digest = _default_digests()
     memory = MemoryStore()
     log = MessageLog()
     records: list[StepRecord] = []
@@ -283,8 +295,8 @@ def run_episodes(
                     memory_digest=memory.digest(),
                     tuning_digest=tuning_digest,
                     admission_digest=(
-                        _DEFAULT_ADMISSION_DIGEST if state.admission == DEFAULT_ADMISSION
-                        else _admission_digest(state.admission)
+                        default_admission_digest if state.admission == DEFAULT_ADMISSION
+                        else digest_of(_admission_plain(state.admission))
                     ),
                     log_digest=lazy_log_digest(step_envelopes),
                     effects=tuple(effects),

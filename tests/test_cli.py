@@ -36,11 +36,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv, **env):
-    """`python -m agvsim.cli argv` in a fresh interpreter, with `env` added to the environment."""
+def run_python_process(*args, **env):
+    """`python args` in a fresh interpreter that finds this agvsim, with `env` added to the environment."""
     src = str(Path(agvsim.__file__).resolve().parents[1])
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "agvsim.cli", *argv], env=env, capture_output=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+def run_cli_process(*argv, **env):
+    """`python -m agvsim.cli argv` in a fresh interpreter, with `env` added to the environment."""
+    return run_python_process("-m", "agvsim.cli", *argv, **env)
+
+
+def test_import_fills_none_of_the_writer_tables():
+    # every command pays for what `import agvsim` does: the JSON writer builds
+    # its per-class and per-indent tables when an export first needs them
+    result = run_python_process("-c", (
+        "import agvsim, agvsim.serialize as s; "
+        "print(len(s._LAYOUTS), len(s._INDENTS), sorted(t.__name__ for t in s._LEAVES))"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.decode().split(" ", 2) == ["0", "0", "['NoneType', 'bool', 'float', 'int', 'str']\n"]
 
 
 class TestScore:
