@@ -11,7 +11,6 @@ effect records. Identical (config, seed) always yields an identical trace.
 
 from __future__ import annotations
 
-import random
 from dataclasses import replace
 from functools import cache
 from typing import TYPE_CHECKING
@@ -54,20 +53,28 @@ from .threats import (
     run_pa_policy,
     to_layer_perturbations,
 )
-from .trace import EpisodeTrace, StepRecord, lazy_log_digest
+from .trace import EpisodeTrace, StepRecord, lazy_log_digest, lazy_world_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chains import ChainSchedule
     from .scenario import ScenarioConfig
 
 
-def _episode_rng(seed: int, episode: int) -> random.Random:
-    # integer seeding only: string seeds would pull in hash randomization
-    return random.Random(seed * 1_000_003 + episode)
+# The five honest message edges of a step, (sender, authority, receiver).
+# Loading an enum member costs several times a plain attribute load, so the
+# step loop reads its roles, authorities and phases from these constants.
+_USER_TO_PA = (Role.USER, Authority.INTENT_ONLY, Role.PERSONAL_AGENT)
+_PA_TO_DSA = (Role.PERSONAL_AGENT, Authority.INTENT_ONLY, Role.DRIVING_STRATEGY_AGENT)
+_STACK_TO_DSA = (Role.CAV_STACK, Authority.CONTEXT_ONLY, Role.DRIVING_STRATEGY_AGENT)
+_DSA_TO_SC = (Role.DRIVING_STRATEGY_AGENT, Authority.PROPOSAL_ONLY, Role.SAFETY_CHECK)
+_SC_TO_DSA = (Role.SAFETY_CHECK, Authority.VERDICT_ONLY, Role.DRIVING_STRATEGY_AGENT)
+_CONTEXT_ONLY = Authority.CONTEXT_ONLY
+_LAYER, _PRE_PA, _PRE_DSA, _POST_STEP = Phase.LAYER, Phase.PRE_PA, Phase.PRE_DSA, Phase.POST_STEP
 
 
-def _delivered(sender: Role, authority: Authority, payload: object, step: int, to: Role) -> MessageEnvelope:
-    """An honestly labelled envelope sent at `step` and received by `to` at the next step."""
+def _delivered(edge: tuple[Role, Authority, Role], payload: object, step: int) -> MessageEnvelope:
+    """An honestly labelled envelope sent along `edge` at `step`, received at the next step."""
+    sender, authority, to = edge
     return MessageEnvelope(sender, sender, authority, payload, ((sender, step), (to, step + 1)), step)
 
 
@@ -92,25 +99,24 @@ def _default_digests() -> tuple[str, str]:
 
 
 def _run_phase(
-    active: list[tuple[int | None, ThreatInjection]],
-    phase: Phase,
+    entries: list[tuple[int | None, ThreatInjection]],
     state: PipelineState,
     g: int,
     effects: list[InjectionEffectRecord],
     layer_before: LazyDigest,
     chain: ChainSchedule | None,
 ) -> None:
-    """Apply each active injection of `phase` in list order, keeping its record.
+    """Apply each active injection of one phase in list order, keeping its record.
 
     An entry carries its chain stage index, or None for a scenario injection;
     a stage is marked fired at its first record without a warning.
     """
-    for index, inj in active:
-        if injection_phase(inj) is phase:
-            record = apply(inj, state, g, layer_before)
-            effects.append(record)
-            if index is not None and not record.warning:
-                chain.mark_fired(index, g)  # type: ignore[union-attr]
+    for index, inj in entries:
+        record = apply(inj, state, g, layer_before)
+        effects.append(record)
+        if index is not None and not record.warning:
+            chain.mark_fired(index, g)  # type: ignore[union-attr]
+
 
 
 def run_episodes(
@@ -134,7 +140,6 @@ def run_episodes(
     stages = chain if with_injections else None
 
     world = config.world
-    world_digest_before = world.digest()
     # the world never changes, so the views depend only on the active layer
     # perturbations: (fused context, feedback) per active set, keyed by their
     # ids in list order. The config holds the parsed perturbations for the
@@ -166,7 +171,8 @@ def run_episodes(
     for episode in range(config.episodes):
         if episode > 0:
             memory = memory.carry_over()
-        user = SimulatedUserState(rng=_episode_rng(seed_value, episode))
+        # integer seeding only: string seeds would pull in hash randomization
+        user = SimulatedUserState(seed=seed_value * 1_000_003 + episode)
 
         for step, request in enumerate(config.requests):
             g = episode * steps_per_episode + step
@@ -180,9 +186,17 @@ def run_episodes(
             if stages is not None:
                 active.extend(stages.active_injections(g))
 
+            # grouped by phase once; list order holds within each phase
+            phases: dict[Phase, list[tuple[int | None, ThreatInjection]]] = {}
+            for entry in active:
+                phases.setdefault(injection_phase(entry[1]), []).append(entry)
+
             # layer transforms act inside the layer functions, before fusion
-            layer_injections = [inj for _, inj in active if injection_phase(inj) is Phase.LAYER]
-            fused, feedback = layer_views([p for inj in layer_injections for p in to_layer_perturbations(inj)])
+            layer = phases.get(_LAYER)
+            if layer:
+                fused, feedback = layer_views([p for _, inj in layer for p in to_layer_perturbations(inj)])
+            else:
+                fused, feedback = clean_fused, clean_feedback
 
             user.reset_step()
             state = PipelineState(
@@ -196,8 +210,11 @@ def run_episodes(
                 tuning=tuning,
                 log=log,
             )
-            _run_phase(active, Phase.LAYER, state, g, effects, clean, stages)
-            _run_phase(active, Phase.PRE_PA, state, g, effects, clean, stages)
+            if layer:
+                _run_phase(layer, state, g, effects, clean, stages)
+            entries = phases.get(_PRE_PA)
+            if entries:
+                _run_phase(entries, state, g, effects, clean, stages)
             tuning = state.tuning  # T11 acts pre-PA; its knobs hold from here on
             if tuning is not tuning_digested:
                 tuning_digested, tuning_digest = tuning, digest_of(tuning)
@@ -222,29 +239,27 @@ def run_episodes(
                 )
 
             state.envelopes.append(
-                _delivered(Role.USER, Authority.INTENT_ONLY, dict(
+                _delivered(_USER_TO_PA, dict(
                     urgency_tag=state.request.urgency_tag,
                     destination=state.request.destination,
-                ), g, Role.PERSONAL_AGENT)
+                ), g)
             )
 
             intent = run_pa_policy(state.pa_policy, state.request, memory, state.pa_context, tuning)
-            state.envelopes.append(
-                _delivered(Role.PERSONAL_AGENT, Authority.INTENT_ONLY, intent, g, Role.DRIVING_STRATEGY_AGENT)
-            )
+            state.envelopes.append(_delivered(_PA_TO_DSA, intent, g))
 
-            _run_phase(active, Phase.PRE_DSA, state, g, effects, clean, stages)
+            entries = phases.get(_PRE_DSA)
+            if entries:
+                _run_phase(entries, state, g, effects, clean, stages)
 
             # the stack's own context message, carrying the (possibly poisoned) summary
-            state.envelopes.append(
-                _delivered(Role.CAV_STACK, Authority.CONTEXT_ONLY, state.dsa_context, g, Role.DRIVING_STRATEGY_AGENT)
-            )
+            state.envelopes.append(_delivered(_STACK_TO_DSA, state.dsa_context, g))
 
             # admission: claimed identity decides; patches from admitted
             # context messages merge into the DSA's working context
             rejected = 0
             for env in state.envelopes:
-                if env.authority is Authority.CONTEXT_ONLY and isinstance(env.payload, dict):
+                if env.authority is _CONTEXT_ONLY and isinstance(env.payload, dict):
                     if admitted(env, state.admission):
                         state.dsa_context = apply_context_patch(state.dsa_context, env.payload)
                     else:
@@ -260,17 +275,15 @@ def run_episodes(
                 proposal, state.feedback, rules, state.dsa_context.speed_limit_kph
             )
             for submitted, verdict in zip(submissions, verdicts):
-                state.envelopes.append(
-                    _delivered(Role.DRIVING_STRATEGY_AGENT, Authority.PROPOSAL_ONLY, submitted, g, Role.SAFETY_CHECK)
-                )
-                state.envelopes.append(
-                    _delivered(Role.SAFETY_CHECK, Authority.VERDICT_ONLY, verdict, g, Role.DRIVING_STRATEGY_AGENT)
-                )
+                state.envelopes.append(_delivered(_DSA_TO_SC, submitted, g))
+                state.envelopes.append(_delivered(_SC_TO_DSA, verdict, g))
 
             log_start = len(log)
             log.extend(state.envelopes)
 
-            _run_phase(active, Phase.POST_STEP, state, g, effects, clean, stages)
+            entries = phases.get(_POST_STEP)
+            if entries:
+                _run_phase(entries, state, g, effects, clean, stages)
 
             step_envelopes = log.since(log_start)
             records.append(
@@ -303,6 +316,9 @@ def run_episodes(
                 )
             )
 
+    # the world is frozen all the way down, so one digest, taken when an
+    # export first reads it, stands for the world before and after the run
+    world_digest = lazy_world_digest(world)
     return EpisodeTrace(
         scenario_id=config.id,
         seed=seed_value,
@@ -310,6 +326,6 @@ def run_episodes(
         episodes=config.episodes,
         steps_per_episode=steps_per_episode,
         steps=tuple(records),
-        world_digest_before=world_digest_before,
-        world_digest_after=world.digest(),
+        world_digest_before=world_digest,
+        world_digest_after=world_digest,
     )

@@ -195,19 +195,30 @@ DEFAULT_URGENCY = "Routine"
 
 @dataclass
 class SimulatedUserState:
-    """Deterministic scripted user: attention budget plus optional biases."""
+    """Deterministic scripted user: attention budget plus optional biases.
 
-    rng: random.Random
+    Its generator is seeded with `seed` at the first draw, so a user that
+    never draws builds none.
+    """
+
+    seed: int
     noise_queries: int = 0          # extra confirmations injected this step
     framing_bias: float = 0.0       # probability of adopting the agent framing
     framing_answer: str = DEFAULT_URGENCY
     queries_asked: int = 0
     answers_given: int = 0
+    _rng: random.Random | None = field(default=None, init=False, repr=False, compare=False)
 
     def reset_step(self) -> None:
         self.noise_queries = 0
         self.queries_asked = 0
         self.answers_given = 0
+
+    def draw(self) -> float:
+        """The next number in [0, 1) from the user's generator."""
+        if self._rng is None:
+            self._rng = random.Random(self.seed)
+        return self._rng.random()
 
 
 def confirm_urgency(user: SimulatedUserState, true_tag: str) -> str:
@@ -220,7 +231,7 @@ def confirm_urgency(user: SimulatedUserState, true_tag: str) -> str:
     if user.answers_given >= USER_ATTENTION_BUDGET:
         return DEFAULT_URGENCY  # overloaded: rushed default instead of intent
     user.answers_given += 1
-    if user.framing_bias > 0.0 and user.rng.random() < user.framing_bias:
+    if user.framing_bias > 0.0 and user.draw() < user.framing_bias:
         return user.framing_answer
     return true_tag
 

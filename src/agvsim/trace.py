@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .domain import MessageEnvelope, UserRequest, ContextSummary, VehicleFeedback
 from .pipeline import Decision, IntentDescriptor, SafetyVerdict, StrategyProposal
 from .serialize import canonical_json
 from .threats import InjectionEffectRecord, LazyDigest, ToolOutput, _DigestField
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .cavstack import WorldTruth
 
 
 class TracePairingError(ValueError):
@@ -61,6 +65,22 @@ def lazy_log_digest(envelopes: tuple[MessageEnvelope, ...]) -> LazyDigest:
     return LazyDigest(envelopes, _provenance_shape)
 
 
+class _WorldDigest(LazyDigest):
+    """A world's own `digest()`, taken once, when first read."""
+
+    __slots__ = ()
+
+    def digest(self) -> str:
+        if not self._digest:
+            self._digest = self.value.digest()
+        return self._digest
+
+
+def lazy_world_digest(world: WorldTruth) -> LazyDigest:
+    """The digest of a frozen world, taken when first read."""
+    return _WorldDigest(world)
+
+
 @dataclass(frozen=True)
 class EpisodeTrace:
     """Deterministic record of one scenario run (all episodes)."""
@@ -71,8 +91,10 @@ class EpisodeTrace:
     episodes: int
     steps_per_episode: int
     steps: tuple[StepRecord, ...]
-    world_digest_before: str
-    world_digest_after: str
+    # each may be given as `lazy_world_digest(world)`, which digests when
+    # first read; a run gives both the same one
+    world_digest_before: str = _DigestField()  # type: ignore[assignment]
+    world_digest_after: str = _DigestField()  # type: ignore[assignment]
 
     def verdict_sequence(self) -> tuple[str, ...]:
         return tuple(v.decision.value for record in self.steps for v in record.verdicts)

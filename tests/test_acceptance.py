@@ -5,6 +5,7 @@ criterion. Every tolerance and threshold is pinned here; nothing is deferred
 to later calibration.
 """
 
+import copy
 import random
 import time
 from itertools import product
@@ -133,11 +134,12 @@ def test_criterion_5_case_study_v2x_spoofing():
     for name in CASE2_SCENARIOS:
         config = load_shipped(name)
         assert 80.0 <= config.world.true_speed_limit_kph <= 90.0
+        world_before = copy.deepcopy(config.world)
         baseline = run_episodes(config, with_injections=False)
         attacked = run_episodes(config, with_injections=True)
         assert all(r.approved.target_speed_kph <= 40.0 for r in attacked.steps), name
         assert stealth_check(attacked, baseline) is True, name
-        assert attacked.world_digest_before == attacked.world_digest_after, name
+        assert config.world == world_before, name
     _report(5, "case study II: spoofed limit bounds targets, stealthy, truth intact", started, 5.0)
 
 

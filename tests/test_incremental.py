@@ -13,10 +13,13 @@ when they are first read: each must equal the digest taken at apply time, a
 run that exports no JSON takes none, and an export takes each once. A step
 record's `log_digest` is taken the same way, from the step's own envelopes:
 it must equal the digest the runner used to take at every step, `step_deltas`
-and the CSV export take none, and the JSON export takes each once.
+and the CSV export take none, and the JSON export takes each once. The
+world is digested the same way, once per run, and the simulated user seeds
+its generator only when it first draws.
 """
 
 import dataclasses
+import random
 import sys
 
 import pytest
@@ -28,7 +31,7 @@ import agvsim.runner
 import agvsim.serialize
 import agvsim.threats
 import agvsim.trace
-from agvsim.cavstack import control_feedback, fuse, perceive, v2x_broadcast
+from agvsim.cavstack import WorldTruth, control_feedback, fuse, perceive, v2x_broadcast
 from agvsim.chains import builtin_chains, run_chain
 from agvsim.domain import Authority, MessageEnvelope, Role, ThreatId, make_envelope
 from agvsim.pipeline import AgentTuning, MemoryEntry, MemoryKind, MemoryStore, PipelineError
@@ -228,8 +231,63 @@ def test_runner_digests_per_run_do_not_grow_with_steps(digest_calls):
         trace = run_episodes(with_episodes("chain-base", episodes), with_injections=True)
         assert len(trace.steps) == 4 * episodes
         per_run.append((len(digest_calls["runner"]), digest_calls["plain"]))
-    assert per_run[0][1] > 0  # the world and the memory store are digested at least once
+    assert per_run[0][1] > 0  # the memory store is digested at least once
     assert per_run[0] == per_run[1]
+
+
+@pytest.fixture
+def generators_and_world_digests(monkeypatch):
+    """The seed of every `random.Random` built, and the count of `WorldTruth.digest` calls."""
+    taken = {"seeds": [], "world": 0}
+    world_digest = WorldTruth.digest
+
+    class Counting(random.Random):
+        def __init__(self, x=None):
+            taken["seeds"].append(x)
+            super().__init__(x)
+
+    def counting_digest(world):
+        taken["world"] += 1
+        return world_digest(world)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    monkeypatch.setattr(WorldTruth, "digest", counting_digest)
+    return taken
+
+
+def test_chains_and_csv_only_runs_build_no_generator_and_digest_no_world(generators_and_world_digests):
+    base = load_scenario(shipped_scenarios()["chain-base"])
+    for spec in builtin_chains():
+        run_chain(spec, base)
+    attacked, baseline = paired(load_scenario(shipped_scenarios()["threat-t09"]))
+    render_csv(compare(baseline, attacked))
+    assert generators_and_world_digests == {"seeds": [], "world": 0}
+
+
+def test_the_json_export_digests_each_world_once(generators_and_world_digests):
+    config = load_scenario(shipped_scenarios()["case2-highway"])
+    attacked, baseline = paired(config)
+    report = compare(baseline, attacked)
+    first = render_json(report)
+    assert generators_and_world_digests["world"] == 2  # one per trace
+    assert render_json(report) == first
+    for trace in (attacked, baseline):
+        assert trace.world_digest_before == trace.world_digest_after
+    assert generators_and_world_digests["world"] == 2
+    assert attacked.world_digest_before == WorldTruth.digest(config.world)
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_a_t15_run_seeds_each_episode_generator_once(generators_and_world_digests, seed):
+    # the window covers every step, so every episode draws, over several steps
+    config = open_campaign("threat-t15", episodes=4)
+    trace = run_episodes(config, with_injections=True, seed=seed)
+    drawing = sorted({r.episode for r in trace.steps if any(e.threat is ThreatId.T15 for e in r.effects)})
+    assert drawing == [0, 1, 2, 3]
+    assert generators_and_world_digests["seeds"] == [trace.seed * 1_000_003 + e for e in drawing]
+    generators_and_world_digests["seeds"].clear()
+    run_episodes(config, with_injections=False, seed=seed)  # the baseline user never draws
+    assert generators_and_world_digests["seeds"] == []
 
 
 def test_a_store_carried_over_whole_keeps_its_digest(digest_calls):

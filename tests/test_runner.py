@@ -2,20 +2,27 @@
 
 import copy
 import dataclasses
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agvsim.scenario
+from agvsim.chains import ChainSpec, ChainStage, StageKind, Trigger, run_chain
 from agvsim.domain import Authority, Role, ThreatId
 from agvsim.pipeline import AgentTuning, Decision
 from agvsim.report import compare, render_json
-from agvsim.scenario import load_shipped, parse_scenario
+from agvsim.scenario import load_shipped, parse_scenario, shipped_scenarios
 from agvsim.runner import run_episodes
 from agvsim.serialize import digest_of
-from agvsim.threats import Surface
+from agvsim.threats import Phase, Surface, injection_phase
 from agvsim.trace import TracePairingError, stealth_check, step_deltas
+
+from test_golden import open_campaign
+
+SHIPPED = sorted(shipped_scenarios())
+FIXTURES = [name for name in SHIPPED if name.startswith("threat-")]
 
 
 def paired(name: str):
@@ -146,9 +153,21 @@ class TestTrustBoundaries:
                     pytest.fail("episode completed on a Revise verdict")
 
     def test_world_truth_unchanged_by_any_shipped_attack(self):
-        for name in ("case2-highway", "threat-xperception", "threat-t12"):
-            _, attacked, _ = paired(name)
-            assert attacked.world_digest_before == attacked.world_digest_after
+        # a run's two world digests are one digest taken when read, so only a
+        # copy taken before the runs can show that they left the world as it was
+        configs = [load_shipped(name) for name in SHIPPED] + [open_campaign(name) for name in FIXTURES]
+        assert len(configs) == len(SHIPPED) + 19
+        for config in configs:
+            before = copy.deepcopy(config.world)
+            run_episodes(config, with_injections=False)
+            run_episodes(config, with_injections=True)
+            assert config.world == before, config.id
+
+    def test_world_truth_fields_cannot_be_assigned(self):
+        world = load_shipped("case2-highway").world
+        for field in dataclasses.fields(world):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(world, field.name, getattr(world, field.name))
 
 
 class TestPersistence:
@@ -402,3 +421,49 @@ class TestTuningDigest:
     def test_tuning_digest_follows_every_t11_injection(self, injections):
         attacked = run_episodes(t11_config(injections, 2), with_injections=True)
         assert [r.tuning_digest for r in attacked.steps] == expected_tuning_digests(injections, 8)
+
+
+# the order the runner applies phases in within a step
+PHASE_ORDER = (Phase.LAYER, Phase.PRE_PA, Phase.PRE_DSA, Phase.POST_STEP)
+CHAIN_STEPS = 4  # one pass over chain-base's requests
+
+
+@cache
+def fixture_injection(name: str):
+    return load_shipped(name).injections[0][0]
+
+
+@st.composite
+def placements(draw) -> list[tuple[str, bool, tuple[int, int]]]:
+    """2-4 fixture injections in drawn order, each (fixture, as a chain stage, (start, end))."""
+    placed = []
+    for name in draw(st.lists(st.sampled_from(FIXTURES), min_size=2, max_size=4)):
+        start = draw(st.integers(0, CHAIN_STEPS - 1))
+        placed.append((name, draw(st.booleans()), (start, draw(st.integers(start, CHAIN_STEPS - 1)))))
+    return placed
+
+
+class TestEffectOrder:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(placements())
+    def test_effects_run_phase_by_phase_in_active_list_order(self, placed):
+        # a scenario injection acts in its window, a chain stage from its
+        # start step on; the active list holds the scenario's injections
+        # first, then the stages, each in the order given
+        windows = [(fixture_injection(name), window) for name, as_stage, window in placed if not as_stage]
+        stages = [
+            ChainStage(StageKind.INJECT, Trigger(at_step=start), fixture_injection(name), label=name)
+            for name, as_stage, (start, _) in placed if as_stage
+        ]
+        config = dataclasses.replace(load_shipped("chain-base"), injections=tuple(windows))
+        propagation, _ = run_chain(ChainSpec("order", tuple(stages), CHAIN_STEPS), config)
+        for record in propagation.attacked.steps:
+            g = record.global_step
+            active = [inj for inj, (start, end) in windows if start <= g <= end]
+            active += [stage.injection for stage in stages if stage.trigger.at_step <= g]
+            phases = [injection_phase(inj) for inj in active]
+            expected = [
+                (inj.threat, inj.surface)
+                for phase in PHASE_ORDER for inj, at in zip(active, phases) if at is phase
+            ]
+            assert [(e.threat, e.surface) for e in record.effects] == expected, g

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -89,7 +88,7 @@ def make_state(urgency: str = "Routine") -> PipelineState:
         dsa_context=summary(),
         feedback=VehicleFeedback(speed_kph=72.0),
         tool_output=ToolOutput(),
-        user=SimulatedUserState(rng=random.Random(1)),
+        user=SimulatedUserState(seed=1),
         tuning=AgentTuning(),
     )
 
@@ -356,34 +355,34 @@ class TestApplyEffects:
 
 class TestSimulatedUser:
     def test_true_answer_within_budget(self):
-        user = SimulatedUserState(rng=random.Random(0))
+        user = SimulatedUserState(seed=0)
         assert confirm_urgency(user, "Urgent") == "Urgent"
         assert user.queries_asked == 1
 
     def test_noise_floods_degrade_to_default(self):
-        user = SimulatedUserState(rng=random.Random(0), noise_queries=USER_ATTENTION_BUDGET)
+        user = SimulatedUserState(seed=0, noise_queries=USER_ATTENTION_BUDGET)
         assert confirm_urgency(user, "Urgent") == "Routine"
         assert user.queries_asked == USER_ATTENTION_BUDGET + 1
 
     def test_noise_below_budget_is_harmless(self):
-        user = SimulatedUserState(rng=random.Random(0), noise_queries=2)
+        user = SimulatedUserState(seed=0, noise_queries=2)
         assert confirm_urgency(user, "Urgent") == "Urgent"
 
     @pytest.mark.parametrize("n", [5, 10**9])
     def test_noise_flood_is_counted_not_looped(self, n):
-        user = SimulatedUserState(rng=random.Random(0), noise_queries=n)
+        user = SimulatedUserState(seed=0, noise_queries=n)
         assert confirm_urgency(user, "Urgent") == "Routine"
         assert (user.queries_asked, user.answers_given) == (n + 1, USER_ATTENTION_BUDGET)
 
     def test_framing_bias_full_weight_always_adopts(self):
-        user = SimulatedUserState(rng=random.Random(0), framing_bias=1.0, framing_answer="Routine")
+        user = SimulatedUserState(seed=0, framing_bias=1.0, framing_answer="Routine")
         assert confirm_urgency(user, "Urgent") == "Routine"
 
     def test_framing_bias_is_seed_deterministic(self):
         answers_a = []
         answers_b = []
         for answers in (answers_a, answers_b):
-            user = SimulatedUserState(rng=random.Random(99), framing_bias=0.5, framing_answer="Routine")
+            user = SimulatedUserState(seed=99, framing_bias=0.5, framing_answer="Routine")
             for _ in range(20):
                 user.reset_step()
                 user.framing_bias = 0.5

@@ -94,6 +94,20 @@ def test_the_benchmark_workloads_run_and_match_their_golden_digests(tmp_path, na
     assert (checker.attempted, checker.failed) == (2, 0), checker.errors
 
 
+@pytest.mark.parametrize("name, operations", [("campaign", 38), ("chain-sweep", 216)])
+def test_every_operation_of_the_runner_workloads_matches_its_golden_digest(tmp_path, name, operations):
+    # these two workloads are mostly the runner's step loop: check each of
+    # their main and probe operations, not only the first, at the golden seed
+    workloads, run = _load("workloads"), _load("run")
+    golden = json.loads((PERFBENCH / "golden.json").read_text())
+    ctx = workloads.Context(seed=golden["seed"], tmp=tmp_path, src=PERFBENCH.parent / "src", spans_dir=None)
+    workload = workloads.BUILDERS[name](ctx)
+    checker = run.Checker(golden["digests"][name])
+    run.run_ops(workload.main + workload.probe, checker, [])
+    assert (checker.attempted, checker.failed) == (operations, 0), checker.errors
+    assert len(checker.first) == operations  # each operation's own golden entry
+
+
 def _import_graph():
     """The package's own imports, read from the source of `src/agvsim/*.py`.
 
