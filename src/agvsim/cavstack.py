@@ -117,31 +117,30 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return min(max(value, lo), hi)
 
 
-def apply_summary_transform(summary: ContextSummary, p: LayerPerturbation) -> ContextSummary:
-    """Apply one transform to a context summary."""
-    if p.field == "hazards":
+def apply_summary_transform(summary: ContextSummary, field: str, op: TransformOp, value: object) -> ContextSummary:
+    """Apply one transform, given as its field, op and value, to a context summary."""
+    if field == "hazards":
         hazards = list(summary.hazards)
-        if p.op is TransformOp.INJECT_RECORD:
-            hazards.append(p.value)  # type: ignore[arg-type]
+        if op is TransformOp.INJECT_RECORD:
+            hazards.append(value)  # type: ignore[arg-type]
         else:
-            hazards = [h for h in hazards if h.kind != p.value]
+            hazards = [h for h in hazards if h.kind != value]
         return replace(summary, hazards=tuple(hazards))
-    if p.field == "closures":
+    if field == "closures":
         closures = list(summary.closures)
-        if p.op is TransformOp.INJECT_RECORD:
-            if p.value not in closures:
-                closures.append(p.value)  # type: ignore[arg-type]
+        if op is TransformOp.INJECT_RECORD:
+            if value not in closures:
+                closures.append(value)  # type: ignore[arg-type]
         else:
-            closures = [c for c in closures if c != p.value]
+            closures = [c for c in closures if c != value]
         return replace(summary, closures=tuple(closures))
 
-    current = getattr(summary, p.field)
-    updated = _apply_numeric(current, p.op, p.value)  # type: ignore[arg-type]
-    if p.field == "speed_limit_kph":  # limits stay in range even under hostile arithmetic
+    updated = _apply_numeric(getattr(summary, field), op, value)  # type: ignore[arg-type]
+    if field == "speed_limit_kph":  # limits stay in range even under hostile arithmetic
         updated = _clamp(updated, MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH)
     else:  # traffic_density, completeness
         updated = _clamp(updated, 0.0, 1.0)
-    return replace(summary, **{p.field: updated})
+    return replace(summary, **{field: updated})
 
 
 # the range each telemetry field is clamped to: every field stays finite, so
@@ -174,7 +173,7 @@ def perceive(world: WorldTruth, perturbations: list[LayerPerturbation]) -> Conte
     summary = _truth_projection(world, SourceLayer.FUSION)
     for p in perturbations:
         if p.layer in (Layer.PERCEPTION, Layer.COMPUTE):
-            summary = apply_summary_transform(summary, p)
+            summary = apply_summary_transform(summary, p.field, p.op, p.value)
     return summary
 
 
@@ -183,7 +182,7 @@ def v2x_broadcast(world: WorldTruth, perturbations: list[LayerPerturbation]) -> 
     summary = _truth_projection(world, SourceLayer.V2X)
     for p in perturbations:
         if p.layer is Layer.V2X:
-            summary = apply_summary_transform(summary, p)
+            summary = apply_summary_transform(summary, p.field, p.op, p.value)
     return summary
 
 

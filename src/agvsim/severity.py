@@ -85,6 +85,24 @@ class SeverityRecord:
     def recomputed_band(self) -> SeverityBand:
         return band(self.recomputed_total)
 
+    @property
+    def total_mismatch(self) -> bool:
+        return self.printed_total != self.recomputed_total
+
+    @property
+    def band_mismatch(self) -> bool:
+        return self.printed_band is not self.recomputed_band
+
+    def describe(self) -> str:
+        parts = [f"table {self.table} {self.threat.value}:"]
+        if self.total_mismatch:
+            parts.append(f"printed total {self.printed_total} != recomputed {self.recomputed_total};")
+        if self.band_mismatch:
+            parts.append(
+                f"printed band {self.printed_band.value} != recomputed {self.recomputed_band.value};"
+            )
+        return " ".join(parts).rstrip(";")
+
     def ratings(self) -> tuple[OrdinalRating, OrdinalRating, OrdinalRating, OrdinalRating]:
         return (self.si, self.sd, self.p, self.sm)
 
@@ -127,61 +145,15 @@ def lookup(threat: ThreatId, mode: DrivingMode, agency: AgencyBucket) -> Severit
     return load_tables()[(ThreatId(threat), DrivingMode(mode), AgencyBucket(agency))]
 
 
-@dataclass(frozen=True)
-class Discrepancy:
-    """A cell whose published total or band disagrees with the method."""
-
-    table: int
-    threat: ThreatId
-    printed_total: int
-    recomputed_total: int
-    printed_band: SeverityBand
-    recomputed_band: SeverityBand
-
-    @property
-    def total_mismatch(self) -> bool:
-        return self.printed_total != self.recomputed_total
-
-    @property
-    def band_mismatch(self) -> bool:
-        return self.printed_band is not self.recomputed_band
-
-    def describe(self) -> str:
-        parts = [f"table {self.table} {self.threat.value}:"]
-        if self.total_mismatch:
-            parts.append(f"printed total {self.printed_total} != recomputed {self.recomputed_total};")
-        if self.band_mismatch:
-            parts.append(
-                f"printed band {self.printed_band.value} != recomputed {self.recomputed_band.value};"
-            )
-        return " ".join(parts).rstrip(";")
-
-
-def validate_tables() -> list[Discrepancy]:
-    """Recompute every cell and report each internal inconsistency.
+def validate_tables() -> list[SeverityRecord]:
+    """Recompute every cell and return each internally inconsistent one.
 
     A cell is flagged when its printed total differs from the recomputed sum
     or its printed band differs from banding the recomputed sum. Output is
     ordered by (table, threat) and stable across runs.
     """
-    discrepancies = []
-    records = sorted(
-        load_tables().values(),
-        key=lambda r: (r.table, _RATED_THREATS.index(r.threat)),
-    )
-    for r in records:
-        if r.printed_total != r.recomputed_total or r.printed_band is not r.recomputed_band:
-            discrepancies.append(
-                Discrepancy(
-                    table=r.table,
-                    threat=r.threat,
-                    printed_total=r.printed_total,
-                    recomputed_total=r.recomputed_total,
-                    printed_band=r.printed_band,
-                    recomputed_band=r.recomputed_band,
-                )
-            )
-    return discrepancies
+    records = sorted(load_tables().values(), key=lambda r: (r.table, _RATED_THREATS.index(r.threat)))
+    return [r for r in records if r.total_mismatch or r.band_mismatch]
 
 
 def what_if(

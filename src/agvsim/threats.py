@@ -435,14 +435,13 @@ def _parse_t3(p: dict, where: str, inj: ThreatInjection) -> tuple[Role, dict]:
     return role, _context_patch(p.get("context_patch", {}), f"{where}.context_patch")
 
 
-def _parse_t4(p: dict, where: str, inj: ThreatInjection) -> float | tuple[LayerPerturbation, ...]:
+def _parse_t4(p: dict, where: str, inj: ThreatInjection) -> tuple[LayerPerturbation, ...]:
     factor = number(p.get("completeness_factor"), f"{where}.completeness_factor", 0.0, 1.0)
     if factor in (0.0, 1.0):
         raise ConfigError(f"{where}.completeness_factor", f"must be strictly between 0 and 1, got {factor!r}")
-    if inj.surface is Surface.LAYER:
-        # telemetry has no completeness: a context layer only
-        return (LayerPerturbation(effective_layer(inj), "completeness", TransformOp.SCALE, factor),)
-    return factor
+    # telemetry has no completeness: a context layer only; on PAInput the layer has no effect
+    layer = effective_layer(inj) if inj.surface is Surface.LAYER else Layer.PERCEPTION
+    return (LayerPerturbation(layer, "completeness", TransformOp.SCALE, factor),)
 
 
 def _parse_t5(p: dict, where: str, inj: ThreatInjection) -> dict:
@@ -549,20 +548,14 @@ def to_layer_perturbations(injection: ThreatInjection) -> tuple[LayerPerturbatio
 
 
 def apply_context_patch(summary: ContextSummary, patch: dict) -> ContextSummary:
-    """Merge a claimed-infrastructure patch into a context summary."""
+    """Merge a claimed-infrastructure patch into a context summary, as the V2X transforms it names."""
     if "speed_limit_kph" in patch:
-        summary = replace(summary, speed_limit_kph=float(patch["speed_limit_kph"]))
-    if patch.get("closures_add"):
-        merged = list(summary.closures)
-        for c in patch["closures_add"]:
-            if c not in merged:
-                merged.append(c)
-        summary = replace(summary, closures=tuple(merged))
-    if patch.get("hazards_add"):
-        hazards = list(summary.hazards)
-        for h in patch["hazards_add"]:
-            hazards.append(Hazard(h["kind"], float(h["distance_m"]), float(h["confidence"])))
-        summary = replace(summary, hazards=tuple(hazards))
+        summary = apply_summary_transform(summary, "speed_limit_kph", TransformOp.SET, patch["speed_limit_kph"])
+    for c in patch.get("closures_add", ()):
+        summary = apply_summary_transform(summary, "closures", TransformOp.INJECT_RECORD, c)
+    for h in patch.get("hazards_add", ()):
+        hazard = Hazard(h["kind"], float(h["distance_m"]), float(h["confidence"]))
+        summary = apply_summary_transform(summary, "hazards", TransformOp.INJECT_RECORD, hazard)
     return summary
 
 
@@ -588,9 +581,9 @@ def _act_t3(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str,
 
 
 def _act_t4(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
-    factor = inj.args
-    state.pa_context = replace(state.pa_context, completeness=state.pa_context.completeness * factor)
-    return f"completeness x{factor}", False
+    (p,) = inj.args
+    state.pa_context = apply_summary_transform(state.pa_context, p.field, p.op, p.value)
+    return f"completeness x{p.value}", False
 
 
 def _act_t5(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
@@ -667,7 +660,7 @@ def _act_t12(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str
     target, edits = inj.args
     if target == "context":
         for p in edits:
-            state.dsa_context = apply_summary_transform(state.dsa_context, p)
+            state.dsa_context = apply_summary_transform(state.dsa_context, p.field, p.op, p.value)
         return "coordination channel poisoned", False
     i = _external_context(state)
     if i is None:

@@ -1,5 +1,8 @@
 """CLI behavior: subcommands, exit codes, seed precedence, determinism."""
 
+import contextlib
+import copy
+import io
 import os
 import re
 import subprocess
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agvsim
 import agvsim.scenario
@@ -100,6 +105,26 @@ class TestValidateTables:
         assert code == 0
         assert "table 3 T11: printed total 13 != recomputed 14" in out
         assert out.strip().endswith("13 inconsistent cells out of 90")
+
+    def test_prints_every_inconsistent_cell(self, capsys):
+        code, out, err = run_cli(capsys, "validate-tables")
+        assert (code, err) == (0, "")
+        assert out == (
+            "table 2 T6: printed band High != recomputed Medium\n"
+            "table 2 T8: printed band High != recomputed Medium\n"
+            "table 2 T11: printed band High != recomputed Medium\n"
+            "table 2 T13: printed band High != recomputed Medium\n"
+            "table 3 T8: printed band High != recomputed Medium\n"
+            "table 3 T11: printed total 13 != recomputed 14\n"
+            "table 3 T13: printed band Critical != recomputed High\n"
+            "table 4 T1: printed total 7 != recomputed 6\n"
+            "table 4 T8: printed band High != recomputed Medium\n"
+            "table 4 T11: printed band High != recomputed Medium\n"
+            "table 4 T13: printed band High != recomputed Medium\n"
+            "table 6 T8: printed band Critical != recomputed High\n"
+            "table 6 T10: printed band Medium != recomputed Low\n"
+            "13 inconsistent cells out of 90\n"
+        )
 
 
 class TestRun:
@@ -525,3 +550,111 @@ class TestUsageErrors:
         assert err.startswith(f"{prog}: error: {message}")
         assert err.rstrip().endswith(")") and f"(usage: {prog} [-h] " in err
         assert "  " not in err
+
+
+CHAIN_BASE_DOC = yaml.safe_load(shipped_scenarios()["chain-base"].read_text())
+# the first injection of each shipped threat fixture, as its document writes it
+FIXTURE_INJECTIONS = [
+    yaml.safe_load(path.read_text())["injections"][0]
+    for name, path in shipped_scenarios().items() if name.startswith("threat-")
+]
+T1_INJECTION = {"threat": "T1", "surface": "PAMemory", "window": [0, 3], "payload": {"value_kph": 45.0}}
+JUNK_KEYS = st.sampled_from(["junk", "Seed", "chains", "window_", "\u00fcber"])  # no schema knows these
+containers = st.one_of(
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(JUNK_KEYS, st.integers(0, 3), max_size=2)
+)
+scalars = st.one_of(st.text("ab1 -", max_size=4), st.integers(-3, 3))
+not_a_list = st.one_of(scalars, st.dictionaries(JUNK_KEYS, scalars, max_size=2))
+WRONG_TYPES = {
+    "id": containers, "mode": containers, "agency": containers, "seed": containers, "episodes": containers,
+    "world": st.one_of(scalars, st.lists(scalars, max_size=2)), "requests": not_a_list, "injections": not_a_list,
+}
+bad_windows = st.one_of(
+    st.tuples(st.integers(0, 5), st.integers(1, 5)).map(lambda w: [w[0] + w[1], w[0]]),  # ends before it starts
+    st.integers(-5, -1).map(lambda start: [start, 2]),
+    st.lists(st.integers(0, 3), max_size=3).filter(lambda w: len(w) != 2),
+    st.sampled_from(["0-3", 3, {"start": 0}, [0, 1.5], [True, 2], [0, None]]),
+)
+
+
+@st.composite
+def malformed_scenarios(draw) -> str:
+    """chain-base's document with one fault: a wrong type, an unknown key, a bad window or payload, bad YAML."""
+    doc = copy.deepcopy(CHAIN_BASE_DOC)
+    fault = draw(st.sampled_from(["type", "nested-type", "unknown-key", "window", "payload", "syntax"]))
+    if fault == "type":
+        key = draw(st.sampled_from(sorted(WRONG_TYPES)))
+        doc[key] = draw(WRONG_TYPES[key])
+    elif fault == "nested-type":
+        where = draw(st.sampled_from([doc["world"], doc["requests"][0]]))
+        key = draw(st.sampled_from(sorted(where)))
+        where[key] = draw(containers)
+    elif fault == "unknown-key":
+        injection = copy.deepcopy(T1_INJECTION)
+        doc["injections"] = [injection]
+        where = draw(st.sampled_from([doc, doc["world"], doc["requests"][0], injection, injection["payload"]]))
+        where[draw(JUNK_KEYS)] = draw(scalars)
+    elif fault == "window":
+        doc["injections"] = [{**T1_INJECTION, "window": draw(bad_windows)}]
+    elif fault == "payload":
+        injection = copy.deepcopy(draw(st.sampled_from(FIXTURE_INJECTIONS)))
+        payload = injection["payload"]
+        key = draw(st.sampled_from(sorted(payload) + [None]))
+        if key is None:
+            payload[draw(JUNK_KEYS)] = draw(scalars)
+        else:  # no payload key takes a mapping of unknown keys
+            payload[key] = {"junk": [1]}
+        doc["injections"] = [injection]
+    text = yaml.safe_dump(doc, allow_unicode=True)
+    if fault == "syntax":
+        text += draw(st.sampled_from(["id: [unclosed\n", "seed: 2\n", "- stray\n", "world: {a\n", "\tmode: x\n"]))
+    return text
+
+
+# commands that parse, each with a usage fault added below
+COMMANDS = [["run", "chain-base"], ["score", "T1", "manual", "low"], ["validate-tables"], ["chain", "chain-1"]]
+BAD_ARGV = [
+    [], ["--bogus"], ["-x"], ["run"], ["run", "chain-base", "--seed", "abc"], ["run", "chain-base", "--seed"],
+    ["run", "chain-base", "--format", "xml"], ["run", "chain-base", "--baseline-only", "--attacked-only"],
+    ["score", "T1", "manual"], ["score", "T1", "sideways", "low"], ["score", "T1", "manual", "9"],
+    ["score", "T1", "manual", "low", "--set", "SI"], ["score", "T1", "manual", "low", "--set", "XX=L"],
+    ["score", "T99", "manual", "low"], ["list", "nothing"], ["chain", "no-such-chain"], ["chain", "chain"],
+    ["chain", "chain-1", "--seed", "1.5"],
+]
+bad_flags = st.one_of(
+    st.sampled_from(BAD_ARGV),
+    st.tuples(st.sampled_from(COMMANDS), st.text("abxyz-", min_size=1, max_size=5)).map(
+        lambda c: [*c[0], "--no-such-" + c[1]]  # not the prefix of any option
+    ),
+    st.tuples(st.sampled_from(COMMANDS), st.text("abxyz", min_size=1, max_size=5)).map(lambda c: [*c[0], c[1]]),
+)
+
+
+class TestFuzz:
+    """Malformed scenario files, missing paths and bad flags, called in-process (ROADMAP aim 3)."""
+
+    def test_every_bad_call_exits_1_or_2_with_one_line(self, tmp_path):
+        path, missing = tmp_path / "scenario.yaml", str(tmp_path / "missing")
+        # (scenario text to write at `path`, or None; the argv, which then ends with `path`)
+        files = st.tuples(malformed_scenarios(), st.sampled_from([["run"], ["chain", "chain-1", "--scenario"]]))
+        missing_paths = st.sampled_from([
+            ["run", missing + ".yaml"], ["chain", "chain-1", "--scenario", missing + ".yaml"],
+            ["chain", missing + ".yaml"], ["run", "chain-base", "--out", missing + "/x.csv"],
+        ])
+        calls = files | (missing_paths | bad_flags).map(lambda argv: (None, argv))
+
+        @settings(max_examples=250, derandomize=True, deadline=None)
+        @given(calls)
+        def check(call):
+            text, argv = call
+            if text is not None:
+                path.write_text(text, encoding="utf-8")
+                argv = [*argv, str(path)]
+            # an export goes to `sys.stdout.buffer`
+            out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (1, 2), (argv, code)
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())
+
+        check()

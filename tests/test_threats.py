@@ -1,10 +1,13 @@
 """Threat registry: legality map, injector effects, stealth, user model."""
 
+import ast
 import dataclasses
+import inspect
 import math
+import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agvsim.cavstack import Layer
@@ -13,6 +16,9 @@ from agvsim.domain import (
     ConfigError,
     ContextSummary,
     DEFAULT_ADMISSION,
+    Hazard,
+    MAX_SPEED_LIMIT_KPH,
+    MIN_SPEED_KPH,
     RoadClass,
     Role,
     ThreatId,
@@ -23,6 +29,7 @@ from agvsim.pipeline import AgentTuning, MemoryStore, SPEED_CAP_KEY
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped
 from agvsim.threats import (
+    THREATS,
     PipelineState,
     SimulatedUserState,
     Surface,
@@ -30,11 +37,14 @@ from agvsim.threats import (
     ToolOutput,
     USER_ATTENTION_BUDGET,
     apply,
+    apply_context_patch,
     confirm_urgency,
     delta_footprint,
     legal_surfaces,
     to_layer_perturbations,
 )
+from agvsim.trace import StepRecord
+from test_payload_properties import KEY_VALUES, texts
 
 
 # Malformed payloads: each used to load and then fail inside the episode loop,
@@ -353,6 +363,66 @@ class TestApplyEffects:
         assert records[0] == records[1]
 
 
+def reference_context_patch(summary: ContextSummary, patch: dict) -> ContextSummary:
+    """The reference merge: a patch applied by rules of its own, one replace per patch key."""
+    if "speed_limit_kph" in patch:
+        summary = dataclasses.replace(summary, speed_limit_kph=float(patch["speed_limit_kph"]))
+    if patch.get("closures_add"):
+        merged = list(summary.closures)
+        for c in patch["closures_add"]:
+            if c not in merged:
+                merged.append(c)
+        summary = dataclasses.replace(summary, closures=tuple(merged))
+    if patch.get("hazards_add"):
+        hazards = list(summary.hazards)
+        for h in patch["hazards_add"]:
+            hazards.append(Hazard(h["kind"], float(h["distance_m"]), float(h["confidence"])))
+        summary = dataclasses.replace(summary, hazards=tuple(hazards))
+    return summary
+
+
+# closures and hazard kinds from the patch strategy's texts, so a patch meets ones already there
+contexts = st.builds(
+    ContextSummary,
+    speed_limit_kph=st.floats(MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH),
+    road_class=st.sampled_from(list(RoadClass)),
+    hazards=st.lists(st.builds(Hazard, texts, st.floats(0, 300), st.floats(0, 1)), max_size=2).map(tuple),
+    closures=st.lists(texts, max_size=3, unique=True).map(tuple),
+    traffic_density=st.floats(0, 1),
+    completeness=st.floats(0, 1),
+)
+AT_R7_DEBRIS = ContextSummary(90.0, RoadClass.HIGHWAY, (Hazard("debris", 30.0, 0.9),), ("R7",))
+
+
+# Every edit of a context summary goes through `apply_summary_transform`. These
+# two are functions, not methods: the plants in `test_planted.py` call them too.
+
+
+@given(contexts, KEY_VALUES["context_patch"])
+@example(AT_R7_DEBRIS, {
+    "speed_limit_kph": 60, "closures_add": ["R7", "R9", "R9"],
+    "hazards_add": [{"kind": "debris", "distance_m": 30, "confidence": 0.9}],
+})
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_a_patch_merges_as_the_reference_does(context, patch):
+    try:  # the schema every patch passes before an envelope carries it
+        inj = injection(ThreatId.T9, Surface.IDENTITY_FIELD, {"claimed": "CavStack", "context_patch": patch})
+    except ConfigError:
+        return
+    checked = inj.args[2]
+    assert apply_context_patch(context, checked) == reference_context_patch(context, checked)
+
+
+@given(contexts, st.floats(0, 1, exclude_min=True, exclude_max=True))
+@example(AT_R7_DEBRIS, 0.5)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_t4_on_pa_input_scales_completeness_alone(context, factor):
+    state = make_state()
+    state.pa_context = context
+    apply(injection(ThreatId.T4, Surface.PA_INPUT, {"completeness_factor": factor}), state, 0)
+    assert state.pa_context == dataclasses.replace(context, completeness=context.completeness * factor)
+
+
 class TestSimulatedUser:
     def test_true_answer_within_budget(self):
         user = SimulatedUserState(seed=0)
@@ -412,3 +482,33 @@ class TestFootprints:
             {"claimed": "CavStack", "target": "context", "context_patch": {"speed_limit_kph": 60.0}},
         )
         assert "approved" in delta_footprint(loaded)
+
+    def test_every_footprint_name_is_a_step_record_field(self):
+        # chain attribution reads these names: a renamed field would drop out of it silently
+        names = {f.name for f in dataclasses.fields(StepRecord)} | {"envelope_count"}
+        loaded = {"claimed": "CavStack", "target": "context", "context_patch": {"speed_limit_kph": 60.0}}
+        extras = [
+            injection(ThreatId.T4, Surface.PA_INPUT, {"completeness_factor": 0.5}),
+            injection(ThreatId.T4, Surface.LAYER, {"completeness_factor": 0.5}, layer=Layer.PERCEPTION),
+            injection(ThreatId.T9, Surface.IDENTITY_FIELD, {"claimed": "CavStack", "target": "context"}),
+            injection(ThreatId.T9, Surface.IDENTITY_FIELD, loaded),
+        ]
+        assert {inj.threat for inj in extras} == {t for t, spec in THREATS.items() if spec.footprint_extra}
+        for threat, spec in THREATS.items():
+            assert set(spec.footprint) <= names, threat
+        for inj in extras:
+            assert set(THREATS[inj.threat].footprint_extra(inj)) <= names, inj
+
+    def test_persistent_is_set_exactly_where_the_injector_reads_it(self):
+        def reads_persistent(act) -> bool:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(act)))
+            inj = tree.body[0].args.args[0].arg
+            return any(
+                isinstance(node, ast.Attribute) and node.attr == "persistent"
+                and isinstance(node.value, ast.Name) and node.value.id == inj
+                for node in ast.walk(tree)
+            )
+
+        readers = {t for t, spec in THREATS.items() if spec.act is not None and reads_persistent(spec.act)}
+        assert readers == {t for t, spec in THREATS.items() if spec.persistent}
+        assert readers  # a walk that found nothing would match a table with no readers
