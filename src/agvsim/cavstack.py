@@ -23,7 +23,7 @@ from .domain import (
     VehicleFeedback,
     is_finite_number,
 )
-from .serialize import _plain_digest
+from .serialize import digest_of
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ class WorldTruth:
     true_closures: tuple[str, ...] = ()
 
     def digest(self) -> str:
-        return _plain_digest({
+        return digest_of({
             "limit": self.true_speed_limit_kph,
-            "road": self.road_class.value,
+            "road": self.road_class,
             "speed": self.vehicle_true_speed_kph,
             "hazards": [[h.kind, h.distance_m, h.confidence] for h in self.true_hazards],
             "closures": list(self.true_closures),

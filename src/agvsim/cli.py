@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 I/O error. The seed
-may come from --seed, the AGV_SIM_SEED environment variable, or the scenario
-file, in that precedence order.
+Exit codes: 0 success, 1 configuration/usage error, 2 I/O error (of --out or
+stdout). The seed may come from --seed, the AGV_SIM_SEED environment
+variable, or the scenario file, in that precedence order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -246,7 +247,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{exc.parser.prog}: error: {exc} ({usage})", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a write to stdout that fails fails here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -255,6 +258,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except ReportIOError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except OSError as exc:  # a write to stdout has no filename; a read, such as of package data, has one
+        print(f"io error: stdout: {exc.strerror or exc}" if exc.filename is None else f"io error: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:  # a stand-in has no fileno
+            if exc.filename is None:  # drop what stdout still holds, which exit would flush again
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return EXIT_IO
 
 

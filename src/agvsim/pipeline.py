@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .domain import ContextSummary, Role, UserRequest, VehicleFeedback
-from .serialize import _plain_digest
+from .serialize import digest_of
 
 KPH_PER_MPS = 3.6
 # Horizon over which the SC converts a speed-target jump into an implied
@@ -93,9 +93,8 @@ class MemoryStore:
 
     def digest(self) -> str:
         if self._digest is None:
-            self._digest = _plain_digest(
-                [[e.key, e.kind.value, repr(e.value), e.origin.value, e.inserted_step, e.persistent]
-                 for e in self._entries]
+            self._digest = digest_of(
+                [[e.key, e.kind, repr(e.value), e.origin, e.inserted_step, e.persistent] for e in self._entries]
             )
         return self._digest
 

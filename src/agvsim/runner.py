@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cache
+from operator import methodcaller
 from typing import TYPE_CHECKING
 
 from .cavstack import LayerPerturbation, control_feedback, fuse, perceive, v2x_broadcast
@@ -53,7 +54,7 @@ from .threats import (
     run_pa_policy,
     to_layer_perturbations,
 )
-from .trace import EpisodeTrace, StepRecord, lazy_log_digest, lazy_world_digest
+from .trace import EpisodeTrace, StepRecord, _log_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chains import ChainSchedule
@@ -311,14 +312,14 @@ def run_episodes(
                         default_admission_digest if state.admission == DEFAULT_ADMISSION
                         else digest_of(_admission_plain(state.admission))
                     ),
-                    log_digest=lazy_log_digest(step_envelopes),
+                    log_digest=LazyDigest(step_envelopes, _log_digest),
                     effects=tuple(effects),
                 )
             )
 
     # the world is frozen all the way down, so one digest, taken when an
     # export first reads it, stands for the world before and after the run
-    world_digest = lazy_world_digest(world)
+    world_digest = LazyDigest(world, methodcaller("digest"))
     return EpisodeTrace(
         scenario_id=config.id,
         seed=seed_value,

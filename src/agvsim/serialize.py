@@ -3,16 +3,16 @@
 Every exported byte must be a pure function of (config, seed), so all
 serialization funnels through one writer, `_text`: sorted keys, no
 timestamps, no id()-dependent content. It writes two layouts: indented for
-the exports (`canonical_json`) and compact for the digests (`digest_of`,
-`ListDigest`). Each call appends the text's fragments to one list and joins
-it once, rather than copying each level's text into the level above.
+the exports (`canonical_json`) and compact for `digest_of`, the one digest
+of a value, and `ListDigest`, its digest of a list that grows. Each call
+appends the text's fragments to one list and joins it once, rather than
+copying each level's text into the level above.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from collections.abc import Callable, Iterable
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
@@ -180,19 +180,6 @@ def _text_other(obj: object, nl: str | None, memo: dict | None, out: list[str]) 
         _text(sorted(obj, key=repr), nl, memo, out)
     else:
         out.append(_escape(repr(obj)))
-
-
-# the encoder `json.dumps(plain, sort_keys=True)` would build on every call
-_encode_sorted = json.JSONEncoder(sort_keys=True).encode
-
-
-def _plain_digest(plain: object) -> str:
-    """`digest_of` a value that is already JSON types, through the C encoder.
-
-    For the hand-made plain projections of a state, which this encodes
-    faster than `_text` walks them.
-    """
-    return hashlib.sha256(_encode_sorted(plain).encode()).hexdigest()[:16]
 
 
 def digest_of(obj: object) -> str:

@@ -63,7 +63,7 @@ from .pipeline import (
     dsa_propose,
     pa_interpret,
 )
-from .serialize import ListDigest, _plain_digest, digest_of
+from .serialize import ListDigest, digest_of
 
 
 class Surface(str, Enum):
@@ -124,24 +124,22 @@ class ThreatInjection:
 
 
 class LazyDigest:
-    """A surface as a view saw it, with its `digest_of` taken once, when first asked for.
+    """A value that nothing edits later, with its digest taken once, when first asked for.
 
-    The value must be one that nothing edits later: a frozen object, a
-    scalar, or a copy. With `plain`, the digest is that of `plain(value)`,
-    a hand-made projection to JSON types.
+    The value is a frozen object, a scalar, or a copy. The digest is
+    `take(value)`, or else this module's `digest_of(value)`, looked up then.
     """
 
-    __slots__ = ("value", "_plain", "_digest")
+    __slots__ = ("value", "_take", "_digest")
 
-    def __init__(self, value: object, plain: Callable[[Any], object] | None = None) -> None:
+    def __init__(self, value: object, take: Callable[[Any], str] | None = None) -> None:
         self.value = value
-        self._plain = plain
+        self._take = take
         self._digest = ""
 
     def digest(self) -> str:
         if not self._digest:
-            plain = self._plain
-            self._digest = digest_of(self.value) if plain is None else _plain_digest(plain(self.value))
+            self._digest = (self._take or digest_of)(self.value)
         return self._digest
 
 

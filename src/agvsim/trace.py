@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .domain import MessageEnvelope, UserRequest, ContextSummary, VehicleFeedback
 from .pipeline import Decision, IntentDescriptor, SafetyVerdict, StrategyProposal
-from .serialize import canonical_json
-from .threats import InjectionEffectRecord, LazyDigest, ToolOutput, _DigestField
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .cavstack import WorldTruth
+from .serialize import canonical_json, digest_of
+from .threats import InjectionEffectRecord, ToolOutput, _DigestField
 
 
 class TracePairingError(ValueError):
@@ -51,34 +47,14 @@ class StepRecord:
     admission_digest: str
     # provenance shape only: tracks attribution loss and message-count
     # changes without mirroring payload content; may be given as
-    # `lazy_log_digest(envelopes)`, which digests when first read
+    # `LazyDigest(envelopes, _log_digest)`, which digests when first read
     log_digest: str = _DigestField()  # type: ignore[assignment]
     effects: tuple[InjectionEffectRecord, ...] = ()
 
 
-def _provenance_shape(envelopes: tuple[MessageEnvelope, ...]) -> list:
-    return [[[role.value, hop] for role, hop in env.provenance] for env in envelopes]
-
-
-def lazy_log_digest(envelopes: tuple[MessageEnvelope, ...]) -> LazyDigest:
-    """The `log_digest` of a step's envelopes, taken when first read."""
-    return LazyDigest(envelopes, _provenance_shape)
-
-
-class _WorldDigest(LazyDigest):
-    """A world's own `digest()`, taken once, when first read."""
-
-    __slots__ = ()
-
-    def digest(self) -> str:
-        if not self._digest:
-            self._digest = self.value.digest()
-        return self._digest
-
-
-def lazy_world_digest(world: WorldTruth) -> LazyDigest:
-    """The digest of a frozen world, taken when first read."""
-    return _WorldDigest(world)
+def _log_digest(envelopes: tuple[MessageEnvelope, ...]) -> str:
+    """A step's `log_digest`: the digest of its envelopes' provenance hops."""
+    return digest_of([env.provenance for env in envelopes])
 
 
 @dataclass(frozen=True)
@@ -91,8 +67,8 @@ class EpisodeTrace:
     episodes: int
     steps_per_episode: int
     steps: tuple[StepRecord, ...]
-    # each may be given as `lazy_world_digest(world)`, which digests when
-    # first read; a run gives both the same one
+    # each may be given as a `LazyDigest` of the world that calls its
+    # `digest()` when first read; a run gives both the same one
     world_digest_before: str = _DigestField()  # type: ignore[assignment]
     world_digest_after: str = _DigestField()  # type: ignore[assignment]
 

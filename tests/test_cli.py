@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import errno
 import io
 import os
 import re
@@ -41,11 +42,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python_process(*args, **env):
+def run_python_process(*args, stdout=subprocess.PIPE, **env):
     """`python args` in a fresh interpreter that finds this agvsim, with `env` added to the environment."""
     src = str(Path(agvsim.__file__).resolve().parents[1])
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60)
 
 
 def run_cli_process(*argv, **env):
@@ -361,6 +362,60 @@ class TestRun:
             assert code == 0
             reports.append(out)
         assert reports[0] == reports[1]
+
+
+class FullStdout(io.TextIOBase):
+    """A stdout on a full disk: every write raises, of text and of bytes alike."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    @property
+    def buffer(self):
+        return self
+
+
+FULL_STDOUT_ARGV = [
+    ["run", "case1-highway-urgent", "--format", "json"],
+    ["run", "case2-highway"],
+    ["run", "case2-highway", "--baseline-only"],
+    ["list", "scenarios"],
+    ["score", "T1", "manual", "high"],
+    ["validate-tables"],
+    ["chain", "chain-1"],
+]
+
+
+class TestStdoutFailure:
+    """A failed write to stdout is an I/O error: exit 2 and one line, no traceback (ROADMAP aim 3)."""
+
+    @pytest.mark.parametrize("argv", FULL_STDOUT_ARGV, ids=" ".join)
+    def test_exits_2_with_one_line(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "io error: stdout: No space left on device\n"
+
+    def test_a_failed_read_is_not_blamed_on_stdout(self, capsys, monkeypatch):
+        def unreadable_tables():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "severity_tables.csv")
+
+        monkeypatch.setattr(agvsim.cli, "validate_tables", unreadable_tables)
+        code = main(["validate-tables"])
+        assert code == 2
+        assert capsys.readouterr().err == f"io error: [Errno 2] {os.strerror(errno.ENOENT)}: 'severity_tables.csv'\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", FULL_STDOUT_ARGV[:1] + FULL_STDOUT_ARGV[3:5], ids=" ".join)
+    def test_dev_full_exits_2_with_one_line(self, argv, unbuffered):
+        # buffered, stdout still holds the output it failed to write, and the
+        # interpreter's flush of it at exit must add no second line
+        with open("/dev/full", "wb") as full:
+            result = run_python_process("-m", "agvsim.cli", *argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
+        assert result.returncode == 2
+        assert result.stderr.decode().splitlines() == ["io error: stdout: No space left on device"]
 
 
 class TestChainCommand:

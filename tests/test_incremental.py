@@ -20,13 +20,13 @@ its generator only when it first draws.
 
 import dataclasses
 import random
-import sys
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agvsim.pipeline
 import agvsim.runner
 import agvsim.serialize
 import agvsim.threats
@@ -40,7 +40,7 @@ from agvsim.runner import run_episodes
 from agvsim.scenario import ConfigError, load_scenario, parse_scenario, shipped_scenarios
 from agvsim.serialize import canonical_json, digest_of
 from agvsim.threats import THREATS, LazyDigest, MessageLog, Surface, to_layer_perturbations
-from agvsim.trace import lazy_log_digest, step_deltas
+from agvsim.trace import _log_digest, step_deltas
 from test_golden import open_campaign
 from test_payload_properties import BASE, injections
 from test_serialize import to_jsonable
@@ -196,30 +196,23 @@ def with_episodes(name: str, episodes: int):
 
 @pytest.fixture
 def digest_calls(monkeypatch):
-    """Counts `runner.digest_of` calls by argument type, and every `serialize._plain_digest` call.
+    """Counts `runner.digest_of` calls by argument type, and every `pipeline.digest_of` call.
 
-    The modules that call `_plain_digest` bind the name when they are
-    imported, so it is counted under each module that holds it.
+    The memory store takes its digests through `pipeline.digest_of`.
     """
-    calls = {"runner": [], "plain": 0}
-    digest_of_, plain_digest = agvsim.runner.digest_of, agvsim.serialize._plain_digest
+    calls = {"runner": [], "store": 0}
+    digest_of_, store_digest_of = agvsim.runner.digest_of, agvsim.pipeline.digest_of
 
     def counting_digest_of(obj):
         calls["runner"].append(type(obj))
         return digest_of_(obj)
 
-    def counting_plain_digest(plain):
-        calls["plain"] += 1
-        return plain_digest(plain)
+    def counting_store_digest_of(obj):
+        calls["store"] += 1
+        return store_digest_of(obj)
 
     monkeypatch.setattr(agvsim.runner, "digest_of", counting_digest_of)
-    holders = [
-        module for name, module in list(sys.modules.items())
-        if name.startswith("agvsim.") and getattr(module, "_plain_digest", None) is plain_digest
-    ]
-    assert agvsim.serialize in holders and len(holders) > 1  # its callers hold it too
-    for module in holders:
-        monkeypatch.setattr(module, "_plain_digest", counting_plain_digest)
+    monkeypatch.setattr(agvsim.pipeline, "digest_of", counting_store_digest_of)
     return calls
 
 
@@ -227,10 +220,10 @@ def test_runner_digests_per_run_do_not_grow_with_steps(digest_calls):
     per_run = []
     for episodes in (1, 4):
         digest_calls["runner"].clear()
-        digest_calls["plain"] = 0
+        digest_calls["store"] = 0
         trace = run_episodes(with_episodes("chain-base", episodes), with_injections=True)
         assert len(trace.steps) == 4 * episodes
-        per_run.append((len(digest_calls["runner"]), digest_calls["plain"]))
+        per_run.append((len(digest_calls["runner"]), digest_calls["store"]))
     assert per_run[0][1] > 0  # the memory store is digested at least once
     assert per_run[0] == per_run[1]
 
@@ -297,15 +290,15 @@ def test_a_store_carried_over_whole_keeps_its_digest(digest_calls):
     )
     store = MemoryStore(entries)
     digest = store.digest()
-    assert digest_calls["plain"] == 1
+    assert digest_calls["store"] == 1
     carried = store.carry_over()
     assert carried.digest() == digest
-    assert digest_calls["plain"] == 1
+    assert digest_calls["store"] == 1
     # one entry dropped: the carried store digests its own entries
     store.append(MemoryEntry("dropped", MemoryKind.HISTORY, 0.0, Role.USER, inserted_step=3))
     carried = store.carry_over()
     assert carried.digest() == digest
-    assert digest_calls["plain"] == 2
+    assert digest_calls["store"] == 2
     carried.append(entries[0])
     assert carried.digest() == MemoryStore(entries + entries[:1]).digest()
 
@@ -434,8 +427,8 @@ class AtApply(LazyDigest):
 
     __slots__ = ("at_apply",)
 
-    def __init__(self, value: object) -> None:
-        super().__init__(value)
+    def __init__(self, value: object, take=None) -> None:
+        super().__init__(value, take)
         self.at_apply = digest_of(value)
 
 
@@ -574,13 +567,13 @@ def test_lazy_log_digest_equals_the_eager_digest_of_the_provenance(group):
 def log_digests(monkeypatch):
     """The envelope tuple of every log digest taken."""
     taken = []
-    original = agvsim.trace._provenance_shape
+    original = agvsim.runner._log_digest
 
     def counting(envelopes):
         taken.append(envelopes)
         return original(envelopes)
 
-    monkeypatch.setattr(agvsim.trace, "_provenance_shape", counting)
+    monkeypatch.setattr(agvsim.runner, "_log_digest", counting)
     return taken
 
 
@@ -613,7 +606,13 @@ def envelope_tuple_pairs(draw) -> tuple[tuple, tuple]:
         return first, tuple(draw(st.lists(envelopes(), max_size=4)))
     # the same provenance under other senders, authorities and payloads
     others = draw(st.lists(envelopes(), min_size=len(first), max_size=len(first)))
-    return first, tuple(dataclasses.replace(o, provenance=e.provenance) for o, e in zip(others, first))
+    second = [dataclasses.replace(o, provenance=e.provenance) for o, e in zip(others, first)]
+    if second and draw(st.booleans()):
+        # or one hop more on one envelope: every first hop the same, the provenance not
+        i = draw(st.integers(0, len(second) - 1))
+        hop = (draw(st.sampled_from(_ROLES)), draw(st.integers(0, 50)))
+        second[i] = dataclasses.replace(second[i], provenance=second[i].provenance + (hop,))
+    return first, tuple(second)
 
 
 @settings(max_examples=300, deadline=None)
@@ -622,4 +621,4 @@ def test_equal_provenance_lists_are_exactly_equal_log_digests(pair):
     # what lets `step_deltas` compare the provenance in place of the digests
     a, b = pair
     same = [e.provenance for e in a] == [e.provenance for e in b]
-    assert same == (lazy_log_digest(a).digest() == lazy_log_digest(b).digest())
+    assert same == (_log_digest(a) == _log_digest(b))

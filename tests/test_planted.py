@@ -5,7 +5,8 @@ function in its module's namespace and puts it in place by monkeypatch, in
 every loaded module that binds the function's name. The tests named for it
 are then called in-process and must fail; a plant that none of them notices
 marks a fault the suite would let through. The named tests are deterministic,
-so this file takes a few seconds.
+or property tests whose strategies draw the planted case often, so this file
+takes a few seconds.
 """
 
 import __future__
@@ -20,16 +21,21 @@ import pytest
 import agvsim.serialize
 import agvsim.severity
 import agvsim.threats
+import agvsim.trace
 import test_chains
 import test_cli
 import test_golden
+import test_incremental
+import test_runner
 import test_serialize
 import test_severity
 import test_threats
 from agvsim.domain import ThreatId
+from agvsim.pipeline import MemoryStore
 from agvsim.scenario import load_shipped
 from agvsim.serialize import ListDigest
 from agvsim.threats import THREATS
+from test_incremental import digest_calls  # noqa: F401  a fixture the store plant's test takes
 
 # writes provenance hops, and meets shared frozen objects at a new indent
 SCENARIO = "case1-arterial-routine"
@@ -109,3 +115,32 @@ def test_t4_that_skips_its_pa_input_edit_fails(monkeypatch):
     monkeypatch.setitem(THREATS, ThreatId.T4, dataclasses.replace(THREATS[ThreatId.T4], act=act))
     fails(test_threats.TestApplyEffects().test_t4_multiplies_completeness)
     fails(test_threats.test_t4_on_pa_input_scales_completeness_alone)
+
+
+def test_a_store_that_keeps_its_digest_after_an_append_fails(monkeypatch, digest_calls):
+    plant(monkeypatch, MemoryStore, "append", "self._digest = None", "pass")
+    fails(test_incremental.test_a_store_carried_over_whole_keeps_its_digest, digest_calls)
+    fails(test_golden.test_scenario_exports_match_golden, "threat-t01")
+    fails(test_golden.test_campaign_exports_match_golden, "threat-t01")
+    fails(test_golden.test_chain_stage_summary_matches_golden, "chain-1-memory-poisoning-drift")
+
+
+def test_a_log_digest_of_the_first_hops_alone_fails(monkeypatch):
+    plant(monkeypatch, agvsim.trace, "_log_digest", "env.provenance for env", "env.provenance[:1] for env")
+    fails(test_incremental.test_lazy_log_digest_equals_the_eager_digest_of_the_provenance, "shipped")
+    fails(test_incremental.test_equal_provenance_lists_are_exactly_equal_log_digests)
+    fails(test_golden.test_scenario_exports_match_golden, SCENARIO)
+
+
+def test_step_deltas_that_skip_the_memory_digest_fail(monkeypatch):
+    # not `episode`: paired steps never differ there, so skipping it would go unnoticed
+    plant(
+        monkeypatch, agvsim.trace, "step_deltas",
+        "for name in _DIFFED_FIELDS if", 'for name in _DIFFED_FIELDS if name != "memory_digest" and',
+    )
+    fails(test_incremental.test_step_deltas_match_leaf_flattening_reference, "campaigns")
+    fails(
+        test_runner.TestEffectLifetimes().test_memory_entries_last_the_episode_and_cross_it_only_when_persistent,
+        "threat-t01", True, [0, 1, 2, 3, 4, 5],
+    )
+    fails(test_golden.test_chain_stage_summary_matches_golden, "chain-3-hallucination-compounding")

@@ -2,8 +2,9 @@
 
 `canonical_json` must equal `json.dumps(to_jsonable(x), sort_keys=True,
 indent=2)`, and `digest_of` and `ListDigest` the sha256 of the compact
-`json.dumps(to_jsonable(x), sort_keys=True)`. `canonical_json` writes a
-frozen dataclass that occurs more than once only once per call.
+`json.dumps(to_jsonable(x), sort_keys=True)`; so must the memory store's and
+the world's digests, of the projections they digest. `canonical_json` writes
+a frozen dataclass that occurs more than once only once per call.
 """
 
 import dataclasses
@@ -17,6 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agvsim.serialize
+from agvsim.cavstack import WorldTruth
+from agvsim.domain import Hazard, RoadClass, Role
+from agvsim.pipeline import MemoryEntry, MemoryKind, MemoryStore
 from agvsim.serialize import ListDigest, canonical_json, digest_of
 
 
@@ -65,8 +69,13 @@ def reference(obj: object) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
 
 
+def plain_digest(plain: object) -> str:
+    """The digest of a value already made of JSON types, through the `json` module."""
+    return hashlib.sha256(json.dumps(plain, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def reference_digest(obj: object) -> str:
-    return hashlib.sha256(json.dumps(to_jsonable(obj), sort_keys=True).encode()).hexdigest()[:16]
+    return plain_digest(to_jsonable(obj))
 
 
 _floats = st.one_of(
@@ -111,6 +120,43 @@ def test_writer_equals_json_dumps_of_to_jsonable(value):
 @given(_values)
 def test_digest_equals_sha256_of_compact_json_dumps(value):
     assert digest_of(value) == reference_digest(value)
+
+
+_plain_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, _floats, _texts),
+    lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(_texts, children, max_size=4)),
+    max_leaves=16,
+)
+_memory_entries = st.builds(
+    MemoryEntry, key=_texts, kind=st.sampled_from(MemoryKind), value=_plain_values,
+    origin=st.sampled_from(Role), inserted_step=_ints, persistent=st.booleans(),
+)
+_worlds = st.builds(
+    WorldTruth, true_speed_limit_kph=_floats, road_class=st.sampled_from(RoadClass), vehicle_true_speed_kph=_floats,
+    true_hazards=st.lists(
+        st.builds(Hazard, kind=_texts, distance_m=st.floats(min_value=0.0), confidence=st.floats(0.0, 1.0)),
+        max_size=3,
+    ).map(tuple),
+    true_closures=st.lists(_texts, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_plain_values, st.lists(_memory_entries, max_size=4), _worlds)
+def test_every_digest_equals_the_json_module_digest_of_its_projection(value, entries, world):
+    # `digest_of` is the one digest: a value of JSON types, and the memory
+    # store's and the world's projections, digest as `json.dumps` writes them
+    assert digest_of(value) == plain_digest(value)
+    assert MemoryStore(tuple(entries)).digest() == plain_digest(
+        [[e.key, e.kind.value, repr(e.value), e.origin.value, e.inserted_step, e.persistent] for e in entries]
+    )
+    assert world.digest() == plain_digest({
+        "limit": world.true_speed_limit_kph,
+        "road": world.road_class.value,
+        "speed": world.vehicle_true_speed_kph,
+        "hazards": [[h.kind, h.distance_m, h.confidence] for h in world.true_hazards],
+        "closures": list(world.true_closures),
+    })
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

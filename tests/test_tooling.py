@@ -182,3 +182,32 @@ def test_the_package_imports_form_no_cycle_and_none_sits_in_a_function():
     assert {"chains", "scenario"} <= type_only["runner"]
     with_annotations = {m: runtime[m] | type_only[m] for m in runtime}
     assert _cycle(with_annotations) is not None
+
+
+def test_serialize_alone_hashes_and_only_its_digest_functions_call_sha256():
+    # one digest function: no other module imports `hashlib` or `json`, and
+    # inside `serialize.py` only `digest_of` and `ListDigest` name sha256
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "serialize.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] in ("hashlib", "json") for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+    tree = ast.parse((PACKAGE / "serialize.py").read_text(encoding="utf-8"))
+    hashers = {
+        getattr(top, "name", f"line {top.lineno}")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "sha256"
+        or isinstance(node, ast.Name) and node.id == "sha256"
+        or isinstance(node, ast.alias) and node.name == "sha256"
+    }
+    assert hashers == {"digest_of", "ListDigest"}
