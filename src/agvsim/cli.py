@@ -41,6 +41,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(self, message)
 
+    # argparse drops a failed write of help; raise it, so that it is an I/O error
+    def _print_message(self, message: str, file=None) -> None:  # type: ignore[override]
+        if message:
+            (file or sys.stderr).write(message)
+
 
 class _CommandParser(_Parser):
     # argparse hands a subcommand's unknown arguments up to the top-level
@@ -239,17 +244,20 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.error("a command is required")
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits once it has printed help
+            code = exc.code
+        else:
+            if args.command is None:
+                parser.error("a command is required")
+            code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a write to stdout that fails fails here, not at exit
+        return code
     except _UsageError as exc:
         usage = " ".join(exc.parser.format_usage().split())  # one line: argparse wraps long usages
         print(f"{exc.parser.prog}: error: {exc} ({usage})", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        code = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # a write to stdout that fails fails here, not at exit
-        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,7 +14,8 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Collection, TypeVar
+from types import MappingProxyType
+from typing import Any, Callable, Collection, Mapping, TypeVar
 
 E = TypeVar("E", bound=Enum)
 T = TypeVar("T")
@@ -305,16 +306,16 @@ def make_envelope(sender: Role, authority: Authority, payload: object, step: int
 
 # Which claimed senders may originate each envelope kind. SafetyCheck only
 # ever emits verdicts; nothing else may. Admission reads the claimed sender,
-# never the ground-truth one.
-DEFAULT_ADMISSION: dict[Authority, frozenset[Role]] = {
+# never the ground-truth one. Read-only: an attack (T3) builds a new table.
+DEFAULT_ADMISSION: Mapping[Authority, frozenset[Role]] = MappingProxyType({
     Authority.INTENT_ONLY: frozenset({Role.USER, Role.PERSONAL_AGENT}),
     Authority.PROPOSAL_ONLY: frozenset({Role.DRIVING_STRATEGY_AGENT}),
     Authority.VERDICT_ONLY: frozenset({Role.SAFETY_CHECK}),
     Authority.CONTEXT_ONLY: frozenset({Role.CAV_STACK}),
-}
+})
 
 
-def admitted(envelope: MessageEnvelope, policy: dict[Authority, frozenset[Role]] | None = None) -> bool:
+def admitted(envelope: MessageEnvelope, policy: Mapping[Authority, frozenset[Role]] | None = None) -> bool:
     """Admission check at the pipeline boundary, based on claimed identity."""
     table = DEFAULT_ADMISSION if policy is None else policy
     return envelope.claimed_sender in table.get(envelope.authority, frozenset())

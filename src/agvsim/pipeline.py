@@ -52,49 +52,36 @@ class MemoryEntry:
 
 
 class MemoryStore:
-    """Append-only long-term store owned by a single episode runner."""
+    """Long-term memory as a value: nothing edits a store, `adopt` returns another."""
 
     def __init__(self, entries: tuple[MemoryEntry, ...] = ()) -> None:
-        self._entries: list[MemoryEntry] = list(entries)
-        self._digest: str | None = None  # of `_entries`; cleared by every append
+        self.entries = tuple(entries)
+        self._digest: str | None = None  # of `entries`, taken when first asked for
 
-    @property
-    def entries(self) -> tuple[MemoryEntry, ...]:
-        return tuple(self._entries)
-
-    def append(self, entry: MemoryEntry) -> None:
-        self._entries.append(entry)
-        self._digest = None
-
-    def adopt(self, entry: MemoryEntry) -> bool:
-        """Append unless an entry with the same key, value and origin is held; True if appended."""
-        if any(
-            e.key == entry.key and e.value == entry.value and e.origin is entry.origin
-            for e in self._entries
-        ):
-            return False
-        self.append(entry)
-        return True
+    def adopt(self, entry: MemoryEntry) -> MemoryStore:
+        """This store when an entry with the same key, value and origin is held, else one with `entry` added."""
+        if any(e.key == entry.key and e.value == entry.value and e.origin is entry.origin for e in self.entries):
+            return self
+        return MemoryStore(self.entries + (entry,))
 
     def speed_caps(self) -> list[tuple[str, float]]:
         """All speed-cap constraint entries as (key, kph), insertion order."""
         return [
             (e.key, float(e.value))  # type: ignore[arg-type]
-            for e in self._entries
+            for e in self.entries
             if e.kind is MemoryKind.CONSTRAINT and e.key == SPEED_CAP_KEY
         ]
 
-    def carry_over(self) -> "MemoryStore":
-        """New store holding only the entries flagged persistent."""
-        carried = MemoryStore(tuple(e for e in self._entries if e.persistent))
-        if len(carried._entries) == len(self._entries):
-            carried._digest = self._digest  # the same entries: the digest, if taken, still holds
-        return carried
+    def carry_over(self) -> MemoryStore:
+        """The store of the entries flagged persistent: this one, digest and all, when every entry is."""
+        if all(e.persistent for e in self.entries):
+            return self
+        return MemoryStore(tuple(e for e in self.entries if e.persistent))
 
     def digest(self) -> str:
         if self._digest is None:
             self._digest = digest_of(
-                [[e.key, e.kind, repr(e.value), e.origin, e.inserted_step, e.persistent] for e in self._entries]
+                [[e.key, e.kind, repr(e.value), e.origin, e.inserted_step, e.persistent] for e in self.entries]
             )
         return self._digest
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import cache
 from operator import methodcaller
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .cavstack import LayerPerturbation, control_feedback, fuse, perceive, v2x_broadcast
 from .domain import (
@@ -79,7 +79,7 @@ def _delivered(edge: tuple[Role, Authority, Role], payload: object, step: int) -
     return MessageEnvelope(sender, sender, authority, payload, ((sender, step), (to, step + 1)), step)
 
 
-def _admission_plain(admission: dict[Authority, frozenset[Role]]) -> dict[str, list[str]]:
+def _admission_plain(admission: Mapping[Authority, frozenset[Role]]) -> dict[str, list[str]]:
     return {a.value: sorted(r.value for r in roles) for a, roles in admission.items()}
 
 
@@ -162,7 +162,7 @@ def run_episodes(
     rules = Rulebook()
     tuning = _DEFAULT_TUNING
     # each digest is recomputed only when its object changes: T11 replaces
-    # the frozen tuning, and only T3 edits the admission table
+    # the frozen tuning, and only T3 replaces the read-only admission table
     tuning_digested = tuning
     tuning_digest, default_admission_digest = _default_digests()
     memory = MemoryStore()
@@ -216,7 +216,7 @@ def run_episodes(
             entries = phases.get(_PRE_PA)
             if entries:
                 _run_phase(entries, state, g, effects, clean, stages)
-            tuning = state.tuning  # T11 acts pre-PA; its knobs hold from here on
+            tuning, memory = state.tuning, state.memory  # T11 (tuning) and T1, T5 (memory) act pre-PA
             if tuning is not tuning_digested:
                 tuning_digested, tuning_digest = tuning, digest_of(tuning)
 
@@ -228,7 +228,7 @@ def run_episodes(
             # tool advice is adopted into memory as a speed-cap constraint
             advice = state.tool_output.advised_speed_kph
             if advice is not None:
-                memory.adopt(
+                memory = memory.adopt(
                     MemoryEntry(
                         key=SPEED_CAP_KEY,
                         kind=MemoryKind.CONSTRAINT,
@@ -309,7 +309,7 @@ def run_episodes(
                     memory_digest=memory.digest(),
                     tuning_digest=tuning_digest,
                     admission_digest=(
-                        default_admission_digest if state.admission == DEFAULT_ADMISSION
+                        default_admission_digest if state.admission is DEFAULT_ADMISSION
                         else digest_of(_admission_plain(state.admission))
                     ),
                     log_digest=LazyDigest(step_envelopes, _log_digest),

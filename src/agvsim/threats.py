@@ -19,7 +19,8 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Any, Callable
+from operator import methodcaller
+from typing import Any, Callable, Mapping
 
 from .cavstack import (
     Layer,
@@ -32,7 +33,6 @@ from .domain import (
     ConfigError,
     ContextSummary,
     DEFAULT_ADMISSION,
-    Hazard,
     MAX_SPEED_LIMIT_KPH,
     MIN_SPEED_KPH,
     MessageEnvelope,
@@ -346,9 +346,7 @@ class PipelineState:
     pa_policy: str = "default"
     dsa_policy: str = "default"
     dsa_weights: dict | None = None
-    admission: dict[Authority, frozenset[Role]] = field(
-        default_factory=lambda: dict(DEFAULT_ADMISSION)
-    )
+    admission: Mapping[Authority, frozenset[Role]] = field(default_factory=lambda: DEFAULT_ADMISSION)
     envelopes: list[MessageEnvelope] = field(default_factory=list)
     log: MessageLog = field(default_factory=MessageLog)
 
@@ -552,15 +550,15 @@ def apply_context_patch(summary: ContextSummary, patch: dict) -> ContextSummary:
     for c in patch.get("closures_add", ()):
         summary = apply_summary_transform(summary, "closures", TransformOp.INJECT_RECORD, c)
     for h in patch.get("hazards_add", ()):
-        hazard = Hazard(h["kind"], float(h["distance_m"]), float(h["confidence"]))
-        summary = apply_summary_transform(summary, "hazards", TransformOp.INJECT_RECORD, hazard)
+        summary = apply_summary_transform(summary, "hazards", TransformOp.INJECT_RECORD, parse_hazard(h, "hazards_add"))
     return summary
 
 
 def _act_t1(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
     key, value = inj.args
-    entry = MemoryEntry(key, MemoryKind.CONSTRAINT, value, Role.EXTERNAL, step, persistent=inj.persistent)
-    if not state.memory.adopt(entry):
+    memory, entry = state.memory, MemoryEntry(key, MemoryKind.CONSTRAINT, value, Role.EXTERNAL, step, inj.persistent)
+    state.memory = memory.adopt(entry)
+    if state.memory is memory:
         return "entry already present", False
     return f"poisoned constraint {key}={value}", False
 
@@ -572,7 +570,8 @@ def _act_t2(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str,
 
 def _act_t3(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
     grant_role, patch = inj.args
-    state.admission[Authority.CONTEXT_ONLY] = state.admission[Authority.CONTEXT_ONLY] | {grant_role}
+    context_only = state.admission[Authority.CONTEXT_ONLY] | {grant_role}
+    state.admission = {**state.admission, Authority.CONTEXT_ONLY: context_only}  # a new table: none is edited
     # the identity is honest; the *permission* is wrong
     state.envelopes.append(make_envelope(grant_role, Authority.CONTEXT_ONLY, dict(patch), step))
     return f"context authority delegated to {grant_role.value}", False
@@ -585,16 +584,15 @@ def _act_t4(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str,
 
 
 def _act_t5(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
-    patch = inj.args
+    patch, memory = inj.args, state.memory
     state.pa_context = apply_context_patch(state.pa_context, patch)
-    note = "hallucinated context fact"
     # the hallucination enters long-term memory as a self-made constraint
-    if inj.persistent and "speed_limit_kph" in patch and state.memory.adopt(MemoryEntry(
-        SPEED_CAP_KEY, MemoryKind.CONSTRAINT, float(patch["speed_limit_kph"]), Role.PERSONAL_AGENT,
-        inserted_step=step, persistent=True,
-    )):
-        note += ", memorized"
-    return note, False
+    if inj.persistent and "speed_limit_kph" in patch:
+        state.memory = memory.adopt(MemoryEntry(
+            SPEED_CAP_KEY, MemoryKind.CONSTRAINT, float(patch["speed_limit_kph"]), Role.PERSONAL_AGENT,
+            inserted_step=step, persistent=True,
+        ))
+    return "hallucinated context fact" + ("" if state.memory is memory else ", memorized"), False
 
 
 def _act_t6(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
@@ -712,7 +710,7 @@ class ThreatSpec:
     keys: tuple[str, ...]  # the payload keys the schema knows; any other is rejected
     parse: Callable[[dict, str, ThreatInjection], Any]  # (payload, where, injection) -> `ThreatInjection.args`
     # the surface the injector edits, seen before and after it acts: a digest
-    # taken now for the stores that change in place (T1, T8), else the
+    # taken now for the one store that changes in place (T8's log), else the
     # surface itself; view and act are None for the cross-layer vectors,
     # whose injections act inside the layer functions
     view: Callable[[PipelineState, Any], str | LazyDigest] | None
@@ -739,7 +737,8 @@ def _cross_layer(layer: Layer, footprint: tuple[str, ...]) -> ThreatSpec:
 THREATS: dict[ThreatId, ThreatSpec] = {
     ThreatId.T1: ThreatSpec(
         frozenset({Surface.PA_MEMORY}), ("value_kph", "key"), _parse_t1,
-        lambda s, a: s.memory.digest(), _act_t1, ("memory_digest",) + _DOWNSTREAM, persistent=True,
+        lambda s, a: LazyDigest(s.memory, methodcaller("digest")), _act_t1, ("memory_digest",) + _DOWNSTREAM,
+        persistent=True,
     ),
     ThreatId.T2: ThreatSpec(
         frozenset({Surface.TOOL_OUTPUT}), ("advised_speed_kph", "route_hint"), _tool_output,
@@ -747,7 +746,7 @@ THREATS: dict[ThreatId, ThreatSpec] = {
     ),
     ThreatId.T3: ThreatSpec(
         frozenset({Surface.INTER_AGENT_MSG}), ("grant_role", "context_patch"), _parse_t3,
-        # a copy: `_act_t3` edits the admission table in place
+        # `dict`: the default table is a read-only mapping, which the digest writes as a dict
         lambda s, a: LazyDigest({"admission": dict(s.admission), "envelopes": len(s.envelopes)}), _act_t3,
         ("admission_digest", "envelope_count", "log_digest", "dsa_context") + _DECISION,
     ),

@@ -384,18 +384,27 @@ FULL_STDOUT_ARGV = [
     ["validate-tables"],
     ["chain", "chain-1"],
 ]
+# argparse prints help and exits inside `parse_args`, before any command runs
+HELP_ARGV = [["--help"], ["run", "--help"]]
 
 
 class TestStdoutFailure:
     """A failed write to stdout is an I/O error: exit 2 and one line, no traceback (ROADMAP aim 3)."""
 
-    @pytest.mark.parametrize("argv", FULL_STDOUT_ARGV, ids=" ".join)
+    @pytest.mark.parametrize("argv", FULL_STDOUT_ARGV + HELP_ARGV, ids=" ".join)
     def test_exits_2_with_one_line(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(sys, "stdout", FullStdout())
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert err == "io error: stdout: No space left on device\n"
+
+    @pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
+    def test_help_returns_0_after_writing_it(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out.startswith(" ".join(["usage: agvsim", *argv[:-1]]))
 
     def test_a_failed_read_is_not_blamed_on_stdout(self, capsys, monkeypatch):
         def unreadable_tables():
@@ -408,7 +417,7 @@ class TestStdoutFailure:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("argv", FULL_STDOUT_ARGV[:1] + FULL_STDOUT_ARGV[3:5], ids=" ".join)
+    @pytest.mark.parametrize("argv", FULL_STDOUT_ARGV[:1] + FULL_STDOUT_ARGV[3:5] + HELP_ARGV, ids=" ".join)
     def test_dev_full_exits_2_with_one_line(self, argv, unbuffered):
         # buffered, stdout still holds the output it failed to write, and the
         # interpreter's flush of it at exit must add no second line

@@ -4,18 +4,19 @@
 hashes each settled log entry once. Both must give exactly what flattening
 or hashing everything gives, and T8's cost per application must not grow
 with the horizon. The runner digests the tuning and the admission table
-only when they change, and `MemoryStore` keeps its digest until its next
-append, also across an episode that carries every entry over, so neither
-count grows with the steps. It builds the layer views once per set of
-active layer perturbations, and they must equal the views rebuilt at every
-step. An effect record takes the digests of the surface its view saw only
-when they are first read: each must equal the digest taken at apply time, a
-run that exports no JSON takes none, and an export takes each once. A step
-record's `log_digest` is taken the same way, from the step's own envelopes:
-it must equal the digest the runner used to take at every step, `step_deltas`
-and the CSV export take none, and the JSON export takes each once. The
-world is digested the same way, once per run, and the simulated user seeds
-its generator only when it first draws.
+only when they change, and a `MemoryStore`, a value that `adopt` replaces,
+keeps its digest, also across an episode that carries every entry over, so
+neither count grows with the steps. It builds the layer views once per set
+of active layer perturbations, and they must equal the views rebuilt at
+every step. An effect record takes the digests of the surface its view saw
+only when they are first read: each must equal the digest taken at apply
+time, a run that exports no JSON takes none, and an export takes each once.
+Only T8's records, of the message log that it edits in place, hold digests
+taken when applied. A step record's `log_digest` is taken the same way, from
+the step's own envelopes: it must equal the digest the runner used to take
+at every step, `step_deltas` and the CSV export take none, and the JSON
+export takes each once. The world is digested the same way, once per run,
+and the simulated user seeds its generator only when it first draws.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ import agvsim.threats
 import agvsim.trace
 from agvsim.cavstack import WorldTruth, control_feedback, fuse, perceive, v2x_broadcast
 from agvsim.chains import builtin_chains, run_chain
-from agvsim.domain import Authority, MessageEnvelope, Role, ThreatId, make_envelope
+from agvsim.domain import DEFAULT_ADMISSION, Authority, MessageEnvelope, Role, ThreatId, make_envelope
 from agvsim.pipeline import AgentTuning, MemoryEntry, MemoryKind, MemoryStore, PipelineError
 from agvsim.report import compare, render_csv, render_json
 from agvsim.runner import run_episodes
@@ -292,15 +293,19 @@ def test_a_store_carried_over_whole_keeps_its_digest(digest_calls):
     digest = store.digest()
     assert digest_calls["store"] == 1
     carried = store.carry_over()
+    assert carried is store
     assert carried.digest() == digest
     assert digest_calls["store"] == 1
     # one entry dropped: the carried store digests its own entries
-    store.append(MemoryEntry("dropped", MemoryKind.HISTORY, 0.0, Role.USER, inserted_step=3))
-    carried = store.carry_over()
+    extended = store.adopt(MemoryEntry("dropped", MemoryKind.HISTORY, 0.0, Role.USER, inserted_step=3))
+    carried = extended.carry_over()
     assert carried.digest() == digest
     assert digest_calls["store"] == 2
-    carried.append(entries[0])
-    assert carried.digest() == MemoryStore(entries + entries[:1]).digest()
+    # an adoption leaves the store it was asked of, and that store's digest, as they were
+    added = MemoryEntry("k3", MemoryKind.CONSTRAINT, 3.0, Role.EXTERNAL, inserted_step=4, persistent=True)
+    assert carried.adopt(added).digest() == MemoryStore(entries + (added,)).digest()
+    assert (store.digest(), carried.digest()) == (digest, digest)
+    assert extended.digest() == MemoryStore(extended.entries).digest()
 
 
 def test_tuning_is_digested_once_plus_once_per_t11_application(digest_calls):
@@ -321,14 +326,15 @@ def test_memory_digest_follows_every_append():
     ]
     store = MemoryStore()
     held: list[MemoryEntry] = []
-    for i, entry in enumerate(entries):
+    for entry in entries:
         assert store.digest() == MemoryStore(tuple(held)).digest()
-        if i % 2:
-            store.append(entry)
+        before, adopted = store.digest(), store.adopt(entry)
+        if adopted is not store:
             held.append(entry)
-        elif store.adopt(entry):
-            held.append(entry)
+        assert store.digest() == before  # the store asked is left as it was
+        store = adopted
         assert store.digest() == MemoryStore(tuple(held)).digest()
+    assert len(held) == 6  # two entries repeat a held key, value and origin
     assert store.carry_over().digest() == MemoryStore(tuple(e for e in held if e.persistent)).digest()
 
 
@@ -429,7 +435,7 @@ class AtApply(LazyDigest):
 
     def __init__(self, value: object, take=None) -> None:
         super().__init__(value, take)
-        self.at_apply = digest_of(value)
+        self.at_apply = (take or digest_of)(value)
 
 
 @pytest.fixture
@@ -478,8 +484,7 @@ def test_lazy_effect_digests_of_generated_payloads_equal_the_digests_at_apply_ti
 
 @pytest.mark.parametrize("name, view", [
     ("threat-t09", lambda s, a: agvsim.threats.LazyDigest(s.envelopes)),
-    ("threat-t03", lambda s, a: agvsim.threats.LazyDigest({"admission": s.admission, "envelopes": len(s.envelopes)})),
-], ids=["T9-live-envelopes", "T3-live-admission"])
+], ids=["T9-live-envelopes"])
 def test_a_view_of_a_live_surface_fails_the_equivalence_check(at_apply, monkeypatch, name, view):
     config = open_campaign(name)
     threat = config.injections[0][0].threat
@@ -487,6 +492,26 @@ def test_a_view_of_a_live_surface_fails_the_equivalence_check(at_apply, monkeypa
     held, mismatches = lazy_mismatches(paired(config))
     assert held > 0
     assert {m[2] for m in mismatches} == {threat.value}
+
+
+def test_the_default_admission_table_is_read_only():
+    # T3 builds a new table, so a view may hold the one it saw: no edit can reach it
+    with pytest.raises(TypeError):  # the same value: a table that takes the edit is left as it was
+        DEFAULT_ADMISSION[Authority.CONTEXT_ONLY] = DEFAULT_ADMISSION[Authority.CONTEXT_ONLY]  # type: ignore[index]
+
+
+@pytest.mark.parametrize("group", ["shipped", "campaigns", "chains"])
+def test_only_t8_records_hold_digests_taken_when_applied(group):
+    # the message log is the one store an injector edits in place; every
+    # other record holds a `LazyDigest` of the surface its view saw
+    held = {"eager": set(), "lazy": set()}
+    for attacked, _ in pairs(group):
+        for record in attacked.steps:
+            for effect in record.effects:
+                for name in ("before_digest", "after_digest"):
+                    held["eager" if type(vars(effect)[name]) is str else "lazy"].add(effect.threat)
+    assert held["eager"] == {ThreatId.T8}
+    assert ThreatId.T8 not in held["lazy"] and len(held["lazy"]) > 1
 
 
 @pytest.fixture
@@ -533,10 +558,10 @@ def test_the_json_export_takes_each_effect_record_digest_once(effect_digests, na
     assert sorted(map(id, effect_digests)) == sorted(id(lazy.value) for lazy in held)
 
 
-@pytest.mark.parametrize("name, threat", [("threat-t01", ThreatId.T1), ("threat-t08", ThreatId.T8)])
+@pytest.mark.parametrize("name, threat", [("threat-t08", ThreatId.T8)])
 def test_store_digests_are_taken_at_apply_time(effect_digests, name, threat):
-    # the memory store and the message log change in place, so their
-    # records hold the digest itself, taken when the injector ran
+    # the message log changes in place, so T8's records hold the digest
+    # itself, taken when the injector ran
     attacked = run_episodes(open_campaign(name), with_injections=True)
     held = [
         vars(effect)[field]
@@ -546,6 +571,25 @@ def test_store_digests_are_taken_at_apply_time(effect_digests, name, threat):
     assert len(held) == 2 * len(attacked.steps)
     assert all(type(digest) is str for digest in held)
     assert effect_digests == []
+
+
+def test_t1_records_hold_the_memory_store_and_a_csv_only_campaign_takes_no_effect_digest(effect_digests):
+    # the memory store is a value: T1's records hold the store they saw and
+    # digest it through `MemoryStore.digest` when read, never through `threats.digest_of`
+    attacked, baseline = paired(open_campaign("threat-t01"))
+    render_csv(compare(baseline, attacked))
+    held = [
+        vars(effect)[field]
+        for record in attacked.steps for effect in record.effects if effect.threat is ThreatId.T1
+        for field in ("before_digest", "after_digest")
+    ]
+    assert len(held) == 2 * len(attacked.steps)
+    assert all(type(lazy) is LazyDigest and type(lazy.value) is MemoryStore for lazy in held)
+    assert effect_digests == []
+    # a poisoning step's record holds the store before and the one after the adoption
+    first = attacked.steps[0].effects[0]
+    assert vars(first)["before_digest"].value.entries == ()
+    assert first.after_digest == attacked.steps[0].memory_digest != first.before_digest
 
 
 @pytest.mark.parametrize("group", ["shipped", "campaigns", "chains"])

@@ -52,17 +52,14 @@ class TestPersonalAgent:
         assert intent.active_caps_kph == ()
 
     def test_urgent_with_memory_cap(self):
-        memory = MemoryStore()
-        memory.append(cap_entry(45.0))
+        memory = MemoryStore((cap_entry(45.0),))
         intent = pa_interpret(UserRequest("Urgent", "hospital"), memory, ctx(80.0))
         assert intent.desired_speed_kph == 80.0
         assert intent.active_caps_kph == (45.0,)
         assert intent.urgency == 1.0
 
     def test_two_caps_effective_minimum(self):
-        memory = MemoryStore()
-        memory.append(cap_entry(45.0))
-        memory.append(cap_entry(60.0, step=1))
+        memory = MemoryStore().adopt(cap_entry(45.0)).adopt(cap_entry(60.0, step=1))
         intent = pa_interpret(UserRequest("Routine", "office"), memory, ctx(50.0))
         assert intent.active_caps_kph == (45.0, 60.0)
         assert intent.effective_cap == 45.0
@@ -101,8 +98,7 @@ class TestDrivingStrategyAgent:
         assert proposal.target_speed_kph == 90.0
 
     def test_memory_cap_binds(self):
-        memory = MemoryStore()
-        memory.append(cap_entry(45.0))
+        memory = MemoryStore((cap_entry(45.0),))
         intent = pa_interpret(UserRequest("Urgent", "x"), memory, ctx(80.0))
         proposal = dsa_propose(intent, ctx(80.0), fb())
         assert proposal.target_speed_kph == 45.0
@@ -327,31 +323,32 @@ class TestPipelineComposition:
 
 class TestMemoryStore:
     def test_append_only_ordering(self):
-        memory = MemoryStore()
-        memory.append(cap_entry(45.0))
-        memory.append(cap_entry(60.0, step=1))
+        empty = MemoryStore()
+        first = empty.adopt(cap_entry(45.0))
+        memory = first.adopt(cap_entry(60.0, step=1))
         assert [e.value for e in memory.entries] == [45.0, 60.0]
+        assert (empty.entries, [e.value for e in first.entries]) == ((), [45.0])
 
     def test_carry_over_keeps_only_persistent(self):
-        memory = MemoryStore()
-        memory.append(cap_entry(45.0))
-        memory.append(
-            MemoryEntry(SPEED_CAP_KEY, MemoryKind.CONSTRAINT, 30.0, Role.EXTERNAL, 0, persistent=True)
-        )
+        memory = MemoryStore((
+            cap_entry(45.0),
+            MemoryEntry(SPEED_CAP_KEY, MemoryKind.CONSTRAINT, 30.0, Role.EXTERNAL, 0, persistent=True),
+        ))
         carried = memory.carry_over()
         assert [e.value for e in carried.entries] == [30.0]
+        assert len(memory.entries) == 2
 
     def test_non_cap_entries_not_treated_as_caps(self):
-        memory = MemoryStore()
-        memory.append(MemoryEntry("preferred_music", MemoryKind.PREFERENCE, "jazz", Role.USER, 0))
+        memory = MemoryStore().adopt(MemoryEntry("preferred_music", MemoryKind.PREFERENCE, "jazz", Role.USER, 0))
         assert memory.speed_caps() == []
 
     def test_adopt_skips_same_key_value_and_origin(self):
-        memory = MemoryStore()
-        assert memory.adopt(cap_entry(45.0))
-        assert not memory.adopt(cap_entry(45.0, step=3))
-        assert memory.adopt(MemoryEntry(SPEED_CAP_KEY, MemoryKind.CONSTRAINT, 45.0, Role.PERSONAL_AGENT, 3))
-        assert memory.adopt(cap_entry(60.0))
+        memory = MemoryStore().adopt(cap_entry(45.0))
+        assert memory.adopt(cap_entry(45.0, step=3)) is memory
+        for entry in (MemoryEntry(SPEED_CAP_KEY, MemoryKind.CONSTRAINT, 45.0, Role.PERSONAL_AGENT, 3), cap_entry(60.0)):
+            adopted = memory.adopt(entry)
+            assert adopted is not memory
+            memory = adopted
         assert [(e.value, e.origin) for e in memory.entries] == [
             (45.0, Role.EXTERNAL), (45.0, Role.PERSONAL_AGENT), (60.0, Role.EXTERNAL),
         ]
@@ -359,5 +356,6 @@ class TestMemoryStore:
     def test_digest_tracks_content(self):
         a, b = MemoryStore(), MemoryStore()
         assert a.digest() == b.digest()
-        a.append(cap_entry(45.0))
-        assert a.digest() != b.digest()
+        c = a.adopt(cap_entry(45.0))
+        assert c.digest() != b.digest()
+        assert a.digest() == b.digest()

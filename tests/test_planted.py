@@ -18,6 +18,9 @@ import types
 
 import pytest
 
+import agvsim.pipeline
+import agvsim.report
+import agvsim.runner
 import agvsim.serialize
 import agvsim.severity
 import agvsim.threats
@@ -26,12 +29,16 @@ import test_chains
 import test_cli
 import test_golden
 import test_incremental
+import test_pipeline
+import test_report
 import test_runner
+import test_sc_oracle
 import test_serialize
 import test_severity
 import test_threats
 from agvsim.domain import ThreatId
 from agvsim.pipeline import MemoryStore
+from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped
 from agvsim.serialize import ListDigest
 from agvsim.threats import THREATS
@@ -117,12 +124,18 @@ def test_t4_that_skips_its_pa_input_edit_fails(monkeypatch):
     fails(test_threats.test_t4_on_pa_input_scales_completeness_alone)
 
 
-def test_a_store_that_keeps_its_digest_after_an_append_fails(monkeypatch, digest_calls):
-    plant(monkeypatch, MemoryStore, "append", "self._digest = None", "pass")
+def test_a_store_that_adopt_extends_in_place_fails(monkeypatch, digest_calls):
+    # `adopt` edits this store and returns it: its digest, once taken, goes stale,
+    # and T1 and T5 read every adoption as an entry already held
+    plant(
+        monkeypatch, MemoryStore, "adopt",
+        "return MemoryStore(self.entries + (entry,))", 'return setattr(self, "entries", self.entries + (entry,)) or self',
+    )
     fails(test_incremental.test_a_store_carried_over_whole_keeps_its_digest, digest_calls)
+    fails(test_incremental.test_memory_digest_follows_every_append)
+    fails(test_pipeline.TestMemoryStore().test_digest_tracks_content)
     fails(test_golden.test_scenario_exports_match_golden, "threat-t01")
     fails(test_golden.test_campaign_exports_match_golden, "threat-t01")
-    fails(test_golden.test_chain_stage_summary_matches_golden, "chain-1-memory-poisoning-drift")
 
 
 def test_a_log_digest_of_the_first_hops_alone_fails(monkeypatch):
@@ -144,3 +157,40 @@ def test_step_deltas_that_skip_the_memory_digest_fail(monkeypatch):
         "threat-t01", True, [0, 1, 2, 3, 4, 5],
     )
     fails(test_golden.test_chain_stage_summary_matches_golden, "chain-3-hallucination-compounding")
+
+
+def test_an_sc_that_skips_the_headway_rule_fails(monkeypatch):
+    # the shipped runs never propose a headway under the minimum; generated proposals do
+    plant(monkeypatch, agvsim.pipeline, "sc_violations", "if proposal.headway_s < rules.min_headway_s:", "if False:")
+    fails(test_sc_oracle.test_every_generated_approval_keeps_every_rule)
+
+
+def test_a_stealth_check_of_approved_targets_fails(monkeypatch):
+    # the attack is meant to change what is approved while the verdicts stay the same
+    plant(
+        monkeypatch, agvsim.trace, "stealth_check",
+        "return attacked.verdict_sequence() == baseline.verdict_sequence()",
+        "return [r.approved.target_speed_kph for r in attacked.steps] == "
+        "[r.approved.target_speed_kph for r in baseline.steps]",
+    )
+    fails(test_runner.TestStealthCheck().test_case_study_attack_is_stealthy)
+    fails(test_chains.TestRunChain().test_all_shipped_chains_classify_misaligned_approved, load_shipped("chain-base"))
+    fails(test_golden.test_scenario_exports_match_golden, SCENARIO)
+
+
+def test_persistence_that_counts_every_deviating_episode_fails(monkeypatch):
+    # a deviating episode counts as persisting only when every injection in it was a no-op
+    plant(
+        monkeypatch, agvsim.report, "compare",
+        "if any_delta and all(e.warning for record in a_steps for e in record.effects):", "if any_delta:",
+    )
+    config = load_shipped("case1-highway-routine")
+    report = agvsim.report.compare(run_episodes(config, False), run_episodes(config, True))
+    fails(test_report.TestCompare().test_case_study_metrics, report)
+    fails(test_golden.test_scenario_exports_match_golden, "threat-t01")
+
+
+def test_admission_that_merges_every_context_patch_fails(monkeypatch):
+    # a patch in an envelope whose claimed sender the table does not admit merges all the same
+    plant(monkeypatch, agvsim.runner, "run_episodes", "if admitted(env, state.admission):", "if True:")
+    fails(test_runner.test_a_context_envelope_from_an_unadmitted_claimed_sender_is_rejected)

@@ -5,21 +5,22 @@ import dataclasses
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import agvsim.scenario
 from agvsim.chains import ChainSpec, ChainStage, StageKind, Trigger, run_chain
-from agvsim.domain import Authority, Role, ThreatId
+from agvsim.domain import DEFAULT_ADMISSION, Authority, Role, ThreatId
 from agvsim.pipeline import AgentTuning, Decision
 from agvsim.report import compare, render_json
-from agvsim.scenario import load_shipped, parse_scenario, shipped_scenarios
+from agvsim.scenario import ConfigError, load_shipped, parse_scenario, shipped_scenarios
 from agvsim.runner import run_episodes
 from agvsim.serialize import digest_of
 from agvsim.threats import Phase, Surface, injection_phase
 from agvsim.trace import TracePairingError, stealth_check, step_deltas
 
 from test_golden import open_campaign
+from test_payload_properties import BASE, KEY_VALUES
 
 SHIPPED = sorted(shipped_scenarios())
 FIXTURES = [name for name in SHIPPED if name.startswith("threat-")]
@@ -247,6 +248,31 @@ class TestEffectLifetimes:
         deviating, effects = window_0_0(name)
         assert set(deviating) <= {0}
         assert effects == [0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([r.value for r in Role if r not in DEFAULT_ADMISSION[Authority.CONTEXT_ONLY]]),
+    KEY_VALUES["context_patch"],
+)
+def test_a_context_envelope_from_an_unadmitted_claimed_sender_is_rejected(claimed, patch):
+    # the admission gate, not the patch, decides: nothing merges, whatever the patch says
+    payload = {"claimed": claimed, "target": "context", "context_patch": patch}
+    try:
+        config = parse_scenario(
+            {**BASE, "injections": [{"threat": "T9", "surface": "IdentityField", "window": [1, 2],
+                                     "payload": payload}]},
+            "unadmitted-context",
+        )
+    except ConfigError:
+        assume(False)
+    baseline = run_episodes(config, with_injections=False)
+    attacked = run_episodes(config, with_injections=True)
+    for a, b in zip(attacked.steps, baseline.steps):
+        forged = any(e.threat is ThreatId.T9 for e in a.effects)
+        assert forged == (a.global_step in (1, 2))
+        assert (a.rejected_envelopes, b.rejected_envelopes) == (int(forged), 0)
+        assert a.dsa_context == b.dsa_context
 
 
 class TestStealthCheck:

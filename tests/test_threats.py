@@ -296,6 +296,7 @@ class TestApplyEffects:
         )
         apply(inj, state, 0)
         assert Role.PERSONAL_AGENT in state.admission[Authority.CONTEXT_ONLY]
+        assert Role.PERSONAL_AGENT not in DEFAULT_ADMISSION[Authority.CONTEXT_ONLY]  # a new table, not an edit
         assert not state.envelopes[-1].spoofed  # the identity is honest, the grant is wrong
 
     def test_t11_mutates_exactly_one_tuning_field(self):
