@@ -48,7 +48,7 @@ from .pipeline import (
     pa_interpret,
     sc_validate,
 )
-from .report import MisalignmentReport, ReportFormat, compare, emit_report, emit_trace
+from .report import MisalignmentReport, compare
 from .runner import run_episodes
 from .scenario import ConfigError, ScenarioConfig, load_scenario, load_shipped, shipped_scenarios
 from .severity import (

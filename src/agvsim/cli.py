@@ -11,11 +11,12 @@ import argparse
 import contextlib
 import os
 import sys
+from pathlib import Path
 
 from .chains import builtin_chain, builtin_chains, run_chain
 from .domain import AgencyBucket, DrivingMode, ThreatId, agency_bucket
 from .pipeline import PipelineError
-from .report import ReportFormat, ReportIOError, compare, emit_report, emit_trace, render_csv, render_json
+from .report import compare, render_csv, render_json
 from .runner import run_episodes
 from .scenario import ConfigError, load_chain_spec, load_scenario, load_shipped, shipped_scenarios
 from .severity import DIMENSIONS, OrdinalRating, validate_tables, what_if
@@ -110,36 +111,39 @@ def _load_scenario_arg(ref: str):
     return load_shipped(ref)
 
 
-def _write_export(text: str) -> None:
-    """Exports go to stdout as UTF-8 whatever the locale, the same bytes `--out` writes."""
-    sys.stdout.flush()
-    sys.stdout.buffer.write(text.encode("utf-8"))
+def _write(text: str, path: str | None = None) -> None:
+    """The one writer of program output: UTF-8 whatever the locale, to `path` or else to stdout."""
+    data = text.encode("utf-8")
+    if path is None:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        return
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:  # a failed write, unlike a failed open, names no file
+        exc.filename = exc.filename or path
+        raise
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> str:
     config = _load_scenario_arg(args.scenario)
     seed = _resolve_seed(args.seed)
 
     if args.baseline_only or args.attacked_only:
-        trace = run_episodes(config, with_injections=args.attacked_only, seed=seed)
-        if args.out:
-            emit_trace(trace, args.out)
-        else:
-            _write_export(trace.to_json() + "\n")
-        return EXIT_OK
-
-    baseline = run_episodes(config, with_injections=False, seed=seed)
-    attacked = run_episodes(config, with_injections=True, seed=seed)
-    report = compare(baseline, attacked)
-    format_ = ReportFormat(args.format)
-    if args.out:
-        emit_report(report, format_, args.out)
-        if format_ is ReportFormat.CSV:
-            # the hierarchical trace export rides along for CSV outputs
-            emit_report(report, ReportFormat.JSON, args.out + ".trace.json")
+        report = None
+        text = run_episodes(config, with_injections=args.attacked_only, seed=seed).to_json() + "\n"
     else:
-        _write_export(render_csv(report) if format_ is ReportFormat.CSV else render_json(report))
-    return EXIT_OK
+        baseline = run_episodes(config, with_injections=False, seed=seed)
+        attacked = run_episodes(config, with_injections=True, seed=seed)
+        report = compare(baseline, attacked)
+        text = render_csv(report) if args.format == "csv" else render_json(report)
+    if not args.out:
+        return text
+    _write(text, args.out)
+    if report is not None and args.format == "csv":
+        # the hierarchical trace export rides along for CSV outputs
+        _write(render_json(report), args.out + ".trace.json")
+    return ""
 
 
 def _parse_mode(text: str) -> DrivingMode:
@@ -160,7 +164,7 @@ def _parse_agency(text: str) -> AgencyBucket:
         raise ConfigError("agency", f"must be low/medium/high or 0-5, got {text!r}") from exc
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace) -> str:
     threat = next((t for t in ThreatId if t.value.lower() == args.threat.lower()), None)
     if threat is None:
         raise ConfigError("threat", f"unknown threat id {args.threat!r}")
@@ -180,19 +184,17 @@ def _cmd_score(args: argparse.Namespace) -> int:
         total, band = what_if(threat, _parse_mode(args.mode), _parse_agency(args.agency), overrides)
     except KeyError as exc:
         raise ConfigError("threat", exc.args[0]) from exc
-    print(f"{total} {band.value}")
-    return EXIT_OK
+    return f"{total} {band.value}\n"
 
 
-def _cmd_validate_tables(_: argparse.Namespace) -> int:
+def _cmd_validate_tables(_: argparse.Namespace) -> str:
     discrepancies = validate_tables()
-    for d in discrepancies:
-        print(d.describe())
-    print(f"{len(discrepancies)} inconsistent cells out of 90")
-    return EXIT_OK
+    lines = [d.describe() for d in discrepancies]
+    lines.append(f"{len(discrepancies)} inconsistent cells out of 90")
+    return "".join(line + "\n" for line in lines)
 
 
-def _cmd_chain(args: argparse.Namespace) -> int:
+def _cmd_chain(args: argparse.Namespace) -> str:
     if os.path.exists(args.chain):
         spec = load_chain_spec(args.chain)
     else:
@@ -203,33 +205,35 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     scenario = _load_scenario_arg(args.scenario) if args.scenario else load_shipped("chain-base")
     seed = _resolve_seed(args.seed)
     propagation, _ = run_chain(spec, scenario, seed=seed)
-    print(f"chain:    {propagation.chain_id}")
-    print(f"outcome:  {propagation.outcome.value}")
-    print(f"stealth:  {'true' if propagation.stealth else 'false'}")
+    lines = [
+        f"chain:    {propagation.chain_id}",
+        f"outcome:  {propagation.outcome.value}",
+        f"stealth:  {'true' if propagation.stealth else 'false'}",
+    ]
     for delta in propagation.stage_deltas:
         fired = "never" if delta.fired_step is None else f"step {delta.fired_step}"
         fields = ", ".join(delta.changed_fields) if delta.changed_fields else "-"
-        print(f"stage {delta.stage_index} [{delta.kind.value}/{delta.label or delta.detail}]: "
-              f"fired {fired}; fields: {fields}")
-    return EXIT_OK
+        lines.append(f"stage {delta.stage_index} [{delta.kind.value}/{delta.label or delta.detail}]: "
+                     f"fired {fired}; fields: {fields}")
+    return "".join(line + "\n" for line in lines)
 
 
-def _cmd_list(args: argparse.Namespace) -> int:
+def _cmd_list(args: argparse.Namespace) -> str:
     if args.what == "threats":
-        for threat in ThreatId:
-            surfaces = ", ".join(sorted(s.value for s in legal_surfaces(threat)))
-            print(f"{threat.value}: {surfaces}")
+        lines = [
+            f"{threat.value}: {', '.join(sorted(s.value for s in legal_surfaces(threat)))}" for threat in ThreatId
+        ]
     elif args.what == "chains":
+        lines = []
         for spec in builtin_chains():
             stages = " -> ".join(
                 (stage.injection.threat.value if stage.injection else f"observe:{stage.probe}")
                 for stage in spec.stages
             )
-            print(f"{spec.id}: {stages}")
+            lines.append(f"{spec.id}: {stages}")
     else:
-        for name, path in shipped_scenarios().items():
-            print(f"{name}: {path}")
-    return EXIT_OK
+        lines = [f"{name}: {path}" for name, path in shipped_scenarios().items()]
+    return "".join(line + "\n" for line in lines)
 
 
 _COMMANDS = {
@@ -251,7 +255,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             if args.command is None:
                 parser.error("a command is required")
-            code = _COMMANDS[args.command](args)
+            _write(_COMMANDS[args.command](args))
+            code = EXIT_OK
         sys.stdout.flush()  # a write to stdout that fails fails here, not at exit
         return code
     except _UsageError as exc:
@@ -264,10 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ReportIOError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:  # a write to stdout has no filename; a read, such as of package data, has one
+    except OSError as exc:  # a write to stdout has no filename; a read, or a write to --out, has one
         print(f"io error: stdout: {exc.strerror or exc}" if exc.filename is None else f"io error: {exc}", file=sys.stderr)
         with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:  # a stand-in has no fileno
             if exc.filename is None:  # drop what stdout still holds, which exit would flush again

@@ -1,8 +1,9 @@
-"""Misalignment metrics over paired runs, plus CSV / structured exports.
+"""Misalignment metrics over paired runs, rendered as CSV or structured JSON text.
 
-All emitted bytes are a pure function of (config, seed): rows are ordered by
-(episode, step), numbers are rendered with fixed precision, and the JSON
-export uses canonical key ordering.
+The module does no I/O: the CLI writes what it renders. All rendered text is
+a pure function of (config, seed): rows are ordered by (episode, step),
+numbers are rendered with fixed precision, and the JSON export uses
+canonical key ordering.
 """
 
 from __future__ import annotations
@@ -10,22 +11,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from enum import Enum
-from pathlib import Path
 from typing import Iterable
 
 from .pipeline import Decision
 from .serialize import canonical_json
 from .trace import EpisodeTrace, StepRecord, classify_outcome, stealth_check, step_deltas
-
-
-class ReportIOError(OSError):
-    """Export failed at the filesystem level; carries the target path."""
-
-
-class ReportFormat(str, Enum):
-    CSV = "csv"
-    JSON = "json"  # structured hierarchical export including full traces
 
 
 CSV_COLUMNS = (
@@ -193,20 +183,3 @@ def render_json(report: MisalignmentReport) -> str:
         "attacked_trace": report.attacked,
     }
     return canonical_json(payload) + "\n"
-
-
-def emit_report(report: MisalignmentReport, format: ReportFormat, path: str | Path) -> None:
-    """Write the report to disk as UTF-8; I/O failures surface with the path attached."""
-    text = render_csv(report) if ReportFormat(format) is ReportFormat.CSV else render_json(report)
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ReportIOError(f"cannot write report to {path}: {exc}") from exc
-
-
-def emit_trace(trace: EpisodeTrace, path: str | Path) -> None:
-    """Structured export of a single (unpaired) run, as UTF-8."""
-    try:
-        Path(path).write_text(trace.to_json() + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise ReportIOError(f"cannot write trace to {path}: {exc}") from exc

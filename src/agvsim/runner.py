@@ -199,7 +199,6 @@ def run_episodes(
             else:
                 fused, feedback = clean_fused, clean_feedback
 
-            user.reset_step()
             state = PipelineState(
                 memory=memory,
                 request=request,
@@ -221,7 +220,7 @@ def run_episodes(
                 tuning_digested, tuning_digest = tuning, digest_of(tuning)
 
             # the PA confirms urgency with the (possibly overloaded) user
-            confirmed = confirm_urgency(state.user, state.request.urgency_tag)
+            confirmed = confirm_urgency(state.user, state.noise_queries, state.request.urgency_tag)
             if confirmed != state.request.urgency_tag:
                 state.request = replace(state.request, urgency_tag=confirmed)
 
@@ -304,7 +303,7 @@ def run_episodes(
                     envelopes=step_envelopes,
                     rejected_envelopes=rejected,
                     spoofed_envelopes=sum(1 for e in step_envelopes if e.spoofed),
-                    user_queries=user.queries_asked,
+                    user_queries=state.noise_queries + 1,
                     policies=(state.pa_policy, state.dsa_policy),
                     memory_digest=memory.digest(),
                     tuning_digest=tuning_digest,

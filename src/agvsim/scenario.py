@@ -234,6 +234,13 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
             f"episodes x requests = {config.episodes} x {config.steps_per_episode} = {steps} steps; "
             f"a run may take at most {MAX_RUN_STEPS}",
         )
+    for i, (_, (start, _)) in enumerate(config.injections):
+        if start >= steps:  # an end past the run is fine: the injection acts until the run ends
+            raise ConfigError(
+                f"{source}.injections[{i}].window",
+                f"starts at global step {start}, but episodes x requests = "
+                f"{config.episodes} x {config.steps_per_episode} = {steps} steps, so it would never act",
+            )
     logger.debug("loaded scenario %s from %s", config.id, source)
     return config
 

@@ -200,17 +200,9 @@ class SimulatedUserState:
     """
 
     seed: int
-    noise_queries: int = 0          # extra confirmations injected this step
     framing_bias: float = 0.0       # probability of adopting the agent framing
     framing_answer: str = DEFAULT_URGENCY
-    queries_asked: int = 0
-    answers_given: int = 0
     _rng: random.Random | None = field(default=None, init=False, repr=False, compare=False)
-
-    def reset_step(self) -> None:
-        self.noise_queries = 0
-        self.queries_asked = 0
-        self.answers_given = 0
 
     def draw(self) -> float:
         """The next number in [0, 1) from the user's generator."""
@@ -219,16 +211,13 @@ class SimulatedUserState:
         return self._rng.random()
 
 
-def confirm_urgency(user: SimulatedUserState, true_tag: str) -> str:
-    """One urgency-confirmation round trip, after any injected noise queries.
+def confirm_urgency(user: SimulatedUserState, noise_queries: int, true_tag: str) -> str:
+    """One urgency-confirmation round trip, after `noise_queries` injected ones.
 
     The user answers each noise query while the attention budget lasts.
     """
-    user.queries_asked += user.noise_queries + 1
-    user.answers_given = min(USER_ATTENTION_BUDGET, user.answers_given + user.noise_queries)
-    if user.answers_given >= USER_ATTENTION_BUDGET:
+    if noise_queries >= USER_ATTENTION_BUDGET:
         return DEFAULT_URGENCY  # overloaded: rushed default instead of intent
-    user.answers_given += 1
     if user.framing_bias > 0.0 and user.draw() < user.framing_bias:
         return user.framing_answer
     return true_tag
@@ -343,6 +332,7 @@ class PipelineState:
     tool_output: ToolOutput
     user: SimulatedUserState
     tuning: AgentTuning
+    noise_queries: int = 0  # extra confirmations T10 injects this step
     pa_policy: str = "default"
     dsa_policy: str = "default"
     dsa_weights: dict | None = None
@@ -624,7 +614,7 @@ def _act_t9(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str,
 
 
 def _act_t10(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
-    state.user.noise_queries = inj.args
+    state.noise_queries = inj.args
     return "confirmation flood", False
 
 
@@ -778,7 +768,7 @@ THREATS: dict[ThreatId, ThreatSpec] = {
     ),
     ThreatId.T10: ThreatSpec(
         frozenset({Surface.USER_CHANNEL}), ("noise_queries",), _parse_t10,
-        lambda s, a: LazyDigest(s.user.noise_queries), _act_t10, ("user_queries", "request") + _DOWNSTREAM,
+        lambda s, a: LazyDigest(s.noise_queries), _act_t10, ("user_queries", "request") + _DOWNSTREAM,
     ),
     ThreatId.T11: ThreatSpec(
         frozenset({Surface.TOOL_OUTPUT}), ("config_field", "config_value", "advised_speed_kph", "route_hint"),

@@ -19,6 +19,8 @@ import agvsim
 import agvsim.scenario
 from agvsim.chains import builtin_chains
 from agvsim.cli import main
+from agvsim.report import compare, render_csv, render_json
+from agvsim.runner import run_episodes
 from agvsim.scenario import shipped_scenarios
 
 
@@ -204,9 +206,31 @@ class TestRun:
         assert code == 1
 
     def test_unwritable_out_is_io_error(self, capsys):
-        code, _, err = run_cli(capsys, "run", "case2-highway", "--out", "/nonexistent-dir/x.csv")
-        assert code == 2
-        assert "io error" in err
+        code, out, err = run_cli(capsys, "run", "case2-highway", "--out", "/nonexistent-dir/x.csv")
+        assert (code, out) == (2, "")
+        assert err == f"io error: [Errno 2] {os.strerror(errno.ENOENT)}: '/nonexistent-dir/x.csv'\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_out_on_a_full_disk_is_one_line_naming_the_file(self, capsys):
+        # the open succeeds and the write fails, so the error carries no file of its own
+        code, out, err = run_cli(capsys, "run", "case1-highway-urgent", "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err == f"io error: [Errno 28] {os.strerror(errno.ENOSPC)}: '/dev/full'\n"
+
+    def test_csv_out_holds_the_rendered_csv_and_its_json_rides_along(self, capsys, tmp_path):
+        config = agvsim.load_shipped("case1-highway-routine")
+        report = compare(run_episodes(config, with_injections=False), run_episodes(config, with_injections=True))
+        out = tmp_path / "r.csv"
+        assert run_cli(capsys, "run", "case1-highway-routine", "--out", str(out)) == (0, "", "")
+        assert out.read_bytes() == render_csv(report).encode()
+        assert (tmp_path / "r.csv.trace.json").read_bytes() == render_json(report).encode()
+
+    def test_attacked_only_out_holds_the_trace_json(self, capsys, tmp_path):
+        trace = run_episodes(agvsim.load_shipped("case1-highway-routine"), with_injections=True)
+        out = tmp_path / "trace.json"
+        assert run_cli(capsys, "run", "case1-highway-routine", "--attacked-only", "--out", str(out)) == (0, "", "")
+        assert out.read_bytes() == (trace.to_json() + "\n").encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]
 
     def test_directory_is_config_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", str(tmp_path))
@@ -425,6 +449,53 @@ class TestStdoutFailure:
             result = run_python_process("-m", "agvsim.cli", *argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
         assert result.returncode == 2
         assert result.stderr.decode().splitlines() == ["io error: stdout: No space left on device"]
+
+
+NON_ASCII_CHAIN = (
+    "id: kette-\u00fcberholen-\u8ffd\u3044\u8d8a\u3057\n"
+    "episode_length: 2\n"
+    "stages:\n"
+    "  - kind: inject\n"
+    "    label: Spoof\u2192Kontext\n"
+    "    trigger: {at_step: 0}\n"
+    "    injection: {threat: T1, surface: PAMemory, payload: {value_kph: 45.0}}\n"
+)
+
+
+class TestStdoutEncoding:
+    """Every command writes UTF-8 to stdout, whatever stdout's own encoding."""
+
+    def test_a_non_ascii_chain_under_a_latin1_stdout_is_utf8(self, tmp_path):
+        path = tmp_path / "chain.yaml"
+        path.write_text(NON_ASCII_CHAIN, encoding="utf-8")
+        result = run_cli_process("chain", str(path), PYTHONIOENCODING="latin-1")
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == (
+            "chain:    kette-\u00fcberholen-\u8ffd\u3044\u8d8a\u3057\n"
+            "outcome:  MisalignedApproved\n"
+            "stealth:  true\n"
+            "stage 0 [inject/Spoof\u2192Kontext]: fired step 0; fields: approved, intent, memory_digest, submissions\n"
+        ).encode("utf-8")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["chain", "CHAIN"], "stage 0 [inject/Spoof\u2192Kontext]"),
+        (["score", "T7", "autonomous", "high"], "16 Critical\n"),
+        (["list", "scenarios"], "\u00fcber-stra\u00dfe"),
+    ], ids=["chain", "score", "list-scenarios"])
+    def test_in_process_output_bypasses_a_strict_latin1_stdout(self, capsys, monkeypatch, tmp_path, argv, expected):
+        # a shipped scenario under a directory whose name latin-1 encodes, but not as UTF-8 does
+        scenario = tmp_path / "\u00fcber-stra\u00dfe" / "chain-base.yaml"
+        monkeypatch.setattr(agvsim.cli, "shipped_scenarios", lambda: {"chain-base": scenario})
+        path = tmp_path / "chain.yaml"
+        path.write_text(NON_ASCII_CHAIN, encoding="utf-8")
+        argv = [str(path) if arg == "CHAIN" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)  # capsys's stdout is UTF-8
+        assert (code, err) == (0, "")
+        assert expected in out
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="latin-1", errors="strict"))
+        assert main(argv) == 0
+        assert raw.getvalue() == out.encode("utf-8")
 
 
 class TestChainCommand:

@@ -12,15 +12,18 @@ takes a few seconds.
 import __future__
 import dataclasses
 import inspect
+import os
 import sys
 import textwrap
 import types
 
 import pytest
 
+import agvsim.cli
 import agvsim.pipeline
 import agvsim.report
 import agvsim.runner
+import agvsim.scenario
 import agvsim.serialize
 import agvsim.severity
 import agvsim.threats
@@ -32,6 +35,7 @@ import test_incremental
 import test_pipeline
 import test_report
 import test_runner
+import test_scenario
 import test_sc_oracle
 import test_serialize
 import test_severity
@@ -73,7 +77,8 @@ def plant(monkeypatch, owner: object, name: str, old: str, new: str):
 
 
 def fails(test, *args) -> None:
-    with pytest.raises(AssertionError):
+    # a failed assertion, or a `pytest.raises` block that nothing raised in
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
         test(*args)
 
 
@@ -194,3 +199,25 @@ def test_admission_that_merges_every_context_patch_fails(monkeypatch):
     # a patch in an envelope whose claimed sender the table does not admit merges all the same
     plant(monkeypatch, agvsim.runner, "run_episodes", "if admitted(env, state.admission):", "if True:")
     fails(test_runner.test_a_context_envelope_from_an_unadmitted_claimed_sender_is_rejected)
+
+
+def test_a_writer_that_encodes_for_the_locale_fails(monkeypatch, capsys, tmp_path):
+    # the bytes of a latin-1 stdout, not UTF-8's, reach the terminal
+    plant(monkeypatch, agvsim.cli, "_write", 'text.encode("utf-8")', "text.encode(sys.stdout.encoding)")
+    fails(
+        test_cli.TestStdoutEncoding().test_in_process_output_bypasses_a_strict_latin1_stdout,
+        capsys, monkeypatch, tmp_path, ["list", "scenarios"], "\u00fcber-stra\u00dfe",
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_writer_that_loses_the_failed_files_name_fails(monkeypatch, capsys):
+    # a failed write names no file: the error is blamed on stdout
+    plant(monkeypatch, agvsim.cli, "_write", "exc.filename = exc.filename or path", "pass")
+    fails(test_cli.TestRun().test_out_on_a_full_disk_is_one_line_naming_the_file, capsys)
+
+
+def test_a_scenario_loader_that_skips_the_window_check_fails(monkeypatch):
+    # an injection that starts past the run loads, and never acts
+    plant(monkeypatch, agvsim.scenario, "parse_scenario", "if start >= steps:", "if False:")
+    fails(test_scenario.TestSchemaErrors().test_a_window_that_starts_past_the_run_is_rejected, 3, 1, 50)

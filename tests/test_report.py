@@ -1,4 +1,4 @@
-"""Report assembly and exports: columns, precision, determinism, I/O errors."""
+"""Report assembly and rendering: columns, precision, determinism."""
 
 import csv
 import dataclasses
@@ -9,16 +9,7 @@ import sys
 import pytest
 import yaml
 
-from agvsim.report import (
-    CSV_COLUMNS,
-    ReportFormat,
-    ReportIOError,
-    compare,
-    emit_report,
-    emit_trace,
-    render_csv,
-    render_json,
-)
+from agvsim.report import CSV_COLUMNS, compare, render_csv, render_json
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped, parse_scenario, shipped_scenarios
 from agvsim.trace import TracePairingError
@@ -154,22 +145,3 @@ class TestJsonExport:
         report = compare(run_episodes(config, with_injections=False), run_episodes(config, with_injections=True))
         exported = json.loads(render_json(report), parse_constant=reject)
         assert exported["attacked_trace"]["steps"][0]["feedback"]["accel_mps2"] == sys.float_info.max
-
-
-class TestEmission:
-    def test_emit_csv_and_json(self, case1_report, tmp_path):
-        csv_path = tmp_path / "report.csv"
-        json_path = tmp_path / "report.json"
-        emit_report(case1_report, ReportFormat.CSV, csv_path)
-        emit_report(case1_report, ReportFormat.JSON, json_path)
-        assert csv_path.read_text() == render_csv(case1_report)
-        assert json.loads(json_path.read_text())["outcome"] == "MisalignedApproved"
-
-    def test_emit_trace(self, case1_report, tmp_path):
-        path = tmp_path / "trace.json"
-        emit_trace(case1_report.attacked, path)
-        assert json.loads(path.read_text())["scenario_id"] == "case1-highway-routine"
-
-    def test_io_failure_surfaces_path(self, case1_report):
-        with pytest.raises(ReportIOError, match="/nonexistent-dir/"):
-            emit_report(case1_report, ReportFormat.CSV, "/nonexistent-dir/report.csv")

@@ -110,6 +110,33 @@ class TestSchemaErrors:
             with pytest.raises(ConfigError, match=r"^<test>\.injections\[0\]\.window: window must be \[start, end\]"):
                 parse_text(text)
 
+    @pytest.mark.parametrize("requests, episodes, start", [
+        (3, 1, 3), (3, 1, 50), (3, 2, 6), (0, 1, 0), (0, 4, 2),
+    ], ids=["at-the-horizon", "far-past", "past-the-last-episode", "no-steps", "no-steps-many-episodes"])
+    def test_a_window_that_starts_past_the_run_is_rejected(self, requests, episodes, start):
+        # a run with steps keeps a first injection at the default window, [0, 0]
+        first = [{"threat": "T1", "surface": "PAMemory", "payload": {"value_kph": 45.0}}] if requests else []
+        doc = yaml.safe_load(MINIMAL)
+        doc.update(requests=doc["requests"] * requests, episodes=episodes, injections=first + [
+            {"threat": "T1", "surface": "PAMemory", "payload": {"value_kph": 45.0}, "window": [start, start + 10]},
+        ])
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(doc, "<test>")
+        assert str(info.value) == (
+            f"<test>.injections[{len(first)}].window: starts at global step {start}, but episodes x requests = "
+            f"{episodes} x {requests} = {episodes * requests} steps, so it would never act"
+        )
+
+    @pytest.mark.parametrize("episodes, window", [(1, [2, 60]), (2, [5, 5]), (2, [0, 10**9])])
+    def test_a_window_that_ends_past_the_run_acts_until_it_ends(self, episodes, window):
+        doc = yaml.safe_load(MINIMAL)
+        doc.update(requests=doc["requests"] * 3, episodes=episodes, injections=[
+            {"threat": "T6", "surface": "PAInput", "payload": {"urgency_tag": "Urgent"}, "window": window},
+        ])
+        trace = run_episodes(parse_scenario(doc, "<test>"), with_injections=True)
+        acted = [r.global_step for r in trace.steps if r.effects]
+        assert acted == list(range(window[0], 3 * episodes))
+
     def test_t7_headway_scale_is_bounded_so_the_headway_stays_finite(self):
         # at traffic density 1 the DSA keeps a 2 s headway, which 1e308 would scale to inf
         t7 = "{threat: T7, surface: DSAWeights, payload: {speed_weight: 0.5, headway_scale: 1.0e+308}}"

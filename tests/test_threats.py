@@ -7,6 +7,7 @@ import math
 import textwrap
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from agvsim.domain import (
 )
 from agvsim.pipeline import AgentTuning, MemoryStore, SPEED_CAP_KEY
 from agvsim.runner import run_episodes
-from agvsim.scenario import load_shipped
+from agvsim.scenario import load_shipped, parse_scenario, shipped_scenarios
 from agvsim.threats import (
     THREATS,
     PipelineState,
@@ -427,27 +428,29 @@ def test_t4_on_pa_input_scales_completeness_alone(context, factor):
 class TestSimulatedUser:
     def test_true_answer_within_budget(self):
         user = SimulatedUserState(seed=0)
-        assert confirm_urgency(user, "Urgent") == "Urgent"
-        assert user.queries_asked == 1
+        assert confirm_urgency(user, 0, "Urgent") == "Urgent"
 
     def test_noise_floods_degrade_to_default(self):
-        user = SimulatedUserState(seed=0, noise_queries=USER_ATTENTION_BUDGET)
-        assert confirm_urgency(user, "Urgent") == "Routine"
-        assert user.queries_asked == USER_ATTENTION_BUDGET + 1
+        user = SimulatedUserState(seed=0)
+        assert confirm_urgency(user, USER_ATTENTION_BUDGET, "Urgent") == "Routine"
 
     def test_noise_below_budget_is_harmless(self):
-        user = SimulatedUserState(seed=0, noise_queries=2)
-        assert confirm_urgency(user, "Urgent") == "Urgent"
+        user = SimulatedUserState(seed=0)
+        assert confirm_urgency(user, 2, "Urgent") == "Urgent"
 
     @pytest.mark.parametrize("n", [5, 10**9])
     def test_noise_flood_is_counted_not_looped(self, n):
-        user = SimulatedUserState(seed=0, noise_queries=n)
-        assert confirm_urgency(user, "Urgent") == "Routine"
-        assert (user.queries_asked, user.answers_given) == (n + 1, USER_ATTENTION_BUDGET)
+        user = SimulatedUserState(seed=0)
+        assert confirm_urgency(user, n, "Urgent") == "Routine"
+        # the runner records the flood and the real question, one step at a time
+        doc = yaml.safe_load(shipped_scenarios()["threat-t10"].read_text())
+        doc["injections"][0].update(window=[0, 1], payload={"noise_queries": n})
+        trace = run_episodes(parse_scenario(doc, "flood"), with_injections=True)
+        assert [r.user_queries for r in trace.steps] == [n + 1, n + 1, 1]
 
     def test_framing_bias_full_weight_always_adopts(self):
         user = SimulatedUserState(seed=0, framing_bias=1.0, framing_answer="Routine")
-        assert confirm_urgency(user, "Urgent") == "Routine"
+        assert confirm_urgency(user, 0, "Urgent") == "Routine"
 
     def test_framing_bias_is_seed_deterministic(self):
         answers_a = []
@@ -455,9 +458,7 @@ class TestSimulatedUser:
         for answers in (answers_a, answers_b):
             user = SimulatedUserState(seed=99, framing_bias=0.5, framing_answer="Routine")
             for _ in range(20):
-                user.reset_step()
-                user.framing_bias = 0.5
-                answers.append(confirm_urgency(user, "Urgent"))
+                answers.append(confirm_urgency(user, 0, "Urgent"))
         assert answers_a == answers_b
         assert set(answers_a) == {"Routine", "Urgent"}  # the draw actually varies
 

@@ -211,3 +211,27 @@ def test_serialize_alone_hashes_and_only_its_digest_functions_call_sha256():
         or isinstance(node, ast.alias) and node.name == "sha256"
     }
     assert hashers == {"digest_of", "ListDigest"}
+
+
+def test_program_output_leaves_only_through_the_cli_writer():
+    # every `print` goes to stderr, and only `cli._write` writes files or
+    # stdout's bytes: one writer, UTF-8 whatever the locale
+    bare_prints, writers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+
+        def visit(node, function):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                if not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords):
+                    bare_prints.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and (
+                node.attr in ("write_bytes", "write_text") or ast.unparse(node) == "sys.stdout.buffer"
+            ):
+                writers.add(f"{path.stem}.{function}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name if function is None else f"{function}.{node.name}"
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert bare_prints == []
+    assert writers == {"cli._write"}
