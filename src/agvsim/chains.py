@@ -4,7 +4,9 @@ A chain is data: an ordered list of stages, each either an injection or an
 observation probe, with triggers that fire at a fixed step or once an earlier
 stage has taken effect. Running a chain produces a paired (attacked,
 baseline) run plus per-stage delta records that link each stage to the
-pipeline-state changes it caused.
+pipeline-state changes it caused. Chain spec files are read here too, with
+the scenario loader's YAML reader and injection parser, so a scenario never
+loads chain code.
 """
 
 from __future__ import annotations
@@ -12,17 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import cycle, islice
-from typing import TYPE_CHECKING, Callable
+from pathlib import Path
+from typing import Callable
 
 # the module, not its function: a caller that wraps `runner.run_episodes`
 # sees chain runs too
 from . import runner
-from .domain import MAX_RUN_STEPS, ConfigError, ThreatId
+from .domain import MAX_RUN_STEPS, ConfigError, ThreatId, integer, mapping, member, sequence, string
+from .scenario import ScenarioConfig, _check_depth, _parse_injection, _read_yaml
 from .threats import Surface, ThreatInjection, delta_footprint
 from .trace import EpisodeTrace, OutcomeClass, StepRecord, classify_outcome, stealth_check, step_deltas
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .scenario import ScenarioConfig
 
 @dataclass(frozen=True)
 class Trigger:
@@ -85,6 +87,56 @@ class ChainSpec:
                     raise ValueError(f"{where}: inject stages may only wait on inject stages")
             if stage.kind is StageKind.OBSERVE and stage.probe not in PROBES:
                 raise ValueError(f"{where}: unknown probe {stage.probe!r}")
+
+
+# ---------------------------------------------------------------------------
+# chain spec files: the same schema rules as scenario files
+
+
+def _parse_trigger(data: object, where: str) -> Trigger:
+    trigger = mapping(data, where, optional=("at_step", "after_stage"))
+    steps = {key: integer(value, f"{where}.{key}") for key, value in trigger.items()}
+    try:
+        return Trigger(**steps)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from exc
+
+
+def _parse_chain_stage(data: object, where: str) -> ChainStage:
+    stage = mapping(data, where, ("kind", "trigger"), ("injection", "probe", "label"))
+    kind = member(StageKind, stage["kind"], f"{where}.kind")
+    injection = None
+    if "injection" in stage:
+        data = stage["injection"]
+        if isinstance(data, dict) and "window" in data:
+            raise ConfigError(f"{where}.injection.window", "a chain stage acts from its trigger on and takes no window")
+        injection = _parse_injection(data, f"{where}.injection")
+    trigger = _parse_trigger(stage["trigger"], f"{where}.trigger")
+    probe = string(stage["probe"], f"{where}.probe") if "probe" in stage else None
+    label = string(stage.get("label", ""), f"{where}.label")
+    try:
+        return ChainStage(kind, trigger, injection, probe, label=label)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from exc
+
+
+def parse_chain_spec(data: object, where: str) -> ChainSpec:
+    _check_depth(data, where)
+    chain = mapping(data, where, ("id", "stages", "episode_length"))
+    # parsed outside the `try`: a stage's own ConfigError already names its path
+    chain_id = string(chain["id"], f"{where}.id")
+    stages = sequence(chain["stages"], f"{where}.stages", _parse_chain_stage)
+    episode_length = integer(chain["episode_length"], f"{where}.episode_length", 1)
+    try:
+        return ChainSpec(chain_id, stages, episode_length)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from exc
+
+
+def load_chain_spec(path: str | Path) -> ChainSpec:
+    """Load and fully validate one chain spec file."""
+    path = Path(path)
+    return parse_chain_spec(_read_yaml(path), str(path))
 
 
 class ChainSchedule:
@@ -161,7 +213,7 @@ class PropagationTrace:
 
 def run_chain(
     spec: ChainSpec,
-    scenario: "ScenarioConfig",
+    scenario: ScenarioConfig,
     seed: int | None = None,
 ) -> tuple[PropagationTrace, EpisodeTrace]:
     """Execute a chain over a scenario as a paired run and attribute deltas.

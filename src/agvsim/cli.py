@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import os
 import sys
 from pathlib import Path
 
-from .chains import builtin_chain, builtin_chains, run_chain
-from .domain import AgencyBucket, DrivingMode, ThreatId, agency_bucket
-from .pipeline import PipelineError
-from .report import compare, render_csv, render_json
-from .runner import run_episodes
-from .scenario import ConfigError, load_chain_spec, load_scenario, load_shipped, shipped_scenarios
+# `score` and `validate-tables` need no more than these two; every other
+# command loads its modules when it runs. perfbench traces `what_if` at this
+# module's name alone, so `_cmd_score` calls it by that name.
+from .domain import AgencyBucket, ConfigError, DrivingMode, PipelineError, ThreatId, agency_bucket
 from .severity import DIMENSIONS, OrdinalRating, validate_tables, what_if
-from .threats import legal_surfaces
 
 SEED_ENV_VAR = "AGV_SIM_SEED"
 
@@ -106,9 +104,11 @@ def _resolve_seed(flag_seed: int | None) -> int | None:
 
 
 def _load_scenario_arg(ref: str):
+    from . import scenario
+
     if os.path.exists(ref):
-        return load_scenario(ref)
-    return load_shipped(ref)
+        return scenario.load_scenario(ref)
+    return scenario.load_shipped(ref)
 
 
 def _write(text: str, path: str | None = None) -> None:
@@ -126,23 +126,25 @@ def _write(text: str, path: str | None = None) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
+    from . import report, runner
+
     config = _load_scenario_arg(args.scenario)
     seed = _resolve_seed(args.seed)
 
     if args.baseline_only or args.attacked_only:
-        report = None
-        text = run_episodes(config, with_injections=args.attacked_only, seed=seed).to_json() + "\n"
+        paired = None
+        text = runner.run_episodes(config, with_injections=args.attacked_only, seed=seed).to_json() + "\n"
     else:
-        baseline = run_episodes(config, with_injections=False, seed=seed)
-        attacked = run_episodes(config, with_injections=True, seed=seed)
-        report = compare(baseline, attacked)
-        text = render_csv(report) if args.format == "csv" else render_json(report)
+        baseline = runner.run_episodes(config, with_injections=False, seed=seed)
+        attacked = runner.run_episodes(config, with_injections=True, seed=seed)
+        paired = report.compare(baseline, attacked)
+        text = report.render_csv(paired) if args.format == "csv" else report.render_json(paired)
     if not args.out:
         return text
     _write(text, args.out)
-    if report is not None and args.format == "csv":
+    if paired is not None and args.format == "csv":
         # the hierarchical trace export rides along for CSV outputs
-        _write(render_json(report), args.out + ".trace.json")
+        _write(report.render_json(paired), args.out + ".trace.json")
     return ""
 
 
@@ -195,16 +197,18 @@ def _cmd_validate_tables(_: argparse.Namespace) -> str:
 
 
 def _cmd_chain(args: argparse.Namespace) -> str:
+    from . import chains, scenario
+
     if os.path.exists(args.chain):
-        spec = load_chain_spec(args.chain)
+        spec = chains.load_chain_spec(args.chain)
     else:
         try:
-            spec = builtin_chain(args.chain)
+            spec = chains.builtin_chain(args.chain)
         except KeyError as exc:
             raise ConfigError("chain", exc.args[0]) from exc
-    scenario = _load_scenario_arg(args.scenario) if args.scenario else load_shipped("chain-base")
+    config = _load_scenario_arg(args.scenario) if args.scenario else scenario.load_shipped("chain-base")
     seed = _resolve_seed(args.seed)
-    propagation, _ = run_chain(spec, scenario, seed=seed)
+    propagation, _ = chains.run_chain(spec, config, seed=seed)
     lines = [
         f"chain:    {propagation.chain_id}",
         f"outcome:  {propagation.outcome.value}",
@@ -220,19 +224,26 @@ def _cmd_chain(args: argparse.Namespace) -> str:
 
 def _cmd_list(args: argparse.Namespace) -> str:
     if args.what == "threats":
+        from . import threats
+
         lines = [
-            f"{threat.value}: {', '.join(sorted(s.value for s in legal_surfaces(threat)))}" for threat in ThreatId
+            f"{threat.value}: {', '.join(sorted(s.value for s in threats.legal_surfaces(threat)))}"
+            for threat in ThreatId
         ]
     elif args.what == "chains":
+        from . import chains
+
         lines = []
-        for spec in builtin_chains():
+        for spec in chains.builtin_chains():
             stages = " -> ".join(
                 (stage.injection.threat.value if stage.injection else f"observe:{stage.probe}")
                 for stage in spec.stages
             )
             lines.append(f"{spec.id}: {stages}")
     else:
-        lines = [f"{name}: {path}" for name, path in shipped_scenarios().items()]
+        from . import scenario
+
+        lines = [f"{name}: {path}" for name, path in scenario.shipped_scenarios().items()]
     return "".join(line + "\n" for line in lines)
 
 
@@ -243,6 +254,30 @@ _COMMANDS = {
     "chain": _cmd_chain,
     "list": _cmd_list,
 }
+
+
+# where each name `perfbench/tracing.py` wraps on this module lives
+_TRACED_NAMES = {
+    "load_scenario": "scenario",
+    "run_episodes": "runner",
+    "compare": "report",
+    "render_csv": "report",
+    "render_json": "report",
+    "run_chain": "chains",
+}
+
+
+def __getattr__(name: str):
+    """Resolve the six module-level names perfbench's lookup-site tracer pins here.
+
+    The commands call these through their modules, so a traced call records
+    one span, at the module's own lookup site. This function exists for
+    that tracer until ROADMAP item 5 replaces it with an in-process span hook.
+    """
+    module = _TRACED_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,7 +5,8 @@ with identity/provenance, and the world/context value types exchanged across
 trust boundaries. Everything here is an immutable value; instances are safe
 to share across concurrent episode runners. `ConfigError` and the schema
 helpers that every loader parses file values with live here too, so a value
-is judged by one rule wherever a document writes it.
+is judged by one rule wherever a document writes it; so does `PipelineError`,
+so the CLI catches both without loading the pipeline.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ class ConfigError(ValueError):
         self.where = where
         self.message = message
         super().__init__(f"{where}: {message}")
+
+
+class PipelineError(RuntimeError):
+    """Raised when no rule-compliant proposal can be produced for a step."""
 
 
 def is_finite_number(value: object) -> bool:

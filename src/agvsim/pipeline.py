@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .domain import ContextSummary, Role, UserRequest, VehicleFeedback
+from .domain import ContextSummary, PipelineError, Role, UserRequest, VehicleFeedback
 from .serialize import digest_of
 
 KPH_PER_MPS = 3.6
@@ -29,10 +29,6 @@ RULE_ABS_MAX = "abs_max"
 RULE_CONTEXT_LIMIT = "context_limit"
 RULE_MAX_ACCEL = "max_accel"
 RULE_MIN_HEADWAY = "min_headway"
-
-
-class PipelineError(RuntimeError):
-    """Raised when no rule-compliant proposal can be produced for a step."""
 
 
 class MemoryKind(str, Enum):

@@ -7,7 +7,6 @@ for parse errors) so a broken scenario never reaches the episode loop.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -15,7 +14,6 @@ from pathlib import Path
 import yaml
 
 from .cavstack import Layer, WorldTruth
-from .chains import ChainSpec, ChainStage, StageKind, Trigger
 from .domain import (
     AgencyLevel,
     ConfigError,
@@ -38,7 +36,6 @@ from .domain import (
 from .pipeline import Rulebook, max_delta_kph
 from .threats import Surface, ThreatInjection
 
-logger = logging.getLogger(__name__)
 
 class _UniqueKeys:
     """Loader mixin: reject a mapping that repeats a scalar key; `<<` merges still override."""
@@ -162,46 +159,6 @@ def _parse_injection(data: object, where: str) -> ThreatInjection:
         raise ConfigError(where, f"illegal injection: {exc}") from exc
 
 
-def _parse_trigger(data: object, where: str) -> Trigger:
-    trigger = mapping(data, where, optional=("at_step", "after_stage"))
-    steps = {key: integer(value, f"{where}.{key}") for key, value in trigger.items()}
-    try:
-        return Trigger(**steps)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
-
-
-def _parse_chain_stage(data: object, where: str) -> ChainStage:
-    stage = mapping(data, where, ("kind", "trigger"), ("injection", "probe", "label"))
-    kind = member(StageKind, stage["kind"], f"{where}.kind")
-    injection = None
-    if "injection" in stage:
-        data = stage["injection"]
-        if isinstance(data, dict) and "window" in data:
-            raise ConfigError(f"{where}.injection.window", "a chain stage acts from its trigger on and takes no window")
-        injection = _parse_injection(data, f"{where}.injection")
-    trigger = _parse_trigger(stage["trigger"], f"{where}.trigger")
-    probe = string(stage["probe"], f"{where}.probe") if "probe" in stage else None
-    label = string(stage.get("label", ""), f"{where}.label")
-    try:
-        return ChainStage(kind, trigger, injection, probe, label=label)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
-
-
-def parse_chain_spec(data: object, where: str) -> ChainSpec:
-    _check_depth(data, where)
-    chain = mapping(data, where, ("id", "stages", "episode_length"))
-    # parsed outside the `try`: a stage's own ConfigError already names its path
-    chain_id = string(chain["id"], f"{where}.id")
-    stages = sequence(chain["stages"], f"{where}.stages", _parse_chain_stage)
-    episode_length = integer(chain["episode_length"], f"{where}.episode_length", 1)
-    try:
-        return ChainSpec(chain_id, stages, episode_length)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
-
-
 _OUTCOMES = ("BlockedBySC", "MisalignedApproved", "NoEffect")
 
 
@@ -241,7 +198,6 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
                 f"starts at global step {start}, but episodes x requests = "
                 f"{config.episodes} x {config.steps_per_episode} = {steps} steps, so it would never act",
             )
-    logger.debug("loaded scenario %s from %s", config.id, source)
     return config
 
 
@@ -272,12 +228,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load and fully validate one scenario file."""
     path = Path(path)
     return parse_scenario(_read_yaml(path), str(path))
-
-
-def load_chain_spec(path: str | Path) -> ChainSpec:
-    """Load and fully validate one chain spec file."""
-    path = Path(path)
-    return parse_chain_spec(_read_yaml(path), str(path))
 
 
 def shipped_scenarios() -> dict[str, Path]:

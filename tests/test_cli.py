@@ -3,6 +3,8 @@
 import contextlib
 import copy
 import errno
+import importlib.abc
+import importlib.util
 import io
 import os
 import re
@@ -65,6 +67,94 @@ def test_import_fills_none_of_the_writer_tables():
     ))
     assert result.returncode == 0, result.stderr
     assert result.stdout.decode().split(" ", 2) == ["0", "0", "['NoneType', 'bool', 'float', 'int', 'str']\n"]
+
+
+def _is_package_module(name: str) -> bool:
+    return name.partition(".")[0] in ("agvsim", "yaml")
+
+
+# what a fresh `import agvsim.cli` loads of the package and PyYAML
+CLI_IMPORTS = ["agvsim", "agvsim.cli", "agvsim.domain", "agvsim.severity"]
+SCORING_NEEDS_NONE_OF = {"yaml", "agvsim.scenario", "agvsim.runner", "agvsim.threats", "agvsim.pipeline"}
+
+
+class _PutBack(importlib.abc.MetaPathFinder, importlib.abc.Loader):
+    """Puts an unloaded module back, unchanged, when an import asks for it.
+
+    PyYAML cannot load twice in one process: its C parser keeps building the
+    node classes of its first load.
+    """
+
+    def __init__(self, modules: dict) -> None:
+        self.modules = modules
+
+    def find_spec(self, name, path=None, target=None):
+        return importlib.util.spec_from_loader(name, self) if name in self.modules else None
+
+    def create_module(self, spec):
+        return self.modules.pop(spec.name)
+
+    def exec_module(self, module) -> None:
+        pass
+
+
+def _modules_loaded_by(argv: list[str]) -> set[str]:
+    """The package and PyYAML modules `cli.main(argv)` loads, from what a fresh `import agvsim.cli` loads.
+
+    Runs in a forked child, so a test that edits a function of `cli` in this
+    process sees the edit take effect. The child unloads every package module
+    outside CLI_IMPORTS, and PyYAML; `main` loads them again as it needs them.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover  (the child)
+        report = "error"
+        try:
+            yaml_modules = {}
+            for name in [n for n in sys.modules if _is_package_module(n) and n not in CLI_IMPORTS]:
+                module = sys.modules.pop(name)
+                if name.startswith("agvsim."):
+                    vars(agvsim).pop(name.partition(".")[2], None)
+                else:
+                    yaml_modules[name] = module
+            sys.meta_path.insert(0, _PutBack(yaml_modules))
+            sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+            code = main(argv)
+            loaded = [n for n in sys.modules if _is_package_module(n) and n not in CLI_IMPORTS]
+            report = f"{code} " + (" ".join(loaded) if code == 0 else sys.stderr.getvalue())
+        except Exception as exc:
+            report = f"error {exc!r}"
+        finally:  # the child never returns into the test run
+            os.write(write, report.encode())
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        code, _, loaded = pipe.read().decode().partition(" ")
+    os.waitpid(pid, 0)
+    assert code == "0", loaded
+    return set(loaded.split())
+
+
+class TestColdStart:
+    """Each command loads only the modules it uses."""
+
+    def test_importing_the_cli_loads_domain_and_severity_alone(self):
+        result = run_python_process("-c", "import sys, agvsim.cli; print(*sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert sorted(n for n in result.stdout.decode().split() if _is_package_module(n)) == CLI_IMPORTS
+
+    @pytest.mark.parametrize("argv, needed, unused", [
+        (["score", "T7", "autonomous", "high"], set(), SCORING_NEEDS_NONE_OF),
+        (["validate-tables"], set(), SCORING_NEEDS_NONE_OF),
+        (["run", "case1-highway-urgent"], {"yaml", "agvsim.scenario", "agvsim.runner", "agvsim.report"},
+         {"agvsim.chains"}),
+        (["chain", "chain-1"], {"yaml", "agvsim.scenario", "agvsim.chains", "agvsim.runner"}, {"agvsim.report"}),
+    ], ids=["score", "validate-tables", "run", "chain"])
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_each_command_loads_only_the_modules_it_uses(self, argv, needed, unused):
+        loaded = _modules_loaded_by(argv)
+        assert needed <= loaded
+        assert unused & loaded == set()
 
 
 class TestScore:
@@ -483,9 +573,13 @@ class TestStdoutEncoding:
         (["list", "scenarios"], "\u00fcber-stra\u00dfe"),
     ], ids=["chain", "score", "list-scenarios"])
     def test_in_process_output_bypasses_a_strict_latin1_stdout(self, capsys, monkeypatch, tmp_path, argv, expected):
-        # a shipped scenario under a directory whose name latin-1 encodes, but not as UTF-8 does
+        # the shipped chain-base, moved under a directory whose name latin-1
+        # encodes, but not as UTF-8 does: `list scenarios` prints its path and
+        # `chain` reads the scenario from it
         scenario = tmp_path / "\u00fcber-stra\u00dfe" / "chain-base.yaml"
-        monkeypatch.setattr(agvsim.cli, "shipped_scenarios", lambda: {"chain-base": scenario})
+        scenario.parent.mkdir()
+        scenario.write_bytes(shipped_scenarios()["chain-base"].read_bytes())
+        monkeypatch.setattr(agvsim.scenario, "shipped_scenarios", lambda: {"chain-base": scenario})
         path = tmp_path / "chain.yaml"
         path.write_text(NON_ASCII_CHAIN, encoding="utf-8")
         argv = [str(path) if arg == "CHAIN" else arg for arg in argv]

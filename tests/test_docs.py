@@ -6,8 +6,9 @@ from pathlib import Path
 
 import yaml
 
+from agvsim.chains import parse_chain_spec
 from agvsim.domain import ThreatId
-from agvsim.scenario import ScenarioConfig, parse_chain_spec, parse_scenario
+from agvsim.scenario import ScenarioConfig, parse_scenario
 from agvsim.threats import THREATS, Surface, legal_surfaces
 
 README = Path(__file__).resolve().parents[1] / "README.md"

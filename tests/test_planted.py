@@ -221,3 +221,13 @@ def test_a_scenario_loader_that_skips_the_window_check_fails(monkeypatch):
     # an injection that starts past the run loads, and never acts
     plant(monkeypatch, agvsim.scenario, "parse_scenario", "if start >= steps:", "if False:")
     fails(test_scenario.TestSchemaErrors().test_a_window_that_starts_past_the_run_is_rejected, 3, 1, 50)
+
+
+def test_a_score_command_that_loads_the_runner_fails(monkeypatch):
+    # `score` reads the severity tables alone: an import of the runner loads the pipeline and the appliers
+    score = plant(monkeypatch, agvsim.cli, "_cmd_score", "overrides = {}", "from . import runner; overrides = {}")
+    monkeypatch.setitem(agvsim.cli._COMMANDS, "score", score)
+    fails(
+        test_cli.TestColdStart().test_each_command_loads_only_the_modules_it_uses,
+        ["score", "T7", "autonomous", "high"], set(), test_cli.SCORING_NEEDS_NONE_OF,
+    )

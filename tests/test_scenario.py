@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import agvsim
 from agvsim import domain
+from agvsim.chains import load_chain_spec, parse_chain_spec
 from agvsim.domain import MAX_RUN_STEPS, Hazard, ThreatId, UserRequest
 from agvsim.pipeline import PipelineError
 from agvsim.report import compare, render_json
@@ -18,10 +19,8 @@ from agvsim.runner import run_episodes
 from agvsim.scenario import (
     MAX_DEPTH,
     ConfigError,
-    load_chain_spec,
     load_scenario,
     load_shipped,
-    parse_chain_spec,
     parse_scenario,
     shipped_scenarios,
 )

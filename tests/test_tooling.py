@@ -3,7 +3,10 @@
 import ast
 import importlib.util
 import json
+import os
+import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,40 @@ def test_every_operation_of_the_runner_workloads_matches_its_golden_digest(tmp_p
     assert len(checker.first) == operations  # each operation's own golden entry
 
 
+# the spans of the seven names perfbench's tracer pins on `agvsim.cli`
+CLI_SPANS = (
+    "scenario.load", "runner.run_episodes", "report.compare", "report.render_csv", "report.render_json",
+    "chains.run_chain", "severity.what_if",
+)
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["run", "case1-highway-urgent", "--out", "OUT"], {
+        "scenario.load": 1, "runner.run_episodes": 2,
+        "report.compare": 1, "report.render_csv": 1, "report.render_json": 1,
+    }),
+    (["run", "FILE"], {"scenario.load": 1, "runner.run_episodes": 2, "report.compare": 1, "report.render_csv": 1}),
+    (["chain", "chain-1"], {"scenario.load": 1, "chains.run_chain": 1, "runner.run_episodes": 2}),
+    (["score", "T7", "autonomous", "high"], {"severity.what_if": 1}),
+], ids=["run-shipped", "run-file", "chain", "score"])
+def test_a_traced_cli_child_records_one_span_per_call(tmp_path, argv, spans):
+    # the traced cli-cold children: each call the command makes is wrapped
+    # once, at the lookup site it is made through, however `cli` imports it
+    argv = [
+        {"OUT": str(tmp_path / "run.csv"), "FILE": str(PACKAGE / "scenarios" / "case1-highway-urgent.yaml")}.get(a, a)
+        for a in argv
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "AGV_SIM_SEED"}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    out = tmp_path / "spans.json"
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "cli_child.py"), str(out), *argv], env=env, capture_output=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    counts = Counter(span[0] for span in json.loads(out.read_text()))
+    assert {name: counts[name] for name in CLI_SPANS if counts[name]} == spans
+
+
 def _import_graph():
     """The package's own imports, read from the source of `src/agvsim/*.py`.
 
@@ -169,16 +206,19 @@ def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
 
 def test_the_package_imports_form_no_cycle_and_none_sits_in_a_function():
     runtime, type_only, in_functions, absolute = _import_graph()
-    assert in_functions == []
+    # only the CLI imports inside functions, each command what it runs; those
+    # imports are run-time edges, so the cycle check below covers them
+    assert in_functions and all(where.startswith("cli.py:") for where in in_functions), in_functions
     assert absolute == []
     assert _cycle(runtime) is None
-    # the runner stays below chains and scenario, and a report needs no chain
+    # the runner stays below chains and scenario, and a scenario or a report needs no chain
     assert not {"chains", "scenario"} & runtime["runner"]
+    assert "chains" not in runtime["scenario"]
     assert "chains" not in runtime["report"] | type_only["report"]
-    # the walk sees the edges that matter: chains calls the runner, the
-    # scenario loader builds chain specs, and the runner's annotations name
-    # both, which would close a cycle at run time
-    assert "runner" in runtime["chains"] and "chains" in runtime["scenario"]
+    # the walk sees the edges that matter: chains calls the runner and reads
+    # chain specs with the scenario loader's schema, and the runner's
+    # annotations name both, which would close a cycle at run time
+    assert "runner" in runtime["chains"] and "scenario" in runtime["chains"]
     assert {"chains", "scenario"} <= type_only["runner"]
     with_annotations = {m: runtime[m] | type_only[m] for m in runtime}
     assert _cycle(with_annotations) is not None
