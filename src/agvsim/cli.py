@@ -14,10 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-# `score` and `validate-tables` need no more than these two; every other
-# command loads its modules when it runs. perfbench traces `what_if` at this
-# module's name alone, so `_cmd_score` calls it by that name.
-from .domain import AgencyBucket, ConfigError, DrivingMode, PipelineError, ThreatId, agency_bucket
+# `score`, `validate-tables` and `list scenarios` need no more than these
+# two; every other command loads its modules when it runs. perfbench traces
+# `what_if` at this module's name alone, so `_cmd_score` calls it by that name.
+from .domain import AgencyBucket, ConfigError, DrivingMode, PipelineError, ThreatId, agency_bucket, shipped_files
 from .severity import DIMENSIONS, OrdinalRating, validate_tables, what_if
 
 SEED_ENV_VAR = "AGV_SIM_SEED"
@@ -241,9 +241,7 @@ def _cmd_list(args: argparse.Namespace) -> str:
             )
             lines.append(f"{spec.id}: {stages}")
     else:
-        from . import scenario
-
-        lines = [f"{name}: {path}" for name, path in scenario.shipped_scenarios().items()]
+        lines = [f"{name}: {path}" for name, path in shipped_files("scenarios").items()]
     return "".join(line + "\n" for line in lines)
 
 

@@ -6,7 +6,8 @@ trust boundaries. Everything here is an immutable value; instances are safe
 to share across concurrent episode runners. `ConfigError` and the schema
 helpers that every loader parses file values with live here too, so a value
 is judged by one rule wherever a document writes it; so does `PipelineError`,
-so the CLI catches both without loading the pipeline.
+so the CLI catches both without loading the pipeline, and so does
+`shipped_files`, the one lister of the YAML files the package ships.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from importlib import resources
+from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Collection, Mapping, TypeVar
 
@@ -39,6 +42,13 @@ def is_finite_number(value: object) -> bool:
     """A non-bool int or float that is a finite float: no NaN, no infinity, no int too large for a float."""
     big = sys.float_info.max
     return isinstance(value, (int, float)) and not isinstance(value, bool) and -big <= value <= big
+
+
+def shipped_files(folder: str) -> dict[str, Path]:
+    """The YAML files shipped in the package folder `folder`, keyed by file stem, in stem order."""
+    root = resources.files(__package__).joinpath(folder)
+    entries = sorted((e for e in root.iterdir() if e.name.endswith(".yaml")), key=lambda e: e.name)
+    return {entry.name[: -len(".yaml")]: Path(str(entry)) for entry in entries}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ for parse errors) so a broken scenario never reaches the episode loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import yaml
@@ -31,6 +30,7 @@ from .domain import (
     parse_hazard,
     parse_request,
     sequence,
+    shipped_files,
     string,
 )
 from .pipeline import Rulebook, max_delta_kph
@@ -232,12 +232,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 def shipped_scenarios() -> dict[str, Path]:
     """Scenario files bundled with the package, keyed by scenario id."""
-    root = resources.files("agvsim").joinpath("scenarios")
-    paths = {}
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".yaml"):
-            paths[entry.name[: -len(".yaml")]] = Path(str(entry))
-    return paths
+    return shipped_files("scenarios")
 
 
 def load_shipped(name: str) -> ScenarioConfig:

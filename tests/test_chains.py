@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
+import agvsim.chains
 from agvsim.chains import (
+    CHAIN_FOLDER,
     ChainSpec,
     ChainStage,
     OutcomeClass,
@@ -13,12 +15,14 @@ from agvsim.chains import (
     builtin_chain,
     builtin_chains,
     classify_outcome,
+    load_chain_spec,
     run_chain,
 )
 from agvsim.cavstack import Layer
-from agvsim.domain import ThreatId
+from agvsim.domain import ThreatId, shipped_files
 from agvsim.scenario import load_shipped, shipped_scenarios
 from agvsim.runner import run_episodes
+from agvsim.serialize import digest_of
 from agvsim.threats import Surface, ThreatInjection
 from test_incremental import comparable_view
 
@@ -62,6 +66,25 @@ class TestBuiltinChains:
         assert builtin_chain("chain-6-spoofed-v2x-closure").id == "chain-6-spoofed-v2x-closure"
         with pytest.raises(KeyError, match="ambiguous"):
             builtin_chain("chain-")
+
+    def test_the_shipped_specs_are_pinned(self):
+        # taken from the Python table the spec files replaced: a loader that
+        # drops or defaults a field of any stage moves it
+        assert digest_of(tuple(builtin_chains())) == "e449c33f8b4a9bbe"
+
+    def test_each_shipped_file_is_named_by_its_chain_id(self):
+        # a lookup by id or prefix matches file stems and parses no other file
+        paths = shipped_files(CHAIN_FOLDER)
+        assert len(paths) == 6
+        for stem, path in paths.items():
+            assert load_chain_spec(path).id == stem
+
+    def test_a_lookup_loads_only_the_file_it_matches(self, monkeypatch):
+        loaded = []
+        load = agvsim.chains.load_chain_spec
+        monkeypatch.setattr(agvsim.chains, "load_chain_spec", lambda path: loaded.append(path.stem) or load(path))
+        builtin_chain("chain-5")
+        assert loaded == ["chain-5-phantom-object"]
 
 
 class TestChainValidation:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agvsim
+import agvsim.cli
 import agvsim.scenario
 from agvsim.chains import builtin_chains
 from agvsim.cli import main
@@ -149,7 +150,8 @@ class TestColdStart:
         (["run", "case1-highway-urgent"], {"yaml", "agvsim.scenario", "agvsim.runner", "agvsim.report"},
          {"agvsim.chains"}),
         (["chain", "chain-1"], {"yaml", "agvsim.scenario", "agvsim.chains", "agvsim.runner"}, {"agvsim.report"}),
-    ], ids=["score", "validate-tables", "run", "chain"])
+        (["list", "scenarios"], set(), {"yaml", "agvsim.scenario", "agvsim.threats"}),
+    ], ids=["score", "validate-tables", "run", "chain", "list-scenarios"])
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_each_command_loads_only_the_modules_it_uses(self, argv, needed, unused):
         loaded = _modules_loaded_by(argv)
@@ -568,7 +570,7 @@ class TestStdoutEncoding:
         ).encode("utf-8")
 
     @pytest.mark.parametrize("argv, expected", [
-        (["chain", "CHAIN"], "stage 0 [inject/Spoof\u2192Kontext]"),
+        (["chain", "CHAIN", "--scenario", "SCENARIO"], "stage 0 [inject/Spoof\u2192Kontext]"),
         (["score", "T7", "autonomous", "high"], "16 Critical\n"),
         (["list", "scenarios"], "\u00fcber-stra\u00dfe"),
     ], ids=["chain", "score", "list-scenarios"])
@@ -579,10 +581,10 @@ class TestStdoutEncoding:
         scenario = tmp_path / "\u00fcber-stra\u00dfe" / "chain-base.yaml"
         scenario.parent.mkdir()
         scenario.write_bytes(shipped_scenarios()["chain-base"].read_bytes())
-        monkeypatch.setattr(agvsim.scenario, "shipped_scenarios", lambda: {"chain-base": scenario})
+        monkeypatch.setattr(agvsim.cli, "shipped_files", lambda folder: {"chain-base": scenario})
         path = tmp_path / "chain.yaml"
         path.write_text(NON_ASCII_CHAIN, encoding="utf-8")
-        argv = [str(path) if arg == "CHAIN" else arg for arg in argv]
+        argv = [{"CHAIN": str(path), "SCENARIO": str(scenario)}.get(arg, arg) for arg in argv]
         code, out, err = run_cli(capsys, *argv)  # capsys's stdout is UTF-8
         assert (code, err) == (0, "")
         assert expected in out
@@ -746,8 +748,20 @@ class TestList:
             assert tid in out
 
     def test_list_chains(self, capsys):
-        code, out, _ = run_cli(capsys, "list", "chains")
-        assert len([l for l in out.splitlines() if l.strip()]) == 6
+        code, out, err = run_cli(capsys, "list", "chains")
+        assert (code, err) == (0, "")
+        assert out == (
+            "chain-1-memory-poisoning-drift: T1 -> observe:intent-caps-changed -> "
+            "observe:approved-target-below-baseline\n"
+            "chain-2-identity-spoof-comms-poison: T9 -> T12 -> observe:route-pref-changed\n"
+            "chain-3-hallucination-compounding: T5 -> observe:intent-desired-changed -> "
+            "observe:approved-target-below-baseline\n"
+            "chain-4-perception-spoof: XPerception -> observe:context-limit-changed -> "
+            "observe:approved-target-below-baseline\n"
+            "chain-5-phantom-object: XPerception -> observe:hazard-count-changed -> "
+            "observe:approved-target-below-baseline\n"
+            "chain-6-spoofed-v2x-closure: XV2X -> observe:route-pref-changed\n"
+        )
 
     def test_list_scenarios(self, capsys):
         code, out, _ = run_cli(capsys, "list", "scenarios")

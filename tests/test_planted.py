@@ -19,6 +19,7 @@ import types
 
 import pytest
 
+import agvsim.chains
 import agvsim.cli
 import agvsim.pipeline
 import agvsim.report
@@ -40,6 +41,7 @@ import test_sc_oracle
 import test_serialize
 import test_severity
 import test_threats
+import test_tooling
 from agvsim.domain import ThreatId
 from agvsim.pipeline import MemoryStore
 from agvsim.runner import run_episodes
@@ -230,4 +232,17 @@ def test_a_score_command_that_loads_the_runner_fails(monkeypatch):
     fails(
         test_cli.TestColdStart().test_each_command_loads_only_the_modules_it_uses,
         ["score", "T7", "autonomous", "high"], set(), test_cli.SCORING_NEEDS_NONE_OF,
+    )
+
+
+def test_a_chain_loader_that_ignores_stage_labels_fails(monkeypatch, tmp_path):
+    # every shipped stage loads with the default, empty label
+    plant(
+        monkeypatch, agvsim.chains, "_parse_chain_stage",
+        'label = string(stage.get("label", ""), f"{where}.label")', 'label = ""',
+    )
+    fails(test_chains.TestBuiltinChains().test_the_shipped_specs_are_pinned)
+    fails(
+        test_tooling.test_every_operation_of_the_runner_workloads_matches_its_golden_digest,
+        tmp_path, "chain-sweep", 216,
     )

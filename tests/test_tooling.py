@@ -275,3 +275,18 @@ def test_program_output_leaves_only_through_the_cli_writer():
         visit(ast.parse(path.read_text(encoding="utf-8")), None)
     assert bare_prints == []
     assert writers == {"cli._write"}
+
+
+def test_every_data_file_of_the_package_is_declared_package_data():
+    # a wheel holds only the non-Python files a package-data glob names, and
+    # tests that run from the source tree would not notice one left out
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    globs = pyproject["tool"]["setuptools"]["package-data"]["agvsim"]
+    declared = {path for pattern in globs for path in PACKAGE.glob(pattern)}
+    data = {
+        path for path in PACKAGE.rglob("*")
+        if path.is_file() and path.suffix != ".py" and "__pycache__" not in path.parts
+    }
+    assert PACKAGE / "data" / "severity_tables.csv" in data
+    assert sorted(p.relative_to(PACKAGE).as_posix() for p in data - declared) == []
