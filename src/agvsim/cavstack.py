@@ -10,7 +10,7 @@ function of the world and the perturbations it is given.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 
 from .domain import (
@@ -22,11 +22,12 @@ from .domain import (
     SourceLayer,
     VehicleFeedback,
     is_finite_number,
+    record,
 )
 from .serialize import digest_of
 
 
-@dataclass(frozen=True)
+@record
 class WorldTruth:
     """Harness-only oracle state. Pipeline components never read this."""
 
@@ -67,7 +68,7 @@ _CONTEXT_RECORD_FIELDS = ("hazards", "closures")
 _FEEDBACK_NUMERIC_FIELDS = ("speed_kph", "accel_mps2", "steering_deg", "braking")
 
 
-@dataclass(frozen=True)
+@record
 class LayerPerturbation:
     """One declarative edit of a layer summary.
 

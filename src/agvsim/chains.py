@@ -12,7 +12,7 @@ loads chain code; the six built-in chains are such files, shipped in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from itertools import cycle, islice
 from pathlib import Path
@@ -21,13 +21,13 @@ from typing import Callable
 # the module, not its function: a caller that wraps `runner.run_episodes`
 # sees chain runs too
 from . import runner
-from .domain import MAX_RUN_STEPS, ConfigError, integer, mapping, member, sequence, shipped_files, string
+from .domain import MAX_RUN_STEPS, ConfigError, integer, mapping, member, record, sequence, shipped_files, string
 from .scenario import ScenarioConfig, _check_depth, _parse_injection, _read_yaml
 from .threats import ThreatInjection, delta_footprint
 from .trace import EpisodeTrace, OutcomeClass, StepRecord, classify_outcome, stealth_check, step_deltas
 
 
-@dataclass(frozen=True)
+@record
 class Trigger:
     """When a stage activates: at a fixed step, or after another stage fires."""
 
@@ -46,8 +46,10 @@ class StageKind(str, Enum):
     OBSERVE = "observe"
 
 
-@dataclass(frozen=True)
+@record
 class ChainStage:
+    """One stage of a chain: an injection to act, or a probe to observe, from its trigger on."""
+
     kind: StageKind
     trigger: Trigger
     injection: ThreatInjection | None = None  # inject stages
@@ -61,7 +63,7 @@ class ChainStage:
             raise ValueError("observe stages need a probe and take no injection")
 
 
-@dataclass(frozen=True)
+@record
 class ChainSpec:
     """A chain, checked when it is built: every trigger inside the episode,
     triggers ordered as a DAG, and every probe known."""
@@ -188,7 +190,7 @@ PROBES: dict[str, Callable[[StepRecord, StepRecord], bool]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class StageDelta:
     """What one stage changed, relative to the paired baseline."""
 
@@ -200,7 +202,7 @@ class StageDelta:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class PropagationTrace:
     """The paired runs of a chain plus per-stage attribution and the stealth flag."""
 

@@ -6,15 +6,16 @@ trust boundaries. Everything here is an immutable value; instances are safe
 to share across concurrent episode runners. `ConfigError` and the schema
 helpers that every loader parses file values with live here too, so a value
 is judged by one rule wherever a document writes it; so does `PipelineError`,
-so the CLI catches both without loading the pipeline, and so does
-`shipped_files`, the one lister of the YAML files the package ships.
+so the CLI catches both without loading the pipeline, so does
+`shipped_files`, the one lister of the YAML files the package ships, and so
+does `record`, the decorator of every frozen value class in the package.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -49,6 +50,47 @@ def shipped_files(folder: str) -> dict[str, Path]:
     root = resources.files(__package__).joinpath(folder)
     entries = sorted((e for e in root.iterdir() if e.name.endswith(".yaml")), key=lambda e: e.name)
     return {entry.name[: -len(".yaml")]: Path(str(entry)) for entry in entries}
+
+
+def record(cls: type[T]) -> type[T]:
+    """`cls` as a frozen dataclass whose `__init__` fills the instance dict directly.
+
+    A frozen dataclass's own `__init__` stores each field through
+    `object.__setattr__`, several times the cost of a plain store, and every
+    step of a run builds a dozen records. This `__init__` takes the same
+    parameters and defaults, writes the fields into `self.__dict__` one by
+    one in field order, so that all instances of the class share their dict
+    keys, and then calls `__post_init__` when the class has one. Equality,
+    hashing, `replace`, `fields` and `FrozenInstanceError` stay as
+    `dataclass` makes them.
+    """
+    cls = dataclass(frozen=True, init=False)(cls)
+    cls.__init__ = _record_init(cls)  # type: ignore[misc]
+    return cls
+
+
+def _record_init(cls: type) -> Callable[..., None]:
+    """The `__init__` of the record class `cls`, compiled from its fields with one `exec`.
+
+    A field takes a plain default or none. The locals `__self` and `__d`
+    cannot clash with a field name, which the class body would have mangled.
+    """
+    params, stores, namespace = ["__self"], ["    __d = __self.__dict__"], {}
+    for f in fields(cls):
+        if not f.init or f.kw_only or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: a record field takes a plain default or none")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        stores.append(f"    __d[{f.name!r}] = {f.name}")
+    if hasattr(cls, "__post_init__"):
+        stores.append("    __self.__post_init__()")
+    exec(f"def __init__({', '.join(params)}):\n" + "\n".join(stores), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +174,7 @@ class AgencyBucket(str, Enum):
     HIGH = "High"
 
 
-@dataclass(frozen=True)
+@record
 class AgencyLevel:
     """Capability level on the 0-5 scale (reactive tools up to general agents)."""
 
@@ -210,7 +252,7 @@ class SourceLayer(str, Enum):
     FUSION = "Fusion"
 
 
-@dataclass(frozen=True)
+@record
 class Hazard:
     """One perceived hazard record inside a context summary."""
 
@@ -236,7 +278,7 @@ MAX_SPEED_LIMIT_KPH = 200.0
 MAX_RUN_STEPS = 100_000
 
 
-@dataclass(frozen=True)
+@record
 class ContextSummary:
     """Environmental digest consumed by the agents.
 
@@ -263,7 +305,7 @@ class ContextSummary:
             raise ValueError(f"completeness must be in [0, 1], got {self.completeness}")
 
 
-@dataclass(frozen=True)
+@record
 class VehicleFeedback:
     """Control-layer telemetry as reported to the agents (not ground truth)."""
 
@@ -280,7 +322,7 @@ class VehicleFeedback:
             raise ValueError(f"braking must be in [0, 1], got {self.braking}")
 
 
-@dataclass(frozen=True)
+@record
 class MessageEnvelope:
     """Inter-role message with identity and provenance.
 
@@ -339,7 +381,7 @@ def admitted(envelope: MessageEnvelope, policy: Mapping[Authority, frozenset[Rol
 URGENCY_TAGS = ("Routine", "Urgent")
 
 
-@dataclass(frozen=True)
+@record
 class UserRequest:
     """One user trip request, as scripted per step in a scenario."""
 

@@ -11,10 +11,10 @@ physically safe proposals sail through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 
-from .domain import ContextSummary, PipelineError, Role, UserRequest, VehicleFeedback
+from .domain import ContextSummary, PipelineError, Role, UserRequest, VehicleFeedback, record
 from .serialize import digest_of
 
 KPH_PER_MPS = 3.6
@@ -37,11 +37,13 @@ class MemoryKind(str, Enum):
     HISTORY = "History"
 
 
-@dataclass(frozen=True)
+@record
 class MemoryEntry:
+    """One long-term memory item: a keyed number, its kind, its origin and the step it came in."""
+
     key: str
     kind: MemoryKind
-    value: object
+    value: float
     origin: Role
     inserted_step: int
     persistent: bool = False  # carried across episodes only when set
@@ -63,7 +65,7 @@ class MemoryStore:
     def speed_caps(self) -> list[tuple[str, float]]:
         """All speed-cap constraint entries as (key, kph), insertion order."""
         return [
-            (e.key, float(e.value))  # type: ignore[arg-type]
+            (e.key, float(e.value))
             for e in self.entries
             if e.kind is MemoryKind.CONSTRAINT and e.key == SPEED_CAP_KEY
         ]
@@ -82,7 +84,7 @@ class MemoryStore:
         return self._digest
 
 
-@dataclass(frozen=True)
+@record
 class IntentDescriptor:
     """PA output: abstract goals only, never maneuvers."""
 
@@ -112,7 +114,7 @@ class LaneChange(str, Enum):
     RIGHT = "Right"
 
 
-@dataclass(frozen=True)
+@record
 class StrategyProposal:
     """DSA output: target speed, spacing, and route intent with a rule trace."""
 
@@ -137,8 +139,10 @@ class Decision(str, Enum):
     SUBSTITUTE = "Substitute"
 
 
-@dataclass(frozen=True)
+@record
 class SafetyVerdict:
+    """The SC's answer to one proposal: approve, revise with the first violated rule, or substitute."""
+
     decision: Decision
     reason: str = ""  # first violated rule id; empty on Approve
     substitute: StrategyProposal | None = None
@@ -150,7 +154,7 @@ class SafetyVerdict:
             raise ValueError("Substitute verdicts must carry a substitute proposal")
 
 
-@dataclass(frozen=True)
+@record
 class Rulebook:
     """Fixed physical/regulatory envelopes enforced by the SC."""
 
@@ -164,7 +168,7 @@ class Rulebook:
                 raise ValueError(f"rulebook bound {name} must be > 0")
 
 
-@dataclass(frozen=True)
+@record
 class AgentTuning:
     """Calibration knobs of the rule agents (frozen: a remote-code-execution
     style attack, T11, replaces the tuning with a copy that differs in

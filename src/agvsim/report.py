@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import Iterable
 
+from .domain import record
 from .pipeline import Decision
 from .serialize import canonical_json
 from .trace import EpisodeTrace, StepRecord, classify_outcome, stealth_check, step_deltas
@@ -33,8 +33,10 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class StepRow:
+    """One paired step as a CSV row: the approved targets and the verdicts of both runs."""
+
     scenario_id: str
     episode: int
     step: int
@@ -45,8 +47,10 @@ class StepRow:
     verdict_attacked: str
 
 
-@dataclass(frozen=True)
+@record
 class EpisodeRow:
+    """One paired episode: mean approved targets, SC rejections, and whether any step differs."""
+
     scenario_id: str
     episode: int
     baseline_mean_target_kph: float
@@ -57,8 +61,10 @@ class EpisodeRow:
     any_delta: bool
 
 
-@dataclass(frozen=True)
+@record
 class MisalignmentReport:
+    """A compared baseline/attacked pair: stealth, persistence, outcome, its rows and both traces."""
+
     scenario_id: str
     seed: int
     stealth: bool

@@ -11,6 +11,7 @@ effect records. Identical (config, seed) always yields an identical trace.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import replace
 from functools import cache
 from operator import methodcaller
@@ -169,152 +170,162 @@ def run_episodes(
     log = MessageLog()
     records: list[StepRecord] = []
 
-    for episode in range(config.episodes):
-        if episode > 0:
-            memory = memory.carry_over()
-        # integer seeding only: string seeds would pull in hash randomization
-        user = SimulatedUserState(seed=seed_value * 1_000_003 + episode)
+    # A run makes no cyclic garbage: reference counting frees all it drops
+    # (tests/test_runner.py holds this). So the cyclic collector, left on,
+    # would only rescan the records the trace keeps, more of them at every
+    # step. It is paused for the step loop, and the caller's setting restored.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for episode in range(config.episodes):
+            if episode > 0:
+                memory = memory.carry_over()
+            # integer seeding only: string seeds would pull in hash randomization
+            user = SimulatedUserState(seed=seed_value * 1_000_003 + episode)
 
-        for step, request in enumerate(config.requests):
-            g = episode * steps_per_episode + step
-            effects: list[InjectionEffectRecord] = []
+            for step, request in enumerate(config.requests):
+                g = episode * steps_per_episode + step
+                effects: list[InjectionEffectRecord] = []
 
-            # one list of what is active this step, the only window check:
-            # static injections (by window) before chain stages (by trigger)
-            active: list[tuple[int | None, ThreatInjection]] = [
-                (None, inj) for inj, (start, end) in static_injections if start <= g <= end
-            ]
-            if stages is not None:
-                active.extend(stages.active_injections(g))
+                # one list of what is active this step, the only window check:
+                # static injections (by window) before chain stages (by trigger)
+                active: list[tuple[int | None, ThreatInjection]] = [
+                    (None, inj) for inj, (start, end) in static_injections if start <= g <= end
+                ]
+                if stages is not None:
+                    active.extend(stages.active_injections(g))
 
-            # grouped by phase once; list order holds within each phase
-            phases: dict[Phase, list[tuple[int | None, ThreatInjection]]] = {}
-            for entry in active:
-                phases.setdefault(injection_phase(entry[1]), []).append(entry)
+                # grouped by phase once; list order holds within each phase
+                phases: dict[Phase, list[tuple[int | None, ThreatInjection]]] = {}
+                for entry in active:
+                    phases.setdefault(injection_phase(entry[1]), []).append(entry)
 
-            # layer transforms act inside the layer functions, before fusion
-            layer = phases.get(_LAYER)
-            if layer:
-                fused, feedback = layer_views([p for _, inj in layer for p in to_layer_perturbations(inj)])
-            else:
-                fused, feedback = clean_fused, clean_feedback
+                # layer transforms act inside the layer functions, before fusion
+                layer = phases.get(_LAYER)
+                if layer:
+                    fused, feedback = layer_views([p for _, inj in layer for p in to_layer_perturbations(inj)])
+                else:
+                    fused, feedback = clean_fused, clean_feedback
 
-            state = PipelineState(
-                memory=memory,
-                request=request,
-                pa_context=fused,
-                dsa_context=fused,
-                feedback=feedback,
-                tool_output=no_tool_output,
-                user=user,
-                tuning=tuning,
-                log=log,
-            )
-            if layer:
-                _run_phase(layer, state, g, effects, clean, stages)
-            entries = phases.get(_PRE_PA)
-            if entries:
-                _run_phase(entries, state, g, effects, clean, stages)
-            tuning, memory = state.tuning, state.memory  # T11 (tuning) and T1, T5 (memory) act pre-PA
-            if tuning is not tuning_digested:
-                tuning_digested, tuning_digest = tuning, digest_of(tuning)
+                state = PipelineState(
+                    memory=memory,
+                    request=request,
+                    pa_context=fused,
+                    dsa_context=fused,
+                    feedback=feedback,
+                    tool_output=no_tool_output,
+                    user=user,
+                    tuning=tuning,
+                    log=log,
+                )
+                if layer:
+                    _run_phase(layer, state, g, effects, clean, stages)
+                entries = phases.get(_PRE_PA)
+                if entries:
+                    _run_phase(entries, state, g, effects, clean, stages)
+                tuning, memory = state.tuning, state.memory  # T11 (tuning) and T1, T5 (memory) act pre-PA
+                if tuning is not tuning_digested:
+                    tuning_digested, tuning_digest = tuning, digest_of(tuning)
 
-            # the PA confirms urgency with the (possibly overloaded) user
-            confirmed = confirm_urgency(state.user, state.noise_queries, state.request.urgency_tag)
-            if confirmed != state.request.urgency_tag:
-                state.request = replace(state.request, urgency_tag=confirmed)
+                # the PA confirms urgency with the (possibly overloaded) user
+                confirmed = confirm_urgency(state.user, state.noise_queries, state.request.urgency_tag)
+                if confirmed != state.request.urgency_tag:
+                    state.request = replace(state.request, urgency_tag=confirmed)
 
-            # tool advice is adopted into memory as a speed-cap constraint
-            advice = state.tool_output.advised_speed_kph
-            if advice is not None:
-                memory = memory.adopt(
-                    MemoryEntry(
-                        key=SPEED_CAP_KEY,
-                        kind=MemoryKind.CONSTRAINT,
-                        value=float(advice),
-                        origin=Role.EXTERNAL,
-                        inserted_step=g,
-                        persistent=False,
+                # tool advice is adopted into memory as a speed-cap constraint
+                advice = state.tool_output.advised_speed_kph
+                if advice is not None:
+                    memory = memory.adopt(
+                        MemoryEntry(
+                            key=SPEED_CAP_KEY,
+                            kind=MemoryKind.CONSTRAINT,
+                            value=float(advice),
+                            origin=Role.EXTERNAL,
+                            inserted_step=g,
+                            persistent=False,
+                        )
+                    )
+
+                state.envelopes.append(
+                    _delivered(_USER_TO_PA, dict(
+                        urgency_tag=state.request.urgency_tag,
+                        destination=state.request.destination,
+                    ), g)
+                )
+
+                intent = run_pa_policy(state.pa_policy, state.request, memory, state.pa_context, tuning)
+                state.envelopes.append(_delivered(_PA_TO_DSA, intent, g))
+
+                entries = phases.get(_PRE_DSA)
+                if entries:
+                    _run_phase(entries, state, g, effects, clean, stages)
+
+                # the stack's own context message, carrying the (possibly poisoned) summary
+                state.envelopes.append(_delivered(_STACK_TO_DSA, state.dsa_context, g))
+
+                # admission: claimed identity decides; patches from admitted
+                # context messages merge into the DSA's working context
+                rejected = 0
+                for env in state.envelopes:
+                    if env.authority is _CONTEXT_ONLY and isinstance(env.payload, dict):
+                        if admitted(env, state.admission):
+                            state.dsa_context = apply_context_patch(state.dsa_context, env.payload)
+                        else:
+                            rejected += 1
+                    elif not admitted(env, state.admission):
+                        rejected += 1
+
+                proposal = run_dsa_policy(
+                    state.dsa_policy, state.dsa_weights, intent,
+                    state.dsa_context, state.feedback, rules, tuning,
+                )
+                submissions, verdicts, approved = validate_with_revision(
+                    proposal, state.feedback, rules, state.dsa_context.speed_limit_kph
+                )
+                for submitted, verdict in zip(submissions, verdicts):
+                    state.envelopes.append(_delivered(_DSA_TO_SC, submitted, g))
+                    state.envelopes.append(_delivered(_SC_TO_DSA, verdict, g))
+
+                log_start = len(log)
+                log.extend(state.envelopes)
+
+                entries = phases.get(_POST_STEP)
+                if entries:
+                    _run_phase(entries, state, g, effects, clean, stages)
+
+                step_envelopes = log.since(log_start)
+                records.append(
+                    StepRecord(
+                        episode=episode,
+                        step=step,
+                        global_step=g,
+                        request=state.request,
+                        pa_context=state.pa_context,
+                        dsa_context=state.dsa_context,
+                        feedback=state.feedback,
+                        tool_output=state.tool_output,
+                        intent=intent,
+                        submissions=submissions,
+                        verdicts=verdicts,
+                        approved=approved,
+                        envelopes=step_envelopes,
+                        rejected_envelopes=rejected,
+                        spoofed_envelopes=sum(1 for e in step_envelopes if e.spoofed),
+                        user_queries=state.noise_queries + 1,
+                        policies=(state.pa_policy, state.dsa_policy),
+                        memory_digest=memory.digest(),
+                        tuning_digest=tuning_digest,
+                        admission_digest=(
+                            default_admission_digest if state.admission is DEFAULT_ADMISSION
+                            else digest_of(_admission_plain(state.admission))
+                        ),
+                        log_digest=LazyDigest(step_envelopes, _log_digest),
+                        effects=tuple(effects),
                     )
                 )
-
-            state.envelopes.append(
-                _delivered(_USER_TO_PA, dict(
-                    urgency_tag=state.request.urgency_tag,
-                    destination=state.request.destination,
-                ), g)
-            )
-
-            intent = run_pa_policy(state.pa_policy, state.request, memory, state.pa_context, tuning)
-            state.envelopes.append(_delivered(_PA_TO_DSA, intent, g))
-
-            entries = phases.get(_PRE_DSA)
-            if entries:
-                _run_phase(entries, state, g, effects, clean, stages)
-
-            # the stack's own context message, carrying the (possibly poisoned) summary
-            state.envelopes.append(_delivered(_STACK_TO_DSA, state.dsa_context, g))
-
-            # admission: claimed identity decides; patches from admitted
-            # context messages merge into the DSA's working context
-            rejected = 0
-            for env in state.envelopes:
-                if env.authority is _CONTEXT_ONLY and isinstance(env.payload, dict):
-                    if admitted(env, state.admission):
-                        state.dsa_context = apply_context_patch(state.dsa_context, env.payload)
-                    else:
-                        rejected += 1
-                elif not admitted(env, state.admission):
-                    rejected += 1
-
-            proposal = run_dsa_policy(
-                state.dsa_policy, state.dsa_weights, intent,
-                state.dsa_context, state.feedback, rules, tuning,
-            )
-            submissions, verdicts, approved = validate_with_revision(
-                proposal, state.feedback, rules, state.dsa_context.speed_limit_kph
-            )
-            for submitted, verdict in zip(submissions, verdicts):
-                state.envelopes.append(_delivered(_DSA_TO_SC, submitted, g))
-                state.envelopes.append(_delivered(_SC_TO_DSA, verdict, g))
-
-            log_start = len(log)
-            log.extend(state.envelopes)
-
-            entries = phases.get(_POST_STEP)
-            if entries:
-                _run_phase(entries, state, g, effects, clean, stages)
-
-            step_envelopes = log.since(log_start)
-            records.append(
-                StepRecord(
-                    episode=episode,
-                    step=step,
-                    global_step=g,
-                    request=state.request,
-                    pa_context=state.pa_context,
-                    dsa_context=state.dsa_context,
-                    feedback=state.feedback,
-                    tool_output=state.tool_output,
-                    intent=intent,
-                    submissions=submissions,
-                    verdicts=verdicts,
-                    approved=approved,
-                    envelopes=step_envelopes,
-                    rejected_envelopes=rejected,
-                    spoofed_envelopes=sum(1 for e in step_envelopes if e.spoofed),
-                    user_queries=state.noise_queries + 1,
-                    policies=(state.pa_policy, state.dsa_policy),
-                    memory_digest=memory.digest(),
-                    tuning_digest=tuning_digest,
-                    admission_digest=(
-                        default_admission_digest if state.admission is DEFAULT_ADMISSION
-                        else digest_of(_admission_plain(state.admission))
-                    ),
-                    log_digest=LazyDigest(step_envelopes, _log_digest),
-                    effects=tuple(effects),
-                )
-            )
+    finally:
+        if collecting:
+            gc.enable()
 
     # the world is frozen all the way down, so one digest, taken when an
     # export first reads it, stands for the world before and after the run

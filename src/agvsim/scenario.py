@@ -7,7 +7,6 @@ for parse errors) so a broken scenario never reaches the episode loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -28,6 +27,7 @@ from .domain import (
     member,
     number,
     parse_hazard,
+    record,
     parse_request,
     sequence,
     shipped_files,
@@ -87,8 +87,10 @@ def _check_depth(data: object, where: str) -> None:
         stack.extend((child, depth + 1, f"{path}.{key}" if depth == 0 else path) for key, child in items)
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioConfig:
+    """A parsed scenario: the world, the requests of each episode, the seed and the injections with windows."""
+
     id: str
     mode: DrivingMode     # scenario metadata, not engine input
     agency: AgencyLevel   # scenario metadata, not engine input

@@ -12,12 +12,12 @@ printed total or band disagrees with it.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
-from .domain import AgencyBucket, DrivingMode, ThreatId
+from .domain import AgencyBucket, DrivingMode, ThreatId, record
 
 
 class OrdinalRating(str, Enum):
@@ -62,7 +62,7 @@ def band(score: int) -> SeverityBand:
     return SeverityBand.CRITICAL
 
 
-@dataclass(frozen=True)
+@record
 class SeverityRecord:
     """One (threat, context) cell: ratings plus the published total/band."""
 
@@ -172,7 +172,7 @@ def what_if(
     return record.recomputed_total, record.recomputed_band
 
 
-@dataclass(frozen=True)
+@record
 class EscalationViolation:
     """A (threat, agency) pair where autonomous scores below manual."""
 

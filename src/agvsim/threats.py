@@ -48,6 +48,7 @@ from .domain import (
     number,
     parse_hazard,
     parse_request,
+    record,
     sequence,
     string,
 )
@@ -79,7 +80,7 @@ class Surface(str, Enum):
     LAYER = "Layer"
 
 
-@dataclass(frozen=True)
+@record
 class ThreatInjection:
     """A tagged perturbation: threat id, target surface, payload.
 
@@ -144,7 +145,13 @@ class LazyDigest:
 
 
 class _DigestField:
-    """A record field that holds a digest or a `LazyDigest`, and reads as the digest."""
+    """A record field that holds a digest or a `LazyDigest`, and reads as the digest.
+
+    A record's `__init__` writes the held value into the instance dict under
+    the field's own name. `__set__` stays, never called there, because only
+    a data descriptor wins over a same-named instance-dict entry: without
+    it, reading the field would return the `LazyDigest` itself.
+    """
 
     def __set_name__(self, owner: type, name: str) -> None:
         self._name = name
@@ -159,7 +166,7 @@ class _DigestField:
         record.__dict__[self._name] = value
 
 
-@dataclass(frozen=True)
+@record
 class InjectionEffectRecord:
     """Oracle trail: one record per applied injection per step.
 
@@ -176,7 +183,7 @@ class InjectionEffectRecord:
     warning: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class ToolOutput:
     """What the PA's navigation/infrastructure tool returned this step."""
 
@@ -692,7 +699,7 @@ def _act_t15(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str
 # the registry: one spec per threat id
 
 
-@dataclass(frozen=True)
+@record
 class ThreatSpec:
     """Everything the harness knows about one threat id."""
 

@@ -8,10 +8,10 @@ relative to the paired baseline; the outcome class of a pair builds on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from enum import Enum
 
-from .domain import MessageEnvelope, UserRequest, ContextSummary, VehicleFeedback
+from .domain import MessageEnvelope, UserRequest, ContextSummary, VehicleFeedback, record
 from .pipeline import Decision, IntentDescriptor, SafetyVerdict, StrategyProposal
 from .serialize import canonical_json, digest_of
 from .threats import InjectionEffectRecord, ToolOutput, _DigestField
@@ -21,7 +21,7 @@ class TracePairingError(ValueError):
     """Raised when two traces are compared that are not a baseline/attacked pair."""
 
 
-@dataclass(frozen=True)
+@record
 class StepRecord:
     """Everything observable about one pipeline step."""
 
@@ -57,7 +57,7 @@ def _log_digest(envelopes: tuple[MessageEnvelope, ...]) -> str:
     return digest_of([env.provenance for env in envelopes])
 
 
-@dataclass(frozen=True)
+@record
 class EpisodeTrace:
     """Deterministic record of one scenario run (all episodes)."""
 
@@ -130,7 +130,7 @@ def classify_outcome(attacked: EpisodeTrace, baseline: EpisodeTrace) -> OutcomeC
     return OutcomeClass.NO_EFFECT
 
 
-@dataclass(frozen=True)
+@record
 class StepDelta:
     """The step-record fields on which paired steps differ."""
 

@@ -10,6 +10,7 @@ from agvsim.domain import (
     Authority,
     ContextSummary,
     Hazard,
+    MessageEnvelope,
     Role,
     ThreatId,
     UserRequest,
@@ -54,6 +55,10 @@ class TestEnvelopes:
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             make_envelope(Role.USER, Authority.INTENT_ONLY, None, -1)
+
+    def test_empty_provenance_rejected(self):
+        with pytest.raises(ValueError, match="provenance"):
+            MessageEnvelope(Role.USER, Role.USER, Authority.INTENT_ONLY, None, (), 0)
 
     def test_safety_check_cannot_send_intent(self):
         # authority mismatch is refused at pipeline admission

@@ -156,6 +156,15 @@ def proposal(target: float, headway: float = 1.5) -> StrategyProposal:
     )
 
 
+def test_a_proposal_out_of_bounds_is_rejected():
+    with pytest.raises(ValueError, match="target speed"):
+        proposal(0.0)
+    with pytest.raises(ValueError, match="headway"):
+        proposal(45.0, headway=0.4)
+    with pytest.raises(ValueError, match="justification"):
+        StrategyProposal(target_speed_kph=45.0, headway_s=1.5)
+
+
 class TestSafetyCheck:
     def test_all_bounds_satisfied_approves(self):
         verdict = sc_validate(proposal(45.0), fb(40.0), Rulebook(), 80.0)

@@ -21,6 +21,7 @@ import pytest
 
 import agvsim.chains
 import agvsim.cli
+import agvsim.domain
 import agvsim.pipeline
 import agvsim.report
 import agvsim.runner
@@ -31,6 +32,7 @@ import agvsim.threats
 import agvsim.trace
 import test_chains
 import test_cli
+import test_domain
 import test_golden
 import test_incremental
 import test_pipeline
@@ -246,3 +248,23 @@ def test_a_chain_loader_that_ignores_stage_labels_fails(monkeypatch, tmp_path):
         test_tooling.test_every_operation_of_the_runner_workloads_matches_its_golden_digest,
         tmp_path, "chain-sweep", 216,
     )
+
+
+def test_a_record_init_that_skips_its_checks_fails(monkeypatch):
+    # every record builds unchecked: a proposal under the least headway, an envelope without provenance
+    build = plant(monkeypatch, agvsim.domain, "_record_init", 'stores.append("    __self.__post_init__()")', "pass")
+    for cls in test_tooling.RECORDS:
+        monkeypatch.setattr(cls, "__init__", build(cls))
+    fails(test_pipeline.test_a_proposal_out_of_bounds_is_rejected)
+    fails(test_domain.TestEnvelopes().test_empty_provenance_rejected)
+
+
+def test_a_run_that_makes_a_reference_cycle_per_step_fails(monkeypatch):
+    # the collector is paused for the step loop: a cycle per step would be kept until the caller's next collection
+    plant(
+        monkeypatch, agvsim.runner, "run_episodes",
+        "effects: list[InjectionEffectRecord] = []",
+        "effects: list[InjectionEffectRecord] = []; cycle: list = []; cycle.append(cycle)",
+    )
+    fails(test_runner.TestCollectorPause().test_shipped_pairs_and_their_exports_make_no_cyclic_garbage)
+    fails(test_runner.TestCollectorPause().test_builtin_chains_make_no_cyclic_garbage)

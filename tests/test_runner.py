@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 from functools import cache
 
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import agvsim.scenario
-from agvsim.chains import ChainSpec, ChainStage, StageKind, Trigger, run_chain
+import agvsim.runner
+from agvsim.chains import ChainSpec, ChainStage, StageKind, Trigger, builtin_chains, run_chain
 from agvsim.domain import DEFAULT_ADMISSION, Authority, Role, ThreatId
-from agvsim.pipeline import AgentTuning, Decision
-from agvsim.report import compare, render_json
+from agvsim.pipeline import AgentTuning, Decision, MemoryEntry
+from agvsim.report import compare, render_csv, render_json
 from agvsim.scenario import ConfigError, load_shipped, parse_scenario, shipped_scenarios
 from agvsim.runner import run_episodes
 from agvsim.serialize import digest_of
@@ -273,6 +275,97 @@ def test_a_context_envelope_from_an_unadmitted_claimed_sender_is_rejected(claime
         assert forged == (a.global_step in (1, 2))
         assert (a.rejected_envelopes, b.rejected_envelopes) == (int(forged), 0)
         assert a.dsa_context == b.dsa_context
+
+
+def cyclic_garbage(work) -> int:
+    """The objects in reference cycles that `work()` leaves unreachable, run with the collector off.
+
+    `work` runs once before, so that lazy imports and process-wide caches
+    are in place and only what a run itself drops is counted.
+    """
+    work()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def export_every_shipped_pair() -> None:
+    for name in SHIPPED:
+        report = compare(*paired(name)[:2])
+        render_csv(report)
+        render_json(report)
+
+
+def run_every_builtin_chain() -> None:
+    scenario = load_shipped("chain-base")
+    for spec in builtin_chains():
+        run_chain(spec, scenario)
+
+
+class TestCollectorPause:
+    """`run_episodes` pauses the cyclic collector, which is safe only while a run makes no cyclic garbage."""
+
+    def test_shipped_pairs_and_their_exports_make_no_cyclic_garbage(self):
+        assert cyclic_garbage(export_every_shipped_pair) == 0
+
+    def test_builtin_chains_make_no_cyclic_garbage(self):
+        assert cyclic_garbage(run_every_builtin_chain) == 0
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def callers_setting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_the_step_loop_runs_paused_and_the_callers_setting_comes_back(self, callers_setting, monkeypatch):
+        seen = []
+        policy = agvsim.runner.run_pa_policy
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return policy(*args)
+
+        monkeypatch.setattr(agvsim.runner, "run_pa_policy", spy)
+        run_episodes(load_shipped("threat-t01"), with_injections=True)
+        assert gc.isenabled() is callers_setting
+        assert seen == [False] * 6
+
+    def test_a_raise_in_the_step_loop_restores_the_callers_setting(self, callers_setting, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(agvsim.runner, "run_pa_policy", fail)
+        with pytest.raises(RuntimeError, match="planted"):
+            run_episodes(load_shipped("threat-t01"), with_injections=True)
+        assert gc.isenabled() is callers_setting
+
+
+def test_every_memory_entry_holds_a_float(monkeypatch):
+    # the store digests `repr(value)`, so 45 and 45.0 would compare equal and digest apart
+    built = []
+    init = MemoryEntry.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(MemoryEntry, "__init__", spy)
+    export_every_shipped_pair()
+    for name in FIXTURES:
+        config = open_campaign(name)
+        run_episodes(config, with_injections=False)
+        run_episodes(config, with_injections=True)
+    run_every_builtin_chain()
+    # the runner's adopted tool advice and T1 (External), and T5 (PersonalAgent)
+    assert {e.origin for e in built} == {Role.EXTERNAL, Role.PERSONAL_AGENT}
+    assert {type(e.value) for e in built} == {float}
 
 
 class TestStealthCheck:

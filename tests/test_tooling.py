@@ -1,7 +1,10 @@
 """Guards for the tooling that reaches into the package from outside it."""
 
 import ast
+import dataclasses
+import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -290,3 +293,65 @@ def test_every_data_file_of_the_package_is_declared_package_data():
     }
     assert PACKAGE / "data" / "severity_tables.csv" in data
     assert sorted(p.relative_to(PACKAGE).as_posix() for p in data - declared) == []
+
+
+def _records() -> list[type]:
+    """Every frozen dataclass the package defines, each from the module that defines it."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"agvsim.{path.stem}")
+        found.extend(
+            value for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__
+            and dataclasses.is_dataclass(value) and value.__dataclass_params__.frozen
+        )
+    return found
+
+
+RECORDS = _records()
+
+
+def test_only_record_applies_a_frozen_dataclass():
+    # every frozen value class goes through `domain.record`, so each gets its
+    # `__init__` that fills the instance dict, and none keeps the slower one
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+
+        def visit(node, function):
+            if (
+                isinstance(node, ast.Call) and ast.unparse(node.func) in ("dataclass", "dataclasses.dataclass")
+                and any(k.arg == "frozen" for k in node.keywords)
+            ):
+                calls.append(f"{path.stem}.{function}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert calls == ["domain.record"]
+    assert len(RECORDS) == 32
+    assert all(vars(cls)["__init__"].__qualname__ == f"{cls.__qualname__}.__init__" for cls in RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_keeps_the_dataclass_interface(cls):
+    # its own docstring, not the one dataclasses writes for a class without
+    # one ("MemoryEntry()" under init=False)
+    assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}(")
+    # the parameters of `__init__` are the fields, in field order, with their defaults
+    empty = inspect.Parameter.empty
+    parameters = [
+        (p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()
+    ]
+    assert parameters == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, empty if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)
+    ]
+    # still frozen: the dataclass's own `__setattr__` and `__delattr__` refuse
+    instance = cls.__new__(cls)
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(instance, f.name)
