@@ -48,26 +48,44 @@ class _Parser(argparse.ArgumentParser):
 
 class _CommandParser(_Parser):
     # argparse hands a subcommand's unknown arguments up to the top-level
-    # parser; report them here, under this command's usage
+    # parser; report them here, under this command's usage, and so the
+    # conflict that `conflict`, when given, finds among the parsed arguments
+    def __init__(self, *args, conflict=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._conflict = conflict
+
     def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
         namespace, unknown = super().parse_known_args(args, namespace)
         if unknown:
             self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        message = self._conflict and self._conflict(namespace)
+        if message:
+            self.error(message)
         return namespace, unknown
+
+
+def _run_conflict(args: argparse.Namespace) -> str | None:
+    """A single run writes its JSON trace: an explicit `--format csv` beside one would be ignored."""
+    side = "--baseline-only" if args.baseline_only else "--attacked-only" if args.attacked_only else None
+    if side and args.format == "csv":
+        return f"argument --format: csv not allowed with argument {side}"
+    return None
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="agvsim", description="Agentic-vehicle security simulator")
     sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
 
-    run_p = sub.add_parser("run", help="run a scenario (paired baseline + attacked by default)")
+    run_p = sub.add_parser(
+        "run", help="run a scenario (paired baseline + attacked by default)", conflict=_run_conflict
+    )
     run_p.add_argument("scenario", help="scenario file path or shipped scenario id")
     side = run_p.add_mutually_exclusive_group()
     side.add_argument("--baseline-only", action="store_true", help="run without injections")
     side.add_argument("--attacked-only", action="store_true", help="run with injections only")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    run_p.add_argument("--format", choices=["csv", "json"], default="csv")
+    run_p.add_argument("--format", choices=["csv", "json"], default=None, help="paired report format (default: csv)")
 
     score_p = sub.add_parser("score", help="severity total and band for one threat/context")
     score_p.add_argument("threat", help="T1..T15")
@@ -138,11 +156,11 @@ def _cmd_run(args: argparse.Namespace) -> str:
         baseline = runner.run_episodes(config, with_injections=False, seed=seed)
         attacked = runner.run_episodes(config, with_injections=True, seed=seed)
         paired = report.compare(baseline, attacked)
-        text = report.render_csv(paired) if args.format == "csv" else report.render_json(paired)
+        text = report.render_json(paired) if args.format == "json" else report.render_csv(paired)
     if not args.out:
         return text
     _write(text, args.out)
-    if paired is not None and args.format == "csv":
+    if paired is not None and args.format != "json":
         # the hierarchical trace export rides along for CSV outputs
         _write(report.render_json(paired), args.out + ".trace.json")
     return ""

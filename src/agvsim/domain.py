@@ -53,29 +53,49 @@ def shipped_files(folder: str) -> dict[str, Path]:
 
 
 def record(cls: type[T]) -> type[T]:
-    """`cls` as a frozen dataclass whose `__init__` fills the instance dict directly.
+    """`cls` as a frozen dataclass with slots, whose `__init__` stores each field through its slot.
 
-    A frozen dataclass's own `__init__` stores each field through
-    `object.__setattr__`, several times the cost of a plain store, and every
-    step of a run builds a dozen records. This `__init__` takes the same
-    parameters and defaults, writes the fields into `self.__dict__` one by
-    one in field order, so that all instances of the class share their dict
-    keys, and then calls `__post_init__` when the class has one. Equality,
-    hashing, `replace`, `fields` and `FrozenInstanceError` stay as
-    `dataclass` makes them.
+    A record keeps its fields in slots, with no instance dict and no weakref
+    slot, so a field reads at full speed and an instance holds no dict for
+    the cyclic collector to track. A frozen dataclass's own `__init__`
+    stores each field through `object.__setattr__`, several times the cost
+    of a plain store, and every step of a run builds a dozen records. This
+    `__init__` takes the same parameters and defaults, stores the fields in
+    field order through their slots' member descriptors, and then calls
+    `__post_init__` when the class has one. A data descriptor that the class
+    body puts on a field, such as `threats._DigestField`, stays in front of
+    the field's slot and is given the slot's member descriptor as `slot`.
+    Equality, hashing, `replace`, `fields`, `FrozenInstanceError`, copying
+    and pickling stay as `dataclass` makes them. `dataclass` builds the
+    class anew to add the slots, so a record's methods use neither
+    zero-argument `super()` nor `__class__`, which would still name the
+    first class.
     """
-    cls = dataclass(frozen=True, init=False)(cls)
+    body = dict(vars(cls))
+    cls = dataclass(frozen=True, init=False, slots=True)(cls)
     cls.__init__ = _record_init(cls)  # type: ignore[misc]
+    for name in ("__setattr__", "__delattr__"):
+        # `dataclass` wrote them for the first class: for a name that is not
+        # a field they would raise TypeError from `super()`, not FrozenInstanceError
+        method = vars(cls)[name]
+        method.__closure__[method.__code__.co_freevars.index("cls")].cell_contents = cls
+    for f in fields(cls):
+        view = body.get(f.name)
+        if hasattr(type(view), "__set__"):
+            view.slot = vars(cls)[f.name]
+            setattr(cls, f.name, view)
     return cls
 
 
 def _record_init(cls: type) -> Callable[..., None]:
     """The `__init__` of the record class `cls`, compiled from its fields with one `exec`.
 
-    A field takes a plain default or none. The locals `__self` and `__d`
-    cannot clash with a field name, which the class body would have mangled.
+    A field takes a plain default or none, and is stored by `_set_<name>`,
+    its slot's `__set__`, even where a data descriptor will stand in front of
+    the slot. The local `__self` cannot clash with a field name, which the
+    class body would have mangled.
     """
-    params, stores, namespace = ["__self"], ["    __d = __self.__dict__"], {}
+    params, stores, namespace = ["__self"], [], {}
     for f in fields(cls):
         if not f.init or f.kw_only or f.default_factory is not MISSING:
             raise TypeError(f"{cls.__name__}.{f.name}: a record field takes a plain default or none")
@@ -84,7 +104,8 @@ def _record_init(cls: type) -> Callable[..., None]:
         else:
             namespace[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
-        stores.append(f"    __d[{f.name!r}] = {f.name}")
+        namespace[f"_set_{f.name}"] = vars(cls)[f.name].__set__
+        stores.append(f"    _set_{f.name}(__self, {f.name})")
     if hasattr(cls, "__post_init__"):
         stores.append("    __self.__post_init__()")
     exec(f"def __init__({', '.join(params)}):\n" + "\n".join(stores), namespace)

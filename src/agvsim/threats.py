@@ -16,9 +16,8 @@ first read, so runs that export no JSON never take it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import cached_property
 from operator import methodcaller
 from typing import Any, Callable, Mapping
 
@@ -80,15 +79,24 @@ class Surface(str, Enum):
     LAYER = "Layer"
 
 
+class _ParsedPayload:
+    """The slot in which a `ThreatInjection` holds `args`, outside its fields."""
+
+    __slots__ = ("args",)
+
+
 @record
-class ThreatInjection:
+class ThreatInjection(_ParsedPayload):
     """A tagged perturbation: threat id, target surface, payload.
 
     It is checked when it is built: an illegal (threat, surface) pair or
     layer tag raises ValueError, and a malformed payload, or a `persistent`
     flag that the threat's injector never reads, raises ConfigError naming
     its field. When it acts is up to what schedules it: a scenario window or
-    a chain trigger.
+    a chain trigger. `args` is the payload as the typed values the injector
+    reads, parsed once, here; it lies in a slot that is not a field, so
+    equality, hashing and every export leave it out, and a copy or a pickle
+    is built again through `__init__`, which parses it anew.
     """
 
     threat: ThreatId
@@ -115,13 +123,11 @@ class ThreatInjection:
             readers = ", ".join(t.value for t, s in THREATS.items() if s.persistent)
             threat = self.threat.value
             raise ConfigError(f"{threat} persistent", f"{threat} does not read it; only {readers} do")
-        self.args  # parse the payload now, so a malformed one fails here
+        where = f"{self.threat.value} payload"  # a malformed payload fails here (ValueError)
+        object.__setattr__(self, "args", spec.parse(mapping(self.payload, where, optional=spec.keys), where, self))
 
-    @cached_property
-    def args(self) -> Any:
-        """The payload as the typed values the injector reads, parsed once (ValueError if malformed)."""
-        spec, where = THREATS[self.threat], f"{self.threat.value} payload"
-        return spec.parse(mapping(self.payload, where, optional=spec.keys), where, self)
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 class LazyDigest:
@@ -147,11 +153,13 @@ class LazyDigest:
 class _DigestField:
     """A record field that holds a digest or a `LazyDigest`, and reads as the digest.
 
-    A record's `__init__` writes the held value into the instance dict under
-    the field's own name. `__set__` stays, never called there, because only
-    a data descriptor wins over a same-named instance-dict entry: without
-    it, reading the field would return the `LazyDigest` itself.
+    `record` keeps it in front of the field's slot and gives it the slot's
+    member descriptor as `slot`. A record's `__init__` stores the held value
+    through that slot itself; `__set__` stores through it too, for the
+    copies and unpickled records that `dataclass` fills field by field.
     """
+
+    slot: Any  # the member descriptor of the field's slot
 
     def __set_name__(self, owner: type, name: str) -> None:
         self._name = name
@@ -159,11 +167,11 @@ class _DigestField:
     def __get__(self, record: object, owner: type | None = None) -> str:
         if record is None:
             raise AttributeError(self._name)  # no class default: the field stays required
-        held = record.__dict__[self._name]
+        held = self.slot.__get__(record)
         return held if type(held) is str else held.digest()
 
     def __set__(self, record: object, value: str | LazyDigest) -> None:
-        record.__dict__[self._name] = value
+        self.slot.__set__(record, value)
 
 
 @record

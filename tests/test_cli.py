@@ -784,6 +784,10 @@ class TestUsageErrors:
         (["list"], "agvsim list", "the following arguments are required: what"),
         (["frobnicate"], "agvsim", "argument command: invalid choice: 'frobnicate'"),
         (["--bogus", "run", "x"], "agvsim", "unrecognized arguments: --bogus"),
+        (
+            ["run", "chain-base", "--attacked-only", "--format", "csv"], "agvsim run",
+            "argument --format: csv not allowed with argument --attacked-only",
+        ),
     ])
     def test_usage_error_is_one_line_with_the_failing_command_usage(self, capsys, argv, prog, message):
         code, out, err = run_cli(capsys, *argv)
@@ -793,6 +797,17 @@ class TestUsageErrors:
         assert err.startswith(f"{prog}: error: {message}")
         assert err.rstrip().endswith(")") and f"(usage: {prog} [-h] " in err
         assert "  " not in err
+
+    @pytest.mark.parametrize("side", ["--baseline-only", "--attacked-only"])
+    def test_a_single_run_refuses_an_explicit_csv_format(self, capsys, side):
+        # a single run writes its JSON trace: an explicit `--format csv` would be ignored
+        code, out, err = run_cli(capsys, "run", "case1-highway-routine", side, "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"agvsim run: error: argument --format: csv not allowed with argument {side} (")
+        # without the flag, or with `--format json`, the run writes the same trace
+        traces = [run_cli(capsys, "run", "case1-highway-routine", side, *flag) for flag in ([], ["--format", "json"])]
+        assert traces[0][0] == 0 and traces[0] == traces[1]
+        assert f'"injected": {str(side == "--attacked-only").lower()}' in traces[0][1]
 
 
 CHAIN_BASE_DOC = yaml.safe_load(shipped_scenarios()["chain-base"].read_text())
@@ -859,6 +874,7 @@ COMMANDS = [["run", "chain-base"], ["score", "T1", "manual", "low"], ["validate-
 BAD_ARGV = [
     [], ["--bogus"], ["-x"], ["run"], ["run", "chain-base", "--seed", "abc"], ["run", "chain-base", "--seed"],
     ["run", "chain-base", "--format", "xml"], ["run", "chain-base", "--baseline-only", "--attacked-only"],
+    ["run", "chain-base", "--baseline-only", "--format", "csv"],
     ["score", "T1", "manual"], ["score", "T1", "sideways", "low"], ["score", "T1", "manual", "9"],
     ["score", "T1", "manual", "low", "--set", "SI"], ["score", "T1", "manual", "low", "--set", "XX=L"],
     ["score", "T99", "manual", "low"], ["list", "nothing"], ["chain", "no-such-chain"], ["chain", "chain"],

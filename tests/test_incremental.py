@@ -444,6 +444,11 @@ def at_apply(monkeypatch):
     monkeypatch.setattr(agvsim.runner, "LazyDigest", AtApply)
 
 
+def held_value(record, name: str):
+    """What the digest field `name` of `record` holds: the digest, or the `LazyDigest` it reads through."""
+    return vars(type(record))[name].slot.__get__(record)
+
+
 def lazy_mismatches(traces) -> tuple[int, list[tuple]]:
     """How many digests the effect records hold lazily, and each that, read after the
     run, differs from the digest its value had at apply time."""
@@ -452,7 +457,7 @@ def lazy_mismatches(traces) -> tuple[int, list[tuple]]:
         for record in trace.steps:
             for effect in record.effects:
                 for name in ("before_digest", "after_digest"):
-                    lazy = vars(effect)[name]
+                    lazy = held_value(effect, name)
                     if isinstance(lazy, LazyDigest):
                         held += 1
                         if getattr(effect, name) != lazy.at_apply:
@@ -509,7 +514,7 @@ def test_only_t8_records_hold_digests_taken_when_applied(group):
         for record in attacked.steps:
             for effect in record.effects:
                 for name in ("before_digest", "after_digest"):
-                    held["eager" if type(vars(effect)[name]) is str else "lazy"].add(effect.threat)
+                    held["eager" if type(held_value(effect, name)) is str else "lazy"].add(effect.threat)
     assert held["eager"] == {ThreatId.T8}
     assert ThreatId.T8 not in held["lazy"] and len(held["lazy"]) > 1
 
@@ -532,7 +537,8 @@ def lazy_digests(trace) -> list[LazyDigest]:
     """The distinct digests the trace's effect records hold lazily."""
     held = {
         id(value): value
-        for record in trace.steps for effect in record.effects for value in vars(effect).values()
+        for record in trace.steps for effect in record.effects
+        for value in (held_value(effect, "before_digest"), held_value(effect, "after_digest"))
         if isinstance(value, LazyDigest)
     }
     return list(held.values())
@@ -564,7 +570,7 @@ def test_store_digests_are_taken_at_apply_time(effect_digests, name, threat):
     # itself, taken when the injector ran
     attacked = run_episodes(open_campaign(name), with_injections=True)
     held = [
-        vars(effect)[field]
+        held_value(effect, field)
         for record in attacked.steps for effect in record.effects if effect.threat is threat
         for field in ("before_digest", "after_digest")
     ]
@@ -579,7 +585,7 @@ def test_t1_records_hold_the_memory_store_and_a_csv_only_campaign_takes_no_effec
     attacked, baseline = paired(open_campaign("threat-t01"))
     render_csv(compare(baseline, attacked))
     held = [
-        vars(effect)[field]
+        held_value(effect, field)
         for record in attacked.steps for effect in record.effects if effect.threat is ThreatId.T1
         for field in ("before_digest", "after_digest")
     ]
@@ -588,7 +594,7 @@ def test_t1_records_hold_the_memory_store_and_a_csv_only_campaign_takes_no_effec
     assert effect_digests == []
     # a poisoning step's record holds the store before and the one after the adoption
     first = attacked.steps[0].effects[0]
-    assert vars(first)["before_digest"].value.entries == ()
+    assert held_value(first, "before_digest").value.entries == ()
     assert first.after_digest == attacked.steps[0].memory_digest != first.before_digest
 
 
@@ -598,7 +604,7 @@ def test_lazy_log_digest_equals_the_eager_digest_of_the_provenance(group):
     for pair in pairs(group):
         for trace in pair:
             for record in trace.steps:
-                held = vars(record)["log_digest"]
+                held = held_value(record, "log_digest")
                 assert isinstance(held, LazyDigest) and held.value is record.envelopes
                 # the runner's former eager projection, hop by hop
                 eager = digest_of([[[role.value, hop] for role, hop in env.provenance] for env in record.envelopes])

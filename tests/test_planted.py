@@ -259,6 +259,28 @@ def test_a_record_init_that_skips_its_checks_fails(monkeypatch):
     fails(test_domain.TestEnvelopes().test_empty_provenance_rejected)
 
 
+def test_a_record_built_without_slots_fails(monkeypatch):
+    # the class gets a base that declares no slots: its instances carry a
+    # dict and take weakrefs, though every field still has its slot
+    build = plant(
+        monkeypatch, agvsim.domain, "record",
+        "dataclass(frozen=True, init=False, slots=True)(cls)",
+        "dataclass(frozen=True, init=False, slots=True)(type(cls.__name__, (type('Unslotted', (), {}),), {"
+        "k: v for k, v in body.items() if k not in ('__dict__', '__weakref__')}))",
+    )
+
+    @build
+    class Probe:
+        """A record with a digest field."""
+
+        name: str
+        digest: str = agvsim.threats._DigestField()  # type: ignore[assignment]
+
+    probe = Probe("probe", agvsim.threats.LazyDigest("probe"))
+    assert probe.digest == agvsim.serialize.digest_of("probe")
+    fails(test_tooling.test_a_record_keeps_the_dataclass_interface, Probe, {Probe: probe})
+
+
 def test_a_run_that_makes_a_reference_cycle_per_step_fails(monkeypatch):
     # the collector is paused for the step loop: a cycle per step would be kept until the caller's next collection
     plant(

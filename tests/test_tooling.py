@@ -1,6 +1,7 @@
 """Guards for the tooling that reaches into the package from outside it."""
 
 import ast
+import copy
 import dataclasses
 import importlib
 import importlib.util
@@ -313,7 +314,7 @@ RECORDS = _records()
 
 def test_only_record_applies_a_frozen_dataclass():
     # every frozen value class goes through `domain.record`, so each gets its
-    # `__init__` that fills the instance dict, and none keeps the slower one
+    # slots and its `__init__` that stores through them, and none keeps the slower one
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
 
@@ -334,8 +335,59 @@ def test_only_record_applies_a_frozen_dataclass():
     assert all(vars(cls)["__init__"].__qualname__ == f"{cls.__qualname__}.__init__" for cls in RECORDS)
 
 
+def test_no_record_method_names_its_first_class():
+    # `dataclass` builds a record's class anew for its slots: a method's
+    # `__class__` cell, which zero-argument `super()` reads, names the first one
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(ast.unparse(d) == "record" for d in node.decorator_list):
+                found.extend(
+                    f"{path.stem}.{node.name}:{inner.lineno}" for inner in ast.walk(node)
+                    if isinstance(inner, ast.Name) and inner.id == "__class__"
+                    or isinstance(inner, ast.Call) and ast.unparse(inner.func) == "super" and not inner.args
+                )
+    assert found == []
+
+
+@pytest.fixture(scope="module")
+def samples() -> dict[type, object]:
+    """One instance of each record: what two campaign pairs, a chain run, the severity tables and the
+    threat registry hold, and the three records no run keeps."""
+    from agvsim import chains, report, runner, severity, threats, trace
+    from agvsim.domain import Role
+    from agvsim.pipeline import AgentTuning, MemoryEntry, MemoryKind, Rulebook
+    from agvsim.scenario import load_shipped
+
+    chain = chains.builtin_chain("chain-1")
+    todo: list = [
+        threats.THREATS, severity.load_tables(), severity.escalation_violations(),
+        chain, chains.run_chain(chain, load_shipped("chain-base")),
+        Rulebook(), AgentTuning(), MemoryEntry("speed_cap_kph", MemoryKind.CONSTRAINT, 45.0, Role.EXTERNAL, 0),
+    ]
+    for name in ("threat-t11", "threat-xperception"):
+        config = load_shipped(name)
+        baseline, attacked = (runner.run_episodes(config, with_injections=side) for side in (False, True))
+        todo += [config, [inj.args for inj, _ in config.injections]]
+        todo += [report.compare(baseline, attacked), trace.step_deltas(attacked, baseline)]
+    found: dict[type, object] = {}
+    seen = set()
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            found.setdefault(type(value), value)
+            todo.extend(getattr(value, f.name) for f in dataclasses.fields(value))
+        elif isinstance(value, (tuple, list, dict)):
+            todo.extend(value.values() if isinstance(value, dict) else value)
+    assert sorted(c.__qualname__ for c in found) == sorted(c.__qualname__ for c in RECORDS)
+    return found
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_a_record_keeps_the_dataclass_interface(cls):
+def test_a_record_keeps_the_dataclass_interface(cls, samples):
     # its own docstring, not the one dataclasses writes for a class without
     # one ("MemoryEntry()" under init=False)
     assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}(")
@@ -350,8 +402,23 @@ def test_a_record_keeps_the_dataclass_interface(cls):
     ]
     # still frozen: the dataclass's own `__setattr__` and `__delattr__` refuse
     instance = cls.__new__(cls)
-    for f in dataclasses.fields(cls):
+    for name in [f.name for f in dataclasses.fields(cls)] + ["not_a_field"]:
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(instance, f.name, None)
+            setattr(instance, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(instance, f.name)
+            delattr(instance, name)
+    # its fields live in slots, and nothing else does but ThreatInjection's
+    # parsed payload: no instance dict, no weakref slot
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    assert vars(cls).get("__slots__") == names
+    assert [s for base in cls.__mro__[1:] for s in vars(base).get("__slots__", ())] == (
+        ["args"] if cls.__name__ == "ThreatInjection" else []
+    )
+    sample = samples[cls]
+    assert not hasattr(sample, "__dict__") and not hasattr(sample, "__weakref__")
+    # a deep copy is an equal record whose fields, digest fields included, read the same
+    copied = copy.deepcopy(sample)
+    assert copied is not sample and copied == sample
+    assert [getattr(copied, name) for name in names] == [getattr(sample, name) for name in names]
+    if cls.__name__ == "ThreatInjection":
+        assert copied.args == sample.args
