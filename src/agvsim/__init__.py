@@ -21,9 +21,9 @@ _EXPORTS = {
     ),
     "chains": ("ChainSpec", "ChainStage", "PropagationTrace", "builtin_chains", "run_chain"),
     "domain": (
-        "AgencyBucket", "AgencyLevel", "Authority", "ConfigError", "ContextSummary", "DrivingMode",
-        "Hazard", "MessageEnvelope", "RoadClass", "Role", "ThreatId", "UserRequest",
-        "VehicleFeedback", "agency_bucket", "make_envelope",
+        "AgencyBucket", "Authority", "ConfigError", "ContextSummary", "DrivingMode", "Hazard",
+        "MessageEnvelope", "RoadClass", "Role", "ThreatId", "UserRequest", "VehicleFeedback",
+        "agency_bucket", "make_envelope",
     ),
     "pipeline": (
         "AgentTuning", "Decision", "IntentDescriptor", "MemoryEntry", "MemoryKind", "MemoryStore",

@@ -1,6 +1,6 @@
 """Shared vocabulary for the agentic-vehicle simulator.
 
-Roles, agency levels, driving modes, threat identifiers, message envelopes
+Roles, agency buckets, driving modes, threat identifiers, message envelopes
 with identity/provenance, and the world/context value types exchanged across
 trust boundaries. Everything here is an immutable value; instances are safe
 to share across concurrent episode runners. `ConfigError` and the schema
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -62,23 +62,25 @@ def record(cls: type[T]) -> type[T]:
     of a plain store, and every step of a run builds a dozen records. This
     `__init__` takes the same parameters and defaults, stores the fields in
     field order through their slots' member descriptors, and then calls
-    `__post_init__` when the class has one. A data descriptor that the class
+    `__post_init__` when the class has one. A *derived* field, declared
+    `field(default=<plain>, init=False, compare=False, repr=False)`, is no
+    parameter: `__init__` stores its default, and the class sets it once
+    with `object.__setattr__`; equality, hashing and every export leave it
+    out, and copies and pickles carry it. A data descriptor that the class
     body puts on a field, such as `threats._DigestField`, stays in front of
     the field's slot and is given the slot's member descriptor as `slot`.
-    Equality, hashing, `replace`, `fields`, `FrozenInstanceError`, copying
-    and pickling stay as `dataclass` makes them. `dataclass` builds the
-    class anew to add the slots, so a record's methods use neither
-    zero-argument `super()` nor `__class__`, which would still name the
-    first class.
+    Setting or deleting any attribute raises `FrozenInstanceError`; hashing,
+    `replace`, `fields`, copying and pickling stay as `dataclass` makes
+    them. `dataclass` builds the class anew to add the slots, so a record's
+    methods use neither zero-argument `super()` nor `__class__`, which would
+    still name the first class.
     """
     body = dict(vars(cls))
     cls = dataclass(frozen=True, init=False, slots=True)(cls)
     cls.__init__ = _record_init(cls)  # type: ignore[misc]
-    for name in ("__setattr__", "__delattr__"):
-        # `dataclass` wrote them for the first class: for a name that is not
-        # a field they would raise TypeError from `super()`, not FrozenInstanceError
-        method = vars(cls)[name]
-        method.__closure__[method.__code__.co_freevars.index("cls")].cell_contents = cls
+    # a record has no attribute but its fields, so both always refuse
+    cls.__setattr__ = _frozen_setattr  # type: ignore[method-assign, assignment]
+    cls.__delattr__ = _frozen_delattr  # type: ignore[method-assign, assignment]
     for f in fields(cls):
         view = body.get(f.name)
         if hasattr(type(view), "__set__"):
@@ -87,25 +89,33 @@ def record(cls: type[T]) -> type[T]:
     return cls
 
 
+def _frozen_setattr(self: object, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: object, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _record_init(cls: type) -> Callable[..., None]:
     """The `__init__` of the record class `cls`, compiled from its fields with one `exec`.
 
     A field takes a plain default or none, and is stored by `_set_<name>`,
     its slot's `__set__`, even where a data descriptor will stand in front of
-    the slot. The local `__self` cannot clash with a field name, which the
-    class body would have mangled.
+    the slot; a derived field is stored its default. The local `__self`
+    cannot clash with a field name, which the class body would have mangled.
     """
     params, stores, namespace = ["__self"], [], {}
     for f in fields(cls):
-        if not f.init or f.kw_only or f.default_factory is not MISSING:
-            raise TypeError(f"{cls.__name__}.{f.name}: a record field takes a plain default or none")
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
+        derived = not f.init
+        if f.kw_only or f.default_factory is not MISSING or derived and (f.default is MISSING or f.compare or f.repr):
+            raise TypeError(f"{cls.__name__}.{f.name}: a record field takes a plain default or none; see `record`")
+        if f.default is not MISSING:
             namespace[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
+        if not derived:
+            params.append(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}")
         namespace[f"_set_{f.name}"] = vars(cls)[f.name].__set__
-        stores.append(f"    _set_{f.name}(__self, {f.name})")
+        stores.append(f"    _set_{f.name}(__self, {f'_default_{f.name}' if derived else f.name})")
     if hasattr(cls, "__post_init__"):
         stores.append("    __self.__post_init__()")
     exec(f"def __init__({', '.join(params)}):\n" + "\n".join(stores), namespace)
@@ -195,25 +205,13 @@ class AgencyBucket(str, Enum):
     HIGH = "High"
 
 
-@record
-class AgencyLevel:
-    """Capability level on the 0-5 scale (reactive tools up to general agents)."""
+def agency_bucket(value: int) -> AgencyBucket:
+    """Map an agency level, 0-5 (reactive tools up to general agents), onto the Low/Medium/High table contexts.
 
-    level: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.level, int) or isinstance(self.level, bool):
-            raise ValueError(f"agency level must be an integer, got {self.level!r}")
-        if not 0 <= self.level <= 5:
-            raise ValueError(f"agency level must be in [0, 5], got {self.level}")
-
-
-def agency_bucket(level: AgencyLevel | int) -> AgencyBucket:
-    """Map a 0-5 agency level onto the Low/Medium/High table contexts.
-
-    0-1 -> Low, 2-3 -> Medium, 4-5 -> High. Total and monotone.
+    0-1 -> Low, 2-3 -> Medium, 4-5 -> High: monotone. Any other value, a bool too, raises ValueError.
     """
-    value = level.level if isinstance(level, AgencyLevel) else AgencyLevel(level).level
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 5:
+        raise ValueError(f"agency level must be an integer in [0, 5], got {value!r}")
     if value <= 1:
         return AgencyBucket.LOW
     if value <= 3:

@@ -11,7 +11,7 @@ physically safe proposals sail through it.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import field, replace
 from enum import Enum
 
 from .domain import ContextSummary, PipelineError, Role, UserRequest, VehicleFeedback, record
@@ -49,12 +49,12 @@ class MemoryEntry:
     persistent: bool = False  # carried across episodes only when set
 
 
+@record
 class MemoryStore:
-    """Long-term memory as a value: nothing edits a store, `adopt` returns another."""
+    """Long-term memory as a value: nothing edits a store, `adopt` returns another; equal entries, equal stores."""
 
-    def __init__(self, entries: tuple[MemoryEntry, ...] = ()) -> None:
-        self.entries = tuple(entries)
-        self._digest: str | None = None  # of `entries`, taken when first asked for
+    entries: tuple[MemoryEntry, ...] = ()
+    _digest: str = field(default="", init=False, compare=False, repr=False)  # of `entries`, when first asked for
 
     def adopt(self, entry: MemoryEntry) -> MemoryStore:
         """This store when an entry with the same key, value and origin is held, else one with `entry` added."""
@@ -77,10 +77,10 @@ class MemoryStore:
         return MemoryStore(tuple(e for e in self.entries if e.persistent))
 
     def digest(self) -> str:
-        if self._digest is None:
-            self._digest = digest_of(
+        if not self._digest:
+            object.__setattr__(self, "_digest", digest_of(
                 [[e.key, e.kind, repr(e.value), e.origin, e.inserted_step, e.persistent] for e in self.entries]
-            )
+            ))
         return self._digest
 
 

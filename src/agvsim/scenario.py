@@ -13,7 +13,6 @@ import yaml
 
 from .cavstack import Layer, WorldTruth
 from .domain import (
-    AgencyLevel,
     ConfigError,
     DrivingMode,
     MAX_RUN_STEPS,
@@ -93,7 +92,7 @@ class ScenarioConfig:
 
     id: str
     mode: DrivingMode     # scenario metadata, not engine input
-    agency: AgencyLevel   # scenario metadata, not engine input
+    agency: int           # 0-5; scenario metadata, not engine input
     world: WorldTruth
     requests: tuple[UserRequest, ...]
     seed: int
@@ -178,7 +177,7 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
     config = ScenarioConfig(
         id=string(doc["id"], f"{source}.id"),
         mode=member(DrivingMode, doc["mode"], f"{source}.mode"),
-        agency=AgencyLevel(agency),
+        agency=agency,
         world=_parse_world(doc["world"], f"{source}.world"),
         requests=sequence(doc["requests"], f"{source}.requests", parse_request),
         seed=integer(doc["seed"], f"{source}.seed"),

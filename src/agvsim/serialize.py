@@ -58,7 +58,8 @@ def _indent(nl: str | None) -> tuple[str | None, str, str, str]:
 
 
 def _layout(cls: type, nl: str | None) -> None:
-    names = sorted(f.name for f in dataclasses.fields(cls))
+    # the fields that equality compares: a derived field is not written
+    names = sorted(f.name for f in dataclasses.fields(cls) if f.compare)
     # `attrgetter` gives a tuple only for two names or more
     get = attrgetter(*names) if len(names) > 1 else lambda obj: tuple(getattr(obj, n) for n in names)
     inner, first, sep, last = _indent(nl)
@@ -81,7 +82,7 @@ def canonical_json(obj: object) -> str:
 def _text(obj: object, nl: str | None, memo: dict | None, out: list[str]) -> None:
     """Append the JSON text of `obj` to `out`; the one place the type rules live.
 
-    Enum -> its value, dataclass -> its fields by name, dict keys through
+    Enum -> its value, dataclass -> its compared fields by name, dict keys through
     `str()`, sets sorted by `repr`, anything else its `repr` as a string.
     Indented, the closing bracket follows `nl` (a newline plus the indent),
     and `memo` maps the id of each frozen dataclass written so far to

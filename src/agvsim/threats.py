@@ -16,9 +16,8 @@ first read, so runs that export no JSON never take it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from operator import methodcaller
 from typing import Any, Callable, Mapping
 
 from .cavstack import (
@@ -79,14 +78,8 @@ class Surface(str, Enum):
     LAYER = "Layer"
 
 
-class _ParsedPayload:
-    """The slot in which a `ThreatInjection` holds `args`, outside its fields."""
-
-    __slots__ = ("args",)
-
-
 @record
-class ThreatInjection(_ParsedPayload):
+class ThreatInjection:
     """A tagged perturbation: threat id, target surface, payload.
 
     It is checked when it is built: an illegal (threat, surface) pair or
@@ -94,9 +87,8 @@ class ThreatInjection(_ParsedPayload):
     flag that the threat's injector never reads, raises ConfigError naming
     its field. When it acts is up to what schedules it: a scenario window or
     a chain trigger. `args` is the payload as the typed values the injector
-    reads, parsed once, here; it lies in a slot that is not a field, so
-    equality, hashing and every export leave it out, and a copy or a pickle
-    is built again through `__init__`, which parses it anew.
+    reads, parsed once, here, into a derived field: equality, hashing and
+    every export leave it out, and copies and pickles carry it.
     """
 
     threat: ThreatId
@@ -104,6 +96,7 @@ class ThreatInjection(_ParsedPayload):
     payload: dict
     persistent: bool = False
     layer: Layer | None = None  # only meaningful on the Layer surface
+    args: Any = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         spec = THREATS[self.threat]
@@ -125,9 +118,6 @@ class ThreatInjection(_ParsedPayload):
             raise ConfigError(f"{threat} persistent", f"{threat} does not read it; only {readers} do")
         where = f"{self.threat.value} payload"  # a malformed payload fails here (ValueError)
         object.__setattr__(self, "args", spec.parse(mapping(self.payload, where, optional=spec.keys), where, self))
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 class LazyDigest:
@@ -151,7 +141,7 @@ class LazyDigest:
 
 
 class _DigestField:
-    """A record field that holds a digest or a `LazyDigest`, and reads as the digest.
+    """A record field that holds a digest, a `LazyDigest` or a `MemoryStore`, and reads as the digest.
 
     `record` keeps it in front of the field's slot and gives it the slot's
     member descriptor as `slot`. A record's `__init__` stores the held value
@@ -170,7 +160,7 @@ class _DigestField:
         held = self.slot.__get__(record)
         return held if type(held) is str else held.digest()
 
-    def __set__(self, record: object, value: str | LazyDigest) -> None:
+    def __set__(self, record: object, value: str | LazyDigest | MemoryStore) -> None:
         self.slot.__set__(record, value)
 
 
@@ -178,8 +168,8 @@ class _DigestField:
 class InjectionEffectRecord:
     """Oracle trail: one record per applied injection per step.
 
-    Each digest may be given as a `LazyDigest`; it reads as its 16-hex
-    string all the same.
+    Each digest may be given as a `LazyDigest` or a `MemoryStore`; it reads
+    as its 16-hex string all the same.
     """
 
     threat: ThreatId
@@ -718,7 +708,7 @@ class ThreatSpec:
     # taken now for the one store that changes in place (T8's log), else the
     # surface itself; view and act are None for the cross-layer vectors,
     # whose injections act inside the layer functions
-    view: Callable[[PipelineState, Any], str | LazyDigest] | None
+    view: Callable[[PipelineState, Any], str | LazyDigest | MemoryStore] | None
     act: Callable[[ThreatInjection, PipelineState, int], tuple[str, bool]] | None
     # step-record key prefixes through which the effect may surface; the
     # chain runner's structural attribution reads them
@@ -742,7 +732,7 @@ def _cross_layer(layer: Layer, footprint: tuple[str, ...]) -> ThreatSpec:
 THREATS: dict[ThreatId, ThreatSpec] = {
     ThreatId.T1: ThreatSpec(
         frozenset({Surface.PA_MEMORY}), ("value_kph", "key"), _parse_t1,
-        lambda s, a: LazyDigest(s.memory, methodcaller("digest")), _act_t1, ("memory_digest",) + _DOWNSTREAM,
+        lambda s, a: s.memory, _act_t1, ("memory_digest",) + _DOWNSTREAM,
         persistent=True,
     ),
     ThreatId.T2: ThreatSpec(

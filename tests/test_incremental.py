@@ -580,8 +580,8 @@ def test_store_digests_are_taken_at_apply_time(effect_digests, name, threat):
 
 
 def test_t1_records_hold_the_memory_store_and_a_csv_only_campaign_takes_no_effect_digest(effect_digests):
-    # the memory store is a value: T1's records hold the store they saw and
-    # digest it through `MemoryStore.digest` when read, never through `threats.digest_of`
+    # the memory store is a value: T1's records hold the store they saw itself
+    # and digest it through `MemoryStore.digest` when read, never through `threats.digest_of`
     attacked, baseline = paired(open_campaign("threat-t01"))
     render_csv(compare(baseline, attacked))
     held = [
@@ -590,11 +590,11 @@ def test_t1_records_hold_the_memory_store_and_a_csv_only_campaign_takes_no_effec
         for field in ("before_digest", "after_digest")
     ]
     assert len(held) == 2 * len(attacked.steps)
-    assert all(type(lazy) is LazyDigest and type(lazy.value) is MemoryStore for lazy in held)
+    assert all(type(store) is MemoryStore for store in held)
     assert effect_digests == []
     # a poisoning step's record holds the store before and the one after the adoption
     first = attacked.steps[0].effects[0]
-    assert held_value(first, "before_digest").value.entries == ()
+    assert held_value(first, "before_digest").entries == ()
     assert first.after_digest == attacked.steps[0].memory_digest != first.before_digest
 
 

@@ -6,7 +6,7 @@ import agvsim
 
 # every name `agvsim` exported when it still imported all its submodules eagerly
 PUBLIC_NAMES = {
-    "AgencyBucket", "AgencyLevel", "AgentTuning", "Authority", "ChainSpec", "ChainStage", "ConfigError",
+    "AgencyBucket", "AgentTuning", "Authority", "ChainSpec", "ChainStage", "ConfigError",
     "ContextSummary", "Decision", "DrivingMode", "EpisodeTrace", "Hazard", "InjectionEffectRecord",
     "IntentDescriptor", "Layer", "LayerPerturbation", "MemoryEntry", "MemoryKind", "MemoryStore",
     "MessageEnvelope", "MisalignmentReport", "OrdinalRating", "OutcomeClass", "PropagationTrace", "RoadClass",
@@ -21,7 +21,7 @@ PUBLIC_NAMES = {
 
 
 def test_the_table_holds_every_public_name():
-    assert len(PUBLIC_NAMES) == 67
+    assert len(PUBLIC_NAMES) == 66
     assert set(agvsim.__all__) == PUBLIC_NAMES
     assert agvsim.__version__ == "0.1.0"
 

@@ -1,11 +1,15 @@
 """PA / DSA / SC behavior: policy rules, verdicts, and composition."""
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agvsim.pipeline
 from agvsim.domain import ContextSummary, Hazard, RoadClass, Role, UserRequest, VehicleFeedback
 from agvsim.pipeline import (
     ACCEL_WINDOW_S,
@@ -368,3 +372,29 @@ class TestMemoryStore:
         c = a.adopt(cap_entry(45.0))
         assert c.digest() != b.digest()
         assert a.digest() == b.digest()
+
+    def test_a_store_is_frozen(self):
+        memory = MemoryStore((cap_entry(45.0),))
+        for name in ("entries", "_digest", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(memory, name, ())
+            with pytest.raises(FrozenInstanceError):
+                delattr(memory, name)
+        assert memory.entries == (cap_entry(45.0),)
+
+    def test_stores_with_equal_entries_are_equal(self):
+        digested = MemoryStore().adopt(cap_entry(45.0))
+        digested.digest()
+        fresh = MemoryStore((cap_entry(45.0),))
+        assert digested == fresh and hash(digested) == hash(fresh)
+        assert digested != MemoryStore((cap_entry(45.0, step=1),)) and digested != MemoryStore()
+        assert "_digest" not in repr(digested)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_a_copy_keeps_the_cached_digest(self, clone, monkeypatch):
+        memory = MemoryStore((cap_entry(45.0), cap_entry(60.0, step=1)))
+        digest = memory.digest()
+        copied = clone(memory)
+        assert copied == memory and copied.entries == memory.entries
+        monkeypatch.setattr(agvsim.pipeline, "digest_of", None)  # a copy that digested again would raise
+        assert copied.digest() == digest

@@ -110,6 +110,14 @@ def test_a_pair_written_without_its_inner_indent_fails(monkeypatch):
     fails(test_golden.test_campaign_json_export_equals_reference, "threat-t08", monkeypatch)
 
 
+def test_a_layout_that_writes_derived_fields_fails(monkeypatch):
+    # every field is written, so each injection's parsed payload (`args`) enters the chain specs' digest
+    monkeypatch.setattr(agvsim.serialize, "_LAYOUTS", {})  # no layout built before the plant serves
+    plant(monkeypatch, agvsim.serialize, "_layout", " if f.compare", "")
+    fails(test_chains.TestBuiltinChains().test_the_shipped_specs_are_pinned)
+    fails(test_serialize.test_a_derived_field_is_neither_exported_nor_digested)
+
+
 def test_a_patch_that_ignores_its_closures_fails(monkeypatch):
     plant(monkeypatch, agvsim.threats, "apply_context_patch", 'patch.get("closures_add", ())', "()")
     fails(test_threats.test_a_patch_merges_as_the_reference_does)
@@ -138,7 +146,8 @@ def test_a_store_that_adopt_extends_in_place_fails(monkeypatch, digest_calls):
     # and T1 and T5 read every adoption as an entry already held
     plant(
         monkeypatch, MemoryStore, "adopt",
-        "return MemoryStore(self.entries + (entry,))", 'return setattr(self, "entries", self.entries + (entry,)) or self',
+        "return MemoryStore(self.entries + (entry,))",
+        'return object.__setattr__(self, "entries", self.entries + (entry,)) or self',
     )
     fails(test_incremental.test_a_store_carried_over_whole_keeps_its_digest, digest_calls)
     fails(test_incremental.test_memory_digest_follows_every_append)

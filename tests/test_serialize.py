@@ -4,7 +4,9 @@
 indent=2)`, and `digest_of` and `ListDigest` the sha256 of the compact
 `json.dumps(to_jsonable(x), sort_keys=True)`; so must the memory store's and
 the world's digests, of the projections they digest. `canonical_json` writes
-a frozen dataclass that occurs more than once only once per call.
+a frozen dataclass that occurs more than once only once per call. Both write
+only the fields that equality compares, so a record's derived fields are
+neither exported nor digested.
 """
 
 import dataclasses
@@ -19,19 +21,20 @@ from hypothesis import strategies as st
 
 import agvsim.serialize
 from agvsim.cavstack import WorldTruth
-from agvsim.domain import Hazard, RoadClass, Role
+from agvsim.domain import Hazard, RoadClass, Role, record
 from agvsim.pipeline import MemoryEntry, MemoryKind, MemoryStore
+from agvsim.scenario import load_shipped
 from agvsim.serialize import ListDigest, canonical_json, digest_of
 
 
 def to_jsonable(obj: object) -> object:
-    """Recursively convert dataclasses/enums/tuples into plain JSON types."""
+    """Recursively convert dataclasses (their compared fields)/enums/tuples into plain JSON types."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.compare}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
@@ -167,6 +170,32 @@ def test_list_digest_equals_digest_of_the_whole_list(items, data):
     for item in items[:settled]:
         digest.add(item)
     assert digest.digest(items[settled:]) == digest_of(items) == reference_digest(items)
+
+
+@record
+class Memo:
+    """A record with a derived field, set once after it is built."""
+
+    name: str
+    cached: str = dataclasses.field(default="", init=False, compare=False, repr=False)
+
+
+def test_a_derived_field_is_neither_exported_nor_digested():
+    held = Memo("a")
+    object.__setattr__(held, "cached", "derived")
+    assert held == Memo("a") and hash(held) == hash(Memo("a"))
+    for value in (held, [held, Memo("b")], {"memo": held}):
+        assert canonical_json(value) == reference(value)
+        assert digest_of(value) == reference_digest(value)
+    assert canonical_json(held) == canonical_json({"name": "a"})
+    assert digest_of(held) == digest_of({"name": "a"})
+    # a shipped injection's parsed payload and a store's cached digest alike
+    injection, _ = load_shipped("threat-t01").injections[0]
+    assert injection.args and '"args"' not in canonical_json(injection)
+    store = MemoryStore((MemoryEntry("k", MemoryKind.HISTORY, 1.0, Role.USER, 0),))
+    assert canonical_json(store) == canonical_json({"entries": store.entries})
+    store.digest()
+    assert canonical_json(store) == canonical_json({"entries": store.entries})
 
 
 @dataclass
