@@ -156,8 +156,11 @@ def apply_feedback_transform(feedback: VehicleFeedback, p: LayerPerturbation) ->
     return replace(feedback, **{p.field: _clamp(updated, lo, hi)})
 
 
-def _truth_projection(world: WorldTruth, source: SourceLayer) -> ContextSummary:
-    return ContextSummary(
+def _summary(
+    world: WorldTruth, perturbations: list[LayerPerturbation], source: SourceLayer, layers: tuple[Layer, ...]
+) -> ContextSummary:
+    """The truth projection of `world` as `source` reports it, plus the transforms of `layers`, in list order."""
+    summary = ContextSummary(
         speed_limit_kph=world.true_speed_limit_kph,
         road_class=world.road_class,
         hazards=world.true_hazards,
@@ -166,25 +169,21 @@ def _truth_projection(world: WorldTruth, source: SourceLayer) -> ContextSummary:
         source_layer=source,
         completeness=1.0,
     )
+    for p in perturbations:
+        if p.layer in layers:
+            summary = apply_summary_transform(summary, p.field, p.op, p.value)
+    return summary
 
 
 def perceive(world: WorldTruth, perturbations: list[LayerPerturbation]) -> ContextSummary:
     """Perception/fusion stack output: truth projection plus the given
     perception- or computing-layer transforms, applied in list order."""
-    summary = _truth_projection(world, SourceLayer.FUSION)
-    for p in perturbations:
-        if p.layer in (Layer.PERCEPTION, Layer.COMPUTE):
-            summary = apply_summary_transform(summary, p.field, p.op, p.value)
-    return summary
+    return _summary(world, perturbations, SourceLayer.FUSION, (Layer.PERCEPTION, Layer.COMPUTE))
 
 
 def v2x_broadcast(world: WorldTruth, perturbations: list[LayerPerturbation]) -> ContextSummary:
     """Infrastructure/V2X channel output; V2X transforms only."""
-    summary = _truth_projection(world, SourceLayer.V2X)
-    for p in perturbations:
-        if p.layer is Layer.V2X:
-            summary = apply_summary_transform(summary, p.field, p.op, p.value)
-    return summary
+    return _summary(world, perturbations, SourceLayer.V2X, (Layer.V2X,))
 
 
 def control_feedback(world: WorldTruth, perturbations: list[LayerPerturbation]) -> VehicleFeedback:

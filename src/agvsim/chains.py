@@ -21,7 +21,7 @@ from typing import Callable
 # the module, not its function: a caller that wraps `runner.run_episodes`
 # sees chain runs too
 from . import runner
-from .domain import MAX_RUN_STEPS, ConfigError, integer, mapping, member, record, sequence, shipped_files, string
+from .domain import MAX_RUN_STEPS, ConfigError, checked, integer, mapping, member, record, sequence, shipped_files, string
 from .scenario import ScenarioConfig, _check_depth, _parse_injection, _read_yaml
 from .threats import ThreatInjection, delta_footprint
 from .trace import EpisodeTrace, OutcomeClass, StepRecord, classify_outcome, stealth_check, step_deltas
@@ -99,10 +99,7 @@ class ChainSpec:
 def _parse_trigger(data: object, where: str) -> Trigger:
     trigger = mapping(data, where, optional=("at_step", "after_stage"))
     steps = {key: integer(value, f"{where}.{key}") for key, value in trigger.items()}
-    try:
-        return Trigger(**steps)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
+    return checked(where, Trigger, **steps)
 
 
 def _parse_chain_stage(data: object, where: str) -> ChainStage:
@@ -117,23 +114,16 @@ def _parse_chain_stage(data: object, where: str) -> ChainStage:
     trigger = _parse_trigger(stage["trigger"], f"{where}.trigger")
     probe = string(stage["probe"], f"{where}.probe") if "probe" in stage else None
     label = string(stage.get("label", ""), f"{where}.label")
-    try:
-        return ChainStage(kind, trigger, injection, probe, label=label)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
+    return checked(where, ChainStage, kind, trigger, injection, probe, label=label)
 
 
 def parse_chain_spec(data: object, where: str) -> ChainSpec:
     _check_depth(data, where)
     chain = mapping(data, where, ("id", "stages", "episode_length"))
-    # parsed outside the `try`: a stage's own ConfigError already names its path
     chain_id = string(chain["id"], f"{where}.id")
     stages = sequence(chain["stages"], f"{where}.stages", _parse_chain_stage)
     episode_length = integer(chain["episode_length"], f"{where}.episode_length", 1)
-    try:
-        return ChainSpec(chain_id, stages, episode_length)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
+    return checked(where, ChainSpec, chain_id, stages, episode_length)
 
 
 def load_chain_spec(path: str | Path) -> ChainSpec:
@@ -300,11 +290,12 @@ def builtin_chains() -> list[ChainSpec]:
 
 
 def builtin_chain(chain_id: str) -> ChainSpec:
-    """A shipped chain by exact id or by a prefix that names one chain only; loads that file alone."""
+    """A shipped chain by exact id or by a prefix that names one chain only; loads that file alone.
+    KeyError when no shipped chain, or more than one, matches."""
     paths = shipped_files(CHAIN_FOLDER)
     matches = [chain_id] if chain_id in paths else [stem for stem in paths if stem.startswith(chain_id)]
     if not matches:
-        raise KeyError(f"unknown chain {chain_id!r}")
+        raise KeyError("no shipped chain with this id or prefix")
     if len(matches) > 1:
         raise KeyError(f"ambiguous chain {chain_id!r} matches {', '.join(matches)}")
     return load_chain_spec(paths[matches[0]])

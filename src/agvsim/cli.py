@@ -18,7 +18,7 @@ from pathlib import Path
 # two; every other command loads its modules when it runs. perfbench traces
 # `what_if` at this module's name alone, so `_cmd_score` calls it by that name.
 from .domain import AgencyBucket, ConfigError, DrivingMode, PipelineError, ThreatId, agency_bucket, shipped_files
-from .severity import DIMENSIONS, OrdinalRating, validate_tables, what_if
+from .severity import DIMENSIONS, OrdinalRating, load_tables, validate_tables, what_if
 
 SEED_ENV_VAR = "AGV_SIM_SEED"
 
@@ -121,12 +121,21 @@ def _resolve_seed(flag_seed: int | None) -> int | None:
     return None
 
 
+def _file_or_shipped(ref: str, load_file, load_shipped):
+    """The file at `ref` when one exists, else the shipped one `ref` names; when neither, the error says both
+    (`load_shipped` raises KeyError saying what it did not find)."""
+    if os.path.exists(ref):
+        return load_file(ref)
+    try:
+        return load_shipped(ref)
+    except KeyError as exc:
+        raise ConfigError(ref, f"no such file, and {exc.args[0]}") from exc
+
+
 def _load_scenario_arg(ref: str):
     from . import scenario
 
-    if os.path.exists(ref):
-        return scenario.load_scenario(ref)
-    return scenario.load_shipped(ref)
+    return _file_or_shipped(ref, scenario.load_scenario, scenario.load_shipped)
 
 
 def _write(text: str, path: str | None = None) -> None:
@@ -210,20 +219,14 @@ def _cmd_score(args: argparse.Namespace) -> str:
 def _cmd_validate_tables(_: argparse.Namespace) -> str:
     discrepancies = validate_tables()
     lines = [d.describe() for d in discrepancies]
-    lines.append(f"{len(discrepancies)} inconsistent cells out of 90")
+    lines.append(f"{len(discrepancies)} inconsistent cells out of {len(load_tables())}")
     return "".join(line + "\n" for line in lines)
 
 
 def _cmd_chain(args: argparse.Namespace) -> str:
     from . import chains, scenario
 
-    if os.path.exists(args.chain):
-        spec = chains.load_chain_spec(args.chain)
-    else:
-        try:
-            spec = chains.builtin_chain(args.chain)
-        except KeyError as exc:
-            raise ConfigError("chain", exc.args[0]) from exc
+    spec = _file_or_shipped(args.chain, chains.load_chain_spec, chains.builtin_chain)
     config = _load_scenario_arg(args.scenario) if args.scenario else scenario.load_shipped("chain-base")
     seed = _resolve_seed(args.seed)
     propagation, _ = chains.run_chain(spec, config, seed=seed)

@@ -173,6 +173,16 @@ def string(value: Any, where: str, choices: Collection[str] | None = None) -> st
     return value
 
 
+def checked(where: str, make: Callable[..., T], /, *args: Any, **kwargs: Any) -> T:
+    """`make(*args, **kwargs)`; a ValueError from its checks becomes a ConfigError at `where`, a ConfigError passes."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from exc
+
+
 def member(enum: type[E], value: Any, where: str) -> E:
     """The member of `enum` whose value is `value`."""
     try:

@@ -267,13 +267,10 @@ def run_episodes(
                 # context messages merge into the DSA's working context
                 rejected = 0
                 for env in state.envelopes:
-                    if env.authority is _CONTEXT_ONLY and isinstance(env.payload, dict):
-                        if admitted(env, state.admission):
-                            state.dsa_context = apply_context_patch(state.dsa_context, env.payload)
-                        else:
-                            rejected += 1
-                    elif not admitted(env, state.admission):
+                    if not admitted(env, state.admission):
                         rejected += 1
+                    elif env.authority is _CONTEXT_ONLY and isinstance(env.payload, dict):
+                        state.dsa_context = apply_context_patch(state.dsa_context, env.payload)
 
                 proposal = run_dsa_policy(
                     state.dsa_policy, state.dsa_weights, intent,

@@ -21,6 +21,8 @@ from .domain import (
     RoadClass,
     ThreatId,
     UserRequest,
+    agency_bucket,
+    checked,
     integer,
     mapping,
     member,
@@ -34,6 +36,7 @@ from .domain import (
 )
 from .pipeline import Rulebook, max_delta_kph
 from .threats import Surface, ThreatInjection
+from .trace import OutcomeClass
 
 
 class _UniqueKeys:
@@ -160,7 +163,7 @@ def _parse_injection(data: object, where: str) -> ThreatInjection:
         raise ConfigError(where, f"illegal injection: {exc}") from exc
 
 
-_OUTCOMES = ("BlockedBySC", "MisalignedApproved", "NoEffect")
+_OUTCOMES = sorted(outcome.value for outcome in OutcomeClass)
 
 
 def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
@@ -170,9 +173,8 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
         data, source, ("id", "mode", "agency", "seed", "world", "requests"),
         ("episodes", "injections", "expected_outcome"),
     )
-    agency = integer(doc["agency"], f"{source}.agency", 0)
-    if agency > 5:
-        raise ConfigError(f"{source}.agency", f"must be an integer 0-5, got {agency!r}")
+    agency = integer(doc["agency"], f"{source}.agency")
+    checked(f"{source}.agency", agency_bucket, agency)
     expected = doc.get("expected_outcome")
     config = ScenarioConfig(
         id=string(doc["id"], f"{source}.id"),
@@ -237,8 +239,8 @@ def shipped_scenarios() -> dict[str, Path]:
 
 
 def load_shipped(name: str) -> ScenarioConfig:
-    try:
-        path = shipped_scenarios()[name]
-    except KeyError as exc:
-        raise ConfigError(name, "no shipped scenario with this id") from exc
+    """The shipped scenario with the id `name`; KeyError when none has it."""
+    path = shipped_scenarios().get(name)
+    if path is None:
+        raise KeyError("no shipped scenario with this id")
     return load_scenario(path)

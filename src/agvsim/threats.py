@@ -39,6 +39,7 @@ from .domain import (
     URGENCY_TAGS,
     UserRequest,
     VehicleFeedback,
+    checked,
     integer,
     make_envelope,
     mapping,
@@ -229,7 +230,11 @@ def confirm_urgency(user: SimulatedUserState, noise_queries: int, true_tag: str)
 
 
 PA_POLICIES = ("default", "rogue-urgent")
-DSA_POLICIES = ("default", "rogue-crawl", "rogue-speedster")
+_ROGUE_DSA_TARGETS: Mapping[str, Callable[[float], float]] = {
+    "rogue-crawl": lambda target: target * 0.5,
+    "rogue-speedster": lambda target: 150.0,
+}
+DSA_POLICIES = ("default", *_ROGUE_DSA_TARGETS)
 
 
 def run_pa_policy(
@@ -255,17 +260,12 @@ def run_dsa_policy(
     tuning: AgentTuning,
 ) -> StrategyProposal:
     proposal = dsa_propose(intent, context, feedback, rules, tuning)
-    if name == "rogue-crawl":
+    rogue = _ROGUE_DSA_TARGETS.get(name)
+    if rogue is not None:
         proposal = replace(
             proposal,
-            target_speed_kph=proposal.target_speed_kph * 0.5,
-            justification=proposal.justification + (("policy.override", "rogue-crawl"),),
-        )
-    elif name == "rogue-speedster":
-        proposal = replace(
-            proposal,
-            target_speed_kph=150.0,
-            justification=proposal.justification + (("policy.override", "rogue-speedster"),),
+            target_speed_kph=rogue(proposal.target_speed_kph),
+            justification=proposal.justification + (("policy.override", name),),
         )
     if weights:
         proposal = replace(
@@ -399,10 +399,7 @@ def _perturbations(transforms: object, where: str, layer: Layer) -> tuple[LayerP
             value = parse_hazard(value, f"{at}.value")
         elif field_name in ("hazards", "closures"):  # a closure, or the kind of the hazards to drop
             value = string(value, f"{at}.value")
-        try:
-            return LayerPerturbation(layer, field_name, op, value)
-        except ValueError as exc:
-            raise ConfigError(at, str(exc)) from exc
+        return checked(at, LayerPerturbation, layer, field_name, op, value)
 
     return sequence(transforms, where, perturbation, min_len=1)
 

@@ -297,6 +297,12 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "no-such-scenario")
         assert code == 1
 
+    def test_a_missing_file_says_there_is_no_such_file_nor_shipped_scenario(self, capsys):
+        # a mistyped path reads as neither a file nor an id, not as an unknown id alone
+        code, out, err = run_cli(capsys, "run", "./missing/scn.yaml")
+        assert (code, out) == (1, "")
+        assert err == "config error: ./missing/scn.yaml: no such file, and no shipped scenario with this id\n"
+
     def test_unwritable_out_is_io_error(self, capsys):
         code, out, err = run_cli(capsys, "run", "case2-highway", "--out", "/nonexistent-dir/x.csv")
         assert (code, out) == (2, "")
@@ -605,6 +611,11 @@ class TestChainCommand:
     def test_unknown_chain_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "chain", "chain-42")
         assert code == 1
+
+    def test_a_missing_file_says_there_is_no_such_file_nor_shipped_chain(self, capsys):
+        code, out, err = run_cli(capsys, "chain", "./nochain.yaml")
+        assert (code, out) == (1, "")
+        assert err == "config error: ./nochain.yaml: no such file, and no shipped chain with this id or prefix\n"
 
     def test_ambiguous_prefix_is_config_error_naming_matches(self, capsys):
         code, out, err = run_cli(capsys, "chain", "chain-")

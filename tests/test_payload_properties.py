@@ -11,6 +11,7 @@ exists) is the one run-time failure allowed.
 import json
 import math
 import sys
+from typing import Callable
 
 import pytest
 import yaml
@@ -55,9 +56,6 @@ speeds = st.one_of(st.floats(0, 250, exclude_min=True), st.integers(1, 250))
 units = st.floats(0, 1, exclude_min=True)
 texts = st.sampled_from(["debris", "R7", "commute", ""])
 roles = st.sampled_from([r.value for r in Role])
-hazards = st.fixed_dictionaries(
-    {"kind": texts, "distance_m": mixed(st.floats(0, 300)), "confidence": mixed(units)}
-)
 
 
 def transform(fields: tuple[str, ...], ops: tuple[str, ...], value: st.SearchStrategy) -> st.SearchStrategy:
@@ -66,45 +64,53 @@ def transform(fields: tuple[str, ...], ops: tuple[str, ...], value: st.SearchStr
 
 SCALAR_OPS = ("Set", "Add", "Scale")
 RECORD_OPS = ("InjectRecord", "DropRecord")
-# one list of context-summary transforms or of feedback transforms
-transforms = st.sampled_from([
-    st.one_of(
-        transform(("speed_limit_kph", "traffic_density", "completeness"), SCALAR_OPS, mixed(st.floats(-100, 250))),
-        transform(("hazards",), RECORD_OPS, mixed(hazards)),
-        transform(("closures",), RECORD_OPS, mixed(texts)),
-    ),
-    transform(("speed_kph", "accel_mps2", "steering_deg", "braking"), SCALAR_OPS, mixed(st.floats(-100, 250))),
-]).flatmap(lambda family: st.lists(family, min_size=1, max_size=2))
 
-# a value per payload key of the README table; nested numbers vary on their own
-KEY_VALUES = {key: mixed(value) for key, value in {
-    "value_kph": speeds, "advised_speed_kph": speeds, "desired_speed_kph": speeds,
-    "completeness_factor": units, "speed_weight": units, "framing_weight": units,
-    "headway_scale": st.floats(1, 10), "config_value": units, "noise_queries": st.integers(0, 10),
-    "key": texts, "route_hint": texts, "destination": texts, "grant_role": roles, "claimed": roles,
-    "target": st.sampled_from(["context", "external", "user"]),
-    "urgency_tag": st.sampled_from(["Routine", "Urgent"]),
-    "framing": st.sampled_from(["Routine", "Urgent"]), "mode": st.just("strip-provenance"),
-    "config_field": st.sampled_from(AgentTuning().field_names()), "agent": st.sampled_from(["PA", "DSA"]),
-    "policy": st.sampled_from(PA_POLICIES + DSA_POLICIES),
-    "context_patch": st.fixed_dictionaries({}, optional={
-        "speed_limit_kph": mixed(speeds), "closures_add": st.lists(texts, max_size=2),
-        "hazards_add": st.lists(hazards, max_size=2),
-    }),
-    "transforms": transforms, "edits": transforms,
-    "requests": st.lists(st.fixed_dictionaries(
-        {"urgency_tag": mixed(st.sampled_from(["Routine", "Urgent"])), "destination": texts},
-        optional={"desired_speed_kph": mixed(speeds)},
-    ), min_size=1, max_size=3),
-}.items()}
+
+def key_values(vary: Callable[[st.SearchStrategy], st.SearchStrategy]) -> dict[str, st.SearchStrategy]:
+    """A value per payload key of the README table, drawn through `vary`; nested numbers vary on their own."""
+    hazards = st.fixed_dictionaries(
+        {"kind": texts, "distance_m": vary(st.floats(0, 300)), "confidence": vary(units)}
+    )
+    # one list of context-summary transforms or of feedback transforms
+    transforms = st.sampled_from([
+        st.one_of(
+            transform(("speed_limit_kph", "traffic_density", "completeness"), SCALAR_OPS, vary(st.floats(-100, 250))),
+            transform(("hazards",), RECORD_OPS, vary(hazards)),
+            transform(("closures",), RECORD_OPS, vary(texts)),
+        ),
+        transform(("speed_kph", "accel_mps2", "steering_deg", "braking"), SCALAR_OPS, vary(st.floats(-100, 250))),
+    ]).flatmap(lambda family: st.lists(family, min_size=1, max_size=2))
+    return {key: vary(value) for key, value in {
+        "value_kph": speeds, "advised_speed_kph": speeds, "desired_speed_kph": speeds,
+        "completeness_factor": units, "speed_weight": units, "framing_weight": units,
+        "headway_scale": st.floats(1, 10), "config_value": units, "noise_queries": st.integers(0, 10),
+        "key": texts, "route_hint": texts, "destination": texts, "grant_role": roles, "claimed": roles,
+        "target": st.sampled_from(["context", "external", "user"]),
+        "urgency_tag": st.sampled_from(["Routine", "Urgent"]),
+        "framing": st.sampled_from(["Routine", "Urgent"]), "mode": st.just("strip-provenance"),
+        "config_field": st.sampled_from(AgentTuning().field_names()), "agent": st.sampled_from(["PA", "DSA"]),
+        "policy": st.sampled_from(PA_POLICIES + DSA_POLICIES),
+        "context_patch": st.fixed_dictionaries({}, optional={
+            "speed_limit_kph": vary(speeds), "closures_add": st.lists(texts, max_size=2),
+            "hazards_add": st.lists(hazards, max_size=2),
+        }),
+        "transforms": transforms, "edits": transforms,
+        "requests": st.lists(st.fixed_dictionaries(
+            {"urgency_tag": vary(st.sampled_from(["Routine", "Urgent"])), "destination": texts},
+            optional={"desired_speed_kph": vary(speeds)},
+        ), min_size=1, max_size=3),
+    }.items()}
+
+
+KEY_VALUES = key_values(mixed)
 
 
 @st.composite
-def injections(draw, threat: ThreatId) -> dict:
+def injections(draw, threat: ThreatId, values: dict[str, st.SearchStrategy] = KEY_VALUES) -> dict:
     spec = THREATS[threat]
     keys = sorted(README_KEYS[threat])
     # each key is left out one time in six, and one payload in ten gets a junk key
-    payload = {key: draw(KEY_VALUES[key]) for key in keys if draw(st.sampled_from([True] * 5 + [False]))}
+    payload = {key: draw(values[key]) for key in keys if draw(st.sampled_from([True] * 5 + [False]))}
     junk_key = draw(st.sampled_from([None] * 27 + list(JUNK_KEYS)))
     if junk_key is not None:
         payload[junk_key] = draw(junk)

@@ -18,7 +18,9 @@ import textwrap
 import types
 
 import pytest
+from hypothesis import Phase, settings
 
+import agvsim.cavstack
 import agvsim.chains
 import agvsim.cli
 import agvsim.domain
@@ -30,9 +32,11 @@ import agvsim.serialize
 import agvsim.severity
 import agvsim.threats
 import agvsim.trace
+import test_cavstack
 import test_chains
 import test_cli
 import test_domain
+import test_generated_scenarios
 import test_golden
 import test_incremental
 import test_pipeline
@@ -210,8 +214,43 @@ def test_persistence_that_counts_every_deviating_episode_fails(monkeypatch):
 
 def test_admission_that_merges_every_context_patch_fails(monkeypatch):
     # a patch in an envelope whose claimed sender the table does not admit merges all the same
-    plant(monkeypatch, agvsim.runner, "run_episodes", "if admitted(env, state.admission):", "if True:")
+    plant(monkeypatch, agvsim.runner, "run_episodes", "if not admitted(env, state.admission):", "if False:")
     fails(test_runner.test_a_context_envelope_from_an_unadmitted_claimed_sender_is_rejected)
+
+
+def test_a_checked_value_that_drops_its_path_fails(monkeypatch):
+    # a value's own check reads as a load error of no field
+    plant(monkeypatch, agvsim.domain, "checked", "ConfigError(where, str(exc))", 'ConfigError("", str(exc))')
+    schema, stages = test_scenario.TestSchemaErrors(), test_scenario.TestChainStages()
+    fails(schema.test_a_chain_past_max_run_steps_is_rejected_at_load)
+    fails(stages.test_a_key_the_stage_would_drop_is_rejected, "observe-with-injection")
+    fails(stages.test_a_key_the_stage_would_drop_is_rejected, "inject-with-probe")
+    fails(schema.test_an_agency_outside_0_to_5_names_the_agency_field, 7)
+    fails(schema.test_an_agency_outside_0_to_5_names_the_agency_field, -1)
+    fails(schema.test_an_unknown_transform_field_names_its_transform)
+
+
+def test_a_layer_summary_that_applies_every_layers_transforms_fails(monkeypatch):
+    # a V2X spoof reaches the perception stack's output too
+    plant(monkeypatch, agvsim.cavstack, "_summary", "if p.layer in layers:", "if True:")
+    fails(test_cavstack.TestPerceive().test_v2x_transforms_do_not_apply_to_perception)
+
+
+def test_a_baseline_that_applies_the_scenarios_injections_fails(monkeypatch):
+    # the baseline run acts the scenario's injections as the attacked run does
+    plant(
+        monkeypatch, agvsim.runner, "run_episodes",
+        "static_injections = list(config.injections) if with_injections else []",
+        "static_injections = list(config.injections)",
+    )
+    # the first failing example is enough: shrinking it would take half a minute
+    previous = settings.get_current_profile_name()
+    settings.register_profile("planted-no-shrink", phases=[phase for phase in Phase if phase is not Phase.shrink])
+    settings.load_profile("planted-no-shrink")
+    try:
+        fails(test_generated_scenarios.test_every_generated_scenario_that_loads_and_runs_holds_the_pipeline_invariants)
+    finally:
+        settings.load_profile(previous)
 
 
 def test_a_writer_that_encodes_for_the_locale_fails(monkeypatch, capsys, tmp_path):

@@ -231,6 +231,21 @@ injections:
             with pytest.raises(ConfigError, match=message):
                 parse_scenario(data, "<test>")
 
+    @pytest.mark.parametrize("agency", [7, -1])
+    def test_an_agency_outside_0_to_5_names_the_agency_field(self, agency):
+        # the range is `agency_bucket`'s own check, raised at the field's path
+        message = rf"^<test>\.agency: agency level must be an integer in \[0, 5\], got {agency}$"
+        with pytest.raises(ConfigError, match=message):
+            parse_text(MINIMAL.replace("agency: 3", f"agency: {agency}"))
+
+    def test_an_unknown_transform_field_names_its_transform(self):
+        # the perturbation's own check, raised at the transform's path
+        injection = "{threat: XPerception, surface: Layer, payload: {transforms: [{field: bogus, op: Set, value: 1}]}}"
+        text = MINIMAL + f"injections:\n  - {injection}\n"
+        message = r"^<test>\.injections\[0\]\.payload\.transforms\[0\]: unknown Perception-layer field 'bogus'$"
+        with pytest.raises(ConfigError, match=message):
+            parse_text(text)
+
     def test_bool_episodes_rejected(self):
         with pytest.raises(ConfigError, match=r"\.episodes: must be an integer >= 1, got True"):
             parse_text(MINIMAL + "episodes: true\n")

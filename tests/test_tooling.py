@@ -363,6 +363,68 @@ def test_no_module_reads_a_closure_cell():
     assert found == []
 
 
+def _functions(path: Path) -> dict[str, ast.AST]:
+    """The functions defined in the module at `path`, methods and nested functions too, by name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_only_checked_raises_a_failed_value_check_as_a_load_error():
+    # `domain.checked` is the one `except ValueError` that re-raises the
+    # value's own message as `ConfigError(<where>, str(exc))`
+    handlers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, function in _functions(path).items():
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and "ValueError" in ast.unparse(node.type) and node.name is not None
+                    and any(
+                        isinstance(raised, ast.Call) and ast.unparse(raised.func) == "ConfigError"
+                        and len(raised.args) == 2 and ast.unparse(raised.args[1]) == f"str({node.name})"
+                        for statement in node.body if isinstance(statement, ast.Raise)
+                        for raised in [statement.exc]
+                    )
+                ):
+                    handlers.append(f"{path.stem}.{name}")
+    assert handlers == ["domain.checked"]
+
+
+def test_the_outcome_names_are_written_only_in_trace():
+    # `OutcomeClass` is the one list of a pair's outcomes; a loader reads it
+    names = {"BlockedBySC", "MisalignedApproved", "NoEffect"}
+    found = Counter(
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in names
+    )
+    assert found == {"trace.py": 3}
+
+
+def test_each_rule_is_stated_once_where_its_users_call_it():
+    def constants(node: ast.AST) -> list:
+        return [c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and type(c.value) in (int, str)]
+
+    def calls(node: ast.AST, name: str) -> int:
+        return sum(1 for c in ast.walk(node) if isinstance(c, ast.Call) and ast.unparse(c.func) == name)
+
+    scenario, runner, cavstack = (_functions(PACKAGE / f"{m}.py") for m in ("scenario", "runner", "cavstack"))
+    # the agency range is `agency_bucket`'s, and the severity table's size is the table's
+    assert not {0, 5} & set(constants(scenario["parse_scenario"]))
+    assert calls(scenario["parse_scenario"], "checked") == 1
+    assert 90 not in constants(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")))
+    # one admission decision per envelope
+    assert calls(runner["run_episodes"], "admitted") == 1
+    # one truth projection and transform loop for both context layers
+    for name in ("perceive", "v2x_broadcast"):
+        assert calls(cavstack[name], "_summary") == 1
+        assert not any(isinstance(node, ast.For) for node in ast.walk(cavstack[name]))
+    # each rogue DSA policy is named once, in its rewrite table
+    threats = Counter(constants(ast.parse((PACKAGE / "threats.py").read_text(encoding="utf-8"))))
+    assert (threats["rogue-crawl"], threats["rogue-speedster"]) == (1, 1)
+
+
 @pytest.fixture(scope="module")
 def samples() -> dict[type, object]:
     """One instance of each record: what two campaign pairs, a chain run, the severity tables and the
