@@ -9,13 +9,11 @@ function of the world and the perturbations it is given.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import replace
 from enum import Enum
 
 from .domain import (
-    MAX_SPEED_LIMIT_KPH,
-    MIN_SPEED_KPH,
+    FIELD_RANGES,
     ContextSummary,
     Hazard,
     RoadClass,
@@ -62,18 +60,13 @@ class TransformOp(str, Enum):
     DROP_RECORD = "DropRecord"
 
 
-# field -> (record-valued?, applies to context summaries?)
-_CONTEXT_NUMERIC_FIELDS = ("speed_limit_kph", "traffic_density", "completeness")
-_CONTEXT_RECORD_FIELDS = ("hazards", "closures")
-_FEEDBACK_NUMERIC_FIELDS = ("speed_kph", "accel_mps2", "steering_deg", "braking")
-
-
 @record
 class LayerPerturbation:
     """One declarative edit of a layer summary.
 
     An unknown field or a nonsense op/field pair is rejected when it is
-    built, so application never fails at run time.
+    built, so application never fails at run time. The numeric fields are
+    the ranged fields of the layer's summary record in `FIELD_RANGES`.
     """
 
     layer: Layer
@@ -82,16 +75,11 @@ class LayerPerturbation:
     value: object
 
     def __post_init__(self) -> None:
-        if self.layer is Layer.CONTROL_FEEDBACK:
-            known = _FEEDBACK_NUMERIC_FIELDS
-            records: tuple[str, ...] = ()
-        else:
-            known = _CONTEXT_NUMERIC_FIELDS
-            records = _CONTEXT_RECORD_FIELDS
-        if self.field in records:
+        feedback = self.layer is Layer.CONTROL_FEEDBACK
+        if not feedback and self.field in ("hazards", "closures"):
             if self.op not in (TransformOp.INJECT_RECORD, TransformOp.DROP_RECORD):
                 raise ValueError(f"field {self.field!r} only supports InjectRecord/DropRecord, got {self.op.value}")
-        elif self.field in known:
+        elif self.field in FIELD_RANGES[VehicleFeedback if feedback else ContextSummary]:
             if self.op in (TransformOp.INJECT_RECORD, TransformOp.DROP_RECORD):
                 raise ValueError(f"field {self.field!r} is scalar; {self.op.value} needs a record field")
             if not is_finite_number(self.value):
@@ -136,24 +124,15 @@ def apply_summary_transform(summary: ContextSummary, field: str, op: TransformOp
             closures = [c for c in closures if c != value]
         return replace(summary, closures=tuple(closures))
 
+    # the field stays in its range even under hostile arithmetic
     updated = _apply_numeric(getattr(summary, field), op, value)  # type: ignore[arg-type]
-    if field == "speed_limit_kph":  # limits stay in range even under hostile arithmetic
-        updated = _clamp(updated, MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH)
-    else:  # traffic_density, completeness
-        updated = _clamp(updated, 0.0, 1.0)
-    return replace(summary, **{field: updated})
-
-
-# the range each telemetry field is clamped to: every field stays finite, so
-# hostile arithmetic (Set 1e308, then Scale 10) saturates instead of reaching inf
-_FEEDBACK_RANGE = {"speed_kph": (0.0, sys.float_info.max), "braking": (0.0, 1.0)}
+    return replace(summary, **{field: _clamp(updated, *FIELD_RANGES[ContextSummary][field])})
 
 
 def apply_feedback_transform(feedback: VehicleFeedback, p: LayerPerturbation) -> VehicleFeedback:
-    """Apply one transform to control-layer telemetry."""
+    """Apply one transform to control-layer telemetry, clamped to the field's range."""
     updated = _apply_numeric(getattr(feedback, p.field), p.op, p.value)  # type: ignore[arg-type]
-    lo, hi = _FEEDBACK_RANGE.get(p.field, (-sys.float_info.max, sys.float_info.max))
-    return replace(feedback, **{p.field: _clamp(updated, lo, hi)})
+    return replace(feedback, **{p.field: _clamp(updated, *FIELD_RANGES[VehicleFeedback][p.field])})
 
 
 def _summary(
@@ -161,13 +140,7 @@ def _summary(
 ) -> ContextSummary:
     """The truth projection of `world` as `source` reports it, plus the transforms of `layers`, in list order."""
     summary = ContextSummary(
-        speed_limit_kph=world.true_speed_limit_kph,
-        road_class=world.road_class,
-        hazards=world.true_hazards,
-        closures=world.true_closures,
-        traffic_density=0.0,
-        source_layer=source,
-        completeness=1.0,
+        world.true_speed_limit_kph, world.road_class, world.true_hazards, world.true_closures, source_layer=source
     )
     for p in perturbations:
         if p.layer in layers:

@@ -24,6 +24,7 @@ from typing import Any, Callable, Collection, Mapping, TypeVar
 
 E = TypeVar("E", bound=Enum)
 T = TypeVar("T")
+_FINITE = sys.float_info.max
 
 
 class ConfigError(ValueError):
@@ -41,8 +42,7 @@ class PipelineError(RuntimeError):
 
 def is_finite_number(value: object) -> bool:
     """A non-bool int or float that is a finite float: no NaN, no infinity, no int too large for a float."""
-    big = sys.float_info.max
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and -big <= value <= big
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -_FINITE <= value <= _FINITE
 
 
 def shipped_files(folder: str) -> dict[str, Path]:
@@ -151,9 +151,9 @@ def sequence(value: Any, where: str, item: Callable[[Any, str], T], min_len: int
 
 
 def number(value: Any, where: str, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """`value` as a float: a finite number, not a bool, in [lo, hi]."""
+    """`value` as a float: a finite number, not a bool, in [lo, hi]; the error omits a `hi` no finite float exceeds."""
     if not (is_finite_number(value) and lo <= value <= hi):
-        span = "" if lo == -math.inf else f" >= {lo:g}" if hi == math.inf else f" in [{lo:g}, {hi:g}]"
+        span = "" if lo == -math.inf else f" >= {lo:g}" if hi >= _FINITE else f" in [{lo:g}, {hi:g}]"
         raise ConfigError(where, f"must be a finite number{span}, got {value!r}")
     return float(value)
 
@@ -287,19 +287,13 @@ class Hazard:
 
     kind: str
     distance_m: float
-    confidence: float  # [0, 1]
+    confidence: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"hazard confidence must be in [0, 1], got {self.confidence}")
-        if self.distance_m < 0:
-            raise ValueError(f"hazard distance must be >= 0, got {self.distance_m}")
+        (distance_lo, distance_hi), (confidence_lo, confidence_hi) = _BOUNDS[Hazard]
+        if not (distance_lo <= self.distance_m <= distance_hi and confidence_lo <= self.confidence <= confidence_hi):
+            raise _out_of_range(self)
 
-
-# The least speed or speed limit a scenario may state (the layer arithmetic
-# clamps limits to it too), so no product of speeds and factors underflows to 0.
-MIN_SPEED_KPH = 0.1
-MAX_SPEED_LIMIT_KPH = 200.0
 
 # The most global steps one run may take: a scenario's episodes times its
 # requests, or a chain's episode length. A run keeps every step record, a few
@@ -315,23 +309,21 @@ class ContextSummary:
     it is a scalar knob, not per-field dropout.
     """
 
-    speed_limit_kph: float          # (0, 200]
+    speed_limit_kph: float
     road_class: RoadClass
     hazards: tuple[Hazard, ...] = ()
     closures: tuple[str, ...] = ()  # road-segment ids
-    traffic_density: float = 0.0    # [0, 1]
+    traffic_density: float = 0.0
     source_layer: SourceLayer = SourceLayer.FUSION
-    completeness: float = 1.0       # [0, 1]
+    completeness: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.speed_limit_kph <= MAX_SPEED_LIMIT_KPH:
-            raise ValueError(
-                f"speed limit must be in (0, {MAX_SPEED_LIMIT_KPH}], got {self.speed_limit_kph}"
-            )
-        if not 0.0 <= self.traffic_density <= 1.0:
-            raise ValueError(f"traffic density must be in [0, 1], got {self.traffic_density}")
-        if not 0.0 <= self.completeness <= 1.0:
-            raise ValueError(f"completeness must be in [0, 1], got {self.completeness}")
+        (limit_lo, limit_hi), (density_lo, density_hi), (whole_lo, whole_hi) = _BOUNDS[ContextSummary]
+        if not (
+            limit_lo <= self.speed_limit_kph <= limit_hi and density_lo <= self.traffic_density <= density_hi
+            and whole_lo <= self.completeness <= whole_hi
+        ):
+            raise _out_of_range(self)
 
 
 @record
@@ -341,14 +333,16 @@ class VehicleFeedback:
     speed_kph: float
     accel_mps2: float = 0.0
     steering_deg: float = 0.0
-    braking: float = 0.0       # [0, 1]
+    braking: float = 0.0
     reported_by: str = "control-layer"
 
     def __post_init__(self) -> None:
-        if self.speed_kph < 0:
-            raise ValueError(f"speed must be >= 0, got {self.speed_kph}")
-        if not 0.0 <= self.braking <= 1.0:
-            raise ValueError(f"braking must be in [0, 1], got {self.braking}")
+        (speed_lo, speed_hi), (accel_lo, accel_hi), (steer_lo, steer_hi), (brake_lo, brake_hi) = _BOUNDS[VehicleFeedback]
+        if not (
+            speed_lo <= self.speed_kph <= speed_hi and accel_lo <= self.accel_mps2 <= accel_hi
+            and steer_lo <= self.steering_deg <= steer_hi and brake_lo <= self.braking <= brake_hi
+        ):
+            raise _out_of_range(self)
 
 
 @record
@@ -421,8 +415,37 @@ class UserRequest:
     def __post_init__(self) -> None:
         if self.urgency_tag not in URGENCY_TAGS:
             raise ValueError(f"urgency_tag must be Routine or Urgent, got {self.urgency_tag!r}")
-        if self.desired_speed_kph is not None and self.desired_speed_kph <= 0:
-            raise ValueError(f"desired speed must be > 0, got {self.desired_speed_kph}")
+        ((speed_lo, speed_hi),) = _BOUNDS[UserRequest]
+        if self.desired_speed_kph is not None and not speed_lo <= self.desired_speed_kph <= speed_hi:
+            raise _out_of_range(self)
+
+
+# The least speed or speed limit a scenario may state, so no product of speeds
+# and factors underflows to 0, and the greatest speed limit.
+MIN_SPEED_KPH = 0.1
+MAX_SPEED_LIMIT_KPH = 200.0
+_UNIT, _ANY = (0.0, 1.0), (-_FINITE, _FINITE)
+
+# The legal range [lo, hi] of each numeric field that documents write and
+# layers change, by record: the record's check, the layer clamps and the
+# loaders read it here alone. Telemetry and speeds stay finite, so hostile
+# layer arithmetic (Set 1e308, then Scale 10) saturates instead of reaching inf.
+FIELD_RANGES: Mapping[type, Mapping[str, tuple[float, float]]] = {
+    ContextSummary: {
+        "speed_limit_kph": (MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH), "traffic_density": _UNIT, "completeness": _UNIT,
+    },
+    VehicleFeedback: {"speed_kph": (0.0, _FINITE), "accel_mps2": _ANY, "steering_deg": _ANY, "braking": _UNIT},
+    Hazard: {"distance_m": (0.0, math.inf), "confidence": _UNIT},
+    UserRequest: {"desired_speed_kph": (MIN_SPEED_KPH, _FINITE)},
+}
+# each record's ranges in its table's field order: its check unpacks them into one comparison chain
+_BOUNDS = {kind: tuple(ranges.values()) for kind, ranges in FIELD_RANGES.items()}
+
+
+def _out_of_range(value: Any) -> ValueError:
+    """The error naming the first field of the record `value` that is outside its range in FIELD_RANGES."""
+    name, (lo, hi) = next((n, r) for n, r in FIELD_RANGES[type(value)].items() if not r[0] <= getattr(value, n) <= r[1])
+    return ValueError(f"{type(value).__name__}.{name} must be in [{lo:g}, {hi:g}], got {getattr(value, name)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,23 +453,23 @@ class UserRequest:
 
 
 def parse_hazard(value: Any, where: str) -> Hazard:
-    """A hazard record: exactly a string `kind`, `distance_m` >= 0 and `confidence` in [0, 1]."""
+    """A hazard record: exactly a string `kind` and a finite `distance_m` and `confidence` in their ranges."""
     h = mapping(value, where, required=("kind", "distance_m", "confidence"))
+    ranges = FIELD_RANGES[Hazard]
     return Hazard(
         kind=string(h["kind"], f"{where}.kind"),
-        distance_m=number(h["distance_m"], f"{where}.distance_m", 0.0),
-        confidence=number(h["confidence"], f"{where}.confidence", 0.0, 1.0),
+        distance_m=number(h["distance_m"], f"{where}.distance_m", *ranges["distance_m"]),
+        confidence=number(h["confidence"], f"{where}.confidence", *ranges["confidence"]),
     )
 
 
 def parse_request(value: Any, where: str) -> UserRequest:
-    """A user request: a string `destination`, an urgency tag and an optional speed of at least MIN_SPEED_KPH."""
+    """A user request: a string `destination`, an urgency tag and an optional speed in its range."""
     r = mapping(value, where, required=("urgency_tag", "destination"), optional=("desired_speed_kph",))
     desired = r.get("desired_speed_kph")
+    speeds = FIELD_RANGES[UserRequest]["desired_speed_kph"]
     return UserRequest(
         urgency_tag=string(r["urgency_tag"], f"{where}.urgency_tag", URGENCY_TAGS),
         destination=string(r["destination"], f"{where}.destination"),
-        desired_speed_kph=(
-            None if desired is None else number(desired, f"{where}.desired_speed_kph", MIN_SPEED_KPH)
-        ),
+        desired_speed_kph=None if desired is None else number(desired, f"{where}.desired_speed_kph", *speeds),
     )

@@ -15,12 +15,13 @@ from .cavstack import Layer, WorldTruth
 from .domain import (
     ConfigError,
     DrivingMode,
+    FIELD_RANGES,
     MAX_RUN_STEPS,
-    MAX_SPEED_LIMIT_KPH,
-    MIN_SPEED_KPH,
+    ContextSummary,
     RoadClass,
     ThreatId,
     UserRequest,
+    VehicleFeedback,
     agency_bucket,
     checked,
     integer,
@@ -111,8 +112,9 @@ class ScenarioConfig:
 
 def _parse_world(data: object, where: str) -> WorldTruth:
     world = mapping(data, where, ("speed_limit_kph", "road_class", "vehicle_speed_kph"), ("hazards", "closures"))
-    limit = number(world["speed_limit_kph"], f"{where}.speed_limit_kph", MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH)
-    speed = number(world["vehicle_speed_kph"], f"{where}.vehicle_speed_kph", 0.0)
+    limits, speeds = FIELD_RANGES[ContextSummary]["speed_limit_kph"], FIELD_RANGES[VehicleFeedback]["speed_kph"]
+    limit = number(world["speed_limit_kph"], f"{where}.speed_limit_kph", *limits)
+    speed = number(world["vehicle_speed_kph"], f"{where}.vehicle_speed_kph", *speeds)
     # the SC's own arithmetic: past this, its clamp box is empty and every step raises PipelineError
     rules = Rulebook()
     delta, top = max_delta_kph(rules), min(limit, rules.abs_max_speed_kph)

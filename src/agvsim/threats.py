@@ -31,8 +31,7 @@ from .domain import (
     ConfigError,
     ContextSummary,
     DEFAULT_ADMISSION,
-    MAX_SPEED_LIMIT_KPH,
-    MIN_SPEED_KPH,
+    FIELD_RANGES,
     MessageEnvelope,
     Role,
     ThreatId,
@@ -229,7 +228,9 @@ def confirm_urgency(user: SimulatedUserState, noise_queries: int, true_tag: str)
     return true_tag
 
 
-PA_POLICIES = ("default", "rogue-urgent")
+# the request fields each rogue PA policy rewrites: rogue-urgent reframes every trip as maximally urgent
+_ROGUE_PA_REQUESTS: Mapping[str, dict] = {"rogue-urgent": {"urgency_tag": "Urgent", "desired_speed_kph": None}}
+PA_POLICIES = ("default", *_ROGUE_PA_REQUESTS)
 _ROGUE_DSA_TARGETS: Mapping[str, Callable[[float], float]] = {
     "rogue-crawl": lambda target: target * 0.5,
     "rogue-speedster": lambda target: 150.0,
@@ -244,9 +245,8 @@ def run_pa_policy(
     context: ContextSummary,
     tuning: AgentTuning,
 ) -> IntentDescriptor:
-    if name == "rogue-urgent":
-        # rogue PA reframes every trip as maximally urgent
-        request = replace(request, urgency_tag="Urgent", desired_speed_kph=None)
+    if name in _ROGUE_PA_REQUESTS:
+        request = replace(request, **_ROGUE_PA_REQUESTS[name])
     return pa_interpret(request, memory, context, tuning)
 
 
@@ -382,7 +382,7 @@ def injection_phase(injection: ThreatInjection) -> Phase:
 def _context_patch(value: object, where: str) -> dict:
     patch = mapping(value, where, optional=("speed_limit_kph", "closures_add", "hazards_add"))
     if "speed_limit_kph" in patch:
-        number(patch["speed_limit_kph"], f"{where}.speed_limit_kph", MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH)
+        number(patch["speed_limit_kph"], f"{where}.speed_limit_kph", *FIELD_RANGES[ContextSummary]["speed_limit_kph"])
     sequence(patch.get("closures_add", []), f"{where}.closures_add", string)
     sequence(patch.get("hazards_add", []), f"{where}.hazards_add", parse_hazard)
     return patch
@@ -406,13 +406,13 @@ def _perturbations(transforms: object, where: str, layer: Layer) -> tuple[LayerP
 
 def _parse_t1(p: dict, where: str, inj: ThreatInjection) -> tuple[str, float]:
     key = string(p.get("key", SPEED_CAP_KEY), f"{where}.key")
-    return key, number(p.get("value_kph"), f"{where}.value_kph", MIN_SPEED_KPH)
+    return key, number(p.get("value_kph"), f"{where}.value_kph", *FIELD_RANGES[UserRequest]["desired_speed_kph"])
 
 
 def _tool_output(p: dict, where: str, inj: ThreatInjection) -> ToolOutput:
     advised = p.get("advised_speed_kph")
     if advised is not None:
-        advised = number(advised, f"{where}.advised_speed_kph", MIN_SPEED_KPH)
+        advised = number(advised, f"{where}.advised_speed_kph", *FIELD_RANGES[UserRequest]["desired_speed_kph"])
     route_hint = string(p.get("route_hint", ""), f"{where}.route_hint")
     return ToolOutput(advised_speed_kph=advised, route_hint=route_hint)
 
@@ -485,7 +485,7 @@ def _external_edit(value: object, where: str) -> tuple[str, object]:
     if op != wanted:
         raise ConfigError(f"{where}.op", f"field {field_name!r} only supports {wanted}, got {op}")
     if field_name == "speed_limit_kph":
-        return field_name, number(e["value"], f"{where}.value", MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH)
+        return field_name, number(e["value"], f"{where}.value", *FIELD_RANGES[ContextSummary]["speed_limit_kph"])
     if field_name == "closures":
         return field_name, string(e["value"], f"{where}.value")
     parse_hazard(e["value"], f"{where}.value")

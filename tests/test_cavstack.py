@@ -1,5 +1,8 @@
 """Layer simulation: truth projection, declarative transforms, fusion."""
 
+import dataclasses
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +12,22 @@ from agvsim.cavstack import (
     LayerPerturbation,
     TransformOp,
     WorldTruth,
+    _apply_numeric,
+    _clamp,
     control_feedback,
     fuse,
     perceive,
     v2x_broadcast,
 )
-from agvsim.domain import ContextSummary, Hazard, RoadClass, SourceLayer
+from agvsim.domain import (
+    FIELD_RANGES,
+    ContextSummary,
+    Hazard,
+    RoadClass,
+    SourceLayer,
+    UserRequest,
+    VehicleFeedback,
+)
 
 
 def world(limit: float = 90.0, speed: float = 72.0, hazards=(), closures=()) -> WorldTruth:
@@ -179,3 +192,34 @@ class TestWorldTruthImmutability:
         v2x_broadcast(w, perturbations)
         control_feedback(w, perturbations)
         assert w.digest() == before
+
+
+TABLE_FIELDS = [(kind, name) for kind, ranges in FIELD_RANGES.items() for name in ranges]
+_FINITE_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-3.0, 3.0),
+    st.floats(-300.0, 300.0),
+    st.sampled_from([0.0, 1e308, -1e308, sys.float_info.max, -sys.float_info.max]),
+)
+_ARITHMETIC = st.sampled_from([TransformOp.SET, TransformOp.ADD, TransformOp.SCALE])
+
+
+@pytest.mark.parametrize("kind,name", TABLE_FIELDS, ids=[f"{k.__name__}.{n}" for k, n in TABLE_FIELDS])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(transforms=st.lists(st.tuples(_ARITHMETIC, _FINITE_NUMBERS), min_size=1, max_size=4))
+def test_every_clamped_transform_result_passes_the_records_check(kind, name, transforms):
+    # the layer clamps to the table's range, so no hostile arithmetic builds a record its own check refuses;
+    # hazards and requests have no layer arithmetic, so theirs is the layers' clamp on their table range
+    try:
+        if kind is ContextSummary:
+            perceive(world(), [perturb(Layer.PERCEPTION, name, op, value) for op, value in transforms])
+        elif kind is VehicleFeedback:
+            control_feedback(world(), [perturb(Layer.CONTROL_FEEDBACK, name, op, value) for op, value in transforms])
+        else:
+            record = {Hazard: Hazard("debris", 30.0, 0.9), UserRequest: UserRequest("Routine", "office", 50.0)}[kind]
+            current = getattr(record, name)
+            for op, value in transforms:
+                current = _clamp(_apply_numeric(current, op, value), *FIELD_RANGES[kind][name])
+            dataclasses.replace(record, **{name: current})
+    except ValueError as exc:
+        pytest.fail(f"{transforms!r} on {kind.__name__}.{name}: {exc}")

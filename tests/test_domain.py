@@ -1,12 +1,17 @@
-"""Domain vocabulary: envelopes, agency buckets, and admission rules."""
+"""Domain vocabulary: envelopes, agency buckets, admission rules and field ranges."""
+
+import dataclasses
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from agvsim.domain import (
+    FIELD_RANGES,
     AgencyBucket,
     Authority,
+    ConfigError,
     ContextSummary,
     Hazard,
     MessageEnvelope,
@@ -19,6 +24,9 @@ from agvsim.domain import (
     agency_bucket,
     make_envelope,
 )
+from agvsim.scenario import parse_scenario
+import test_scenario
+from test_scenario import DOC, HAZARD_POSITIONS, REQUEST_POSITIONS, _inject
 
 
 class TestAgencyLevels:
@@ -115,3 +123,85 @@ class TestValueTypes:
         summary = ContextSummary(speed_limit_kph=90.0, road_class=RoadClass.HIGHWAY)
         with pytest.raises(AttributeError):
             summary.speed_limit_kph = 40.0  # type: ignore[misc]
+
+
+# one record of each ranged kind, every field inside its range
+SAMPLES = {
+    ContextSummary: ContextSummary(90.0, RoadClass.URBAN),
+    VehicleFeedback: VehicleFeedback(50.0),
+    Hazard: Hazard("debris", 30.0, 0.9),
+    UserRequest: UserRequest("Routine", "office", 50.0),
+}
+TABLE_FIELDS = [(kind, name) for kind, ranges in FIELD_RANGES.items() for name in ranges]
+
+
+def _world(**edit) -> dict:
+    return {"world": {**DOC["world"], **edit}}
+
+
+def _placed(positions: dict, record: dict, name: str) -> list:
+    """A writer for each place a document writes `record`, that sets its field `name` to the value."""
+    return [lambda v, place=place: place({**record, name: v})[0] for place in positions.values()]
+
+
+# each place a document writes a table field: (record, field) -> the document edits that write the value
+WRITERS = {
+    (ContextSummary, "speed_limit_kph"): [
+        lambda v: _world(speed_limit_kph=v),
+        lambda v: _inject("T5", "PAInput", {"context_patch": {"speed_limit_kph": v}}),
+        lambda v: _inject("T12", "InterAgentMsg", {
+            "target": "external", "edits": [{"field": "speed_limit_kph", "op": "Set", "value": v}],
+        }),
+    ],
+    (VehicleFeedback, "speed_kph"): [lambda v: _world(vehicle_speed_kph=v)],
+    (Hazard, "distance_m"): _placed(HAZARD_POSITIONS, test_scenario.TestOneRule.HAZARD, "distance_m"),
+    (Hazard, "confidence"): _placed(HAZARD_POSITIONS, test_scenario.TestOneRule.HAZARD, "confidence"),
+    (UserRequest, "desired_speed_kph"): [
+        *_placed(REQUEST_POSITIONS, test_scenario.TestOneRule.REQUEST, "desired_speed_kph"),
+        lambda v: _inject("T1", "PAMemory", {"value_kph": v}),
+    ],
+}
+
+
+def _load(edit: dict):
+    return parse_scenario({**DOC, **edit}, "<test>")
+
+
+class TestFieldRanges:
+    """A ranged field obeys its one `FIELD_RANGES` range in a record built in Python and in every document."""
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    @pytest.mark.parametrize("kind,name", TABLE_FIELDS, ids=[f"{k.__name__}.{n}" for k, n in TABLE_FIELDS])
+    def test_a_bound_is_legal_and_the_next_float_outside_it_is_not(self, kind, name, side):
+        lo, hi = FIELD_RANGES[kind][name]
+        bound = lo if side == "lo" else hi
+        outside = math.nextafter(bound, -math.inf if side == "lo" else math.inf)
+        assert getattr(dataclasses.replace(SAMPLES[kind], **{name: bound}), name) == bound
+        if outside != bound:  # no float lies past infinity
+            with pytest.raises(ValueError, match=rf"^{kind.__name__}\.{name} must be in "):
+                dataclasses.replace(SAMPLES[kind], **{name: outside})
+        for write in WRITERS.get((kind, name), ()):
+            if bound == math.inf:  # a hazard may lie infinitely far, but a document writes finite numbers
+                with pytest.raises(ConfigError, match="must be a finite number"):
+                    _load(write(bound))
+            elif (kind, name, side) == (VehicleFeedback, "speed_kph", "hi"):
+                # the world's vehicle speed has a tighter rule of its own: a reachable compliant speed
+                with pytest.raises(ConfigError, match="no rule-compliant speed is reachable"):
+                    _load(write(bound))
+            else:
+                _load(write(bound))
+            if outside != bound:
+                with pytest.raises(ConfigError, match="must be a finite number"):
+                    _load(write(outside))
+
+    def test_a_record_built_in_python_obeys_the_range_its_file_form_does(self):
+        with pytest.raises(ValueError, match=r"^ContextSummary\.speed_limit_kph must be in \[0\.1, 200\]"):
+            ContextSummary(0.05, RoadClass.URBAN)
+        with pytest.raises(ConfigError, match=r"world\.speed_limit_kph: must be a finite number in \[0\.1, 200\]"):
+            _load(_world(speed_limit_kph=0.05))
+        with pytest.raises(ValueError, match=r"^UserRequest\.desired_speed_kph must be in \[0\.1, "):
+            UserRequest("Routine", "x", 0.05)
+        with pytest.raises(ValueError, match=r"^VehicleFeedback\.speed_kph must be in \[0, "):
+            VehicleFeedback(speed_kph=math.inf, accel_mps2=math.nan)
+        with pytest.raises(ValueError, match=r"^VehicleFeedback\.accel_mps2 must be in "):
+            VehicleFeedback(speed_kph=10.0, accel_mps2=math.nan)

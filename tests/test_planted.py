@@ -48,7 +48,7 @@ import test_serialize
 import test_severity
 import test_threats
 import test_tooling
-from agvsim.domain import ThreatId
+from agvsim.domain import ContextSummary, ThreatId
 from agvsim.pipeline import MemoryStore
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped
@@ -305,6 +305,27 @@ def test_a_record_init_that_skips_its_checks_fails(monkeypatch):
         monkeypatch.setattr(cls, "__init__", build(cls))
     fails(test_pipeline.test_a_proposal_out_of_bounds_is_rejected)
     fails(test_domain.TestEnvelopes().test_empty_provenance_rejected)
+
+
+def test_a_layer_clamp_with_its_own_bound_fails(monkeypatch):
+    # the context clamp keeps a literal range of its own for traffic density, wider than the record's
+    plant(
+        monkeypatch, agvsim.cavstack, "apply_summary_transform",
+        "*FIELD_RANGES[ContextSummary][field]",
+        '*((0.0, 2.0) if field == "traffic_density" else FIELD_RANGES[ContextSummary][field])',
+    )
+    fails(test_cavstack.test_every_clamped_transform_result_passes_the_records_check, ContextSummary, "traffic_density")
+
+
+def test_a_record_check_with_the_old_speed_limit_floor_fails(monkeypatch):
+    # a summary built in Python takes any positive limit, below the least limit a document may state
+    plant(
+        monkeypatch, ContextSummary, "__post_init__",
+        "limit_lo <= self.speed_limit_kph <= limit_hi", "0.0 < self.speed_limit_kph <= limit_hi",
+    )
+    fields = test_domain.TestFieldRanges()
+    fails(fields.test_a_bound_is_legal_and_the_next_float_outside_it_is_not, ContextSummary, "speed_limit_kph", "lo")
+    fails(fields.test_a_record_built_in_python_obeys_the_range_its_file_form_does)
 
 
 def test_a_record_built_without_slots_fails(monkeypatch):

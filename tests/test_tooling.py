@@ -420,9 +420,29 @@ def test_each_rule_is_stated_once_where_its_users_call_it():
     for name in ("perceive", "v2x_broadcast"):
         assert calls(cavstack[name], "_summary") == 1
         assert not any(isinstance(node, ast.For) for node in ast.walk(cavstack[name]))
-    # each rogue DSA policy is named once, in its rewrite table
+    # each rogue PA and DSA policy is named once, in its rewrite table
     threats = Counter(constants(ast.parse((PACKAGE / "threats.py").read_text(encoding="utf-8"))))
-    assert (threats["rogue-crawl"], threats["rogue-speedster"]) == (1, 1)
+    assert (threats["rogue-urgent"], threats["rogue-crawl"], threats["rogue-speedster"]) == (1, 1, 1)
+
+
+def test_each_field_range_is_written_once_in_the_domain_table():
+    # the speed bounds are read through `domain.FIELD_RANGES` alone, and the layer clamps take its ranges
+    named = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "domain":
+            named.extend(
+                f"{path.stem}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+                & {"MIN_SPEED_KPH", "MAX_SPEED_LIMIT_KPH"}
+            )
+    assert named == []
+    cavstack = ast.parse((PACKAGE / "cavstack.py").read_text(encoding="utf-8"))
+    literal_bounds = [
+        ast.unparse(call) for call in ast.walk(cavstack)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "_clamp"
+        for node in ast.walk(call) if isinstance(node, ast.Constant) and isinstance(node.value, float)
+    ]
+    assert literal_bounds == []
 
 
 @pytest.fixture(scope="module")
