@@ -442,9 +442,10 @@ FIELD_RANGES: Mapping[type, Mapping[str, tuple[float, float]]] = {
 _BOUNDS = {kind: tuple(ranges.values()) for kind, ranges in FIELD_RANGES.items()}
 
 
-def _out_of_range(value: Any) -> ValueError:
-    """The error naming the first field of the record `value` that is outside its range in FIELD_RANGES."""
-    name, (lo, hi) = next((n, r) for n, r in FIELD_RANGES[type(value)].items() if not r[0] <= getattr(value, n) <= r[1])
+def _out_of_range(value: Any, ranges: Mapping[str, tuple[float, float]] | None = None) -> ValueError:
+    """The error naming the first field of the record `value` outside its range in `ranges` (default: FIELD_RANGES)."""
+    ranges = FIELD_RANGES[type(value)] if ranges is None else ranges
+    name, (lo, hi) = next((n, r) for n, r in ranges.items() if not r[0] <= getattr(value, n) <= r[1])
     return ValueError(f"{type(value).__name__}.{name} must be in [{lo:g}, {hi:g}], got {getattr(value, name)!r}")
 
 

@@ -11,17 +11,14 @@ from pathlib import Path
 
 import yaml
 
-from .cavstack import Layer, WorldTruth
+from .cavstack import WORLD_RANGES, Layer, WorldTruth
 from .domain import (
     ConfigError,
     DrivingMode,
-    FIELD_RANGES,
     MAX_RUN_STEPS,
-    ContextSummary,
     RoadClass,
     ThreatId,
     UserRequest,
-    VehicleFeedback,
     agency_bucket,
     checked,
     integer,
@@ -112,9 +109,8 @@ class ScenarioConfig:
 
 def _parse_world(data: object, where: str) -> WorldTruth:
     world = mapping(data, where, ("speed_limit_kph", "road_class", "vehicle_speed_kph"), ("hazards", "closures"))
-    limits, speeds = FIELD_RANGES[ContextSummary]["speed_limit_kph"], FIELD_RANGES[VehicleFeedback]["speed_kph"]
-    limit = number(world["speed_limit_kph"], f"{where}.speed_limit_kph", *limits)
-    speed = number(world["vehicle_speed_kph"], f"{where}.vehicle_speed_kph", *speeds)
+    limit = number(world["speed_limit_kph"], f"{where}.speed_limit_kph", *WORLD_RANGES["true_speed_limit_kph"])
+    speed = number(world["vehicle_speed_kph"], f"{where}.vehicle_speed_kph", *WORLD_RANGES["vehicle_true_speed_kph"])
     # the SC's own arithmetic: past this, its clamp box is empty and every step raises PipelineError
     rules = Rulebook()
     delta, top = max_delta_kph(rules), min(limit, rules.abs_max_speed_kph)

@@ -197,12 +197,18 @@ class ListDigest:
     """`digest_of` of a list whose settled prefix only grows, each settled item serialised once.
 
     `add` appends an item to the prefix; `digest(tail)` returns
-    `digest_of(prefix + tail)` and serialises only `tail`.
+    `digest_of(prefix + tail)` and serialises only `tail`; `copy()` returns
+    a digest of the same prefix that grows apart from this one.
     """
 
     def __init__(self) -> None:
         self._hasher = hashlib.sha256(b"[")
         self._count = 0
+
+    def copy(self) -> ListDigest:
+        twin = ListDigest.__new__(ListDigest)
+        twin._hasher, twin._count = self._hasher.copy(), self._count
+        return twin
 
     def add(self, item: object) -> None:
         self._hasher.update(self._item_bytes(self._count, item))

@@ -277,20 +277,57 @@ def run_dsa_policy(
     return proposal
 
 
+class _Settled:
+    """Log entries settled after those of `previous`, and, once first needed, the digest state of all up to them.
+
+    A chain of these is the log's settled prefix as it grew. No entry or
+    link changes after it is built; only the state is filled in.
+    """
+
+    __slots__ = ("previous", "entries", "_state")
+
+    def __init__(self, previous: _Settled | None, entries: tuple[MessageEnvelope, ...]) -> None:
+        self.previous = previous
+        self.entries = entries
+        self._state = ListDigest() if previous is None else None
+
+    def digest(self, tail: tuple[MessageEnvelope, ...]) -> str:
+        """`digest_of` of every entry up to this link's and then `tail`.
+
+        The state of each link on the way back to the nearest one that has
+        it is built on from there and kept, so each entry is serialised once.
+        """
+        pending = []
+        link = self
+        while link._state is None:
+            pending.append(link)
+            link = link.previous  # type: ignore[assignment]
+        state = link._state
+        for link in reversed(pending):
+            state = state.copy()
+            for env in link.entries:
+                state.add(env)
+            link._state = state
+        return state.digest(tail)
+
+
 class MessageLog:
     """The run's message log: append-only, except that T8 cuts provenance.
 
-    `digest()` equals `digest_of(list(log))` but serialises each entry about
-    once over the whole run. Envelopes are frozen, no applier edits a payload
-    in place, and T8 only ever shortens provenance to its last hop, so an
-    entry with at most one hop can never change again: the longest prefix of
-    such entries is settled into a running `ListDigest`, and each digest
-    serialises only the tail after it.
+    `snapshot()` is the log as it is now, as a `LazyDigest` whose digest
+    equals `digest_of(list(log))`. Envelopes are frozen, no applier edits a
+    payload in place, and T8 only ever shortens provenance to its last hop,
+    so an entry with at most one hop can never change again. The longest
+    prefix of such entries is a chain of `_Settled` links; a snapshot holds
+    the rest of the log as a tuple and takes its digest through the last
+    link, which later snapshots share. Taking one costs the entries added
+    or stripped since the one before, and reading them all, in any order,
+    serialises each settled entry once.
     """
 
     def __init__(self) -> None:
         self._entries: list[MessageEnvelope] = []
-        self._settled = ListDigest()  # holds entries[:settled_count], each with <= 1 hop
+        self._settled = _Settled(None, ())  # its chain holds entries[:settled_count], each with <= 1 hop
         self._settled_count = 0
 
     def __len__(self) -> int:
@@ -308,17 +345,21 @@ class MessageLog:
         for i in range(self._settled_count, len(self._entries)):
             env = self._entries[i]
             if len(env.provenance) > 1:
-                self._entries[i] = replace(env, provenance=env.provenance[-1:])
+                self._entries[i] = MessageEnvelope(
+                    env.sender, env.claimed_sender, env.authority, env.payload, env.provenance[-1:], env.step
+                )
                 stripped += 1
         return stripped
 
-    def digest(self) -> str:
-        for env in self._entries[self._settled_count:]:
-            if len(env.provenance) > 1:
-                break
-            self._settled.add(env)
-            self._settled_count += 1
-        return self._settled.digest(self._entries[self._settled_count:])
+    def snapshot(self) -> LazyDigest:
+        entries, start = self._entries, self._settled_count
+        end = start
+        while end < len(entries) and len(entries[end].provenance) <= 1:
+            end += 1
+        if end > start:
+            self._settled = _Settled(self._settled, tuple(entries[start:end]))
+            self._settled_count = end
+        return LazyDigest(tuple(entries[end:]), self._settled.digest)
 
 
 @dataclass
@@ -701,11 +742,10 @@ class ThreatSpec:
     surfaces: frozenset[Surface]
     keys: tuple[str, ...]  # the payload keys the schema knows; any other is rejected
     parse: Callable[[dict, str, ThreatInjection], Any]  # (payload, where, injection) -> `ThreatInjection.args`
-    # the surface the injector edits, seen before and after it acts: a digest
-    # taken now for the one store that changes in place (T8's log), else the
-    # surface itself; view and act are None for the cross-layer vectors,
-    # whose injections act inside the layer functions
-    view: Callable[[PipelineState, Any], str | LazyDigest | MemoryStore] | None
+    # the surface the injector edits, seen before and after it acts, as a
+    # value that nothing edits later; view and act are None for the
+    # cross-layer vectors, whose injections act inside the layer functions
+    view: Callable[[PipelineState, Any], LazyDigest | MemoryStore] | None
     act: Callable[[ThreatInjection, PipelineState, int], tuple[str, bool]] | None
     # step-record key prefixes through which the effect may surface; the
     # chain runner's structural attribution reads them
@@ -761,7 +801,7 @@ THREATS: dict[ThreatId, ThreatSpec] = {
         lambda s, a: LazyDigest(s.dsa_weights), _act_t7, _DECISION,
     ),
     ThreatId.T8: ThreatSpec(
-        frozenset({Surface.LOGS}), ("mode",), _parse_t8, lambda s, a: s.log.digest(), _act_t8, ("log_digest",),
+        frozenset({Surface.LOGS}), ("mode",), _parse_t8, lambda s, a: s.log.snapshot(), _act_t8, ("log_digest",),
     ),
     ThreatId.T9: ThreatSpec(
         frozenset({Surface.IDENTITY_FIELD}), ("claimed", "target", "context_patch"), _parse_t9,

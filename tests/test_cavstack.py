@@ -1,6 +1,7 @@
 """Layer simulation: truth projection, declarative transforms, fusion."""
 
 import dataclasses
+import math
 import sys
 
 import pytest
@@ -171,6 +172,26 @@ class TestValidation:
     def test_feedback_fields_only_on_control_layer(self):
         with pytest.raises(ValueError):
             perturb(Layer.PERCEPTION, "braking", TransformOp.SET, 1.0)
+
+
+class TestWorldTruthRanges:
+    @pytest.mark.parametrize("limit, speed, name", [
+        (0.05, float("inf"), "true_speed_limit_kph"),
+        (90.0, float("inf"), "vehicle_true_speed_kph"),
+        (float("nan"), 72.0, "true_speed_limit_kph"),
+        (90.0, float("nan"), "vehicle_true_speed_kph"),
+        (math.nextafter(200.0, math.inf), 72.0, "true_speed_limit_kph"),
+        (90.0, -0.5, "vehicle_true_speed_kph"),
+    ])
+    def test_a_world_outside_its_ranges_is_refused_naming_the_field(self, limit, speed, name):
+        with pytest.raises(ValueError, match=rf"^WorldTruth\.{name} must be in \["):
+            world(limit=limit, speed=speed)
+
+    def test_a_world_takes_the_bounds_of_the_summary_fields_that_report_it(self):
+        limits, speeds = FIELD_RANGES[ContextSummary]["speed_limit_kph"], FIELD_RANGES[VehicleFeedback]["speed_kph"]
+        for limit, speed in zip(limits, speeds):
+            truth = world(limit, speed)
+            assert (truth.true_speed_limit_kph, truth.vehicle_true_speed_kph) == (limit, speed)
 
 
 class TestWorldTruthImmutability:

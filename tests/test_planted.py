@@ -12,6 +12,7 @@ takes a few seconds.
 import __future__
 import dataclasses
 import inspect
+import math
 import os
 import sys
 import textwrap
@@ -48,13 +49,14 @@ import test_serialize
 import test_severity
 import test_threats
 import test_tooling
+from agvsim.cavstack import WorldTruth
 from agvsim.domain import ContextSummary, ThreatId
 from agvsim.pipeline import MemoryStore
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped
 from agvsim.serialize import ListDigest
-from agvsim.threats import THREATS
-from test_incremental import digest_calls  # noqa: F401  a fixture the store plant's test takes
+from agvsim.threats import THREATS, MessageLog
+from test_incremental import at_apply, digest_calls  # noqa: F401  fixtures the plants' tests take
 
 # writes provenance hops, and meets shared frozen objects at a new indent
 SCENARIO = "case1-arterial-routine"
@@ -101,6 +103,27 @@ def test_a_memo_that_serves_the_first_indent_fails(monkeypatch):
 def test_a_list_digest_without_its_separator_fails(monkeypatch):
     plant(monkeypatch, ListDigest, "_item_bytes", 'out = [", "] if i else []', "out = []")
     fails(test_golden.test_campaign_exports_match_golden, "threat-t08")
+
+
+def test_a_t8_view_of_the_live_log_fails(monkeypatch, at_apply):
+    # the snapshot holds the list that T8 strips and the runner extends after the view
+    plant(
+        monkeypatch, MessageLog, "snapshot",
+        "LazyDigest(tuple(entries[end:]), self._settled.digest)", "LazyDigest(self._entries)",
+    )
+    fails(test_incremental.test_lazy_effect_digests_equal_the_digests_at_apply_time, at_apply, "campaigns")
+
+
+def test_a_settled_link_that_advances_a_shared_digest_fails(monkeypatch):
+    # every link holds the one `ListDigest`: a link read after a later one has its entries
+    plant(monkeypatch, agvsim.threats._Settled, "digest", "state = state.copy()", "state = state")
+    fails(test_incremental.test_message_log_digest_equals_whole_log_digest)
+
+
+def test_a_world_that_leaves_its_speed_unchecked_fails(monkeypatch):
+    plant(monkeypatch, WorldTruth, "__post_init__", " and speed_lo <= speed <= speed_hi", "")
+    fails(test_cavstack.TestWorldTruthRanges().test_a_world_outside_its_ranges_is_refused_naming_the_field,
+          90.0, math.inf, "vehicle_true_speed_kph")
 
 
 def test_a_pair_written_without_its_inner_indent_fails(monkeypatch):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agvsim.serialize
-from agvsim.cavstack import WorldTruth
+from agvsim.cavstack import WORLD_RANGES, WorldTruth
 from agvsim.domain import Hazard, RoadClass, Role, record
 from agvsim.pipeline import MemoryEntry, MemoryKind, MemoryStore
 from agvsim.scenario import load_shipped
@@ -135,7 +135,9 @@ _memory_entries = st.builds(
     origin=st.sampled_from(Role), inserted_step=_ints, persistent=st.booleans(),
 )
 _worlds = st.builds(
-    WorldTruth, true_speed_limit_kph=_floats, road_class=st.sampled_from(RoadClass), vehicle_true_speed_kph=_floats,
+    WorldTruth, road_class=st.sampled_from(RoadClass),
+    # any float a world takes: its limit and speed are checked against their ranges
+    **{name: st.floats(lo, hi) for name, (lo, hi) in WORLD_RANGES.items()},
     true_hazards=st.lists(
         st.builds(Hazard, kind=_texts, distance_m=st.floats(min_value=0.0), confidence=st.floats(0.0, 1.0)),
         max_size=3,
