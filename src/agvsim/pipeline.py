@@ -172,7 +172,8 @@ class Rulebook:
 class AgentTuning:
     """Calibration knobs of the rule agents (frozen: a remote-code-execution
     style attack, T11, replaces the tuning with a copy that differs in
-    exactly one field, so a changed tuning is a new object)."""
+    exactly one field, so a changed tuning is a new object; a knob it sets
+    to the value held, written alike, keeps the tuning it found)."""
 
     pa_routine_factor: float = 0.9       # routine trips aim below the limit
     pa_routine_urgency: float = 0.4

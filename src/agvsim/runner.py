@@ -162,10 +162,14 @@ def run_episodes(
     no_tool_output = ToolOutput()  # frozen: one per run
     rules = Rulebook()
     tuning = _DEFAULT_TUNING
-    # each digest is recomputed only when its object changes: T11 replaces
-    # the frozen tuning, and only T3 replaces the read-only admission table
+    # the tuning is digested only when its object changes: T11 replaces the
+    # frozen tuning only with one that differs or writes differently
     tuning_digested = tuning
     tuning_digest, default_admission_digest = _default_digests()
+    # T3 builds a new admission table at every step it acts, so each other
+    # table is digested once per value: its keys are enums and its values
+    # sets of enums, so equal tables write equal text
+    admission_digests: dict[frozenset, str] = {}
     memory = MemoryStore()
     log = MessageLog()
     records: list[StepRecord] = []
@@ -291,6 +295,14 @@ def run_episodes(
                     _run_phase(entries, state, g, effects, clean, stages)
 
                 step_envelopes = log.since(log_start)
+                admission = state.admission
+                if admission is DEFAULT_ADMISSION:
+                    admission_digest = default_admission_digest
+                else:
+                    key = frozenset(admission.items())
+                    admission_digest = admission_digests.get(key)
+                    if admission_digest is None:
+                        admission_digest = admission_digests[key] = digest_of(_admission_plain(admission))
                 records.append(
                     StepRecord(
                         episode=episode,
@@ -312,10 +324,7 @@ def run_episodes(
                         policies=(state.pa_policy, state.dsa_policy),
                         memory_digest=memory.digest(),
                         tuning_digest=tuning_digest,
-                        admission_digest=(
-                            default_admission_digest if state.admission is DEFAULT_ADMISSION
-                            else digest_of(_admission_plain(state.admission))
-                        ),
+                        admission_digest=admission_digest,
                         log_digest=LazyDigest(step_envelopes, _log_digest),
                         effects=tuple(effects),
                     )

@@ -651,8 +651,10 @@ def _act_t9(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str,
     else:
         authority = Authority.INTENT_ONLY
         payload = {"forged_user_input": True}
-    forged = replace(make_envelope(Role.EXTERNAL, authority, payload, step), claimed_sender=claimed)
-    state.envelopes.append(forged)
+    # the claimed sender is forged; the one provenance hop is the true sender's
+    state.envelopes.append(
+        MessageEnvelope(Role.EXTERNAL, claimed, authority, payload, ((Role.EXTERNAL, step),), step)
+    )
     return f"forged envelope claiming {claimed.value}", False
 
 
@@ -664,9 +666,11 @@ def _act_t10(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str
 def _act_t11(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str, bool]:
     tool, field_name, value = inj.args
     state.tool_output = tool
-    mutated = getattr(state.tuning, field_name) != value
-    state.tuning = replace(state.tuning, **{field_name: value})
-    return f"tool compromised; config {field_name}={value}" + ("" if mutated else " (already set)"), False
+    held = getattr(state.tuning, field_name)
+    # kept when unchanged, so the runner digests it once; 0.0 and -0.0 are equal but write differently
+    if held != value or repr(held) != repr(value):
+        state.tuning = replace(state.tuning, **{field_name: value})
+    return f"tool compromised; config {field_name}={value}" + ("" if held != value else " (already set)"), False
 
 
 def _external_context(state: PipelineState) -> int | None:

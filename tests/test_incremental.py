@@ -4,10 +4,11 @@
 snapshot hashes each settled log entry once, whatever order the snapshots
 are read in. Both must give exactly what flattening or hashing everything
 gives, and the cost of a T8 application in the JSON export must not grow
-with the horizon. The runner digests the tuning and the admission table
-only when they change, and a `MemoryStore`, a value that `adopt` replaces,
-keeps its digest, also across an episode that carries every entry over, so
-neither count grows with the steps. It builds the layer views once per set
+with the horizon. The runner digests the tuning only when it changes and
+each admission table once per value, and a `MemoryStore`, a value that
+`adopt` replaces, keeps its digest, also across an episode that carries
+every entry over, so no fixture's CSV-only pair takes more than one digest
+more per added episode. It builds the layer views once per set
 of active layer perturbations, and they must equal the views rebuilt at
 every step. An effect record takes the digests of the surface its view saw
 only when they are first read: each must equal the digest taken at apply
@@ -29,6 +30,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agvsim.cavstack
 import agvsim.pipeline
 import agvsim.runner
 import agvsim.serialize
@@ -251,6 +253,35 @@ def test_runner_digests_per_run_do_not_grow_with_steps(digest_calls):
         per_run.append((len(digest_calls["runner"]), digest_calls["store"]))
     assert per_run[0][1] > 0  # the memory store is digested at least once
     assert per_run[0] == per_run[1]
+
+
+@pytest.fixture
+def site_digests(monkeypatch):
+    """Counts every `digest_of` call made through the runner, pipeline, threats, cavstack and trace modules."""
+    counted = {"calls": 0}
+    for module in (agvsim.runner, agvsim.pipeline, agvsim.threats, agvsim.cavstack, agvsim.trace):
+
+        def counting(obj, original=module.digest_of):
+            counted["calls"] += 1
+            return original(obj)
+
+        monkeypatch.setattr(module, "digest_of", counting)
+    return counted
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_a_csv_only_campaign_pair_digests_at_most_once_more_per_added_episode(site_digests, name):
+    # the chain-base bound above, over every fixture as campaign runs it: a
+    # memory store carried into a new episode may take its own digest, and no
+    # other digest may come with the steps
+    per_pair = []
+    for episodes in (3, 12):
+        config = open_campaign(name, episodes)
+        site_digests["calls"] = 0
+        attacked, baseline = paired(config)
+        render_csv(compare(baseline, attacked))
+        per_pair.append(site_digests["calls"])
+    assert per_pair[1] - per_pair[0] <= 12 - 3, per_pair
 
 
 @pytest.fixture

@@ -56,7 +56,7 @@ from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped
 from agvsim.serialize import ListDigest
 from agvsim.threats import THREATS, MessageLog
-from test_incremental import at_apply, digest_calls  # noqa: F401  fixtures the plants' tests take
+from test_incremental import at_apply, digest_calls, site_digests  # noqa: F401  fixtures the plants' tests take
 
 # writes provenance hops, and meets shared frozen objects at a new indent
 SCENARIO = "case1-arterial-routine"
@@ -166,6 +166,34 @@ def test_t4_that_skips_its_pa_input_edit_fails(monkeypatch):
     monkeypatch.setitem(THREATS, ThreatId.T4, dataclasses.replace(THREATS[ThreatId.T4], act=act))
     fails(test_threats.TestApplyEffects().test_t4_multiplies_completeness)
     fails(test_threats.test_t4_on_pa_input_scales_completeness_alone)
+
+
+def test_an_admission_memo_keyed_by_table_size_fails(monkeypatch):
+    # every table T3 builds has the four authorities: the first granted table's digest serves every later one
+    plant(monkeypatch, agvsim.runner, "run_episodes", "key = frozenset(admission.items())", "key = len(admission)")
+    fails(test_runner.TestAdmissionDigest.test_admission_digest_follows_every_t3_grant)
+
+
+def test_a_runner_that_digests_every_granted_table_fails(monkeypatch, site_digests):
+    # right digests, one per step that T3 acts at: the count grows with the horizon
+    plant(
+        monkeypatch, agvsim.runner, "run_episodes",
+        "admission_digest = admission_digests.get(key)", "admission_digest = None",
+    )
+    fails(
+        test_incremental.test_a_csv_only_campaign_pair_digests_at_most_once_more_per_added_episode,
+        site_digests, "threat-t03",
+    )
+
+
+def test_t11_that_keeps_an_equal_but_differently_written_knob_fails(monkeypatch):
+    # -0.0 == 0.0: the tuning that holds 0.0 is kept, and its digest with it
+    act = plant(
+        monkeypatch, agvsim.threats, "_act_t11",
+        "if held != value or repr(held) != repr(value):", "if held != value:",
+    )
+    monkeypatch.setitem(THREATS, ThreatId.T11, dataclasses.replace(THREATS[ThreatId.T11], act=act))
+    fails(test_runner.TestTuningDigest().test_negative_zero_knob_gets_its_own_digest)
 
 
 def test_a_store_that_adopt_extends_in_place_fails(monkeypatch, digest_calls):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import gc
+import pickle
 from functools import cache
 
 import pytest
@@ -18,7 +19,7 @@ from agvsim.report import compare, render_csv, render_json
 from agvsim.scenario import ConfigError, load_shipped, parse_scenario, shipped_scenarios
 from agvsim.runner import run_episodes
 from agvsim.serialize import digest_of
-from agvsim.threats import Phase, Surface, injection_phase
+from agvsim.threats import Phase, Surface, ThreatInjection, injection_phase
 from agvsim.trace import TracePairingError, stealth_check, step_deltas
 
 from test_golden import open_campaign
@@ -586,3 +587,67 @@ class TestEffectOrder:
                 for phase in PHASE_ORDER for inj, at in zip(active, phases) if at is phase
             ]
             assert [(e.threat, e.surface) for e in record.effects] == expected, g
+
+
+GRANT_ROLES = (Role.PERSONAL_AGENT, Role.DRIVING_STRATEGY_AGENT)
+
+
+@cache
+def t3_injection(role: Role) -> ThreatInjection:
+    return ThreatInjection(
+        ThreatId.T3, Surface.INTER_AGENT_MSG,
+        {"grant_role": role.value, "context_patch": {"speed_limit_kph": 55.0}},
+    )
+
+
+@st.composite
+def t3_placements(draw) -> list[tuple[Role, bool, tuple[int, int]]]:
+    """1-4 T3 injections, each (grant role, as a chain stage, (start, end)); windows often share a step."""
+    placed = []
+    for _ in range(draw(st.integers(1, 4))):
+        role = draw(st.sampled_from(GRANT_ROLES))
+        start = draw(st.integers(0, CHAIN_STEPS - 1))
+        placed.append((role, draw(st.booleans()), (start, draw(st.integers(start, CHAIN_STEPS - 1)))))
+    return placed
+
+
+def expected_admission_digest(grants: set[Role]) -> str:
+    """The digest of the default table with `grants` added to the context senders, written as the export writes it."""
+    table = {
+        authority.value: sorted(r.value for r in (roles | grants if authority is Authority.CONTEXT_ONLY else roles))
+        for authority, roles in DEFAULT_ADMISSION.items()
+    }
+    return digest_of(table)
+
+
+class TestAdmissionDigest:
+    # static: a planted fault calls it too, and hypothesis wants one executor per test
+    @staticmethod
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(t3_placements())
+    def test_admission_digest_follows_every_t3_grant(placed):
+        # a scenario injection grants in its window, a chain stage from its start step on
+        windows = [(t3_injection(role), window) for role, as_stage, window in placed if not as_stage]
+        stages = [
+            ChainStage(StageKind.INJECT, Trigger(at_step=start), t3_injection(role), label=role.value)
+            for role, as_stage, (start, _) in placed if as_stage
+        ]
+        config = dataclasses.replace(load_shipped("chain-base"), injections=tuple(windows))
+        propagation, _ = run_chain(ChainSpec("admission", tuple(stages), CHAIN_STEPS), config)
+        got = [r.admission_digest for r in propagation.attacked.steps]
+        expected = []
+        for g in range(CHAIN_STEPS):
+            grants = {
+                role for role, as_stage, (start, end) in placed if start <= g and (as_stage or g <= end)
+            }
+            expected.append(expected_admission_digest(grants))
+        assert got == expected
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_injections_survive_pickle_and_deepcopy(name):
+    # `args` is a derived field: copies and pickles must carry it, equal
+    for inj, _ in load_shipped(name).injections:
+        for copied in (pickle.loads(pickle.dumps(inj)), copy.deepcopy(inj)):
+            assert copied == inj
+            assert copied.args == inj.args
