@@ -19,34 +19,25 @@ from .domain import (
     RoadClass,
     SourceLayer,
     VehicleFeedback,
-    _out_of_range,
     is_finite_number,
+    ranged,
     record,
 )
 from .serialize import digest_of
 
-# the world's true limit and speed take the ranges of the summary fields the layers report them in
-WORLD_RANGES = {
-    "true_speed_limit_kph": FIELD_RANGES[ContextSummary]["speed_limit_kph"],
-    "vehicle_true_speed_kph": FIELD_RANGES[VehicleFeedback]["speed_kph"],
-}
-
 
 @record
 class WorldTruth:
-    """Harness-only oracle state. Pipeline components never read this."""
+    """Harness-only oracle state. Pipeline components never read this.
 
-    true_speed_limit_kph: float
+    The true limit and speed take the ranges of the summary fields the layers report them in.
+    """
+
+    true_speed_limit_kph: float = ranged(*FIELD_RANGES[ContextSummary]["speed_limit_kph"])
     road_class: RoadClass
-    vehicle_true_speed_kph: float
+    vehicle_true_speed_kph: float = ranged(*FIELD_RANGES[VehicleFeedback]["speed_kph"])
     true_hazards: tuple[Hazard, ...] = ()
     true_closures: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        (limit_lo, limit_hi), (speed_lo, speed_hi) = WORLD_RANGES.values()
-        limit, speed = self.true_speed_limit_kph, self.vehicle_true_speed_kph
-        if not (limit_lo <= limit <= limit_hi and speed_lo <= speed <= speed_hi):
-            raise _out_of_range(self, WORLD_RANGES)
 
     def digest(self) -> str:
         return digest_of({

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -52,6 +52,34 @@ def shipped_files(folder: str) -> dict[str, Path]:
     return {entry.name[: -len(".yaml")]: Path(str(entry)) for entry in entries}
 
 
+# The least speed or speed limit a scenario may state, so no product of speeds
+# and factors underflows to 0, and the greatest speed limit.
+MIN_SPEED_KPH = 0.1
+MAX_SPEED_LIMIT_KPH = 200.0
+_UNIT, _ANY = (0.0, 1.0), (-_FINITE, _FINITE)
+
+# The legal range [lo, hi] of each ranged record field, by record, in field
+# order: `record` enters each field declared `ranged`, and the record's own
+# `__init__`, the layer clamps and the loaders read the range here alone.
+# Telemetry and speeds stay finite, so hostile layer arithmetic (Set 1e308,
+# then Scale 10) saturates instead of reaching inf.
+FIELD_RANGES: dict[type, dict[str, tuple[float, float]]] = {}
+
+
+def ranged(lo: float, hi: float, default: Any = MISSING) -> Any:
+    """A record field whose value lies in [lo, hi]; one whose default is `None` may also be `None`."""
+    return field(default=default, metadata={"range": (lo, hi)})
+
+
+def _out_of_range(value: Any) -> ValueError:
+    """The error naming the first ranged field of the record `value` outside its range."""
+    name, (lo, hi) = next(
+        (n, r) for n, r in FIELD_RANGES[type(value)].items()
+        if getattr(value, n) is not None and not r[0] <= getattr(value, n) <= r[1]
+    )
+    return ValueError(f"{type(value).__name__}.{name} must be in [{lo:g}, {hi:g}], got {getattr(value, name)!r}")
+
+
 def record(cls: type[T]) -> type[T]:
     """`cls` as a frozen dataclass with slots, whose `__init__` stores each field through its slot.
 
@@ -62,11 +90,13 @@ def record(cls: type[T]) -> type[T]:
     of a plain store, and every step of a run builds a dozen records. This
     `__init__` takes the same parameters and defaults, stores the fields in
     field order through their slots' member descriptors, and then calls
-    `__post_init__` when the class has one. A *derived* field, declared
-    `field(default=<plain>, init=False, compare=False, repr=False)`, is no
-    parameter: `__init__` stores its default, and the class sets it once
-    with `object.__setattr__`; equality, hashing and every export leave it
-    out, and copies and pickles carry it. A data descriptor that the class
+    `__post_init__` when the class has one. A *ranged* field, declared
+    `ranged(lo, hi)`, enters `FIELD_RANGES[cls]`, and `__init__` refuses a
+    value outside its range last, with `_out_of_range`. A *derived* field,
+    declared `field(default=<plain>, init=False, compare=False, repr=False)`,
+    is no parameter: `__init__` stores its default, and the class sets it
+    once with `object.__setattr__`; equality, hashing and every export leave
+    it out, and copies and pickles carry it. A data descriptor that the class
     body puts on a field, such as `threats._DigestField`, stays in front of
     the field's slot and is given the slot's member descriptor as `slot`.
     Setting or deleting any attribute raises `FrozenInstanceError`; hashing,
@@ -77,6 +107,9 @@ def record(cls: type[T]) -> type[T]:
     """
     body = dict(vars(cls))
     cls = dataclass(frozen=True, init=False, slots=True)(cls)
+    ranges = {f.name: f.metadata["range"] for f in fields(cls) if "range" in f.metadata}
+    if ranges:
+        FIELD_RANGES[cls] = ranges
     cls.__init__ = _record_init(cls)  # type: ignore[misc]
     # a record has no attribute but its fields, so both always refuse
     cls.__setattr__ = _frozen_setattr  # type: ignore[method-assign, assignment]
@@ -102,10 +135,13 @@ def _record_init(cls: type) -> Callable[..., None]:
 
     A field takes a plain default or none, and is stored by `_set_<name>`,
     its slot's `__set__`, even where a data descriptor will stand in front of
-    the slot; a derived field is stored its default. The local `__self`
-    cannot clash with a field name, which the class body would have mangled.
+    the slot; a derived field is stored its default. After `__post_init__`,
+    one comparison chain holds each ranged field's parameter to its range in
+    `FIELD_RANGES`. The local `__self` cannot clash with a field name, which
+    the class body would have mangled.
     """
-    params, stores, namespace = ["__self"], [], {}
+    params, stores, checks, namespace = ["__self"], [], [], {"_out_of_range": _out_of_range}
+    ranges = FIELD_RANGES.get(cls, {})
     for f in fields(cls):
         derived = not f.init
         if f.kw_only or f.default_factory is not MISSING or derived and (f.default is MISSING or f.compare or f.repr):
@@ -116,8 +152,14 @@ def _record_init(cls: type) -> Callable[..., None]:
             params.append(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}")
         namespace[f"_set_{f.name}"] = vars(cls)[f.name].__set__
         stores.append(f"    _set_{f.name}(__self, {f'_default_{f.name}' if derived else f.name})")
+        if f.name in ranges:
+            namespace[f"_lo_{f.name}"], namespace[f"_hi_{f.name}"] = ranges[f.name]
+            check = f"_lo_{f.name} <= {f.name} <= _hi_{f.name}"
+            checks.append(f"({f.name} is None or {check})" if f.default is None else check)
     if hasattr(cls, "__post_init__"):
         stores.append("    __self.__post_init__()")
+    if checks:
+        stores.append(f"    if not ({' and '.join(checks)}):\n        raise _out_of_range(__self)")
     exec(f"def __init__({', '.join(params)}):\n" + "\n".join(stores), namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -286,13 +328,8 @@ class Hazard:
     """One perceived hazard record inside a context summary."""
 
     kind: str
-    distance_m: float
-    confidence: float
-
-    def __post_init__(self) -> None:
-        (distance_lo, distance_hi), (confidence_lo, confidence_hi) = _BOUNDS[Hazard]
-        if not (distance_lo <= self.distance_m <= distance_hi and confidence_lo <= self.confidence <= confidence_hi):
-            raise _out_of_range(self)
+    distance_m: float = ranged(0.0, math.inf)
+    confidence: float = ranged(*_UNIT)
 
 
 # The most global steps one run may take: a scenario's episodes times its
@@ -309,40 +346,24 @@ class ContextSummary:
     it is a scalar knob, not per-field dropout.
     """
 
-    speed_limit_kph: float
+    speed_limit_kph: float = ranged(MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH)
     road_class: RoadClass
     hazards: tuple[Hazard, ...] = ()
     closures: tuple[str, ...] = ()  # road-segment ids
-    traffic_density: float = 0.0
+    traffic_density: float = ranged(*_UNIT, default=0.0)
     source_layer: SourceLayer = SourceLayer.FUSION
-    completeness: float = 1.0
-
-    def __post_init__(self) -> None:
-        (limit_lo, limit_hi), (density_lo, density_hi), (whole_lo, whole_hi) = _BOUNDS[ContextSummary]
-        if not (
-            limit_lo <= self.speed_limit_kph <= limit_hi and density_lo <= self.traffic_density <= density_hi
-            and whole_lo <= self.completeness <= whole_hi
-        ):
-            raise _out_of_range(self)
+    completeness: float = ranged(*_UNIT, default=1.0)
 
 
 @record
 class VehicleFeedback:
     """Control-layer telemetry as reported to the agents (not ground truth)."""
 
-    speed_kph: float
-    accel_mps2: float = 0.0
-    steering_deg: float = 0.0
-    braking: float = 0.0
+    speed_kph: float = ranged(0.0, _FINITE)
+    accel_mps2: float = ranged(*_ANY, default=0.0)
+    steering_deg: float = ranged(*_ANY, default=0.0)
+    braking: float = ranged(*_UNIT, default=0.0)
     reported_by: str = "control-layer"
-
-    def __post_init__(self) -> None:
-        (speed_lo, speed_hi), (accel_lo, accel_hi), (steer_lo, steer_hi), (brake_lo, brake_hi) = _BOUNDS[VehicleFeedback]
-        if not (
-            speed_lo <= self.speed_kph <= speed_hi and accel_lo <= self.accel_mps2 <= accel_hi
-            and steer_lo <= self.steering_deg <= steer_hi and brake_lo <= self.braking <= brake_hi
-        ):
-            raise _out_of_range(self)
 
 
 @record
@@ -395,10 +416,9 @@ DEFAULT_ADMISSION: Mapping[Authority, frozenset[Role]] = MappingProxyType({
 })
 
 
-def admitted(envelope: MessageEnvelope, policy: Mapping[Authority, frozenset[Role]] | None = None) -> bool:
-    """Admission check at the pipeline boundary, based on claimed identity."""
-    table = DEFAULT_ADMISSION if policy is None else policy
-    return envelope.claimed_sender in table.get(envelope.authority, frozenset())
+def admitted(envelope: MessageEnvelope, policy: Mapping[Authority, frozenset[Role]]) -> bool:
+    """Admission check at the pipeline boundary by the table `policy`, based on claimed identity."""
+    return envelope.claimed_sender in policy.get(envelope.authority, frozenset())
 
 
 URGENCY_TAGS = ("Routine", "Urgent")
@@ -410,43 +430,11 @@ class UserRequest:
 
     urgency_tag: str                        # one of URGENCY_TAGS
     destination: str
-    desired_speed_kph: float | None = None  # explicit override, optional
+    desired_speed_kph: float | None = ranged(MIN_SPEED_KPH, _FINITE, default=None)  # explicit override, optional
 
     def __post_init__(self) -> None:
         if self.urgency_tag not in URGENCY_TAGS:
             raise ValueError(f"urgency_tag must be Routine or Urgent, got {self.urgency_tag!r}")
-        ((speed_lo, speed_hi),) = _BOUNDS[UserRequest]
-        if self.desired_speed_kph is not None and not speed_lo <= self.desired_speed_kph <= speed_hi:
-            raise _out_of_range(self)
-
-
-# The least speed or speed limit a scenario may state, so no product of speeds
-# and factors underflows to 0, and the greatest speed limit.
-MIN_SPEED_KPH = 0.1
-MAX_SPEED_LIMIT_KPH = 200.0
-_UNIT, _ANY = (0.0, 1.0), (-_FINITE, _FINITE)
-
-# The legal range [lo, hi] of each numeric field that documents write and
-# layers change, by record: the record's check, the layer clamps and the
-# loaders read it here alone. Telemetry and speeds stay finite, so hostile
-# layer arithmetic (Set 1e308, then Scale 10) saturates instead of reaching inf.
-FIELD_RANGES: Mapping[type, Mapping[str, tuple[float, float]]] = {
-    ContextSummary: {
-        "speed_limit_kph": (MIN_SPEED_KPH, MAX_SPEED_LIMIT_KPH), "traffic_density": _UNIT, "completeness": _UNIT,
-    },
-    VehicleFeedback: {"speed_kph": (0.0, _FINITE), "accel_mps2": _ANY, "steering_deg": _ANY, "braking": _UNIT},
-    Hazard: {"distance_m": (0.0, math.inf), "confidence": _UNIT},
-    UserRequest: {"desired_speed_kph": (MIN_SPEED_KPH, _FINITE)},
-}
-# each record's ranges in its table's field order: its check unpacks them into one comparison chain
-_BOUNDS = {kind: tuple(ranges.values()) for kind, ranges in FIELD_RANGES.items()}
-
-
-def _out_of_range(value: Any, ranges: Mapping[str, tuple[float, float]] | None = None) -> ValueError:
-    """The error naming the first field of the record `value` outside its range in `ranges` (default: FIELD_RANGES)."""
-    ranges = FIELD_RANGES[type(value)] if ranges is None else ranges
-    name, (lo, hi) = next((n, r) for n, r in ranges.items() if not r[0] <= getattr(value, n) <= r[1])
-    return ValueError(f"{type(value).__name__}.{name} must be in [{lo:g}, {hi:g}], got {getattr(value, name)!r}")
 
 
 # ---------------------------------------------------------------------------

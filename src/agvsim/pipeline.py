@@ -14,7 +14,7 @@ import math
 from dataclasses import field, replace
 from enum import Enum
 
-from .domain import ContextSummary, PipelineError, Role, UserRequest, VehicleFeedback, record
+from .domain import FIELD_RANGES, ContextSummary, PipelineError, Role, UserRequest, VehicleFeedback, ranged, record
 from .serialize import digest_of
 
 KPH_PER_MPS = 3.6
@@ -89,8 +89,8 @@ class IntentDescriptor:
     """PA output: abstract goals only, never maneuvers."""
 
     desired_speed_kph: float
-    urgency: float               # [0, 1]
-    comfort_weight: float        # [0, 1]
+    urgency: float = ranged(0.0, 1.0)
+    comfort_weight: float = ranged(0.0, 1.0)
     destination_tag: str
     active_caps_kph: tuple[float, ...] = ()
     derived_from: tuple[str, ...] = ()  # memory keys consulted
@@ -98,10 +98,6 @@ class IntentDescriptor:
     def __post_init__(self) -> None:
         if self.desired_speed_kph <= 0:
             raise ValueError(f"desired speed must be > 0, got {self.desired_speed_kph}")
-        if not 0.0 <= self.urgency <= 1.0:
-            raise ValueError(f"urgency must be in [0, 1], got {self.urgency}")
-        if not 0.0 <= self.comfort_weight <= 1.0:
-            raise ValueError(f"comfort weight must be in [0, 1], got {self.comfort_weight}")
 
     @property
     def effective_cap(self) -> float | None:
@@ -168,29 +164,27 @@ class Rulebook:
                 raise ValueError(f"rulebook bound {name} must be > 0")
 
 
+_URGENCY, _KNOB = FIELD_RANGES[IntentDescriptor]["urgency"], (1e-3, 1e3)
+
+
 @record
 class AgentTuning:
     """Calibration knobs of the rule agents (frozen: a remote-code-execution
     style attack, T11, replaces the tuning with a copy that differs in
     exactly one field, so a changed tuning is a new object; a knob it sets
-    to the value held, written alike, keeps the tuning it found)."""
+    to the value held, written alike, keeps the tuning it found).
 
-    pa_routine_factor: float = 0.9       # routine trips aim below the limit
-    pa_routine_urgency: float = 0.4
-    pa_urgent_urgency: float = 1.0
-    dsa_hazard_confidence_min: float = 0.5
-    dsa_hazard_distance_m: float = 100.0
-    dsa_slowdown_factor: float = 0.5     # hazard / degraded-profile multiplier
-    dsa_headway_base_s: float = 1.0
+    Each knob is ranged: an urgency takes the intent's urgency range, and
+    every other knob one range, narrow enough that products of knobs and
+    speeds stay finite and > 0."""
 
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(self.__dataclass_fields__)
-
-    @staticmethod
-    def knob_range(name: str) -> tuple[float, float]:
-        """The closed range a knob accepts: [0, 1] for an urgency, as for the intent's;
-        [0.001, 1000] for the others, so products of knobs and speeds stay finite and > 0."""
-        return (0.0, 1.0) if name.endswith("_urgency") else (1e-3, 1e3)
+    pa_routine_factor: float = ranged(*_KNOB, default=0.9)  # routine trips aim below the limit
+    pa_routine_urgency: float = ranged(*_URGENCY, default=0.4)
+    pa_urgent_urgency: float = ranged(*_URGENCY, default=1.0)
+    dsa_hazard_confidence_min: float = ranged(*_KNOB, default=0.5)
+    dsa_hazard_distance_m: float = ranged(*_KNOB, default=100.0)
+    dsa_slowdown_factor: float = ranged(*_KNOB, default=0.5)  # hazard / degraded-profile multiplier
+    dsa_headway_base_s: float = ranged(*_KNOB, default=1.0)
 
 
 def max_delta_kph(rules: Rulebook) -> float:

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import yaml
 
-from .cavstack import WORLD_RANGES, Layer, WorldTruth
+from .cavstack import Layer, WorldTruth
 from .domain import (
+    FIELD_RANGES,
     ConfigError,
     DrivingMode,
     MAX_RUN_STEPS,
@@ -109,8 +110,9 @@ class ScenarioConfig:
 
 def _parse_world(data: object, where: str) -> WorldTruth:
     world = mapping(data, where, ("speed_limit_kph", "road_class", "vehicle_speed_kph"), ("hazards", "closures"))
-    limit = number(world["speed_limit_kph"], f"{where}.speed_limit_kph", *WORLD_RANGES["true_speed_limit_kph"])
-    speed = number(world["vehicle_speed_kph"], f"{where}.vehicle_speed_kph", *WORLD_RANGES["vehicle_true_speed_kph"])
+    ranges = FIELD_RANGES[WorldTruth]
+    limit = number(world["speed_limit_kph"], f"{where}.speed_limit_kph", *ranges["true_speed_limit_kph"])
+    speed = number(world["vehicle_speed_kph"], f"{where}.vehicle_speed_kph", *ranges["vehicle_true_speed_kph"])
     # the SC's own arithmetic: past this, its clamp box is empty and every step raises PipelineError
     rules = Rulebook()
     delta, top = max_delta_kph(rules), min(limit, rules.abs_max_speed_kph)

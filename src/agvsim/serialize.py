@@ -64,14 +64,15 @@ def _layout(cls: type, nl: str | None) -> None:
     get = attrgetter(*names) if len(names) > 1 else lambda obj: tuple(getattr(obj, n) for n in names)
     inner, first, sep, last = _indent(nl)
     openings = tuple((sep if i else "{" + first) + _escape(name) + ": " for i, name in enumerate(names))
-    memoised = nl is not None and cls.__dataclass_params__.frozen  # type: ignore[attr-defined]
+    # by id, within one call: nothing changes while it writes, and the memo holds each object it keys
+    memoised = nl is not None
     _LAYOUTS[cls, nl] = (get, openings, last + "}" if names else "{}", inner, memoised)
 
 
 def canonical_json(obj: object) -> str:
     """The indented JSON text of `obj`: two spaces per level, keys sorted.
 
-    A frozen dataclass that occurs more than once is written once per call;
+    A dataclass that occurs more than once is written once per call;
     the memo of this call keeps where its text lies in the output.
     """
     out: list[str] = []
@@ -85,7 +86,7 @@ def _text(obj: object, nl: str | None, memo: dict | None, out: list[str]) -> Non
     Enum -> its value, dataclass -> its compared fields by name, dict keys through
     `str()`, sets sorted by `repr`, anything else its `repr` as a string.
     Indented, the closing bracket follows `nl` (a newline plus the indent),
-    and `memo` maps the id of each frozen dataclass written so far to
+    and `memo` maps the id of each dataclass written so far to
     (its `nl`, the start and end of its text in `out`, the object); with
     `nl=None`, compact with the `json` module's default separators: items
     ", " apart, no newlines.

@@ -512,9 +512,9 @@ def _parse_t10(p: dict, where: str, inj: ThreatInjection) -> int:
 
 
 def _parse_t11(p: dict, where: str, inj: ThreatInjection) -> tuple[ToolOutput, str, float]:
-    name = string(p.get("config_field"), f"{where}.config_field", AgentTuning().field_names())
-    lo, hi = AgentTuning.knob_range(name)
-    return _tool_output(p, where, inj), name, number(p.get("config_value"), f"{where}.config_value", lo, hi)
+    knobs = FIELD_RANGES[AgentTuning]
+    name = string(p.get("config_field"), f"{where}.config_field", knobs)
+    return _tool_output(p, where, inj), name, number(p.get("config_value"), f"{where}.config_value", *knobs[name])
 
 
 def _external_edit(value: object, where: str) -> tuple[str, object]:

@@ -29,6 +29,7 @@ from agvsim.domain import (
     UserRequest,
     VehicleFeedback,
 )
+from agvsim.pipeline import AgentTuning, IntentDescriptor
 
 
 def world(limit: float = 90.0, speed: float = 72.0, hazards=(), closures=()) -> WorldTruth:
@@ -230,14 +231,18 @@ _ARITHMETIC = st.sampled_from([TransformOp.SET, TransformOp.ADD, TransformOp.SCA
 @given(transforms=st.lists(st.tuples(_ARITHMETIC, _FINITE_NUMBERS), min_size=1, max_size=4))
 def test_every_clamped_transform_result_passes_the_records_check(kind, name, transforms):
     # the layer clamps to the table's range, so no hostile arithmetic builds a record its own check refuses;
-    # hazards and requests have no layer arithmetic, so theirs is the layers' clamp on their table range
+    # the other records have no layer arithmetic, so theirs is the layers' clamp on their table range
     try:
         if kind is ContextSummary:
             perceive(world(), [perturb(Layer.PERCEPTION, name, op, value) for op, value in transforms])
         elif kind is VehicleFeedback:
             control_feedback(world(), [perturb(Layer.CONTROL_FEEDBACK, name, op, value) for op, value in transforms])
         else:
-            record = {Hazard: Hazard("debris", 30.0, 0.9), UserRequest: UserRequest("Routine", "office", 50.0)}[kind]
+            record = {
+                Hazard: Hazard("debris", 30.0, 0.9), UserRequest: UserRequest("Routine", "office", 50.0),
+                WorldTruth: world(), IntentDescriptor: IntentDescriptor(50.0, 0.4, 0.6, "office"),
+                AgentTuning: AgentTuning(),
+            }[kind]
             current = getattr(record, name)
             for op, value in transforms:
                 current = _clamp(_apply_numeric(current, op, value), *FIELD_RANGES[kind][name])

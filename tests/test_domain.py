@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from agvsim.cavstack import WorldTruth
 from agvsim.domain import (
+    DEFAULT_ADMISSION,
     FIELD_RANGES,
     AgencyBucket,
     Authority,
@@ -24,6 +26,7 @@ from agvsim.domain import (
     agency_bucket,
     make_envelope,
 )
+from agvsim.pipeline import AgentTuning, IntentDescriptor
 from agvsim.scenario import parse_scenario
 import test_scenario
 from test_scenario import DOC, HAZARD_POSITIONS, REQUEST_POSITIONS, _inject
@@ -70,20 +73,20 @@ class TestEnvelopes:
     def test_safety_check_cannot_send_intent(self):
         # authority mismatch is refused at pipeline admission
         env = make_envelope(Role.SAFETY_CHECK, Authority.INTENT_ONLY, None, 0)
-        assert not admitted(env)
+        assert not admitted(env, DEFAULT_ADMISSION)
 
     def test_verdict_authority_limited_to_safety_check(self):
         for role in Role:
             env = make_envelope(role, Authority.VERDICT_ONLY, None, 0)
-            assert admitted(env) == (role is Role.SAFETY_CHECK)
+            assert admitted(env, DEFAULT_ADMISSION) == (role is Role.SAFETY_CHECK)
 
     def test_spoofing_is_claimed_vs_actual_mismatch(self):
         env = make_envelope(Role.EXTERNAL, Authority.CONTEXT_ONLY, {}, 0)
-        assert not env.spoofed and not admitted(env)
+        assert not env.spoofed and not admitted(env, DEFAULT_ADMISSION)
         import dataclasses
 
         forged = dataclasses.replace(env, claimed_sender=Role.CAV_STACK)
-        assert forged.spoofed and admitted(forged)
+        assert forged.spoofed and admitted(forged, DEFAULT_ADMISSION)
 
 
 class TestThreatIds:
@@ -131,6 +134,9 @@ SAMPLES = {
     VehicleFeedback: VehicleFeedback(50.0),
     Hazard: Hazard("debris", 30.0, 0.9),
     UserRequest: UserRequest("Routine", "office", 50.0),
+    WorldTruth: WorldTruth(90.0, RoadClass.URBAN, 50.0),
+    IntentDescriptor: IntentDescriptor(50.0, 0.4, 0.6, "office"),
+    AgentTuning: AgentTuning(),
 }
 TABLE_FIELDS = [(kind, name) for kind, ranges in FIELD_RANGES.items() for name in ranges]
 
@@ -160,6 +166,14 @@ WRITERS = {
         *_placed(REQUEST_POSITIONS, test_scenario.TestOneRule.REQUEST, "desired_speed_kph"),
         lambda v: _inject("T1", "PAMemory", {"value_kph": v}),
     ],
+    (WorldTruth, "true_speed_limit_kph"): [lambda v: _world(speed_limit_kph=v)],
+    (WorldTruth, "vehicle_true_speed_kph"): [lambda v: _world(vehicle_speed_kph=v)],
+    **{
+        (AgentTuning, knob): [
+            lambda v, knob=knob: _inject("T11", "ToolOutput", {"config_field": knob, "config_value": v}),
+        ]
+        for knob in FIELD_RANGES[AgentTuning]
+    },
 }
 
 
@@ -184,7 +198,7 @@ class TestFieldRanges:
             if bound == math.inf:  # a hazard may lie infinitely far, but a document writes finite numbers
                 with pytest.raises(ConfigError, match="must be a finite number"):
                     _load(write(bound))
-            elif (kind, name, side) == (VehicleFeedback, "speed_kph", "hi"):
+            elif side == "hi" and name in ("speed_kph", "vehicle_true_speed_kph"):
                 # the world's vehicle speed has a tighter rule of its own: a reachable compliant speed
                 with pytest.raises(ConfigError, match="no rule-compliant speed is reachable"):
                     _load(write(bound))
@@ -205,3 +219,8 @@ class TestFieldRanges:
             VehicleFeedback(speed_kph=math.inf, accel_mps2=math.nan)
         with pytest.raises(ValueError, match=r"^VehicleFeedback\.accel_mps2 must be in "):
             VehicleFeedback(speed_kph=10.0, accel_mps2=math.nan)
+        # a knob has its range in Python too: an infinite factor used to build, and overflow in `pa_interpret`
+        with pytest.raises(ValueError, match=r"^AgentTuning\.pa_routine_factor must be in \[0\.001, 1000\], got inf"):
+            AgentTuning(pa_routine_factor=math.inf)
+        with pytest.raises(ConfigError, match=r"config_value: must be a finite number in \[0\.001, 1000\], got inf"):
+            _load(_inject("T11", "ToolOutput", {"config_field": "pa_routine_factor", "config_value": math.inf}))

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agvsim.cavstack import Layer
-from agvsim.domain import Role, ThreatId
+from agvsim.domain import FIELD_RANGES, Role, ThreatId
 from agvsim.pipeline import AgentTuning, PipelineError
 from agvsim.report import compare, render_csv, render_json
 from agvsim.runner import run_episodes
@@ -88,7 +88,7 @@ def key_values(vary: Callable[[st.SearchStrategy], st.SearchStrategy]) -> dict[s
         "target": st.sampled_from(["context", "external", "user"]),
         "urgency_tag": st.sampled_from(["Routine", "Urgent"]),
         "framing": st.sampled_from(["Routine", "Urgent"]), "mode": st.just("strip-provenance"),
-        "config_field": st.sampled_from(AgentTuning().field_names()), "agent": st.sampled_from(["PA", "DSA"]),
+        "config_field": st.sampled_from(list(FIELD_RANGES[AgentTuning])), "agent": st.sampled_from(["PA", "DSA"]),
         "policy": st.sampled_from(PA_POLICIES + DSA_POLICIES),
         "context_patch": st.fixed_dictionaries({}, optional={
             "speed_limit_kph": vary(speeds), "closures_add": st.lists(texts, max_size=2),

@@ -50,7 +50,7 @@ import test_severity
 import test_threats
 import test_tooling
 from agvsim.cavstack import WorldTruth
-from agvsim.domain import ContextSummary, ThreatId
+from agvsim.domain import FIELD_RANGES, ContextSummary, ThreatId, UserRequest, VehicleFeedback
 from agvsim.pipeline import MemoryStore
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped
@@ -120,8 +120,15 @@ def test_a_settled_link_that_advances_a_shared_digest_fails(monkeypatch):
     fails(test_incremental.test_message_log_digest_equals_whole_log_digest)
 
 
+def redeclare(monkeypatch, cls: type, name: str, bounds: tuple[float, float]) -> None:
+    """Give the ranged field `cls.name` the range `bounds`, as `record` would build `cls` had it declared them."""
+    monkeypatch.setitem(FIELD_RANGES[cls], name, bounds)
+    monkeypatch.setattr(cls, "__init__", agvsim.domain._record_init(cls))
+
+
 def test_a_world_that_leaves_its_speed_unchecked_fails(monkeypatch):
-    plant(monkeypatch, WorldTruth, "__post_init__", " and speed_lo <= speed <= speed_hi", "")
+    # the world declares its speed with a range of its own, not the reported speed's: any speed but NaN builds
+    redeclare(monkeypatch, WorldTruth, "vehicle_true_speed_kph", (-math.inf, math.inf))
     fails(test_cavstack.TestWorldTruthRanges().test_a_world_outside_its_ranges_is_refused_naming_the_field,
           90.0, math.inf, "vehicle_true_speed_kph")
 
@@ -369,14 +376,40 @@ def test_a_layer_clamp_with_its_own_bound_fails(monkeypatch):
 
 
 def test_a_record_check_with_the_old_speed_limit_floor_fails(monkeypatch):
-    # a summary built in Python takes any positive limit, below the least limit a document may state
-    plant(
-        monkeypatch, ContextSummary, "__post_init__",
-        "limit_lo <= self.speed_limit_kph <= limit_hi", "0.0 < self.speed_limit_kph <= limit_hi",
+    # a summary built in Python takes a limit down to 0, below the least limit a document may state
+    build = plant(
+        monkeypatch, agvsim.domain, "_record_init", "= ranges[f.name]",
+        '= (0.0, ranges[f.name][1]) if f.name == "speed_limit_kph" else ranges[f.name]',
     )
+    monkeypatch.setattr(ContextSummary, "__init__", build(ContextSummary))
     fields = test_domain.TestFieldRanges()
     fails(fields.test_a_bound_is_legal_and_the_next_float_outside_it_is_not, ContextSummary, "speed_limit_kph", "lo")
     fails(fields.test_a_record_built_in_python_obeys_the_range_its_file_form_does)
+
+
+def test_a_range_check_that_leaves_out_the_last_ranged_field_fails(monkeypatch):
+    # braking, the last ranged field of the feedback, and completeness, the summary's, take any value
+    build = plant(
+        monkeypatch, agvsim.domain, "_record_init", "' and '.join(checks)", "' and '.join(checks[:-1]) or 'True'",
+    )
+    for cls in test_tooling.RECORDS:
+        monkeypatch.setattr(cls, "__init__", build(cls))
+    fields = test_domain.TestFieldRanges()
+    for kind, name in ((VehicleFeedback, "braking"), (ContextSummary, "completeness")):
+        fails(fields.test_a_bound_is_legal_and_the_next_float_outside_it_is_not, kind, name, "hi")
+
+
+def test_a_range_check_that_drops_the_none_allowance_fails(monkeypatch):
+    # a request that leaves its speed unset compares None with the speed range
+    build = plant(
+        monkeypatch, agvsim.domain, "_record_init",
+        'checks.append(f"({f.name} is None or {check})" if f.default is None else check)', "checks.append(check)",
+    )
+    monkeypatch.setattr(UserRequest, "__init__", build(UserRequest))
+    fields = test_domain.TestFieldRanges()
+    for side in ("lo", "hi"):
+        with pytest.raises(TypeError, match="not supported between instances of 'float' and 'NoneType'"):
+            fields.test_a_bound_is_legal_and_the_next_float_outside_it_is_not(UserRequest, "desired_speed_kph", side)
 
 
 def test_a_record_built_without_slots_fails(monkeypatch):

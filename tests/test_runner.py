@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import agvsim.scenario
 import agvsim.runner
 from agvsim.chains import ChainSpec, ChainStage, StageKind, Trigger, builtin_chains, run_chain
-from agvsim.domain import DEFAULT_ADMISSION, Authority, Role, ThreatId
+from agvsim.domain import DEFAULT_ADMISSION, FIELD_RANGES, Authority, Role, ThreatId
 from agvsim.pipeline import AgentTuning, Decision, MemoryEntry
 from agvsim.report import compare, render_csv, render_json
 from agvsim.scenario import ConfigError, load_shipped, parse_scenario, shipped_scenarios
@@ -512,11 +512,11 @@ def t11_injections(draw, horizon: int) -> list[tuple[str, float, tuple[int, int]
 
     Values include each knob's range ends, and both zeros for the urgency knobs.
     """
-    knobs = draw(st.lists(st.sampled_from(AgentTuning().field_names()), min_size=1, max_size=2, unique=True))
+    knobs = draw(st.lists(st.sampled_from(list(FIELD_RANGES[AgentTuning])), min_size=1, max_size=2, unique=True))
     out = []
     for _ in range(draw(st.integers(1, 4))):
         knob = draw(st.sampled_from(knobs))
-        lo, hi = AgentTuning.knob_range(knob)
+        lo, hi = FIELD_RANGES[AgentTuning][knob]
         ends = [lo, hi, 0.0, -0.0] if lo == 0.0 else [lo, hi]
         value = draw(st.one_of(st.sampled_from(ends), st.floats(lo, hi)))
         start = draw(st.integers(0, horizon - 1))

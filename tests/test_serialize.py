@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agvsim.serialize
-from agvsim.cavstack import WORLD_RANGES, WorldTruth
-from agvsim.domain import Hazard, RoadClass, Role, record
+from agvsim.cavstack import WorldTruth
+from agvsim.domain import FIELD_RANGES, Hazard, RoadClass, Role, record
 from agvsim.pipeline import MemoryEntry, MemoryKind, MemoryStore
 from agvsim.scenario import load_shipped
 from agvsim.serialize import ListDigest, canonical_json, digest_of
@@ -137,7 +137,7 @@ _memory_entries = st.builds(
 _worlds = st.builds(
     WorldTruth, road_class=st.sampled_from(RoadClass),
     # any float a world takes: its limit and speed are checked against their ranges
-    **{name: st.floats(lo, hi) for name, (lo, hi) in WORLD_RANGES.items()},
+    **{name: st.floats(lo, hi) for name, (lo, hi) in FIELD_RANGES[WorldTruth].items()},
     true_hazards=st.lists(
         st.builds(Hazard, kind=_texts, distance_m=st.floats(min_value=0.0), confidence=st.floats(0.0, 1.0)),
         max_size=3,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from agvsim.cavstack import Layer
 from agvsim.domain import (
+    FIELD_RANGES,
     Authority,
     ConfigError,
     ContextSummary,
@@ -309,7 +310,7 @@ class TestApplyEffects:
         )
         apply(inj, state, 0)
         assert state.tuning.dsa_hazard_confidence_min == 2.0
-        for name in defaults.field_names():
+        for name in FIELD_RANGES[AgentTuning]:
             if name != "dsa_hazard_confidence_min":
                 assert getattr(state.tuning, name) == getattr(defaults, name)
 

@@ -445,6 +445,30 @@ def test_each_field_range_is_written_once_in_the_domain_table():
     assert literal_bounds == []
 
 
+def test_a_range_is_checked_only_by_the_init_that_record_compiles():
+    # no `__post_init__` reads a field that has a declared range, so none
+    # compares one; no source calls `_out_of_range`, and every ranged
+    # record's compiled `__init__` raises it
+    from agvsim.domain import FIELD_RANGES
+
+    read, called = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"agvsim.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                ranged = FIELD_RANGES.get(vars(module).get(node.name), {})
+                read.extend(
+                    f"{path.stem}.{node.name}.{inner.attr}"
+                    for method in node.body if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+                    for inner in ast.walk(method) if isinstance(inner, ast.Attribute) and inner.attr in ranged
+                )
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_out_of_range":
+                called.append(f"{path.stem}:{node.lineno}")
+    assert read == [] and called == []
+    assert len(FIELD_RANGES) == 7
+    assert all("_out_of_range" in vars(cls)["__init__"].__code__.co_names for cls in FIELD_RANGES)
+
+
 @pytest.fixture(scope="module")
 def samples() -> dict[type, object]:
     """One instance of each record: what two campaign pairs, a chain run, the severity tables and the
