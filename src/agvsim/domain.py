@@ -19,6 +19,7 @@ from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from reprlib import recursive_repr
 from types import MappingProxyType
 from typing import Any, Callable, Collection, Mapping, TypeVar
 
@@ -81,7 +82,7 @@ def _out_of_range(value: Any) -> ValueError:
 
 
 def record(cls: type[T]) -> type[T]:
-    """`cls` as a frozen dataclass with slots, whose `__init__` stores each field through its slot.
+    """`cls` as a frozen value class with slots, whose `__init__` stores each field through its slot.
 
     A record keeps its fields in slots, with no instance dict and no weakref
     slot, so a field reads at full speed and an instance holds no dict for
@@ -99,26 +100,39 @@ def record(cls: type[T]) -> type[T]:
     it out, and copies and pickles carry it. A data descriptor that the class
     body puts on a field, such as `threats._DigestField`, stays in front of
     the field's slot and is given the slot's member descriptor as `slot`.
-    Setting or deleting any attribute raises `FrozenInstanceError`; hashing,
-    `replace`, `fields`, copying and pickling stay as `dataclass` makes
-    them. `dataclass` builds the class anew to add the slots, so a record's
-    methods use neither zero-argument `super()` nor `__class__`, which would
-    still name the first class.
+    Setting or deleting any attribute raises `FrozenInstanceError`.
+
+    `dataclass` is applied for the field table alone and writes no method,
+    so `fields`, `replace` and `is_dataclass` work on records as on any
+    dataclass; `__dataclass_params__` describes only that table (it reads
+    `frozen=False`, `eq=False`). `record` then builds the slotted class once,
+    compiles its `__init__`, `__eq__` and `__hash__` in one `exec`, with
+    equality and hashing as a frozen dataclass writes them, and gives it the
+    shared `__repr__`, `__getstate__` and `__setstate__`, which read the
+    field table as a frozen slotted dataclass's do. The class statement made
+    the first class, so a record's methods use neither zero-argument
+    `super()` nor `__class__`, which would still name it.
     """
-    body = dict(vars(cls))
-    cls = dataclass(frozen=True, init=False, slots=True)(cls)
-    ranges = {f.name: f.metadata["range"] for f in fields(cls) if "range" in f.metadata}
+    dataclass(init=False, repr=False, eq=False)(cls)
+    table = fields(cls)
+    body = {name: value for name, value in vars(cls).items() if name not in ("__dict__", "__weakref__")}
+    held = {f.name: body.pop(f.name, None) for f in table}
+    body.update(
+        __slots__=tuple(held), __qualname__=cls.__qualname__, __repr__=_record_repr,
+        __getstate__=_record_getstate, __setstate__=_record_setstate,
+        # a record has no attribute but its fields, so both always refuse
+        __setattr__=_frozen_setattr, __delattr__=_frozen_delattr,
+    )
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    ranges = {f.name: f.metadata["range"] for f in table if "range" in f.metadata}
     if ranges:
         FIELD_RANGES[cls] = ranges
-    cls.__init__ = _record_init(cls)  # type: ignore[misc]
-    # a record has no attribute but its fields, so both always refuse
-    cls.__setattr__ = _frozen_setattr  # type: ignore[method-assign, assignment]
-    cls.__delattr__ = _frozen_delattr  # type: ignore[method-assign, assignment]
-    for f in fields(cls):
-        view = body.get(f.name)
+    for name, method in _record_methods(cls).items():
+        setattr(cls, name, method)
+    for name, view in held.items():
         if hasattr(type(view), "__set__"):
-            view.slot = vars(cls)[f.name]
-            setattr(cls, f.name, view)
+            view.slot = vars(cls)[name]
+            setattr(cls, name, view)
     return cls
 
 
@@ -130,19 +144,35 @@ def _frozen_delattr(self: object, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _record_init(cls: type) -> Callable[..., None]:
-    """The `__init__` of the record class `cls`, compiled from its fields with one `exec`.
+@recursive_repr()
+def _record_repr(self: object) -> str:
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _record_getstate(self: object) -> list:
+    return [getattr(self, f.name) for f in fields(self)]
+
+
+def _record_setstate(self: object, state: list) -> None:
+    for f, value in zip(fields(self), state):
+        object.__setattr__(self, f.name, value)
+
+
+def _record_methods(cls: type) -> dict[str, Callable]:
+    """The `__init__`, `__eq__` and `__hash__` of the record class `cls`, compiled from its fields with one `exec`.
 
     A field takes a plain default or none, and is stored by `_set_<name>`,
     its slot's `__set__`, even where a data descriptor will stand in front of
     the slot; a derived field is stored its default. After `__post_init__`,
     one comparison chain holds each ranged field's parameter to its range in
     `FIELD_RANGES`. The local `__self` cannot clash with a field name, which
-    the class body would have mangled.
+    the class body would have mangled. `__eq__` compares, and `__hash__`
+    hashes, the compared fields as one tuple, as a frozen dataclass's do.
     """
     params, stores, checks, namespace = ["__self"], [], [], {"_out_of_range": _out_of_range}
-    ranges = FIELD_RANGES.get(cls, {})
-    for f in fields(cls):
+    ranges, table = FIELD_RANGES.get(cls, {}), fields(cls)
+    for f in table:
         derived = not f.init
         if f.kw_only or f.default_factory is not MISSING or derived and (f.default is MISSING or f.compare or f.repr):
             raise TypeError(f"{cls.__name__}.{f.name}: a record field takes a plain default or none; see `record`")
@@ -160,10 +190,20 @@ def _record_init(cls: type) -> Callable[..., None]:
         stores.append("    __self.__post_init__()")
     if checks:
         stores.append(f"    if not ({' and '.join(checks)}):\n        raise _out_of_range(__self)")
-    exec(f"def __init__({', '.join(params)}):\n" + "\n".join(stores), namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    mine, theirs = (f"({''.join(f'{side}.{f.name},' for f in table if f.compare)})" for side in ("self", "other"))
+    exec(
+        f"def __init__({', '.join(params)}):\n" + "\n".join(stores) + "\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return {mine} == {theirs}\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash({mine})\n",
+        namespace,
+    )
+    methods = {name: namespace[name] for name in ("__init__", "__eq__", "__hash__")}
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+    return methods
 
 
 # ---------------------------------------------------------------------------

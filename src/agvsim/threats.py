@@ -146,7 +146,8 @@ class _DigestField:
     `record` keeps it in front of the field's slot and gives it the slot's
     member descriptor as `slot`. A record's `__init__` stores the held value
     through that slot itself; `__set__` stores through it too, for the
-    copies and unpickled records that `dataclass` fills field by field.
+    copies and unpickled records that the record's `__setstate__` fills
+    field by field.
     """
 
     slot: Any  # the member descriptor of the field's slot

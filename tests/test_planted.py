@@ -50,7 +50,9 @@ import test_severity
 import test_threats
 import test_tooling
 from agvsim.cavstack import WorldTruth
-from agvsim.domain import FIELD_RANGES, ContextSummary, ThreatId, UserRequest, VehicleFeedback
+from agvsim.domain import (
+    FIELD_RANGES, ContextSummary, Hazard, RoadClass, ThreatId, UserRequest, VehicleFeedback,
+)
 from agvsim.pipeline import MemoryStore
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped
@@ -123,7 +125,7 @@ def test_a_settled_link_that_advances_a_shared_digest_fails(monkeypatch):
 def redeclare(monkeypatch, cls: type, name: str, bounds: tuple[float, float]) -> None:
     """Give the ranged field `cls.name` the range `bounds`, as `record` would build `cls` had it declared them."""
     monkeypatch.setitem(FIELD_RANGES[cls], name, bounds)
-    monkeypatch.setattr(cls, "__init__", agvsim.domain._record_init(cls))
+    monkeypatch.setattr(cls, "__init__", agvsim.domain._record_methods(cls)["__init__"])
 
 
 def test_a_world_that_leaves_its_speed_unchecked_fails(monkeypatch):
@@ -358,9 +360,9 @@ def test_a_chain_loader_that_ignores_stage_labels_fails(monkeypatch, tmp_path):
 
 def test_a_record_init_that_skips_its_checks_fails(monkeypatch):
     # every record builds unchecked: a proposal under the least headway, an envelope without provenance
-    build = plant(monkeypatch, agvsim.domain, "_record_init", 'stores.append("    __self.__post_init__()")', "pass")
+    build = plant(monkeypatch, agvsim.domain, "_record_methods", 'stores.append("    __self.__post_init__()")', "pass")
     for cls in test_tooling.RECORDS:
-        monkeypatch.setattr(cls, "__init__", build(cls))
+        monkeypatch.setattr(cls, "__init__", build(cls)["__init__"])
     fails(test_pipeline.test_a_proposal_out_of_bounds_is_rejected)
     fails(test_domain.TestEnvelopes().test_empty_provenance_rejected)
 
@@ -378,10 +380,10 @@ def test_a_layer_clamp_with_its_own_bound_fails(monkeypatch):
 def test_a_record_check_with_the_old_speed_limit_floor_fails(monkeypatch):
     # a summary built in Python takes a limit down to 0, below the least limit a document may state
     build = plant(
-        monkeypatch, agvsim.domain, "_record_init", "= ranges[f.name]",
+        monkeypatch, agvsim.domain, "_record_methods", "= ranges[f.name]",
         '= (0.0, ranges[f.name][1]) if f.name == "speed_limit_kph" else ranges[f.name]',
     )
-    monkeypatch.setattr(ContextSummary, "__init__", build(ContextSummary))
+    monkeypatch.setattr(ContextSummary, "__init__", build(ContextSummary)["__init__"])
     fields = test_domain.TestFieldRanges()
     fails(fields.test_a_bound_is_legal_and_the_next_float_outside_it_is_not, ContextSummary, "speed_limit_kph", "lo")
     fails(fields.test_a_record_built_in_python_obeys_the_range_its_file_form_does)
@@ -390,10 +392,10 @@ def test_a_record_check_with_the_old_speed_limit_floor_fails(monkeypatch):
 def test_a_range_check_that_leaves_out_the_last_ranged_field_fails(monkeypatch):
     # braking, the last ranged field of the feedback, and completeness, the summary's, take any value
     build = plant(
-        monkeypatch, agvsim.domain, "_record_init", "' and '.join(checks)", "' and '.join(checks[:-1]) or 'True'",
+        monkeypatch, agvsim.domain, "_record_methods", "' and '.join(checks)", "' and '.join(checks[:-1]) or 'True'",
     )
     for cls in test_tooling.RECORDS:
-        monkeypatch.setattr(cls, "__init__", build(cls))
+        monkeypatch.setattr(cls, "__init__", build(cls)["__init__"])
     fields = test_domain.TestFieldRanges()
     for kind, name in ((VehicleFeedback, "braking"), (ContextSummary, "completeness")):
         fails(fields.test_a_bound_is_legal_and_the_next_float_outside_it_is_not, kind, name, "hi")
@@ -402,10 +404,10 @@ def test_a_range_check_that_leaves_out_the_last_ranged_field_fails(monkeypatch):
 def test_a_range_check_that_drops_the_none_allowance_fails(monkeypatch):
     # a request that leaves its speed unset compares None with the speed range
     build = plant(
-        monkeypatch, agvsim.domain, "_record_init",
+        monkeypatch, agvsim.domain, "_record_methods",
         'checks.append(f"({f.name} is None or {check})" if f.default is None else check)', "checks.append(check)",
     )
-    monkeypatch.setattr(UserRequest, "__init__", build(UserRequest))
+    monkeypatch.setattr(UserRequest, "__init__", build(UserRequest)["__init__"])
     fields = test_domain.TestFieldRanges()
     for side in ("lo", "hi"):
         with pytest.raises(TypeError, match="not supported between instances of 'float' and 'NoneType'"):
@@ -413,13 +415,11 @@ def test_a_range_check_that_drops_the_none_allowance_fails(monkeypatch):
 
 
 def test_a_record_built_without_slots_fails(monkeypatch):
-    # the class gets a base that declares no slots: its instances carry a
-    # dict and take weakrefs, though every field still has its slot
+    # the rebuilt class gets a base that declares no slots: its instances
+    # carry a dict and take weakrefs, though every field still has its slot
     build = plant(
         monkeypatch, agvsim.domain, "record",
-        "dataclass(frozen=True, init=False, slots=True)(cls)",
-        "dataclass(frozen=True, init=False, slots=True)(type(cls.__name__, (type('Unslotted', (), {}),), {"
-        "k: v for k, v in body.items() if k not in ('__dict__', '__weakref__')}))",
+        "type(cls)(cls.__name__, cls.__bases__, body)", "type(cls)(cls.__name__, (type('Unslotted', (), {}),), body)",
     )
 
     @build
@@ -432,6 +432,20 @@ def test_a_record_built_without_slots_fails(monkeypatch):
     probe = Probe("probe", agvsim.threats.LazyDigest("probe"))
     assert probe.digest == agvsim.serialize.digest_of("probe")
     fails(test_tooling.test_a_record_keeps_the_dataclass_interface, Probe, {Probe: probe})
+
+
+def test_a_record_that_compares_and_hashes_all_but_its_last_compared_field_fails(monkeypatch):
+    # a hazard at another confidence, or a summary of another completeness, equals the first
+    build = plant(
+        monkeypatch, agvsim.domain, "_record_methods",
+        "for f in table if f.compare)})", "for f in [f for f in table if f.compare][:-1])})",
+    )
+    samples = {Hazard: Hazard("pedestrian", 12.0, 0.5), ContextSummary: ContextSummary(50.0, RoadClass.URBAN)}
+    for cls in samples:
+        methods = build(cls)
+        monkeypatch.setattr(cls, "__eq__", methods["__eq__"])
+        monkeypatch.setattr(cls, "__hash__", methods["__hash__"])
+        fails(test_tooling.test_a_record_keeps_the_dataclass_interface, cls, samples)
 
 
 def test_a_run_that_makes_a_reference_cycle_per_step_fails(monkeypatch):

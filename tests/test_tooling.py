@@ -8,12 +8,15 @@ import importlib.util
 import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from agvsim import domain
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "agvsim"
@@ -296,33 +299,32 @@ def test_every_data_file_of_the_package_is_declared_package_data():
     assert sorted(p.relative_to(PACKAGE).as_posix() for p in data - declared) == []
 
 
-def _records() -> list[type]:
-    """Every frozen dataclass the package defines, each from the module that defines it."""
+def _dataclasses() -> list[type]:
+    """Every dataclass the package defines, each from the module that defines it."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"agvsim.{path.stem}")
         found.extend(
             value for value in vars(module).values()
-            if isinstance(value, type) and value.__module__ == module.__name__
-            and dataclasses.is_dataclass(value) and value.__dataclass_params__.frozen
+            if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)
         )
     return found
 
 
-RECORDS = _records()
+# the records: the dataclasses that `record` made frozen
+RECORDS = [cls for cls in _dataclasses() if vars(cls).get("__setattr__") is domain._frozen_setattr]
 
 
-def test_only_record_applies_a_frozen_dataclass():
+def test_only_record_applies_dataclass_to_a_frozen_value_class():
     # every frozen value class goes through `domain.record`, so each gets its
-    # slots and its `__init__` that stores through them, and none keeps the slower one
+    # slots and its `__init__` that stores through them, and none keeps the
+    # slower one: the one `dataclass(...)` call is record's, and the package's
+    # other dataclasses, the two mutable states, take the bare decorator
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
 
         def visit(node, function):
-            if (
-                isinstance(node, ast.Call) and ast.unparse(node.func) in ("dataclass", "dataclasses.dataclass")
-                and any(k.arg == "frozen" for k in node.keywords)
-            ):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("dataclass", "dataclasses.dataclass"):
                 calls.append(f"{path.stem}.{function}")
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 function = node.name
@@ -332,11 +334,13 @@ def test_only_record_applies_a_frozen_dataclass():
         visit(ast.parse(path.read_text(encoding="utf-8")), None)
     assert calls == ["domain.record"]
     assert len(RECORDS) == 32
+    others = sorted(cls.__qualname__ for cls in _dataclasses() if cls not in RECORDS)
+    assert others == ["PipelineState", "SimulatedUserState"]
     assert all(vars(cls)["__init__"].__qualname__ == f"{cls.__qualname__}.__init__" for cls in RECORDS)
 
 
 def test_no_record_method_names_its_first_class():
-    # `dataclass` builds a record's class anew for its slots: a method's
+    # `record` builds a record's class anew with its slots: a method's
     # `__class__` cell, which zero-argument `super()` reads, names the first one
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -347,6 +351,61 @@ def test_no_record_method_names_its_first_class():
                     if isinstance(inner, ast.Name) and inner.id == "__class__"
                     or isinstance(inner, ast.Call) and ast.unparse(inner.func) == "super" and not inner.args
                 )
+    assert found == []
+
+
+def test_building_a_record_runs_one_exec_and_dataclasses_none(monkeypatch):
+    # `dataclass` fills only the field table and writes no method, and
+    # `record` compiles `__init__`, `__eq__` and `__hash__` together
+    from agvsim.threats import LazyDigest, _DigestField
+
+    monkeypatch.setattr(domain, "FIELD_RANGES", dict(domain.FIELD_RANGES))  # the probe's range stays here
+    execs = Counter()
+    for module in (dataclasses, domain):
+
+        def counted(*args, _name=module.__name__):
+            execs[_name] += 1
+            return exec(*args)
+
+        monkeypatch.setattr(module, "exec", counted, raising=False)
+
+    @domain.record
+    class Probe:
+        """A record with a digest, a ranged and a derived field, and a check of its own."""
+
+        name: str
+        digest: str = _DigestField()  # type: ignore[assignment]
+        level: float = domain.ranged(0.0, 1.0, default=0.5)
+        cached: str = dataclasses.field(default="", init=False, compare=False, repr=False)
+
+        def __post_init__(self) -> None:
+            if not self.name:
+                raise ValueError("a probe needs a name")
+
+    assert execs == {"agvsim.domain": 1}
+    probe = Probe("probe", LazyDigest("probe"))
+    assert (probe.level, probe.cached, probe == Probe("probe", probe.digest)) == (0.5, "", True)
+    with pytest.raises(ValueError, match="needs a name"):
+        Probe("", "")
+    with pytest.raises(ValueError, match=r"Probe.level must be in \[0, 1\], got 2"):
+        Probe("probe", "", 2.0)
+
+
+def test_no_module_reaches_into_the_private_state_of_dataclasses():
+    # records are dataclasses through the public interface alone: no private
+    # `dataclasses` name, and neither of the class attributes it keeps
+    private = ("__dataclass_params__", "__dataclass_fields__")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found.extend(f"{path.stem}:{node.lineno}" for alias in node.names if alias.name.startswith("_"))
+            elif (
+                isinstance(node, ast.Attribute)
+                and (node.attr in private or ast.unparse(node.value) == "dataclasses" and node.attr.startswith("_"))
+                or isinstance(node, ast.Constant) and node.value in private
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
     assert found == []
 
 
@@ -539,3 +598,28 @@ def test_a_record_keeps_the_dataclass_interface(cls, samples):
     copied = copy.deepcopy(sample)
     assert copied is not sample and copied == sample
     assert [getattr(copied, name) for name in names] == [getattr(sample, name) for name in names]
+    # equality and hashing as a frozen dataclass writes them: the compared
+    # fields as one tuple, and only against a record of the same class
+    compared = [f.name for f in dataclasses.fields(cls) if f.compare]
+    key = tuple(getattr(sample, name) for name in compared)
+    assert not copied != sample and sample.__eq__(key) is NotImplemented
+    changed = copy.copy(sample)
+    object.__setattr__(changed, compared[-1], "a value no field holds")
+    assert changed != sample and sample != changed
+    try:
+        expected = hash(key)
+    except TypeError:  # a field holds a list or a dict
+        with pytest.raises(TypeError):
+            hash(sample)
+    else:
+        assert hash(sample) == expected
+    # the `repr` fields by name, after the class's qualified name
+    shown = ", ".join(f"{f.name}={getattr(sample, f.name)!r}" for f in dataclasses.fields(cls) if f.repr)
+    assert repr(sample) == f"{cls.__qualname__}({shown})"
+    # `replace`, which the benchmark calls on scenarios and chain specs, and a
+    # pickle round trip give an equal record whose fields read the same
+    replaced, unpickled = dataclasses.replace(sample), pickle.loads(pickle.dumps(sample))
+    assert replaced is not sample and replaced == sample and unpickled == sample
+    init = [f.name for f in dataclasses.fields(cls) if f.init]
+    assert [getattr(replaced, name) for name in init] == [getattr(sample, name) for name in init]
+    assert [getattr(unpickled, name) for name in names] == [getattr(sample, name) for name in names]
