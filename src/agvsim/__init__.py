@@ -33,8 +33,8 @@ _EXPORTS = {
     "runner": ("run_episodes",),
     "scenario": ("ScenarioConfig", "load_scenario", "load_shipped", "shipped_scenarios"),
     "severity": (
-        "OrdinalRating", "SeverityBand", "SeverityRecord", "band", "escalation_violations",
-        "lookup", "points", "total", "validate_tables", "what_if",
+        "OrdinalRating", "SeverityBand", "SeverityRecord", "band", "lookup", "points", "total",
+        "validate_tables", "what_if",
     ),
     "threats": ("InjectionEffectRecord", "Surface", "ThreatInjection", "apply", "legal_surfaces"),
     "trace": ("EpisodeTrace", "OutcomeClass", "StepRecord", "classify_outcome", "stealth_check"),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from enum import Enum
+from typing import TypeVar
 
 from .domain import (
     FIELD_RANGES,
@@ -110,8 +111,11 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return min(max(value, lo), hi)
 
 
-def apply_summary_transform(summary: ContextSummary, field: str, op: TransformOp, value: object) -> ContextSummary:
-    """Apply one transform, given as its field, op and value, to a context summary."""
+_LayerSummary = TypeVar("_LayerSummary", ContextSummary, VehicleFeedback)
+
+
+def apply_summary_transform(summary: _LayerSummary, field: str, op: TransformOp, value: object) -> _LayerSummary:
+    """Apply one transform, given as its field, op and value, to a layer summary."""
     if field == "hazards":
         hazards = list(summary.hazards)
         if op is TransformOp.INJECT_RECORD:
@@ -130,13 +134,17 @@ def apply_summary_transform(summary: ContextSummary, field: str, op: TransformOp
 
     # the field stays in its range even under hostile arithmetic
     updated = _apply_numeric(getattr(summary, field), op, value)  # type: ignore[arg-type]
-    return replace(summary, **{field: _clamp(updated, *FIELD_RANGES[ContextSummary][field])})
+    return replace(summary, **{field: _clamp(updated, *FIELD_RANGES[type(summary)][field])})
 
 
-def apply_feedback_transform(feedback: VehicleFeedback, p: LayerPerturbation) -> VehicleFeedback:
-    """Apply one transform to control-layer telemetry, clamped to the field's range."""
-    updated = _apply_numeric(getattr(feedback, p.field), p.op, p.value)  # type: ignore[arg-type]
-    return replace(feedback, **{p.field: _clamp(updated, *FIELD_RANGES[VehicleFeedback][p.field])})
+def _transformed(
+    summary: _LayerSummary, perturbations: list[LayerPerturbation], layers: tuple[Layer, ...]
+) -> _LayerSummary:
+    """`summary` after the transforms of `layers`, in list order."""
+    for p in perturbations:
+        if p.layer in layers:
+            summary = apply_summary_transform(summary, p.field, p.op, p.value)
+    return summary
 
 
 def _summary(
@@ -146,10 +154,7 @@ def _summary(
     summary = ContextSummary(
         world.true_speed_limit_kph, world.road_class, world.true_hazards, world.true_closures, source_layer=source
     )
-    for p in perturbations:
-        if p.layer in layers:
-            summary = apply_summary_transform(summary, p.field, p.op, p.value)
-    return summary
+    return _transformed(summary, perturbations, layers)
 
 
 def perceive(world: WorldTruth, perturbations: list[LayerPerturbation]) -> ContextSummary:
@@ -166,10 +171,7 @@ def v2x_broadcast(world: WorldTruth, perturbations: list[LayerPerturbation]) -> 
 def control_feedback(world: WorldTruth, perturbations: list[LayerPerturbation]) -> VehicleFeedback:
     """Control-layer telemetry as reported upward, possibly falsified."""
     feedback = VehicleFeedback(speed_kph=world.vehicle_true_speed_kph)
-    for p in perturbations:
-        if p.layer is Layer.CONTROL_FEEDBACK:
-            feedback = apply_feedback_transform(feedback, p)
-    return feedback
+    return _transformed(feedback, perturbations, (Layer.CONTROL_FEEDBACK,))
 
 
 def fuse(summaries: list[ContextSummary]) -> ContextSummary:

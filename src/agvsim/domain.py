@@ -461,7 +461,8 @@ def admitted(envelope: MessageEnvelope, policy: Mapping[Authority, frozenset[Rol
     return envelope.claimed_sender in policy.get(envelope.authority, frozenset())
 
 
-URGENCY_TAGS = ("Routine", "Urgent")
+ROUTINE, URGENT = "Routine", "Urgent"
+URGENCY_TAGS = (ROUTINE, URGENT)
 
 
 @record

@@ -14,7 +14,9 @@ import math
 from dataclasses import field, replace
 from enum import Enum
 
-from .domain import FIELD_RANGES, ContextSummary, PipelineError, Role, UserRequest, VehicleFeedback, ranged, record
+from .domain import (
+    FIELD_RANGES, URGENT, ContextSummary, PipelineError, Role, UserRequest, VehicleFeedback, ranged, record,
+)
 from .serialize import digest_of
 
 KPH_PER_MPS = 3.6
@@ -193,6 +195,14 @@ def max_delta_kph(rules: Rulebook) -> float:
     return rules.max_accel_mps2 * ACCEL_WINDOW_S * KPH_PER_MPS * (1.0 - 1e-9)
 
 
+def speed_window(speed_kph: float, claimed_limit_kph: float, rules: Rulebook) -> tuple[float, float]:
+    """The SC's feasible targets `(lo, hi)` at a reported speed under a claimed
+    limit: one acceleration window either side of the speed, at least 0 and at
+    most the limit and the absolute maximum. Empty when lo > hi."""
+    delta = max_delta_kph(rules)
+    return max(0.0, speed_kph - delta), min(rules.abs_max_speed_kph, claimed_limit_kph, speed_kph + delta)
+
+
 def round_half_up(value: float) -> float:
     return math.floor(value + 0.5)
 
@@ -213,13 +223,13 @@ def pa_interpret(
     tuning = tuning or AgentTuning()
     if request.desired_speed_kph is not None:
         desired = float(request.desired_speed_kph)
-    elif request.urgency_tag == "Urgent":
+    elif request.urgency_tag == URGENT:
         desired = context.speed_limit_kph
     else:
         desired = round_half_up(tuning.pa_routine_factor * context.speed_limit_kph)
         if desired <= 0:  # rounding may hit zero on sub-1 kph limits
             desired = tuning.pa_routine_factor * context.speed_limit_kph
-    urgency = tuning.pa_urgent_urgency if request.urgency_tag == "Urgent" else tuning.pa_routine_urgency
+    urgency = tuning.pa_urgent_urgency if request.urgency_tag == URGENT else tuning.pa_routine_urgency
     caps = memory.speed_caps()
     return IntentDescriptor(
         desired_speed_kph=desired,
@@ -315,23 +325,18 @@ def _clamped_substitute(
     context_limit_claimed: float,
     reason: str,
 ) -> StrategyProposal | None:
-    """Conservative clamp of the proposal into the SC-feasible box.
+    """Conservative clamp of the proposal into the SC's speed window.
 
-    Returns None when the box is empty (e.g. the claimed limit is
+    Returns None when the window is empty (e.g. the claimed limit is
     unreachable within the acceleration window), in which case the SC keeps
     revising instead of emitting a non-compliant substitute.
     """
-    delta = max_delta_kph(rules)
-    lo = max(0.0, feedback.speed_kph - delta)
-    hi = min(rules.abs_max_speed_kph, context_limit_claimed, feedback.speed_kph + delta)
+    lo, hi = speed_window(feedback.speed_kph, context_limit_claimed, rules)
     if hi <= 0 or lo > hi:
-        return None
-    target = min(max(proposal.target_speed_kph, lo), hi)
-    if target <= 0:
         return None
     return replace(
         proposal,
-        target_speed_kph=target,
+        target_speed_kph=min(max(proposal.target_speed_kph, lo), hi),
         headway_s=max(proposal.headway_s, rules.min_headway_s),
         justification=proposal.justification + (("sc.bounds", "clamp-" + reason),),
     )

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable
 
 from .domain import record
-from .pipeline import Decision
 from .serialize import canonical_json
-from .trace import EpisodeTrace, StepRecord, classify_outcome, stealth_check, step_deltas
+from .trace import EpisodeTrace, classify_outcome, sc_interventions, stealth_check, step_deltas
 
 
 CSV_COLUMNS = (
@@ -78,11 +76,6 @@ class MisalignmentReport:
     attacked: EpisodeTrace
 
 
-def _rejections(steps: Iterable[StepRecord]) -> int:
-    """SC verdicts other than Approve over the given steps."""
-    return sum(1 for record in steps for v in record.verdicts if v.decision is not Decision.APPROVE)
-
-
 def _verdict_cell(record) -> str:
     return "|".join(v.decision.value for v in record.verdicts)
 
@@ -94,6 +87,8 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
     although no injection fired inside them (carried-over influence only).
     """
     deltas = step_deltas(attacked, baseline)  # checks the pair first
+    b_interventions = list(map(sc_interventions, baseline.steps))
+    a_interventions = list(map(sc_interventions, attacked.steps))
     step_rows = tuple(
         StepRow(
             scenario_id=attacked.scenario_id,
@@ -128,8 +123,8 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
                 baseline_mean_target_kph=b_mean,
                 attacked_mean_target_kph=a_mean,
                 delta_mean_kph=a_mean - b_mean,
-                sc_rejections_baseline=_rejections(b_steps),
-                sc_rejections_attacked=_rejections(a_steps),
+                sc_rejections_baseline=sum(b_interventions[span]),
+                sc_rejections_attacked=sum(a_interventions[span]),
                 any_delta=any_delta,
             )
         )
@@ -140,8 +135,8 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
         stealth=stealth_check(attacked, baseline),
         persistence_episodes=persistence,
         outcome=classify_outcome(attacked, baseline).value,
-        sc_rejections_baseline=_rejections(baseline.steps),
-        sc_rejections_attacked=_rejections(attacked.steps),
+        sc_rejections_baseline=sum(b_interventions),
+        sc_rejections_attacked=sum(a_interventions),
         rows=tuple(episode_rows),
         step_rows=step_rows,
         baseline=baseline,

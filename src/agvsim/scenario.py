@@ -33,7 +33,7 @@ from .domain import (
     shipped_files,
     string,
 )
-from .pipeline import Rulebook, max_delta_kph
+from .pipeline import Rulebook, speed_window
 from .threats import Surface, ThreatInjection
 from .trace import OutcomeClass
 
@@ -113,13 +113,14 @@ def _parse_world(data: object, where: str) -> WorldTruth:
     ranges = FIELD_RANGES[WorldTruth]
     limit = number(world["speed_limit_kph"], f"{where}.speed_limit_kph", *ranges["true_speed_limit_kph"])
     speed = number(world["vehicle_speed_kph"], f"{where}.vehicle_speed_kph", *ranges["vehicle_true_speed_kph"])
-    # the SC's own arithmetic: past this, its clamp box is empty and every step raises PipelineError
+    # with the SC's speed window empty at the world's own speed and limit, every step raises PipelineError;
+    # then its lower edge is the speed less the widest jump, and its upper edge min(limit, abs_max)
     rules = Rulebook()
-    delta, top = max_delta_kph(rules), min(limit, rules.abs_max_speed_kph)
-    if speed - delta > top:
+    lo, hi = speed_window(speed, limit, rules)
+    if lo > hi:
         raise ConfigError(
             f"{where}.vehicle_speed_kph",
-            f"{speed:g} is more than {delta:.6g} kph above min(limit, {rules.abs_max_speed_kph:g}) = {top:g}, "
+            f"{speed:g} is more than {speed - lo:.6g} kph above min(limit, {rules.abs_max_speed_kph:g}) = {hi:g}, "
             "so no rule-compliant speed is reachable",
         )
     return WorldTruth(

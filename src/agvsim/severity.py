@@ -103,9 +103,6 @@ class SeverityRecord:
             )
         return " ".join(parts).rstrip(";")
 
-    def ratings(self) -> tuple[OrdinalRating, OrdinalRating, OrdinalRating, OrdinalRating]:
-        return (self.si, self.sd, self.p, self.sm)
-
 
 _RATED_THREATS = tuple(t for t in ThreatId if not t.is_cross_layer)
 
@@ -170,38 +167,3 @@ def what_if(
             raise ValueError(f"unknown severity dimensions: {sorted(unknown)}")
         record = replace(record, **{dim: OrdinalRating(r) for dim, r in overrides.items()})
     return record.recomputed_total, record.recomputed_band
-
-
-@record
-class EscalationViolation:
-    """A (threat, agency) pair where autonomous scores below manual."""
-
-    agency: AgencyBucket
-    threat: ThreatId
-    manual_total: int
-    autonomous_total: int
-
-
-def escalation_violations() -> list[EscalationViolation]:
-    """Check the claim that autonomous operation amplifies every threat.
-
-    Compares recomputed totals between manual and autonomous contexts at
-    each agency bucket and reports every cell where the claim fails. The
-    published data itself violates the claim for T10, which this reports
-    rather than hides.
-    """
-    violations = []
-    for bucket in AgencyBucket:
-        for threat in _RATED_THREATS:
-            manual = lookup(threat, DrivingMode.MANUAL, bucket).recomputed_total
-            autonomous = lookup(threat, DrivingMode.AUTONOMOUS, bucket).recomputed_total
-            if autonomous < manual:
-                violations.append(
-                    EscalationViolation(
-                        agency=bucket,
-                        threat=threat,
-                        manual_total=manual,
-                        autonomous_total=autonomous,
-                    )
-                )
-    return violations

@@ -33,9 +33,11 @@ from .domain import (
     DEFAULT_ADMISSION,
     FIELD_RANGES,
     MessageEnvelope,
+    ROUTINE,
     Role,
     ThreatId,
     URGENCY_TAGS,
+    URGENT,
     UserRequest,
     VehicleFeedback,
     checked,
@@ -194,7 +196,7 @@ class ToolOutput:
 # The simulated user answers at most this many queries per step; anything
 # past the budget degrades to the default answer.
 USER_ATTENTION_BUDGET = 3
-DEFAULT_URGENCY = "Routine"
+DEFAULT_URGENCY = ROUTINE
 
 
 @dataclass
@@ -230,7 +232,7 @@ def confirm_urgency(user: SimulatedUserState, noise_queries: int, true_tag: str)
 
 
 # the request fields each rogue PA policy rewrites: rogue-urgent reframes every trip as maximally urgent
-_ROGUE_PA_REQUESTS: Mapping[str, dict] = {"rogue-urgent": {"urgency_tag": "Urgent", "desired_speed_kph": None}}
+_ROGUE_PA_REQUESTS: Mapping[str, dict] = {"rogue-urgent": {"urgency_tag": URGENT, "desired_speed_kph": None}}
 PA_POLICIES = ("default", *_ROGUE_PA_REQUESTS)
 _ROGUE_DSA_TARGETS: Mapping[str, Callable[[float], float]] = {
     "rogue-crawl": lambda target: target * 0.5,

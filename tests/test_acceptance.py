@@ -60,7 +60,7 @@ def test_criterion_1_severity_table_fidelity():
         for index, (mode, agency, _table) in enumerate(CONTEXTS):
             ratings, _, _ = _golden(threat, index)
             record = lookup(ThreatId(threat), mode, agency)
-            assert record.ratings() == ratings, (threat, mode, agency)
+            assert (record.si, record.sd, record.p, record.sm) == ratings, (threat, mode, agency)
             checked += 1
     assert checked == 90
     _report(1, "lookup reproduces all 90 rating 4-tuples exactly", started, 1.0)

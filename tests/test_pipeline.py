@@ -314,6 +314,26 @@ class TestPipelineComposition:
         assert not sc_violations(approved, fb(), rules, 90.0)
         assert len(submissions) == 2
 
+    @pytest.mark.parametrize(
+        "target,headway,speed,limit,decisions,reasons,approved",
+        [
+            # the resubmission fixes the headway alone
+            (60.0, 0.6, 60.0, 90.0, ("Revise", "Approve"), ("min_headway", ""), (60.0, 1.0)),
+            # the resubmission fixes the speed, then the substitute fixes the headway
+            (150.0, 0.6, 130.0, 200.0, ("Revise", "Substitute"), ("abs_max", "min_headway"), (130.0, 1.0)),
+            # the resubmission pulls the target down to the claimed limit itself
+            (100.0, 1.0, 100.0, 90.0, ("Revise", "Approve"), ("context_limit", ""), (90.0, 1.0)),
+        ],
+        ids=["headway", "speed-then-headway", "context-limit"],
+    )
+    def test_each_revision_path_approves_what_its_rules_allow(
+        self, target, headway, speed, limit, decisions, reasons, approved
+    ):
+        _, verdicts, result = validate_with_revision(proposal(target, headway), fb(speed), Rulebook(), limit)
+        assert tuple(v.decision.value for v in verdicts) == decisions
+        assert tuple(v.reason for v in verdicts) == reasons
+        assert (result.target_speed_kph, result.headway_s) == approved
+
     @given(config=worlds_and_requests())
     @settings(max_examples=150, deadline=None)
     def test_approved_always_passes_all_rules(self, config):

@@ -292,7 +292,7 @@ def test_a_checked_value_that_drops_its_path_fails(monkeypatch):
 
 def test_a_layer_summary_that_applies_every_layers_transforms_fails(monkeypatch):
     # a V2X spoof reaches the perception stack's output too
-    plant(monkeypatch, agvsim.cavstack, "_summary", "if p.layer in layers:", "if True:")
+    plant(monkeypatch, agvsim.cavstack, "_transformed", "if p.layer in layers:", "if True:")
     fails(test_cavstack.TestPerceive().test_v2x_transforms_do_not_apply_to_perception)
 
 
@@ -368,13 +368,19 @@ def test_a_record_init_that_skips_its_checks_fails(monkeypatch):
 
 
 def test_a_layer_clamp_with_its_own_bound_fails(monkeypatch):
-    # the context clamp keeps a literal range of its own for traffic density, wider than the record's
+    # the layer clamp keeps a literal range of its own for traffic density, wider than the record's
     plant(
         monkeypatch, agvsim.cavstack, "apply_summary_transform",
-        "*FIELD_RANGES[ContextSummary][field]",
-        '*((0.0, 2.0) if field == "traffic_density" else FIELD_RANGES[ContextSummary][field])',
+        "*FIELD_RANGES[type(summary)][field]",
+        '*((0.0, 2.0) if field == "traffic_density" else FIELD_RANGES[type(summary)][field])',
     )
     fails(test_cavstack.test_every_clamped_transform_result_passes_the_records_check, ContextSummary, "traffic_density")
+
+
+def test_an_sc_window_with_a_shifted_lower_edge_fails(monkeypatch):
+    # one kph more room below: the loader takes a world from which no rule-compliant speed is reachable
+    plant(monkeypatch, agvsim.pipeline, "speed_window", "speed_kph - delta)", "speed_kph - delta - 1.0)")
+    fails(test_scenario.TestReachableWorld().test_a_world_just_past_one_acceleration_window_above_its_limit_is_refused)
 
 
 def test_a_record_check_with_the_old_speed_limit_floor_fails(monkeypatch):

@@ -580,3 +580,17 @@ class TestReachableWorld:
             run_episodes(config, with_injections=False)
         except PipelineError as exc:
             pytest.fail(f"limit {limit!r}, speed {speed!r} loaded but cannot run: {exc}")
+
+    def test_a_world_just_past_one_acceleration_window_above_its_limit_is_refused(self):
+        # the window is 108 kph wide, less 1e-9 of it: at limit 90 the last loadable speed lies just below 198
+        def load(speed: float):
+            world = {**self.BASE["world"], "speed_limit_kph": 90.0, "vehicle_speed_kph": speed}
+            return parse_scenario({**self.BASE, "world": world}, "generated")
+
+        assert load(197.9).world.vehicle_true_speed_kph == 197.9
+        with pytest.raises(ConfigError) as refused:
+            load(198.0)
+        assert str(refused.value) == (
+            "generated.world.vehicle_speed_kph: 198 is more than 108 kph above min(limit, 130) = 90, "
+            "so no rule-compliant speed is reachable"
+        )

@@ -17,7 +17,6 @@ from agvsim.severity import (
     OrdinalRating,
     SeverityBand,
     band,
-    escalation_violations,
     load_tables,
     lookup,
     points,
@@ -138,20 +137,20 @@ class TestTableFidelity:
     def test_lookup_matches_golden_transcription(self, threat, index, mode, agency, table):
         ratings, printed_total, printed_band = _golden(threat, index)
         record = lookup(ThreatId(threat), mode, agency)
-        assert record.ratings() == ratings
+        assert (record.si, record.sd, record.p, record.sm) == ratings
         assert record.printed_total == printed_total
         assert record.printed_band is printed_band
         assert record.table == table
 
     def test_spec_anchor_cells(self):
         r = lookup(ThreatId.T11, DrivingMode.AUTONOMOUS, AgencyBucket.MEDIUM)
-        assert [x.value for x in r.ratings()] == ["C", "H", "C", "H"]
+        assert [x.value for x in (r.si, r.sd, r.p, r.sm)] == ["C", "H", "C", "H"]
         assert r.recomputed_total == 14
         r = lookup(ThreatId.T10, DrivingMode.AUTONOMOUS, AgencyBucket.LOW)
-        assert [x.value for x in r.ratings()] == ["L", "L", "L", "L"]
+        assert [x.value for x in (r.si, r.sd, r.p, r.sm)] == ["L", "L", "L", "L"]
         assert r.recomputed_total == 4
         r = lookup(ThreatId.T7, DrivingMode.AUTONOMOUS, AgencyBucket.HIGH)
-        assert [x.value for x in r.ratings()] == ["C", "C", "C", "C"]
+        assert [x.value for x in (r.si, r.sd, r.p, r.sm)] == ["C", "C", "C", "C"]
         assert r.recomputed_total == 16
 
     def test_cross_layer_ids_have_no_rows(self):
@@ -233,29 +232,6 @@ class TestWhatIf:
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ValueError):
             what_if(ThreatId.T1, DrivingMode.MANUAL, AgencyBucket.LOW, {"zz": OrdinalRating.C})
-
-
-class TestEscalationClaim:
-    def test_violations_reported_not_hidden(self):
-        violations = {
-            (v.agency, v.threat.value, v.manual_total, v.autonomous_total)
-            for v in escalation_violations()
-        }
-        # the published data itself breaks the amplification claim for T10
-        assert violations == {
-            (AgencyBucket.MEDIUM, "T10", 8, 7),
-            (AgencyBucket.HIGH, "T10", 8, 7),
-        }
-
-    def test_all_other_cells_satisfy_the_claim(self):
-        violating = {(v.agency, v.threat) for v in escalation_violations()}
-        for bucket in AgencyBucket:
-            for threat in GOLDEN_CELLS:
-                if (bucket, ThreatId(threat)) in violating:
-                    continue
-                manual = lookup(ThreatId(threat), DrivingMode.MANUAL, bucket).recomputed_total
-                auto = lookup(ThreatId(threat), DrivingMode.AUTONOMOUS, bucket).recomputed_total
-                assert auto >= manual
 
 
 @given(st.tuples(*[st.sampled_from(list(OrdinalRating))] * 4))

@@ -333,7 +333,7 @@ def test_only_record_applies_dataclass_to_a_frozen_value_class():
 
         visit(ast.parse(path.read_text(encoding="utf-8")), None)
     assert calls == ["domain.record"]
-    assert len(RECORDS) == 32
+    assert len(RECORDS) == 31
     others = sorted(cls.__qualname__ for cls in _dataclasses() if cls not in RECORDS)
     assert others == ["PipelineState", "SimulatedUserState"]
     assert all(vars(cls)["__init__"].__qualname__ == f"{cls.__qualname__}.__init__" for cls in RECORDS)
@@ -428,6 +428,11 @@ def _functions(path: Path) -> dict[str, ast.AST]:
     return {node.name: node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
+def _calls(node: ast.AST, name: str) -> int:
+    """How many calls under `node` call `name`, as the source writes it."""
+    return sum(1 for c in ast.walk(node) if isinstance(c, ast.Call) and ast.unparse(c.func) == name)
+
+
 def test_only_checked_raises_a_failed_value_check_as_a_load_error():
     # `domain.checked` is the one `except ValueError` that re-raises the
     # value's own message as `ConfigError(<where>, str(exc))`
@@ -465,23 +470,84 @@ def test_each_rule_is_stated_once_where_its_users_call_it():
     def constants(node: ast.AST) -> list:
         return [c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and type(c.value) in (int, str)]
 
-    def calls(node: ast.AST, name: str) -> int:
-        return sum(1 for c in ast.walk(node) if isinstance(c, ast.Call) and ast.unparse(c.func) == name)
-
     scenario, runner, cavstack = (_functions(PACKAGE / f"{m}.py") for m in ("scenario", "runner", "cavstack"))
     # the agency range is `agency_bucket`'s, and the severity table's size is the table's
     assert not {0, 5} & set(constants(scenario["parse_scenario"]))
-    assert calls(scenario["parse_scenario"], "checked") == 1
+    assert _calls(scenario["parse_scenario"], "checked") == 1
     assert 90 not in constants(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")))
     # one admission decision per envelope
-    assert calls(runner["run_episodes"], "admitted") == 1
-    # one truth projection and transform loop for both context layers
-    for name in ("perceive", "v2x_broadcast"):
-        assert calls(cavstack[name], "_summary") == 1
+    assert _calls(runner["run_episodes"], "admitted") == 1
+    # one truth projection for both context layers, and one transform loop for every layer summary
+    for name, helper in (
+        ("perceive", "_summary"), ("v2x_broadcast", "_summary"),
+        ("_summary", "_transformed"), ("control_feedback", "_transformed"),
+    ):
+        assert _calls(cavstack[name], helper) == 1
         assert not any(isinstance(node, ast.For) for node in ast.walk(cavstack[name]))
     # each rogue PA and DSA policy is named once, in its rewrite table
     threats = Counter(constants(ast.parse((PACKAGE / "threats.py").read_text(encoding="utf-8"))))
     assert (threats["rogue-urgent"], threats["rogue-crawl"], threats["rogue-speedster"]) == (1, 1, 1)
+
+
+def test_the_urgency_tags_are_written_only_in_domain():
+    # `domain.ROUTINE` and `domain.URGENT` are the tags; the PA, the threats and the loaders read them
+    found = Counter(
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in ("Routine", "Urgent")
+    )
+    assert found == {"domain.py": 2}
+
+
+def test_the_sc_speed_window_is_computed_only_by_speed_window():
+    # the clamp substitute and the loader's reachability rule read the window; neither keeps arithmetic of its own
+    pipeline = _functions(PACKAGE / "pipeline.py")
+    scenario = ast.parse((PACKAGE / "scenario.py").read_text(encoding="utf-8"))
+    assert _calls(scenario, "speed_window") == 1
+    assert not any(getattr(node, "id", None) == "max_delta_kph" for node in ast.walk(scenario))
+    assert _calls(pipeline["_clamped_substitute"], "speed_window") == 1
+    # the window's edges are the only bounds the substitute compares: its target is > 0 once `hi` is
+    guards = [ast.unparse(n) for n in ast.walk(pipeline["_clamped_substitute"]) if isinstance(n, ast.Compare)]
+    assert guards == ["hi <= 0", "lo > hi"]
+    # the acceleration window alone is the max_accel revision's
+    assert {name for name, f in pipeline.items() if _calls(f, "max_delta_kph")} == {"speed_window", "tighten_proposal"}
+
+
+def test_only_sc_interventions_compares_a_verdicts_decision():
+    # "the SC intervened" is one predicate; the outcome and the report's rejection counts read it
+    from agvsim.pipeline import Decision
+
+    decisions = {d.value for d in Decision}
+
+    def compares_a_decision(node: ast.AST) -> bool:
+        return isinstance(node, ast.Compare) and any(
+            isinstance(n, ast.Attribute) and (n.attr == "decision" or ast.unparse(n.value) == "Decision")
+            or isinstance(n, ast.Constant) and n.value in decisions
+            for n in ast.walk(node)
+        )
+
+    found = {
+        f"{stem}.{name}"
+        for stem in ("trace", "report")
+        for name, function in _functions(PACKAGE / f"{stem}.py").items()
+        if any(compares_a_decision(node) for node in ast.walk(function))
+    }
+    assert found == {"trace.sc_interventions"}
+    for stem in ("trace", "report"):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+        assert sum(map(compares_a_decision, ast.walk(tree))) == (stem == "trace")
+    trace, report = (_functions(PACKAGE / f"{m}.py") for m in ("trace", "report"))
+    assert _calls(trace["classify_outcome"], "sc_interventions") == 2
+    assert ast.unparse(report["compare"]).count("map(sc_interventions, ") == 2
+
+
+def test_the_layer_clamp_is_written_once_for_both_summaries():
+    # one numeric transform edits a context summary and the control feedback alike, in the record's own range
+    cavstack = ast.parse((PACKAGE / "cavstack.py").read_text(encoding="utf-8"))
+    clamps = [ast.unparse(c) for c in ast.walk(cavstack) if isinstance(c, ast.Call) and ast.unparse(c.func) == "_clamp"]
+    assert clamps == ["_clamp(updated, *FIELD_RANGES[type(summary)][field])"]
+    assert "apply_feedback_transform" not in _functions(PACKAGE / "cavstack.py")
 
 
 def test_each_field_range_is_written_once_in_the_domain_table():
@@ -539,7 +605,7 @@ def samples() -> dict[type, object]:
 
     chain = chains.builtin_chain("chain-1")
     todo: list = [
-        threats.THREATS, severity.load_tables(), severity.escalation_violations(),
+        threats.THREATS, severity.load_tables(),
         chain, chains.run_chain(chain, load_shipped("chain-base")),
         Rulebook(), AgentTuning(),
         MemoryStore().adopt(MemoryEntry("speed_cap_kph", MemoryKind.CONSTRAINT, 45.0, Role.EXTERNAL, 0)),
