@@ -31,12 +31,17 @@ from .serialize import digest_of
 class WorldTruth:
     """Harness-only oracle state. Pipeline components never read this.
 
-    The true limit and speed take the ranges of the summary fields the layers report them in.
+    The true limit takes the range of the summary field the layers report it
+    in. The true speed has a range of its own, up to 1,000 kph, a speed a
+    vehicle can hold: the feedback the layers report may read any finite
+    speed, but at a world speed past about 3.6e16 kph the float arithmetic of
+    the SC's speed window loses its 108 kph width. No world past 238 kph
+    loads, since no rule-compliant speed is reachable from it.
     """
 
     true_speed_limit_kph: float = ranged(*FIELD_RANGES[ContextSummary]["speed_limit_kph"])
     road_class: RoadClass
-    vehicle_true_speed_kph: float = ranged(*FIELD_RANGES[VehicleFeedback]["speed_kph"])
+    vehicle_true_speed_kph: float = ranged(0.0, 1000.0)
     true_hazards: tuple[Hazard, ...] = ()
     true_closures: tuple[str, ...] = ()
 

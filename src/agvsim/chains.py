@@ -24,7 +24,7 @@ from . import runner
 from .domain import MAX_RUN_STEPS, ConfigError, checked, integer, mapping, member, record, sequence, shipped_files, string
 from .scenario import ScenarioConfig, _check_depth, _parse_injection, _read_yaml
 from .threats import ThreatInjection, delta_footprint
-from .trace import EpisodeTrace, OutcomeClass, StepRecord, classify_outcome, stealth_check, step_deltas
+from .trace import EpisodeTrace, OutcomeClass, StepRecord, _outcome, classify_outcome, stealth_check, step_deltas
 
 
 @record
@@ -267,11 +267,12 @@ def run_chain(
                 StageDelta(i, stage.kind, stage.label, hit, (), detail=stage.probe or "")
             )
 
+    stealth = stealth_check(attacked, baseline)
     propagation = PropagationTrace(
         chain_id=spec.id,
         stage_deltas=tuple(stage_deltas),
-        stealth=stealth_check(attacked, baseline),
-        outcome=classify_outcome(attacked, baseline),
+        stealth=stealth,
+        outcome=_outcome(attacked, baseline, stealth),
         attacked=attacked,
         baseline=baseline,
     )

@@ -39,6 +39,13 @@ class MemoryKind(str, Enum):
     HISTORY = "History"
 
 
+# Loading an enum member through its class costs several times a plain
+# global load (`EnumType` defines `__getattr__`), and `.value` is a property;
+# so the agents and the SC read their members from module constants and a
+# member's text from one member -> text table per enum.
+_CONSTRAINT = MemoryKind.CONSTRAINT
+
+
 @record
 class MemoryEntry:
     """One long-term memory item: a keyed number, its kind, its origin and the step it came in."""
@@ -69,7 +76,7 @@ class MemoryStore:
         return [
             (e.key, float(e.value))
             for e in self.entries
-            if e.kind is MemoryKind.CONSTRAINT and e.key == SPEED_CAP_KEY
+            if e.kind is _CONSTRAINT and e.key == SPEED_CAP_KEY
         ]
 
     def carry_over(self) -> MemoryStore:
@@ -137,6 +144,10 @@ class Decision(str, Enum):
     SUBSTITUTE = "Substitute"
 
 
+_APPROVE, _REVISE, _SUBSTITUTE = Decision.APPROVE, Decision.REVISE, Decision.SUBSTITUTE
+DECISION_TEXT = {d: d.value for d in Decision}  # what the trace and the report write for each decision
+
+
 @record
 class SafetyVerdict:
     """The SC's answer to one proposal: approve, revise with the first violated rule, or substitute."""
@@ -146,9 +157,9 @@ class SafetyVerdict:
     substitute: StrategyProposal | None = None
 
     def __post_init__(self) -> None:
-        if self.decision is Decision.APPROVE and self.reason:
+        if self.decision is _APPROVE and self.reason:
             raise ValueError("Approve verdicts carry no reason")
-        if self.decision is Decision.SUBSTITUTE and self.substitute is None:
+        if self.decision is _SUBSTITUTE and self.substitute is None:
             raise ValueError("Substitute verdicts must carry a substitute proposal")
 
 
@@ -231,13 +242,14 @@ def pa_interpret(
             desired = tuning.pa_routine_factor * context.speed_limit_kph
     urgency = tuning.pa_urgent_urgency if request.urgency_tag == URGENT else tuning.pa_routine_urgency
     caps = memory.speed_caps()
+    keys, values = zip(*caps) if caps else ((), ())
     return IntentDescriptor(
         desired_speed_kph=desired,
         urgency=urgency,
         comfort_weight=round(1.0 - urgency, 6),
         destination_tag=request.destination,
-        active_caps_kph=tuple(value for _, value in caps),
-        derived_from=tuple(key for key, _ in caps),
+        active_caps_kph=values,
+        derived_from=keys,
     )
 
 
@@ -258,23 +270,21 @@ def dsa_propose(
     tuning = tuning or AgentTuning()
     rules = rules or Rulebook()
 
-    candidates: list[tuple[str, float]] = [("intent.desired_speed_kph", intent.desired_speed_kph)]
-    if intent.effective_cap is not None:
-        candidates.append(("intent.effective_cap", intent.effective_cap))
-    candidates.append(("context.speed_limit_kph", context.speed_limit_kph))
+    desired, cap, limit = intent.desired_speed_kph, intent.effective_cap, context.speed_limit_kph
+    target = min(desired, limit) if cap is None else min(desired, cap, limit)
+    justification: list[tuple[str, str]] = []
+    if desired == target:
+        justification.append(("intent.desired_speed_kph", "target-min"))
+    if cap == target:
+        justification.append(("intent.effective_cap", "target-min"))
+    if limit == target:
+        justification.append(("context.speed_limit_kph", "target-min"))
 
-    target = min(value for _, value in candidates)
-    justification: list[tuple[str, str]] = [
-        (input_id, "target-min") for input_id, value in candidates if value == target
-    ]
-
-    if any(
-        h.confidence >= tuning.dsa_hazard_confidence_min
-        and h.distance_m <= tuning.dsa_hazard_distance_m
-        for h in context.hazards
-    ):
-        target *= tuning.dsa_slowdown_factor
-        justification.append(("context.hazards", "hazard-slowdown"))
+    for h in context.hazards:
+        if h.confidence >= tuning.dsa_hazard_confidence_min and h.distance_m <= tuning.dsa_hazard_distance_m:
+            target *= tuning.dsa_slowdown_factor
+            justification.append(("context.hazards", "hazard-slowdown"))
+            break
 
     if feedback.braking >= 0.5:  # reported heavy braking -> degraded profile
         target *= tuning.dsa_slowdown_factor
@@ -292,7 +302,6 @@ def dsa_propose(
     return StrategyProposal(
         target_speed_kph=target,
         headway_s=headway,
-        lane_change_intent=LaneChange.NONE,
         route_pref=route,
         justification=tuple(justification),
     )
@@ -359,13 +368,13 @@ def sc_validate(
     """
     violations = sc_violations(proposal, feedback, rules, context_limit_claimed)
     if not violations:
-        return SafetyVerdict(decision=Decision.APPROVE)
+        return SafetyVerdict(decision=_APPROVE)
     reason = violations[0]
     if revision_count >= 1:
         substitute = _clamped_substitute(proposal, feedback, rules, context_limit_claimed, reason)
         if substitute is not None and not sc_violations(substitute, feedback, rules, context_limit_claimed):
-            return SafetyVerdict(decision=Decision.SUBSTITUTE, reason=reason, substitute=substitute)
-    return SafetyVerdict(decision=Decision.REVISE, reason=reason)
+            return SafetyVerdict(decision=_SUBSTITUTE, reason=reason, substitute=substitute)
+    return SafetyVerdict(decision=_REVISE, reason=reason)
 
 
 def tighten_proposal(
@@ -406,20 +415,18 @@ def validate_with_revision(
     Returns (submissions, verdicts, approved). The approved proposal always
     satisfies every SC rule; an unsatisfiable step raises PipelineError.
     """
-    submissions = [proposal]
-    verdicts = [sc_validate(proposal, feedback, rules, context_limit_claimed)]
-    if verdicts[0].decision is Decision.APPROVE:
-        return tuple(submissions), tuple(verdicts), proposal
+    first = sc_validate(proposal, feedback, rules, context_limit_claimed)
+    if first.decision is _APPROVE:
+        return (proposal,), (first,), proposal
 
-    revised = tighten_proposal(proposal, verdicts[0].reason, feedback, rules, context_limit_claimed)
-    submissions.append(revised)
+    revised = tighten_proposal(proposal, first.reason, feedback, rules, context_limit_claimed)
     second = sc_validate(revised, feedback, rules, context_limit_claimed, revision_count=1)
-    verdicts.append(second)
-    if second.decision is Decision.APPROVE:
-        return tuple(submissions), tuple(verdicts), revised
-    if second.decision is Decision.SUBSTITUTE:
+    submissions, verdicts = (proposal, revised), (first, second)
+    if second.decision is _APPROVE:
+        return submissions, verdicts, revised
+    if second.decision is _SUBSTITUTE:
         assert second.substitute is not None
-        return tuple(submissions), tuple(verdicts), second.substitute
+        return submissions, verdicts, second.substitute
     raise PipelineError(
         f"no rule-compliant proposal reachable (last violation: {second.reason})"
     )

@@ -12,8 +12,9 @@ import csv
 import io
 
 from .domain import record
+from .pipeline import DECISION_TEXT
 from .serialize import canonical_json
-from .trace import EpisodeTrace, classify_outcome, sc_interventions, stealth_check, step_deltas
+from .trace import OUTCOME_TEXT, EpisodeTrace, _outcome, sc_interventions, stealth_check, step_deltas
 
 
 CSV_COLUMNS = (
@@ -77,7 +78,7 @@ class MisalignmentReport:
 
 
 def _verdict_cell(record) -> str:
-    return "|".join(v.decision.value for v in record.verdicts)
+    return "|".join([DECISION_TEXT[v.decision] for v in record.verdicts])
 
 
 def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentReport:
@@ -89,7 +90,7 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
     deltas = step_deltas(attacked, baseline)  # checks the pair first
     b_interventions = list(map(sc_interventions, baseline.steps))
     a_interventions = list(map(sc_interventions, attacked.steps))
-    step_rows = tuple(
+    step_rows = tuple([
         StepRow(
             scenario_id=attacked.scenario_id,
             episode=a_rec.episode,
@@ -101,7 +102,7 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
             verdict_attacked=_verdict_cell(a_rec),
         )
         for b_rec, a_rec in zip(baseline.steps, attacked.steps)
-    )
+    ])
 
     persistence = 0
     episode_rows = []
@@ -111,11 +112,11 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
         b_steps, a_steps = baseline.steps[span], attacked.steps[span]
         if not a_steps:  # zero-step episodes yield no rows to aggregate
             continue
-        any_delta = any(d.changed_paths for d in deltas[span])
-        if any_delta and all(e.warning for record in a_steps for e in record.effects):
+        any_delta = any([d.changed_paths for d in deltas[span]])
+        if any_delta and all([e.warning for record in a_steps for e in record.effects]):
             persistence += 1
-        b_mean = sum(r.approved.target_speed_kph for r in b_steps) / len(b_steps)
-        a_mean = sum(r.approved.target_speed_kph for r in a_steps) / len(a_steps)
+        b_mean = sum([r.approved.target_speed_kph for r in b_steps]) / len(b_steps)
+        a_mean = sum([r.approved.target_speed_kph for r in a_steps]) / len(a_steps)
         episode_rows.append(
             EpisodeRow(
                 scenario_id=attacked.scenario_id,
@@ -129,12 +130,13 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
             )
         )
 
+    stealth = stealth_check(attacked, baseline)
     return MisalignmentReport(
         scenario_id=attacked.scenario_id,
         seed=attacked.seed,
-        stealth=stealth_check(attacked, baseline),
+        stealth=stealth,
         persistence_episodes=persistence,
-        outcome=classify_outcome(attacked, baseline).value,
+        outcome=OUTCOME_TEXT[_outcome(attacked, baseline, stealth)],
         sc_rejections_baseline=sum(b_interventions),
         sc_rejections_attacked=sum(a_interventions),
         rows=tuple(episode_rows),

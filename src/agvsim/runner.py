@@ -71,6 +71,7 @@ _STACK_TO_DSA = (Role.CAV_STACK, Authority.CONTEXT_ONLY, Role.DRIVING_STRATEGY_A
 _DSA_TO_SC = (Role.DRIVING_STRATEGY_AGENT, Authority.PROPOSAL_ONLY, Role.SAFETY_CHECK)
 _SC_TO_DSA = (Role.SAFETY_CHECK, Authority.VERDICT_ONLY, Role.DRIVING_STRATEGY_AGENT)
 _CONTEXT_ONLY = Authority.CONTEXT_ONLY
+_EXTERNAL, _CONSTRAINT = Role.EXTERNAL, MemoryKind.CONSTRAINT
 _LAYER, _PRE_PA, _PRE_DSA, _POST_STEP = Phase.LAYER, Phase.PRE_PA, Phase.PRE_DSA, Phase.POST_STEP
 
 
@@ -138,7 +139,7 @@ def run_episodes(
     seed_value = config.seed if seed is None else seed
     steps_per_episode = config.steps_per_episode
 
-    static_injections = list(config.injections) if with_injections else []
+    static_injections = config.injections if with_injections else ()
     stages = chain if with_injections else None
 
     world = config.world
@@ -195,7 +196,7 @@ def run_episodes(
                 # static injections (by window) before chain stages (by trigger)
                 active: list[tuple[int | None, ThreatInjection]] = [
                     (None, inj) for inj, (start, end) in static_injections if start <= g <= end
-                ]
+                ] if static_injections else []
                 if stages is not None:
                     active.extend(stages.active_injections(g))
 
@@ -242,9 +243,9 @@ def run_episodes(
                     memory = memory.adopt(
                         MemoryEntry(
                             key=SPEED_CAP_KEY,
-                            kind=MemoryKind.CONSTRAINT,
+                            kind=_CONSTRAINT,
                             value=float(advice),
-                            origin=Role.EXTERNAL,
+                            origin=_EXTERNAL,
                             inserted_step=g,
                             persistent=False,
                         )
@@ -319,7 +320,7 @@ def run_episodes(
                         approved=approved,
                         envelopes=step_envelopes,
                         rejected_envelopes=rejected,
-                        spoofed_envelopes=sum(1 for e in step_envelopes if e.spoofed),
+                        spoofed_envelopes=sum([e.spoofed for e in step_envelopes]),
                         user_queries=state.noise_queries + 1,
                         policies=(state.pa_policy, state.dsa_policy),
                         memory_digest=memory.digest(),

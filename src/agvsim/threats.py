@@ -852,6 +852,9 @@ def legal_surfaces(threat: ThreatId) -> frozenset[Surface]:
     return THREATS[ThreatId(threat)].surfaces
 
 
+_LAYER_SURFACE = Surface.LAYER  # read once: `apply` runs at every step an injection is active
+
+
 def apply(
     injection: ThreatInjection, state: PipelineState, step: int, layer_before: LazyDigest | None = None
 ) -> InjectionEffectRecord:
@@ -865,7 +868,7 @@ def apply(
     unperturbed layer views, with the views in `state`, and without
     `layer_before` it raises ValueError.
     """
-    if injection.surface is Surface.LAYER:
+    if injection.surface is _LAYER_SURFACE:
         if layer_before is None:
             raise ValueError(
                 f"{injection.threat.value} on {injection.surface.value} acts inside the layer functions, "

@@ -188,8 +188,11 @@ class TestWorldTruthRanges:
         with pytest.raises(ValueError, match=rf"^WorldTruth\.{name} must be in \["):
             world(limit=limit, speed=speed)
 
-    def test_a_world_takes_the_bounds_of_the_summary_fields_that_report_it(self):
-        limits, speeds = FIELD_RANGES[ContextSummary]["speed_limit_kph"], FIELD_RANGES[VehicleFeedback]["speed_kph"]
+    def test_a_world_takes_its_limits_bounds_from_the_summary_and_a_speed_range_of_its_own(self):
+        # the feedback may report any finite speed; the world's vehicle holds at most 1,000 kph
+        limits = FIELD_RANGES[ContextSummary]["speed_limit_kph"]
+        speeds = FIELD_RANGES[WorldTruth]["vehicle_true_speed_kph"]
+        assert speeds == (0.0, 1000.0) and FIELD_RANGES[VehicleFeedback]["speed_kph"][1] > 1e308
         for limit, speed in zip(limits, speeds):
             truth = world(limit, speed)
             assert (truth.true_speed_limit_kph, truth.vehicle_true_speed_kph) == (limit, speed)

@@ -159,7 +159,6 @@ WRITERS = {
             "target": "external", "edits": [{"field": "speed_limit_kph", "op": "Set", "value": v}],
         }),
     ],
-    (VehicleFeedback, "speed_kph"): [lambda v: _world(vehicle_speed_kph=v)],
     (Hazard, "distance_m"): _placed(HAZARD_POSITIONS, test_scenario.TestOneRule.HAZARD, "distance_m"),
     (Hazard, "confidence"): _placed(HAZARD_POSITIONS, test_scenario.TestOneRule.HAZARD, "confidence"),
     (UserRequest, "desired_speed_kph"): [
@@ -198,7 +197,7 @@ class TestFieldRanges:
             if bound == math.inf:  # a hazard may lie infinitely far, but a document writes finite numbers
                 with pytest.raises(ConfigError, match="must be a finite number"):
                     _load(write(bound))
-            elif side == "hi" and name in ("speed_kph", "vehicle_true_speed_kph"):
+            elif side == "hi" and name == "vehicle_true_speed_kph":
                 # the world's vehicle speed has a tighter rule of its own: a reachable compliant speed
                 with pytest.raises(ConfigError, match="no rule-compliant speed is reachable"):
                     _load(write(bound))

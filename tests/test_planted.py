@@ -264,7 +264,7 @@ def test_persistence_that_counts_every_deviating_episode_fails(monkeypatch):
     # a deviating episode counts as persisting only when every injection in it was a no-op
     plant(
         monkeypatch, agvsim.report, "compare",
-        "if any_delta and all(e.warning for record in a_steps for e in record.effects):", "if any_delta:",
+        "if any_delta and all([e.warning for record in a_steps for e in record.effects]):", "if any_delta:",
     )
     config = load_shipped("case1-highway-routine")
     report = agvsim.report.compare(run_episodes(config, False), run_episodes(config, True))
@@ -300,8 +300,8 @@ def test_a_baseline_that_applies_the_scenarios_injections_fails(monkeypatch):
     # the baseline run acts the scenario's injections as the attacked run does
     plant(
         monkeypatch, agvsim.runner, "run_episodes",
-        "static_injections = list(config.injections) if with_injections else []",
-        "static_injections = list(config.injections)",
+        "static_injections = config.injections if with_injections else ()",
+        "static_injections = config.injections",
     )
     # the first failing example is enough: shrinking it would take half a minute
     previous = settings.get_current_profile_name()

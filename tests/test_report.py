@@ -8,11 +8,14 @@ import sys
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agvsim.report import CSV_COLUMNS, compare, render_csv, render_json
+from agvsim.pipeline import Decision, SafetyVerdict
+from agvsim.report import CSV_COLUMNS, _verdict_cell, compare, render_csv, render_json
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped, parse_scenario, shipped_scenarios
-from agvsim.trace import TracePairingError
+from agvsim.trace import EpisodeTrace, OutcomeClass, TracePairingError, classify_outcome, sc_interventions
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +148,74 @@ class TestJsonExport:
         report = compare(run_episodes(config, with_injections=False), run_episodes(config, with_injections=True))
         exported = json.loads(render_json(report), parse_constant=reject)
         assert exported["attacked_trace"]["steps"][0]["feedback"]["accel_mps2"] == sys.float_info.max
+
+
+# The plain definitions that `_verdict_cell`, `verdict_sequence`,
+# `sc_interventions` and `classify_outcome` read faster: through `.value`,
+# enum class reads and generators. No shipped run revises, so the goldens
+# pin `Approve` text alone; here every decision is drawn.
+def _plain_cell(record) -> str:
+    return "|".join(v.decision.value for v in record.verdicts)
+
+
+def _plain_sequence(trace) -> tuple:
+    return tuple(v.decision.value for record in trace.steps for v in record.verdicts)
+
+
+def _plain_interventions(record) -> int:
+    return sum(1 for v in record.verdicts if v.decision is not Decision.APPROVE)
+
+
+def _plain_outcome(attacked, baseline) -> OutcomeClass:
+    if _plain_sequence(attacked) == _plain_sequence(baseline) and any(
+        a.approved != b.approved for a, b in zip(attacked.steps, baseline.steps)
+    ):
+        return OutcomeClass.MISALIGNED_APPROVED
+    for a, b in zip(attacked.steps, baseline.steps):
+        if _plain_interventions(a) and not _plain_interventions(b):
+            return OutcomeClass.BLOCKED_BY_SC
+    return OutcomeClass.NO_EFFECT
+
+
+_TEMPLATE = run_episodes(load_shipped("chain-base"), with_injections=False)
+_APPROVED = _TEMPLATE.steps[0].approved
+_VERDICTS = {
+    Decision.APPROVE: SafetyVerdict(Decision.APPROVE),
+    Decision.REVISE: SafetyVerdict(Decision.REVISE, reason="abs_max"),
+    Decision.SUBSTITUTE: SafetyVerdict(Decision.SUBSTITUTE, reason="abs_max", substitute=_APPROVED),
+}
+# one step of one run: its verdicts (one or two), and whether its approved proposal is the template's
+_STEP = st.tuples(st.lists(st.sampled_from(list(Decision)), min_size=1, max_size=2), st.booleans())
+
+
+def _trace(steps: list) -> EpisodeTrace:
+    records = tuple(
+        dataclasses.replace(
+            _TEMPLATE.steps[0], step=i, global_step=i,
+            verdicts=tuple(_VERDICTS[d] for d in decisions),
+            approved=_APPROVED if same else dataclasses.replace(_APPROVED, target_speed_kph=1.0),
+        )
+        for i, (decisions, same) in enumerate(steps)
+    )
+    return dataclasses.replace(_TEMPLATE, steps=records, episodes=1, steps_per_episode=len(records))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_STEP, _STEP), min_size=1, max_size=4))
+def test_verdict_text_interventions_and_outcome_equal_their_plain_definitions(pairs):
+    baseline, attacked = _trace([b for b, _ in pairs]), _trace([a for _, a in pairs])
+    for trace in (baseline, attacked):
+        assert trace.verdict_sequence() == _plain_sequence(trace)
+        for record in trace.steps:
+            assert _verdict_cell(record) == _plain_cell(record)
+            assert sc_interventions(record) == _plain_interventions(record)
+    outcome = _plain_outcome(attacked, baseline)
+    assert classify_outcome(attacked, baseline) is outcome
+    report = compare(baseline, attacked)
+    assert (report.outcome, report.stealth) == (outcome.value, _plain_sequence(attacked) == _plain_sequence(baseline))
+    assert [(r.verdict_baseline, r.verdict_attacked) for r in report.step_rows] == [
+        (_plain_cell(b), _plain_cell(a)) for b, a in zip(baseline.steps, attacked.steps)
+    ]
+    assert (report.sc_rejections_baseline, report.sc_rejections_attacked) == (
+        sum(map(_plain_interventions, baseline.steps)), sum(map(_plain_interventions, attacked.steps))
+    )

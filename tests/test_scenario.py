@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import textwrap
 
 import pytest
@@ -592,5 +593,24 @@ class TestReachableWorld:
             load(198.0)
         assert str(refused.value) == (
             "generated.world.vehicle_speed_kph: 198 is more than 108 kph above min(limit, 130) = 90, "
+            "so no rule-compliant speed is reachable"
+        )
+
+    def test_a_world_speed_past_its_range_is_a_range_error_and_one_at_its_bound_still_names_the_window(self):
+        # the SC's 108 kph window stays exact in float arithmetic up to the world's 1,000 kph
+        def load(speed: float):
+            world = {**self.BASE["world"], "speed_limit_kph": 90.0, "vehicle_speed_kph": speed}
+            return parse_scenario({**self.BASE, "world": world}, "generated")
+
+        for speed in (math.nextafter(1000.0, math.inf), 1e17, sys.float_info.max):
+            with pytest.raises(ConfigError) as refused:
+                load(speed)
+            assert str(refused.value) == (
+                f"generated.world.vehicle_speed_kph: must be a finite number in [0, 1000], got {speed!r}"
+            )
+        with pytest.raises(ConfigError) as refused:
+            load(1000.0)
+        assert str(refused.value) == (
+            "generated.world.vehicle_speed_kph: 1000 is more than 108 kph above min(limit, 130) = 90, "
             "so no rule-compliant speed is reachable"
         )

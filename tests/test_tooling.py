@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+import enum
 import importlib
 import importlib.util
 import inspect
@@ -538,8 +539,63 @@ def test_only_sc_interventions_compares_a_verdicts_decision():
         tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
         assert sum(map(compares_a_decision, ast.walk(tree))) == (stem == "trace")
     trace, report = (_functions(PACKAGE / f"{m}.py") for m in ("trace", "report"))
-    assert _calls(trace["classify_outcome"], "sc_interventions") == 2
+    assert _calls(trace["classify_outcome"], "_outcome") == 1
+    assert _calls(trace["_outcome"], "sc_interventions") == 2
     assert ast.unparse(report["compare"]).count("map(sc_interventions, ") == 2
+
+
+# what a step or a paired analysis calls, by module; `Class.method` names a method
+PER_STEP = {
+    "pipeline": (
+        "pa_interpret", "dsa_propose", "sc_violations", "sc_validate", "validate_with_revision",
+        "SafetyVerdict.__post_init__",
+    ),
+    "runner": ("run_episodes",),
+    "threats": ("apply",),
+    "trace": ("step_deltas", "sc_interventions", "EpisodeTrace.verdict_sequence", "classify_outcome", "_outcome"),
+    "report": ("compare", "_verdict_cell"),
+}
+
+
+def _per_step_costs(stem: str, qualname: str) -> list[str]:
+    """The enum member reads through the class, `.value` reads and generator
+    expressions in one function, its nested functions too, but not in what a
+    `raise` builds: an error leaves the step."""
+    module = importlib.import_module(f"agvsim.{stem}")
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    *owner, name = qualname.split(".")
+    scope = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == owner[0]) if owner else tree
+    function = next(n for n in scope.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    found, todo = [], [function]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Raise):
+            continue
+        if isinstance(node, ast.GeneratorExp) or isinstance(node, ast.Attribute) and (
+            node.attr == "value"
+            or isinstance(node.value, ast.Name) and isinstance(vars(module).get(node.value.id), enum.EnumMeta)
+        ):
+            found.append(f"{stem}.{qualname}:{node.lineno}: {ast.unparse(node)}")
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_the_per_step_path_reads_no_enum_member_or_value_and_builds_no_generator():
+    # an enum member read through its class costs about 0.1 us, a `.value`
+    # read about 0.15 us (a property), and a generator over one to three items
+    # more than the list of them: these functions read module constants and
+    # member -> text tables, and build lists or loop
+    found = [cost for stem, names in PER_STEP.items() for name in names for cost in _per_step_costs(stem, name)]
+    assert found == []
+
+
+def test_each_member_text_table_is_its_enums_values():
+    from agvsim.pipeline import DECISION_TEXT, Decision
+    from agvsim.trace import OUTCOME_TEXT, OutcomeClass
+
+    for table, members in ((DECISION_TEXT, Decision), (OUTCOME_TEXT, OutcomeClass)):
+        assert table == {m: m.value for m in members}
+        assert all(type(text) is str for text in table.values())
 
 
 def test_the_layer_clamp_is_written_once_for_both_summaries():
