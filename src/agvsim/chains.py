@@ -12,7 +12,6 @@ loads chain code; the six built-in chains are such files, shipped in
 
 from __future__ import annotations
 
-from dataclasses import replace
 from enum import Enum
 from itertools import cycle, islice
 from pathlib import Path
@@ -21,10 +20,12 @@ from typing import Callable
 # the module, not its function: a caller that wraps `runner.run_episodes`
 # sees chain runs too
 from . import runner
-from .domain import MAX_RUN_STEPS, ConfigError, checked, integer, mapping, member, record, sequence, shipped_files, string
+from .domain import (
+    MAX_RUN_STEPS, ConfigError, checked, identifier, integer, mapping, member, record, sequence, shipped_files, string,
+)
 from .scenario import ScenarioConfig, _check_depth, _parse_injection, _read_yaml
 from .threats import ThreatInjection, delta_footprint
-from .trace import EpisodeTrace, OutcomeClass, StepRecord, _outcome, classify_outcome, stealth_check, step_deltas
+from .trace import EpisodeTrace, OutcomeClass, StepRecord, _outcome, stealth_check, step_deltas
 
 
 @record
@@ -120,7 +121,7 @@ def _parse_chain_stage(data: object, where: str) -> ChainStage:
 def parse_chain_spec(data: object, where: str) -> ChainSpec:
     _check_depth(data, where)
     chain = mapping(data, where, ("id", "stages", "episode_length"))
-    chain_id = string(chain["id"], f"{where}.id")
+    chain_id = identifier(chain["id"], f"{where}.id")
     stages = sequence(chain["stages"], f"{where}.stages", _parse_chain_stage)
     episode_length = integer(chain["episode_length"], f"{where}.episode_length", 1)
     return checked(where, ChainSpec, chain_id, stages, episode_length)
@@ -218,7 +219,12 @@ def run_chain(
     """
     if not scenario.requests:
         raise ConfigError(scenario.id, f"no requests to drive {spec.episode_length} steps per episode")
-    base = replace(scenario, episodes=1, requests=tuple(islice(cycle(scenario.requests), spec.episode_length)))
+    # the scenario as one episode of the chain's length; positional, as is every record the pair builds
+    requests = tuple(islice(cycle(scenario.requests), spec.episode_length))
+    base = ScenarioConfig(
+        scenario.id, scenario.mode, scenario.agency, scenario.world, requests, scenario.seed,
+        1, scenario.injections, scenario.expected_outcome,  # episodes, injections, expected outcome
+    )
     schedule = ChainSchedule(spec)
     attacked = runner.run_episodes(base, with_injections=True, chain=schedule, seed=seed)
     baseline = runner.run_episodes(base, with_injections=False, seed=seed)
@@ -233,7 +239,7 @@ def run_chain(
         start = schedule.start_step(i)
         if start is None:
             stage_deltas.append(
-                StageDelta(i, stage.kind, stage.label, None, (), detail="upstream stage never fired")
+                StageDelta(i, stage.kind, stage.label, None, (), "upstream stage never fired")
             )
         elif stage.kind is StageKind.INJECT:
             assert stage.injection is not None
@@ -249,10 +255,7 @@ def run_chain(
                 }
             )
             stage_deltas.append(
-                StageDelta(
-                    i, stage.kind, stage.label, fired, tuple(touched),
-                    detail=stage.injection.threat.value,
-                )
+                StageDelta(i, stage.kind, stage.label, fired, tuple(touched), stage.injection.threat.value)
             )
         else:
             probe = PROBES[stage.probe]  # type: ignore[index]
@@ -264,17 +267,12 @@ def run_chain(
             if hit is not None:
                 schedule.mark_fired(i, hit)
             stage_deltas.append(
-                StageDelta(i, stage.kind, stage.label, hit, (), detail=stage.probe or "")
+                StageDelta(i, stage.kind, stage.label, hit, (), stage.probe or "")
             )
 
     stealth = stealth_check(attacked, baseline)
     propagation = PropagationTrace(
-        chain_id=spec.id,
-        stage_deltas=tuple(stage_deltas),
-        stealth=stealth,
-        outcome=_outcome(attacked, baseline, stealth),
-        attacked=attacked,
-        baseline=baseline,
+        spec.id, tuple(stage_deltas), stealth, _outcome(attacked, baseline, stealth), attacked, baseline,
     )
     return propagation, baseline
 

@@ -88,12 +88,15 @@ def record(cls: type[T]) -> type[T]:
     slot, so a field reads at full speed and an instance holds no dict for
     the cyclic collector to track. A frozen dataclass's own `__init__`
     stores each field through `object.__setattr__`, several times the cost
-    of a plain store, and every step of a run builds a dozen records. This
-    `__init__` takes the same parameters and defaults, stores the fields in
-    field order through their slots' member descriptors, and then calls
-    `__post_init__` when the class has one. A *ranged* field, declared
-    `ranged(lo, hi)`, enters `FIELD_RANGES[cls]`, and `__init__` refuses a
-    value outside its range last, with `_out_of_range`. A *derived* field,
+    of a plain store. What a step or a paired analysis calls builds its
+    records by position, in field order, since a keyword is matched against
+    the parameter names and `type.__call__` gathers keywords into a dict;
+    loaders and tests keep keywords. This `__init__` takes the same
+    parameters and defaults, stores the fields in field order through their
+    slots' member descriptors, and then calls `__post_init__` when the class
+    has one. A *ranged* field, declared `ranged(lo, hi)`, enters
+    `FIELD_RANGES[cls]`, and `__init__` refuses a value outside its range
+    last, with `_out_of_range`. A *derived* field,
     declared `field(default=<plain>, init=False, compare=False, repr=False)`,
     is no parameter: `__init__` stores its default, and the class sets it
     once with `object.__setattr__`; equality, hashing and every export leave
@@ -253,6 +256,14 @@ def string(value: Any, where: str, choices: Collection[str] | None = None) -> st
         want = "a string" if choices is None else f"one of {list(choices)}"
         raise ConfigError(where, f"must be {want}, got {value!r}")
     return value
+
+
+def identifier(value: Any, where: str) -> str:
+    """`value` as a str with a character other than whitespace: a scenario's or a chain's id, which its exports name."""
+    text = string(value, where)
+    if not text.strip():
+        raise ConfigError(where, f"must be a non-blank string, got {text!r}")
+    return text
 
 
 def checked(where: str, make: Callable[..., T], /, *args: Any, **kwargs: Any) -> T:
@@ -435,14 +446,7 @@ class MessageEnvelope:
 
 def make_envelope(sender: Role, authority: Authority, payload: object, step: int) -> MessageEnvelope:
     """Construct a fresh, honestly-labelled envelope with a single-hop provenance."""
-    return MessageEnvelope(
-        sender=sender,
-        claimed_sender=sender,
-        authority=authority,
-        payload=payload,
-        provenance=((sender, step),),
-        step=step,
-    )
+    return MessageEnvelope(sender, sender, authority, payload, ((sender, step),), step)
 
 
 # Which claimed senders may originate each envelope kind. SafetyCheck only

@@ -119,6 +119,9 @@ class LaneChange(str, Enum):
     RIGHT = "Right"
 
 
+_NO_LANE_CHANGE = LaneChange.NONE
+
+
 @record
 class StrategyProposal:
     """DSA output: target speed, spacing, and route intent with a rule trace."""
@@ -243,14 +246,8 @@ def pa_interpret(
     urgency = tuning.pa_urgent_urgency if request.urgency_tag == URGENT else tuning.pa_routine_urgency
     caps = memory.speed_caps()
     keys, values = zip(*caps) if caps else ((), ())
-    return IntentDescriptor(
-        desired_speed_kph=desired,
-        urgency=urgency,
-        comfort_weight=round(1.0 - urgency, 6),
-        destination_tag=request.destination,
-        active_caps_kph=values,
-        derived_from=keys,
-    )
+    # desired speed, urgency, comfort weight, destination, caps and the memory keys they came from
+    return IntentDescriptor(desired, urgency, round(1.0 - urgency, 6), request.destination, values, keys)
 
 
 def dsa_propose(
@@ -299,12 +296,7 @@ def dsa_propose(
     else:
         route = "default"
 
-    return StrategyProposal(
-        target_speed_kph=target,
-        headway_s=headway,
-        route_pref=route,
-        justification=tuple(justification),
-    )
+    return StrategyProposal(target, headway, _NO_LANE_CHANGE, route, tuple(justification))
 
 
 def sc_violations(
@@ -368,13 +360,13 @@ def sc_validate(
     """
     violations = sc_violations(proposal, feedback, rules, context_limit_claimed)
     if not violations:
-        return SafetyVerdict(decision=_APPROVE)
+        return SafetyVerdict(_APPROVE)
     reason = violations[0]
     if revision_count >= 1:
         substitute = _clamped_substitute(proposal, feedback, rules, context_limit_claimed, reason)
         if substitute is not None and not sc_violations(substitute, feedback, rules, context_limit_claimed):
-            return SafetyVerdict(decision=_SUBSTITUTE, reason=reason, substitute=substitute)
-    return SafetyVerdict(decision=_REVISE, reason=reason)
+            return SafetyVerdict(_SUBSTITUTE, reason, substitute)
+    return SafetyVerdict(_REVISE, reason)
 
 
 def tighten_proposal(

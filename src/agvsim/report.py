@@ -90,19 +90,15 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
     deltas = step_deltas(attacked, baseline)  # checks the pair first
     b_interventions = list(map(sc_interventions, baseline.steps))
     a_interventions = list(map(sc_interventions, attacked.steps))
-    step_rows = tuple([
-        StepRow(
-            scenario_id=attacked.scenario_id,
-            episode=a_rec.episode,
-            step=a_rec.step,
-            baseline_target_kph=b_rec.approved.target_speed_kph,
-            attacked_target_kph=a_rec.approved.target_speed_kph,
-            delta_kph=a_rec.approved.target_speed_kph - b_rec.approved.target_speed_kph,
-            verdict_baseline=_verdict_cell(b_rec),
-            verdict_attacked=_verdict_cell(a_rec),
-        )
-        for b_rec, a_rec in zip(baseline.steps, attacked.steps)
-    ])
+    scenario_id = attacked.scenario_id
+    step_rows = []
+    for b_rec, a_rec in zip(baseline.steps, attacked.steps):
+        b_target, a_target = b_rec.approved.target_speed_kph, a_rec.approved.target_speed_kph
+        step_rows.append(StepRow(
+            scenario_id, a_rec.episode, a_rec.step,
+            b_target, a_target, a_target - b_target,  # baseline, attacked, delta
+            _verdict_cell(b_rec), _verdict_cell(a_rec),  # baseline, attacked
+        ))
 
     persistence = 0
     episode_rows = []
@@ -117,32 +113,15 @@ def compare(baseline: EpisodeTrace, attacked: EpisodeTrace) -> MisalignmentRepor
             persistence += 1
         b_mean = sum([r.approved.target_speed_kph for r in b_steps]) / len(b_steps)
         a_mean = sum([r.approved.target_speed_kph for r in a_steps]) / len(a_steps)
-        episode_rows.append(
-            EpisodeRow(
-                scenario_id=attacked.scenario_id,
-                episode=episode,
-                baseline_mean_target_kph=b_mean,
-                attacked_mean_target_kph=a_mean,
-                delta_mean_kph=a_mean - b_mean,
-                sc_rejections_baseline=sum(b_interventions[span]),
-                sc_rejections_attacked=sum(a_interventions[span]),
-                any_delta=any_delta,
-            )
-        )
+        episode_rows.append(EpisodeRow(
+            scenario_id, episode, b_mean, a_mean, a_mean - b_mean,
+            sum(b_interventions[span]), sum(a_interventions[span]), any_delta,
+        ))
 
     stealth = stealth_check(attacked, baseline)
     return MisalignmentReport(
-        scenario_id=attacked.scenario_id,
-        seed=attacked.seed,
-        stealth=stealth,
-        persistence_episodes=persistence,
-        outcome=OUTCOME_TEXT[_outcome(attacked, baseline, stealth)],
-        sc_rejections_baseline=sum(b_interventions),
-        sc_rejections_attacked=sum(a_interventions),
-        rows=tuple(episode_rows),
-        step_rows=step_rows,
-        baseline=baseline,
-        attacked=attacked,
+        scenario_id, attacked.seed, stealth, persistence, OUTCOME_TEXT[_outcome(attacked, baseline, stealth)],
+        sum(b_interventions), sum(a_interventions), tuple(episode_rows), tuple(step_rows), baseline, attacked,
     )
 
 

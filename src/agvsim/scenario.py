@@ -22,6 +22,7 @@ from .domain import (
     UserRequest,
     agency_bucket,
     checked,
+    identifier,
     integer,
     mapping,
     member,
@@ -178,7 +179,7 @@ def parse_scenario(data: object, source: str = "<memory>") -> ScenarioConfig:
     checked(f"{source}.agency", agency_bucket, agency)
     expected = doc.get("expected_outcome")
     config = ScenarioConfig(
-        id=string(doc["id"], f"{source}.id"),
+        id=identifier(doc["id"], f"{source}.id"),
         mode=member(DrivingMode, doc["mode"], f"{source}.mode"),
         agency=agency,
         world=_parse_world(doc["world"], f"{source}.world"),

@@ -381,13 +381,13 @@ class PipelineState:
     tool_output: ToolOutput
     user: SimulatedUserState
     tuning: AgentTuning
+    log: MessageLog = field(default_factory=MessageLog)  # ninth, so the runner passes all it sets by position
     noise_queries: int = 0  # extra confirmations T10 injects this step
     pa_policy: str = "default"
     dsa_policy: str = "default"
     dsa_weights: dict | None = None
     admission: Mapping[Authority, frozenset[Role]] = field(default_factory=lambda: DEFAULT_ADMISSION)
     envelopes: list[MessageEnvelope] = field(default_factory=list)
-    log: MessageLog = field(default_factory=MessageLog)
 
 
 class Phase(str, Enum):
@@ -714,7 +714,7 @@ def _act_t12(inj: ThreatInjection, state: PipelineState, step: int) -> tuple[str
                 patch["closures_add"] = [*closures, value]
         else:
             patch["hazards_add"] = [*patch.get("hazards_add", []), dict(value)]
-    state.envelopes[i] = replace(env, payload=patch)
+    state.envelopes[i] = MessageEnvelope(env.sender, env.claimed_sender, env.authority, patch, env.provenance, env.step)
     return "in-flight message poisoned", False
 
 

@@ -186,12 +186,5 @@ def step_deltas(attacked: EpisodeTrace, baseline: EpisodeTrace) -> list[StepDelt
             changed.append("log_digest")
         if len(a.envelopes) != len(b.envelopes):
             changed.append("envelope_count")
-        deltas.append(
-            StepDelta(
-                episode=a.episode,
-                step=a.step,
-                global_step=a.global_step,
-                changed_paths=tuple(sorted(changed)),
-            )
-        )
+        deltas.append(StepDelta(a.episode, a.step, a.global_step, tuple(sorted(changed))))
     return deltas

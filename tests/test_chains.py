@@ -14,7 +14,6 @@ from agvsim.chains import (
     Trigger,
     builtin_chain,
     builtin_chains,
-    classify_outcome,
     load_chain_spec,
     run_chain,
 )
@@ -24,6 +23,7 @@ from agvsim.scenario import load_shipped, shipped_scenarios
 from agvsim.runner import run_episodes
 from agvsim.serialize import digest_of
 from agvsim.threats import Surface, ThreatInjection
+from agvsim.trace import classify_outcome
 from test_incremental import comparable_view
 
 

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 import agvsim
 import agvsim.cli
 import agvsim.scenario
-from agvsim.chains import builtin_chains
+from agvsim.chains import CHAIN_FOLDER, builtin_chains
 from agvsim.cli import main
+from agvsim.domain import shipped_files
 from agvsim.report import compare, render_csv, render_json
 from agvsim.runner import run_episodes
 from agvsim.scenario import shipped_scenarios
@@ -454,6 +455,18 @@ class TestRun:
         assert err.startswith(f"config error: {path}.")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("blank", ['""', '"   "'])
+    def test_a_blank_scenario_id_is_config_error(self, capsys, tmp_path, blank):
+        # a blank id would name every CSV row and every trace of the run with nothing
+        text = shipped_scenarios()["case1-highway-urgent"].read_text()
+        assert text.count("\nid: case1-highway-urgent\n") == 1
+        path, csv = tmp_path / "blank.yaml", tmp_path / "r.csv"
+        path.write_text(text.replace("\nid: case1-highway-urgent\n", f"\nid: {blank}\n"))
+        code, out, err = run_cli(capsys, "run", str(path), "--out", str(csv))
+        assert (code, out) == (1, "")
+        assert err == f"config error: {path}.id: must be a non-blank string, got {yaml.safe_load(blank)!r}\n"
+        assert not csv.exists()
+
     @pytest.mark.parametrize("old, new", [
         ("id: chain-base\n", "id: " + "[" * 3000 + "]" * 3000 + "\n"),
         _with_injection("{threat: T1, surface: PAMemory, window: [0, 3], payload: {value_kph: "
@@ -655,6 +668,17 @@ class TestChainCommand:
         code, out, err = run_cli(capsys, "chain", str(path))
         assert (code, err) == (0, "")
         assert out.startswith("chain:    file-chain\n")
+
+    @pytest.mark.parametrize("blank", ['""', '"   "'])
+    def test_a_blank_chain_id_is_config_error(self, capsys, tmp_path, blank):
+        # `chain:` would print no name, and the run would exit 0
+        text = shipped_files(CHAIN_FOLDER)["chain-1-memory-poisoning-drift"].read_text()
+        assert text.startswith("id: chain-1-memory-poisoning-drift\n")
+        path = tmp_path / "blank-chain.yaml"
+        path.write_text(text.replace("id: chain-1-memory-poisoning-drift\n", f"id: {blank}\n", 1))
+        code, out, err = run_cli(capsys, "chain", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"config error: {path}.id: must be a non-blank string, got {yaml.safe_load(blank)!r}\n"
 
     @pytest.mark.parametrize("trigger, field", [
         ('{at_step: "0"}', "at_step"),

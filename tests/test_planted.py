@@ -463,3 +463,27 @@ def test_a_run_that_makes_a_reference_cycle_per_step_fails(monkeypatch):
     )
     fails(test_runner.TestCollectorPause().test_shipped_pairs_and_their_exports_make_no_cyclic_garbage)
     fails(test_runner.TestCollectorPause().test_builtin_chains_make_no_cyclic_garbage)
+
+
+def test_a_step_record_with_its_tuning_and_admission_digests_swapped_fails(monkeypatch):
+    # the runner passes a step record's fields by position: two adjacent strings trade places without an error
+    plant(
+        monkeypatch, agvsim.runner, "run_episodes",
+        "tuning_digest,  # tuning_digest\n                    admission_digest,  # admission_digest",
+        "admission_digest,  # tuning_digest\n                    tuning_digest,  # admission_digest",
+    )
+    fails(test_runner.TestTuningDigest().test_negative_zero_knob_gets_its_own_digest)
+    fails(test_golden.test_scenario_exports_match_golden, SCENARIO)
+
+
+def test_a_step_row_with_its_baseline_and_attacked_targets_swapped_fails(monkeypatch):
+    # `compare` passes a row's fields by position: the two targets are both floats
+    plant(
+        monkeypatch, agvsim.report, "compare",
+        "b_target, a_target, a_target - b_target,", "a_target, b_target, a_target - b_target,",
+    )
+    config = load_shipped("case1-highway-routine")
+    report = agvsim.report.compare(run_episodes(config, False), run_episodes(config, True))
+    fails(test_report.TestCompare().test_delta_is_attacked_minus_baseline, report)
+    fails(test_report.TestCsvRendering().test_three_decimal_rendering, report)
+    fails(test_golden.test_scenario_exports_match_golden, "case1-highway-routine")

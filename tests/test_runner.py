@@ -375,7 +375,7 @@ class TestStealthCheck:
         assert stealth_check(attacked, baseline) is True
 
     def test_bound_violating_policy_is_not_stealthy(self):
-        import agvsim.chains as chains
+        import agvsim.trace as trace
         from agvsim.threats import ThreatInjection
         from agvsim.domain import ThreatId
 
@@ -396,7 +396,7 @@ class TestStealthCheck:
         baseline = run_episodes(speedster, with_injections=False)
         attacked = run_episodes(speedster, with_injections=True)
         assert stealth_check(attacked, baseline) is False
-        assert chains.classify_outcome(attacked, baseline) is chains.OutcomeClass.BLOCKED_BY_SC
+        assert trace.classify_outcome(attacked, baseline) is trace.OutcomeClass.BLOCKED_BY_SC
 
     def test_noop_injection_is_stealthy(self):
         baseline, attacked, _ = paired("threat-t08")

@@ -1,6 +1,7 @@
 """Guards for the tooling that reaches into the package from outside it."""
 
 import ast
+import builtins
 import copy
 import dataclasses
 import enum
@@ -557,26 +558,46 @@ PER_STEP = {
 }
 
 
-def _per_step_costs(stem: str, qualname: str) -> list[str]:
-    """The enum member reads through the class, `.value` reads and generator
-    expressions in one function, its nested functions too, but not in what a
-    `raise` builds: an error leaves the step."""
-    module = importlib.import_module(f"agvsim.{stem}")
+def _per_step_nodes(stem: str, qualname: str):
+    """Every node of one function, its nested functions too, but none of what
+    a `raise` builds: an error leaves the step."""
     tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
     *owner, name = qualname.split(".")
     scope = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == owner[0]) if owner else tree
-    function = next(n for n in scope.body if isinstance(n, ast.FunctionDef) and n.name == name)
-    found, todo = [], [function]
+    todo = [next(n for n in scope.body if isinstance(n, ast.FunctionDef) and n.name == name)]
     while todo:
         node = todo.pop()
-        if isinstance(node, ast.Raise):
-            continue
+        if not isinstance(node, ast.Raise):
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _per_step_costs(stem: str, qualname: str) -> list[str]:
+    """The enum member reads through the class, `.value` reads and generator expressions in one function."""
+    module = importlib.import_module(f"agvsim.{stem}")
+    return [
+        f"{stem}.{qualname}:{node.lineno}: {ast.unparse(node)}" for node in _per_step_nodes(stem, qualname)
         if isinstance(node, ast.GeneratorExp) or isinstance(node, ast.Attribute) and (
             node.attr == "value"
             or isinstance(node.value, ast.Name) and isinstance(vars(module).get(node.value.id), enum.EnumMeta)
+        )
+    ]
+
+
+def _keyword_builds(stem: str, qualname: str) -> list[str]:
+    """The calls in one function that pass a keyword to a class its module
+    names (a record, a mutable state, a builtin such as `dict`), and every
+    `replace(...)`, which passes each init field as a keyword."""
+    module = importlib.import_module(f"agvsim.{stem}")
+    found = []
+    for node in _per_step_nodes(stem, qualname):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = ast.unparse(node.func)
+        if callee in ("replace", "dataclasses.replace") or node.keywords and isinstance(
+            vars(module).get(callee, vars(builtins).get(callee)), type
         ):
-            found.append(f"{stem}.{qualname}:{node.lineno}: {ast.unparse(node)}")
-        todo.extend(ast.iter_child_nodes(node))
+            found.append(f"{stem}.{qualname}:{node.lineno}: {callee}(...)")
     return found
 
 
@@ -586,6 +607,18 @@ def test_the_per_step_path_reads_no_enum_member_or_value_and_builds_no_generator
     # more than the list of them: these functions read module constants and
     # member -> text tables, and build lists or loop
     found = [cost for stem, names in PER_STEP.items() for name in names for cost in _per_step_costs(stem, name)]
+    assert found == []
+
+
+# what builds a record per step or per pair: the per-step path, and the chain pair's own analysis
+BUILDS_PER_STEP = {**PER_STEP, "chains": ("run_chain",)}
+
+
+def test_the_per_step_path_builds_every_record_positionally():
+    # matching keywords costs a class call about 0.5 us over 22 fields, and
+    # `type.__call__` builds a kwargs dict besides: these functions pass each
+    # record's fields by position, in field order, and write dicts as literals
+    found = [site for stem, names in BUILDS_PER_STEP.items() for name in names for site in _keyword_builds(stem, name)]
     assert found == []
 
 
