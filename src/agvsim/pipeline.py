@@ -11,7 +11,7 @@ physically safe proposals sail through it.
 from __future__ import annotations
 
 import math
-from dataclasses import field, replace
+from dataclasses import field
 from enum import Enum
 
 from .domain import (
@@ -209,12 +209,30 @@ def max_delta_kph(rules: Rulebook) -> float:
     return rules.max_accel_mps2 * ACCEL_WINDOW_S * KPH_PER_MPS * (1.0 - 1e-9)
 
 
-def speed_window(speed_kph: float, claimed_limit_kph: float, rules: Rulebook) -> tuple[float, float]:
-    """The SC's feasible targets `(lo, hi)` at a reported speed under a claimed
-    limit: one acceleration window either side of the speed, at least 0 and at
-    most the limit and the absolute maximum. Empty when lo > hi."""
+def rule_boxes(speed_kph: float, claimed_limit_kph: float, rules: Rulebook) -> dict[str, tuple[float, float, float]]:
+    """Each SC rule's box `(least target, greatest target, least headway)` at a
+    reported speed under a claimed limit, keyed by rule id in check order: a
+    proposal inside a rule's box keeps that rule."""
     delta = max_delta_kph(rules)
-    return max(0.0, speed_kph - delta), min(rules.abs_max_speed_kph, claimed_limit_kph, speed_kph + delta)
+    return {
+        RULE_ABS_MAX: (-math.inf, rules.abs_max_speed_kph, 0.0),
+        RULE_CONTEXT_LIMIT: (-math.inf, claimed_limit_kph, 0.0),
+        RULE_MAX_ACCEL: (max(0.0, speed_kph - delta), speed_kph + delta, 0.0),
+        RULE_MIN_HEADWAY: (-math.inf, math.inf, rules.min_headway_s),
+    }
+
+
+def speed_window(speed_kph: float, claimed_limit_kph: float, rules: Rulebook) -> tuple[float, float]:
+    """The SC's feasible targets `(lo, hi)`: the intersection of the rule boxes'
+    target ranges. Empty when lo > hi."""
+    los, his, _ = zip(*rule_boxes(speed_kph, claimed_limit_kph, rules).values())
+    return max(los), min(his)
+
+
+def revised(proposal: StrategyProposal, target: float, headway: float, cause: tuple[str, str]) -> StrategyProposal:
+    """`proposal` with a new target and headway, citing `cause` (input id, rule id) last."""
+    justification = proposal.justification + (cause,)
+    return StrategyProposal(target, headway, proposal.lane_change_intent, proposal.route_pref, justification)
 
 
 def round_half_up(value: float) -> float:
@@ -319,30 +337,6 @@ def sc_violations(
     return violations
 
 
-def _clamped_substitute(
-    proposal: StrategyProposal,
-    feedback: VehicleFeedback,
-    rules: Rulebook,
-    context_limit_claimed: float,
-    reason: str,
-) -> StrategyProposal | None:
-    """Conservative clamp of the proposal into the SC's speed window.
-
-    Returns None when the window is empty (e.g. the claimed limit is
-    unreachable within the acceleration window), in which case the SC keeps
-    revising instead of emitting a non-compliant substitute.
-    """
-    lo, hi = speed_window(feedback.speed_kph, context_limit_claimed, rules)
-    if hi <= 0 or lo > hi:
-        return None
-    return replace(
-        proposal,
-        target_speed_kph=min(max(proposal.target_speed_kph, lo), hi),
-        headway_s=max(proposal.headway_s, rules.min_headway_s),
-        justification=proposal.justification + (("sc.bounds", "clamp-" + reason),),
-    )
-
-
 def sc_validate(
     proposal: StrategyProposal,
     feedback: VehicleFeedback,
@@ -356,16 +350,21 @@ def sc_validate(
     limit (ground truth is invisible here by design). Otherwise revises with
     the first violated rule id; once one revision has already happened for
     this proposal lineage (`revision_count` >= 1, an explicit input rather
-    than hidden state), it substitutes the proposal clamped to all bounds.
+    than hidden state), it substitutes the proposal clamped to all bounds,
+    unless the speed window is empty (e.g. the claimed limit is out of one
+    acceleration window's reach): then it keeps revising.
     """
     violations = sc_violations(proposal, feedback, rules, context_limit_claimed)
     if not violations:
         return SafetyVerdict(_APPROVE)
     reason = violations[0]
     if revision_count >= 1:
-        substitute = _clamped_substitute(proposal, feedback, rules, context_limit_claimed, reason)
-        if substitute is not None and not sc_violations(substitute, feedback, rules, context_limit_claimed):
-            return SafetyVerdict(_SUBSTITUTE, reason, substitute)
+        lo, hi = speed_window(feedback.speed_kph, context_limit_claimed, rules)
+        if not (hi <= 0 or lo > hi):
+            target, headway = min(max(proposal.target_speed_kph, lo), hi), max(proposal.headway_s, rules.min_headway_s)
+            substitute = revised(proposal, target, headway, ("sc.bounds", "clamp-" + reason))
+            if not sc_violations(substitute, feedback, rules, context_limit_claimed):
+                return SafetyVerdict(_SUBSTITUTE, reason, substitute)
     return SafetyVerdict(_REVISE, reason)
 
 
@@ -376,24 +375,10 @@ def tighten_proposal(
     rules: Rulebook,
     context_limit_claimed: float,
 ) -> StrategyProposal:
-    """DSA's single resubmission: pull the violated bound into compliance."""
-    target = proposal.target_speed_kph
-    headway = proposal.headway_s
-    if reason == RULE_ABS_MAX:
-        target = min(target, rules.abs_max_speed_kph)
-    elif reason == RULE_CONTEXT_LIMIT:
-        target = min(target, context_limit_claimed)
-    elif reason == RULE_MAX_ACCEL:
-        delta = max_delta_kph(rules)
-        target = min(max(target, feedback.speed_kph - delta, 0.0), feedback.speed_kph + delta)
-    elif reason == RULE_MIN_HEADWAY:
-        headway = rules.min_headway_s
-    return replace(
-        proposal,
-        target_speed_kph=target,
-        headway_s=headway,
-        justification=proposal.justification + (("sc.verdict", "tightened-" + reason),),
-    )
+    """DSA's single resubmission: clamp the proposal into the box of the violated rule."""
+    lo, hi, least_headway = rule_boxes(feedback.speed_kph, context_limit_claimed, rules)[reason]
+    target, headway = min(max(proposal.target_speed_kph, lo), hi), max(proposal.headway_s, least_headway)
+    return revised(proposal, target, headway, ("sc.verdict", "tightened-" + reason))
 
 
 def validate_with_revision(
@@ -411,11 +396,11 @@ def validate_with_revision(
     if first.decision is _APPROVE:
         return (proposal,), (first,), proposal
 
-    revised = tighten_proposal(proposal, first.reason, feedback, rules, context_limit_claimed)
-    second = sc_validate(revised, feedback, rules, context_limit_claimed, revision_count=1)
-    submissions, verdicts = (proposal, revised), (first, second)
+    resubmitted = tighten_proposal(proposal, first.reason, feedback, rules, context_limit_claimed)
+    second = sc_validate(resubmitted, feedback, rules, context_limit_claimed, revision_count=1)
+    submissions, verdicts = (proposal, resubmitted), (first, second)
     if second.decision is _APPROVE:
-        return submissions, verdicts, revised
+        return submissions, verdicts, resubmitted
     if second.decision is _SUBSTITUTE:
         assert second.substitute is not None
         return submissions, verdicts, second.substitute

@@ -63,6 +63,7 @@ from .pipeline import (
     StrategyProposal,
     dsa_propose,
     pa_interpret,
+    revised,
 )
 from .serialize import ListDigest, digest_of
 
@@ -231,8 +232,10 @@ def confirm_urgency(user: SimulatedUserState, noise_queries: int, true_tag: str)
     return true_tag
 
 
-# the request fields each rogue PA policy rewrites: rogue-urgent reframes every trip as maximally urgent
-_ROGUE_PA_REQUESTS: Mapping[str, dict] = {"rogue-urgent": {"urgency_tag": URGENT, "desired_speed_kph": None}}
+# the request each rogue PA policy rewrites: rogue-urgent reframes every trip as maximally urgent
+_ROGUE_PA_REQUESTS: Mapping[str, Callable[[UserRequest], UserRequest]] = {
+    "rogue-urgent": lambda request: UserRequest(URGENT, request.destination, None),
+}
 PA_POLICIES = ("default", *_ROGUE_PA_REQUESTS)
 _ROGUE_DSA_TARGETS: Mapping[str, Callable[[float], float]] = {
     "rogue-crawl": lambda target: target * 0.5,
@@ -248,8 +251,9 @@ def run_pa_policy(
     context: ContextSummary,
     tuning: AgentTuning,
 ) -> IntentDescriptor:
-    if name in _ROGUE_PA_REQUESTS:
-        request = replace(request, **_ROGUE_PA_REQUESTS[name])
+    rogue = _ROGUE_PA_REQUESTS.get(name)
+    if rogue is not None:
+        request = rogue(request)
     return pa_interpret(request, memory, context, tuning)
 
 
@@ -265,18 +269,11 @@ def run_dsa_policy(
     proposal = dsa_propose(intent, context, feedback, rules, tuning)
     rogue = _ROGUE_DSA_TARGETS.get(name)
     if rogue is not None:
-        proposal = replace(
-            proposal,
-            target_speed_kph=rogue(proposal.target_speed_kph),
-            justification=proposal.justification + (("policy.override", name),),
-        )
+        proposal = revised(proposal, rogue(proposal.target_speed_kph), proposal.headway_s, ("policy.override", name))
     if weights:
-        proposal = replace(
-            proposal,
-            target_speed_kph=proposal.target_speed_kph * weights["speed_weight"],
-            headway_s=proposal.headway_s * weights.get("headway_scale", 1.0),
-            justification=proposal.justification + (("policy.weights", "preference-reweighted"),),
-        )
+        target = proposal.target_speed_kph * weights["speed_weight"]
+        headway = proposal.headway_s * weights["headway_scale"]
+        proposal = revised(proposal, target, headway, ("policy.weights", "preference-reweighted"))
     return proposal
 
 

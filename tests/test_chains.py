@@ -18,7 +18,7 @@ from agvsim.chains import (
     run_chain,
 )
 from agvsim.cavstack import Layer
-from agvsim.domain import ThreatId, shipped_files
+from agvsim.domain import ConfigError, Role, ThreatId, shipped_files
 from agvsim.scenario import load_shipped, shipped_scenarios
 from agvsim.runner import run_episodes
 from agvsim.serialize import digest_of
@@ -137,6 +137,21 @@ class TestChainValidation:
         with pytest.raises(ValueError, match="inject stages need an injection and take no probe"):
             ChainStage(StageKind.INJECT, Trigger(at_step=0), injection, "route-pref-changed")
 
+    @pytest.mark.parametrize("trigger,message", [
+        ("{at_step: 0, after_stage: 0}", "trigger needs exactly one of at_step / after_stage"),
+        ("{}", "trigger needs exactly one of at_step / after_stage"),
+        ("{at_step: -1}", "at_step must be >= 0, got -1"),
+    ], ids=["both-keys", "neither-key", "negative-step"])
+    def test_a_bad_trigger_in_a_file_is_a_config_error_at_the_trigger(self, tmp_path, trigger, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            f"id: bad\nepisode_length: 4\nstages:\n"
+            f"  - {{kind: observe, trigger: {trigger}, probe: route-pref-changed}}\n"
+        )
+        with pytest.raises(ConfigError) as raised:
+            load_chain_spec(path)
+        assert (raised.value.where, raised.value.message) == (f"{path}.stages[0].trigger", message)
+
     def test_a_stage_injection_acts_from_its_trigger_on(self, base_scenario):
         # an injection carries no window: the trigger alone decides when a stage acts
         stage = ChainStage(
@@ -174,6 +189,32 @@ class TestRunChain:
         assert "detour-around-R7" in routes_attacked
         assert propagation.attacked.verdict_sequence() == baseline.verdict_sequence()
         assert propagation.outcome is OutcomeClass.MISALIGNED_APPROVED
+
+    def test_a_poisoned_external_limit_reaches_the_approved_target(self, base_scenario):
+        # chain-2 with its T12 edit setting the limit the forged External envelope carries
+        spec = builtin_chain("chain-2")
+        poison = ThreatInjection(ThreatId.T12, Surface.INTER_AGENT_MSG, {
+            "target": "external", "edits": [{"field": "speed_limit_kph", "op": "Set", "value": 30.0}],
+        })
+        stages = (spec.stages[0], dataclasses.replace(spec.stages[1], injection=poison), spec.stages[2])
+        propagation, baseline = run_chain(dataclasses.replace(spec, stages=stages), base_scenario)
+        attacked = propagation.attacked
+        external = [[e.payload for e in r.envelopes if e.sender is Role.EXTERNAL] for r in attacked.steps]
+        assert external == [[{}]] + [[{"speed_limit_kph": 30.0}]] * 3
+        assert [r.approved.target_speed_kph for r in attacked.steps] == [81, 30.0, 30.0, 30.0]
+        assert [r.approved.target_speed_kph for r in baseline.steps] == [81] * 4
+        stage = propagation.stage_deltas[1]
+        assert (stage.fired_step, stage.changed_fields) == (1, ("approved", "dsa_context", "submissions"))
+
+    def test_an_observe_stage_after_one_that_never_hits_never_fires(self, base_scenario):
+        # with no injection the route never changes, so neither probe hits
+        spec = ChainSpec(id="idle", episode_length=4, stages=(
+            ChainStage(StageKind.OBSERVE, Trigger(at_step=0), probe="route-pref-changed"),
+            ChainStage(StageKind.OBSERVE, Trigger(after_stage=0), probe="route-pref-changed"),
+        ))
+        propagation, _ = run_chain(spec, base_scenario)
+        waiting = propagation.stage_deltas[1]
+        assert (waiting.fired_step, waiting.changed_fields, waiting.detail) == (None, (), "upstream stage never fired")
 
     def test_stage_firing_cascade(self, base_scenario):
         propagation, _ = run_chain(builtin_chain("chain-2"), base_scenario)

@@ -294,6 +294,24 @@ class TestRun:
         run_cli(capsys, "run", "case1-highway-routine", "--baseline-only", "--seed", "3", "--out", str(out))
         assert '"seed": 3' in out.read_text()
 
+    def test_a_seed_env_var_that_is_no_integer_is_a_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("AGV_SIM_SEED", "x")
+        code, out, err = run_cli(capsys, "run", "case1-highway-urgent")
+        assert (code, out, err) == (1, "", "config error: AGV_SIM_SEED: must be an integer, got 'x'\n")
+
+    def test_a_run_with_no_reachable_compliant_proposal_is_a_pipeline_error(self, capsys, tmp_path):
+        # a perception attack claims 5 kph at 125 kph: no target is both under the claim and one acceleration
+        # window from the speed, so the SC's speed window is empty and the step halts
+        doc = yaml.safe_load(shipped_scenarios()["threat-xperception"].read_text())
+        doc["world"].update(speed_limit_kph=130.0, vehicle_speed_kph=125.0)
+        doc["injections"][0]["payload"]["transforms"] = [{"field": "speed_limit_kph", "op": "Set", "value": 5.0}]
+        scenario, out = tmp_path / "halt.yaml", tmp_path / "x.csv"
+        scenario.write_text(yaml.safe_dump(doc))
+        code, stdout, err = run_cli(capsys, "run", str(scenario), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "pipeline error: no rule-compliant proposal reachable (last violation: context_limit)\n"
+        assert not out.exists()
+
     def test_missing_scenario_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "no-such-scenario")
         assert code == 1

@@ -18,14 +18,17 @@ from agvsim.pipeline import (
     MemoryEntry,
     MemoryKind,
     MemoryStore,
+    PipelineError,
     Rulebook,
     SPEED_CAP_KEY,
     SafetyVerdict,
     StrategyProposal,
     dsa_propose,
+    max_delta_kph,
     pa_interpret,
     sc_validate,
     sc_violations,
+    tighten_proposal,
     validate_with_revision,
 )
 from agvsim.runner import run_episodes
@@ -333,6 +336,28 @@ class TestPipelineComposition:
         assert tuple(v.decision.value for v in verdicts) == decisions
         assert tuple(v.reason for v in verdicts) == reasons
         assert (result.target_speed_kph, result.headway_s) == approved
+
+    @pytest.mark.parametrize(
+        "speed,limit,reason,tightened,last",
+        [
+            # the acceleration box lifts the target to 142.000000108, above both limits; the clamp window is empty
+            (250.0, 90.0, "max_accel", 250.0 - max_delta_kph(Rulebook()), "abs_max"),
+            # the limit's box pulls the target out of the acceleration window
+            (200.0, 50.0, "context_limit", 50.0, "max_accel"),
+        ],
+        ids=["max-accel-first", "context-limit-first"],
+    )
+    def test_an_empty_speed_window_revises_into_the_violated_rules_box_then_halts(
+        self, speed, limit, reason, tightened, last
+    ):
+        # the resubmission clamps into the box of the violated rule alone, not
+        # into the whole speed window, so the halt names the rule it then breaks
+        rules, submitted = Rulebook(), proposal(80.0, 1.0)
+        first = sc_validate(submitted, fb(speed), rules, limit)
+        assert (first.decision, first.reason) == (Decision.REVISE, reason)
+        assert tighten_proposal(submitted, reason, fb(speed), rules, limit).target_speed_kph == tightened
+        with pytest.raises(PipelineError, match=rf"\(last violation: {last}\)$"):
+            validate_with_revision(submitted, fb(speed), rules, limit)
 
     @given(config=worlds_and_requests())
     @settings(max_examples=150, deadline=None)

@@ -378,9 +378,28 @@ def test_a_layer_clamp_with_its_own_bound_fails(monkeypatch):
 
 
 def test_an_sc_window_with_a_shifted_lower_edge_fails(monkeypatch):
-    # one kph more room below: the loader takes a world from which no rule-compliant speed is reachable
-    plant(monkeypatch, agvsim.pipeline, "speed_window", "speed_kph - delta)", "speed_kph - delta - 1.0)")
+    # one kph more room below the acceleration box: the loader takes a world with no reachable rule-compliant speed
+    plant(monkeypatch, agvsim.pipeline, "rule_boxes", "speed_kph - delta)", "speed_kph - delta - 1.0)")
     fails(test_scenario.TestReachableWorld().test_a_world_just_past_one_acceleration_window_above_its_limit_is_refused)
+
+
+def test_a_resubmission_clamped_into_the_whole_speed_window_fails(monkeypatch):
+    # the resubmission meets every rule's box at once: the substitute's second chance is never needed, and where the
+    # window is empty the target lands on its top, 90 kph, instead of the acceleration box's floor
+    plant(
+        monkeypatch, agvsim.pipeline, "tighten_proposal",
+        "rule_boxes(feedback.speed_kph, context_limit_claimed, rules)[reason]",
+        "(*speed_window(feedback.speed_kph, context_limit_claimed, rules), rules.min_headway_s)",
+    )
+    revision = test_pipeline.TestPipelineComposition()
+    fails(
+        revision.test_an_empty_speed_window_revises_into_the_violated_rules_box_then_halts,
+        250.0, 90.0, "max_accel", 250.0 - agvsim.pipeline.max_delta_kph(agvsim.pipeline.Rulebook()), "abs_max",
+    )
+    fails(
+        revision.test_each_revision_path_approves_what_its_rules_allow,
+        150.0, 0.6, 130.0, 200.0, ("Revise", "Substitute"), ("abs_max", "min_headway"), (130.0, 1.0),
+    )
 
 
 def test_a_record_check_with_the_old_speed_limit_floor_fails(monkeypatch):

@@ -15,7 +15,9 @@ from agvsim.pipeline import Decision, SafetyVerdict
 from agvsim.report import CSV_COLUMNS, _verdict_cell, compare, render_csv, render_json
 from agvsim.runner import run_episodes
 from agvsim.scenario import load_shipped, parse_scenario, shipped_scenarios
-from agvsim.trace import EpisodeTrace, OutcomeClass, TracePairingError, classify_outcome, sc_interventions
+from agvsim.trace import (
+    EpisodeTrace, OutcomeClass, TracePairingError, check_paired, classify_outcome, sc_interventions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,14 @@ class TestCompare:
         assert len(attacked.steps) == len(baseline.steps) == 6
         with pytest.raises(TracePairingError, match=r"^unpaired traces: 3 vs 2 steps per episode$"):
             compare(baseline, attacked)
+
+    def test_traces_of_other_seeds_or_lengths_are_unpaired(self):
+        config = load_shipped("threat-t01")
+        attacked = run_episodes(config, True, seed=1)
+        with pytest.raises(TracePairingError, match=r"^unpaired traces: seed 1 vs 2$"):
+            check_paired(attacked, run_episodes(config, False, seed=2))
+        with pytest.raises(TracePairingError, match=r"^unpaired traces: 6 vs 9 steps$"):
+            check_paired(attacked, run_episodes(dataclasses.replace(config, episodes=3), False, seed=1))
 
 
 class TestCsvRendering:

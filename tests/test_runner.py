@@ -398,6 +398,25 @@ class TestStealthCheck:
         assert stealth_check(attacked, baseline) is False
         assert trace.classify_outcome(attacked, baseline) is trace.OutcomeClass.BLOCKED_BY_SC
 
+    def test_a_rogue_urgent_pa_is_a_stealthy_misaligned_approval(self):
+        # every routine trip is reframed as urgent: the intent asks for the limit and the SC approves it
+        import agvsim.trace as trace
+
+        config = load_shipped("threat-t13")
+        rogue = ThreatInjection(ThreatId.T13, Surface.AGENT_POLICY, {"agent": "PA", "policy": "rogue-urgent"})
+        config = dataclasses.replace(config, injections=((rogue, (0, 2)),))
+        baseline = run_episodes(config, with_injections=False)
+        attacked = run_episodes(config, with_injections=True)
+
+        def read(run):
+            return [(r.intent.urgency, r.intent.desired_speed_kph, r.approved.target_speed_kph) for r in run.steps]
+
+        assert read(attacked) == [(1.0, 90.0, 90.0)] * 3
+        assert read(baseline) == [(0.4, 81, 81)] * 3
+        assert [len(r.effects) for r in attacked.steps] == [1, 1, 1]
+        assert trace.classify_outcome(attacked, baseline) is trace.OutcomeClass.MISALIGNED_APPROVED
+        assert stealth_check(attacked, baseline) is True
+
     def test_noop_injection_is_stealthy(self):
         baseline, attacked, _ = paired("threat-t08")
         assert stealth_check(attacked, baseline) is True

@@ -502,18 +502,40 @@ def test_the_urgency_tags_are_written_only_in_domain():
     assert found == {"domain.py": 2}
 
 
-def test_the_sc_speed_window_is_computed_only_by_speed_window():
-    # the clamp substitute and the loader's reachability rule read the window; neither keeps arithmetic of its own
+def test_the_sc_bounds_are_written_once_in_the_rule_boxes():
+    # each rule's box is written in `rule_boxes` alone: the window is their
+    # intersection, the resubmission clamps into the violated rule's box, and
+    # the substitute and the loader's reachability rule read the window
     pipeline = _functions(PACKAGE / "pipeline.py")
     scenario = ast.parse((PACKAGE / "scenario.py").read_text(encoding="utf-8"))
     assert _calls(scenario, "speed_window") == 1
     assert not any(getattr(node, "id", None) == "max_delta_kph" for node in ast.walk(scenario))
-    assert _calls(pipeline["_clamped_substitute"], "speed_window") == 1
+    assert {name for name, f in pipeline.items() if _calls(f, "max_delta_kph")} == {"rule_boxes"}
+    assert (_calls(pipeline["speed_window"], "rule_boxes"), _calls(pipeline["tighten_proposal"], "rule_boxes")) == (1, 1)
+    assert not any(isinstance(node, (ast.If, ast.IfExp)) for node in ast.walk(pipeline["tighten_proposal"]))
+    assert _calls(pipeline["sc_validate"], "speed_window") == 1
     # the window's edges are the only bounds the substitute compares: its target is > 0 once `hi` is
-    guards = [ast.unparse(n) for n in ast.walk(pipeline["_clamped_substitute"]) if isinstance(n, ast.Compare)]
-    assert guards == ["hi <= 0", "lo > hi"]
-    # the acceleration window alone is the max_accel revision's
-    assert {name for name, f in pipeline.items() if _calls(f, "max_delta_kph")} == {"speed_window", "tighten_proposal"}
+    guards = [ast.unparse(n) for n in ast.walk(pipeline["sc_validate"]) if isinstance(n, ast.Compare)]
+    assert guards == ["revision_count >= 1", "hi <= 0", "lo > hi"]
+    assert "_clamped_substitute" not in pipeline
+    # nor does pipeline.py import or call `replace`: every rewritten proposal is built by position
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    names = {getattr(node, key, None) for node in ast.walk(tree) for key in ("id", "attr", "name")}
+    assert "replace" not in names
+
+
+def test_every_rewritten_proposal_is_built_by_revised():
+    # a rewrite of a proposal cites its cause through the one builder; only the DSA builds one afresh
+    built = {
+        f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py")) for name, f in _functions(path).items()
+        if _calls(f, "StrategyProposal")
+    }
+    assert built == {"pipeline.dsa_propose", "pipeline.revised"}
+    callers = {
+        f"{path.stem}.{name}": _calls(f, "revised") for path in sorted(PACKAGE.glob("*.py"))
+        for name, f in _functions(path).items() if _calls(f, "revised")
+    }
+    assert callers == {"pipeline.sc_validate": 1, "pipeline.tighten_proposal": 1, "threats.run_dsa_policy": 2}
 
 
 def test_only_sc_interventions_compares_a_verdicts_decision():
@@ -610,8 +632,10 @@ def test_the_per_step_path_reads_no_enum_member_or_value_and_builds_no_generator
     assert found == []
 
 
-# what builds a record per step or per pair: the per-step path, and the chain pair's own analysis
-BUILDS_PER_STEP = {**PER_STEP, "chains": ("run_chain",)}
+# what builds a record per step or per pair: the per-step path, the agent-policy runners, and the chain pair's analysis
+BUILDS_PER_STEP = {
+    **PER_STEP, "threats": (*PER_STEP["threats"], "run_pa_policy", "run_dsa_policy"), "chains": ("run_chain",),
+}
 
 
 def test_the_per_step_path_builds_every_record_positionally():
